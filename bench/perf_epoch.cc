@@ -37,8 +37,8 @@
 // JSON on multi-core runners.
 //
 // The `sparse` section measures the generative sparse fabric backend at two
-// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) on
-// this backend), a full maintenance epoch (tick + load + 1 Vivaldi sample
+// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) in
+// every base mode), a full maintenance epoch (tick + load + 1 Vivaldi sample
 // per node + dirty refresh), and the largest single heap allocation, which
 // must stay far below an N x N matrix — that flat-memory guarantee is the
 // whole point of the backend. Above 4096 nodes the engine-loop sections are
@@ -82,7 +82,7 @@
 #include "msg/message.h"
 #include "net/churn.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
+#include "net/fabric.h"
 #include "query/workload.h"
 
 // ---------------------------------------------------------------------------
@@ -131,6 +131,7 @@ struct EpochLoopResult {
   double ns_per_epoch = 0.0;
   double ns_per_submit = 0.0;  // initial submission, per query
   double allocs_per_epoch = 0.0;
+  double live_reads_per_epoch = 0.0;  // fabric live reads inside AdvanceEpoch
   size_t queries_running = 0;
   overlay::IndexRefreshStats refresh;  // cumulative over the loop
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
@@ -198,9 +199,12 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   const overlay::IndexRefreshStats before = sbon.index_refresh_stats();
   const KernelStatsSnapshot kernels_before = KernelStats::Instance().Snapshot();
   const uint64_t allocs_before = g_alloc_count;
+  size_t epoch_live_reads = 0;
   const Clock::time_point loop_start = Clock::now();
   for (size_t e = 0; e < epochs; ++e) {
+    const size_t reads_before = sbon.fabric().read_stats().live_reads;
     eng->AdvanceEpoch(epoch);
+    epoch_live_reads += sbon.fabric().read_stats().live_reads - reads_before;
     // Steady-state churn: re-optimize one running query locally and replace
     // another (Remove + Submit), rotating through the set.
     (void)eng->Reoptimize(handles[e % handles.size()], local_reopt);
@@ -219,6 +223,8 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   out.allocs_per_epoch =
       static_cast<double>(g_alloc_count - allocs_before) /
       static_cast<double>(epochs);
+  out.live_reads_per_epoch =
+      static_cast<double>(epoch_live_reads) / static_cast<double>(epochs);
   out.kernels = KernelStats::Instance().Snapshot().Since(kernels_before);
   out.epochs = epochs;
   const overlay::IndexRefreshStats after = sbon.index_refresh_stats();
@@ -241,8 +247,7 @@ struct PipelineRunResult {
 // latency view (full coverage up to ~64k pairs; the same deterministic
 // stride either side of a comparison, so runs that are bit-identical hash
 // identically and a single differing ulp in a sampled pair does not).
-// Virtual per-pair reads instead of raw matrix access: works on any fabric
-// backend, dense or sparse.
+// Per-pair view reads: works in any fabric base mode, dense or sparse.
 uint64_t StateFingerprint(const overlay::Sbon& sbon) {
   uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](double v) {
@@ -272,7 +277,7 @@ uint64_t StateFingerprint(const overlay::Sbon& sbon) {
 }
 
 // The pure epoch pipeline (AdvanceEpoch only, no submit/remove churn in
-// the loop) under a realistic maintenance epoch: jitter resample, ambient
+// the loop) under a realistic maintenance epoch: jitter seed swap, ambient
 // load, 4 online Vivaldi samples per node, dirty refresh. This is the
 // workload the `parallel` JSON section compares across thread counts —
 // identical seeds must end in bit-identical state at any thread count.
@@ -467,7 +472,7 @@ MessageModeResult RunMessageSection(
 struct SparseScalePoint {
   size_t nodes = 0;           // actual node count of the built topology
   double bringup_ms = 0.0;    // Sbon::Create (fabric + Vivaldi + index)
-  double tick_ns = 0.0;       // TickNetwork-only epoch (O(1) on sparse)
+  double tick_ns = 0.0;       // TickNetwork-only epoch (O(1) seed swap)
   double maint_ns = 0.0;      // tick + load + 1 Vivaldi sample + refresh
   size_t max_alloc = 0;       // largest single heap allocation in the run
   const char* base_mode = ""; // "exact" / "sketch"
@@ -516,19 +521,17 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   out.maint_ns = NsSince(maint_start) / static_cast<double>(epochs);
   out.max_alloc = g_max_alloc_size;
 
-  const auto* fabric =
-      dynamic_cast<const net::SparseFabric*>(&sbon.fabric());
-  if (fabric != nullptr) {
-    out.base_mode = fabric->exact_base() ? "exact" : "sketch";
-    out.landmarks = fabric->num_landmarks();
-    const auto& stats = fabric->cache_stats();
-    out.row_builds = stats.row_builds;
-    out.neighbor_hit_rate =
-        stats.base_reads > 0
-            ? static_cast<double>(stats.neighbor_hits) /
-                  static_cast<double>(stats.base_reads)
-            : 0.0;
-  }
+  const net::NetworkFabric& fabric = sbon.fabric();
+  out.base_mode = fabric.base_mode() == net::NetworkFabric::BaseMode::kExact
+                      ? "exact"
+                      : "sketch";
+  out.landmarks = fabric.num_landmarks();
+  const net::NetworkFabric::ReadStats& stats = fabric.read_stats();
+  out.row_builds = stats.row_builds;
+  out.neighbor_hit_rate =
+      stats.base_reads > 0 ? static_cast<double>(stats.neighbor_hits) /
+                                 static_cast<double>(stats.base_reads)
+                           : 0.0;
   return out;
 }
 
@@ -863,9 +866,9 @@ int main(int argc, char** argv) {
   const bool dense_requested = sbon::bench::FabricFlag() == "dense";
   if (dense_requested && nodes > 20000) {
     std::fprintf(stderr,
-                 "--fabric=dense above 20000 nodes would materialize two "
-                 "N^2 latency matrices (%zu GB); use --fabric=sparse\n",
-                 2 * nodes * nodes * sizeof(double) >> 30);
+                 "--fabric=dense above 20000 nodes would materialize an "
+                 "N^2 base latency matrix (%zu GB); use --fabric=sparse\n",
+                 nodes * nodes * sizeof(double) >> 30);
     return 2;
   }
   // The engine-loop sections track the dense-scale baseline; above the
@@ -905,11 +908,12 @@ int main(int argc, char** argv) {
                                  exec);
     std::printf(
         "epsilon=%-4g  %10.0f ns/epoch  %10.0f ns/submit  %zu queries\n"
-        "              republished=%zu skipped=%zu quiet_refreshes=%zu/%zu\n",
+        "              republished=%zu skipped=%zu quiet_refreshes=%zu/%zu\n"
+        "              live fabric reads/epoch=%.1f\n",
         epsilon, primary.ns_per_epoch, primary.ns_per_submit,
         primary.queries_running, primary.refresh.republished,
         primary.refresh.skipped, primary.refresh.quiet_refreshes,
-        primary.refresh.refreshes);
+        primary.refresh.refreshes, primary.live_reads_per_epoch);
 
     sbon::bench::Section("Epoch+Submit throughput (epsilon=0: every change)");
     eps0 = sbon::RunEpochLoop(nodes, queries, epochs, 0.0,
@@ -1187,7 +1191,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(sp_small.nodes))
           : 0.0;
   // The flat-memory acceptance gate: no single allocation anywhere near an
-  // N x N double matrix (or the N(N+1)/2 jitter triangle) may happen while
+  // N x N double matrix (or an N(N+1)/2 triangle) may happen while
   // the sparse backend runs. Only meaningful once quadratic buffers dwarf
   // the backend's legitimate O(N) arrays (a few hundred bytes per node);
   // below ~512 nodes the two regimes overlap and the dense-vs-sparse
@@ -1248,6 +1252,7 @@ int main(int argc, char** argv) {
           "  \"ns_per_submit\": %.1f,\n"
           "  \"ns_per_epoch_eps0\": %.1f,\n"
           "  \"allocs_per_epoch\": %.1f,\n"
+          "  \"live_reads_per_epoch\": %.1f,\n"
           "  \"republished\": %zu,\n"
           "  \"republish_skipped\": %zu,\n"
           "  \"quiet_refreshes\": %zu,\n"
@@ -1276,8 +1281,9 @@ int main(int argc, char** argv) {
           "  },\n",
           epsilon, primary.ns_per_epoch, primary.ns_per_submit,
           eps0.ns_per_epoch, primary.allocs_per_epoch,
-          primary.refresh.republished, primary.refresh.skipped,
-          primary.refresh.quiet_refreshes, primary.refresh.refreshes,
+          primary.live_reads_per_epoch, primary.refresh.republished,
+          primary.refresh.skipped, primary.refresh.quiet_refreshes,
+          primary.refresh.refreshes,
           vivaldi_allocs, knearest_allocs, hw_threads, par_threads,
           pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,
           speedup_measurable ? "ok" : "skipped-single-core",

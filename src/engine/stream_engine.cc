@@ -408,12 +408,9 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
 
   // Stage order is the epoch's semantics: each stage sees exactly what the
   // previous stages produced.
-  // The jitter stage is only worth scheduling on workers when the fabric
-  // backend actually does O(n^2) work there (dense matrix rewrite); the
-  // sparse backend's tick is an O(1) seed bump.
-  pipeline.Run("jitter", epoch.tick_network,
-               /*parallelizable=*/sbon_->fabric().sharded_tick(),
-               [&](ThreadPool* pool) { sbon_->TickNetwork(pool); });
+  // The jitter stage is an O(1) seed swap: nothing to shard.
+  pipeline.Run("jitter", epoch.tick_network, /*parallelizable=*/false,
+               [&](ThreadPool*) { sbon_->TickNetwork(); });
   // Ambient load is one serial O(n) sweep over the shared Rng stream.
   pipeline.Run("load", epoch.dt > 0.0, /*parallelizable=*/false,
                [&](ThreadPool*) { sbon_->Tick(epoch.dt); });

@@ -5,7 +5,7 @@
 
 namespace sbon::msg {
 
-MessageBus::MessageBus(const net::FabricBackend* fabric,
+MessageBus::MessageBus(const net::NetworkFabric* fabric,
                        const Options& options)
     : fabric_(fabric),
       options_(options),

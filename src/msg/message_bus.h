@@ -19,7 +19,7 @@ namespace sbon::msg {
 ///
 /// The bus is the delivery substrate of message-mode execution: agents Send
 /// typed envelopes, the bus schedules each at `now + live one-way latency`
-/// between the endpoints (read from net::FabricBackend — jitter and
+/// between the endpoints (read from net::NetworkFabric — jitter and
 /// partition penalties delay messages exactly as they delay everything
 /// else), and EndEpoch drains deliveries due within the epoch's simulated
 /// duration in (deliver time, send sequence) order. Messages slower than an
@@ -27,7 +27,7 @@ namespace sbon::msg {
 /// partition emerges from the latency model instead of being scripted.
 ///
 /// Drop semantics (counted per protocol, never delivered):
-///  - either endpoint is down (`FabricBackend::EndpointDown`), or the live
+///  - either endpoint is down (`NetworkFabric::EndpointDown`), or the live
 ///    latency reads +inf (the fabric's dead-endpoint sentinel);
 ///  - the pair crosses an active partition cut and the bus was built with
 ///    `drop_across_partition` (the default): a soft partition inflates
@@ -55,7 +55,7 @@ class MessageBus {
 
   using Handler = std::function<void(const Envelope&)>;
 
-  MessageBus(const net::FabricBackend* fabric, const Options& options);
+  MessageBus(const net::NetworkFabric* fabric, const Options& options);
 
   MessageBus(const MessageBus&) = delete;
   MessageBus& operator=(const MessageBus&) = delete;
@@ -93,7 +93,7 @@ class MessageBus {
   size_t epoch() const { return stats_.epochs; }
   size_t pending() const { return queue_.size(); }
   Rng& rng() { return rng_; }
-  const net::FabricBackend& fabric() const { return *fabric_; }
+  const net::NetworkFabric& fabric() const { return *fabric_; }
   size_t NumNodes() const { return fabric_->NumNodes(); }
 
   TrafficStats& stats() { return stats_; }
@@ -107,7 +107,7 @@ class MessageBus {
     }
   };
 
-  const net::FabricBackend* fabric_;
+  const net::NetworkFabric* fabric_;
   Options options_;
   Rng rng_;
   FaultInjector faults_;

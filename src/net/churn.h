@@ -30,7 +30,7 @@ struct ChurnEvent {
 };
 
 /// Membership churn and connectivity faults, alongside LoadModel (ambient
-/// load drift) and LatencyJitter (transient congestion): seeded schedules of
+/// load drift) and latency jitter (transient congestion): seeded schedules of
 /// node crashes, rejoins, and link partitions. The paper's adaptive
 /// re-optimization story (Sec. 1, Fig. 2) assumes "the network and node
 /// characteristics change" — this is the hard half of that change.

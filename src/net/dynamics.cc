@@ -30,85 +30,4 @@ void LoadModel::SetLoad(NodeId n, double load) {
   load_[n] = std::clamp(load, 0.0, 1.0);
 }
 
-LatencyJitter::LatencyJitter(size_t n, double sigma, Rng* rng)
-    : n_(n), sigma_(sigma) {
-  factors_.resize(n * (n + 1) / 2, 1.0);
-  Resample(rng);
-}
-
-void LatencyJitter::Resample(Rng* rng, ThreadPool* pool) {
-  // One caller draw per epoch: keeps epochs independent and the caller's
-  // stream cheap to reason about; the O(n^2) factors expand from it below.
-  epoch_seed_ = rng->Next();
-  if (sigma_ <= 0.0) {
-    std::fill(factors_.begin(), factors_.end(), 1.0);
-    return;
-  }
-  ParallelSlices(pool, factors_.size(),
-                 [this](size_t begin, size_t end) {
-                   GenerateFactors(begin, end);
-                 });
-}
-
-void LatencyJitter::GenerateFactors(size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    factors_[i] = JitterFactorAt(epoch_seed_, sigma_, i);
-  }
-}
-
-size_t LatencyJitter::Index(NodeId a, NodeId b) const {
-  if (a > b) std::swap(a, b);
-  // Row-major upper triangle including the diagonal.
-  return JitterPairIndex(a, b, n_);
-}
-
-double LatencyJitter::Factor(NodeId a, NodeId b) const {
-  return factors_[Index(a, b)];
-}
-
-double LatencyJitter::Apply(NodeId a, NodeId b, double base_latency) const {
-  return base_latency * Factor(a, b);
-}
-
-void LatencyJitter::ApplyAll(const LatencyMatrix& base, LatencyMatrix* live,
-                             ThreadPool* pool) const {
-  assert(base.NumNodes() == n_ && live->NumNodes() == n_);
-  const double* in = base.data();
-  double* out = live->MutableData();
-  if (pool == nullptr || pool->threads() <= 1) {
-    for (NodeId a = 0; a < n_; ++a) {
-      // factors_[Index(a, a) + (b - a)] == Factor(a, b) for b >= a: walk the
-      // upper-triangle row contiguously instead of re-deriving the index.
-      const double* row_f = factors_.data() + Index(a, a);
-      out[a * n_ + a] = in[a * n_ + a];
-      for (NodeId b = a + 1; b < n_; ++b) {
-        const double v = in[a * n_ + b] * row_f[b - a];
-        out[a * n_ + b] = v;
-        out[b * n_ + a] = v;
-      }
-    }
-    return;
-  }
-  // Parallel form: each slice owns whole output rows, so writes never cross
-  // threads. Every entry — mirror side included — is the product of the
-  // *upper-triangle* base entry and the symmetric factor, exactly what the
-  // serial triangle walk stores on both sides, so the result is bitwise
-  // identical (and bitwise symmetric) regardless of slicing.
-  ParallelSlices(pool, n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t a = row_begin; a < row_end; ++a) {
-      double* row_out = out + a * n_;
-      for (size_t b = 0; b < n_; ++b) {
-        if (b == a) {
-          row_out[b] = in[a * n_ + a];
-        } else {
-          const size_t lo = a < b ? a : b;
-          const size_t hi = a < b ? b : a;
-          row_out[b] = in[lo * n_ + hi] * factors_[Index(
-                           static_cast<NodeId>(lo), static_cast<NodeId>(hi))];
-        }
-      }
-    }
-  });
-}
-
 }  // namespace sbon::net

@@ -6,24 +6,24 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/rng.h"
-#include "net/shortest_path.h"
 
 namespace sbon::net {
 
 // --- counter-based jitter primitives ---------------------------------------
-// Shared by the dense LatencyJitter (which materializes a factor triangle per
-// epoch) and the sparse fabric backend (which evaluates factors on demand).
-// Both paths MUST go through these exact functions: dense-vs-sparse bit
-// equality of live latencies hinges on the factor math being byte-for-byte
-// the same expression in both.
+// Multiplicative latency jitter: every pairwise latency is scaled by a
+// per-epoch factor approximately distributed LogNormal(0, sigma), modelling
+// transient congestion without rebuilding the topology. Nothing is
+// materialized: NetworkFabric stores one epoch seed per congestion epoch and
+// derives a pair's factor from (seed, pair index) on every live read, so a
+// new epoch costs one Rng draw regardless of n. The factor is a pure
+// function of its inputs — deterministic per seed, symmetric (one index per
+// unordered pair), and mean-preserving (E[factor] = e^{sigma^2/2}).
 
 /// The i-th output of a SplitMix64 stream seeded with `seed` (0-based). The
 /// stream's state is affine in the call index (state_i = seed + (i+1)*gamma),
-/// so any factor of an epoch is addressable directly from (seed, i) — the
-/// hook both the parallel dense Resample and the sparse on-demand reads
-/// shard on — while matching a sequential walk bit for bit.
+/// so any factor of an epoch is addressable directly from (seed, i) while
+/// matching a sequential walk bit for bit.
 inline uint64_t SplitMix64At(uint64_t seed, size_t i) {
   uint64_t z = seed + (static_cast<uint64_t>(i) + 1) * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -52,9 +52,8 @@ inline double JitterFastExp(double s) {
 }
 
 /// Upper-triangle (diagonal included) pair index of (a, b) in an n-node
-/// overlay: the factor address scheme of the dense triangle, reused verbatim
-/// by the sparse backend so both evaluate the same SplitMix64 counter for a
-/// given pair. Requires a <= b.
+/// overlay: the SplitMix64 counter a pair's jitter factor is drawn from.
+/// Requires a <= b.
 inline size_t JitterPairIndex(NodeId a, NodeId b, size_t n) {
   return static_cast<size_t>(a) * n -
          static_cast<size_t>(a) * (a + 1) / 2 + b;
@@ -109,60 +108,6 @@ class LoadModel {
   Params params_;
   std::vector<double> load_;
   std::vector<bool> hotspot_;
-};
-
-/// Multiplicative latency jitter: every pairwise latency is scaled by a
-/// per-epoch factor approximately distributed LogNormal(0, sigma). Models
-/// transient congestion without rebuilding the topology.
-///
-/// Factors are generated counter-style: each Resample draws a single epoch
-/// seed from the caller's Rng and expands it through a SplitMix64 stream
-/// into a CLT-approximated normal and a polynomial exp. An epoch resample
-/// touches every node pair (O(n^2)), so the per-factor cost — not the
-/// matrix write — dominates TickNetwork; this scheme is several times
-/// cheaper than exact Box-Muller + libm exp while staying deterministic
-/// per seed, symmetric, and mean-preserving (E[factor] = e^{sigma^2/2}).
-///
-/// Because the SplitMix64 state is affine in the call index, factor i is
-/// addressable directly from (epoch seed, i) — which is what lets Resample
-/// and ApplyAll shard across a ThreadPool with bit-identical results at any
-/// thread count (each slice computes exactly the values the serial walk
-/// would).
-class LatencyJitter {
- public:
-  LatencyJitter(size_t n, double sigma, Rng* rng);
-
-  /// Resamples all factors (a new congestion epoch). Consumes exactly one
-  /// draw from `rng` regardless of n. `pool` (optional) shards the O(n^2)
-  /// factor generation.
-  void Resample(Rng* rng, ThreadPool* pool = nullptr);
-
-  /// Jittered latency for base latency between a and b. The factor is
-  /// symmetric: Factor(a,b) == Factor(b,a).
-  double Apply(NodeId a, NodeId b, double base_latency) const;
-
-  /// Rewrites every pairwise latency of `live` as `base * factor` in one
-  /// pass over the flat row-major buffers (the whole-matrix equivalent of
-  /// per-pair Apply+Set, without the per-pair triangle indexing). Diagonal
-  /// entries are copied through unjittered. `base` and `live` must both
-  /// span the jitter's node count. `pool` (optional) shards the write by
-  /// matrix row; every entry is the same product either way, so the live
-  /// matrix comes out bit-identical at any thread count.
-  void ApplyAll(const LatencyMatrix& base, LatencyMatrix* live,
-                ThreadPool* pool = nullptr) const;
-
-  double Factor(NodeId a, NodeId b) const;
-
- private:
-  size_t n_;
-  double sigma_;
-  uint64_t epoch_seed_ = 0;  ///< seed of the current factor epoch
-  // One factor per node pair (upper triangle), stored densely.
-  std::vector<double> factors_;
-
-  size_t Index(NodeId a, NodeId b) const;
-  /// Fills factors_[begin, end) from epoch_seed_ (slice of one epoch).
-  void GenerateFactors(size_t begin, size_t end);
 };
 
 }  // namespace sbon::net

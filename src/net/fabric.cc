@@ -1,35 +1,54 @@
 #include "net/fabric.h"
 
 #include <limits>
-#include <utility>
 
 namespace sbon::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+NetworkFabric::BaseMode ResolveBaseMode(const NetworkFabric::Options& options,
+                                        size_t n) {
+  if (options.base_mode != NetworkFabric::BaseMode::kAuto) {
+    return options.base_mode;
+  }
+  return n <= options.exact_threshold ? NetworkFabric::BaseMode::kExact
+                                      : NetworkFabric::BaseMode::kSketch;
+}
 }  // namespace
 
 NetworkFabric::NetworkFabric(const Topology& topo, double jitter_sigma,
-                             Rng* rng)
-    : n_(topo.NumNodes()) {
-  base_ = std::make_unique<LatencyMatrix>(topo);
-  live_ = std::make_unique<LatencyMatrix>(*base_);
+                             Rng* rng, Options options)
+    : n_(topo.NumNodes()),
+      sigma_(jitter_sigma),
+      options_(options),
+      mode_(ResolveBaseMode(options, n_)),
+      live_view_(this, /*live=*/true),
+      base_view_(this, /*live=*/false) {
   down_.assign(n_, 0);
-  if (jitter_sigma > 0.0) {
-    jitter_ = std::make_unique<LatencyJitter>(n_, jitter_sigma, rng);
+  if (mode_ == BaseMode::kDense) {
+    matrix_ = std::make_unique<LatencyMatrix>(topo);
+  } else {
+    topo_ = topo;
+    if (options_.neighbor_cache_slots > 0) {
+      neighbor_cache_.resize(n_ * options_.neighbor_cache_slots);
+    }
   }
+  if (mode_ == BaseMode::kSketch) PlaceLandmarks();
+  if (mode_ == BaseMode::kExact) {
+    const size_t rows =
+        options_.row_cache_rows < n_ ? options_.row_cache_rows : n_;
+    row_cache_.resize(rows < 1 ? 1 : rows);
+  }
+  // Exactly one draw iff jitter is attached, in every base mode, so
+  // fixed-seed overlays agree on every subsequent draw across modes.
+  if (sigma_ > 0.0) epoch_seed_ = rng->Next();
 }
 
-void NetworkFabric::TickNetwork(Rng* rng, ThreadPool* pool) {
-  if (jitter_ == nullptr) return;
-  jitter_->Resample(rng, pool);
-  jitter_->ApplyAll(*base_, live_.get(), pool);
+void NetworkFabric::TickNetwork(Rng* rng) {
+  if (sigma_ <= 0.0) return;
+  epoch_seed_ = rng->Next();
   jitter_applied_ = true;
-  // ApplyAll rebuilt the live matrix from the pristine base, so an active
-  // partition's penalty — and the +inf rows of down endpoints — must be
-  // re-applied on top of the fresh jitter.
-  if (partition_active_) ApplyPartitionToLive(pool);
-  if (down_count_ > 0) ApplyDownToLive();
 }
 
 Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
@@ -50,114 +69,98 @@ Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
   }
   partition_active_ = true;
   partition_factor_ = factor;
-  ApplyPartitionToLive(nullptr);
   return Status::OK();
 }
 
-Status NetworkFabric::EndPartition(ThreadPool* pool) {
+Status NetworkFabric::EndPartition() {
   if (!partition_active_) {
     return Status::FailedPrecondition("no active partition");
   }
   partition_active_ = false;
-  // Restore the live matrix: current jitter factors over the pristine base
-  // (EndPartition is not a new congestion epoch, so no resample), or the
-  // base itself on a jitter-free overlay.
-  if (jitter_ != nullptr) {
-    jitter_->ApplyAll(*base_, live_.get(), pool);
-    jitter_applied_ = true;
-  } else {
-    *live_ = *base_;
-  }
-  if (down_count_ > 0) ApplyDownToLive();
+  // Healing restores the *current* jitter epoch (it is not a new one, so
+  // no draw). On a jittered overlay that was never ticked this is the first
+  // time the construction-epoch factors apply: live != base afterwards.
+  if (sigma_ > 0.0) jitter_applied_ = true;
   return Status::OK();
 }
 
-void NetworkFabric::SetEndpointDown(NodeId n, bool down) {
-  if (static_cast<bool>(down_[n]) == down) return;
-  down_[n] = down ? 1 : 0;
-  if (down) {
-    ++down_count_;
-    double* m = live_->MutableData();
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
-  } else {
-    --down_count_;
-    RestoreRow(n);
+double NetworkFabric::ResolveBase(NodeId row, NodeId col) const {
+  ++stats_.base_reads;
+  const bool exact = mode_ == BaseMode::kExact;
+  const size_t slots = options_.neighbor_cache_slots;
+  if (slots == 0) return exact ? RowFor(row)[col] : SketchBase(row, col);
+  NeighborSlot& slot =
+      neighbor_cache_[static_cast<size_t>(row) * slots + col % slots];
+  if (slot.peer == col) {
+    ++stats_.neighbor_hits;
+    return slot.value;
   }
+  const double v = exact ? RowFor(row)[col] : SketchBase(row, col);
+  slot.peer = col;
+  slot.value = v;
+  return v;
 }
 
-void NetworkFabric::ApplyDownToLive() {
-  double* m = live_->MutableData();
-  for (NodeId n = 0; n < n_; ++n) {
-    if (!down_[n]) continue;
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
+double NetworkFabric::SketchBase(NodeId a, NodeId b) const {
+  // Upper bound by triangle inequality, exact when a shortest path crosses a
+  // landmark. Symmetric in (a, b): addition is commutative and the landmark
+  // walk order is fixed, so both argument orders see identical fp ops.
+  double best = kInf;
+  for (const std::vector<double>& row : landmark_rows_) {
+    const double via = row[a] + row[b];
+    if (via < best) best = via;
   }
+  return best;
 }
 
-void NetworkFabric::RestoreRow(NodeId n) {
-  double* m = live_->MutableData();
-  for (size_t b = 0; b < n_; ++b) {
-    if (down_[b]) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-      continue;
+const std::vector<double>& NetworkFabric::RowFor(NodeId row) const {
+  CachedRow* victim = &row_cache_[0];
+  for (CachedRow& c : row_cache_) {
+    if (c.row == row) {
+      ++stats_.row_hits;
+      c.stamp = ++row_stamp_;
+      return c.dist;
     }
-    if (b == n) {
-      // Diagonal entries are copied through unjittered (see ApplyAll).
-      m[static_cast<size_t>(n) * n_ + n] = base_->Latency(n, n);
-      continue;
-    }
-    const NodeId nb = static_cast<NodeId>(b);
-    const bool crosses = CrossesPartition(n, nb);
-    if (jitter_ != nullptr && jitter_applied_) {
-      // ApplyAll writes both mirrors of a pair from the *upper-triangle*
-      // base entry times the symmetric factor; replay exactly that product
-      // so a revived row is bit-identical to never having crashed. The base
-      // mirrors themselves can differ in the last ulp (per-source Dijkstra
-      // accumulates the path sum in opposite orders), so resolving through
-      // base(n, b) here would leave a permanent one-ulp scar.
-      const NodeId lo = n < nb ? n : nb;
-      const NodeId hi = n < nb ? nb : n;
-      double v = jitter_->Apply(lo, hi, base_->Latency(lo, hi));
-      if (crosses) v *= partition_factor_;
-      m[static_cast<size_t>(n) * n_ + b] = v;
-      m[b * n_ + n] = v;
-    } else {
-      // A jitter-free live matrix is a plain copy of the base, whose mirror
-      // entries are independent; restore each side from its own base entry.
-      double va = base_->Latency(n, nb);
-      double vb = base_->Latency(nb, n);
-      if (crosses) {
-        va *= partition_factor_;
-        vb *= partition_factor_;
-      }
-      m[static_cast<size_t>(n) * n_ + b] = va;
-      m[b * n_ + n] = vb;
-    }
+    if (c.stamp < victim->stamp) victim = &c;
   }
+  ++stats_.row_builds;
+  victim->dist = DijkstraLatencies(topo_, row);
+  victim->row = row;
+  victim->stamp = ++row_stamp_;
+  return victim->dist;
 }
 
-void NetworkFabric::ApplyPartitionToLive(ThreadPool* pool) {
-  double* m = live_->MutableData();
-  // Each cross-cut entry is multiplied by the factor exactly once whether
-  // the walk is the serial triangle (both mirror entries per pair) or the
-  // row-sharded full sweep, so the result is identical either way.
-  ParallelSlices(pool, n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t a = row_begin; a < row_end; ++a) {
-      const bool side = partitioned_[a];
-      double* row = m + a * n_;
-      for (size_t b = 0; b < n_; ++b) {
-        if (side != static_cast<bool>(partitioned_[b])) {
-          row[b] *= partition_factor_;
-        }
+void NetworkFabric::PlaceLandmarks() {
+  // Deterministic farthest-point traversal from node 0: each new landmark is
+  // the node farthest (first-index tie-break) from the landmark set so far.
+  // No Rng involved — landmark placement must not perturb the caller's draw
+  // sequence, which is pinned by the construction draw contract.
+  const size_t want =
+      options_.num_landmarks < 1
+          ? 1
+          : (options_.num_landmarks < n_ ? options_.num_landmarks : n_);
+  landmarks_.reserve(want);
+  landmark_rows_.reserve(want);
+  std::vector<double> min_dist(n_, kInf);
+  NodeId next = 0;
+  for (size_t k = 0; k < want; ++k) {
+    landmarks_.push_back(next);
+    landmark_rows_.push_back(DijkstraLatencies(topo_, next));
+    const std::vector<double>& row = landmark_rows_.back();
+    NodeId farthest = kInvalidNode;
+    double far_d = -1.0;
+    for (NodeId i = 0; i < n_; ++i) {
+      if (row[i] < min_dist[i]) min_dist[i] = row[i];
+      // Unreachable nodes (inf) are the farthest of all: the next landmark
+      // lands in their component and covers it.
+      if (min_dist[i] > far_d && min_dist[i] > 0.0) {
+        far_d = min_dist[i];
+        farthest = i;
       }
     }
-  });
+    if (farthest == kInvalidNode || far_d == 0.0) break;  // n small: covered
+    next = farthest;
+  }
 }
 
 }  // namespace sbon::net

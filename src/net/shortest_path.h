@@ -20,9 +20,9 @@ void DijkstraWithPredecessors(const Topology& topo, NodeId src,
 
 /// Read-only pairwise-latency oracle: the interface every latency consumer
 /// (Vivaldi sampling, circuit cost accounting, embedding evaluation) reads
-/// through. Implemented densely by LatencyMatrix and generatively by the
-/// sparse fabric backend's on-demand views — consumers cannot tell the two
-/// apart because fixed-seed values are bit-identical where both exist.
+/// through. Implemented densely by LatencyMatrix and by NetworkFabric's
+/// read-time views — consumers cannot tell them apart because fixed-seed
+/// values are bit-identical in every base mode that resolves exact rows.
 class LatencyView {
  public:
   virtual ~LatencyView() = default;
@@ -55,18 +55,11 @@ class LatencyMatrix final : public LatencyView {
   /// Shortest-path latency in ms between a and b.
   double Latency(NodeId a, NodeId b) const override { return m_[a * n_ + b]; }
 
-  /// Overrides one symmetric pairwise latency (dynamic-latency models
-  /// apply jitter factors on top of a pristine base matrix).
+  /// Overrides one symmetric pairwise latency (tests / scripted scenarios).
   void Set(NodeId a, NodeId b, double latency_ms) {
     m_[a * n_ + b] = latency_ms;
     m_[b * n_ + a] = latency_ms;
   }
-
-  /// Raw row-major n*n buffer, for bulk rewrites (epoch jitter application
-  /// touches every pair; going through Set would pay two indexed stores per
-  /// pair plus call overhead). Row `a` starts at `data() + a * NumNodes()`.
-  const double* data() const { return m_.data(); }
-  double* MutableData() { return m_.data(); }
 
   /// Direct-buffer overrides of the LatencyView pair sweeps (same walk
   /// order, so results match the generic implementations bitwise).

@@ -7,11 +7,16 @@ namespace sbon::overlay {
 
 namespace {
 // Shared by Create (validation) and Initialize (construction) so the two
-// can never disagree on which backend an Options/topology pair resolves to.
-bool ResolvesToSparseFabric(const Sbon::Options& options, size_t num_nodes) {
-  return options.fabric_mode == Sbon::FabricMode::kSparse ||
-         (options.fabric_mode == Sbon::FabricMode::kAuto &&
-          num_nodes > options.sparse_auto_threshold);
+// can never disagree on which base mode an Options/topology pair resolves to.
+net::NetworkFabric::Options FabricOptionsFor(const Sbon::Options& options,
+                                             size_t num_nodes) {
+  net::NetworkFabric::Options fo = options.sparse_options;
+  if (options.fabric_mode == Sbon::FabricMode::kDense ||
+      (options.fabric_mode == Sbon::FabricMode::kAuto &&
+       num_nodes <= options.sparse_auto_threshold)) {
+    fo.base_mode = net::NetworkFabric::BaseMode::kDense;
+  }
+  return fo;
 }
 }  // namespace
 
@@ -36,7 +41,8 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
   if (options.load_per_byte_per_s <= 0.0) {
     return Status::InvalidArgument("load_per_byte_per_s must be > 0");
   }
-  if (ResolvesToSparseFabric(options, topo.NumNodes()) &&
+  if (FabricOptionsFor(options, topo.NumNodes()).base_mode !=
+          net::NetworkFabric::BaseMode::kDense &&
       options.coord_mode != CoordMode::kVivaldi) {
     // MDS / true coordinates are centralized O(n^2) ablation solves; running
     // them against a generative substrate would just rebuild the dense
@@ -61,15 +67,10 @@ Status Sbon::Initialize() {
   // Substrate bring-up order is load-bearing: each step consumes the shared
   // Rng in the exact sequence the monolithic Initialize always did (jitter
   // seed, Vivaldi gossip, ambient load), so fixed-seed overlays are
-  // bit-identical across the decomposition — and across fabric backends,
-  // whose constructors share the same one-draw-iff-jitter contract.
-  if (ResolvesToSparseFabric(options_, n)) {
-    fabric_ = std::make_unique<net::SparseFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_, options_.sparse_options);
-  } else {
-    fabric_ = std::make_unique<net::NetworkFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_);
-  }
+  // bit-identical across the decomposition — and across fabric base
+  // modes, which share the same one-draw-iff-jitter contract.
+  fabric_ = std::make_unique<net::NetworkFabric>(
+      topo_, options_.latency_jitter_sigma, &rng_, FabricOptionsFor(options_, n));
 
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;
@@ -226,7 +227,7 @@ void Sbon::Tick(double dt) {
   UpdateScalarMetrics();
 }
 
-void Sbon::TickNetwork(ThreadPool* pool) { fabric_->TickNetwork(&rng_, pool); }
+void Sbon::TickNetwork() { fabric_->TickNetwork(&rng_); }
 
 void Sbon::UpdateCoordinatesOnline(size_t samples_per_node, ThreadPool* pool) {
   coords_->UpdateCoordinatesOnline(fabric_->live(), samples_per_node, alive_,

@@ -15,7 +15,6 @@
 #include "net/dynamics.h"
 #include "net/fabric.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
 #include "net/topology.h"
 #include "overlay/circuit.h"
 #include "overlay/metrics.h"
@@ -32,10 +31,10 @@ using IndexRefreshStats = coords::IndexRefreshStats;
 /// against. A thin composition root wiring three independently ownable
 /// substrates behind one facade:
 ///
-///  - a net::FabricBackend — pristine + live latency views, per-epoch
+///  - a net::NetworkFabric — pristine + live latency views, per-epoch
 ///    congestion jitter, soft-partition overlay (the TickNetwork path).
-///    Dense (materialized matrices) by default; the sparse generative
-///    backend takes over above Options::sparse_auto_threshold nodes;
+///    A dense base matrix by default; on-demand base resolution takes over
+///    above Options::sparse_auto_threshold nodes;
 ///  - coords::CoordinateManager — Vivaldi/MDS embedding, cost space,
 ///    coordinate index, dirty-coordinate tracking, epsilon-gated refresh;
 ///  - overlay::ServiceLedger — circuits, service instances, reuse catalog,
@@ -55,11 +54,11 @@ class Sbon {
   /// aliased for source compatibility with `Sbon::CoordMode::...`).
   using CoordMode = coords::CoordMode;
 
-  /// Which latency-substrate representation backs the overlay.
+  /// How the fabric resolves base latency.
   enum class FabricMode {
     kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
-    kDense,   ///< force materialized O(n^2) matrices (net::NetworkFabric)
-    kSparse,  ///< force the generative O(n) backend (net::SparseFabric)
+    kDense,   ///< force the materialized O(n^2) base matrix
+    kSparse,  ///< force on-demand O(n) resolution (sparse_options.base_mode)
   };
 
   struct Options {
@@ -75,22 +74,22 @@ class Sbon {
     /// Must be > 0 (validated at Create).
     double load_per_byte_per_s = 2e-6;
     /// Sigma of the multiplicative (approximately LogNormal; see
-    /// net::LatencyJitter) latency jitter applied per pair on every
+    /// net::JitterFactorAt) latency jitter applied per pair on every
     /// `TickNetwork` epoch (0 = static latencies). Must be >= 0 (validated
     /// at Create).
     double latency_jitter_sigma = 0.0;
-    /// Latency-substrate backend selection. kAuto keeps the dense matrices
-    /// (exact, O(1) reads) up to `sparse_auto_threshold` nodes and switches
-    /// to the sparse generative backend above it — the size where two
-    /// N x N double matrices start crowding out everything else. The sparse
-    /// backend requires Vivaldi coordinates (validated at Create): the MDS /
+    /// How the fabric resolves base latency. kAuto keeps the dense base
+    /// matrix (O(1) reads) up to `sparse_auto_threshold` nodes and switches
+    /// to the on-demand sparse modes above it — the size where an N x N
+    /// double matrix starts crowding out everything else. The sparse modes
+    /// require Vivaldi coordinates (validated at Create): the MDS /
     /// true-coordinate ablations are centralized O(n^2) solves that need a
     /// dense matrix anyway.
     FabricMode fabric_mode = FabricMode::kAuto;
     size_t sparse_auto_threshold = 4096;
-    /// Tuning of the sparse backend when it is selected (exact-vs-sketch
-    /// threshold, landmark count, cache geometry). Ignored by the dense one.
-    net::SparseFabric::Options sparse_options;
+    /// Tuning of the fabric when a sparse mode is selected (exact-vs-sketch
+    /// threshold, landmark count, cache geometry). Ignored in dense mode.
+    net::NetworkFabric::Options sparse_options;
     uint64_t seed = 1;
   };
 
@@ -105,7 +104,7 @@ class Sbon {
 
   // --- substrate accessors ---
   const net::Topology& topology() const { return topo_; }
-  const net::FabricBackend& fabric() const { return *fabric_; }
+  const net::NetworkFabric& fabric() const { return *fabric_; }
   const coords::CoordinateManager& coords() const { return *coords_; }
   /// Mutable coordinate substrate, for the message-mode runtime
   /// (msg::Runtime) whose agents drive Vivaldi updates and ring publishes
@@ -201,12 +200,11 @@ class Sbon {
   // --- dynamics (the engine's epoch-pipeline stages) ---
   /// Advances ambient load by `dt` and refreshes cost-space scalar metrics.
   void Tick(double dt);
-  /// Starts a new latency epoch: resamples pairwise jitter factors (when
-  /// `latency_jitter_sigma > 0`) and rewrites the live latency matrix.
-  /// Everything downstream — circuit costs, reopt, Vivaldi samples — sees
-  /// the new latencies immediately. `pool` shards the O(n^2) factor
-  /// generation and matrix rewrite by row.
-  void TickNetwork(ThreadPool* pool = nullptr);
+  /// Starts a new latency epoch: one Rng draw becomes the seed every
+  /// pairwise jitter factor is derived from on read (when
+  /// `latency_jitter_sigma > 0`). O(1). Everything downstream — circuit
+  /// costs, reopt, Vivaldi samples — sees the new latencies immediately.
+  void TickNetwork();
   /// Online coordinate maintenance: every node takes `samples_per_node`
   /// RTT measurements against the *current* (jittered) latencies and runs
   /// Vivaldi updates, then the cost space is refreshed. No-op when the
@@ -257,7 +255,7 @@ class Sbon {
   net::Topology topo_;
   Options options_;
   Rng rng_;
-  std::unique_ptr<net::FabricBackend> fabric_;
+  std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<coords::CoordinateManager> coords_;
   std::unique_ptr<ServiceLedger> ledger_;
   std::unique_ptr<net::LoadModel> load_model_;

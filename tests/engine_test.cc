@@ -281,16 +281,60 @@ TEST(StreamEngine, AdvanceEpochRecordsTheStagedPipeline) {
   for (const auto& stage : trace) EXPECT_FALSE(stage.sharded);
 
   // Multi-threaded epoch: exactly the parallelizable stages shard; the
-  // serial-only stages (load, churn+repair) never see the pool.
+  // serial-only stages (jitter's O(1) seed swap, load, churn+repair) never
+  // see the pool.
   epoch.threads = 4;
   engine->AdvanceEpoch(epoch);
   const auto& sharded = engine->last_epoch_trace();
   ASSERT_EQ(sharded.size(), 5u);
-  EXPECT_TRUE(sharded[0].sharded);   // jitter
+  EXPECT_FALSE(sharded[0].sharded);  // jitter
   EXPECT_FALSE(sharded[1].sharded);  // load
   EXPECT_TRUE(sharded[2].sharded);   // coords
   EXPECT_FALSE(sharded[3].sharded);  // churn+repair (disabled anyway)
   EXPECT_TRUE(sharded[4].sharded);   // refresh
+}
+
+// Exact fabric-read gate: a churn-free oracle epoch reads exactly one live
+// latency per Vivaldi sample of every alive node, and the jitter stage
+// (a seed swap) reads none. A consumer that starts reading O(N^2) pairs per
+// epoch fails here instead of silently re-growing the epoch cost.
+TEST(StreamEngine, EpochReadsExactlyOneLiveLatencyPerSample) {
+  engine::EngineOptions eo = SmallEngineOptions(47);
+  eo.sbon.latency_jitter_sigma = 0.2;
+  auto engine = MakeEngine(std::move(eo));
+  engine->SetCatalog(MakeCatalog(engine->sbon(), TestWorkloadParams(), 19));
+  for (const auto& q : MakeQueries(engine->sbon(), engine->catalog(),
+                                   TestWorkloadParams(), 4, 23)) {
+    ASSERT_TRUE(engine->Submit(q).ok());
+  }
+  const overlay::Sbon& sbon = engine->sbon();
+  size_t alive = 0;
+  for (NodeId n = 0; n < sbon.topology().NumNodes(); ++n) {
+    if (sbon.IsAlive(n)) ++alive;
+  }
+  auto reads = [&] { return sbon.fabric().read_stats().live_reads; };
+
+  engine::EpochOptions jitter_only;
+  jitter_only.dt = 0.0;
+  jitter_only.vivaldi_samples = 0;
+  jitter_only.refresh_index = false;
+  jitter_only.threads = 1;
+  size_t before = reads();
+  engine->AdvanceEpoch(jitter_only);
+  EXPECT_EQ(reads() - before, 0u);
+
+  for (const size_t samples : {1u, 3u}) {
+    for (const size_t threads : {1u, 4u}) {
+      engine::EpochOptions epoch;
+      epoch.dt = 1.0;
+      epoch.vivaldi_samples = samples;
+      epoch.threads = threads;
+      before = reads();
+      engine->AdvanceEpoch(epoch);
+      EXPECT_EQ(reads() - before, alive * samples)
+          << "samples=" << samples << " threads=" << threads;
+    }
+  }
 }
 
 TEST(StreamEngine, AdvanceEpochAndReoptimizeKeepHandlesValid) {

@@ -1,14 +1,15 @@
 // Dense-vs-sparse fabric equivalence at overlay scale: for 5 seeds at
 // N in {64, 512}, a full engine bring-up plus maintenance epochs must end
-// BIT-IDENTICAL across backends — live latencies, Vivaldi coordinates,
-// scalar penalties, and every placed circuit vertex. This is the contract
-// that lets the sparse backend slide in behind the FabricBackend seam
-// without invalidating a single golden or determinism pin.
+// BIT-IDENTICAL across the dense-matrix and exact-row base modes — live
+// latencies, Vivaldi coordinates, scalar penalties, and every placed circuit
+// vertex. This is the contract that lets the sparse modes take over above
+// the auto threshold without invalidating a single golden or determinism
+// pin.
 //
-// The binary also audits the sparse backend's memory claim through a
-// counting operator new: while the sparse overlay is built and driven, no
-// single heap allocation may come anywhere near an N x N latency matrix
-// (or the N(N+1)/2 dense jitter triangle).
+// The binary also audits the sparse modes' memory claim through a counting
+// operator new: while the sparse overlay is built and driven, no single heap
+// allocation may come anywhere near an N x N latency matrix (or an N(N+1)/2
+// triangle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "net/generators.h"
-#include "net/sparse_fabric.h"
+#include "net/fabric.h"
 
 namespace {
 size_t g_max_alloc_size = 0;
@@ -195,7 +196,7 @@ TEST(FabricEquivalenceTest, BitIdenticalAcrossBackendsSeedsAndSizes) {
   }
 }
 
-// The pinned dead-endpoint semantic, identical across backends: while an
+// The pinned dead-endpoint semantic, identical across base modes: while an
 // endpoint is down, every live() read involving it (self-pair included) is
 // +infinity — never stale-finite, never NaN — base() stays pristine, the
 // sentinel survives jitter ticks and partitions, and a revived node's row
@@ -229,8 +230,8 @@ TEST(FabricEquivalenceTest, DeadEndpointLatencyIsInfiniteAcrossBackends) {
           << where << ": base (" << victim << "," << b << ") poisoned";
     }
 
-    // The sentinel must survive a jitter tick (which rewrites the live
-    // view) and an active partition on top.
+    // The sentinel must survive a jitter tick (a new epoch seed) and an
+    // active partition on top.
     sbon->TickNetwork();
     twin->TickNetwork();
     EXPECT_TRUE(std::isinf(sbon->latency().Latency(victim, 0)))
@@ -258,8 +259,8 @@ TEST(FabricEquivalenceTest, DeadEndpointLatencyIsInfiniteAcrossBackends) {
   }
 }
 
-// The auto threshold picks the backend by size, and the sparse backend
-// refuses the centralized MDS ablation (it would rebuild the dense matrix
+// The auto threshold picks the base mode by size, and the sparse modes
+// refuse the centralized MDS ablation (it would rebuild the dense matrix
 // read by read).
 TEST(FabricEquivalenceTest, AutoSelectionAndModeGuards) {
   overlay::Sbon::Options opts;

@@ -41,7 +41,13 @@ struct BusFixture {
   BusFixture()
       : topo(MakeTransitStubTopology(TopologySize::kTiny, /*seed=*/7)),
         rng(7),
-        fabric(topo, /*jitter_sigma=*/0.0, &rng) {}
+        fabric(topo, /*jitter_sigma=*/0.0, &rng, DenseOptions()) {}
+
+  static net::NetworkFabric::Options DenseOptions() {
+    net::NetworkFabric::Options o;
+    o.base_mode = net::NetworkFabric::BaseMode::kDense;
+    return o;
+  }
 
   net::Topology topo;
   Rng rng;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/rng.h"
 #include "net/dynamics.h"
+#include "net/fabric.h"
 #include "net/generators.h"
 #include "net/shortest_path.h"
 #include "net/topology.h"
@@ -360,40 +362,87 @@ TEST(LoadModelTest, SetLoadClamps) {
   EXPECT_DOUBLE_EQ(m.load(0), 0.0);
 }
 
+// Latency jitter is derived on read by the fabric (one epoch seed per
+// TickNetwork), so its properties are asserted on the live view itself, in
+// both the dense-matrix and the exact-row base modes.
+
+Topology WaxmanTopo(size_t nodes, uint64_t seed) {
+  Rng rng(seed);
+  WaxmanParams p;
+  p.nodes = nodes;
+  auto t = GenerateWaxman(p, &rng);
+  EXPECT_TRUE(t.ok());
+  return std::move(t.value());
+}
+
+NetworkFabric::Options Mode(NetworkFabric::BaseMode mode) {
+  NetworkFabric::Options o;
+  o.base_mode = mode;
+  return o;
+}
+
+constexpr NetworkFabric::BaseMode kJitterModes[] = {
+    NetworkFabric::BaseMode::kDense, NetworkFabric::BaseMode::kExact};
+
 TEST(LatencyJitterTest, SymmetricFactors) {
-  Rng rng(47);
-  LatencyJitter j(20, 0.2, &rng);
-  for (NodeId a = 0; a < 20; ++a) {
-    for (NodeId b = 0; b < 20; ++b) {
-      EXPECT_DOUBLE_EQ(j.Factor(a, b), j.Factor(b, a));
+  const Topology topo = WaxmanTopo(20, 47);
+  for (const auto mode : kJitterModes) {
+    Rng rng(47);
+    NetworkFabric f(topo, 0.2, &rng, Mode(mode));
+    f.TickNetwork(&rng);
+    // Bitwise: both argument orders read one product, even where the base
+    // mirrors differ in the last ulp.
+    for (NodeId a = 0; a < 20; ++a) {
+      for (NodeId b = 0; b < 20; ++b) {
+        EXPECT_EQ(f.live().Latency(a, b), f.live().Latency(b, a))
+            << f.name() << " (" << a << "," << b << ")";
+      }
     }
   }
 }
 
 TEST(LatencyJitterTest, ZeroSigmaIsIdentity) {
-  Rng rng(53);
-  LatencyJitter j(10, 0.0, &rng);
-  for (NodeId a = 0; a < 10; ++a) {
-    for (NodeId b = 0; b < 10; ++b) {
-      EXPECT_DOUBLE_EQ(j.Apply(a, b, 7.0), 7.0);
+  const Topology topo = WaxmanTopo(10, 53);
+  for (const auto mode : kJitterModes) {
+    Rng rng(53);
+    NetworkFabric f(topo, 0.0, &rng, Mode(mode));
+    EXPECT_FALSE(f.has_jitter());
+    for (int tick = 0; tick < 3; ++tick) {
+      f.TickNetwork(&rng);
+      for (NodeId a = 0; a < 10; ++a) {
+        for (NodeId b = 0; b < 10; ++b) {
+          EXPECT_EQ(f.live().Latency(a, b), f.base().Latency(a, b))
+              << f.name() << " tick " << tick;
+        }
+      }
     }
   }
 }
 
 TEST(LatencyJitterTest, ResampleChangesFactors) {
-  Rng rng(59);
-  LatencyJitter j(10, 0.5, &rng);
-  const double before = j.Factor(1, 2);
-  j.Resample(&rng);
-  EXPECT_NE(before, j.Factor(1, 2));
+  const Topology topo = WaxmanTopo(10, 59);
+  for (const auto mode : kJitterModes) {
+    Rng rng(59);
+    NetworkFabric f(topo, 0.5, &rng, Mode(mode));
+    f.TickNetwork(&rng);
+    const double before = f.live().Latency(1, 2);
+    f.TickNetwork(&rng);
+    EXPECT_NE(before, f.live().Latency(1, 2)) << f.name();
+  }
 }
 
 TEST(LatencyJitterTest, FactorsPositive) {
-  Rng rng(61);
-  LatencyJitter j(30, 0.8, &rng);
-  for (NodeId a = 0; a < 30; ++a) {
-    for (NodeId b = a + 1; b < 30; ++b) {
-      EXPECT_GT(j.Factor(a, b), 0.0);
+  const Topology topo = WaxmanTopo(30, 61);
+  for (const auto mode : kJitterModes) {
+    Rng rng(61);
+    NetworkFabric f(topo, 0.8, &rng, Mode(mode));
+    f.TickNetwork(&rng);
+    for (NodeId a = 0; a < 30; ++a) {
+      for (NodeId b = a + 1; b < 30; ++b) {
+        const double v = f.live().Latency(a, b);
+        EXPECT_TRUE(std::isfinite(v)) << f.name();
+        EXPECT_GT(v, 0.0) << f.name();
+      }
     }
   }
 }
