@@ -37,11 +37,13 @@ void Run() {
     wp.aggregate_prob = 0.0;
     overlay::Sbon& sbon = inst.engine->sbon();
     inst.engine->SetCatalog(
-        query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+        query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng())
+            .value());
     for (int i = 0; i < 4; ++i) {
-      inst.specs.push_back(query::RandomQuery(wp, inst.engine->catalog(),
-                                              sbon.overlay_nodes(),
-                                              &sbon.rng()));
+      inst.specs.push_back(
+          query::MakeRandomQuery(wp, inst.engine->catalog(),
+                                 sbon.overlay_nodes(), &sbon.rng())
+              .value());
     }
     instances.push_back(std::move(inst));
   }

@@ -17,7 +17,7 @@
 namespace sbon {
 namespace {
 
-Summary RunConfig(overlay::Sbon::CoordMode mode, size_t dims,
+Summary RunConfig(coords::CoordMode mode, size_t dims,
                   Summary* embed_err) {
   Summary usage;
   for (uint64_t seed = 1; seed <= bench::Sweep(10); ++seed) {
@@ -38,11 +38,13 @@ Summary RunConfig(overlay::Sbon::CoordMode mode, size_t dims,
     query::WorkloadParams wp;
     wp.num_streams = 12;
     engine->SetCatalog(
-        query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+        query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng())
+            .value());
     for (int i = 0; i < 5; ++i) {
-      query::QuerySpec q = query::RandomQuery(wp, engine->catalog(),
-                                              sbon.overlay_nodes(),
-                                              &sbon.rng());
+      query::QuerySpec q =
+          query::MakeRandomQuery(wp, engine->catalog(), sbon.overlay_nodes(),
+                                 &sbon.rng())
+              .value();
       auto r = engine->Optimize(q);
       if (!r.ok()) continue;
       auto cost = overlay::ComputeCircuitCost(r->circuit, sbon.latency(),
@@ -59,8 +61,8 @@ void Run() {
     TableWriter t({"coords", "median embed err", "usage (KB*ms/s)",
                    "vs MDS oracle"});
     Summary viv_err, mds_err;
-    Summary viv = RunConfig(overlay::Sbon::CoordMode::kVivaldi, 2, &viv_err);
-    Summary mds = RunConfig(overlay::Sbon::CoordMode::kMds, 2, &mds_err);
+    Summary viv = RunConfig(coords::CoordMode::kVivaldi, 2, &viv_err);
+    Summary mds = RunConfig(coords::CoordMode::kMds, 2, &mds_err);
     t.AddRow({"vivaldi (deployable)", TableWriter::Fixed(viv_err.Mean(), 3),
               TableWriter::Num(viv.Mean()),
               TableWriter::Fixed(100.0 * (viv.Mean() / mds.Mean() - 1.0), 1) +
@@ -75,7 +77,7 @@ void Run() {
     TableWriter t({"dims", "median embed err", "usage (KB*ms/s)"});
     for (size_t dims : {2, 3, 4, 5}) {
       Summary err;
-      Summary usage = RunConfig(overlay::Sbon::CoordMode::kVivaldi, dims,
+      Summary usage = RunConfig(coords::CoordMode::kVivaldi, dims,
                                 &err);
       t.AddRow({std::to_string(dims), TableWriter::Fixed(err.Mean(), 3),
                 TableWriter::Num(usage.Mean())});

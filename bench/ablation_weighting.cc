@@ -43,11 +43,13 @@ void Run() {
       query::WorkloadParams wp;
       wp.num_streams = 12;
       engine->SetCatalog(
-          query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+          query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng())
+              .value());
       for (int i = 0; i < 8; ++i) {
-        query::QuerySpec q = query::RandomQuery(wp, engine->catalog(),
-                                                sbon.overlay_nodes(),
-                                                &sbon.rng());
+        query::QuerySpec q =
+            query::MakeRandomQuery(wp, engine->catalog(), sbon.overlay_nodes(),
+                                   &sbon.rng())
+                .value();
         auto r = engine->Optimize(q);
         if (!r.ok()) continue;
         for (int v : r->circuit.PlaceableVertices()) {

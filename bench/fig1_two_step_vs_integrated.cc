@@ -58,10 +58,12 @@ CellResult RunCell(size_t nodes, size_t producers, size_t seeds,
     wp.min_streams_per_query = producers;
     wp.max_streams_per_query = producers;
     engine->SetCatalog(
-        query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
-    query::QuerySpec spec = query::RandomQuery(wp, engine->catalog(),
-                                               sbon.overlay_nodes(),
-                                               &sbon.rng());
+        query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng())
+            .value());
+    query::QuerySpec spec =
+        query::MakeRandomQuery(wp, engine->catalog(), sbon.overlay_nodes(),
+                               &sbon.rng())
+            .value();
 
     auto rt = engine->Optimize(spec, Strategy("two-step", top_k));
     auto ri = engine->Optimize(spec, Strategy("integrated", top_k));

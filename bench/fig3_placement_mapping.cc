@@ -37,8 +37,8 @@ query::QuerySpec RandomJoinSpec(overlay::Sbon* sbon, query::Catalog* cat,
   wp.num_streams = producers;
   wp.min_streams_per_query = producers;
   wp.max_streams_per_query = producers;
-  *cat = query::RandomCatalog(wp, sbon->overlay_nodes(), rng);
-  return query::RandomQuery(wp, *cat, sbon->overlay_nodes(), rng);
+  *cat = query::MakeRandomCatalog(wp, sbon->overlay_nodes(), rng).value();
+  return query::MakeRandomQuery(wp, *cat, sbon->overlay_nodes(), rng).value();
 }
 
 void MappingErrorSweep() {

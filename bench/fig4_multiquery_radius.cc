@@ -56,26 +56,29 @@ void Run() {
   auto engine = MakeTransitStubEngine(bench::Nodes(300), /*seed=*/2025);
   overlay::Sbon& sbon = engine->sbon();
   engine->SetCatalog(
-      query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng())
+          .value());
 
   // Populate the SBON with a base of running circuits (reuse enabled so
   // the base itself shares services, as a mature SBON would).
   std::vector<query::QuerySpec> base;
   for (size_t i = 0; i < bench::Sweep(40, 8); ++i) {
-    base.push_back(query::RandomQuery(wp, engine->catalog(),
-                                      sbon.overlay_nodes(), &sbon.rng()));
+    base.push_back(query::MakeRandomQuery(wp, engine->catalog(),
+                                          sbon.overlay_nodes(), &sbon.rng())
+                       .value());
   }
   (void)engine->SubmitAll(base, MultiQueryStrategy(/*radius=*/60.0));
   std::printf("base workload: %zu circuits, %zu service instances, "
               "total usage %.4g KB*ms/s\n",
-              sbon.circuits().size(), sbon.NumServices(),
+              sbon.ledger().circuits().size(), sbon.ledger().NumServices(),
               sbon.TotalNetworkUsage() / 1000.0);
 
   // Fresh queries evaluated (not installed) under every radius.
   std::vector<query::QuerySpec> probes;
   for (size_t i = 0; i < bench::Sweep(25, 5); ++i) {
-    probes.push_back(query::RandomQuery(wp, engine->catalog(),
-                                        sbon.overlay_nodes(), &sbon.rng()));
+    probes.push_back(query::MakeRandomQuery(wp, engine->catalog(),
+                                            sbon.overlay_nodes(), &sbon.rng())
+                         .value());
   }
 
   Section("radius sweep (per new query, averaged over " +

@@ -104,7 +104,8 @@ void RunOptimizerBench(benchmark::State& state, int which) {
   wp.min_streams_per_query = 4;
   wp.max_streams_per_query = 4;
   query::Catalog cat =
-      query::RandomCatalog(wp, sbon->overlay_nodes(), &sbon->rng());
+      query::MakeRandomCatalog(wp, sbon->overlay_nodes(), &sbon->rng())
+          .value();
   engine::OptimizerSpec spec;
   spec.config.enumeration.top_k = 8;
   spec.multi_query.reuse_radius = 60.0;
@@ -116,14 +117,16 @@ void RunOptimizerBench(benchmark::State& state, int which) {
   // Base circuits so multi-query has something to reuse.
   for (int i = 0; i < 10; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, sbon->overlay_nodes(), &sbon->rng());
+        query::MakeRandomQuery(wp, cat, sbon->overlay_nodes(), &sbon->rng())
+            .value();
     auto r = integrated->Optimize(q, cat, sbon.get());
     if (r.ok()) (void)sbon->InstallCircuit(std::move(r->circuit));
   }
   std::vector<query::QuerySpec> specs;
   for (int i = 0; i < 32; ++i) {
     specs.push_back(
-        query::RandomQuery(wp, cat, sbon->overlay_nodes(), &sbon->rng()));
+        query::MakeRandomQuery(wp, cat, sbon->overlay_nodes(), &sbon->rng())
+            .value());
   }
   size_t i = 0;
   for (auto _ : state) {

@@ -8,7 +8,11 @@
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
 // verifies, via a global allocation counter, that the Vivaldi update and
-// KNearest inner loops are heap-free per call in steady state.
+// KNearest inner loops are heap-free per call in steady state, and the
+// `kernels` section times the three SoA hot kernels standalone, failing
+// the run if any of them allocates. Their bit-identity against the pre-SoA
+// per-Vec references is pinned by tests/simd_equivalence_test.cc (ctest
+// label `equivalence`), not here.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -133,7 +137,7 @@ struct EpochLoopResult {
   double allocs_per_epoch = 0.0;
   double live_reads_per_epoch = 0.0;  // fabric live reads inside AdvanceEpoch
   size_t queries_running = 0;
-  overlay::IndexRefreshStats refresh;  // cumulative over the loop
+  coords::IndexRefreshStats refresh;   // cumulative over the loop
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
   KernelStatsSnapshot kernels;         // hot-kernel delta across the loop
   size_t epochs = 0;                   // divisor for per-epoch attribution
@@ -156,12 +160,14 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   std::vector<query::QuerySpec> specs;
   specs.reserve(queries);
   for (size_t q = 0; q < queries; ++q) {
-    specs.push_back(query::RandomQuery(wp, eng->catalog(),
-                                       sbon.overlay_nodes(), &sbon.rng()));
+    specs.push_back(query::MakeRandomQuery(wp, eng->catalog(),
+                                           sbon.overlay_nodes(), &sbon.rng())
+                        .value());
   }
 
   EpochLoopResult out;
@@ -196,7 +202,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   if (churn_rate > 0.0) epoch.churn = &churn_model;
   engine::ReoptPolicy local_reopt;  // defaults: kLocal
 
-  const overlay::IndexRefreshStats before = sbon.index_refresh_stats();
+  const coords::IndexRefreshStats before = sbon.coords().refresh_stats();
   const KernelStatsSnapshot kernels_before = KernelStats::Instance().Snapshot();
   const uint64_t allocs_before = g_alloc_count;
   size_t epoch_live_reads = 0;
@@ -227,7 +233,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
       static_cast<double>(epoch_live_reads) / static_cast<double>(epochs);
   out.kernels = KernelStats::Instance().Snapshot().Since(kernels_before);
   out.epochs = epochs;
-  const overlay::IndexRefreshStats after = sbon.index_refresh_stats();
+  const coords::IndexRefreshStats after = sbon.coords().refresh_stats();
   out.refresh.refreshes = after.refreshes - before.refreshes;
   out.refresh.republished = after.republished - before.republished;
   out.refresh.skipped = after.skipped - before.skipped;
@@ -293,10 +299,12 @@ PipelineRunResult RunPipelineOnly(size_t nodes, size_t queries,
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   for (size_t q = 0; q < queries; ++q) {
-    (void)eng->Submit(query::RandomQuery(wp, eng->catalog(),
-                                         sbon.overlay_nodes(), &sbon.rng()));
+    (void)eng->Submit(query::MakeRandomQuery(wp, eng->catalog(),
+                                             sbon.overlay_nodes(), &sbon.rng())
+                          .value());
   }
 
   engine::EpochOptions epoch;
@@ -372,12 +380,14 @@ MessageModeResult RunMessageSection(
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   std::vector<query::QuerySpec> specs;
   std::vector<engine::QueryHandle> handles;
   for (size_t q = 0; q < queries; ++q) {
-    specs.push_back(query::RandomQuery(wp, eng->catalog(),
-                                       sbon.overlay_nodes(), &sbon.rng()));
+    specs.push_back(query::MakeRandomQuery(wp, eng->catalog(),
+                                           sbon.overlay_nodes(), &sbon.rng())
+                        .value());
     auto h = eng->Submit(specs.back());
     if (h.ok()) handles.push_back(*h);
   }
@@ -580,229 +590,85 @@ double MeasureKNearestAllocs(const overlay::Sbon& sbon) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-kernel microbenchmarks: each production kernel against a bench-local
-// reference replicating the pre-SoA per-Vec implementation verbatim. The
-// reference is the exact algorithm the SoA + SIMD pass replaced, so the
-// measured ratio is the pass's per-op win — and the outputs must stay
-// bit-identical (the FP-order contract the fixed-seed goldens rely on),
-// asserted on every run.
+// Hot-kernel microbenchmarks: each production kernel timed standalone on a
+// fixed schedule, with its steady-state heap allocations counted (must be
+// 0).
 
 struct KernelBenchResult {
-  double ns_per_op = 0.0;      // production kernel
-  double ref_ns_per_op = 0.0;  // pre-SoA reference implementation
-  double allocs_per_op = 0.0;  // production, steady state (must be 0)
-  bool outputs_equal = false;  // production == reference, bit for bit
-  double speedup() const {
-    return ns_per_op > 0.0 ? ref_ns_per_op / ns_per_op : 0.0;
-  }
+  double ns_per_op = 0.0;
+  double allocs_per_op = 0.0;  // steady state (must be 0)
 };
 
-// vivaldi_update: SoA lane kernel vs the per-Vec spring update
-// (diff/Norm/Unit/AddScaled on value Vecs), identical update schedule.
+// vivaldi_update: the SoA lane spring update on a fixed peer schedule.
 KernelBenchResult BenchVivaldiKernel() {
   constexpr size_t kNodes = 256;
   const size_t rounds = sbon::bench::SmokeMode() ? 20000 : 400000;
   coords::VivaldiSystem::Params params;
   params.dims = 3;
-
-  Rng prod_rng(7);
-  coords::VivaldiSystem prod(kNodes, params, &prod_rng);
-
-  Rng ref_rng(7);  // same seed: identical initial coordinates
-  std::vector<Vec> rcoords(kNodes, Vec(params.dims));
-  std::vector<double> rerror(kNodes, params.initial_error);
-  for (auto& c : rcoords) {
-    for (size_t d = 0; d < c.dims(); ++d) c[d] = ref_rng.Uniform(-0.1, 0.1);
-  }
-  auto ref_update = [&](NodeId self, NodeId peer, double measured_rtt_ms) {
-    const double rtt = std::max(measured_rtt_ms, params.min_rtt_ms);
-    Vec diff = rcoords[self];
-    diff -= rcoords[peer];
-    const double dist = diff.Norm();
-    const double w_self = rerror[self];
-    const double w_peer = rerror[peer];
-    const double w =
-        (w_self + w_peer) > 0.0 ? w_self / (w_self + w_peer) : 0.5;
-    const double es = std::abs(dist - rtt) / rtt;
-    rerror[self] = es * params.ce * w + rerror[self] * (1.0 - params.ce * w);
-    rerror[self] = std::clamp(rerror[self], 0.0, 10.0);
-    const double delta = params.cc * w;
-    const Vec dir = diff.Unit(static_cast<uint64_t>(self) * 1000003u + peer);
-    rcoords[self].AddScaled(dir, delta * (rtt - dist));
-  };
-  auto schedule = [&](auto&& apply) {
-    for (size_t i = 0; i < rounds; ++i) {
-      const NodeId self = static_cast<NodeId>(i % kNodes);
-      const NodeId peer = static_cast<NodeId>((i * 13 + 1) % kNodes);
-      apply(self, peer, 10.0 + static_cast<double>(i % 17));
-    }
-  };
+  Rng rng(7);
+  coords::VivaldiSystem vivaldi(kNodes, params, &rng);
 
   KernelBenchResult out;
   const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point prod_start = Clock::now();
-  schedule([&](NodeId s, NodeId p, double rtt) { prod.Update(s, p, rtt); });
-  out.ns_per_op = NsSince(prod_start) / static_cast<double>(rounds);
+  const Clock::time_point start = Clock::now();
+  for (size_t i = 0; i < rounds; ++i) {
+    vivaldi.Update(static_cast<NodeId>(i % kNodes),
+                   static_cast<NodeId>((i * 13 + 1) % kNodes),
+                   10.0 + static_cast<double>(i % 17));
+  }
+  out.ns_per_op = NsSince(start) / static_cast<double>(rounds);
   out.allocs_per_op = static_cast<double>(g_alloc_count - allocs_before) /
                       static_cast<double>(rounds);
-  const Clock::time_point ref_start = Clock::now();
-  schedule(ref_update);
-  out.ref_ns_per_op = NsSince(ref_start) / static_cast<double>(rounds);
-
-  out.outputs_equal = true;
-  for (NodeId n = 0; n < kNodes; ++n) {
-    if (prod.LocalError(n) != rerror[n]) out.outputs_equal = false;
-    const Vec c = prod.Coord(n);
-    for (size_t d = 0; d < c.dims(); ++d) {
-      if (c[d] != rcoords[n][d]) out.outputs_equal = false;
-    }
-  }
   return out;
 }
 
-// knearest_scan: batched SoA exact sweep vs the per-Vec scan that pushed an
-// IndexMatch per published node and selected with nth_element.
+// knearest_scan: the batched SoA exact sweep over every published node.
 KernelBenchResult BenchKNearestKernel(const overlay::Sbon& sbon) {
   const dht::CoordinateIndex& index = sbon.index();
   const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  // Published-coordinate mirror (AoS), reconstructed through the public
-  // exact query so the reference scans exactly what the index stores.
-  const auto all = index.KNearestExact(
-      sbon.cost_space().FullCoord(overlay[0]), overlay.size());
-  NodeId max_node = 0;
-  for (const auto& m : all) max_node = std::max(max_node, m.node);
-  std::vector<Vec> mirror(static_cast<size_t>(max_node) + 1);
-  std::vector<uint8_t> published(static_cast<size_t>(max_node) + 1, 0);
-  for (const auto& m : all) {
-    mirror[m.node] = m.coord;
-    published[m.node] = 1;
-  }
-
-  auto match_less = [](const dht::IndexMatch& a, const dht::IndexMatch& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.node < b.node;
-  };
-  auto ref_scan = [&](const Vec& target, size_t k,
-                      std::vector<dht::IndexMatch>* out) {
-    out->clear();
-    for (NodeId n = 0; n < published.size(); ++n) {
-      if (!published[n]) continue;
-      out->push_back(
-          dht::IndexMatch{n, mirror[n].DistanceTo(target), mirror[n]});
-    }
-    if (out->size() > k) {
-      std::nth_element(out->begin(), out->begin() + k, out->end(),
-                       match_less);
-      out->resize(k);
-    }
-    std::sort(out->begin(), out->end(), match_less);
-  };
-
   const size_t queries = sbon::bench::SmokeMode() ? 200 : 2000;
   constexpr size_t kK = 8;
-  std::vector<dht::IndexMatch> prod_out, ref_out;
+  std::vector<dht::IndexMatch> matches;
   auto target_of = [&](size_t i) {
     return sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
   };
 
   KernelBenchResult out;
-  out.outputs_equal = true;
-  for (size_t i = 0; i < 64; ++i) {
-    const Vec target = target_of(i * 7 + 1);
-    index.KNearestExactInto(target, kK, &prod_out);
-    ref_scan(target, kK, &ref_out);
-    if (prod_out.size() != ref_out.size()) {
-      out.outputs_equal = false;
-      break;
-    }
-    for (size_t j = 0; j < prod_out.size(); ++j) {
-      if (prod_out[j].node != ref_out[j].node ||
-          prod_out[j].distance != ref_out[j].distance) {
-        out.outputs_equal = false;
-      }
-    }
-  }
-
-  const double ops = static_cast<double>(queries * all.size());
-  index.KNearestExactInto(target_of(0), kK, &prod_out);  // warm scratch
+  const double ops = static_cast<double>(queries * index.NumPublished());
+  index.KNearestExactInto(target_of(0), kK, &matches);  // warm scratch
   const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point prod_start = Clock::now();
+  const Clock::time_point start = Clock::now();
   for (size_t i = 0; i < queries; ++i) {
-    index.KNearestExactInto(target_of(i), kK, &prod_out);
+    index.KNearestExactInto(target_of(i), kK, &matches);
   }
-  out.ns_per_op = NsSince(prod_start) / ops;
+  out.ns_per_op = NsSince(start) / ops;
   out.allocs_per_op =
       static_cast<double>(g_alloc_count - allocs_before) / ops;
-  ref_scan(target_of(0), kK, &ref_out);  // warm capacity
-  const Clock::time_point ref_start = Clock::now();
-  for (size_t i = 0; i < queries; ++i) ref_scan(target_of(i), kK, &ref_out);
-  out.ref_ns_per_op = NsSince(ref_start) / ops;
   return out;
 }
 
-// cost_eval: batched full-distance-to-ideal sweep vs the per-node Vec
-// evaluation (DistanceSquaredTo + weighted-scalar terms + sqrt per node).
+// cost_eval: the batched full-distance-to-ideal sweep over overlay nodes.
 KernelBenchResult BenchCostEvalKernel(const overlay::Sbon& sbon) {
   const coords::CostSpace& space = sbon.cost_space();
   const std::vector<NodeId>& overlay = sbon.overlay_nodes();
   const size_t count = overlay.size();
   const size_t rounds = sbon::bench::SmokeMode() ? 500 : 5000;
-
-  std::vector<Vec> vmirror;
-  vmirror.reserve(space.NumNodes());
-  for (NodeId n = 0; n < space.NumNodes(); ++n) {
-    vmirror.push_back(space.VectorCoord(n));
-  }
-  const size_t scalar_dims = space.spec().num_scalar_dims();
-  std::vector<std::vector<double>> wmirror(
-      scalar_dims, std::vector<double>(space.NumNodes()));
-  for (size_t i = 0; i < scalar_dims; ++i) {
-    for (NodeId n = 0; n < space.NumNodes(); ++n) {
-      wmirror[i][n] = space.WeightedScalar(n, i);
-    }
-  }
-  auto ref_eval = [&](const Vec& point, double* out_dists) {
-    for (size_t j = 0; j < count; ++j) {
-      const NodeId n = overlay[j];
-      double s = vmirror[n].DistanceSquaredTo(point);
-      for (size_t i = 0; i < scalar_dims; ++i) {
-        const double w = wmirror[i][n];
-        s += w * w;
-      }
-      out_dists[j] = std::sqrt(s);
-    }
-  };
-
-  std::vector<double> prod_d(count), ref_d(count);
+  std::vector<double> dists(count);
   auto point_of = [&](size_t i) {
     return space.VectorCoord(overlay[(i * 11 + 3) % count]);
   };
 
   KernelBenchResult out;
-  out.outputs_equal = true;
-  for (size_t i = 0; i < 16; ++i) {
-    const Vec point = point_of(i);
-    space.FullDistancesToIdealMany(point, overlay.data(), count,
-                                   prod_d.data());
-    ref_eval(point, ref_d.data());
-    for (size_t j = 0; j < count; ++j) {
-      if (prod_d[j] != ref_d[j]) out.outputs_equal = false;
-    }
-  }
-
   const double ops = static_cast<double>(rounds * count);
   const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point prod_start = Clock::now();
+  const Clock::time_point start = Clock::now();
   for (size_t i = 0; i < rounds; ++i) {
     space.FullDistancesToIdealMany(point_of(i), overlay.data(), count,
-                                   prod_d.data());
+                                   dists.data());
   }
-  out.ns_per_op = NsSince(prod_start) / ops;
+  out.ns_per_op = NsSince(start) / ops;
   out.allocs_per_op =
       static_cast<double>(g_alloc_count - allocs_before) / ops;
-  const Clock::time_point ref_start = Clock::now();
-  for (size_t i = 0; i < rounds; ++i) ref_eval(point_of(i), ref_d.data());
-  out.ref_ns_per_op = NsSince(ref_start) / ops;
   return out;
 }
 
@@ -890,6 +756,16 @@ int main(int argc, char** argv) {
   bool bit_identical = true;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
+  struct NamedKb {
+    const char* name;
+    const sbon::KernelBenchResult* kb;
+    sbon::Kernel kernel;
+  };
+  const NamedKb named_kbs[] = {
+      {"vivaldi_update", &kb_vivaldi, sbon::Kernel::kVivaldiUpdate},
+      {"knearest_scan", &kb_knearest, sbon::Kernel::kKNearestScan},
+      {"cost_eval", &kb_costeval, sbon::Kernel::kCostEval},
+  };
   const bool kernels_detail = sbon::HasFlag(argc, argv, "--kernels");
   const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
   const size_t par_threads = std::max<size_t>(4, threads);
@@ -984,35 +860,14 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    sbon::bench::Section(
-        "Hot-kernel microbenchmarks (SoA/SIMD vs pre-SoA reference)");
+    sbon::bench::Section("Hot-kernel microbenchmarks");
     kb_vivaldi = sbon::BenchVivaldiKernel();
     kb_knearest = sbon::BenchKNearestKernel(*audit_sbon);
     kb_costeval = sbon::BenchCostEvalKernel(*audit_sbon);
-    struct NamedKb {
-      const char* name;
-      const sbon::KernelBenchResult* kb;
-      sbon::Kernel kernel;
-    };
-    const NamedKb named_kbs[] = {
-        {"vivaldi_update", &kb_vivaldi, sbon::Kernel::kVivaldiUpdate},
-        {"knearest_scan", &kb_knearest, sbon::Kernel::kKNearestScan},
-        {"cost_eval", &kb_costeval, sbon::Kernel::kCostEval},
-    };
     bool kernels_ok = true;
     for (const NamedKb& nk : named_kbs) {
-      std::printf("%-14s  %7.2f ns/op  (pre-SoA ref %7.2f ns/op, %0.2fx)  "
-                  "allocs/op=%g  outputs %s\n",
-                  nk.name, nk.kb->ns_per_op, nk.kb->ref_ns_per_op,
-                  nk.kb->speedup(), nk.kb->allocs_per_op,
-                  nk.kb->outputs_equal ? "bit-identical" : "DIVERGED");
-      if (!nk.kb->outputs_equal) {
-        std::fprintf(stderr,
-                     "FAIL: %s kernel output diverged from the pre-SoA "
-                     "reference\n",
-                     nk.name);
-        kernels_ok = false;
-      }
+      std::printf("%-14s  %7.2f ns/op  allocs/op=%g\n", nk.name,
+                  nk.kb->ns_per_op, nk.kb->allocs_per_op);
       if (nk.kb->allocs_per_op != 0.0) {
         std::fprintf(stderr, "FAIL: %s kernel allocates (%g allocs/op)\n",
                      nk.name, nk.kb->allocs_per_op);
@@ -1291,19 +1146,8 @@ int main(int argc, char** argv) {
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,
           churned.repair.queries_repaired, churned.repair.queries_dropped);
-      // Per-kernel microbenchmarks (production vs pre-SoA reference, with
-      // a bit-identity gate) plus per-epoch attribution from the primary
-      // engine loop's KernelStats delta.
-      struct KernelJson {
-        const char* name;
-        const sbon::KernelBenchResult* kb;
-        sbon::Kernel kernel;
-      };
-      const KernelJson kjs[] = {
-          {"vivaldi_update", &kb_vivaldi, sbon::Kernel::kVivaldiUpdate},
-          {"knearest_scan", &kb_knearest, sbon::Kernel::kKNearestScan},
-          {"cost_eval", &kb_costeval, sbon::Kernel::kCostEval},
-      };
+      // Per-kernel microbenchmarks plus per-epoch attribution from the
+      // primary engine loop's KernelStats delta.
 #if defined(SBON_SIMD_ENABLED)
       const char* simd_mode = "on";
 #else
@@ -1312,25 +1156,20 @@ int main(int argc, char** argv) {
       std::fprintf(f, "  \"kernels\": {\n    \"simd\": \"%s\"", simd_mode);
       const double ep = static_cast<double>(std::max<size_t>(1,
                                                              primary.epochs));
-      for (const KernelJson& kj : kjs) {
+      for (const NamedKb& kj : named_kbs) {
         const sbon::KernelCounters& c = primary.kernels[kj.kernel];
         std::fprintf(
             f,
             ",\n"
             "    \"%s\": {\n"
             "      \"ns_per_op\": %.2f,\n"
-            "      \"ref_ns_per_op\": %.2f,\n"
-            "      \"speedup\": %.2f,\n"
             "      \"microbench_allocs_per_op\": %g,\n"
-            "      \"outputs_bit_identical\": %s,\n"
             "      \"calls_per_epoch\": %.1f,\n"
             "      \"ops_per_epoch\": %.1f,\n"
             "      \"ns_per_epoch\": %.1f,\n"
             "      \"allocs_per_epoch\": %.1f\n"
             "    }",
-            kj.name, kj.kb->ns_per_op, kj.kb->ref_ns_per_op,
-            kj.kb->speedup(), kj.kb->allocs_per_op,
-            kj.kb->outputs_equal ? "true" : "false",
+            kj.name, kj.kb->ns_per_op, kj.kb->allocs_per_op,
             static_cast<double>(c.calls) / ep,
             static_cast<double>(c.ops) / ep, static_cast<double>(c.ns) / ep,
             static_cast<double>(c.allocs) / ep);

@@ -62,7 +62,7 @@ uint64_t StateFingerprint(const sbon::overlay::Sbon& sbon) {
     for (size_t d = 0; d < v.dims(); ++d) mix(v[d]);
     mix(space.ScalarPenalty(n));
   }
-  mix(static_cast<double>(sbon.NumServices()));
+  mix(static_cast<double>(sbon.ledger().NumServices()));
   mix(sbon.TotalNetworkUsage());
   return h;
 }

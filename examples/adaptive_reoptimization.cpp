@@ -55,15 +55,19 @@ RunResult Simulate(bool adaptive, uint64_t seed) {
 
   sbon::query::WorkloadParams wp;
   wp.num_streams = 12;
-  engine->SetCatalog(sbon::query::RandomCatalog(
-      wp, engine->sbon().overlay_nodes(), &engine->sbon().rng()));
+  engine->SetCatalog(
+      sbon::query::MakeRandomCatalog(wp, engine->sbon().overlay_nodes(),
+                                     &engine->sbon().rng())
+          .value());
 
   // Deploy 6 long-running queries.
   std::vector<sbon::engine::QueryHandle> deployed;
   for (int i = 0; i < 6; ++i) {
-    auto handle = engine->Submit(sbon::query::RandomQuery(
-        wp, engine->catalog(), engine->sbon().overlay_nodes(),
-        &engine->sbon().rng()));
+    auto handle = engine->Submit(
+        sbon::query::MakeRandomQuery(wp, engine->catalog(),
+                                     engine->sbon().overlay_nodes(),
+                                     &engine->sbon().rng())
+            .value());
     if (handle.ok()) deployed.push_back(*handle);
   }
 

@@ -60,14 +60,18 @@ DeployStats DeployAll(double radius, uint64_t seed) {
   wp.join_sel_log10_max = -3.0;  // fixed predicate grid => shareable ops
   wp.filter_prob = 0.0;
   wp.aggregate_prob = 0.0;
-  engine->SetCatalog(sbon::query::RandomCatalog(
-      wp, engine->sbon().overlay_nodes(), &engine->sbon().rng()));
+  engine->SetCatalog(
+      sbon::query::MakeRandomCatalog(wp, engine->sbon().overlay_nodes(),
+                                     &engine->sbon().rng())
+          .value());
 
   std::vector<sbon::query::QuerySpec> tenants;
   for (int tenant = 0; tenant < 30; ++tenant) {
-    tenants.push_back(sbon::query::RandomQuery(
-        wp, engine->catalog(), engine->sbon().overlay_nodes(),
-        &engine->sbon().rng()));
+    tenants.push_back(
+        sbon::query::MakeRandomQuery(wp, engine->catalog(),
+                                     engine->sbon().overlay_nodes(),
+                                     &engine->sbon().rng())
+            .value());
   }
   (void)engine->SubmitAll(tenants);  // failed tenants simply stay undeployed
 

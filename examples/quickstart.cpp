@@ -50,7 +50,7 @@ int main() {
 
   // Inspect the deployment.
   auto stats = engine->StatsOf(*handle);
-  const auto* circuit = engine->sbon().FindCircuit(stats->circuit);
+  const auto* circuit = engine->sbon().ledger().FindCircuit(stats->circuit);
   std::printf("chosen plan: %s\n", circuit->plan().Canonical().c_str());
   std::printf("candidates considered: %zu plans, %zu placements\n",
               stats->plans_considered, stats->placements_evaluated);

@@ -98,7 +98,8 @@ int main() {
     auto handle = engine->Submit(q);
     if (!handle.ok()) continue;
     auto stats = engine->StatsOf(*handle);
-    const sbon::overlay::Circuit* ri = sbon.FindCircuit(stats->circuit);
+    const sbon::overlay::Circuit* ri =
+        sbon.ledger().FindCircuit(stats->circuit);
 
     // How close to the volcano did the fusion land? (mean latency of the
     // join services to the nearest sensor host)

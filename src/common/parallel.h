@@ -11,8 +11,7 @@
 namespace sbon {
 
 /// A small persistent worker pool for the epoch pipeline's embarrassingly
-/// parallel stages (latency-jitter rows, per-node Vivaldi updates, the
-/// refresh dirty scan).
+/// parallel stages (per-node Vivaldi updates, the refresh dirty scan).
 ///
 /// Determinism contract: the pool only *schedules* work — callers must
 /// partition it so that the value computed for each shard depends solely on

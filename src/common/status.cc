@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace sbon {
 namespace {
 
@@ -36,5 +39,15 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void DieOnBadStatusOrAccess(const Status& status) {
+  std::fprintf(stderr, "StatusOr value accessed on error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace internal
 
 }  // namespace sbon

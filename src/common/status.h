@@ -68,8 +68,15 @@ class Status {
   std::string message_;
 };
 
+namespace internal {
+/// Prints `status` to stderr and aborts. Out of line so the check in every
+/// StatusOr accessor stays one compare and a cold call.
+[[noreturn]] void DieOnBadStatusOrAccess(const Status& status);
+}  // namespace internal
+
 /// Either a value of type `T` or an error `Status`. Accessing the value of a
-/// non-OK result is a programming error (checked by assert in debug builds).
+/// non-OK result is a programming error: it prints the status and aborts in
+/// every build.
 template <typename T>
 class StatusOr {
  public:
@@ -85,15 +92,15 @@ class StatusOr {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -103,6 +110,12 @@ class StatusOr {
   T* operator->() { return &value(); }
 
  private:
+  void CheckOk() const {
+    if (!ok()) [[unlikely]] {
+      internal::DieOnBadStatusOrAccess(status_);
+    }
+  }
+
   Status status_;
   std::optional<T> value_;
 };

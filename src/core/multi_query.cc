@@ -27,7 +27,7 @@ Vec IdealTarget(const Vec& virtual_coord, size_t scalar_dims) {
 double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
                          const overlay::Sbon& sbon) {
   for (CircuitId cid : inst.circuits) {
-    const overlay::Circuit* src = sbon.FindCircuit(cid);
+    const overlay::Circuit* src = sbon.ledger().FindCircuit(cid);
     if (src == nullptr) continue;
     auto lat = overlay::UpstreamLatencyToService(*src, inst.id,
                                                  sbon.latency());
@@ -93,7 +93,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
       for (int v : order) {
         const uint64_t sig = plan.OpSignature(v);
-        const auto instances = sbon->ServicesWithSignature(sig);
+        const auto instances = sbon->ledger().ServicesWithSignature(sig);
         if (instances.empty()) continue;
 
         // Cost-space pruning: keep instances whose hosts fall inside the

@@ -10,7 +10,7 @@ namespace sbon::core {
 StatusOr<LocalReoptReport> LocalReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id,
     const placement::VirtualPlacer& placer, const ReoptConfig& config) {
-  const overlay::Circuit* live = sbon->FindCircuit(circuit_id);
+  const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
   if (live == nullptr) return Status::NotFound("no such circuit");
 
   LocalReoptReport report;
@@ -42,7 +42,8 @@ StatusOr<LocalReoptReport> LocalReoptimize(
     const overlay::CircuitVertex& old_v = live->vertex(v);
     if (old_v.service == kInvalidService) continue;
     if (new_v.host == old_v.host) continue;
-    const overlay::ServiceInstance* inst = sbon->FindService(old_v.service);
+    const overlay::ServiceInstance* inst =
+        sbon->ledger().FindService(old_v.service);
     if (inst == nullptr) continue;
     if (inst->Shared() && !config.migrate_shared_services) continue;
     Status mig = sbon->MigrateService(old_v.service, new_v.host);
@@ -50,8 +51,8 @@ StatusOr<LocalReoptReport> LocalReoptimize(
     undo.emplace_back(old_v.service, old_v.host);
     ++report.migrations;
   }
-  auto final_cost = EstimateCost(*sbon->FindCircuit(circuit_id), *sbon,
-                                 config.lambda);
+  auto final_cost = EstimateCost(*sbon->ledger().FindCircuit(circuit_id),
+                                 *sbon, config.lambda);
   if (!final_cost.ok()) return final_cost.status();
   if (*final_cost >= *before && !undo.empty()) {
     // Verification failed (load displacement ate the predicted gain):
@@ -74,7 +75,7 @@ StatusOr<FullReoptReport> FullReoptimize(overlay::Sbon* sbon,
                                          const query::Catalog& catalog,
                                          Optimizer* optimizer,
                                          const ReoptConfig& config) {
-  const overlay::Circuit* live = sbon->FindCircuit(circuit_id);
+  const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
   if (live == nullptr) return Status::NotFound("no such circuit");
 
   FullReoptReport report;

@@ -105,7 +105,7 @@ Status StreamEngine::OptimizeAndInstall(const StrategySpec& strategy,
     // lookups/hops/probes) as kPlacement messages and stamps each placed
     // vertex with its host's coordinate staleness.
     msg_runtime_->BillPlacement(result->mapping.dht_cost,
-                                sbon_->FindCircuit(*circuit_id));
+                                sbon_->ledger().FindCircuit(*circuit_id));
   }
   record->optimizer = std::move(optimizer_name);
   record->placer = std::move(placer_name);
@@ -213,8 +213,9 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
   outcome.full = *report;
   if (report->redeployed) {
     if (msg_runtime_ != nullptr) {
-      msg_runtime_->BillPlacement(report->candidate.mapping.dht_cost,
-                                  sbon_->FindCircuit(report->new_circuit));
+      msg_runtime_->BillPlacement(
+          report->candidate.mapping.dht_cost,
+          sbon_->ledger().FindCircuit(report->new_circuit));
     }
     // The handle now refers to the replacement circuit; the record's
     // accounting must describe the run that produced it, not the cancelled
@@ -236,7 +237,8 @@ Status StreamEngine::DetachForRepair(QueryHandle handle) {
 
   // A dead pinned endpoint (producer or consumer) is unrepairable by
   // re-placement: the spec demands that exact node.
-  const overlay::Circuit* old_circuit = sbon_->FindCircuit(record.circuit);
+  const overlay::Circuit* old_circuit =
+      sbon_->ledger().FindCircuit(record.circuit);
   if (old_circuit != nullptr) {
     for (const overlay::CircuitVertex& v : old_circuit->vertices()) {
       if (v.pinned && !sbon_->IsAlive(v.host)) {
@@ -514,8 +516,8 @@ StatusOr<QueryStats> StreamEngine::StatsOf(QueryHandle handle) const {
 EngineSnapshot StreamEngine::Snapshot() const {
   EngineSnapshot snapshot;
   snapshot.num_queries = queries_.size();
-  snapshot.num_services = sbon_->NumServices();
-  for (const auto& [id, inst] : sbon_->services()) {
+  snapshot.num_services = sbon_->ledger().NumServices();
+  for (const auto& [id, inst] : sbon_->ledger().services()) {
     if (inst.Shared()) ++snapshot.shared_services;
   }
   snapshot.total_network_usage = sbon_->TotalNetworkUsage();
@@ -554,7 +556,8 @@ const core::OptimizeResult* StreamEngine::ResultOf(QueryHandle handle) const {
 StatusOr<double> StreamEngine::CurrentEstimatedCost(QueryHandle handle) const {
   auto it = queries_.find(handle);
   if (it == queries_.end()) return Status::NotFound("no such query");
-  const overlay::Circuit* circuit = sbon_->FindCircuit(it->second.circuit);
+  const overlay::Circuit* circuit =
+      sbon_->ledger().FindCircuit(it->second.circuit);
   if (circuit == nullptr) return Status::NotFound("circuit not deployed");
   return core::EstimateCost(*circuit, *sbon_, it->second.config.lambda);
 }

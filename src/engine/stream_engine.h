@@ -104,8 +104,8 @@ struct EpochOptions {
   /// updates and before the index refresh. nullptr (the default) runs
   /// a bit-identical epoch to the pre-churn engine. Not owned.
   net::ChurnModel* churn = nullptr;
-  /// Worker threads for the parallelizable pipeline stages (jitter rows,
-  /// per-node Vivaldi updates, the refresh dirty scan). 1 = fully serial.
+  /// Worker threads for the parallelizable pipeline stages (per-node
+  /// Vivaldi updates, the refresh dirty scan). 1 = fully serial.
   /// 0 (the default) resolves from the SBON_EPOCH_THREADS environment
   /// variable when set (how the CI ThreadSanitizer lane runs the whole
   /// suite multi-threaded without touching each test), else 1. Fixed-seed

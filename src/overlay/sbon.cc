@@ -43,7 +43,7 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
   }
   if (FabricOptionsFor(options, topo.NumNodes()).base_mode !=
           net::NetworkFabric::BaseMode::kDense &&
-      options.coord_mode != CoordMode::kVivaldi) {
+      options.coord_mode != coords::CoordMode::kVivaldi) {
     // MDS / true coordinates are centralized O(n^2) ablation solves; running
     // them against a generative substrate would just rebuild the dense
     // matrix pair read by read.
@@ -240,7 +240,7 @@ void Sbon::RefreshIndex(double epsilon, ThreadPool* pool) {
 }
 
 StatusOr<CircuitCost> Sbon::CircuitCostOf(CircuitId id) const {
-  const Circuit* c = FindCircuit(id);
+  const Circuit* c = ledger_->FindCircuit(id);
   if (c == nullptr) return Status::NotFound("no such circuit");
   return ComputeCircuitCost(*c, fabric_->live(), &coords_->space());
 }

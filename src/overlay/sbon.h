@@ -1,7 +1,6 @@
 #ifndef SBON_OVERLAY_SBON_H_
 #define SBON_OVERLAY_SBON_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -22,10 +21,6 @@
 #include "overlay/service_ledger.h"
 
 namespace sbon::overlay {
-
-/// Cumulative counters of the dirty-driven index refresh (owned by
-/// coords::CoordinateManager; aliased here for the overlay-facing API).
-using IndexRefreshStats = coords::IndexRefreshStats;
 
 /// The stream-based overlay network: the runtime that optimizers operate
 /// against. A thin composition root wiring three independently ownable
@@ -50,10 +45,6 @@ using IndexRefreshStats = coords::IndexRefreshStats;
 /// (see each substrate's contract).
 class Sbon {
  public:
-  /// How vector coordinates are obtained (owned by the coords substrate;
-  /// aliased for source compatibility with `Sbon::CoordMode::...`).
-  using CoordMode = coords::CoordMode;
-
   /// How the fabric resolves base latency.
   enum class FabricMode {
     kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
@@ -63,7 +54,7 @@ class Sbon {
 
   struct Options {
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
-    CoordMode coord_mode = CoordMode::kVivaldi;
+    coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
     coords::VivaldiSystem::Params vivaldi_params;
     coords::VivaldiRunOptions vivaldi_run;
     /// Hilbert-curve resolution of the coordinate index, in [1, 16] bits
@@ -110,6 +101,9 @@ class Sbon {
   /// (msg::Runtime) whose agents drive Vivaldi updates and ring publishes
   /// through explicit traffic instead of the oracle sweeps.
   coords::CoordinateManager& mutable_coords() { return *coords_; }
+  /// Deployed circuits, service instances, the reuse catalog and the
+  /// per-node service load. Mutations go through Sbon (InstallCircuit,
+  /// RemoveCircuit, MigrateService, FailNode) so cost-space scalars follow.
   const ServiceLedger& ledger() const { return *ledger_; }
   const net::LatencyView& latency() const { return fabric_->live(); }
   const coords::CostSpace& cost_space() const { return coords_->space(); }
@@ -157,7 +151,6 @@ class Sbon {
 
   // --- load state ---
   double BaseLoad(NodeId n) const { return load_model_->load(n); }
-  double ServiceLoad(NodeId n) const { return ledger_->service_load(n); }
   /// Total CPU load in [0, 1]: ambient + service-induced.
   double TotalLoad(NodeId n) const;
   /// Scripted load override for tests/scenarios (sets the ambient part).
@@ -173,25 +166,6 @@ class Sbon {
   StatusOr<CircuitId> InstallCircuit(Circuit circuit);
   /// Tears a circuit down, releasing service instances with no users left.
   Status RemoveCircuit(CircuitId id);
-
-  const Circuit* FindCircuit(CircuitId id) const {
-    return ledger_->FindCircuit(id);
-  }
-  const std::map<CircuitId, Circuit>& circuits() const {
-    return ledger_->circuits();
-  }
-  const ServiceInstance* FindService(ServiceInstanceId id) const {
-    return ledger_->FindService(id);
-  }
-  const std::map<ServiceInstanceId, ServiceInstance>& services() const {
-    return ledger_->services();
-  }
-  /// Deployed instances whose reuse signature matches.
-  std::vector<const ServiceInstance*> ServicesWithSignature(
-      uint64_t signature) const {
-    return ledger_->ServicesWithSignature(signature);
-  }
-  size_t NumServices() const { return ledger_->NumServices(); }
 
   /// Moves a service instance to a new host, updating load accounting and
   /// the vertices of every circuit bound to it.
@@ -224,10 +198,6 @@ class Sbon {
   /// everything. Call after load changes when index queries should see
   /// fresh scalars. `pool` shards the displacement scan.
   void RefreshIndex(double epsilon = 0.0, ThreadPool* pool = nullptr);
-  /// Ring traffic the refreshes performed/avoided so far.
-  const IndexRefreshStats& index_refresh_stats() const {
-    return coords_->refresh_stats();
-  }
 
   // --- metrics ---
   /// Cost of one deployed circuit against true latencies (marginal: only

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
 
 namespace sbon::query {
 
@@ -155,28 +152,6 @@ StatusOr<QuerySpec> MakeRandomQuery(const WorkloadParams& params,
                                       params.aggregate_factor_max);
   }
   return q;
-}
-
-Catalog RandomCatalog(const WorkloadParams& params,
-                      const std::vector<NodeId>& producer_sites, Rng* rng) {
-  auto catalog = MakeRandomCatalog(params, producer_sites, rng);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "RandomCatalog: %s\n",
-                 catalog.status().message().c_str());
-    std::abort();
-  }
-  return std::move(catalog.value());
-}
-
-QuerySpec RandomQuery(const WorkloadParams& params, const Catalog& catalog,
-                      const std::vector<NodeId>& consumer_sites, Rng* rng) {
-  auto spec = MakeRandomQuery(params, catalog, consumer_sites, rng);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "RandomQuery: %s\n",
-                 spec.status().message().c_str());
-    std::abort();
-  }
-  return std::move(spec.value());
 }
 
 }  // namespace sbon::query

@@ -67,15 +67,6 @@ StatusOr<QuerySpec> MakeRandomQuery(const WorkloadParams& params,
                                     const std::vector<NodeId>& consumer_sites,
                                     Rng* rng);
 
-/// Abort-on-error conveniences over the Make* factories, for generators in
-/// tests/benches where the inputs are constants and a Status would be
-/// unwrapped on the next line anyway. Unlike the old assert-only guards,
-/// these stay loud in Release builds (no silent garbage indexing).
-Catalog RandomCatalog(const WorkloadParams& params,
-                      const std::vector<NodeId>& producer_sites, Rng* rng);
-QuerySpec RandomQuery(const WorkloadParams& params, const Catalog& catalog,
-                      const std::vector<NodeId>& consumer_sites, Rng* rng);
-
 }  // namespace sbon::query
 
 #endif  // SBON_QUERY_WORKLOAD_H_

@@ -195,9 +195,9 @@ TEST_F(SbonChurnTest, FailNodeEvictsServicesAndReportsOrphans) {
   const NodeId host = sbon_->overlay_nodes()[3];
   const CircuitId cid = InstallOneServiceCircuit(host);
   ASSERT_NE(cid, kInvalidCircuit);
-  const size_t services_before = sbon_->NumServices();
+  const size_t services_before = sbon_->ledger().NumServices();
   ASSERT_GT(services_before, 0u);
-  ASSERT_GT(sbon_->ServiceLoad(host), 0.0);
+  ASSERT_GT(sbon_->ledger().service_load(host), 0.0);
 
   auto report = sbon_->FailNode(host);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -206,14 +206,14 @@ TEST_F(SbonChurnTest, FailNodeEvictsServicesAndReportsOrphans) {
   EXPECT_EQ(report->orphaned[0], cid);
   EXPECT_FALSE(sbon_->IsAlive(host));
   // Load deltas reversed: the dead node's book returns exactly to zero.
-  EXPECT_EQ(sbon_->ServiceLoad(host), 0.0);
-  EXPECT_EQ(sbon_->NumServices(), 0u);
+  EXPECT_EQ(sbon_->ledger().service_load(host), 0.0);
+  EXPECT_EQ(sbon_->ledger().NumServices(), 0u);
   // Gone from the alive overlay set and from the index.
   const auto& alive = sbon_->overlay_nodes();
   EXPECT_TRUE(std::find(alive.begin(), alive.end(), host) == alive.end());
   EXPECT_EQ(sbon_->index().NumPublished(), alive.size());
   // The circuit remnant is still registered (the engine decides its fate).
-  EXPECT_NE(sbon_->FindCircuit(cid), nullptr);
+  EXPECT_NE(sbon_->ledger().FindCircuit(cid), nullptr);
   ASSERT_TRUE(sbon_->RemoveCircuit(cid).ok());
 }
 
@@ -251,7 +251,7 @@ TEST_F(SbonChurnTest, RejoinRestoresMembershipAndIndex) {
   EXPECT_EQ(alive.size(), alive_before);
   EXPECT_TRUE(std::is_sorted(alive.begin(), alive.end()));
   EXPECT_EQ(sbon_->index().NumPublished(), alive.size());
-  EXPECT_EQ(sbon_->ServiceLoad(host), 0.0);
+  EXPECT_EQ(sbon_->ledger().service_load(host), 0.0);
   // The rejoined node is findable by coordinate queries again.
   auto nearest = sbon_->index().KNearest(
       sbon_->cost_space().FullCoord(host), 1);
@@ -278,7 +278,7 @@ TEST_F(SbonChurnTest, InstallAndMigrateRefuseDeadHosts) {
   ASSERT_NE(cid, kInvalidCircuit);
   ASSERT_TRUE(sbon_->FailNode(dead).ok());
   // Installing onto the dead node fails without side effects.
-  const size_t services_before = sbon_->NumServices();
+  const size_t services_before = sbon_->ledger().NumServices();
   auto install = sbon_->InstallCircuit([&] {
     query::Catalog catalog = TwoStreamCatalog(*sbon_);
     auto spec = query::QuerySpec::SimpleJoin({0, 1},
@@ -291,9 +291,9 @@ TEST_F(SbonChurnTest, InstallAndMigrateRefuseDeadHosts) {
     return std::move(c.value());
   }());
   EXPECT_EQ(install.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sbon_->NumServices(), services_before);
+  EXPECT_EQ(sbon_->ledger().NumServices(), services_before);
   // Migrating an instance onto the dead node fails too.
-  const ServiceInstanceId sid = sbon_->services().begin()->first;
+  const ServiceInstanceId sid = sbon_->ledger().services().begin()->first;
   EXPECT_EQ(sbon_->MigrateService(sid, dead).code(),
             StatusCode::kFailedPrecondition);
 }
@@ -307,7 +307,9 @@ TEST_F(SbonChurnTest, MigrateThenRemoveLeavesLoadBooksAtBase) {
   ASSERT_NE(cid, kInvalidCircuit);
 
   std::vector<ServiceInstanceId> instances;
-  for (const auto& [sid, inst] : sbon_->services()) instances.push_back(sid);
+  for (const auto& [sid, inst] : sbon_->ledger().services()) {
+    instances.push_back(sid);
+  }
   ASSERT_FALSE(instances.empty());
 
   // Walk every instance across several hosts, ending somewhere new.
@@ -319,9 +321,9 @@ TEST_F(SbonChurnTest, MigrateThenRemoveLeavesLoadBooksAtBase) {
     }
   }
   ASSERT_TRUE(sbon_->RemoveCircuit(cid).ok());
-  EXPECT_EQ(sbon_->NumServices(), 0u);
+  EXPECT_EQ(sbon_->ledger().NumServices(), 0u);
   for (NodeId n = 0; n < sbon_->topology().NumNodes(); ++n) {
-    EXPECT_NEAR(sbon_->ServiceLoad(n), 0.0, 1e-12)
+    EXPECT_NEAR(sbon_->ledger().service_load(n), 0.0, 1e-12)
         << "node " << n << " load book off base after migrate+remove";
   }
 }
@@ -427,7 +429,7 @@ TEST(EngineChurnTest, CrashTriggersHandleStableRepair) {
 
   // Find a node hosting at least one deployed (non-pinned) service.
   NodeId victim = kInvalidNode;
-  for (const auto& [sid, inst] : eng->sbon().services()) {
+  for (const auto& [sid, inst] : eng->sbon().ledger().services()) {
     victim = inst.host;
     break;
   }
@@ -451,7 +453,7 @@ TEST(EngineChurnTest, CrashTriggersHandleStableRepair) {
   for (engine::QueryHandle h : handles) {
     const CircuitId cid = eng->CircuitOf(h);
     if (cid == kInvalidCircuit) continue;  // dropped
-    const overlay::Circuit* c = eng->sbon().FindCircuit(cid);
+    const overlay::Circuit* c = eng->sbon().ledger().FindCircuit(cid);
     ASSERT_NE(c, nullptr);
     for (const auto& v : c->vertices()) {
       EXPECT_NE(v.host, victim);
@@ -494,7 +496,7 @@ TEST(EngineChurnTest, ReoptPolicyHostDiedTriggerRepairsUnconditionally) {
 
   // Kill the circuit's first deployed host directly on the overlay, then
   // use the public trigger instead of the churn pipeline.
-  const overlay::Circuit* c = eng->sbon().FindCircuit(before);
+  const overlay::Circuit* c = eng->sbon().ledger().FindCircuit(before);
   ASSERT_NE(c, nullptr);
   std::set<NodeId> pinned_hosts;
   for (const auto& v : c->vertices()) {
@@ -518,7 +520,8 @@ TEST(EngineChurnTest, ReoptPolicyHostDiedTriggerRepairsUnconditionally) {
   EXPECT_TRUE(outcome->full.redeployed);
   EXPECT_EQ(outcome->full.new_circuit, eng->CircuitOf(h));
   EXPECT_NE(eng->CircuitOf(h), before);
-  const overlay::Circuit* repaired = eng->sbon().FindCircuit(eng->CircuitOf(h));
+  const overlay::Circuit* repaired =
+      eng->sbon().ledger().FindCircuit(eng->CircuitOf(h));
   ASSERT_NE(repaired, nullptr);
   for (const auto& v : repaired->vertices()) EXPECT_NE(v.host, victim);
   ScenarioMatrix::CheckLiveInvariants(*eng);
@@ -540,7 +543,7 @@ TEST(EngineChurnTest, SharedInstanceCrashOrphansEveryDependentQuery) {
   // Find an instance shared by both circuits, if any (reuse is workload
   // dependent; fall back to any instance).
   NodeId victim = kInvalidNode;
-  for (const auto& [sid, inst] : eng->sbon().services()) {
+  for (const auto& [sid, inst] : eng->sbon().ledger().services()) {
     victim = inst.host;
     if (inst.Shared()) break;
   }
@@ -557,7 +560,7 @@ TEST(EngineChurnTest, SharedInstanceCrashOrphansEveryDependentQuery) {
   ScenarioMatrix::CheckLiveInvariants(*eng);
   for (engine::QueryHandle h : {h1, h2}) {
     if (eng->CircuitOf(h) != kInvalidCircuit) {
-      EXPECT_NE(eng->sbon().FindCircuit(eng->CircuitOf(h)), nullptr);
+      EXPECT_NE(eng->sbon().ledger().FindCircuit(eng->CircuitOf(h)), nullptr);
     }
   }
 }

@@ -59,6 +59,17 @@ TEST(StatusOrTest, MoveOutValue) {
   EXPECT_EQ(s, "hello");
 }
 
+TEST(StatusOrTest, AccessingErrorAbortsWithStatus) {
+  struct Box {
+    int x = 0;
+  };
+  StatusOr<Box> v(Status::NotFound("nope"));
+  EXPECT_DEATH(static_cast<void>(v.value().x), "NotFound: nope");
+  EXPECT_DEATH(static_cast<void>((*v).x), "NotFound: nope");
+  EXPECT_DEATH(static_cast<void>(v->x), "NotFound: nope");
+  EXPECT_DEATH(static_cast<void>(std::move(v).value().x), "NotFound: nope");
+}
+
 // --------------------------- Rng ---------------------------
 
 TEST(RngTest, DeterministicGivenSeed) {

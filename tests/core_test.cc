@@ -41,10 +41,10 @@ query::WorkloadParams TestWorkload() {
 TEST(TwoStepTest, ProducesInstallableCircuit) {
   auto s = MakeSbon(1);
   query::WorkloadParams wp = TestWorkload();
-  query::Catalog cat = query::RandomCatalog(wp, s->overlay_nodes(),
-                                            &s->rng());
+  query::Catalog cat =
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   TwoStepOptimizer opt(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -54,16 +54,16 @@ TEST(TwoStepTest, ProducesInstallableCircuit) {
   EXPECT_GT(r->estimated_cost, 0.0);
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
-  EXPECT_GT(s->NumServices(), 0u);
+  EXPECT_GT(s->ledger().NumServices(), 0u);
 }
 
 TEST(TwoStepTest, ChoosesMinDataVolumePlan) {
   auto s = MakeSbon(2);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   TwoStepOptimizer opt(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
@@ -80,7 +80,7 @@ TEST(IntegratedTest, ConsidersMultiplePlans) {
   auto s = MakeSbon(3);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q = query::QuerySpec::SimpleJoin(
       {0, 1, 2, 3}, s->overlay_nodes()[0], 0.001);
   OptimizerConfig cfg;
@@ -101,14 +101,14 @@ TEST_P(IntegratedDominanceTest, IntegratedLeqTwoStepOnEstimate) {
   auto s = MakeSbon(GetParam());
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 8;
   TwoStepOptimizer two(cfg, Relaxation());
   IntegratedOptimizer integrated(cfg, Relaxation());
   for (int rep = 0; rep < 5; ++rep) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto rt = two.Optimize(q, cat, s.get());
     auto ri = integrated.Optimize(q, cat, s.get());
     ASSERT_TRUE(rt.ok() && ri.ok());
@@ -126,9 +126,9 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
   auto s = MakeSbon(4);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 1;
   TwoStepOptimizer two(cfg, Relaxation());
@@ -152,20 +152,20 @@ TEST(MultiQueryTest, RadiusZeroMatchesIntegrated) {
   auto s = MakeSbon(5);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer integrated(cfg, Relaxation());
   MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(0.0));
   // Pre-install some circuits so reuse would be possible.
   for (int i = 0; i < 3; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto r = integrated.Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(s->InstallCircuit(std::move(r->circuit)).ok());
   }
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto ri = integrated.Optimize(q, cat, s.get());
   auto rm = mq.Optimize(q, cat, s.get());
   ASSERT_TRUE(ri.ok() && rm.ok());
@@ -177,7 +177,7 @@ TEST(MultiQueryTest, IdenticalQueryReusesWholeSubtree) {
   auto s = MakeSbon(6);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
@@ -204,21 +204,21 @@ TEST(MultiQueryTest, UnboundedRadiusNeverWorseThanNoReuse) {
   auto s = MakeSbon(7);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   MultiQueryOptimizer none(cfg, Relaxation(), RadiusParams(0.0));
   MultiQueryOptimizer all(cfg, Relaxation(), RadiusParams(-1.0));
   // Install a base of circuits.
   for (int i = 0; i < 5; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto r = all.Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(s->InstallCircuit(std::move(r->circuit)).ok());
   }
   for (int rep = 0; rep < 5; ++rep) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto rn = none.Optimize(q, cat, s.get());
     auto ra = all.Optimize(q, cat, s.get());
     ASSERT_TRUE(rn.ok() && ra.ok());
@@ -232,12 +232,12 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   query::WorkloadParams wp = TestWorkload();
   wp.num_streams = 10;  // denser sharing
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
   for (int i = 0; i < 8; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto r = mq.Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(s->InstallCircuit(std::move(r->circuit)).ok());
@@ -248,7 +248,7 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   size_t small_work = 0, large_work = 0;
   for (int rep = 0; rep < 4; ++rep) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     MultiQueryOptimizer small(cfg, Relaxation(), RadiusParams(1.0));
     MultiQueryOptimizer large(cfg, Relaxation(),
                               RadiusParams(diameter));
@@ -267,18 +267,18 @@ TEST(ReoptTest, LocalReoptMigratesAwayFromLoadedHost) {
   auto s = MakeSbon(9);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer opt(cfg, Relaxation());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
 
   // Saturate every host the circuit's services run on.
-  const overlay::Circuit* live = s->FindCircuit(*id);
+  const overlay::Circuit* live = s->ledger().FindCircuit(*id);
   ASSERT_NE(live, nullptr);
   for (int v : live->PlaceableVertices()) {
     s->SetBaseLoad(live->vertex(v).host, 1.0);
@@ -298,11 +298,11 @@ TEST(ReoptTest, LocalReoptNoOpWhenAlreadyGood) {
   auto s = MakeSbon(10);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer opt(cfg, Relaxation());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
@@ -318,11 +318,11 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
   auto s = MakeSbon(11);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer opt(cfg, Relaxation());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
@@ -330,7 +330,7 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
 
   // Overload all current hosts so a fresh optimization finds a much better
   // circuit elsewhere.
-  const overlay::Circuit* live = s->FindCircuit(*id);
+  const overlay::Circuit* live = s->ledger().FindCircuit(*id);
   for (int v : live->PlaceableVertices()) {
     s->SetBaseLoad(live->vertex(v).host, 1.0);
   }
@@ -341,24 +341,24 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
   auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   if (report->redeployed) {
-    EXPECT_EQ(s->FindCircuit(*id), nullptr);
-    ASSERT_NE(s->FindCircuit(report->new_circuit), nullptr);
+    EXPECT_EQ(s->ledger().FindCircuit(*id), nullptr);
+    ASSERT_NE(s->ledger().FindCircuit(report->new_circuit), nullptr);
     EXPECT_LT(report->estimated_cost_candidate,
               report->estimated_cost_before);
   }
   // Either way the SBON stays consistent: exactly one circuit.
-  EXPECT_EQ(s->circuits().size(), 1u);
+  EXPECT_EQ(s->ledger().circuits().size(), 1u);
 }
 
 TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
   auto s = MakeSbon(12);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer opt(cfg, Relaxation());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
@@ -368,7 +368,7 @@ TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
   auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->redeployed);
-  EXPECT_NE(s->FindCircuit(*id), nullptr);
+  EXPECT_NE(s->ledger().FindCircuit(*id), nullptr);
 }
 
 TEST(ReoptTest, MissingCircuitRejected) {
@@ -383,13 +383,13 @@ TEST(EndToEndTest, ManyQueriesLifecycle) {
   auto s = MakeSbon(14);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(80.0));
   std::vector<CircuitId> ids;
   for (int i = 0; i < 12; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto r = mq.Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     auto id = s->InstallCircuit(std::move(r->circuit));
@@ -398,13 +398,13 @@ TEST(EndToEndTest, ManyQueriesLifecycle) {
     s->Tick(0.5);
     s->RefreshIndex();
   }
-  EXPECT_EQ(s->circuits().size(), 12u);
+  EXPECT_EQ(s->ledger().circuits().size(), 12u);
   EXPECT_GT(s->TotalNetworkUsage(), 0.0);
   // Tear down every other circuit; the rest must stay consistent.
   for (size_t i = 0; i < ids.size(); i += 2) {
     ASSERT_TRUE(s->RemoveCircuit(ids[i]).ok());
   }
-  EXPECT_EQ(s->circuits().size(), 6u);
+  EXPECT_EQ(s->ledger().circuits().size(), 6u);
   for (size_t i = 1; i < ids.size(); i += 2) {
     auto cost = s->CircuitCostOf(ids[i]);
     ASSERT_TRUE(cost.ok());
@@ -414,7 +414,7 @@ TEST(EndToEndTest, ManyQueriesLifecycle) {
   for (size_t i = 1; i < ids.size(); i += 2) {
     ASSERT_TRUE(s->RemoveCircuit(ids[i]).ok());
   }
-  EXPECT_EQ(s->NumServices(), 0u);
+  EXPECT_EQ(s->ledger().NumServices(), 0u);
   EXPECT_DOUBLE_EQ(s->TotalNetworkUsage(), 0.0);
 }
 

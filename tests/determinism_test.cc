@@ -154,8 +154,8 @@ TEST(DeterminismTest, ChurnFreeAdvanceEpochIsBitIdenticalWithModelAttached) {
 }
 
 // The epoch pipeline must be thread-count invariant: the parallelizable
-// stages (jitter rows, wavefront Vivaldi updates, the refresh dirty scan)
-// shard deterministically, so a fixed seed yields bit-identical coordinates
+// stages (wavefront Vivaldi updates, the refresh dirty scan) shard
+// deterministically, so a fixed seed yields bit-identical coordinates
 // and placements whether epochs run serially or across a pool. This is the
 // contract that lets the TSan CI lane run every suite with
 // SBON_EPOCH_THREADS=4 against unchanged expectations.

@@ -148,7 +148,7 @@ TEST(DynamicsTest, OnlineUpdateNoOpForMds) {
   auto topo = net::GenerateLine(8, 10.0);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
   const Vec before = (*s)->cost_space().VectorCoord(3);
@@ -161,12 +161,12 @@ TEST(DynamicsTest, CircuitCostTracksLatencyEpoch) {
   query::WorkloadParams wp;
   wp.num_streams = 8;
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   core::IntegratedOptimizer opt(
       core::OptimizerConfig{},
       std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
@@ -187,12 +187,12 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
   query::WorkloadParams wp;
   wp.num_streams = 8;
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   core::IntegratedOptimizer opt(
       core::OptimizerConfig{},
       std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q =
-      query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
@@ -212,10 +212,10 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
       ++redeploys;
       current = rep->new_circuit;
     }
-    EXPECT_EQ(s->circuits().size(), 1u);
+    EXPECT_EQ(s->ledger().circuits().size(), 1u);
   }
   EXPECT_GT(redeploys, 0u);
-  EXPECT_NE(s->FindCircuit(current), nullptr);
+  EXPECT_NE(s->ledger().FindCircuit(current), nullptr);
 }
 
 TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {
@@ -223,14 +223,14 @@ TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {
   query::WorkloadParams wp;
   wp.num_streams = 8;
   query::Catalog cat =
-      query::RandomCatalog(wp, s->overlay_nodes(), &s->rng());
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   core::IntegratedOptimizer opt(
       core::OptimizerConfig{},
       std::make_shared<placement::RelaxationPlacer>());
   std::vector<CircuitId> ids;
   for (int i = 0; i < 4; ++i) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, s->overlay_nodes(), &s->rng());
+        query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
     auto r = opt.Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok());
     auto id = s->InstallCircuit(std::move(r->circuit));
@@ -255,7 +255,7 @@ TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {
   for (CircuitId id : ids) {
     ASSERT_TRUE(s->RemoveCircuit(id).ok());
   }
-  EXPECT_EQ(s->NumServices(), 0u);
+  EXPECT_EQ(s->ledger().NumServices(), 0u);
 }
 
 }  // namespace

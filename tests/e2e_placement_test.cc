@@ -57,7 +57,7 @@ TEST(E2ETwoStepVsIntegrated, BothInstallWithValidTrueCost) {
   EXPECT_GT(two.true_cost.network_usage, 0.0);
   EXPECT_GT(integrated.true_cost.network_usage, 0.0);
   run.VerifyAllInstalled();
-  EXPECT_EQ(run.sbon().circuits().size(), 2u);
+  EXPECT_EQ(run.sbon().ledger().circuits().size(), 2u);
 }
 
 // ------------------------- multi-query -------------------------
@@ -117,7 +117,7 @@ TEST(E2EMultiQuery, SequentialWorkloadReuseReducesServices) {
     }
     run.VerifyAllInstalled();
     (radius == 0.0 ? services_no_reuse : services_reuse) =
-        run.sbon().NumServices();
+        run.sbon().ledger().NumServices();
   }
   EXPECT_GT(reused_bindings, 0u);
   EXPECT_LT(services_reuse, services_no_reuse);
@@ -179,14 +179,14 @@ TEST(E2EChurnReopt, FullReoptRedeploysConsistently) {
     if (report->redeployed) {
       redeployed = true;
       EXPECT_NE(report->new_circuit, kInvalidCircuit);
-      EXPECT_EQ(run.sbon().FindCircuit(live), nullptr)
+      EXPECT_EQ(run.sbon().ledger().FindCircuit(live), nullptr)
           << "original circuit must be cancelled after redeployment";
-      ASSERT_NE(run.sbon().FindCircuit(report->new_circuit), nullptr);
+      ASSERT_NE(run.sbon().ledger().FindCircuit(report->new_circuit), nullptr);
       live = report->new_circuit;
     } else {
-      EXPECT_EQ(run.sbon().FindCircuit(live) != nullptr, true);
+      EXPECT_EQ(run.sbon().ledger().FindCircuit(live) != nullptr, true);
     }
-    EXPECT_EQ(run.sbon().circuits().size(), 1u);
+    EXPECT_EQ(run.sbon().ledger().circuits().size(), 1u);
   }
   run.VerifyAllInstalled();
   // Under this much churn a zero-threshold replan fires essentially always;

@@ -38,7 +38,7 @@ std::unique_ptr<engine::StreamEngine> MakeEngine(engine::EngineOptions eo) {
 std::vector<double> ServiceLoads(const overlay::Sbon& sbon) {
   std::vector<double> loads;
   for (NodeId n = 0; n < sbon.topology().NumNodes(); ++n) {
-    loads.push_back(sbon.ServiceLoad(n));
+    loads.push_back(sbon.ledger().service_load(n));
   }
   return loads;
 }
@@ -102,14 +102,14 @@ TEST(StreamEngine, SubmitDeploysAndRemoveReleasesEverything) {
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_TRUE(*handle);
   EXPECT_EQ(engine->NumQueries(), 1u);
-  EXPECT_GT(engine->sbon().NumServices(), 0u);
+  EXPECT_GT(engine->sbon().ledger().NumServices(), 0u);
 
   auto stats = engine->StatsOf(*handle);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->optimizer, "integrated");
   EXPECT_GT(stats->estimated_cost, 0.0);
   EXPECT_GT(stats->true_cost.network_usage, 0.0);
-  EXPECT_NE(engine->sbon().FindCircuit(stats->circuit), nullptr);
+  EXPECT_NE(engine->sbon().ledger().FindCircuit(stats->circuit), nullptr);
   ASSERT_NE(engine->SpecOf(*handle), nullptr);
   EXPECT_EQ(engine->SpecOf(*handle)->consumer, nodes[4]);
   EXPECT_EQ(engine->HandleOf(stats->circuit), *handle);
@@ -120,7 +120,7 @@ TEST(StreamEngine, SubmitDeploysAndRemoveReleasesEverything) {
 
   ASSERT_TRUE(engine->Remove(*handle).ok());
   EXPECT_EQ(engine->NumQueries(), 0u);
-  EXPECT_EQ(engine->sbon().NumServices(), 0u);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), 0u);
   for (double load : ServiceLoads(engine->sbon())) EXPECT_EQ(load, 0.0);
   EXPECT_FALSE(engine->Remove(*handle).ok()) << "double remove must fail";
 }
@@ -142,7 +142,7 @@ TEST(StreamEngine, SharedInstanceSurvivesPartialRemoval) {
 
   auto h1 = engine->Submit(q1);
   ASSERT_TRUE(h1.ok()) << h1.status().ToString();
-  const size_t services_single = engine->sbon().NumServices();
+  const size_t services_single = engine->sbon().ledger().NumServices();
   ASSERT_GT(services_single, 0u);
 
   auto h2 = engine->Submit(q2);
@@ -150,33 +150,34 @@ TEST(StreamEngine, SharedInstanceSurvivesPartialRemoval) {
   auto stats2 = engine->StatsOf(*h2);
   ASSERT_TRUE(stats2.ok());
   ASSERT_GE(stats2->services_reused, 1u) << "q2 should reuse q1's service";
-  EXPECT_EQ(engine->sbon().NumServices(), services_single)
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), services_single)
       << "full reuse deploys no new instances";
 
   // The shared instance is referenced by both circuits and charged once.
   ServiceInstanceId shared = kInvalidService;
   NodeId shared_host = kInvalidNode;
-  for (const auto& [id, inst] : engine->sbon().services()) {
+  for (const auto& [id, inst] : engine->sbon().ledger().services()) {
     if (inst.Shared()) {
       shared = id;
       shared_host = inst.host;
     }
   }
   ASSERT_NE(shared, kInvalidService);
-  const double shared_load = engine->sbon().ServiceLoad(shared_host);
+  const double shared_load = engine->sbon().ledger().service_load(shared_host);
   EXPECT_GT(shared_load, 0.0);
 
   ASSERT_TRUE(engine->Remove(*h1).ok());
-  const overlay::ServiceInstance* inst = engine->sbon().FindService(shared);
+  const overlay::ServiceInstance* inst =
+      engine->sbon().ledger().FindService(shared);
   ASSERT_NE(inst, nullptr) << "shared instance must survive partial removal";
   EXPECT_EQ(inst->circuits.size(), 1u);
-  EXPECT_EQ(engine->sbon().ServiceLoad(shared_host), shared_load)
+  EXPECT_EQ(engine->sbon().ledger().service_load(shared_host), shared_load)
       << "shared load is charged once, so removal of one user changes "
          "nothing";
-  EXPECT_EQ(engine->sbon().NumServices(), services_single);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), services_single);
 
   ASSERT_TRUE(engine->Remove(*h2).ok());
-  EXPECT_EQ(engine->sbon().NumServices(), 0u);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), 0u);
   for (double load : ServiceLoads(engine->sbon())) EXPECT_EQ(load, 0.0);
 }
 
@@ -210,7 +211,7 @@ TEST(StreamEngine, SnapshotAggregatesPerQueryAndEngineState) {
 
   const engine::EngineSnapshot snap = engine->Snapshot();
   EXPECT_EQ(snap.num_queries, 2u);
-  EXPECT_EQ(snap.num_services, engine->sbon().NumServices());
+  EXPECT_EQ(snap.num_services, engine->sbon().ledger().NumServices());
   EXPECT_GT(snap.total_network_usage, 0.0);
   EXPECT_GT(snap.max_load, 0.0);
   ASSERT_EQ(snap.queries.size(), 2u);
@@ -224,8 +225,8 @@ TEST(StreamEngine, SnapshotAggregatesPerQueryAndEngineState) {
 
 TEST(StreamEngine, AdvanceEpochEpsilonGatesRingRepublishes) {
   auto engine = MakeEngine(SmallEngineOptions(41));
-  const overlay::IndexRefreshStats& stats =
-      engine->sbon().index_refresh_stats();
+  const coords::IndexRefreshStats& stats =
+      engine->sbon().coords().refresh_stats();
 
   // Static ambient load (sigma 0, load at its mean) and no jitter: the
   // epoch moves nothing, so the refresh must be quiet — zero ring
@@ -374,17 +375,17 @@ TEST(StreamEngine, AdvanceEpochAndReoptimizeKeepHandlesValid) {
       redeployed = true;
       EXPECT_EQ(engine->CircuitOf(*handle), fo->full.new_circuit)
           << "handle must track the replacement circuit";
-      EXPECT_EQ(engine->sbon().FindCircuit(before), nullptr)
+      EXPECT_EQ(engine->sbon().ledger().FindCircuit(before), nullptr)
           << "original circuit must be cancelled after redeployment";
     } else {
       EXPECT_EQ(engine->CircuitOf(*handle), before);
     }
-    EXPECT_EQ(engine->sbon().circuits().size(), 1u);
+    EXPECT_EQ(engine->sbon().ledger().circuits().size(), 1u);
   }
   // Under this much churn a zero-threshold replan fires essentially always.
   EXPECT_TRUE(redeployed);
   ASSERT_TRUE(engine->Remove(*handle).ok());
-  EXPECT_EQ(engine->sbon().NumServices(), 0u);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), 0u);
 }
 
 TEST(StreamEngine, DeterministicAcrossIdenticalEngines) {
@@ -408,7 +409,7 @@ TEST(StreamEngine, FailedSubmitLeavesOverlayUntouched) {
   ASSERT_TRUE(
       engine->Submit(query::QuerySpec::SimpleJoin({0, 1}, nodes[2], 0.01))
           .ok());
-  const size_t services = engine->sbon().NumServices();
+  const size_t services = engine->sbon().ledger().NumServices();
   const std::vector<double> loads = ServiceLoads(engine->sbon());
 
   query::QuerySpec bad;
@@ -417,7 +418,7 @@ TEST(StreamEngine, FailedSubmitLeavesOverlayUntouched) {
   auto handle = engine->Submit(bad);
   EXPECT_FALSE(handle.ok());
   EXPECT_EQ(engine->NumQueries(), 1u);
-  EXPECT_EQ(engine->sbon().NumServices(), services);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), services);
   EXPECT_EQ(ServiceLoads(engine->sbon()), loads);
 }
 
@@ -453,19 +454,19 @@ TEST(InstallAtomicity, MidInstallFailureRollsBackPartialState) {
   ASSERT_TRUE(circuit->FullyPlaced());
   ASSERT_LT(join_a, join_b) << "creation must precede the failure point";
 
-  const size_t services_before = sbon->NumServices();
+  const size_t services_before = sbon->ledger().NumServices();
   std::vector<double> total_before;
   for (NodeId n = 0; n < sbon->topology().NumNodes(); ++n) {
     total_before.push_back(sbon->TotalLoad(n));
   }
-  const size_t circuits_before = sbon->circuits().size();
+  const size_t circuits_before = sbon->ledger().circuits().size();
 
   auto failed = sbon->InstallCircuit(*circuit);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
 
-  EXPECT_EQ(sbon->NumServices(), services_before);
-  EXPECT_EQ(sbon->circuits().size(), circuits_before);
+  EXPECT_EQ(sbon->ledger().NumServices(), services_before);
+  EXPECT_EQ(sbon->ledger().circuits().size(), circuits_before);
   for (NodeId n = 0; n < sbon->topology().NumNodes(); ++n) {
     EXPECT_EQ(sbon->TotalLoad(n), total_before[n]) << "node " << n;
   }
@@ -481,8 +482,8 @@ TEST(InstallAtomicity, MidInstallFailureRollsBackPartialState) {
   auto id = sbon->InstallCircuit(std::move(clean.value()));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(*id, 1u) << "failed install must not burn circuit ids";
-  EXPECT_EQ(sbon->NumServices(), 3u);
-  const overlay::Circuit* installed = sbon->FindCircuit(*id);
+  EXPECT_EQ(sbon->ledger().NumServices(), 3u);
+  const overlay::Circuit* installed = sbon->ledger().FindCircuit(*id);
   ASSERT_NE(installed, nullptr);
   EXPECT_EQ(installed->vertex(join_a).service, 1u)
       << "failed install must not burn service ids";
@@ -495,7 +496,7 @@ TEST(InstallAtomicity, MidInstallFailureRollsBackPartialState) {
   auto failed_again = sbon->InstallCircuit(*circuit);
   ASSERT_FALSE(failed_again.ok());
   EXPECT_EQ(ServiceLoads(*sbon), loads_with_circuit);
-  EXPECT_EQ(sbon->NumServices(), 3u);
+  EXPECT_EQ(sbon->ledger().NumServices(), 3u);
 }
 
 TEST(StreamEngine, RemoveToleratesOutOfBandCircuitTeardown) {

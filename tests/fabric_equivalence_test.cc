@@ -125,8 +125,8 @@ void ExpectCoordsEqual(const overlay::Sbon& dense,
 
 void ExpectPlacementsEqual(const overlay::Sbon& dense,
                            const overlay::Sbon& sparse, const char* where) {
-  const auto& dc = dense.circuits();
-  const auto& sc = sparse.circuits();
+  const auto& dc = dense.ledger().circuits();
+  const auto& sc = sparse.ledger().circuits();
   ASSERT_EQ(dc.size(), sc.size()) << where;
   auto it_d = dc.begin();
   auto it_s = sc.begin();
@@ -274,7 +274,7 @@ TEST(FabricEquivalenceTest, AutoSelectionAndModeGuards) {
 
   overlay::Sbon::Options bad;
   bad.fabric_mode = overlay::Sbon::FabricMode::kSparse;
-  bad.coord_mode = overlay::Sbon::CoordMode::kMds;
+  bad.coord_mode = coords::CoordMode::kMds;
   auto status = overlay::Sbon::Create(
       MakeTransitStubTopology(TopologySize::kTiny, 3), bad);
   EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);

@@ -90,7 +90,7 @@ query::Catalog MakeCatalog(const overlay::Sbon& sbon,
                            const query::WorkloadParams& params,
                            uint64_t seed) {
   Rng rng(seed);
-  return query::RandomCatalog(params, sbon.overlay_nodes(), &rng);
+  return query::MakeRandomCatalog(params, sbon.overlay_nodes(), &rng).value();
 }
 
 std::vector<query::QuerySpec> MakeQueries(const overlay::Sbon& sbon,
@@ -102,7 +102,8 @@ std::vector<query::QuerySpec> MakeQueries(const overlay::Sbon& sbon,
   qs.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     qs.push_back(
-        query::RandomQuery(params, catalog, sbon.overlay_nodes(), &rng));
+        query::MakeRandomQuery(params, catalog, sbon.overlay_nodes(), &rng)
+            .value());
   }
   return qs;
 }

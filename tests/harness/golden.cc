@@ -51,13 +51,13 @@ std::string OverlayFingerprint(const overlay::Sbon& sbon) {
   std::ostringstream out;
   out << "nodes=" << sbon.topology().NumNodes()
       << " overlay=" << sbon.overlay_nodes().size()
-      << " circuits=" << sbon.circuits().size()
-      << " services=" << sbon.NumServices() << "\n";
+      << " circuits=" << sbon.ledger().circuits().size()
+      << " services=" << sbon.ledger().NumServices() << "\n";
   // Aggregates use coarse rounding (3 significant digits): they pin gross
   // behavior without flaking on last-ulp differences between toolchains.
   out << "total_usage=" << Num(sbon.TotalNetworkUsage(), "%.3g")
       << " max_load=" << Num(sbon.MaxLoad(), "%.3g") << "\n";
-  for (const auto& [id, circuit] : sbon.circuits()) {
+  for (const auto& [id, circuit] : sbon.ledger().circuits()) {
     out << "circuit " << id << "\n" << CircuitFingerprint(circuit);
   }
   return out.str();

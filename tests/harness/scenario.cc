@@ -115,7 +115,7 @@ PlacementRecord ScenarioRunner::PlaceAndInstall(OptimizerKind kind,
   EXPECT_GT(rec.estimated_cost, 0.0);
 
   rec.circuit_id = stats->circuit;
-  const overlay::Circuit* circuit = sbon().FindCircuit(rec.circuit_id);
+  const overlay::Circuit* circuit = sbon().ledger().FindCircuit(rec.circuit_id);
   EXPECT_NE(circuit, nullptr);
   if (circuit == nullptr) return rec;
   VerifyPlacedCircuit(*circuit, sbon());
@@ -129,7 +129,7 @@ PlacementRecord ScenarioRunner::PlaceAndInstall(OptimizerKind kind,
 
 void ScenarioRunner::VerifyInstalledCircuit(CircuitId id) const {
   const overlay::Sbon& sbon = engine_->sbon();
-  const overlay::Circuit* circuit = sbon.FindCircuit(id);
+  const overlay::Circuit* circuit = sbon.ledger().FindCircuit(id);
   ASSERT_NE(circuit, nullptr);
   auto cost = sbon.CircuitCostOf(id);
   ASSERT_TRUE(cost.ok()) << cost.status().ToString();
@@ -170,7 +170,7 @@ void ScenarioRunner::VerifyInstalledCircuit(CircuitId id) const {
 }
 
 void ScenarioRunner::VerifyAllInstalled() const {
-  for (const auto& [id, circuit] : engine_->sbon().circuits()) {
+  for (const auto& [id, circuit] : engine_->sbon().ledger().circuits()) {
     (void)circuit;
     VerifyInstalledCircuit(id);
   }

@@ -118,20 +118,20 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
 
   // No orphaned service instances: every instance sits on an alive overlay
   // node, serves at least one circuit, and every circuit it names exists.
-  for (const auto& [id, inst] : sbon.services()) {
+  for (const auto& [id, inst] : sbon.ledger().services()) {
     EXPECT_TRUE(sbon.IsAlive(inst.host))
         << "instance " << id << " hosted on dead node " << inst.host;
     EXPECT_FALSE(inst.circuits.empty())
         << "instance " << id << " serves no circuit";
     for (CircuitId cid : inst.circuits) {
-      EXPECT_NE(sbon.FindCircuit(cid), nullptr)
+      EXPECT_NE(sbon.ledger().FindCircuit(cid), nullptr)
           << "instance " << id << " references missing circuit " << cid;
     }
   }
 
   // Every registered circuit is fully placed on alive nodes, and its
   // deployed (non-pinned, non-reused) vertices bind to live instances.
-  for (const auto& [cid, circuit] : sbon.circuits()) {
+  for (const auto& [cid, circuit] : sbon.ledger().circuits()) {
     EXPECT_TRUE(circuit.FullyPlaced()) << "circuit " << cid << " unplaced";
     for (const overlay::CircuitVertex& v : circuit.vertices()) {
       ASSERT_NE(v.host, kInvalidNode);
@@ -143,7 +143,7 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
       // repair must never leave a circuit subscribed to an instance whose
       // chain was evicted).
       if (!v.pinned && v.service != kInvalidService) {
-        EXPECT_NE(sbon.FindService(v.service), nullptr)
+        EXPECT_NE(sbon.ledger().FindService(v.service), nullptr)
             << "circuit " << cid << " binds missing instance " << v.service;
       }
     }
@@ -152,12 +152,12 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
   // Balanced load books: per-node service load equals the sum of hosted
   // instance deltas (the same quantity ApplyServiceLoadDelta accumulates).
   std::vector<double> expected(num_nodes, 0.0);
-  for (const auto& [id, inst] : sbon.services()) {
+  for (const auto& [id, inst] : sbon.ledger().services()) {
     expected[inst.host] +=
         inst.input_bytes_per_s * sbon.options().load_per_byte_per_s;
   }
   for (NodeId n = 0; n < num_nodes; ++n) {
-    EXPECT_NEAR(sbon.ServiceLoad(n), expected[n], 1e-9)
+    EXPECT_NEAR(sbon.ledger().service_load(n), expected[n], 1e-9)
         << "load book of node " << n << " out of balance";
   }
 
@@ -166,7 +166,7 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
   const engine::EngineSnapshot snapshot = engine.Snapshot();
   EXPECT_EQ(snapshot.num_queries, engine.NumQueries());
   for (const engine::QueryStats& qs : snapshot.queries) {
-    EXPECT_NE(sbon.FindCircuit(qs.circuit), nullptr)
+    EXPECT_NE(sbon.ledger().FindCircuit(qs.circuit), nullptr)
         << "query handle " << qs.handle.id << " maps to missing circuit";
     EXPECT_EQ(engine.HandleOf(qs.circuit), qs.handle);
   }
@@ -257,10 +257,10 @@ CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
     (void)eng.Remove(h);  // dropped handles return NotFound; that's fine
   }
   EXPECT_EQ(eng.NumQueries(), 0u);
-  EXPECT_EQ(eng.sbon().NumServices(), 0u);
-  EXPECT_TRUE(eng.sbon().circuits().empty());
+  EXPECT_EQ(eng.sbon().ledger().NumServices(), 0u);
+  EXPECT_TRUE(eng.sbon().ledger().circuits().empty());
   for (NodeId n = 0; n < eng.sbon().topology().NumNodes(); ++n) {
-    EXPECT_NEAR(eng.sbon().ServiceLoad(n), 0.0, 1e-9)
+    EXPECT_NEAR(eng.sbon().ledger().service_load(n), 0.0, 1e-9)
         << "node " << n << " retains service load after full removal";
   }
   return outcome;
@@ -386,10 +386,10 @@ CellOutcome ScenarioMatrix::RunWorkloadCellOnce(const MatrixCell& cell) {
     (void)eng.Remove(qs.handle);
   }
   EXPECT_EQ(eng.NumQueries(), 0u);
-  EXPECT_EQ(eng.sbon().NumServices(), 0u);
-  EXPECT_TRUE(eng.sbon().circuits().empty());
+  EXPECT_EQ(eng.sbon().ledger().NumServices(), 0u);
+  EXPECT_TRUE(eng.sbon().ledger().circuits().empty());
   for (NodeId n = 0; n < eng.sbon().topology().NumNodes(); ++n) {
-    EXPECT_NEAR(eng.sbon().ServiceLoad(n), 0.0, 1e-9)
+    EXPECT_NEAR(eng.sbon().ledger().service_load(n), 0.0, 1e-9)
         << "node " << n << " retains service load after full removal";
   }
   return outcome;

@@ -245,22 +245,22 @@ TEST(SbonTest, QuietRefreshPerformsZeroRepublishes) {
   // Nothing moved since Initialize published every coordinate: the refresh
   // must issue zero ring re-publishes and skip restabilization entirely.
   s->RefreshIndex();
-  EXPECT_EQ(s->index_refresh_stats().refreshes, 1u);
-  EXPECT_EQ(s->index_refresh_stats().republished, 0u);
-  EXPECT_EQ(s->index_refresh_stats().skipped, 6u);
-  EXPECT_EQ(s->index_refresh_stats().quiet_refreshes, 1u);
+  EXPECT_EQ(s->coords().refresh_stats().refreshes, 1u);
+  EXPECT_EQ(s->coords().refresh_stats().republished, 0u);
+  EXPECT_EQ(s->coords().refresh_stats().skipped, 6u);
+  EXPECT_EQ(s->coords().refresh_stats().quiet_refreshes, 1u);
 
   // One node's load changes -> exactly that node republishes.
   s->SetBaseLoad(2, 0.9);
   s->RefreshIndex();
-  EXPECT_EQ(s->index_refresh_stats().republished, 1u);
-  EXPECT_EQ(s->index_refresh_stats().quiet_refreshes, 1u);
+  EXPECT_EQ(s->coords().refresh_stats().republished, 1u);
+  EXPECT_EQ(s->coords().refresh_stats().quiet_refreshes, 1u);
 
   // The same movement under a huge epsilon is below threshold: quiet again.
   s->SetBaseLoad(2, 0.1);
   s->RefreshIndex(/*epsilon=*/1e9);
-  EXPECT_EQ(s->index_refresh_stats().republished, 1u);
-  EXPECT_EQ(s->index_refresh_stats().quiet_refreshes, 2u);
+  EXPECT_EQ(s->coords().refresh_stats().republished, 1u);
+  EXPECT_EQ(s->coords().refresh_stats().quiet_refreshes, 2u);
 
   // Queries still see the refreshed state identically after a quiet epoch.
   auto m = s->index().Nearest(s->cost_space().FullCoord(0));
@@ -275,14 +275,14 @@ TEST(SbonTest, InstallCircuitCreatesServices) {
   circuit->mutable_vertex(2).host = 3;
   auto id = s->InstallCircuit(std::move(circuit.value()));
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(s->circuits().size(), 1u);
-  EXPECT_EQ(s->NumServices(), 1u);
-  const Circuit* live = s->FindCircuit(*id);
+  EXPECT_EQ(s->ledger().circuits().size(), 1u);
+  EXPECT_EQ(s->ledger().NumServices(), 1u);
+  const Circuit* live = s->ledger().FindCircuit(*id);
   ASSERT_NE(live, nullptr);
   EXPECT_NE(live->vertex(2).service, kInvalidService);
   // Service load was applied to host 3: input 6400+1280 B/s.
-  EXPECT_GT(s->ServiceLoad(3), 0.0);
-  EXPECT_DOUBLE_EQ(s->ServiceLoad(2), 0.0);
+  EXPECT_GT(s->ledger().service_load(3), 0.0);
+  EXPECT_DOUBLE_EQ(s->ledger().service_load(2), 0.0);
 }
 
 TEST(SbonTest, InstallRejectsUnplaced) {
@@ -302,9 +302,9 @@ TEST(SbonTest, RemoveCircuitReleasesServicesAndLoad) {
   auto id = s->InstallCircuit(std::move(circuit.value()));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(s->RemoveCircuit(*id).ok());
-  EXPECT_EQ(s->circuits().size(), 0u);
-  EXPECT_EQ(s->NumServices(), 0u);
-  EXPECT_DOUBLE_EQ(s->ServiceLoad(3), 0.0);
+  EXPECT_EQ(s->ledger().circuits().size(), 0u);
+  EXPECT_EQ(s->ledger().NumServices(), 0u);
+  EXPECT_DOUBLE_EQ(s->ledger().service_load(3), 0.0);
   EXPECT_FALSE(s->RemoveCircuit(*id).ok());  // second remove fails
 }
 
@@ -317,10 +317,10 @@ TEST(SbonTest, ServicesWithSignatureFindsMatch) {
   circuit->mutable_vertex(2).host = 3;
   ASSERT_TRUE(s->InstallCircuit(std::move(circuit.value())).ok());
   const uint64_t sig = plan.OpSignature(2);
-  const auto matches = s->ServicesWithSignature(sig);
+  const auto matches = s->ledger().ServicesWithSignature(sig);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0]->host, 3u);
-  EXPECT_TRUE(s->ServicesWithSignature(sig + 1).empty());
+  EXPECT_TRUE(s->ledger().ServicesWithSignature(sig + 1).empty());
 }
 
 TEST(SbonTest, MigrateServiceMovesLoadAndVertices) {
@@ -331,12 +331,12 @@ TEST(SbonTest, MigrateServiceMovesLoadAndVertices) {
   circuit->mutable_vertex(2).host = 3;
   auto id = s->InstallCircuit(std::move(circuit.value()));
   ASSERT_TRUE(id.ok());
-  const ServiceInstanceId sid = s->FindCircuit(*id)->vertex(2).service;
+  const ServiceInstanceId sid = s->ledger().FindCircuit(*id)->vertex(2).service;
   ASSERT_TRUE(s->MigrateService(sid, 4).ok());
-  EXPECT_EQ(s->FindCircuit(*id)->vertex(2).host, 4u);
-  EXPECT_DOUBLE_EQ(s->ServiceLoad(3), 0.0);
-  EXPECT_GT(s->ServiceLoad(4), 0.0);
-  EXPECT_EQ(s->FindService(sid)->host, 4u);
+  EXPECT_EQ(s->ledger().FindCircuit(*id)->vertex(2).host, 4u);
+  EXPECT_DOUBLE_EQ(s->ledger().service_load(3), 0.0);
+  EXPECT_GT(s->ledger().service_load(4), 0.0);
+  EXPECT_EQ(s->ledger().FindService(sid)->host, 4u);
 }
 
 TEST(SbonTest, MigrateRejectsBadArgs) {
@@ -354,7 +354,8 @@ TEST(SbonTest, ReuseSharesInstanceAndSurvivesSourceRemoval) {
   c1->mutable_vertex(2).host = 3;
   auto id1 = s->InstallCircuit(std::move(c1.value()));
   ASSERT_TRUE(id1.ok());
-  const ServiceInstanceId sid = s->FindCircuit(*id1)->vertex(2).service;
+  const ServiceInstanceId sid =
+      s->ledger().FindCircuit(*id1)->vertex(2).service;
 
   // Second circuit (different consumer) reuses the join instance.
   const query::LogicalPlan plan2 = JoinPlan(c, 4);
@@ -364,19 +365,19 @@ TEST(SbonTest, ReuseSharesInstanceAndSurvivesSourceRemoval) {
   auto id2 = s->InstallCircuit(std::move(c2.value()));
   ASSERT_TRUE(id2.ok());
 
-  EXPECT_EQ(s->NumServices(), 1u);
-  EXPECT_EQ(s->FindService(sid)->circuits.size(), 2u);
-  EXPECT_TRUE(s->FindService(sid)->Shared());
+  EXPECT_EQ(s->ledger().NumServices(), 1u);
+  EXPECT_EQ(s->ledger().FindService(sid)->circuits.size(), 2u);
+  EXPECT_TRUE(s->ledger().FindService(sid)->Shared());
 
   // Removing the source circuit must keep the instance alive (the second
   // circuit depends on it).
   ASSERT_TRUE(s->RemoveCircuit(*id1).ok());
-  ASSERT_NE(s->FindService(sid), nullptr);
-  EXPECT_EQ(s->FindService(sid)->circuits.size(), 1u);
+  ASSERT_NE(s->ledger().FindService(sid), nullptr);
+  EXPECT_EQ(s->ledger().FindService(sid)->circuits.size(), 1u);
 
   // Removing the last user releases it.
   ASSERT_TRUE(s->RemoveCircuit(*id2).ok());
-  EXPECT_EQ(s->NumServices(), 0u);
+  EXPECT_EQ(s->ledger().NumServices(), 0u);
 }
 
 TEST(SbonTest, TotalNetworkUsageCountsSharedEdgesOnce) {
@@ -391,7 +392,8 @@ TEST(SbonTest, TotalNetworkUsageCountsSharedEdgesOnce) {
   const double usage_one = s->TotalNetworkUsage();
   ASSERT_GT(usage_one, 0.0);
 
-  const ServiceInstanceId sid = s->FindCircuit(*id1)->vertex(2).service;
+  const ServiceInstanceId sid =
+      s->ledger().FindCircuit(*id1)->vertex(2).service;
   auto c2 = Circuit::FromPlan(JoinPlan(c, 4), c);
   ASSERT_TRUE(c2.ok());
   c2->BindReusedSubtree(2, sid, 3, 20.0);
@@ -455,7 +457,7 @@ TEST(SbonTest, MdsCoordModeWorks) {
   auto topo = net::GenerateLine(6, 10.0);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
   // MDS on a line should embed near-perfectly: check end-to-end distance.

@@ -41,7 +41,7 @@ std::unique_ptr<Sbon> LineSbon(size_t n = 11, uint64_t seed = 1) {
   EXPECT_TRUE(topo.ok());
   Sbon::Options opts;
   opts.seed = seed;
-  opts.coord_mode = Sbon::CoordMode::kMds;  // near-exact coords on a line
+  opts.coord_mode = coords::CoordMode::kMds;  // near-exact coords on a line
   opts.load_params.sigma = 0.0;
   opts.load_params.mean = 0.0;
   auto s = Sbon::Create(std::move(topo.value()), opts);
@@ -107,7 +107,7 @@ TEST(RelaxationTest, ReducesQuadraticCostVsCentroid) {
   auto topo = net::GenerateWaxman(net::WaxmanParams{}, &rng);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   opts.load_params.sigma = 0.0;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
@@ -117,10 +117,12 @@ TEST(RelaxationTest, ReducesQuadraticCostVsCentroid) {
   wp.min_streams_per_query = 4;
   wp.max_streams_per_query = 5;
   query::Catalog cat =
-      query::RandomCatalog(wp, (*s)->overlay_nodes(), &(*s)->rng());
+      query::MakeRandomCatalog(wp, (*s)->overlay_nodes(), &(*s)->rng())
+          .value();
   for (int rep = 0; rep < 10; ++rep) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, (*s)->overlay_nodes(), &(*s)->rng());
+        query::MakeRandomQuery(wp, cat, (*s)->overlay_nodes(), &(*s)->rng())
+            .value();
     auto plans = query::EnumeratePlans(q, cat, query::EnumerationOptions{});
     ASSERT_TRUE(plans.ok());
     auto c1 = Circuit::FromPlan((*plans)[0], cat);
@@ -140,7 +142,7 @@ TEST(GradientTest, BeatsRelaxationOnLinearObjective) {
   auto topo = net::GenerateWaxman(net::WaxmanParams{}, &rng);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   opts.load_params.sigma = 0.0;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
@@ -150,11 +152,13 @@ TEST(GradientTest, BeatsRelaxationOnLinearObjective) {
   wp.min_streams_per_query = 3;
   wp.max_streams_per_query = 5;
   query::Catalog cat =
-      query::RandomCatalog(wp, (*s)->overlay_nodes(), &(*s)->rng());
+      query::MakeRandomCatalog(wp, (*s)->overlay_nodes(), &(*s)->rng())
+          .value();
   int gradient_wins = 0, total = 0;
   for (int rep = 0; rep < 20; ++rep) {
     query::QuerySpec q =
-        query::RandomQuery(wp, cat, (*s)->overlay_nodes(), &(*s)->rng());
+        query::MakeRandomQuery(wp, cat, (*s)->overlay_nodes(), &(*s)->rng())
+            .value();
     auto plans = query::EnumeratePlans(q, cat, query::EnumerationOptions{});
     ASSERT_TRUE(plans.ok());
     auto cg = Circuit::FromPlan((*plans)[0], cat);
@@ -227,7 +231,7 @@ TEST(MappingTest, ExactOracleNoWorseThanProbed) {
   auto topo = net::GenerateWaxman(net::WaxmanParams{}, &rng);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   opts.load_params.sigma = 0.0;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
@@ -330,7 +334,7 @@ TEST_P(OracleDominanceTest, OracleBeatsHeuristics) {
   auto topo = net::GenerateWaxman(wx, &rng);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   opts.load_params.sigma = 0.0;
   opts.seed = GetParam();
   auto s = Sbon::Create(std::move(topo.value()), opts);
@@ -391,7 +395,7 @@ TEST(BaselinesTest, RelaxationPlusMappingNearOracleOnAverage) {
     auto topo = net::GenerateWaxman(wx, &rng);
     ASSERT_TRUE(topo.ok());
     Sbon::Options opts;
-    opts.coord_mode = Sbon::CoordMode::kMds;
+    opts.coord_mode = coords::CoordMode::kMds;
     opts.load_params.sigma = 0.0;
     opts.seed = seed;
     auto s = Sbon::Create(std::move(topo.value()), opts);

@@ -357,9 +357,9 @@ TEST_P(DpOptimalityTest, DpMatchesExhaustiveOptimum) {
   wp.num_streams = 8;
   wp.min_streams_per_query = 3;
   wp.max_streams_per_query = 5;
-  Catalog c = RandomCatalog(wp, {0, 1, 2, 3, 4}, &rng);
+  Catalog c = MakeRandomCatalog(wp, {0, 1, 2, 3, 4}, &rng).value();
   for (int rep = 0; rep < 10; ++rep) {
-    QuerySpec q = RandomQuery(wp, c, {5}, &rng);
+    QuerySpec q = MakeRandomQuery(wp, c, {5}, &rng).value();
     auto dp = EnumeratePlans(q, c, EnumerationOptions{});
     auto all = EnumerateAllPlansExhaustive(q, c);
     ASSERT_TRUE(dp.ok() && all.ok());
@@ -378,7 +378,7 @@ TEST(EnumerateTest, TopKSubsetOfExhaustiveBest) {
   Rng rng(909);
   WorkloadParams wp;
   wp.num_streams = 6;
-  Catalog c = RandomCatalog(wp, {0, 1, 2}, &rng);
+  Catalog c = MakeRandomCatalog(wp, {0, 1, 2}, &rng).value();
   QuerySpec q = QuerySpec::SimpleJoin({0, 1, 2, 3}, 5, 0.005);
   EnumerationOptions opts;
   opts.top_k = 3;
@@ -399,7 +399,7 @@ TEST(WorkloadTest, CatalogRespectsParams) {
   Rng rng(31);
   WorkloadParams wp;
   wp.num_streams = 25;
-  Catalog c = RandomCatalog(wp, {3, 4, 5}, &rng);
+  Catalog c = MakeRandomCatalog(wp, {3, 4, 5}, &rng).value();
   EXPECT_EQ(c.NumStreams(), 25u);
   for (StreamId s = 0; s < 25; ++s) {
     const StreamDef& d = c.stream(s);
@@ -414,9 +414,9 @@ TEST(WorkloadTest, CatalogRespectsParams) {
 TEST(WorkloadTest, RandomQueriesValid) {
   Rng rng(37);
   WorkloadParams wp;
-  Catalog c = RandomCatalog(wp, {0, 1, 2}, &rng);
+  Catalog c = MakeRandomCatalog(wp, {0, 1, 2}, &rng).value();
   for (int rep = 0; rep < 50; ++rep) {
-    QuerySpec q = RandomQuery(wp, c, {7, 8}, &rng);
+    QuerySpec q = MakeRandomQuery(wp, c, {7, 8}, &rng).value();
     EXPECT_TRUE(q.Validate(c).ok());
     EXPECT_GE(q.NumStreams(), wp.min_streams_per_query);
     EXPECT_LE(q.NumStreams(), wp.max_streams_per_query);
@@ -430,9 +430,9 @@ TEST(WorkloadTest, RandomQueriesValid) {
 TEST(WorkloadTest, RandomQueriesEnumerable) {
   Rng rng(41);
   WorkloadParams wp;
-  Catalog c = RandomCatalog(wp, {0, 1}, &rng);
+  Catalog c = MakeRandomCatalog(wp, {0, 1}, &rng).value();
   for (int rep = 0; rep < 20; ++rep) {
-    QuerySpec q = RandomQuery(wp, c, {5}, &rng);
+    QuerySpec q = MakeRandomQuery(wp, c, {5}, &rng).value();
     auto plans = EnumeratePlans(q, c, EnumerationOptions{});
     ASSERT_TRUE(plans.ok());
     EXPECT_GE(plans->size(), 1u);

@@ -77,12 +77,12 @@ TEST(ReuseChainTest, DiamondDependencySurvivesAnyRemovalOrder) {
     for (CircuitId id : ids) {
       ASSERT_TRUE(s->RemoveCircuit(id).ok());
       // Remaining circuits still cost out correctly.
-      for (const auto& [cid, c] : s->circuits()) {
+      for (const auto& [cid, c] : s->ledger().circuits()) {
         auto cost = s->CircuitCostOf(cid);
         EXPECT_TRUE(cost.ok());
       }
     }
-    EXPECT_EQ(s->NumServices(), 0u);
+    EXPECT_EQ(s->ledger().NumServices(), 0u);
   }
 }
 
@@ -110,10 +110,10 @@ TEST(ReuseChainTest, MigratingSharedInstanceUpdatesAllCircuits) {
 
   // Find the shared instance and move it.
   ServiceInstanceId shared = kInvalidService;
-  for (const auto& [cid, c] : s->circuits()) {
+  for (const auto& [cid, c] : s->ledger().circuits()) {
     for (const auto& v : c.vertices()) {
       if (v.service != kInvalidService) {
-        const auto* inst = s->FindService(v.service);
+        const auto* inst = s->ledger().FindService(v.service);
         if (inst != nullptr && inst->Shared()) shared = v.service;
       }
     }
@@ -121,7 +121,7 @@ TEST(ReuseChainTest, MigratingSharedInstanceUpdatesAllCircuits) {
   ASSERT_NE(shared, kInvalidService);
   const NodeId target = s->overlay_nodes()[30];
   ASSERT_TRUE(s->MigrateService(shared, target).ok());
-  for (const auto& [cid, c] : s->circuits()) {
+  for (const auto& [cid, c] : s->ledger().circuits()) {
     for (const auto& v : c.vertices()) {
       if (v.service == shared) {
         EXPECT_EQ(v.host, target);
@@ -158,7 +158,7 @@ TEST(ReuseChainTest, SecondLevelReuseChainsAttach) {
   EXPECT_GE(reused3, 1u);  // instance survived through C2
   ASSERT_TRUE(s->RemoveCircuit(id2).ok());
   ASSERT_TRUE(s->RemoveCircuit(id3).ok());
-  EXPECT_EQ(s->NumServices(), 0u);
+  EXPECT_EQ(s->ledger().NumServices(), 0u);
 }
 
 // --------------------------- degenerate queries ---------------------------
@@ -175,7 +175,7 @@ TEST(DegenerateQueryTest, SingleStreamNoInteriorServices) {
   EXPECT_TRUE(r->circuit.PlaceableVertices().empty());
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(s->NumServices(), 0u);  // nothing interior to deploy
+  EXPECT_EQ(s->ledger().NumServices(), 0u);  // nothing interior to deploy
   auto cost = s->CircuitCostOf(*id);
   ASSERT_TRUE(cost.ok());
   EXPECT_GT(cost->network_usage, 0.0);
@@ -255,7 +255,7 @@ TEST(DegenerateQueryTest, FilterAndAggregateOnlyQuery) {
   EXPECT_EQ(r->circuit.PlaceableVertices().size(), 2u);
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
-  EXPECT_EQ(s->NumServices(), 2u);
+  EXPECT_EQ(s->ledger().NumServices(), 2u);
 }
 
 // --------------------------- index churn ---------------------------
@@ -366,8 +366,9 @@ TEST(HardeningTest, InstallSameCircuitTwiceCreatesTwoDeployments) {
   auto b = s->InstallCircuit(std::move(copy));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(*a, *b);
-  EXPECT_EQ(s->circuits().size(), 2u);
-  EXPECT_EQ(s->NumServices(), 2u);  // separate instances, no implicit reuse
+  EXPECT_EQ(s->ledger().circuits().size(), 2u);
+  // Separate instances, no implicit reuse.
+  EXPECT_EQ(s->ledger().NumServices(), 2u);
 }
 
 TEST(HardeningTest, MigrateToSameHostIsNoOp) {
@@ -382,12 +383,12 @@ TEST(HardeningTest, MigrateToSameHostIsNoOp) {
   ASSERT_TRUE(r.ok());
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
-  const auto* live = s->FindCircuit(*id);
+  const auto* live = s->ledger().FindCircuit(*id);
   const int v = live->PlaceableVertices()[0];
   const NodeId host = live->vertex(v).host;
-  const double load_before = s->ServiceLoad(host);
+  const double load_before = s->ledger().service_load(host);
   ASSERT_TRUE(s->MigrateService(live->vertex(v).service, host).ok());
-  EXPECT_DOUBLE_EQ(s->ServiceLoad(host), load_before);
+  EXPECT_DOUBLE_EQ(s->ledger().service_load(host), load_before);
 }
 
 TEST(HardeningTest, MappingWithSingleCandidate) {

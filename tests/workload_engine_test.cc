@@ -62,19 +62,20 @@ TEST(SubmitAllRefresh, BatchPaysExactlyOneIndexRefresh) {
     batch.push_back(
         query::QuerySpec::SimpleJoin({0, 1}, nodes[2 + i], 0.01));
   }
-  const size_t before = engine->sbon().index_refresh_stats().refreshes;
+  const size_t before = engine->sbon().coords().refresh_stats().refreshes;
   auto handles = engine->SubmitAll(batch);
-  const size_t after = engine->sbon().index_refresh_stats().refreshes;
+  const size_t after = engine->sbon().coords().refresh_stats().refreshes;
   for (const auto& h : handles) EXPECT_TRUE(h.ok());
   EXPECT_EQ(after - before, 1u)
       << "a 6-query batch must republish the index once, not 6 times";
 
   // Individual submits still refresh per call (freshness contract intact).
-  const size_t single_before = engine->sbon().index_refresh_stats().refreshes;
+  const size_t single_before =
+      engine->sbon().coords().refresh_stats().refreshes;
   ASSERT_TRUE(
       engine->Submit(query::QuerySpec::SimpleJoin({0, 1}, nodes[9], 0.01))
           .ok());
-  EXPECT_EQ(engine->sbon().index_refresh_stats().refreshes - single_before,
+  EXPECT_EQ(engine->sbon().coords().refresh_stats().refreshes - single_before,
             1u);
 }
 
@@ -93,34 +94,34 @@ TEST(SubmitAllRefresh, DeferScopeCoalescesARemovalBurst) {
     handles.push_back(*h);
   }
 
-  const size_t before = engine->sbon().index_refresh_stats().refreshes;
+  const size_t before = engine->sbon().coords().refresh_stats().refreshes;
   {
     engine::StreamEngine::DeferRefresh defer(engine.get());
     for (engine::QueryHandle h : handles) EXPECT_TRUE(engine->Remove(h).ok());
-    EXPECT_EQ(engine->sbon().index_refresh_stats().refreshes, before)
+    EXPECT_EQ(engine->sbon().coords().refresh_stats().refreshes, before)
         << "no refresh may run while the scope is open";
   }
-  EXPECT_EQ(engine->sbon().index_refresh_stats().refreshes - before, 1u)
+  EXPECT_EQ(engine->sbon().coords().refresh_stats().refreshes - before, 1u)
       << "a 5-removal burst must republish once, when the scope closes";
 
   // A scope under which nothing changed flushes nothing.
-  const size_t idle_before = engine->sbon().index_refresh_stats().refreshes;
+  const size_t idle_before = engine->sbon().coords().refresh_stats().refreshes;
   { engine::StreamEngine::DeferRefresh defer(engine.get()); }
-  EXPECT_EQ(engine->sbon().index_refresh_stats().refreshes, idle_before);
+  EXPECT_EQ(engine->sbon().coords().refresh_stats().refreshes, idle_before);
 }
 
 TEST(SubmitAllRefresh, ScopesAreNoOpsWithoutInstallRefresh) {
   auto engine = MakeEngine(WorkloadEngineOptionsBase(11));  // default: off
   engine->SetCatalog(TwoStreamCatalog(engine->sbon()));
   const auto& nodes = engine->sbon().overlay_nodes();
-  const size_t before = engine->sbon().index_refresh_stats().refreshes;
+  const size_t before = engine->sbon().coords().refresh_stats().refreshes;
   {
     engine::StreamEngine::DeferRefresh defer(engine.get());
     ASSERT_TRUE(
         engine->Submit(query::QuerySpec::SimpleJoin({0, 1}, nodes[3], 0.01))
             .ok());
   }
-  EXPECT_EQ(engine->sbon().index_refresh_stats().refreshes, before);
+  EXPECT_EQ(engine->sbon().coords().refresh_stats().refreshes, before);
 }
 
 // ------------------- SubmitAll partial-failure batch -------------------
@@ -140,7 +141,7 @@ TEST(SubmitAllRefresh, PartialFailureLeavesSurvivorsStable) {
   query::QuerySpec bad = query::QuerySpec::SimpleJoin({0, 1}, dead, 0.01);
   query::QuerySpec good2 = query::QuerySpec::SimpleJoin({0, 1}, nodes[8], 0.02);
 
-  const size_t services_before = engine->sbon().NumServices();
+  const size_t services_before = engine->sbon().ledger().NumServices();
   auto handles = engine->SubmitAll({good1, bad, good2, bad});
   ASSERT_EQ(handles.size(), 4u);
   EXPECT_TRUE(handles[0].ok());
@@ -151,15 +152,15 @@ TEST(SubmitAllRefresh, PartialFailureLeavesSurvivorsStable) {
 
   // Failed slots released everything: only the two survivors' circuits (and
   // services) exist, and the survivors stay live and removable.
-  EXPECT_EQ(engine->sbon().circuits().size(), 2u);
-  for (const auto& [cid, circuit] : engine->sbon().circuits()) {
+  EXPECT_EQ(engine->sbon().ledger().circuits().size(), 2u);
+  for (const auto& [cid, circuit] : engine->sbon().ledger().circuits()) {
     for (const auto& v : circuit.vertices()) {
       EXPECT_TRUE(engine->sbon().IsAlive(v.host));
     }
   }
   ASSERT_TRUE(engine->Remove(handles[0].value()).ok());
   ASSERT_TRUE(engine->Remove(handles[2].value()).ok());
-  EXPECT_EQ(engine->sbon().NumServices(), services_before);
+  EXPECT_EQ(engine->sbon().ledger().NumServices(), services_before);
   EXPECT_EQ(engine->NumQueries(), 0u);
 }
 
@@ -215,31 +216,35 @@ TEST(WorkloadValidation, ErrorTable) {
 TEST(WorkloadValidation, FactoriesRejectBadSitesAndCatalogs) {
   Rng rng(5);
   const query::WorkloadParams wp = TestWorkloadParams();
-
-  auto no_sites = query::MakeRandomCatalog(wp, {}, &rng);
-  EXPECT_FALSE(no_sites.ok());
-  EXPECT_EQ(no_sites.status().code(), StatusCode::kFailedPrecondition);
-
   auto catalog = query::MakeRandomCatalog(wp, {0, 1, 2}, &rng);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   EXPECT_EQ(catalog->NumStreams(), wp.num_streams);
 
-  auto no_consumers = query::MakeRandomQuery(wp, *catalog, {}, &rng);
+  // Every rejection happens before any Rng draw: the stream stays untouched.
+  Rng probe(99);
+  Rng reference(99);
+
+  auto no_sites = query::MakeRandomCatalog(wp, {}, &probe);
+  EXPECT_FALSE(no_sites.ok());
+  EXPECT_EQ(no_sites.status().code(), StatusCode::kFailedPrecondition);
+
+  auto no_consumers = query::MakeRandomQuery(wp, *catalog, {}, &probe);
   EXPECT_FALSE(no_consumers.ok());
   EXPECT_EQ(no_consumers.status().code(), StatusCode::kFailedPrecondition);
 
   query::Catalog tiny;
   tiny.AddStream("only", 10.0, 64.0, 0);
-  auto too_small = query::MakeRandomQuery(wp, tiny, {0, 1}, &rng);
+  auto too_small = query::MakeRandomQuery(wp, tiny, {0, 1}, &probe);
   EXPECT_FALSE(too_small.ok());
   EXPECT_EQ(too_small.status().code(), StatusCode::kFailedPrecondition);
 
-  // Invalid params fail before any Rng draw: the stream stays untouched.
-  Rng probe(99);
-  Rng reference(99);
   query::WorkloadParams bad = wp;
   bad.chain_prob = 7.0;
-  EXPECT_FALSE(query::MakeRandomQuery(bad, *catalog, {0, 1}, &probe).ok());
+  auto bad_catalog = query::MakeRandomCatalog(bad, {0, 1}, &probe);
+  EXPECT_EQ(bad_catalog.status().code(), StatusCode::kInvalidArgument);
+  auto bad_query = query::MakeRandomQuery(bad, *catalog, {0, 1}, &probe);
+  EXPECT_EQ(bad_query.status().code(), StatusCode::kInvalidArgument);
+
   EXPECT_EQ(probe.Next(), reference.Next());
 
   auto ok_query = query::MakeRandomQuery(wp, *catalog, {0, 1, 2}, &rng);
@@ -366,14 +371,14 @@ TEST(WorkloadEngine, DeparturesDrainUnderOneDeferredRefresh) {
   auto wl = query::WorkloadEngine::Create(engine.get(), o);
   ASSERT_TRUE(wl.ok()) << wl.status().ToString();
 
-  size_t last_refreshes = engine->sbon().index_refresh_stats().refreshes;
+  size_t last_refreshes = engine->sbon().coords().refresh_stats().refreshes;
   for (size_t t = 0; t < 12; ++t) {
     const size_t departures_before = (*wl)->totals().departures;
     const size_t arrivals_before = (*wl)->totals().admitted;
     ASSERT_TRUE((*wl)->Step().ok());
     const size_t refreshes =
-        engine->sbon().index_refresh_stats().refreshes - last_refreshes;
-    last_refreshes = engine->sbon().index_refresh_stats().refreshes;
+        engine->sbon().coords().refresh_stats().refreshes - last_refreshes;
+    last_refreshes = engine->sbon().coords().refresh_stats().refreshes;
     const bool had_departures =
         (*wl)->totals().departures > departures_before;
     const bool had_arrivals = (*wl)->totals().admitted > arrivals_before;
