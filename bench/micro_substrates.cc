@@ -58,7 +58,6 @@ void BM_ChordLookup(benchmark::State& state) {
   for (size_t i = 0; i < n; ++i) {
     ring.Join(dht::HashU64(rng.Next()), static_cast<NodeId>(i));
   }
-  ring.Stabilize();
   size_t hops = 0, lookups = 0;
   for (auto _ : state) {
     auto r = ring.Lookup(dht::HashU64(rng.Next()),
@@ -72,19 +71,6 @@ void BM_ChordLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ChordLookup)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_ChordStabilize(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(4);
-  dht::ChordRing ring;
-  for (size_t i = 0; i < n; ++i) {
-    ring.Join(dht::HashU64(rng.Next()), static_cast<NodeId>(i));
-  }
-  for (auto _ : state) {
-    ring.Stabilize();
-  }
-}
-BENCHMARK(BM_ChordStabilize)->Arg(64)->Arg(256);
-
 dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
   std::vector<Vec> coords;
   for (size_t i = 0; i < n; ++i) {
@@ -95,7 +81,6 @@ dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
   for (size_t i = 0; i < n; ++i) {
     idx.Publish(static_cast<NodeId>(i), coords[i]);
   }
-  idx.Stabilize();
   return idx;
 }
 

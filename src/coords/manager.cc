@@ -87,7 +87,6 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
     last_published_.SetNode(overlay_nodes[k], full_coords[k]);
   }
   if (bulk) index_->EndBulkUpdate();
-  index_->Stabilize();
 }
 
 void CoordinateManager::UpdateCoordinatesOnline(
@@ -261,11 +260,7 @@ void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
   }
   if (bulk) index_->EndBulkUpdate();
   refresh_stats_.republished += republished;
-  if (republished > 0) {
-    index_->Stabilize();
-  } else {
-    refresh_stats_.quiet_refreshes += 1;
-  }
+  if (republished == 0) refresh_stats_.quiet_refreshes += 1;
 }
 
 void CoordinateManager::ApplyRemoteSample(NodeId self, NodeId peer,
@@ -294,17 +289,10 @@ void CoordinateManager::CollectDisplaced(
   }
 }
 
-void CoordinateManager::PublishWithoutStabilize(NodeId n) {
-  const Vec full = space_->FullCoord(n);
-  index_->Publish(n, full);
-  last_published_.SetNode(n, full);
-}
-
 void CoordinateManager::Withdraw(NodeId n) {
   // Ring Leave: the index must stop returning the dead node immediately so
   // repair placement cannot land replacements on it.
   index_->Withdraw(n);
-  index_->Stabilize();
   last_published_.ZeroNode(n);
 }
 
@@ -312,7 +300,6 @@ void CoordinateManager::Publish(NodeId n) {
   const Vec full = space_->FullCoord(n);
   index_->Publish(n, full);
   last_published_.SetNode(n, full);
-  index_->Stabilize();
 }
 
 }  // namespace sbon::coords

@@ -33,7 +33,7 @@ struct IndexRefreshStats {
   size_t republished = 0;      ///< ring re-publishes actually issued
   size_t skipped = 0;          ///< node refreshes elided (moved <= epsilon)
   size_t quiet_refreshes = 0;  ///< refreshes with zero re-publishes (no
-                               ///< ring Leave/Join and no restabilization)
+                               ///< ring Leave/Join)
 };
 
 /// The coordinate substrate of the overlay: the Vivaldi (or MDS) embedding,
@@ -83,7 +83,7 @@ class CoordinateManager {
 
   /// Builds the coordinate index over the overlay nodes' full coordinates:
   /// fits the Hilbert quantizer box (vector span plus worst-case scalar
-  /// penalty corner), publishes every node, and stabilizes the ring.
+  /// penalty corner) and publishes every node.
   void BuildIndex(const std::vector<NodeId>& overlay_nodes);
 
   /// Online coordinate maintenance: every alive node takes
@@ -100,17 +100,18 @@ class CoordinateManager {
 
   /// Dirty-driven index refresh: republishes the full coordinate of every
   /// overlay node displaced more than `epsilon` (cost-space units) since
-  /// its last publish, then restabilizes the ring — unless nothing moved,
-  /// in which case the ring is left entirely untouched. The displacement
-  /// scan shards over `pool`; publishes stay serial in node order.
+  /// its last publish; when nothing moved the ring is left entirely
+  /// untouched. The displacement scan shards over `pool`; publishes stay
+  /// serial in node order.
   void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon,
                     ThreadPool* pool = nullptr);
 
   /// Ring Leave on a crash: the index stops returning the node immediately
   /// and its publish record is cleared.
   void Withdraw(NodeId n);
-  /// Ring Join on a rejoin: republishes the node's current full coordinate
-  /// (stale vector part + fresh scalars) and restabilizes.
+  /// Ring Join: republishes the node's current full coordinate (stale
+  /// vector part + fresh scalars on a rejoin). Message-mode kPublish
+  /// deliveries apply through this too.
   void Publish(NodeId n);
 
   // --- message-mode hooks (msg::Runtime) -----------------------------------
@@ -136,11 +137,6 @@ class CoordinateManager {
   /// into a routed publish message instead).
   void CollectDisplaced(const std::vector<NodeId>& overlay_nodes,
                         double epsilon, std::vector<NodeId>* out) const;
-  /// Publishes `n`'s current full coordinate without restabilizing; the
-  /// message-mode refresh batches one StabilizeIndex per epoch over however
-  /// many publish messages were delivered.
-  void PublishWithoutStabilize(NodeId n);
-  void StabilizeIndex() { index_->Stabilize(); }
 
  private:
   CoordinateManager() = default;

@@ -1,16 +1,16 @@
 #include "dht/chord.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace sbon::dht {
 namespace {
 
-// True if `x` lies in the half-open clockwise interval (a, b].
-bool InIntervalOpenClosed(const U128& x, const U128& a, const U128& b) {
-  // Ring distance trick: x in (a, b] iff (x - a) <= (b - a) and x != a.
-  if (x == a) return false;
-  return (x - a) <= (b - a);
+// Index of the highest set bit of a nonzero `x`.
+unsigned TopBit(const U128& x) {
+  return x.hi != 0 ? 127 - static_cast<unsigned>(std::countl_zero(x.hi))
+                   : 63 - static_cast<unsigned>(std::countl_zero(x.lo));
 }
 
 }  // namespace
@@ -26,7 +26,6 @@ void ChordRing::Join(U128 key, NodeId node) {
     }
     bulk_members_.emplace(k, node);
     bulk_key_of_[node] = k;
-    stale_ = true;
     return;
   }
   // Perturb exact duplicates so every member has a unique ring key.
@@ -43,7 +42,6 @@ void ChordRing::Join(U128 key, NodeId node) {
     pos = std::lower_bound(members_.begin(), members_.end(), k, key_less);
   }
   members_.insert(pos, Member{k, node});
-  stale_ = true;
 }
 
 void ChordRing::Leave(NodeId node) {
@@ -52,7 +50,6 @@ void ChordRing::Leave(NodeId node) {
     if (it != bulk_key_of_.end()) {
       bulk_members_.erase(it->second);
       bulk_key_of_.erase(it);
-      stale_ = true;
     }
     return;
   }
@@ -61,7 +58,6 @@ void ChordRing::Leave(NodeId node) {
                                   return m.node == node;
                                 }),
                  members_.end());
-  stale_ = true;
 }
 
 void ChordRing::BeginBulk() {
@@ -98,61 +94,35 @@ size_t ChordRing::SuccessorIndex(U128 key) const {
   return static_cast<size_t>(it - members_.begin());
 }
 
-void ChordRing::Stabilize() {
-  const size_t n = members_.size();
-  fingers_.resize(n * kFingerBits);
-  uint32_t* row = fingers_.data();
-  for (size_t m = 0; m < n; ++m, row += kFingerBits) {
-    for (unsigned i = 0; i < kFingerBits; ++i) {
-      const U128 target = members_[m].key + PowerOfTwo(i);
-      row[i] = static_cast<uint32_t>(SuccessorIndex(target));
-    }
-  }
-  stale_ = false;
-}
-
 StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
                                                     U128 origin_key) const {
   if (members_.empty()) return Status::FailedPrecondition("empty ring");
-  if (stale_) return Status::FailedPrecondition("ring not stabilized");
+  if (in_bulk_) return Status::FailedPrecondition("ring in a bulk window");
 
   // Start at the member owning origin_key (its successor).
   size_t cur = SuccessorIndex(origin_key);
   size_t hops = 0;
   const size_t n = members_.size();
   const size_t target_idx = SuccessorIndex(key);
+  // The last member strictly before `key`.
+  const size_t pred_idx = (target_idx + n - 1) % n;
+  const U128& pred_key = members_[pred_idx].key;
 
   // Greedy Chord routing: while the key is not between cur and its
-  // immediate successor, forward to the closest preceding finger.
+  // immediate successor, forward to the closest preceding finger. Finger i
+  // of cur is successor(cur + 2^i), which lies strictly between cur and key
+  // iff some member sits in [cur + 2^i, key), i.e. iff 2^i <= pred - cur.
+  // The closest preceding finger is therefore finger j for the top set bit
+  // j of pred - cur. Each hop lands strictly closer to key, so the walk
+  // ends within n hops.
   while (cur != target_idx) {
-    const U128& cur_key = members_[cur].key;
-    const size_t succ = (cur + 1) % n;
-    if (InIntervalOpenClosed(key, cur_key, members_[succ].key)) {
-      cur = succ;
-      ++hops;
-      break;
+    if (cur == pred_idx) {
+      cur = target_idx;  // key lies in (cur, successor]
+    } else {
+      const U128& cur_key = members_[cur].key;
+      cur = SuccessorIndex(cur_key + PowerOfTwo(TopBit(pred_key - cur_key)));
     }
-    // Closest preceding finger: the largest finger strictly between
-    // cur_key and key.
-    size_t next = succ;
-    const uint32_t* cur_fingers = fingers_.data() + cur * kFingerBits;
-    for (unsigned i = kFingerBits; i-- > 0;) {
-      const size_t f = cur_fingers[i];
-      const U128& fkey = members_[f].key;
-      if (f != cur && InIntervalOpenClosed(fkey, cur_key, key) &&
-          fkey != key) {
-        next = f;
-        break;
-      }
-    }
-    if (next == cur) {
-      next = succ;  // fallback: always make progress
-    }
-    cur = next;
     ++hops;
-    if (hops > n + 130) {
-      return Status::Internal("chord routing failed to converge");
-    }
   }
   LookupResult r;
   r.node = members_[cur].node;

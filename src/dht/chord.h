@@ -1,7 +1,6 @@
 #ifndef SBON_DHT_CHORD_H_
 #define SBON_DHT_CHORD_H_
 
-#include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +18,10 @@ namespace sbon::dht {
 /// membership is held centrally, but *lookups are routed* exactly as Chord
 /// routes them — greedy closest-preceding-finger hops — so the library can
 /// account for lookup cost (hop counts) the way a deployment would pay it.
+///
+/// Fingers are always exact: finger i of a member is successor(key + 2^i)
+/// over the current sorted membership, derived during the lookup rather
+/// than stored, so a Join or Leave routes correctly with no rebuild step.
 class ChordRing {
  public:
   struct Member {
@@ -46,8 +49,8 @@ class ChordRing {
   /// Join/Leave sequence (including duplicate-key perturbation, which only
   /// asks "does this exact key exist?") costs O(log members) per call and
   /// produces a bit-identical final membership. Lookups and successor walks
-  /// are invalid inside the window — the ring is stale until the Stabilize
-  /// that follows EndBulk, exactly as after any Join/Leave.
+  /// are invalid inside the window (Lookup fails with FailedPrecondition);
+  /// they are valid again as soon as EndBulk returns.
   void BeginBulk();
   void EndBulk();
 
@@ -56,12 +59,9 @@ class ChordRing {
   }
   const std::vector<Member>& members() const { return members_; }
 
-  /// (Re)builds finger tables. Must be called after membership changes and
-  /// before Lookup; Join/Leave mark the tables stale.
-  void Stabilize();
-
   /// Chord-routes from the member owning `origin_key` toward `key`;
-  /// returns successor(key). Requires a stabilized, non-empty ring.
+  /// returns successor(key). Requires a non-empty ring outside a bulk
+  /// window.
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
 
   /// Lookup starting from the first member (deterministic origin).
@@ -73,9 +73,6 @@ class ChordRing {
   const Member& PredecessorAt(size_t member_index, size_t i) const;
 
  private:
-  /// Finger-table entries per member (one per key bit).
-  static constexpr unsigned kFingerBits = 128;
-
   // Sorted by key.
   std::vector<Member> members_;
   // Bulk-window state: key-sorted membership plus the reverse index Leave
@@ -84,12 +81,6 @@ class ChordRing {
   bool in_bulk_ = false;
   std::map<U128, NodeId> bulk_members_;
   std::unordered_map<NodeId, U128> bulk_key_of_;
-  // Flat row-major finger table: fingers_[m * kFingerBits + i] = index of
-  // successor(members_[m].key + 2^i). Kept flat so Stabilize rewrites it in
-  // place without per-member allocations and lookups walk one cache-friendly
-  // row.
-  std::vector<uint32_t> fingers_;
-  bool stale_ = false;
 
   size_t SuccessorIndex(U128 key) const;
 };

@@ -40,8 +40,6 @@ void CoordinateIndex::Withdraw(NodeId node) {
   }
 }
 
-void CoordinateIndex::Stabilize() { ring_.Stabilize(); }
-
 double CoordinateIndex::DistanceTo(NodeId n, const Vec& target) const {
   return std::sqrt(kernels::DistanceSquaredAt(coords_, n, target.data()));
 }

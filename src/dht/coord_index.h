@@ -62,14 +62,11 @@ class CoordinateIndex {
   void Publish(NodeId node, const Vec& coord);
   /// Removes a node from the index.
   void Withdraw(NodeId node);
-  /// Rebuilds routing state; must be called after a batch of
-  /// Publish/Withdraw calls and before queries.
-  void Stabilize();
 
   /// Bulk-update window around mass Publish batches (bring-up, index
   /// refresh): inside it each Publish costs O(log published) instead of
-  /// O(published), with a bit-identical final ring. Queries are invalid
-  /// until the Stabilize that follows EndBulkUpdate.
+  /// O(published), with a bit-identical final ring. Queries fail inside the
+  /// window and are valid again once EndBulkUpdate returns.
   void BeginBulkUpdate() { ring_.BeginBulk(); }
   void EndBulkUpdate() { ring_.EndBulk(); }
 

@@ -445,8 +445,8 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
                [&](ThreadPool*) { ApplyChurn(epoch.churn->Step()); });
   if (message) {
     // Message-mode refresh: displacement publishes + ring heartbeats, the
-    // epoch drain (delivering pongs and publishes in latency order), one
-    // stabilization if any publish landed, and the coordinate sync.
+    // epoch drain (delivering pongs and publishes in latency order) and the
+    // coordinate sync.
     pipeline.Run("msg-refresh", /*enabled=*/true, /*parallelizable=*/false,
                  [&](ThreadPool*) {
                    msg_runtime_->FinishEpoch(epoch.refresh_index,

@@ -89,13 +89,12 @@ struct EpochOptions {
   bool tick_network = true;
   /// Online Vivaldi measurements per node against the new latencies.
   size_t vivaldi_samples = 0;
-  /// Republished coordinates + index restabilization at the end.
+  /// Republish displaced coordinates into the index at the end.
   bool refresh_index = true;
   /// Displacement threshold (cost-space units) for the refresh: only nodes
   /// whose full coordinate moved more than this since their last publish
   /// are re-published. 0 republishes anything that changed at all; a quiet
-  /// epoch (nothing beyond epsilon) performs zero ring re-publishes and
-  /// skips restabilization entirely.
+  /// epoch (nothing beyond epsilon) leaves the ring untouched.
   double refresh_epsilon = 0.0;
   /// Membership churn driver: each AdvanceEpoch consumes one
   /// `churn->Step()` worth of events — crashes evict services and trigger

@@ -221,9 +221,8 @@ void RingAgent::HandleMessage(const Envelope& e) {
       // Vivaldi movement that landed before them, exactly like a datagram
       // serialized at transmission time would have been re-read on retry.
       if (sbon_->IsAlive(e.subject)) {
-        sbon_->mutable_coords().PublishWithoutStabilize(e.subject);
+        sbon_->mutable_coords().Publish(e.subject);
         publish_epoch_[e.subject] = static_cast<uint32_t>(bus_->epoch());
-        ++publishes_applied_;
       }
       if (reliability_.enabled) SendAck(e);
       break;
@@ -495,11 +494,6 @@ void Runtime::NotifyChurn(const net::ChurnEvent& ev) {
 void Runtime::FinishEpoch(bool refresh, double epsilon) {
   ring_.StepEpoch(refresh ? epsilon : -1.0);
   bus_.EndEpoch();
-  // One stabilization over however many publish messages landed this epoch
-  // (the oracle refresh restabilizes once per batch the same way).
-  if (ring_.TakeAppliedPublishes() > 0) {
-    sbon_->mutable_coords().StabilizeIndex();
-  }
   sbon_->mutable_coords().SyncVectorCoords();
 
   TrafficStats& stats = bus_.stats();

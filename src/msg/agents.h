@@ -215,13 +215,6 @@ class RingAgent {
   /// kPublish sends this epoch (the ring-quiescence signal convergence
   /// tracking watches).
   size_t publishes_sent_epoch() const { return publishes_sent_epoch_; }
-  /// Publishes applied since the last Take (resets the counter): when
-  /// nonzero the runtime owes the index one StabilizeIndex.
-  size_t TakeAppliedPublishes() {
-    const size_t n = publishes_applied_;
-    publishes_applied_ = 0;
-    return n;
-  }
   /// Engine epoch each node's coordinate was last published at (the
   /// staleness clock placement decisions are stamped against).
   const std::vector<uint32_t>& publish_epoch() const { return publish_epoch_; }
@@ -250,7 +243,7 @@ class RingAgent {
   void RetryPending();
   /// Acks a delivered reliable envelope back to its sender.
   void SendAck(const Envelope& e);
-  /// Routes toward `key` on the stabilized ring; falls back to (self, 0
+  /// Routes toward `key` on the current ring; falls back to (self, 0
   /// hops) when the lookup is unavailable.
   dht::ChordRing::LookupResult Route(const dht::U128& key,
                                      const dht::U128& origin, NodeId self);
@@ -272,7 +265,6 @@ class RingAgent {
   std::map<uint64_t, PendingTransfer> pending_;
   std::vector<uint32_t> publish_epoch_;  ///< by node id
   size_t publishes_sent_epoch_ = 0;
-  size_t publishes_applied_ = 0;
   std::vector<NodeId> displaced_;  ///< scratch for the displacement scan
 };
 
@@ -299,9 +291,8 @@ class Runtime {
   /// detector's confirmation (NotifyCrashConfirmed).
   void NotifyChurn(const net::ChurnEvent& ev);
   /// The msg-refresh stage: displacement publishes + heartbeats, the epoch
-  /// drain, one index stabilization if any publish landed, the Vivaldi ->
-  /// cost-space sync, and the convergence bookkeeping. `refresh` mirrors
-  /// EpochOptions::refresh_index.
+  /// drain, the Vivaldi -> cost-space sync, and the convergence
+  /// bookkeeping. `refresh` mirrors EpochOptions::refresh_index.
   void FinishEpoch(bool refresh, double epsilon);
 
   /// Bills the DHT traffic of one placement run (`delta` of the index's

@@ -120,15 +120,15 @@ class Sbon {
   bool IsAlive(NodeId n) const { return alive_[n]; }
   /// Crashes an overlay node: evicts every service instance it hosts
   /// (reversing their load deltas), withdraws it from the coordinate index
-  /// (ring Leave + restabilization), and reports the circuits the failure
-  /// orphaned. The circuits themselves stay registered — callers (the
-  /// engine's repair plan) decide whether to re-place or drop them.
+  /// (ring Leave), and reports the circuits the failure orphaned. The
+  /// circuits themselves stay registered — callers (the engine's repair
+  /// plan) decide whether to re-place or drop them.
   /// Refuses to crash the last alive overlay node.
   StatusOr<FailureReport> FailNode(NodeId n);
   /// Brings a crashed node back: re-publishes its full coordinate into the
-  /// index (ring Join + restabilization) with zero service load. The node
-  /// keeps its last known vector coordinate until online Vivaldi samples
-  /// refresh it — exactly how a real rejoin would start from stale state.
+  /// index (ring Join) with zero service load. The node keeps its last
+  /// known vector coordinate until online Vivaldi samples refresh it —
+  /// exactly how a real rejoin would start from stale state.
   Status RejoinNode(NodeId n);
   /// Physical crash without the membership transition: the node's fabric
   /// endpoint goes dark (its traffic drops, its latencies read +inf) but
@@ -191,12 +191,11 @@ class Sbon {
   const net::LatencyView& base_latency() const { return fabric_->base(); }
   /// Dirty-driven index refresh: republishes the full coordinate of every
   /// overlay node that moved more than `epsilon` (cost-space units) since
-  /// its last publish, then restabilizes the ring — unless nothing moved,
-  /// in which case the ring is left entirely untouched (no Leave/Join, no
-  /// Stabilize). `epsilon = 0` republishes any node whose coordinate
-  /// changed at all, which is query-for-query identical to republishing
-  /// everything. Call after load changes when index queries should see
-  /// fresh scalars. `pool` shards the displacement scan.
+  /// its last publish; when nothing moved the ring is left entirely
+  /// untouched (no Leave/Join). `epsilon = 0` republishes any node whose
+  /// coordinate changed at all, which is query-for-query identical to
+  /// republishing everything. Call after load changes when index queries
+  /// should see fresh scalars. `pool` shards the displacement scan.
   void RefreshIndex(double epsilon = 0.0, ThreadPool* pool = nullptr);
 
   // --- metrics ---

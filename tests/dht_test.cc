@@ -215,7 +215,6 @@ TEST(ChordTest, LookupReturnsSuccessor) {
   for (uint64_t k : {10, 20, 30, 40, 50}) {
     ring.Join(U128::FromU64(k), static_cast<NodeId>(k));
   }
-  ring.Stabilize();
   auto r = ring.Lookup(U128::FromU64(25));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->node, 30u);
@@ -234,10 +233,20 @@ TEST(ChordTest, EmptyRingFails) {
   EXPECT_FALSE(ring.Lookup(U128::FromU64(1)).ok());
 }
 
-TEST(ChordTest, UnstabilizedRingFails) {
+TEST(ChordTest, LookupInsideBulkWindowFails) {
   ChordRing ring;
-  ring.Join(U128::FromU64(1), 1);
-  EXPECT_FALSE(ring.Lookup(U128::FromU64(1)).ok());
+  ring.Join(U128::FromU64(10), 1);
+  ring.BeginBulk();
+  EXPECT_EQ(ring.Lookup(U128::FromU64(5)).status().code(),
+            StatusCode::kFailedPrecondition);
+  ring.Join(U128::FromU64(20), 2);
+  EXPECT_EQ(ring.Lookup(U128::FromU64(15)).status().code(),
+            StatusCode::kFailedPrecondition);
+  ring.EndBulk();
+  // Routable again as soon as the window closes.
+  auto r = ring.Lookup(U128::FromU64(15));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->node, 2u);
 }
 
 TEST(ChordTest, LeaveRemovesNode) {
@@ -245,7 +254,6 @@ TEST(ChordTest, LeaveRemovesNode) {
   ring.Join(U128::FromU64(10), 1);
   ring.Join(U128::FromU64(20), 2);
   ring.Leave(1);
-  ring.Stabilize();
   auto r = ring.Lookup(U128::FromU64(5));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->node, 2u);
@@ -317,13 +325,12 @@ TEST_P(ChordPropertyTest, LookupMatchesSortedMapOracle) {
     ring.Join(key, static_cast<NodeId>(i));
     oracle[key] = static_cast<NodeId>(i);
   }
-  ring.Stabilize();
   for (int rep = 0; rep < 300; ++rep) {
     const U128 q = HashU64(rng.Next());
     auto it = oracle.lower_bound(q);
     const NodeId expected =
         (it == oracle.end()) ? oracle.begin()->second : it->second;
-    // Route from a random origin to exercise finger tables.
+    // Route from a random origin to exercise the fingers.
     const U128 origin = HashU64(rng.Next());
     auto r = ring.Lookup(q, origin);
     ASSERT_TRUE(r.ok());
@@ -338,7 +345,6 @@ TEST_P(ChordPropertyTest, HopCountLogarithmic) {
   for (size_t i = 0; i < n; ++i) {
     ring.Join(HashU64(rng.Next()), static_cast<NodeId>(i));
   }
-  ring.Stabilize();
   const double log2n = std::log2(static_cast<double>(n));
   size_t worst = 0;
   double total = 0.0;
@@ -353,6 +359,117 @@ TEST_P(ChordPropertyTest, HopCountLogarithmic) {
   EXPECT_LE(total / reps, log2n + 2.0);
 }
 
+// Reference Chord with a materialized finger table, built the way rings
+// stored it before fingers were derived inside Lookup: fingers[m][i] =
+// successor(members[m].key + 2^i), routed by the greedy scan for the
+// closest preceding finger.
+class MaterializedFingerChord {
+ public:
+  explicit MaterializedFingerChord(std::vector<ChordRing::Member> members)
+      : members_(std::move(members)), fingers_(members_.size() * kBits) {
+    for (size_t m = 0; m < members_.size(); ++m) {
+      for (unsigned i = 0; i < kBits; ++i) {
+        fingers_[m * kBits + i] =
+            SuccessorIndex(members_[m].key + PowerOfTwo(i));
+      }
+    }
+  }
+
+  ChordRing::LookupResult Lookup(U128 key, U128 origin_key) const {
+    const size_t n = members_.size();
+    size_t cur = SuccessorIndex(origin_key);
+    const size_t target_idx = SuccessorIndex(key);
+    size_t hops = 0;
+    while (cur != target_idx) {
+      const U128& cur_key = members_[cur].key;
+      const size_t succ = (cur + 1) % n;
+      ++hops;
+      if (InOpenClosed(key, cur_key, members_[succ].key)) {
+        cur = succ;
+        break;
+      }
+      size_t next = succ;
+      for (unsigned i = kBits; i-- > 0;) {
+        const size_t f = fingers_[cur * kBits + i];
+        const U128& fkey = members_[f].key;
+        if (f != cur && InOpenClosed(fkey, cur_key, key) && fkey != key) {
+          next = f;
+          break;
+        }
+      }
+      cur = next;
+    }
+    ChordRing::LookupResult r;
+    r.node = members_[cur].node;
+    r.key = members_[cur].key;
+    r.hops = hops;
+    r.member_index = cur;
+    return r;
+  }
+
+ private:
+  static constexpr unsigned kBits = 128;
+
+  // True if `x` lies in the clockwise interval (a, b].
+  static bool InOpenClosed(const U128& x, const U128& a, const U128& b) {
+    return x != a && (x - a) <= (b - a);
+  }
+
+  size_t SuccessorIndex(U128 key) const {
+    const auto it = std::lower_bound(
+        members_.begin(), members_.end(), key,
+        [](const ChordRing::Member& m, const U128& k) { return m.key < k; });
+    if (it == members_.end()) return 0;
+    return static_cast<size_t>(it - members_.begin());
+  }
+
+  std::vector<ChordRing::Member> members_;
+  std::vector<size_t> fingers_;
+};
+
+// Every lookup on `ring` — random keys from random origins, exact member
+// keys, and member keys as origins — must take the reference's route.
+void ExpectRoutesMatchReference(const ChordRing& ring, const U128& mask,
+                                Rng* rng) {
+  const MaterializedFingerChord ref(ring.members());
+  const auto check = [&](const U128& key, const U128& origin) {
+    auto got = ring.Lookup(key, origin);
+    ASSERT_TRUE(got.ok());
+    const ChordRing::LookupResult want = ref.Lookup(key, origin);
+    EXPECT_EQ(got->node, want.node);
+    EXPECT_EQ(got->key, want.key);
+    EXPECT_EQ(got->hops, want.hops);
+    EXPECT_EQ(got->member_index, want.member_index);
+  };
+  for (int rep = 0; rep < 300; ++rep) {
+    check(HashU64(rng->Next()) & mask, HashU64(rng->Next()) & mask);
+  }
+  for (const ChordRing::Member& m : ring.members()) {
+    check(m.key, HashU64(rng->Next()) & mask);
+    check(HashU64(rng->Next()) & mask, m.key);
+  }
+}
+
+TEST_P(ChordPropertyTest, LookupMatchesMaterializedFingerTable) {
+  const size_t n = GetParam();
+  Rng rng(n + 4242);
+  // Full-width hashed keys, Hilbert-width (40-bit) keys, and 6-bit keys
+  // dense enough to force duplicate-key perturbation.
+  for (const unsigned bits : {128u, 40u, 6u}) {
+    SCOPED_TRACE(bits);
+    const U128 mask =
+        bits == 128 ? U128::Max() : PowerOfTwo(bits) - U128::FromU64(1);
+    ChordRing ring;
+    for (size_t i = 0; i < n; ++i) {
+      ring.Join(HashU64(rng.Next()) & mask, static_cast<NodeId>(i));
+    }
+    ExpectRoutesMatchReference(ring, mask, &rng);
+    ChordRing single;
+    single.Join(HashU64(rng.Next()) & mask, 0);
+    ExpectRoutesMatchReference(single, mask, &rng);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RingSizes, ChordPropertyTest,
                          ::testing::Values(2, 5, 16, 64, 200, 500));
 
@@ -361,7 +478,6 @@ TEST(ChordTest, SuccessorPredecessorWalk) {
   for (uint64_t k : {10, 20, 30}) {
     ring.Join(U128::FromU64(k), static_cast<NodeId>(k));
   }
-  ring.Stabilize();
   auto r = ring.Lookup(U128::FromU64(15));
   ASSERT_TRUE(r.ok());  // member 20 at index 1
   EXPECT_EQ(ring.SuccessorAt(r->member_index, 0).node, 20u);
@@ -378,7 +494,6 @@ CoordinateIndex MakeIndex(const std::vector<Vec>& coords, unsigned bits = 8) {
   for (size_t i = 0; i < coords.size(); ++i) {
     idx.Publish(static_cast<NodeId>(i), coords[i]);
   }
-  idx.Stabilize();
   return idx;
 }
 
@@ -399,7 +514,6 @@ TEST(CoordinateIndexTest, WithdrawRemoves) {
   std::vector<Vec> coords = {{0, 0}, {1, 1}};
   auto idx = MakeIndex(coords);
   idx.Withdraw(0);
-  idx.Stabilize();
   auto m = idx.Nearest(Vec{0, 0});
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->node, 1u);
@@ -409,7 +523,6 @@ TEST(CoordinateIndexTest, RepublishMovesNode) {
   std::vector<Vec> coords = {{0, 0}, {100, 100}};
   auto idx = MakeIndex(coords);
   idx.Publish(0, Vec{90, 90});
-  idx.Stabilize();
   auto m = idx.Nearest(Vec{80, 80});
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->node, 0u);

@@ -230,7 +230,7 @@ TEST(StreamEngine, AdvanceEpochEpsilonGatesRingRepublishes) {
 
   // Static ambient load (sigma 0, load at its mean) and no jitter: the
   // epoch moves nothing, so the refresh must be quiet — zero ring
-  // re-publishes, no restabilization.
+  // re-publishes.
   engine::EpochOptions epoch;
   epoch.dt = 1.0;
   engine->AdvanceEpoch(epoch);

@@ -243,7 +243,7 @@ TEST(SbonTest, CreateBuildsSubstrate) {
 TEST(SbonTest, QuietRefreshPerformsZeroRepublishes) {
   auto s = MakeSbon(11);
   // Nothing moved since Initialize published every coordinate: the refresh
-  // must issue zero ring re-publishes and skip restabilization entirely.
+  // must issue zero ring re-publishes and leave the ring untouched.
   s->RefreshIndex();
   EXPECT_EQ(s->coords().refresh_stats().refreshes, 1u);
   EXPECT_EQ(s->coords().refresh_stats().republished, 0u);

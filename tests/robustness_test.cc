@@ -273,7 +273,6 @@ TEST(IndexChurnTest, RepeatedRepublishKeepsOneEntryPerNode) {
                   Vec{rng.Uniform(0, 100), rng.Uniform(0, 100)});
     }
   }
-  idx.Stabilize();
   EXPECT_EQ(idx.NumPublished(), 30u);
 }
 
@@ -282,7 +281,6 @@ TEST(IndexChurnTest, WithdrawUnknownNodeIsNoOp) {
   idx.Withdraw(99);  // must not crash
   idx.Publish(1, Vec{0.5});
   idx.Withdraw(99);
-  idx.Stabilize();
   EXPECT_EQ(idx.NumPublished(), 1u);
 }
 
@@ -291,7 +289,6 @@ TEST(IndexChurnTest, KNearestWithKLargerThanPopulation) {
   dht::CoordinateIndex idx(dht::HilbertQuantizer::FitTo(coords, 6));
   idx.Publish(0, coords[0]);
   idx.Publish(1, coords[1]);
-  idx.Stabilize();
   auto ms = idx.KNearest(Vec{0.0, 0.0}, 10, 10);
   ASSERT_TRUE(ms.ok());
   EXPECT_EQ(ms->size(), 2u);
@@ -302,7 +299,6 @@ TEST(IndexChurnTest, NegativeRadiusReturnsEmpty) {
   dht::CoordinateIndex idx(dht::HilbertQuantizer::FitTo(coords, 6));
   idx.Publish(0, coords[0]);
   idx.Publish(1, coords[1]);
-  idx.Stabilize();
   auto ms = idx.WithinRadius(Vec{0.0, 0.0}, -1.0);
   ASSERT_TRUE(ms.ok());
   EXPECT_TRUE(ms->empty());

@@ -157,7 +157,6 @@ struct IndexFixture {
       }
       index.Publish(n, mirror[n]);
     }
-    index.Stabilize();
   }
 
   static dht::HilbertQuantizer MakeQuantizer(uint64_t seed, size_t num_nodes,

@@ -139,9 +139,14 @@ void ExpectMatchesReference(const MaterializedReference& ref,
       const double base = fabric.base().Latency(a, b);
       if (live == ref.live(a, b) && base == ref.base(a, b)) continue;
       if (mismatches++ == 0) {
-        first = "(" + std::to_string(a) + "," + std::to_string(b) +
-                ") live " + std::to_string(live) + " vs " +
-                std::to_string(ref.live(a, b));
+        first = "(";
+        first += std::to_string(a);
+        first += ",";
+        first += std::to_string(b);
+        first += ") live ";
+        first += std::to_string(live);
+        first += " vs ";
+        first += std::to_string(ref.live(a, b));
       }
     }
   }
