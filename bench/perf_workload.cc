@@ -3,10 +3,10 @@
 // Drives query::WorkloadEngine over a transit-stub StreamEngine through a
 // multi-thousand-epoch soak — a Poisson arrival process with diurnal
 // modulation and a scripted flash-crowd overload window, exponential query
-// lifetimes, light membership churn — and reports SLO percentiles
-// (p50/p95/p99 placement and repair latency via O(1)-memory P² digests),
-// shed rates, and reuse-catalog hit rates per phase (steady / flash-crowd /
-// recovery) into BENCH_workload.json.
+// lifetimes, light membership churn — and reports SLO percentiles (exact
+// p50/p95/p99 of per-query placement latency and of amortized per-repair
+// latency), shed rates, and reuse-catalog hit rates per phase (steady /
+// flash-crowd / recovery) into BENCH_workload.json.
 //
 // The run self-gates (nonzero exit) when:
 //  - the flash-crowd phase sheds nothing (admission control regression:
@@ -203,8 +203,8 @@ void PrintPhase(const sbon::query::WorkloadPhaseStats& p) {
   std::printf(
       "              placement p50=%.0f p95=%.0f p99=%.0f ns  "
       "repair p50=%.0f p95=%.0f p99=%.0f ns (%zu repairs)\n",
-      p.placement_ns.p50(), p.placement_ns.p95(), p.placement_ns.p99(),
-      p.repair_ns.p50(), p.repair_ns.p95(), p.repair_ns.p99(),
+      p.placement_ns.Percentile(50), p.placement_ns.Percentile(95), p.placement_ns.Percentile(99),
+      p.repair_ns.Percentile(50), p.repair_ns.Percentile(95), p.repair_ns.Percentile(99),
       p.repair_ns.count());
 }
 
@@ -223,10 +223,10 @@ void JsonPhase(std::FILE* f, const sbon::query::WorkloadPhaseStats& p,
       p.name.c_str(), p.epochs, p.arrivals, p.shed, p.shed_rate(),
       p.admitted, p.submitted, p.submit_failures, p.departures,
       p.reuse_hit_rate(), p.services_reused, p.placement_ns.count(),
-      p.placement_ns.mean(), p.placement_ns.p50(), p.placement_ns.p95(),
-      p.placement_ns.p99(), p.placement_ns.max(), p.repair_ns.count(),
-      p.repair_ns.mean(), p.repair_ns.p50(), p.repair_ns.p95(),
-      p.repair_ns.p99(), p.repair_ns.max(), last ? "" : ",");
+      p.placement_ns.Mean(), p.placement_ns.Percentile(50), p.placement_ns.Percentile(95),
+      p.placement_ns.Percentile(99), p.placement_ns.Max(), p.repair_ns.count(),
+      p.repair_ns.Mean(), p.repair_ns.Percentile(50), p.repair_ns.Percentile(95),
+      p.repair_ns.Percentile(99), p.repair_ns.Max(), last ? "" : ",");
 }
 
 }  // namespace

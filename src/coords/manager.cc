@@ -8,14 +8,6 @@
 
 namespace sbon::coords {
 
-namespace {
-// Mass-publish batches at or above this size go through the ring's bulk
-// window (O(log m) per publish instead of O(m) vector splices). Below it
-// the window's map build would cost more allocations than it saves; the
-// final ring is bit-identical either way, so this is purely a perf knob.
-constexpr size_t kBulkPublishThreshold = 2048;
-}  // namespace
-
 StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
     Params params, const net::LatencyView& lat, Rng* rng) {
   const size_t n = lat.NumNodes();
@@ -45,7 +37,6 @@ StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
     Status st = mgr->space_->SetVectorCoord(i, coords[i]);
     if (!st.ok()) return st;
   }
-  mgr->last_published_.Reset(params.spec.total_dims(), n);
   return mgr;
 }
 
@@ -62,16 +53,21 @@ void CoordinateManager::SetScalarMetrics(const std::vector<double>& raw) {
 }
 
 void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
-  std::vector<Vec> full_coords;
-  full_coords.reserve(overlay_nodes.size());
-  for (NodeId i : overlay_nodes) full_coords.push_back(space_->FullCoord(i));
+  // Bring-up publishes through the refresh batch scratch, sizing it for
+  // every later refresh (the overlay never outgrows its initial nodes).
+  publish_nodes_ = overlay_nodes;
+  publish_coords_.clear();
+  publish_coords_.reserve(overlay_nodes.size());
+  for (NodeId i : overlay_nodes) {
+    publish_coords_.push_back(space_->FullCoord(i));
+  }
   // The quantizer box spans the vector part of all nodes plus the maximum
   // scalar penalty range observed at full load, so republished coordinates
   // under any load stay inside the box.
-  std::vector<Vec> box_points = full_coords;
+  std::vector<Vec> box_points = publish_coords_;
   {
     // Add synthetic corner points with worst-case scalar penalty.
-    Vec worst = full_coords[0];
+    Vec worst = publish_coords_[0];
     for (size_t d = params_.spec.vector_dims(); d < worst.dims(); ++d) {
       const size_t scalar_i = d - params_.spec.vector_dims();
       worst[d] = params_.spec.scalar_dim(scalar_i).weighting->Apply(1.0);
@@ -80,13 +76,7 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
       dht::HilbertQuantizer::FitTo(box_points, params_.hilbert_bits));
-  const bool bulk = overlay_nodes.size() >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
-  for (size_t k = 0; k < overlay_nodes.size(); ++k) {
-    index_->Publish(overlay_nodes[k], full_coords[k]);
-    last_published_.SetNode(overlay_nodes[k], full_coords[k]);
-  }
-  if (bulk) index_->EndBulkUpdate();
+  index_->PublishAll(publish_nodes_, publish_coords_);
 }
 
 void CoordinateManager::UpdateCoordinatesOnline(
@@ -210,55 +200,53 @@ void CoordinateManager::UpdateCoordinatesOnline(
   space_->SyncVectorFrom(vivaldi_->coords());
 }
 
-void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
-                                     double epsilon, ThreadPool* pool) {
-  refresh_stats_.refreshes += 1;
+void CoordinateManager::ScanDisplaced(
+    const std::vector<NodeId>& overlay_nodes, double epsilon,
+    ThreadPool* pool) {
   const double eps2 = epsilon * epsilon;
   const size_t m = overlay_nodes.size();
-  // Phase 1 — displacement scan (sharded), counted as the cost_eval kernel:
-  // gather every overlay node's full coordinate into positional SoA lanes,
-  // then diff lane-wise against the last-published block and flag the slots
-  // displaced beyond epsilon. Each slot is written by exactly one shard;
-  // dirty_ is byte-wide because vector<bool> packs bits and adjacent writes
-  // would race. Per slot the squared displacement accumulates dims-ascending
-  // — bitwise the order the per-Vec DistanceSquaredTo scan used.
+  // Counted as the cost_eval kernel: gather every overlay node's full
+  // coordinate into positional SoA lanes, then diff lane-wise against the
+  // index's published block and flag the slots displaced beyond epsilon.
+  // Each slot is written by exactly one shard; dirty_ is byte-wide because
+  // vector<bool> packs bits and adjacent writes would race. Per slot the
+  // squared displacement accumulates dims-ascending — bitwise the order the
+  // per-Vec DistanceSquaredTo scan used.
   dirty_.assign(m, 0);
   full_block_.Reset(params_.spec.total_dims(), m);
   disp_scratch_.resize(m);
-  {
-    KernelTimer timer(Kernel::kCostEval, m);
-    ParallelSlices(pool, m, [&](size_t lo, size_t hi) {
-      space_->FullCoordsInto(overlay_nodes.data() + lo, hi - lo, lo,
-                             &full_block_);
-      kernels::DisplacementSquared(full_block_, lo, last_published_,
-                                   overlay_nodes.data() + lo, hi - lo,
-                                   disp_scratch_.data() + lo);
-      for (size_t k = lo; k < hi; ++k) {
-        // Strictly-greater: epsilon 0 republishes any changed coordinate and
-        // skips bit-identical ones (the ring state is the same either way).
-        dirty_[k] = disp_scratch_[k] > eps2;
-      }
-    });
-  }
-  // Phase 2 — serial re-publish in node order (ring mutation), identical to
-  // the order the legacy single-pass refresh issued. Bulk window: a busy
-  // epoch republishes most of the overlay, and per-publish vector splices
-  // would make the refresh O(m^2) at large N.
-  size_t republished = 0;
-  const bool bulk = m >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
-  for (size_t k = 0; k < m; ++k) {
+  KernelTimer timer(Kernel::kCostEval, m);
+  const CoordBlock& published = index_->published_coords();
+  ParallelSlices(pool, m, [&](size_t lo, size_t hi) {
+    space_->FullCoordsInto(overlay_nodes.data() + lo, hi - lo, lo,
+                           &full_block_);
+    kernels::DisplacementSquared(full_block_, lo, published,
+                                 overlay_nodes.data() + lo, hi - lo,
+                                 disp_scratch_.data() + lo);
+    for (size_t k = lo; k < hi; ++k) {
+      // Strictly-greater: epsilon 0 republishes any changed coordinate and
+      // skips bit-identical ones (the ring state is the same either way).
+      dirty_[k] = disp_scratch_[k] > eps2;
+    }
+  });
+}
+
+void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
+                                     double epsilon, ThreadPool* pool) {
+  refresh_stats_.refreshes += 1;
+  ScanDisplaced(overlay_nodes, epsilon, pool);
+  // Republish the displaced nodes in node order as one ring batch.
+  publish_nodes_.clear();
+  publish_coords_.clear();
+  for (size_t k = 0; k < overlay_nodes.size(); ++k) {
     if (dirty_[k]) {
-      const NodeId n = overlay_nodes[k];
-      const Vec full = full_block_.NodeVec(k);
-      index_->Publish(n, full);
-      last_published_.SetNode(n, full);
-      ++republished;
-    } else {
-      refresh_stats_.skipped += 1;
+      publish_nodes_.push_back(overlay_nodes[k]);
+      publish_coords_.push_back(full_block_.NodeVec(k));
     }
   }
-  if (bulk) index_->EndBulkUpdate();
+  index_->PublishAll(publish_nodes_, publish_coords_);
+  const size_t republished = publish_nodes_.size();
+  refresh_stats_.skipped += overlay_nodes.size() - republished;
   refresh_stats_.republished += republished;
   if (republished == 0) refresh_stats_.quiet_refreshes += 1;
 }
@@ -277,15 +265,10 @@ void CoordinateManager::SyncVectorCoords() {
 
 void CoordinateManager::CollectDisplaced(
     const std::vector<NodeId>& overlay_nodes, double epsilon,
-    std::vector<NodeId>* out) const {
-  const double eps2 = epsilon * epsilon;
-  for (NodeId n : overlay_nodes) {
-    const Vec full = space_->FullCoord(n);
-    // Strictly-greater, matching RefreshIndex: epsilon 0 flags any changed
-    // coordinate and skips bit-identical ones.
-    if (kernels::DistanceSquaredAt(last_published_, n, full.data()) > eps2) {
-      out->push_back(n);
-    }
+    std::vector<NodeId>* out) {
+  ScanDisplaced(overlay_nodes, epsilon, nullptr);
+  for (size_t k = 0; k < overlay_nodes.size(); ++k) {
+    if (dirty_[k]) out->push_back(overlay_nodes[k]);
   }
 }
 
@@ -293,13 +276,10 @@ void CoordinateManager::Withdraw(NodeId n) {
   // Ring Leave: the index must stop returning the dead node immediately so
   // repair placement cannot land replacements on it.
   index_->Withdraw(n);
-  last_published_.ZeroNode(n);
 }
 
 void CoordinateManager::Publish(NodeId n) {
-  const Vec full = space_->FullCoord(n);
-  index_->Publish(n, full);
-  last_published_.SetNode(n, full);
+  index_->Publish(n, space_->FullCoord(n));
 }
 
 }  // namespace sbon::coords

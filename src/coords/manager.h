@@ -99,15 +99,14 @@ class CoordinateManager {
                                ThreadPool* pool = nullptr);
 
   /// Dirty-driven index refresh: republishes the full coordinate of every
-  /// overlay node displaced more than `epsilon` (cost-space units) since
-  /// its last publish; when nothing moved the ring is left entirely
-  /// untouched. The displacement scan shards over `pool`; publishes stay
-  /// serial in node order.
+  /// overlay node displaced more than `epsilon` (cost-space units) from its
+  /// published coordinate, as one ring batch in node order; when nothing
+  /// moved the ring is left entirely untouched. The displacement scan
+  /// shards over `pool`.
   void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon,
                     ThreadPool* pool = nullptr);
 
-  /// Ring Leave on a crash: the index stops returning the node immediately
-  /// and its publish record is cleared.
+  /// Ring Leave on a crash: the index stops returning the node immediately.
   void Withdraw(NodeId n);
   /// Ring Join: republishes the node's current full coordinate (stale
   /// vector part + fresh scalars on a rejoin). Message-mode kPublish
@@ -132,11 +131,11 @@ class CoordinateManager {
   /// after the message drain. No-op without Vivaldi.
   void SyncVectorCoords();
   /// Appends to `out` every node of `overlay_nodes` whose full coordinate
-  /// moved more than `epsilon` since its last publish — RefreshIndex's
-  /// displacement scan without the publishes (the RingAgent turns each hit
-  /// into a routed publish message instead).
+  /// moved more than `epsilon` from its published coordinate —
+  /// RefreshIndex's displacement scan without the publishes (the RingAgent
+  /// turns each hit into a routed publish message instead).
   void CollectDisplaced(const std::vector<NodeId>& overlay_nodes,
-                        double epsilon, std::vector<NodeId>* out) const;
+                        double epsilon, std::vector<NodeId>* out);
 
  private:
   CoordinateManager() = default;
@@ -152,11 +151,6 @@ class CoordinateManager {
   std::unique_ptr<CostSpace> space_;
   std::unique_ptr<dht::CoordinateIndex> index_;
   dht::IndexQueryCost index_cost_;
-  /// Full coordinate each node last published into the index, as lane-major
-  /// SoA addressed by node id (total_dims x N); RefreshIndex's displacement
-  /// scan diffs it lane-wise against the recomputed full coordinates and
-  /// republishes only nodes displaced beyond its epsilon.
-  CoordBlock last_published_;
   IndexRefreshStats refresh_stats_;
 
   // Reused scratch for the online-update and refresh stages (allocation-free
@@ -172,6 +166,16 @@ class CoordinateManager {
                                      ///< positional (slot k = overlay_nodes[k])
   std::vector<double> disp_scratch_; ///< squared displacement per slot
   std::vector<uint8_t> dirty_;       ///< per overlay node: moved > epsilon
+  std::vector<NodeId> publish_nodes_;  ///< PublishAll batch (bring-up,
+                                       ///< refresh): nodes ...
+  std::vector<Vec> publish_coords_;    ///< ... and their full coordinates
+
+  /// The displacement scan RefreshIndex and CollectDisplaced share: fills
+  /// full_block_ (slot k = overlay_nodes[k]) and flags in dirty_ every slot
+  /// displaced more than `epsilon` from the index's published coordinate.
+  /// Every alive overlay node is published, so each one has a slot there.
+  void ScanDisplaced(const std::vector<NodeId>& overlay_nodes,
+                     double epsilon, ThreadPool* pool);
 };
 
 }  // namespace sbon::coords

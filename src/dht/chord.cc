@@ -13,83 +13,143 @@ unsigned TopBit(const U128& x) {
                    : 63 - static_cast<unsigned>(std::countl_zero(x.lo));
 }
 
+constexpr auto KeyLess = [](const ChordRing::Member& m, const U128& k) {
+  return m.key < k;
+};
+
+// Mixes both halves of a ring key for Rejoin's batch key table.
+uint64_t KeyHash(const U128& k) {
+  const uint64_t x = k.lo ^ (k.hi * 0x9E3779B97F4A7C15ULL);
+  return (x ^ (x >> 31)) * 0xBF58476D1CE4E5B9ULL >> 17;
+}
+
 }  // namespace
 
 void ChordRing::Join(U128 key, NodeId node) {
-  if (in_bulk_) {
-    // Same perturbation rule against the map: "does this exact key exist?"
-    // is what the vector's lower_bound equality probe asks, so the final
-    // key assignment is identical to the sequential vector path.
-    U128 k = key;
-    while (bulk_members_.count(k) != 0) {
-      k = k + U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
-    }
-    bulk_members_.emplace(k, node);
-    bulk_key_of_[node] = k;
-    return;
-  }
-  // Perturb exact duplicates so every member has a unique ring key.
-  // `members_` stays sorted by key, so existence is a binary search and the
-  // new member is spliced in at its lower bound instead of re-sorting the
-  // whole ring on every join.
-  const auto key_less = [](const Member& m, const U128& k) {
-    return m.key < k;
-  };
-  U128 k = key;
-  auto pos = std::lower_bound(members_.begin(), members_.end(), k, key_less);
-  while (pos != members_.end() && pos->key == k) {
-    k = k + U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
-    pos = std::lower_bound(members_.begin(), members_.end(), k, key_less);
-  }
-  members_.insert(pos, Member{k, node});
+  const Member move{key, node};
+  Rejoin(&move, 1);
 }
 
 void ChordRing::Leave(NodeId node) {
-  if (in_bulk_) {
-    auto it = bulk_key_of_.find(node);
-    if (it != bulk_key_of_.end()) {
-      bulk_members_.erase(it->second);
-      bulk_key_of_.erase(it);
+  const size_t pos = EntryOf(node);
+  if (pos != kNoMove) members_.erase(members_.begin() + pos);
+}
+
+size_t ChordRing::EntryOf(NodeId node) const {
+  if (node >= key_of_.size()) return kNoMove;
+  // A non-member's stale key finds another node's entry or none.
+  const auto pos = std::lower_bound(members_.begin(), members_.end(),
+                                    key_of_[node], KeyLess);
+  if (pos == members_.end() || pos->node != node) return kNoMove;
+  return static_cast<size_t>(pos - members_.begin());
+}
+
+size_t ChordRing::TakenSlotOf(const U128& key) const {
+  const size_t mask = taken_.size() - 1;
+  size_t h = KeyHash(key) & mask;
+  while (taken_[h].move != kNoMove && taken_[h].key != key) h = (h + 1) & mask;
+  return h;
+}
+
+bool ChordRing::KeyTaken(const U128& key, size_t i, size_t* old_pos) const {
+  // An old entry is still live at move i unless its node already moved.
+  const auto pos =
+      std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
+  *old_pos = static_cast<size_t>(pos - members_.begin());
+  if (pos != members_.end() && pos->key == key &&
+      first_move_[pos->node] > i) {
+    return true;
+  }
+  // A key an earlier move received is live until its node moves again.
+  const TakenSlot& slot = taken_[TakenSlotOf(key)];
+  return slot.move != kNoMove && next_move_[slot.move] > i;
+}
+
+void ChordRing::Rejoin(const Member* moves, size_t d) {
+  if (d == 0) return;
+  NodeId max_node = 0;
+  for (size_t i = 0; i < d; ++i) max_node = std::max(max_node, moves[i].node);
+  if (first_move_.size() <= max_node) {
+    first_move_.resize(static_cast<size_t>(max_node) + 1, kNoMove);
+    key_of_.resize(first_move_.size());
+  }
+  // Batch positions, walked backwards: first_move_ ends at each node's
+  // first move, next_move_[i] at the same node's following move.
+  next_move_.resize(d);
+  for (size_t i = d; i-- > 0;) {
+    size_t& first = first_move_[moves[i].node];
+    next_move_[i] = first;
+    first = i;
+  }
+  taken_.assign(std::bit_ceil(2 * d), TakenSlot{U128(), kNoMove});
+
+  // 1. Final keys in batch order, perturbing exact duplicates by the node
+  //    id exactly as a sequential Leave + Join would.
+  placed_.clear();
+  for (size_t i = 0; i < d; ++i) {
+    const Member& move = moves[i];
+    const U128 step =
+        U128::FromU64((static_cast<uint64_t>(move.node) << 1) | 1);
+    U128 k = move.key;
+    size_t old_pos = 0;
+    while (KeyTaken(k, i, &old_pos)) k = k + step;
+    // A slot already holding k belongs to a move whose entry is gone.
+    taken_[TakenSlotOf(k)] = TakenSlot{k, i};
+    if (next_move_[i] == kNoMove) {
+      placed_.push_back(Placement{Member{k, move.node}, old_pos});
     }
-    return;
   }
-  members_.erase(std::remove_if(members_.begin(), members_.end(),
-                                [&](const Member& m) {
-                                  return m.node == node;
-                                }),
-                 members_.end());
-}
 
-void ChordRing::BeginBulk() {
-  if (in_bulk_) return;
-  in_bulk_ = true;
-  bulk_members_.clear();
-  bulk_key_of_.clear();
-  bulk_key_of_.reserve(members_.size());
-  for (const Member& m : members_) {
-    bulk_members_.emplace(m.key, m.node);
-    bulk_key_of_.emplace(m.node, m.key);
+  // 2. Drop every moving node's old entry, found by its key, closing the
+  //    gaps with one block move each.
+  removed_.clear();
+  removed_.reserve(d);
+  for (size_t i = 0; i < d; ++i) {
+    const NodeId node = moves[i].node;
+    if (first_move_[node] != i) continue;  // a node's first move only
+    const size_t pos = EntryOf(node);
+    if (pos != kNoMove) removed_.push_back(pos);
   }
-}
+  for (size_t i = 0; i < d; ++i) first_move_[moves[i].node] = kNoMove;
+  std::sort(removed_.begin(), removed_.end());
+  for (size_t g = 0; g < removed_.size(); ++g) {
+    const auto first = members_.begin();
+    const size_t end =
+        g + 1 < removed_.size() ? removed_[g + 1] : members_.size();
+    std::move(first + removed_[g] + 1, first + end, first + removed_[g] - g);
+  }
+  members_.resize(members_.size() - removed_.size());
 
-void ChordRing::EndBulk() {
-  if (!in_bulk_) return;
-  in_bulk_ = false;
-  members_.clear();
-  members_.reserve(bulk_members_.size());
-  for (const auto& [k, node] : bulk_members_) {
-    members_.push_back(Member{k, node});
+  // 3. Merge the new entries in from the back, in key order (which is also
+  //    old-position order): each one shifts the kept members above it up
+  //    as one block. Its slot among the kept members is its lower bound
+  //    among the old ones less the removed entries before it.
+  std::sort(placed_.begin(), placed_.end(),
+            [](const Placement& a, const Placement& b) {
+              return a.member.key < b.member.key;
+            });
+  size_t old_end = members_.size();
+  members_.resize(old_end + placed_.size());
+  size_t w = members_.size();
+  size_t r = removed_.size();
+  for (size_t p = placed_.size(); p-- > 0;) {
+    const Placement& placement = placed_[p];
+    while (r > 0 && removed_[r - 1] >= placement.old_pos) --r;
+    const size_t lo = placement.old_pos - r;
+    const auto first = members_.begin();
+    std::move_backward(first + lo, first + old_end, first + w);
+    w -= old_end - lo;
+    old_end = lo;
+    members_[--w] = placement.member;
+    key_of_[placement.member.node] = placement.member.key;
   }
-  bulk_members_.clear();
-  bulk_key_of_.clear();
 }
 
 size_t ChordRing::SuccessorIndex(U128 key) const {
   assert(!members_.empty());
   // First member with key >= `key`, wrapping to 0.
-  const auto it = std::lower_bound(
-      members_.begin(), members_.end(), key,
-      [](const Member& m, const U128& k) { return m.key < k; });
+  const auto it =
+      std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
   if (it == members_.end()) return 0;
   return static_cast<size_t>(it - members_.begin());
 }
@@ -97,7 +157,6 @@ size_t ChordRing::SuccessorIndex(U128 key) const {
 StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
                                                     U128 origin_key) const {
   if (members_.empty()) return Status::FailedPrecondition("empty ring");
-  if (in_bulk_) return Status::FailedPrecondition("ring in a bulk window");
 
   // Start at the member owning origin_key (its successor).
   size_t cur = SuccessorIndex(origin_key);

@@ -1,8 +1,7 @@
 #ifndef SBON_DHT_CHORD_H_
 #define SBON_DHT_CHORD_H_
 
-#include <map>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "common/ids.h"
@@ -36,32 +35,30 @@ class ChordRing {
     size_t member_index = 0;     ///< index into sorted membership
   };
 
-  /// Adds a member with the given ring key. Duplicate exact keys are
-  /// perturbed by the node id (low bits) to keep keys unique.
+  /// Moves a node to the given ring key: a Rejoin of one. A node holds at
+  /// most one entry, so joining an existing member replaces its entry.
+  /// Duplicate exact keys are perturbed by the node id (low bits) to keep
+  /// keys unique.
   void Join(U128 key, NodeId node);
-  /// Removes all entries owned by `node`.
+  /// Removes the node's entry, found by one binary search on its key; a
+  /// no-op for a non-member.
   void Leave(NodeId node);
 
-  /// Bulk-update window for mass re-publish (index refresh, bring-up): the
-  /// sorted membership vector makes each Leave/Join O(members) — quadratic
-  /// when every node re-publishes in one refresh. Between BeginBulk and
-  /// EndBulk the membership lives in an ordered map instead, so the same
-  /// Join/Leave sequence (including duplicate-key perturbation, which only
-  /// asks "does this exact key exist?") costs O(log members) per call and
-  /// produces a bit-identical final membership. Lookups and successor walks
-  /// are invalid inside the window (Lookup fails with FailedPrecondition);
-  /// they are valid again as soon as EndBulk returns.
-  void BeginBulk();
-  void EndBulk();
-
-  size_t NumMembers() const {
-    return in_bulk_ ? bulk_members_.size() : members_.size();
+  /// Applies a batch of moves in one sorted rewrite. The final membership
+  /// is bitwise what `Leave(m.node); Join(m.key, m.node)` produces run for
+  /// each move in order — including the duplicate-key perturbation chains,
+  /// and nodes that move more than once. A batch of d moves costs
+  /// O(d log members) searches plus one pass of block moves over the ring,
+  /// instead of an O(members) scan and splice per move.
+  void Rejoin(const std::vector<Member>& moves) {
+    Rejoin(moves.data(), moves.size());
   }
+
+  size_t NumMembers() const { return members_.size(); }
   const std::vector<Member>& members() const { return members_; }
 
   /// Chord-routes from the member owning `origin_key` toward `key`;
-  /// returns successor(key). Requires a non-empty ring outside a bulk
-  /// window.
+  /// returns successor(key). Requires a non-empty ring.
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
 
   /// Lookup starting from the first member (deterministic origin).
@@ -73,15 +70,44 @@ class ChordRing {
   const Member& PredecessorAt(size_t member_index, size_t i) const;
 
  private:
-  // Sorted by key.
+  // Sorted by key; at most one entry per node.
   std::vector<Member> members_;
-  // Bulk-window state: key-sorted membership plus the reverse index Leave
-  // needs (each node holds at most one ring entry — Publish always Leaves
-  // before re-Joining).
-  bool in_bulk_ = false;
-  std::map<U128, NodeId> bulk_members_;
-  std::unordered_map<NodeId, U128> bulk_key_of_;
 
+  // Each member node's ring key, addressed by node id: finds a node's entry
+  // with one binary search. Stale for non-members.
+  std::vector<U128> key_of_;
+
+  // Rejoin scratch, reused across batches (allocation-free in steady
+  // state). `first_move_[node]` is the node's first position in the current
+  // batch (kNoMove outside a batch); `next_move_[i]` is the position of
+  // move i's node's next move; `taken_` maps the keys earlier moves of the
+  // batch received to their move (open addressing); `placed_` holds the
+  // final entry of every moving node with its lower bound among the old
+  // members; `removed_` the old positions of the movers' entries.
+  static constexpr size_t kNoMove = static_cast<size_t>(-1);
+  struct TakenSlot {
+    U128 key;
+    size_t move;
+  };
+  struct Placement {
+    Member member;
+    size_t old_pos;
+  };
+  std::vector<size_t> first_move_;
+  std::vector<size_t> next_move_;
+  std::vector<TakenSlot> taken_;
+  std::vector<Placement> placed_;
+  std::vector<size_t> removed_;
+
+  /// Index of the node's entry in `members_`, or kNoMove.
+  size_t EntryOf(NodeId node) const;
+  /// Rejoin over `d` contiguous moves (Join passes a batch of one).
+  void Rejoin(const Member* moves, size_t d);
+  /// The `taken_` slot holding `key`, or the empty slot it would go to.
+  size_t TakenSlotOf(const U128& key) const;
+  /// True when `key` is held at move `i` of the batch in flight;
+  /// `*old_pos` receives the key's lower bound among the old members.
+  bool KeyTaken(const U128& key, size_t i, size_t* old_pos) const;
   size_t SuccessorIndex(U128 key) const;
 };
 

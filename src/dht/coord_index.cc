@@ -22,15 +22,24 @@ CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
     : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
 
 void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
-  assert(coord.dims() == quantizer_.dims());
-  if (coords_.nodes() <= node) {
-    coords_.EnsureNodes(node + 1);
-    published_.resize(node + 1, false);
+  PublishAll(&node, &coord, 1);
+}
+
+void CoordinateIndex::PublishAll(const NodeId* nodes, const Vec* coords,
+                                 size_t count) {
+  moves_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    const NodeId node = nodes[i];
+    assert(coords[i].dims() == quantizer_.dims());
+    if (coords_.nodes() <= node) {
+      coords_.EnsureNodes(node + 1);
+      published_.resize(node + 1, false);
+    }
+    coords_.SetNode(node, coords[i]);
+    published_[node] = true;
+    moves_.push_back(ChordRing::Member{quantizer_.Key(coords[i]), node});
   }
-  if (published_[node]) ring_.Leave(node);
-  coords_.SetNode(node, coord);
-  published_[node] = true;
-  ring_.Join(quantizer_.Key(coord), node);
+  ring_.Rejoin(moves_);
 }
 
 void CoordinateIndex::Withdraw(NodeId node) {

@@ -1,6 +1,7 @@
 #ifndef SBON_DHT_COORD_INDEX_H_
 #define SBON_DHT_COORD_INDEX_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -58,17 +59,19 @@ class CoordinateIndex {
 
   const HilbertQuantizer& quantizer() const { return quantizer_; }
 
-  /// Publishes (or republishes) a node's coordinate.
+  /// Publishes (or republishes) a node's coordinate: PublishAll of one.
   void Publish(NodeId node, const Vec& coord);
+  /// Publishes (or republishes) coords[i] for nodes[i], in order, as one
+  /// ring Rejoin batch: a mass republish (bring-up, index refresh) costs
+  /// one ring rewrite instead of an O(published) splice per node, and
+  /// builds the ring a node-by-node Publish would have built.
+  void PublishAll(const std::vector<NodeId>& nodes,
+                  const std::vector<Vec>& coords) {
+    assert(nodes.size() == coords.size());
+    PublishAll(nodes.data(), coords.data(), nodes.size());
+  }
   /// Removes a node from the index.
   void Withdraw(NodeId node);
-
-  /// Bulk-update window around mass Publish batches (bring-up, index
-  /// refresh): inside it each Publish costs O(log published) instead of
-  /// O(published), with a bit-identical final ring. Queries fail inside the
-  /// window and are valid again once EndBulkUpdate returns.
-  void BeginBulkUpdate() { ring_.BeginBulk(); }
-  void EndBulkUpdate() { ring_.EndBulk(); }
 
   size_t NumPublished() const { return ring_.NumMembers(); }
 
@@ -76,6 +79,11 @@ class CoordinateIndex {
   /// publish/join traffic through `ring().Lookup` to bill real hop counts
   /// and walk `ring().members()` for successor heartbeats.
   const ChordRing& ring() const { return ring_; }
+
+  /// Published coordinates addressed by node id — the catalog's single
+  /// copy, which the refresh displacement scan diffs against. A withdrawn
+  /// node's slot keeps its last published coordinate.
+  const CoordBlock& published_coords() const { return coords_; }
 
   /// Returns up to `k` published nodes closest to `target` (by true
   /// distance in the indexed space), examining `probe_width` ring members
@@ -129,6 +137,8 @@ class CoordinateIndex {
   // Published coordinates as per-dimension lanes, addressed by node id.
   CoordBlock coords_;
   std::vector<bool> published_;
+  // PublishAll scratch: the ring moves of the batch in flight.
+  std::vector<ChordRing::Member> moves_;
 
   // Reusable query scratch (see class comment). `seen_stamp_[node] ==
   // query_epoch_` marks a node examined by the current WithinRadius walk —
@@ -142,6 +152,8 @@ class CoordinateIndex {
   mutable std::vector<DistNode> pair_scratch_;
   mutable std::vector<NodeId> walk_scratch_;
 
+  /// PublishAll over `count` contiguous (node, coordinate) pairs.
+  void PublishAll(const NodeId* nodes, const Vec* coords, size_t count);
   double DistanceTo(NodeId n, const Vec& target) const;
   /// Starts a WithinRadius walk: bumps the epoch and sizes the stamps.
   void BeginSeenEpoch() const;

@@ -223,9 +223,9 @@ class StreamEngine {
   /// `RefreshIndex()` and the outermost scope's destructor performs one
   /// refresh iff any deployment changed underneath it. SubmitAll opens one
   /// internally (a Q-query batch pays one refresh, not Q); WorkloadEngine
-  /// wraps each departure burst the same way. A no-op on engines built
-  /// without refresh_index_on_install — there the AdvanceEpoch refresh
-  /// stage is the only publisher. Scopes nest.
+  /// wraps each departure burst and each arrival batch the same way. A
+  /// no-op on engines built without refresh_index_on_install — there the
+  /// AdvanceEpoch refresh stage is the only publisher. Scopes nest.
   class DeferRefresh {
    public:
     explicit DeferRefresh(StreamEngine* engine) : engine_(engine) {

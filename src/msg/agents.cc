@@ -152,8 +152,8 @@ void RingAgent::StepEpoch(double epsilon) {
   const dht::CoordinateIndex& index = sbon_->index();
   if (epsilon >= 0.0) {
     displaced_.clear();
-    sbon_->coords().CollectDisplaced(sbon_->overlay_nodes(), epsilon,
-                                     &displaced_);
+    sbon_->mutable_coords().CollectDisplaced(sbon_->overlay_nodes(), epsilon,
+                                             &displaced_);
     for (NodeId n : displaced_) {
       const Vec full = sbon_->cost_space().FullCoord(n);
       const dht::U128 key = index.quantizer().Key(full);

@@ -182,9 +182,9 @@ Status WorkloadEngine::Step() {
   if (repaired > 0) {
     for (const engine::EpochStageTrace& stage : engine_->last_epoch_trace()) {
       if (stage.ran && std::string_view(stage.name) == "churn+repair") {
+        const double per_query = stage.ns / static_cast<double>(repaired);
         Bill([&](WorkloadPhaseStats& s) {
-          s.repair_ns.AddRepeated(stage.ns / static_cast<double>(repaired),
-                                  repaired);
+          for (size_t i = 0; i < repaired; ++i) s.repair_ns.Add(per_query);
         });
         break;
       }
@@ -259,19 +259,21 @@ Status WorkloadEngine::Step() {
     }
 
     size_t submitted = 0, reuse_hits = 0, services_reused = 0;
-    double batch_ns = 0.0;
+    submit_ns_.clear();
     if (!batch.empty()) {
-      const auto start = std::chrono::steady_clock::now();
-      const std::vector<StatusOr<engine::QueryHandle>> handles =
-          engine_->SubmitAll(batch, options_.strategy);
-      batch_ns = NsSince(start);
-      for (size_t i = 0; i < handles.size(); ++i) {
-        if (!handles[i].ok()) continue;
+      // One deferred refresh for the batch, as SubmitAll would open, with
+      // each Submit timed on its own.
+      engine::StreamEngine::DeferRefresh defer(engine_);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const StatusOr<engine::QueryHandle> handle =
+            engine_->Submit(batch[i], options_.strategy);
+        submit_ns_.push_back(NsSince(start));
+        if (!handle.ok()) continue;
         ++submitted;
         departures_.push(
-            Departure{depart_epochs[i], next_seq_++, handles[i].value()});
-        const core::OptimizeResult* result =
-            engine_->ResultOf(handles[i].value());
+            Departure{depart_epochs[i], next_seq_++, handle.value()});
+        const core::OptimizeResult* result = engine_->ResultOf(handle.value());
         if (result != nullptr && result->services_reused > 0) {
           ++reuse_hits;
           services_reused += result->services_reused;
@@ -287,10 +289,7 @@ Status WorkloadEngine::Step() {
       s.submit_failures += failures;
       s.reuse_hits += reuse_hits;
       s.services_reused += services_reused;
-      if (!batch.empty()) {
-        s.placement_ns.AddRepeated(
-            batch_ns / static_cast<double>(batch.size()), batch.size());
-      }
+      s.placement_ns.AddAll(submit_ns_);
     });
   }
 

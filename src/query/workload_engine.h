@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "common/quantile.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/summary.h"
 #include "engine/stream_engine.h"
 #include "query/workload.h"
 
@@ -76,7 +76,7 @@ struct WorkloadEngineOptions {
   uint64_t seed = 1;
 };
 
-/// Counters and latency digests for one measurement phase (the bench cuts
+/// Counters and latency samples for one measurement phase (the bench cuts
 /// the soak into steady / flash-crowd / recovery) and for the whole run.
 struct WorkloadPhaseStats {
   std::string name;
@@ -89,11 +89,14 @@ struct WorkloadPhaseStats {
   size_t departures = 0;  ///< lifetime-expired queries removed
   size_t reuse_hits = 0;  ///< submitted queries that reused >= 1 instance
   size_t services_reused = 0;
-  /// Amortized per-query submit latency (batch wall time / batch size) —
-  /// what a client waits for its handle.
-  LatencyDigest placement_ns;
+  /// Per-query submit latency: each Submit timed on its own — what a
+  /// client waits for its handle. One sample per admitted query; the
+  /// batch's single deferred index refresh is not billed to any query.
+  Summary placement_ns;
   /// Per-repaired-query churn+repair stage latency (churn epochs only).
-  LatencyDigest repair_ns;
+  /// Stays amortized: the stage time divided by the queries it repaired,
+  /// added once per repaired query.
+  Summary repair_ns;
 
   double shed_rate() const {
     return arrivals == 0 ? 0.0
@@ -112,8 +115,10 @@ struct WorkloadPhaseStats {
 /// engine epoch, retires lifetime-expired queries under a single deferred
 /// index refresh, draws this epoch's Poisson arrival count from the
 /// composed rate curve (base x diurnal x flash-crowd), sheds what admission
-/// control refuses, and batch-submits the rest — accumulating SLO
-/// percentiles in O(1) memory however long the soak runs.
+/// control refuses, and submits the rest under one deferred index refresh,
+/// timing each Submit. Latency samples are stored (8 bytes each, in the
+/// phase row and in the totals row), so SLO percentiles are exact order
+/// statistics and monotone in the quantile.
 ///
 /// Deterministic replay: every random draw comes from the engine's seeded
 /// substrate Rngs or this driver's private Rng, in stage order, so a fixed
@@ -195,6 +200,7 @@ class WorkloadEngine {
       departures_;
   WorkloadPhaseStats totals_;
   std::vector<WorkloadPhaseStats> phases_;
+  std::vector<double> submit_ns_;  ///< Step scratch: this epoch's latencies
 };
 
 }  // namespace sbon::query

@@ -233,22 +233,6 @@ TEST(ChordTest, EmptyRingFails) {
   EXPECT_FALSE(ring.Lookup(U128::FromU64(1)).ok());
 }
 
-TEST(ChordTest, LookupInsideBulkWindowFails) {
-  ChordRing ring;
-  ring.Join(U128::FromU64(10), 1);
-  ring.BeginBulk();
-  EXPECT_EQ(ring.Lookup(U128::FromU64(5)).status().code(),
-            StatusCode::kFailedPrecondition);
-  ring.Join(U128::FromU64(20), 2);
-  EXPECT_EQ(ring.Lookup(U128::FromU64(15)).status().code(),
-            StatusCode::kFailedPrecondition);
-  ring.EndBulk();
-  // Routable again as soon as the window closes.
-  auto r = ring.Lookup(U128::FromU64(15));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->node, 2u);
-}
-
 TEST(ChordTest, LeaveRemovesNode) {
   ChordRing ring;
   ring.Join(U128::FromU64(10), 1);
@@ -267,50 +251,114 @@ TEST(ChordTest, DuplicateKeysPerturbed) {
   EXPECT_NE(ring.members()[0].key, ring.members()[1].key);
 }
 
-// The bulk window is a pure performance mode: any Join/Leave sequence —
-// including duplicate-key perturbation chains and leave-then-rejoin — must
-// land on a membership bitwise identical to the sequential vector path.
-TEST(ChordTest, BulkWindowMatchesSequentialMembership) {
-  Rng rng(42);
-  // Random churn script over a small id space so duplicate keys are common.
-  struct Op {
-    bool join;
-    uint64_t key;
-    NodeId node;
-  };
-  std::vector<Op> script;
-  for (int i = 0; i < 400; ++i) {
-    script.push_back(Op{rng.UniformInt(4) != 0,
-                        static_cast<uint64_t>(rng.UniformInt(32)),
-                        static_cast<NodeId>(rng.UniformInt(64))});
+TEST(ChordTest, JoinReplacesExistingEntry) {
+  ChordRing ring;
+  ring.Join(U128::FromU64(10), 1);
+  ring.Join(U128::FromU64(20), 2);
+  ring.Join(U128::FromU64(30), 1);
+  ASSERT_EQ(ring.NumMembers(), 2u);
+  EXPECT_EQ(ring.members()[0].node, 2u);
+  EXPECT_EQ(ring.members()[1].node, 1u);
+  EXPECT_EQ(ring.members()[1].key, U128::FromU64(30));
+  // Rejoining at its own key keeps the key unperturbed: the node's old
+  // entry is gone before the new one is placed.
+  ring.Join(U128::FromU64(30), 1);
+  ASSERT_EQ(ring.NumMembers(), 2u);
+  EXPECT_EQ(ring.members()[1].key, U128::FromU64(30));
+  auto r = ring.Lookup(U128::FromU64(5));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->node, 2u);
+}
+
+// The sequential vector membership Rejoin replaces, kept as the reference:
+// Leave drops the node's entries; Join perturbs an exact duplicate key by
+// the node id until it is free, then splices the entry in at its lower
+// bound.
+struct ReferenceRing {
+  std::vector<ChordRing::Member> members;
+
+  void Leave(NodeId node) {
+    members.erase(std::remove_if(members.begin(), members.end(),
+                                 [&](const ChordRing::Member& m) {
+                                   return m.node == node;
+                                 }),
+                  members.end());
   }
-  ChordRing seq, bulk;
-  bulk.BeginBulk();
-  for (const Op& op : script) {
-    // A node holds at most one entry (the CoordinateIndex invariant the
-    // bulk path relies on): leave before every join.
-    if (op.join) {
-      seq.Leave(op.node);
-      seq.Join(U128::FromU64(op.key), op.node);
-      bulk.Leave(op.node);
-      bulk.Join(U128::FromU64(op.key), op.node);
-    } else {
-      seq.Leave(op.node);
-      bulk.Leave(op.node);
+  void Join(U128 key, NodeId node) {
+    const auto key_less = [](const ChordRing::Member& m, const U128& k) {
+      return m.key < k;
+    };
+    U128 k = key;
+    auto pos = std::lower_bound(members.begin(), members.end(), k, key_less);
+    while (pos != members.end() && pos->key == k) {
+      k = k + U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
+      pos = std::lower_bound(members.begin(), members.end(), k, key_less);
+    }
+    members.insert(pos, ChordRing::Member{k, node});
+  }
+};
+
+// Rejoin is one sorted rewrite with the sequential result: for any batch —
+// duplicate-key perturbation chains, a requested key still held by a node
+// that moves later in the batch, a node moving twice — the membership is
+// bitwise what Leave + Join per move produces. Keys in [0, 24) over 32
+// nodes make all three common; interleaved Leaves shrink the ring between
+// batches.
+TEST(ChordTest, RejoinMatchesSequentialMembership) {
+  size_t perturbed = 0, held_by_later_mover = 0, moved_twice = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ReferenceRing ref;
+    ChordRing ring;
+    for (int step = 0; step < 60; ++step) {
+      if (rng.UniformInt(5) == 0) {
+        const NodeId node = static_cast<NodeId>(rng.UniformInt(32));
+        ref.Leave(node);
+        ring.Leave(node);
+      } else {
+        std::vector<ChordRing::Member> moves(1 + rng.UniformInt(12));
+        for (ChordRing::Member& m : moves) {
+          m.key = U128::FromU64(rng.UniformInt(24));
+          m.node = static_cast<NodeId>(rng.UniformInt(32));
+        }
+        // Coverage: the cases the batch key assignment must get right.
+        for (size_t i = 0; i < moves.size(); ++i) {
+          for (size_t j = i + 1; j < moves.size(); ++j) {
+            if (moves[j].node == moves[i].node) ++moved_twice;
+          }
+          for (const ChordRing::Member& old : ref.members) {
+            if (old.key != moves[i].key) continue;
+            bool moves_later = false, moved_before = false;
+            for (size_t j = 0; j < moves.size(); ++j) {
+              if (moves[j].node != old.node) continue;
+              (j > i ? moves_later : moved_before) = true;
+            }
+            if (moves_later && !moved_before) ++held_by_later_mover;
+          }
+        }
+        for (const ChordRing::Member& m : moves) {
+          ref.Leave(m.node);
+          ref.Join(m.key, m.node);
+          const auto it = std::find_if(
+              ref.members.begin(), ref.members.end(),
+              [&](const ChordRing::Member& e) { return e.node == m.node; });
+          if (it->key != m.key) ++perturbed;
+        }
+        ring.Rejoin(moves);
+      }
+      ASSERT_EQ(ring.NumMembers(), ref.members.size()) << "step " << step;
+      for (size_t i = 0; i < ref.members.size(); ++i) {
+        EXPECT_EQ(ring.members()[i].key, ref.members[i].key)
+            << "step " << step << " entry " << i;
+        EXPECT_EQ(ring.members()[i].node, ref.members[i].node)
+            << "step " << step << " entry " << i;
+      }
     }
   }
-  bulk.EndBulk();
-  ASSERT_EQ(seq.NumMembers(), bulk.NumMembers());
-  for (size_t i = 0; i < seq.NumMembers(); ++i) {
-    EXPECT_EQ(seq.members()[i].key, bulk.members()[i].key) << "entry " << i;
-    EXPECT_EQ(seq.members()[i].node, bulk.members()[i].node) << "entry " << i;
-  }
-  // Idempotent re-entry and empty windows are no-ops.
-  bulk.BeginBulk();
-  bulk.BeginBulk();
-  bulk.EndBulk();
-  bulk.EndBulk();
-  EXPECT_EQ(seq.NumMembers(), bulk.NumMembers());
+  EXPECT_GT(perturbed, 0u);
+  EXPECT_GT(held_by_later_mover, 0u);
+  EXPECT_GT(moved_twice, 0u);
 }
 
 class ChordPropertyTest : public ::testing::TestWithParam<size_t> {};
@@ -527,6 +575,60 @@ TEST(CoordinateIndexTest, RepublishMovesNode) {
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->node, 0u);
   EXPECT_EQ(idx.NumPublished(), 2u);
+}
+
+// A batch publish builds the ring a node-by-node Publish would. With two
+// Hilbert bits per dimension the 2-D box has only 16 cells, so most keys
+// collide and the batch must reproduce every perturbation chain.
+TEST(CoordinateIndexTest, PublishAllMatchesOneByOnePublish) {
+  Rng rng(7);
+  std::vector<NodeId> nodes;
+  std::vector<Vec> coords;
+  for (NodeId n = 0; n < 60; ++n) {
+    nodes.push_back(n);
+    coords.push_back(Vec{rng.Uniform(0, 100), rng.Uniform(0, 100)});
+  }
+  const HilbertQuantizer q = HilbertQuantizer::FitTo(coords, 2);
+  CoordinateIndex batch(q), single(q);
+  auto expect_same = [&]() {
+    ASSERT_EQ(batch.NumPublished(), single.NumPublished());
+    for (size_t i = 0; i < batch.NumPublished(); ++i) {
+      EXPECT_EQ(batch.ring().members()[i].key, single.ring().members()[i].key);
+      EXPECT_EQ(batch.ring().members()[i].node,
+                single.ring().members()[i].node);
+    }
+    for (int rep = 0; rep < 20; ++rep) {
+      const Vec target{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+      auto a = batch.KNearest(target, 5, 4);
+      auto b = single.KNearest(target, 5, 4);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      ASSERT_EQ(a->size(), b->size());
+      for (size_t i = 0; i < a->size(); ++i) {
+        EXPECT_EQ((*a)[i].node, (*b)[i].node);
+        EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
+      }
+    }
+  };
+  batch.PublishAll(nodes, coords);
+  for (size_t i = 0; i < nodes.size(); ++i) single.Publish(nodes[i], coords[i]);
+  expect_same();
+
+  // Republish a subset (one node twice) after a withdrawal.
+  batch.Withdraw(3);
+  single.Withdraw(3);
+  std::vector<NodeId> moved;
+  std::vector<Vec> moved_coords;
+  for (NodeId n : {5u, 3u, 40u, 5u, 12u, 59u}) {
+    moved.push_back(n);
+    moved_coords.push_back(Vec{rng.Uniform(0, 100), rng.Uniform(0, 100)});
+  }
+  batch.PublishAll(moved, moved_coords);
+  for (size_t i = 0; i < moved.size(); ++i) {
+    single.Publish(moved[i], moved_coords[i]);
+  }
+  expect_same();
+  EXPECT_EQ(batch.NumPublished(), 60u);
 }
 
 TEST(CoordinateIndexTest, ExcludeSkipsNodes) {

@@ -1,5 +1,5 @@
 // Tests of the open-loop workload layer (ctest label `workload`): the
-// P²-digest plumbing in query::WorkloadEngine, admission-control shedding,
+// per-query latency samples in query::WorkloadEngine, admission-control shedding,
 // deterministic thread-count-independent replay, the validated workload
 // generator factories, and the batched-refresh semantics of
 // StreamEngine::SubmitAll / DeferRefresh.
@@ -311,8 +311,10 @@ TEST(WorkloadEngine, AccountingIdentitiesHoldOverASoak) {
   EXPECT_EQ(t.admitted, t.submitted + t.submit_failures);
   EXPECT_EQ(w_eng.running(), t.submitted - t.departures);
   EXPECT_EQ(t.placement_ns.count(), t.admitted);
-  EXPECT_GT(t.placement_ns.p95(), 0.0);
-  EXPECT_GE(t.placement_ns.p95(), t.placement_ns.p50());
+  EXPECT_GT(t.placement_ns.Percentile(95), 0.0);
+  EXPECT_GE(t.placement_ns.Percentile(95), t.placement_ns.Percentile(50));
+  EXPECT_GE(t.placement_ns.Percentile(99), t.placement_ns.Percentile(95));
+  EXPECT_GE(t.placement_ns.Max(), t.placement_ns.Percentile(99));
 
   // Phase rows partition the totals.
   ASSERT_EQ(w_eng.phases().size(), 3u);
