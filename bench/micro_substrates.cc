@@ -14,12 +14,16 @@
 namespace sbon {
 namespace {
 
+// 64k distinct cells: a few hundred would let the branch predictor learn
+// the data-dependent branches of the inputs, which real traffic never
+// repeats.
 void BM_HilbertEncode(benchmark::State& state) {
   const unsigned dims = static_cast<unsigned>(state.range(0));
   const unsigned bits = 10;
+  constexpr size_t kInputs = size_t{1} << 16;
   Rng rng(1);
   std::vector<std::vector<uint32_t>> inputs;
-  for (int i = 0; i < 256; ++i) {
+  for (size_t i = 0; i < kInputs; ++i) {
     std::vector<uint32_t> axes(dims);
     for (auto& a : axes) {
       a = static_cast<uint32_t>(rng.UniformInt(uint64_t{1} << bits));
@@ -28,7 +32,8 @@ void BM_HilbertEncode(benchmark::State& state) {
   }
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dht::HilbertEncode(inputs[i & 255], bits));
+    benchmark::DoNotOptimize(
+        dht::HilbertEncode(inputs[i & (kInputs - 1)], bits));
     ++i;
   }
 }
@@ -70,6 +75,64 @@ void BM_ChordLookup(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(hops) / lookups);
 }
 BENCHMARK(BM_ChordLookup)->Arg(64)->Arg(256)->Arg(1024);
+
+// Ring updates at the size of the suite's overlay (496 members) with
+// 30-bit keys, the key width of a 3-dim, 10-bit Hilbert index.
+constexpr size_t kRingMembers = 496;
+
+dht::U128 RandomRingKey(Rng* rng) {
+  return dht::U128::FromU64(rng->Next() & ((uint64_t{1} << 30) - 1));
+}
+
+dht::ChordRing MakeRing(Rng* rng) {
+  dht::ChordRing ring;
+  for (size_t i = 0; i < kRingMembers; ++i) {
+    ring.Join(RandomRingKey(rng), static_cast<NodeId>(i));
+  }
+  return ring;
+}
+
+// Every member moves in one batch, in random order: a refresh at ε=1.
+void BM_RejoinFullRing(benchmark::State& state) {
+  Rng rng(8);
+  dht::ChordRing ring = MakeRing(&rng);
+  std::vector<std::vector<dht::ChordRing::Member>> batches(64);
+  for (auto& batch : batches) {
+    for (size_t i = 0; i < kRingMembers; ++i) {
+      batch.push_back({RandomRingKey(&rng), static_cast<NodeId>(i)});
+    }
+    for (size_t i = batch.size(); i-- > 1;) {
+      std::swap(batch[i], batch[rng.UniformInt(i + 1)]);
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    ring.Rejoin(batches[i++ & 63]);
+    benchmark::DoNotOptimize(ring.members().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RejoinFullRing);
+
+// One member moves: a message-mode publish.
+void BM_RejoinOne(benchmark::State& state) {
+  Rng rng(9);
+  dht::ChordRing ring = MakeRing(&rng);
+  constexpr size_t kMoves = size_t{1} << 16;
+  std::vector<dht::ChordRing::Member> moves;
+  for (size_t i = 0; i < kMoves; ++i) {
+    moves.push_back({RandomRingKey(&rng),
+                     static_cast<NodeId>(rng.UniformInt(kRingMembers))});
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const dht::ChordRing::Member& m = moves[i++ & (kMoves - 1)];
+    ring.Join(m.key, m.node);
+    benchmark::DoNotOptimize(ring.members().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RejoinOne);
 
 dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
   std::vector<Vec> coords;

@@ -51,11 +51,10 @@ size_t ChordRing::TakenSlotOf(const U128& key) const {
   return h;
 }
 
-bool ChordRing::KeyTaken(const U128& key, size_t i, size_t* old_pos) const {
+bool ChordRing::KeyTaken(const U128& key, size_t i) const {
   // An old entry is still live at move i unless its node already moved.
   const auto pos =
       std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
-  *old_pos = static_cast<size_t>(pos - members_.begin());
   if (pos != members_.end() && pos->key == key &&
       first_move_[pos->node] > i) {
     return true;
@@ -91,57 +90,45 @@ void ChordRing::Rejoin(const Member* moves, size_t d) {
     const U128 step =
         U128::FromU64((static_cast<uint64_t>(move.node) << 1) | 1);
     U128 k = move.key;
-    size_t old_pos = 0;
-    while (KeyTaken(k, i, &old_pos)) k = k + step;
+    while (KeyTaken(k, i)) k = k + step;
     // A slot already holding k belongs to a move whose entry is gone.
     taken_[TakenSlotOf(k)] = TakenSlot{k, i};
-    if (next_move_[i] == kNoMove) {
-      placed_.push_back(Placement{Member{k, move.node}, old_pos});
-    }
+    if (next_move_[i] == kNoMove) placed_.push_back(Member{k, move.node});
   }
 
-  // 2. Drop every moving node's old entry, found by its key, closing the
-  //    gaps with one block move each.
-  removed_.clear();
-  removed_.reserve(d);
-  for (size_t i = 0; i < d; ++i) {
-    const NodeId node = moves[i].node;
-    if (first_move_[node] != i) continue;  // a node's first move only
-    const size_t pos = EntryOf(node);
-    if (pos != kNoMove) removed_.push_back(pos);
+  // 2. Drop every moving node's old entry in one pass over the ring,
+  //    closing the gaps with one block move each (every member's node has
+  //    a first_move_ slot: it joined through here).
+  const auto moving = [&](const Member& m) {
+    return first_move_[m.node] != kNoMove;
+  };
+  const auto end = members_.end();
+  auto kept_end = std::find_if(members_.begin(), end, moving);
+  for (auto r = kept_end; r != end;) {
+    const auto next = std::find_if(++r, end, moving);
+    kept_end = std::move(r, next, kept_end);
+    r = next;
   }
+  members_.erase(kept_end, end);
   for (size_t i = 0; i < d; ++i) first_move_[moves[i].node] = kNoMove;
-  std::sort(removed_.begin(), removed_.end());
-  for (size_t g = 0; g < removed_.size(); ++g) {
-    const auto first = members_.begin();
-    const size_t end =
-        g + 1 < removed_.size() ? removed_[g + 1] : members_.size();
-    std::move(first + removed_[g] + 1, first + end, first + removed_[g] - g);
-  }
-  members_.resize(members_.size() - removed_.size());
 
-  // 3. Merge the new entries in from the back, in key order (which is also
-  //    old-position order): each one shifts the kept members above it up
-  //    as one block. Its slot among the kept members is its lower bound
-  //    among the old ones less the removed entries before it.
+  // 3. Merge the new entries in from the back, in key order: each one
+  //    shifts the kept members above its lower bound up as one block.
   std::sort(placed_.begin(), placed_.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.member.key < b.member.key;
-            });
+            [](const Member& a, const Member& b) { return a.key < b.key; });
   size_t old_end = members_.size();
   members_.resize(old_end + placed_.size());
   size_t w = members_.size();
-  size_t r = removed_.size();
   for (size_t p = placed_.size(); p-- > 0;) {
-    const Placement& placement = placed_[p];
-    while (r > 0 && removed_[r - 1] >= placement.old_pos) --r;
-    const size_t lo = placement.old_pos - r;
+    const Member& member = placed_[p];
     const auto first = members_.begin();
-    std::move_backward(first + lo, first + old_end, first + w);
-    w -= old_end - lo;
-    old_end = lo;
-    members_[--w] = placement.member;
-    key_of_[placement.member.node] = placement.member.key;
+    const auto lo = std::lower_bound(first, first + old_end, member.key,
+                                     KeyLess);
+    std::move_backward(lo, first + old_end, first + w);
+    w -= static_cast<size_t>(first + old_end - lo);
+    old_end = static_cast<size_t>(lo - first);
+    members_[--w] = member;
+    key_of_[member.node] = member.key;
   }
 }
 

@@ -47,9 +47,12 @@ class ChordRing {
   /// Applies a batch of moves in one sorted rewrite. The final membership
   /// is bitwise what `Leave(m.node); Join(m.key, m.node)` produces run for
   /// each move in order — including the duplicate-key perturbation chains,
-  /// and nodes that move more than once. A batch of d moves costs
-  /// O(d log members) searches plus one pass of block moves over the ring,
-  /// instead of an O(members) scan and splice per move.
+  /// and nodes that move more than once. A batch of d moves costs one
+  /// linear pass that drops the movers' old entries, a sort of the d new
+  /// entries, a binary search per key a move tries and one per new entry
+  /// to find its slot, where one block move places it:
+  /// O(members + d log members), with no per-move search for a node's old
+  /// entry.
   void Rejoin(const std::vector<Member>& moves) {
     Rejoin(moves.data(), moves.size());
   }
@@ -82,22 +85,16 @@ class ChordRing {
   // batch (kNoMove outside a batch); `next_move_[i]` is the position of
   // move i's node's next move; `taken_` maps the keys earlier moves of the
   // batch received to their move (open addressing); `placed_` holds the
-  // final entry of every moving node with its lower bound among the old
-  // members; `removed_` the old positions of the movers' entries.
+  // final entry of every moving node.
   static constexpr size_t kNoMove = static_cast<size_t>(-1);
   struct TakenSlot {
     U128 key;
     size_t move;
   };
-  struct Placement {
-    Member member;
-    size_t old_pos;
-  };
   std::vector<size_t> first_move_;
   std::vector<size_t> next_move_;
   std::vector<TakenSlot> taken_;
-  std::vector<Placement> placed_;
-  std::vector<size_t> removed_;
+  std::vector<Member> placed_;
 
   /// Index of the node's entry in `members_`, or kNoMove.
   size_t EntryOf(NodeId node) const;
@@ -105,9 +102,8 @@ class ChordRing {
   void Rejoin(const Member* moves, size_t d);
   /// The `taken_` slot holding `key`, or the empty slot it would go to.
   size_t TakenSlotOf(const U128& key) const;
-  /// True when `key` is held at move `i` of the batch in flight;
-  /// `*old_pos` receives the key's lower bound among the old members.
-  bool KeyTaken(const U128& key, size_t i, size_t* old_pos) const;
+  /// True when `key` is held at move `i` of the batch in flight.
+  bool KeyTaken(const U128& key, size_t i) const;
   size_t SuccessorIndex(U128 key) const;
 };
 

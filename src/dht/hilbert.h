@@ -16,14 +16,29 @@ namespace sbon::dht {
 /// paper [20, 21] uses it to turn multi-dimensional cost-space coordinates
 /// into one-dimensional DHT keys.
 ///
-/// Constraints: dims >= 1, bits >= 1, dims * bits <= 128.
+/// Encoding gives Skilling's keys bit for bit by one of two paths, chosen by
+/// `dims`:
+///  - dims <= 4: Skilling's axes-to-transpose pass is a finite-state
+///    transducer over the levels, top bit first. Its state is the signed
+///    permutation of the axes that the higher levels' moves applied to the
+///    lower bits, plus the Gray-code parity of the higher levels (2, 8, 48
+///    and 384 reachable states for dims 1..4). A table of
+///    (state, the level's dims bits) -> (next state, dims-bit digit), built
+///    once per dims by BFS on first use, encodes one level per lookup
+///    (cf. Hamilton & Rau-Chaplin's compact Hilbert indices, 2008).
+///  - dims > 4: Skilling's pass with masks in place of its data-dependent
+///    branches, interleaving the transpose straight into the key's words.
+/// Decoding runs Skilling's inverse pass.
+///
+/// Constraints: dims >= 1, 1 <= bits <= 32 (axes are uint32_t),
+/// dims * bits <= 128.
 
 /// Maps grid coordinates (each < 2^bits) to the Hilbert index.
 U128 HilbertEncode(const std::vector<uint32_t>& axes, unsigned bits);
 
 /// Allocation-free form of HilbertEncode: reads the `n` axes from `axes`
-/// and clobbers them in place as working storage (key derivation sits on
-/// the per-query hot path, where a heap round-trip per key would dominate).
+/// and may clobber them as working storage (key derivation sits on the
+/// per-query hot path, where a heap round-trip per key would dominate).
 U128 HilbertEncodeInPlace(uint32_t* axes, unsigned n, unsigned bits);
 
 /// Maps a Hilbert index back to grid coordinates.
@@ -36,7 +51,8 @@ std::vector<uint32_t> HilbertDecode(U128 index, unsigned dims, unsigned bits);
 class HilbertQuantizer {
  public:
   /// Builds a quantizer for `dims` dimensions over [lo[i], hi[i]] per dim,
-  /// with 2^bits cells per dimension.
+  /// with 2^bits cells per dimension. Requires 1 <= bits <= 31 (the cell
+  /// count 2^bits is a uint32_t) and dims * bits <= 128.
   HilbertQuantizer(std::vector<double> lo, std::vector<double> hi,
                    unsigned bits);
 

@@ -38,6 +38,11 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
   if (options.hilbert_bits < 1 || options.hilbert_bits > 16) {
     return Status::InvalidArgument("hilbert_bits must be in [1, 16]");
   }
+  if (options.space_spec.total_dims() > 128 / options.hilbert_bits) {
+    // A coordinate's Hilbert key is a U128: total_dims * hilbert_bits bits.
+    return Status::InvalidArgument(
+        "space_spec.total_dims() * hilbert_bits must be <= 128");
+  }
   if (options.load_per_byte_per_s <= 0.0) {
     return Status::InvalidArgument("load_per_byte_per_s must be > 0");
   }

@@ -58,7 +58,8 @@ class Sbon {
     coords::VivaldiSystem::Params vivaldi_params;
     coords::VivaldiRunOptions vivaldi_run;
     /// Hilbert-curve resolution of the coordinate index, in [1, 16] bits
-    /// per dimension (validated at Create).
+    /// per dimension, with space_spec.total_dims() * hilbert_bits <= 128
+    /// so a key fits a U128 (both validated at Create).
     unsigned hilbert_bits = 10;
     net::LoadModel::Params load_params;
     /// Load a service adds to its host per (byte/s) of input it processes.

@@ -361,6 +361,67 @@ TEST(ChordTest, RejoinMatchesSequentialMembership) {
   EXPECT_GT(moved_twice, 0u);
 }
 
+// Applies `moves` to both rings (Rejoin vs Leave + Join per move) and
+// checks the memberships are bitwise equal.
+void ExpectRejoinMatchesReference(const std::vector<ChordRing::Member>& moves,
+                                  ChordRing* ring, ReferenceRing* ref) {
+  for (const ChordRing::Member& m : moves) {
+    ref->Leave(m.node);
+    ref->Join(m.key, m.node);
+  }
+  ring->Rejoin(moves);
+  ASSERT_EQ(ring->NumMembers(), ref->members.size());
+  for (size_t i = 0; i < ref->members.size(); ++i) {
+    ASSERT_EQ(ring->members()[i].key, ref->members[i].key) << "entry " << i;
+    ASSERT_EQ(ring->members()[i].node, ref->members[i].node) << "entry " << i;
+  }
+}
+
+// The refresh batch at ε=1: every member of a 496-node ring moves at once,
+// in random order, some nodes twice, with keys from [0, 600) so perturbation
+// chains run through keys the old and the new entries both hold. Then
+// single moves on the same full ring, the message-mode publish.
+TEST(ChordTest, FullRingAndSingleMoveRejoinMatchSequential) {
+  constexpr size_t kNodes = 496;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto random_key = [&] { return U128::FromU64(rng.UniformInt(600)); };
+    ChordRing ring;
+    ReferenceRing ref;
+    std::vector<ChordRing::Member> moves;
+    for (size_t i = 0; i < kNodes; ++i) {
+      moves.push_back({random_key(), static_cast<NodeId>(i)});
+    }
+    ExpectRejoinMatchesReference(moves, &ring, &ref);
+    size_t perturbed = 0;
+    for (const ChordRing::Member& m : ring.members()) {
+      if (m.key != moves[m.node].key) ++perturbed;
+    }
+    EXPECT_GT(perturbed, 0u);
+    for (int batch = 0; batch < 3; ++batch) {
+      moves.clear();
+      for (size_t i = 0; i < kNodes; ++i) {
+        moves.push_back({random_key(), static_cast<NodeId>(i)});
+      }
+      for (int twice = 0; twice < 40; ++twice) {
+        moves.push_back({random_key(),
+                         static_cast<NodeId>(rng.UniformInt(kNodes))});
+      }
+      for (size_t i = moves.size(); i-- > 1;) {
+        std::swap(moves[i], moves[rng.UniformInt(i + 1)]);
+      }
+      ExpectRejoinMatchesReference(moves, &ring, &ref);
+    }
+    for (int one = 0; one < 200; ++one) {
+      ExpectRejoinMatchesReference(
+          {{random_key(), static_cast<NodeId>(rng.UniformInt(kNodes))}},
+          &ring, &ref);
+    }
+    EXPECT_EQ(ring.NumMembers(), kNodes);
+  }
+}
+
 class ChordPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ChordPropertyTest, LookupMatchesSortedMapOracle) {

@@ -217,6 +217,12 @@ TEST(SbonTest, CreateValidatesOptions) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(create([](Sbon::Options* o) { o->hilbert_bits = 17; }).code(),
             StatusCode::kInvalidArgument);
+  // 9 dims x 16 bits needs a 144-bit key.
+  EXPECT_EQ(create([](Sbon::Options* o) {
+              o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(8);
+              o->hilbert_bits = 16;
+            }).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(create([](Sbon::Options* o) { o->load_per_byte_per_s = 0.0; })
                 .code(),
             StatusCode::kInvalidArgument);
@@ -227,6 +233,10 @@ TEST(SbonTest, CreateValidatesOptions) {
   // Boundary values are legal.
   EXPECT_TRUE(create([](Sbon::Options* o) { o->hilbert_bits = 1; }).ok());
   EXPECT_TRUE(create([](Sbon::Options* o) { o->hilbert_bits = 16; }).ok());
+  EXPECT_TRUE(create([](Sbon::Options* o) {
+                o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(7);
+                o->hilbert_bits = 16;
+              }).ok());
   EXPECT_TRUE(
       create([](Sbon::Options* o) { o->latency_jitter_sigma = 0.0; }).ok());
 }
