@@ -7,8 +7,9 @@
 // Emits machine-readable JSON via --json=PATH (schema documented in the
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
-// verifies, via a global allocation counter, that the Vivaldi update and
-// KNearest inner loops are heap-free per call in steady state, and the
+// verifies, via a global allocation counter, that the Vivaldi update,
+// KNearest and RelaxationPlacer::Place inner loops are heap-free per call in
+// steady state (the run fails otherwise), and the
 // `kernels` section times the three SoA hot kernels standalone, failing
 // the run if any of them allocates. Their bit-identity against the pre-SoA
 // per-Vec references is pinned by tests/simd_equivalence_test.cc (ctest
@@ -87,6 +88,9 @@
 #include "net/churn.h"
 #include "net/shortest_path.h"
 #include "net/fabric.h"
+#include "overlay/circuit.h"
+#include "placement/relaxation.h"
+#include "query/enumerate.h"
 #include "query/workload.h"
 
 // ---------------------------------------------------------------------------
@@ -134,6 +138,7 @@ double NsSince(Clock::time_point start) {
 struct EpochLoopResult {
   double ns_per_epoch = 0.0;
   double ns_per_submit = 0.0;  // initial submission, per query
+  double allocs_per_submit = 0.0;  // initial submission, per query
   double allocs_per_epoch = 0.0;
   double live_reads_per_epoch = 0.0;  // fabric live reads inside AdvanceEpoch
   size_t queries_running = 0;
@@ -172,14 +177,18 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
 
   EpochLoopResult out;
   std::vector<engine::QueryHandle> handles;
+  handles.reserve(specs.size());
+  const uint64_t submit_allocs_before = g_alloc_count;
   const Clock::time_point submit_start = Clock::now();
   for (const query::QuerySpec& spec : specs) {
     auto h = eng->Submit(spec);
     if (h.ok()) handles.push_back(*h);
   }
-  out.ns_per_submit =
-      NsSince(submit_start) / static_cast<double>(std::max<size_t>(
-                                  1, handles.size()));
+  const double submitted =
+      static_cast<double>(std::max<size_t>(1, handles.size()));
+  out.ns_per_submit = NsSince(submit_start) / submitted;
+  out.allocs_per_submit =
+      static_cast<double>(g_alloc_count - submit_allocs_before) / submitted;
   out.queries_running = handles.size();
   if (handles.empty()) return out;
 
@@ -589,6 +598,33 @@ double MeasureKNearestAllocs(const overlay::Sbon& sbon) {
          static_cast<double>(kRounds);
 }
 
+// Allocations per RelaxationPlacer::Place on a warm circuit (one already
+// placed once, so its virtual coordinates are sized) in steady state (must
+// be 0).
+double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
+  Rng rng(11);
+  query::WorkloadParams wp;
+  wp.num_streams = 16;
+  wp.min_streams_per_query = 5;
+  wp.max_streams_per_query = 5;
+  const query::Catalog catalog =
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &rng).value();
+  const query::QuerySpec spec =
+      query::MakeRandomQuery(wp, catalog, sbon.overlay_nodes(), &rng).value();
+  auto plans = query::EnumeratePlans(spec, catalog, {}).value();
+  overlay::Circuit circuit =
+      overlay::Circuit::FromPlan(std::move(plans[0]), catalog).value();
+  const placement::RelaxationPlacer placer;
+  (void)placer.Place(&circuit, sbon.cost_space());  // warm-up
+  const size_t before = g_alloc_count;
+  constexpr size_t kRounds = 2000;
+  for (size_t i = 0; i < kRounds; ++i) {
+    (void)placer.Place(&circuit, sbon.cost_space());
+  }
+  return static_cast<double>(g_alloc_count - before) /
+         static_cast<double>(kRounds);
+}
+
 // ---------------------------------------------------------------------------
 // Hot-kernel microbenchmarks: each production kernel timed standalone on a
 // fixed schedule, with its steady-state heap allocations counted (must be
@@ -754,7 +790,7 @@ int main(int argc, char** argv) {
   sbon::EpochLoopResult primary, eps0, churned;
   sbon::PipelineRunResult pipe1, pipeN;
   bool bit_identical = true;
-  double vivaldi_allocs = 0.0, knearest_allocs = 0.0;
+  double vivaldi_allocs = 0.0, knearest_allocs = 0.0, place_allocs = 0.0;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
   struct NamedKb {
     const char* name;
@@ -849,14 +885,19 @@ int main(int argc, char** argv) {
     auto audit_sbon = sbon::bench::MakeTransitStubSbon(
         sbon::bench::Nodes(200), /*seed=*/7);
     knearest_allocs = sbon::MeasureKNearestAllocs(*audit_sbon);
+    place_allocs = sbon::MeasurePlaceAllocs(*audit_sbon);
     std::printf("allocs/VivaldiSystem::Update = %g (want 0)\n",
                 vivaldi_allocs);
     std::printf("allocs/KNearestInto          = %g (want 0)\n",
                 knearest_allocs);
-    if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0) {
+    std::printf("allocs/RelaxationPlacer::Place = %g (want 0)\n",
+                place_allocs);
+    if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0 ||
+        place_allocs != 0.0) {
       std::fprintf(stderr,
-                   "FAIL: hot loops allocate (vivaldi=%g knearest=%g)\n",
-                   vivaldi_allocs, knearest_allocs);
+                   "FAIL: hot loops allocate (vivaldi=%g knearest=%g "
+                   "place=%g)\n",
+                   vivaldi_allocs, knearest_allocs, place_allocs);
       return 1;
     }
 
@@ -1105,6 +1146,7 @@ int main(int argc, char** argv) {
           "  \"refresh_epsilon\": %g,\n"
           "  \"ns_per_epoch\": %.1f,\n"
           "  \"ns_per_submit\": %.1f,\n"
+          "  \"allocs_per_submit\": %.1f,\n"
           "  \"ns_per_epoch_eps0\": %.1f,\n"
           "  \"allocs_per_epoch\": %.1f,\n"
           "  \"live_reads_per_epoch\": %.1f,\n"
@@ -1114,6 +1156,7 @@ int main(int argc, char** argv) {
           "  \"refreshes\": %zu,\n"
           "  \"allocs_per_vivaldi_update\": %g,\n"
           "  \"allocs_per_knearest\": %g,\n"
+          "  \"allocs_per_place\": %g,\n"
           "  \"parallel\": {\n"
           "    \"hw_threads\": %zu,\n"
           "    \"threads\": %zu,\n"
@@ -1135,11 +1178,13 @@ int main(int argc, char** argv) {
           "    \"queries_dropped\": %zu\n"
           "  },\n",
           epsilon, primary.ns_per_epoch, primary.ns_per_submit,
-          eps0.ns_per_epoch, primary.allocs_per_epoch,
+          primary.allocs_per_submit, eps0.ns_per_epoch,
+          primary.allocs_per_epoch,
           primary.live_reads_per_epoch, primary.refresh.republished,
           primary.refresh.skipped, primary.refresh.quiet_refreshes,
           primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, hw_threads, par_threads,
+          vivaldi_allocs, knearest_allocs, place_allocs, hw_threads,
+          par_threads,
           pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,
           speedup_measurable ? "ok" : "skipped-single-core",
           bit_identical ? "true" : "false", churn_rate, churned.ns_per_epoch,

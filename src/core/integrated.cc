@@ -22,8 +22,8 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
   size_t placements = 0;
   placement::MappingReport mapping_total;
 
-  for (const query::LogicalPlan& plan : *plans) {
-    auto circuit = overlay::Circuit::FromPlan(plan, catalog);
+  for (query::LogicalPlan& plan : *plans) {
+    auto circuit = overlay::Circuit::FromPlan(std::move(plan), catalog);
     if (!circuit.ok()) return circuit.status();
     placement::MappingReport report;
     Status st = PlaceAndMap(&circuit.value(), sbon, *placer_,

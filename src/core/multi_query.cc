@@ -1,7 +1,6 @@
 #include "core/multi_query.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "core/two_step.h"
@@ -60,9 +59,14 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
   std::vector<const overlay::ServiceInstance*> inst_scratch;
   std::vector<NodeId> host_scratch;
   std::vector<double> dist_scratch;
+  std::vector<int> order;
+  std::vector<ReuseCandidate> cands;
+  if (sphere_stamp_.size() < sbon->cost_space().NumNodes()) {
+    sphere_stamp_.resize(sbon->cost_space().NumNodes(), 0);
+  }
 
-  for (const query::LogicalPlan& plan : *plans) {
-    auto base = overlay::Circuit::FromPlan(plan, catalog);
+  for (query::LogicalPlan& enumerated : *plans) {
+    auto base = overlay::Circuit::FromPlan(std::move(enumerated), catalog);
     if (!base.ok()) return base.status();
     placement::MappingReport report;
     Status st = PlaceAndMap(&base.value(), sbon, *placer_, config_.mapping,
@@ -73,6 +77,9 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
     auto base_cost = EstimateCost(*base, *sbon, config_.lambda);
     if (!base_cost.ok()) return base_cost.status();
     overlay::Circuit current = std::move(base.value());
+    // Variants copy `current`, plan included, so this reference keeps its
+    // content when a pass's best variant is moved into `current`.
+    const query::LogicalPlan& plan = current.plan();
     double current_cost = *base_cost;
     size_t current_reused = 0;
 
@@ -81,7 +88,10 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
          pass < params_.max_reuse_bindings && params_.reuse_radius != 0.0;
          ++pass) {
       // Consider larger subtrees first (bigger savings when reused).
-      std::vector<int> order = current.PlaceableVertices();
+      order.clear();
+      for (int v = 0; v < static_cast<int>(current.NumVertices()); ++v) {
+        if (current.Placeable(v)) order.push_back(v);
+      }
       std::sort(order.begin(), order.end(), [&](int a, int b) {
         return plan.op(a).stream_set.size() > plan.op(b).stream_set.size();
       });
@@ -98,7 +108,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
         // Cost-space pruning: keep instances whose hosts fall inside the
         // radius-r hyper-sphere around the service's virtual coordinate.
-        std::vector<ReuseCandidate> cands;
+        cands.clear();
         if (params_.reuse_radius < 0.0) {
           inst_scratch.assign(instances.begin(), instances.end());
         } else {
@@ -112,11 +122,18 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
           report.dht_cost.routing_hops += qcost.routing_hops;
           report.dht_cost.ring_probes += qcost.ring_probes;
           if (!nearby.ok()) return nearby.status();
-          std::set<NodeId> in_sphere;
-          for (const dht::IndexMatch& m : *nearby) in_sphere.insert(m.node);
+          if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
+            std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);
+            sphere_epoch_ = 1;
+          }
+          for (const dht::IndexMatch& m : *nearby) {
+            sphere_stamp_[m.node] = sphere_epoch_;
+          }
           inst_scratch.clear();
           for (const overlay::ServiceInstance* inst : instances) {
-            if (in_sphere.count(inst->host) != 0) inst_scratch.push_back(inst);
+            if (sphere_stamp_[inst->host] == sphere_epoch_) {
+              inst_scratch.push_back(inst);
+            }
           }
         }
         // One batched distance sweep over the surviving instances' hosts.

@@ -1,7 +1,9 @@
 #ifndef SBON_CORE_MULTI_QUERY_H_
 #define SBON_CORE_MULTI_QUERY_H_
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/optimizer.h"
 
@@ -47,6 +49,11 @@ class MultiQueryOptimizer : public Optimizer {
   OptimizerConfig config_;
   std::shared_ptr<const placement::VirtualPlacer> placer_;
   Params params_;
+  // In-sphere marks, addressed by node id: `sphere_stamp_[n] ==
+  // sphere_epoch_` marks a node the current sphere search returned;
+  // bumping the epoch clears every mark without touching memory.
+  std::vector<uint32_t> sphere_stamp_;
+  uint32_t sphere_epoch_ = 0;
 };
 
 }  // namespace sbon::core

@@ -55,7 +55,9 @@ class Optimizer {
 };
 
 /// Ranking metric shared by all optimizers: cost-space estimate of network
-/// usage plus lambda times the scalar (load) penalty of newly used hosts.
+/// usage (rate x host vector distance over physical edges, in edge order)
+/// plus lambda times `overlay::LoadPenalty`. Fails unless the circuit is
+/// fully placed.
 StatusOr<double> EstimateCost(const overlay::Circuit& circuit,
                               const overlay::Sbon& sbon, double lambda);
 

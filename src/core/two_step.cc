@@ -28,7 +28,7 @@ StatusOr<OptimizeResult> TwoStepOptimizer::Optimize(
   if (!plans.ok()) return plans.status();
 
   // Step 2: place that plan.
-  auto circuit = overlay::Circuit::FromPlan((*plans)[0], catalog);
+  auto circuit = overlay::Circuit::FromPlan(std::move((*plans)[0]), catalog);
   if (!circuit.ok()) return circuit.status();
   OptimizeResult result;
   Status st = PlaceAndMap(&circuit.value(), sbon, *placer_, config_.mapping,

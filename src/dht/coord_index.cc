@@ -7,16 +7,6 @@
 #include "common/kernel_stats.h"
 
 namespace sbon::dht {
-namespace {
-
-// Total order: by distance, node id breaking ties, so every query path
-// (probed, exact, nth_element-selected) ranks candidates identically.
-bool MatchLess(const IndexMatch& a, const IndexMatch& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.node < b.node;
-}
-
-}  // namespace
 
 CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
     : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
@@ -51,6 +41,15 @@ void CoordinateIndex::Withdraw(NodeId node) {
 
 double CoordinateIndex::DistanceTo(NodeId n, const Vec& target) const {
   return std::sqrt(kernels::DistanceSquaredAt(coords_, n, target.data()));
+}
+
+void CoordinateIndex::EmitMatches(size_t count,
+                                  std::vector<IndexMatch>* out) const {
+  out->reserve(out->size() + count);
+  for (size_t j = 0; j < count; ++j) {
+    const DistNode& p = pair_scratch_[j];
+    out->push_back(IndexMatch{p.node, p.distance, coords_.NodeVec(p.node)});
+  }
 }
 
 void CoordinateIndex::BeginSeenEpoch() const {
@@ -91,10 +90,8 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   // excluded or not — a member is never billed twice.
   const size_t total = std::min(2 * width + 1, n);
   KernelTimer timer(Kernel::kKNearestScan, total);
-  size_t considered = 0;
   walk_scratch_.clear();
   auto consider = [&](const ChordRing::Member& m) {
-    ++considered;
     if (cost != nullptr) cost->ring_probes += 1;
     if (std::binary_search(exclude_scratch_.begin(), exclude_scratch_.end(),
                            m.node)) {
@@ -102,11 +99,22 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
     }
     walk_scratch_.push_back(m.node);
   };
-  consider(ring_.SuccessorAt(lookup->member_index, 0));
-  for (size_t i = 1; considered < total; ++i) {
-    consider(ring_.SuccessorAt(lookup->member_index, i));
-    if (considered >= total) break;
-    consider(ring_.PredecessorAt(lookup->member_index, i));
+  // Odd steps take the next successor, even steps the next predecessor.
+  // Both indices are stepped with a wrap test instead of a modulo per
+  // member: after step 2i - 1, members[succ] is SuccessorAt(start, i);
+  // after step 2i, members[pred] is PredecessorAt(start, i).
+  const std::vector<ChordRing::Member>& members = ring_.members();
+  size_t succ = lookup->member_index;
+  size_t pred = succ;
+  consider(members[succ]);
+  for (size_t step = 1; step < total; ++step) {
+    if ((step & 1) != 0) {
+      if (++succ == n) succ = 0;
+      consider(members[succ]);
+    } else {
+      pred = (pred == 0 ? n : pred) - 1;
+      consider(members[pred]);
+    }
   }
 
   // Batched distance sweep over the walked candidates, then rank 16-byte
@@ -121,16 +129,12 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   for (size_t j = 0; j < count; ++j) {
     pair_scratch_.push_back(DistNode{dist_scratch_[j], walk_scratch_[j]});
   }
-  std::sort(pair_scratch_.begin(), pair_scratch_.end(),
-            [](const DistNode& a, const DistNode& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.node < b.node;
-            });
-  if (pair_scratch_.size() > k) pair_scratch_.resize(k);
-  out->reserve(pair_scratch_.size());
-  for (const DistNode& p : pair_scratch_) {
-    out->push_back(IndexMatch{p.node, p.distance, coords_.NodeVec(p.node)});
-  }
+  // The (distance, node) order is strict, so the partially sorted top-k
+  // prefix is exactly the prefix of a full sort.
+  const size_t keep = std::min(k, pair_scratch_.size());
+  std::partial_sort(pair_scratch_.begin(), pair_scratch_.begin() + keep,
+                    pair_scratch_.end());
+  EmitMatches(keep, out);
   return Status::OK();
 }
 
@@ -165,10 +169,10 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     cost->routing_hops += lookup->hops;
   }
 
-  std::vector<IndexMatch> out;
   BeginSeenEpoch();
   KernelTimer timer(Kernel::kKNearestScan, 0);
   size_t probes = 0;
+  pair_scratch_.clear();
   const size_t n = ring_.NumMembers();
   auto consider = [&](const ChordRing::Member& m) {
     if (seen_stamp_[m.node] == query_epoch_) return false;
@@ -176,9 +180,7 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     ++probes;
     if (cost != nullptr) cost->ring_probes += 1;
     const double d = DistanceTo(m.node, target);
-    if (d <= radius) {
-      out.push_back(IndexMatch{m.node, d, coords_.NodeVec(m.node)});
-    }
+    if (d <= radius) pair_scratch_.push_back(DistNode{d, m.node});
     return d <= radius;
   };
 
@@ -206,7 +208,10 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
     }
   }
   timer.set_ops(probes);
-  std::sort(out.begin(), out.end(), MatchLess);
+  // Rank 16-byte (distance, node) pairs; build the matches only at the end.
+  std::sort(pair_scratch_.begin(), pair_scratch_.end());
+  std::vector<IndexMatch> out;
+  EmitMatches(pair_scratch_.size(), &out);
   return out;
 }
 
@@ -228,23 +233,16 @@ void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
     if (!published_[n]) continue;
     pair_scratch_.push_back(DistNode{dist_scratch_[n], n});
   }
-  auto pair_less = [](const DistNode& a, const DistNode& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.node < b.node;
-  };
   if (pair_scratch_.size() > k) {
     // The (distance, node) order is total, so selecting k then sorting the
     // prefix yields exactly the full-sort prefix, in O(N + k log k) instead
     // of O(N log N).
     std::nth_element(pair_scratch_.begin(), pair_scratch_.begin() + k,
-                     pair_scratch_.end(), pair_less);
+                     pair_scratch_.end());
     pair_scratch_.resize(k);
   }
-  std::sort(pair_scratch_.begin(), pair_scratch_.end(), pair_less);
-  out->reserve(pair_scratch_.size());
-  for (const DistNode& p : pair_scratch_) {
-    out->push_back(IndexMatch{p.node, p.distance, coords_.NodeVec(p.node)});
-  }
+  std::sort(pair_scratch_.begin(), pair_scratch_.end());
+  EmitMatches(pair_scratch_.size(), out);
 }
 
 std::vector<IndexMatch> CoordinateIndex::KNearestExact(const Vec& target,

@@ -88,7 +88,10 @@ class CoordinateIndex {
   /// Returns up to `k` published nodes closest to `target` (by true
   /// distance in the indexed space), examining `probe_width` ring members
   /// on each side of the target key. `cost` (optional) accumulates DHT
-  /// traffic. Nodes listed in `exclude` are skipped.
+  /// traffic. Nodes listed in `exclude` are skipped. The walk steps ring
+  /// indices (no modulo per member), and the top k of the walked members
+  /// are selected with `partial_sort` under the strict (distance, node)
+  /// order, so ties resolve exactly as a full sort would.
   StatusOr<std::vector<IndexMatch>> KNearest(
       const Vec& target, size_t k, size_t probe_width = 16,
       IndexQueryCost* cost = nullptr,
@@ -106,10 +109,11 @@ class CoordinateIndex {
   StatusOr<IndexMatch> Nearest(const Vec& target, size_t probe_width = 16,
                                IndexQueryCost* cost = nullptr) const;
 
-  /// All probed nodes within `radius` of `target` — the hyper-sphere search
-  /// the paper's multi-query pruning uses (Sec. 3.4). The probe widens
-  /// adaptively until the curve walk has moved past the radius on both
-  /// sides or the whole ring was examined.
+  /// All probed nodes within `radius` of `target`, nearest first — the
+  /// hyper-sphere search the paper's multi-query pruning uses (Sec. 3.4).
+  /// The probe widens adaptively until the curve walk has moved past the
+  /// radius on both sides or the whole ring was examined. Hits are ranked
+  /// as (distance, node) pairs; coordinates are copied only for the result.
   StatusOr<std::vector<IndexMatch>> WithinRadius(
       const Vec& target, double radius, IndexQueryCost* cost = nullptr) const;
 
@@ -130,6 +134,13 @@ class CoordinateIndex {
   struct DistNode {
     double distance;
     NodeId node;
+    /// Strict total order: by distance, node id breaking ties, so every
+    /// query path (probed, exact, radius) ranks candidates identically and
+    /// any top-k selection equals the prefix of a full sort.
+    friend bool operator<(const DistNode& a, const DistNode& b) {
+      if (a.distance != b.distance) return a.distance < b.distance;
+      return a.node < b.node;
+    }
   };
 
   HilbertQuantizer quantizer_;
@@ -155,6 +166,9 @@ class CoordinateIndex {
   /// PublishAll over `count` contiguous (node, coordinate) pairs.
   void PublishAll(const NodeId* nodes, const Vec* coords, size_t count);
   double DistanceTo(NodeId n, const Vec& target) const;
+  /// Appends `IndexMatch`es for the first `count` ranked pairs of
+  /// `pair_scratch_` to `out`, copying their published coordinates.
+  void EmitMatches(size_t count, std::vector<IndexMatch>* out) const;
   /// Starts a WithinRadius walk: bumps the epoch and sizes the stamps.
   void BeginSeenEpoch() const;
 };

@@ -2,13 +2,14 @@
 
 namespace sbon::overlay {
 
-StatusOr<Circuit> Circuit::FromPlan(const query::LogicalPlan& plan,
+StatusOr<Circuit> Circuit::FromPlan(query::LogicalPlan plan,
                                     const query::Catalog& catalog) {
   Status valid = plan.Validate();
   if (!valid.ok()) return valid;
   Circuit c;
-  c.plan_ = plan;
   c.vertices_.resize(plan.NumOps());
+  // A valid plan is a tree: one edge per op but the root.
+  c.edges_.reserve(plan.NumOps() - 1);
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     const query::PlanOp& op = plan.op(i);
     CircuitVertex& v = c.vertices_[i];
@@ -35,6 +36,26 @@ StatusOr<Circuit> Circuit::FromPlan(const query::LogicalPlan& plan,
           CircuitEdge{child, i, plan.op(child).out_bytes_per_s});
     }
   }
+  // CSR incidence: count degrees, prefix-sum them into row starts, then
+  // fill rows in ascending edge order (each edge lands in both endpoints'
+  // rows). During the fill incidence_begin_[v] is row v's cursor, which
+  // leaves it at row v + 1's start; shifting by one restores the starts.
+  std::vector<int>& begin = c.incidence_begin_;
+  begin.assign(c.vertices_.size() + 1, 0);
+  for (const CircuitEdge& e : c.edges_) {
+    ++begin[e.from + 1];
+    ++begin[e.to + 1];
+  }
+  for (size_t v = 1; v < begin.size(); ++v) begin[v] += begin[v - 1];
+  c.incidence_.resize(2 * c.edges_.size());
+  for (int e = 0; e < static_cast<int>(c.edges_.size()); ++e) {
+    const CircuitEdge& edge = c.edges_[e];
+    c.incidence_[begin[edge.from]++] = {e, edge.to};
+    c.incidence_[begin[edge.to]++] = {e, edge.from};
+  }
+  for (size_t v = begin.size() - 1; v > 0; --v) begin[v] = begin[v - 1];
+  begin[0] = 0;
+  c.plan_ = std::move(plan);
   return c;
 }
 
@@ -49,7 +70,7 @@ std::vector<int> Circuit::UnpinnedVertices() const {
 std::vector<int> Circuit::PlaceableVertices() const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(vertices_.size()); ++i) {
-    if (!vertices_[i].pinned && !vertices_[i].reused) out.push_back(i);
+    if (Placeable(i)) out.push_back(i);
   }
   return out;
 }
@@ -61,13 +82,13 @@ bool Circuit::FullyPlaced() const {
   return true;
 }
 
-std::vector<std::pair<int, int>> Circuit::IncidentEdges(int v) const {
-  std::vector<std::pair<int, int>> out;
-  for (int e = 0; e < static_cast<int>(edges_.size()); ++e) {
-    if (edges_[e].from == v) out.emplace_back(e, edges_[e].to);
-    if (edges_[e].to == v) out.emplace_back(e, edges_[e].from);
+double Circuit::PhysicalInputRate(int v) const {
+  double rate = 0.0;
+  for (const auto& [edge_idx, other] : IncidentEdges(v)) {
+    const CircuitEdge& e = edges_[edge_idx];
+    if (e.physical && e.to == v) rate += e.rate_bytes_per_s;
   }
-  return out;
+  return rate;
 }
 
 double Circuit::TotalEdgeRate() const {

@@ -1,6 +1,8 @@
 #ifndef SBON_OVERLAY_CIRCUIT_H_
 #define SBON_OVERLAY_CIRCUIT_H_
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -43,14 +45,26 @@ struct CircuitEdge {
 /// The instantiation of a query in the SBON (paper Sec. 3): a tree of
 /// services with pinned endpoints, unpinned interior, and data rates on
 /// every edge. Cost accounting and placement both operate on this.
+///
+/// The vertex/edge incidence is built once, in `FromPlan`, as a CSR
+/// (compressed sparse row) table: two flat vectors, so placement sweeps
+/// walk a vertex's edges without allocating and a deep copy of a circuit
+/// (the multi-query optimizer copies one per reuse variant) copies two
+/// contiguous buffers. Edges never change after `FromPlan`
+/// (`BindReusedSubtree` only flips their `physical` bit), so the table
+/// never goes stale.
 class Circuit {
  public:
+  /// One incidence entry: (edge index, other-vertex index).
+  using Incidence = std::pair<int, int>;
+
   Circuit() = default;
 
   /// Builds an unplaced circuit from an annotated logical plan: producer
   /// vertices pinned at their catalog nodes, consumer pinned at
-  /// `plan.consumer()`, interior vertices unpinned.
-  static StatusOr<Circuit> FromPlan(const query::LogicalPlan& plan,
+  /// `plan.consumer()`, interior vertices unpinned. Takes the plan by value:
+  /// callers done with their plan move it in instead of copying it.
+  static StatusOr<Circuit> FromPlan(query::LogicalPlan plan,
                                     const query::Catalog& catalog);
 
   CircuitId id() const { return id_; }
@@ -72,8 +86,22 @@ class Circuit {
   /// True once every vertex has a host.
   bool FullyPlaced() const;
 
-  /// Edges incident to vertex `v` as (edge index, other-vertex index).
-  std::vector<std::pair<int, int>> IncidentEdges(int v) const;
+  /// True if vertex `v` still needs placement: unpinned and not reused.
+  bool Placeable(int v) const {
+    return !vertices_[v].pinned && !vertices_[v].reused;
+  }
+
+  /// Edges incident to vertex `v` as (edge index, other-vertex index), in
+  /// ascending edge index — a view into the CSR table, valid as long as
+  /// the circuit is.
+  std::span<const Incidence> IncidentEdges(int v) const {
+    return std::span<const Incidence>(incidence_).subspan(
+        incidence_begin_[v], incidence_begin_[v + 1] - incidence_begin_[v]);
+  }
+
+  /// Data rate (bytes/s) entering vertex `v` over physical edges, summed
+  /// in ascending edge order.
+  double PhysicalInputRate(int v) const;
 
   /// Total data rate (bytes/s) summed over physical edges.
   double TotalEdgeRate() const;
@@ -91,6 +119,10 @@ class Circuit {
   query::LogicalPlan plan_;
   std::vector<CircuitVertex> vertices_;
   std::vector<CircuitEdge> edges_;
+  // CSR incidence: vertex v's entries are
+  // incidence_[incidence_begin_[v] .. incidence_begin_[v + 1]).
+  std::vector<int> incidence_begin_;
+  std::vector<Incidence> incidence_;
 };
 
 }  // namespace sbon::overlay

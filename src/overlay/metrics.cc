@@ -34,23 +34,17 @@ double CriticalPathLatency(const Circuit& c, const net::LatencyView& lat) {
   return best;
 }
 
-// Load penalty of newly deployed services: weighted scalar penalty of each
-// service's host times the data rate the service processes.
+}  // namespace
+
 double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space) {
-  std::vector<double> input_rate(circuit.NumVertices(), 0.0);
-  for (const CircuitEdge& e : circuit.edges()) {
-    if (e.physical) input_rate[e.to] += e.rate_bytes_per_s;
-  }
   double penalty = 0.0;
   for (int i = 0; i < static_cast<int>(circuit.NumVertices()); ++i) {
-    const CircuitVertex& v = circuit.vertex(i);
-    if (v.pinned || v.reused) continue;
-    penalty += space.ScalarPenalty(v.host) * input_rate[i];
+    if (!circuit.Placeable(i)) continue;
+    penalty += space.ScalarPenalty(circuit.vertex(i).host) *
+               circuit.PhysicalInputRate(i);
   }
   return penalty;
 }
-
-}  // namespace
 
 StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
                                          const net::LatencyView& lat,
@@ -67,35 +61,6 @@ StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
   }
   cost.critical_path_latency_ms = CriticalPathLatency(circuit, lat);
   if (space != nullptr) cost.node_penalty = LoadPenalty(circuit, *space);
-  return cost;
-}
-
-StatusOr<CircuitCost> EstimateCircuitCostInSpace(
-    const Circuit& circuit, const coords::CostSpace& space) {
-  if (!circuit.FullyPlaced()) {
-    return Status::FailedPrecondition("circuit not fully placed");
-  }
-  CircuitCost cost;
-  for (const CircuitEdge& e : circuit.edges()) {
-    if (!e.physical) continue;
-    const NodeId a = circuit.vertex(e.from).host;
-    const NodeId b = circuit.vertex(e.to).host;
-    cost.network_usage += e.rate_bytes_per_s * space.VectorDistance(a, b);
-  }
-  // Critical path in coordinate space.
-  const query::LogicalPlan& plan = circuit.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
-  for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
-    double l = 0.0;
-    for (int child : plan.op(i).children) {
-      const double hop = space.VectorDistance(circuit.vertex(child).host,
-                                              circuit.vertex(i).host);
-      l = std::max(l, longest[child] + hop);
-    }
-    longest[i] = l;
-    if (i == plan.root()) cost.critical_path_latency_ms = l;
-  }
-  cost.node_penalty = LoadPenalty(circuit, space);
   return cost;
 }
 

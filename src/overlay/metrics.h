@@ -38,11 +38,11 @@ StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
                                          const net::LatencyView& lat,
                                          const coords::CostSpace* space);
 
-/// Estimates the same cost from cost-space coordinates instead of true
-/// latencies (what a decentralized optimizer can actually compute). Vertices
-/// use their hosts' vector coordinates.
-StatusOr<CircuitCost> EstimateCircuitCostInSpace(
-    const Circuit& circuit, const coords::CostSpace& space);
+/// Load penalty of a placed circuit's newly deployed services: for every
+/// placeable vertex, its host's weighted scalar penalty times the physical
+/// input rate the service processes, summed in vertex order. The
+/// `node_penalty` of `CircuitCost`.
+double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space);
 
 /// Producer-to-vertex critical-path latency up to the vertex bound to
 /// `service` within `circuit` (ms). Used when another circuit reuses that

@@ -1,7 +1,6 @@
 #include "overlay/service_ledger.h"
 
 #include <algorithm>
-#include <iterator>
 #include <set>
 #include <utility>
 
@@ -39,12 +38,6 @@ StatusOr<CircuitId> ServiceLedger::InstallCircuit(
   // install leaves no gap in the id sequence (deterministic replays).
   const CircuitId id = next_circuit_id_;
   circuit.set_id(id);
-
-  // Per-vertex physical input rates (physical edges into the vertex).
-  std::vector<double> input_rate(circuit.NumVertices(), 0.0);
-  for (const CircuitEdge& e : circuit.edges()) {
-    if (e.physical) input_rate[e.to] += e.rate_bytes_per_s;
-  }
 
   // Rollback on mid-install failure: instances created here carry only this
   // circuit id, and pre-existing instances gained at most a reference to it,
@@ -85,14 +78,15 @@ StatusOr<CircuitId> ServiceLedger::InstallCircuit(
     inst.signature = circuit.plan().OpSignature(i);
     inst.kind = circuit.plan().op(i).kind;
     inst.host = v.host;
-    inst.input_bytes_per_s = input_rate[i];
+    inst.input_bytes_per_s = circuit.PhysicalInputRate(i);
     inst.output_bytes_per_s = circuit.plan().op(i).out_bytes_per_s;
-    inst.circuits.push_back(id);
     v.service = inst.id;
     prior_loads.emplace_back(v.host, service_load_[v.host]);
     ApplyServiceLoadDelta(v.host, inst.input_bytes_per_s, +1.0);
-    services_by_signature_.emplace(inst.signature, inst.id);
-    services_.emplace(inst.id, std::move(inst));
+    ServiceInstance& placed =
+        services_.emplace(inst.id, std::move(inst)).first->second;
+    services_by_signature_[placed.signature].push_back(&placed);
+    AddUser(&placed, id);
   }
   next_circuit_id_ = id + 1;
   circuits_.emplace(id, std::move(circuit));
@@ -114,7 +108,7 @@ Status ServiceLedger::AttachDependencyChain(CircuitId circuit_id,
     ServiceInstance& inst = it->second;
     if (std::find(inst.circuits.begin(), inst.circuits.end(), circuit_id) ==
         inst.circuits.end()) {
-      inst.circuits.push_back(circuit_id);
+      AddUser(&inst, circuit_id);
     }
     // Find the instance's feeding services through any circuit that
     // deploys it: the services bound to the descendants of its vertex.
@@ -141,29 +135,44 @@ Status ServiceLedger::AttachDependencyChain(CircuitId circuit_id,
   return Status::OK();
 }
 
+void ServiceLedger::AddUser(ServiceInstance* inst, CircuitId circuit_id) {
+  inst->circuits.push_back(circuit_id);
+  std::vector<ServiceInstanceId>& ids = services_by_circuit_[circuit_id];
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), inst->id), inst->id);
+}
+
 std::map<ServiceInstanceId, ServiceInstance>::iterator
 ServiceLedger::EraseService(
     std::map<ServiceInstanceId, ServiceInstance>::iterator it) {
   const ServiceInstance& inst = it->second;
   ApplyServiceLoadDelta(inst.host, inst.input_bytes_per_s, -1.0);
-  auto range = services_by_signature_.equal_range(inst.signature);
-  for (auto r = range.first; r != range.second; ++r) {
-    if (r->second == inst.id) {
-      services_by_signature_.erase(r);
-      break;
-    }
+  auto bucket = services_by_signature_.find(inst.signature);
+  bucket->second.erase(
+      std::find(bucket->second.begin(), bucket->second.end(), &inst));
+  if (bucket->second.empty()) services_by_signature_.erase(bucket);
+  for (CircuitId cid : inst.circuits) {
+    auto entry = services_by_circuit_.find(cid);
+    std::vector<ServiceInstanceId>& ids = entry->second;
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), inst.id));
+    if (ids.empty()) services_by_circuit_.erase(entry);
   }
   return services_.erase(it);
 }
 
 void ServiceLedger::DetachCircuitFromServices(CircuitId circuit_id) {
-  for (auto sit = services_.begin(); sit != services_.end();) {
+  auto entry = services_by_circuit_.find(circuit_id);
+  if (entry == services_by_circuit_.end()) return;
+  // Instances released here have no users left, so EraseService leaves
+  // every circuit-index list, this one included, untouched.
+  for (ServiceInstanceId sid : entry->second) {
+    auto sit = services_.find(sid);
     ServiceInstance& inst = sit->second;
     inst.circuits.erase(
         std::remove(inst.circuits.begin(), inst.circuits.end(), circuit_id),
         inst.circuits.end());
-    sit = inst.circuits.empty() ? EraseService(sit) : std::next(sit);
+    if (inst.circuits.empty()) EraseService(sit);
   }
+  services_by_circuit_.erase(entry);
 }
 
 Status ServiceLedger::RemoveCircuit(CircuitId id) {
@@ -186,14 +195,11 @@ const ServiceInstance* ServiceLedger::FindService(ServiceInstanceId id) const {
   return it == services_.end() ? nullptr : &it->second;
 }
 
-std::vector<const ServiceInstance*> ServiceLedger::ServicesWithSignature(
+std::span<const ServiceInstance* const> ServiceLedger::ServicesWithSignature(
     uint64_t signature) const {
-  std::vector<const ServiceInstance*> out;
-  auto range = services_by_signature_.equal_range(signature);
-  for (auto it = range.first; it != range.second; ++it) {
-    out.push_back(&services_.at(it->second));
-  }
-  return out;
+  auto it = services_by_signature_.find(signature);
+  if (it == services_by_signature_.end()) return {};
+  return it->second;
 }
 
 Status ServiceLedger::MigrateService(ServiceInstanceId id, NodeId new_host,

@@ -2,6 +2,7 @@
 #define SBON_OVERLAY_SERVICE_LEDGER_H_
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -36,6 +37,15 @@ struct FailureReport {
 /// Load-book invariant (what the unit tests pin): the book equals the sum
 /// of `input_bytes_per_s * load_per_byte_per_s` over hosted instances at
 /// all times, and returns to exactly zero once every circuit is gone.
+///
+/// Two indexes keep Submit and Remove O(circuit): the signature catalog
+/// (reuse signature -> instances, in deployment order) and the circuit
+/// index (circuit -> the instances listing it in `circuits`, ascending
+/// id). Install, dependency-chain attachment, removal and crash eviction
+/// maintain both; migration changes neither. Removal visits only the
+/// circuit's indexed instances, in ascending id — the order a scan of
+/// `services()` meets them — so the load book's floating-point history is
+/// what a full scan would produce.
 class ServiceLedger {
  public:
   /// `num_nodes` sizes the load book; `load_per_byte_per_s` converts an
@@ -77,9 +87,17 @@ class ServiceLedger {
   const std::map<ServiceInstanceId, ServiceInstance>& services() const {
     return services_;
   }
-  /// Deployed instances whose reuse signature matches.
-  std::vector<const ServiceInstance*> ServicesWithSignature(
+  /// Deployed instances whose reuse signature matches, in deployment
+  /// order. The view is valid until the ledger next changes.
+  std::span<const ServiceInstance* const> ServicesWithSignature(
       uint64_t signature) const;
+  /// The circuit index: every circuit that some instance lists in its
+  /// `circuits`, mapped to those instances' ids, ascending. Circuits no
+  /// instance lists have no entry.
+  const std::map<CircuitId, std::vector<ServiceInstanceId>>&
+  services_by_circuit() const {
+    return services_by_circuit_;
+  }
   size_t NumServices() const { return services_.size(); }
 
   /// Service-induced CPU load currently booked against node `n`.
@@ -90,13 +108,17 @@ class ServiceLedger {
 
  private:
   Status AttachDependencyChain(CircuitId circuit_id, ServiceInstanceId root);
-  /// Removes `circuit_id` from every instance's user list, releasing
-  /// instances left without users (their load deltas included). Shared by
-  /// RemoveCircuit and the InstallCircuit failure rollback.
+  /// Appends `circuit_id` to `inst`'s user list and indexes the pair.
+  void AddUser(ServiceInstance* inst, CircuitId circuit_id);
+  /// Removes `circuit_id` from the user list of every instance the circuit
+  /// index names for it, in ascending id, releasing instances left without
+  /// users (their load deltas included), and drops the circuit's entry.
+  /// Shared by RemoveCircuit and the InstallCircuit failure rollback.
   void DetachCircuitFromServices(CircuitId circuit_id);
   /// Releases one instance: reverses its load delta, drops its signature
-  /// entry, erases it. Returns the iterator past the erased instance. The
-  /// single release path shared by detach and crash eviction.
+  /// and circuit-index entries, erases it. Returns the iterator past the
+  /// erased instance. The single release path shared by detach and crash
+  /// eviction.
   std::map<ServiceInstanceId, ServiceInstance>::iterator EraseService(
       std::map<ServiceInstanceId, ServiceInstance>::iterator it);
   void ApplyServiceLoadDelta(NodeId host, double input_bytes_per_s,
@@ -106,7 +128,11 @@ class ServiceLedger {
   std::vector<double> service_load_;
   std::map<CircuitId, Circuit> circuits_;
   std::map<ServiceInstanceId, ServiceInstance> services_;
-  std::multimap<uint64_t, ServiceInstanceId> services_by_signature_;
+  // Signature catalog; empty buckets are erased.
+  std::map<uint64_t, std::vector<const ServiceInstance*>>
+      services_by_signature_;
+  // Circuit index; lists ascending, empty lists erased.
+  std::map<CircuitId, std::vector<ServiceInstanceId>> services_by_circuit_;
   CircuitId next_circuit_id_ = 1;
   ServiceInstanceId next_service_id_ = 1;
 };

@@ -60,10 +60,11 @@ Status MapOneVertex(overlay::Circuit* circuit, int v,
 Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                   const MappingOptions& options, MappingReport* report) {
   const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
-  // One candidate buffer for the whole circuit: the index query reuses its
-  // capacity across vertices, keeping the per-vertex loop heap-free.
-  std::vector<dht::IndexMatch> matches;
-  for (int v : circuit->PlaceableVertices()) {
+  // One candidate buffer per thread, reused across vertices and calls: the
+  // index query keeps its capacity, so mapping a circuit is heap-free.
+  thread_local std::vector<dht::IndexMatch> matches;
+  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+    if (!circuit->Placeable(v)) continue;
     const Vec target =
         IdealFullTarget(circuit->vertex(v).virtual_coord, scalar_dims);
     dht::IndexQueryCost qcost;

@@ -6,75 +6,114 @@
 namespace sbon::placement {
 
 using internal::AnchorCoord;
-using internal::SeedAtPinnedCentroid;
+using internal::SweepFrame;
 
-Status RelaxationPlacer::Place(overlay::Circuit* circuit,
-                               const coords::CostSpace& space) const {
-  const std::vector<int> placeable = circuit->PlaceableVertices();
-  if (placeable.empty()) return Status::OK();
-  SeedAtPinnedCentroid(circuit, space);
+namespace {
 
-  for (size_t sweep = 0; sweep < params_.max_sweeps; ++sweep) {
+bool HasPlaceable(const overlay::Circuit& circuit) {
+  for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
+    if (circuit.Placeable(v)) return true;
+  }
+  return false;
+}
+
+// Moves placeable vertex v to `num / den` (target written into `num`) and
+// returns how far it moved: `Vec::operator/`, then `DistanceTo` from the
+// old position, component order unchanged.
+double MoveTo(double* cur, double* num, double den, size_t dims) {
+  double s = 0.0;
+  for (size_t d = 0; d < dims; ++d) {
+    num[d] /= den;
+    const double diff = cur[d] - num[d];
+    s += diff * diff;
+  }
+  for (size_t d = 0; d < dims; ++d) cur[d] = num[d];
+  return std::sqrt(s);
+}
+
+// Spring-system Gauss-Seidel sweeps: each placeable vertex moves to the
+// rate-weighted average of its neighbors' anchors.
+void SpringSweeps(const overlay::Circuit& circuit, SweepFrame* frame,
+                  const RelaxationPlacer::Params& params) {
+  const size_t dims = frame->dims();
+  double* num = frame->accum();
+  const int n = static_cast<int>(circuit.NumVertices());
+  for (size_t sweep = 0; sweep < params.max_sweeps; ++sweep) {
     double max_move = 0.0;
-    for (int v : placeable) {
-      Vec num(space.spec().vector_dims());
+    for (int v = 0; v < n; ++v) {
+      if (!circuit.Placeable(v)) continue;
+      for (size_t d = 0; d < dims; ++d) num[d] = 0.0;
       double den = 0.0;
-      for (const auto& [edge_idx, other] : circuit->IncidentEdges(v)) {
-        const double rate = circuit->edges()[edge_idx].rate_bytes_per_s;
+      for (const auto& [edge_idx, other] : circuit.IncidentEdges(v)) {
+        const double rate = circuit.edges()[edge_idx].rate_bytes_per_s;
         if (rate <= 0.0) continue;
-        num.AddScaled(AnchorCoord(*circuit, other, space), rate);
+        const double* a = frame->coord(other);
+        for (size_t d = 0; d < dims; ++d) num[d] += a[d] * rate;
         den += rate;
       }
       if (den <= 0.0) continue;
-      const Vec target = num / den;
-      overlay::CircuitVertex& cv = circuit->mutable_vertex(v);
-      max_move = std::max(max_move, cv.virtual_coord.DistanceTo(target));
-      cv.virtual_coord = target;
+      max_move = std::max(max_move,
+                          MoveTo(frame->mutable_coord(v), num, den, dims));
     }
-    if (max_move < params_.tolerance) break;
+    if (max_move < params.tolerance) break;
   }
+}
+
+}  // namespace
+
+Status RelaxationPlacer::Place(overlay::Circuit* circuit,
+                               const coords::CostSpace& space) const {
+  if (!HasPlaceable(*circuit)) return Status::OK();
+  SweepFrame frame(circuit, space);
+  SpringSweeps(*circuit, &frame, params_);
   return Status::OK();
 }
 
 Status CentroidPlacer::Place(overlay::Circuit* circuit,
                              const coords::CostSpace& space) const {
-  SeedAtPinnedCentroid(circuit, space);
+  const SweepFrame seeded(circuit, space);  // construction seeds
   return Status::OK();
 }
 
 Status GradientPlacer::Place(overlay::Circuit* circuit,
                              const coords::CostSpace& space) const {
-  const std::vector<int> placeable = circuit->PlaceableVertices();
-  if (placeable.empty()) return Status::OK();
+  if (!HasPlaceable(*circuit)) return Status::OK();
   // Seed from the spring equilibrium: Weiszfeld sweeps are monotone
   // non-increasing in the linear objective (each per-vertex step minimizes
   // an MM majorizer), so starting there guarantees the result is at least
   // as good as relaxation on sum(rate * dist) — and avoids the coordinate-
   // descent stalls the centroid seed can hit at non-smooth points.
-  Status seed = RelaxationPlacer().Place(circuit, space);
-  if (!seed.ok()) return seed;
+  SweepFrame frame(circuit, space);
+  SpringSweeps(*circuit, &frame, RelaxationPlacer::Params());
 
+  const size_t dims = frame.dims();
+  double* num = frame.accum();
+  const int n = static_cast<int>(circuit->NumVertices());
   for (size_t sweep = 0; sweep < params_.max_sweeps; ++sweep) {
     double max_move = 0.0;
-    for (int v : placeable) {
+    for (int v = 0; v < n; ++v) {
+      if (!circuit->Placeable(v)) continue;
       // Weiszfeld step for the rate-weighted geometric median of the
       // neighbor anchors.
-      Vec num(space.spec().vector_dims());
+      for (size_t d = 0; d < dims; ++d) num[d] = 0.0;
       double den = 0.0;
-      const Vec cur = circuit->vertex(v).virtual_coord;
+      const double* cur = frame.coord(v);
       for (const auto& [edge_idx, other] : circuit->IncidentEdges(v)) {
         const double rate = circuit->edges()[edge_idx].rate_bytes_per_s;
         if (rate <= 0.0) continue;
-        const Vec a = AnchorCoord(*circuit, other, space);
-        const double d = std::max(cur.DistanceTo(a), params_.epsilon);
-        num.AddScaled(a, rate / d);
-        den += rate / d;
+        const double* a = frame.coord(other);
+        double s = 0.0;
+        for (size_t d = 0; d < dims; ++d) {
+          const double diff = cur[d] - a[d];
+          s += diff * diff;
+        }
+        const double w = rate / std::max(std::sqrt(s), params_.epsilon);
+        for (size_t d = 0; d < dims; ++d) num[d] += a[d] * w;
+        den += w;
       }
       if (den <= 0.0) continue;
-      const Vec target = num / den;
-      overlay::CircuitVertex& cv = circuit->mutable_vertex(v);
-      max_move = std::max(max_move, cv.virtual_coord.DistanceTo(target));
-      cv.virtual_coord = target;
+      max_move = std::max(max_move,
+                          MoveTo(frame.mutable_coord(v), num, den, dims));
     }
     if (max_move < params_.tolerance) break;
   }

@@ -16,6 +16,16 @@ namespace sbon::placement {
 /// vertex moves to the rate-weighted average of its neighbors), which is
 /// the same fixed point the force integration in [7] converges to, reached
 /// deterministically.
+///
+/// Sweeps run over an `internal::SweepFrame`: each anchor's host coordinate
+/// is fetched once per `Place`, the circuit's CSR incidence is walked in
+/// place, and placeable positions are read and written as raw doubles. A
+/// `Place` on a warm circuit allocates nothing. Bit-identity contract: every
+/// per-component expression is the one `Vec::AddScaled`, `operator/` and
+/// `DistanceTo` evaluate, in the same order, so positions and the number of
+/// sweeps run equal those of the `Vec`-valued sweep bit for bit
+/// (`tests/placement_equivalence_test.cc` pins this, `GradientPlacer`
+/// included).
 class RelaxationPlacer : public VirtualPlacer {
  public:
   struct Params {

@@ -33,15 +33,42 @@ namespace internal {
 
 /// Anchor coordinate of vertex `i`: pinned and reused vertices anchor at
 /// their host's vector coordinate; placeable vertices use their current
-/// `virtual_coord`. Shared by the iterative placers.
+/// `virtual_coord`.
 Vec AnchorCoord(const overlay::Circuit& c, int i,
                 const coords::CostSpace& space);
 
-/// Initializes every placeable vertex's virtual_coord to the rate-weighted
-/// centroid of the circuit's pinned endpoints (a sane, deterministic start
-/// for the iterative refiners). Returns that centroid.
-Vec SeedAtPinnedCentroid(overlay::Circuit* circuit,
-                         const coords::CostSpace& space);
+/// The raw-double view one `Place` call sweeps over. Construction fetches
+/// every anchor's host vector coordinate once (pinned and reused vertices)
+/// and seeds each placeable vertex's `virtual_coord` at the rate-weighted
+/// centroid of those anchors, a deterministic start for the iterative
+/// refiners. `coord(i)` is then vertex i's anchor: the cached host
+/// coordinate, or the live `virtual_coord` storage of a placeable vertex,
+/// which sweeps read and write in place, so they stay Gauss-Seidel.
+///
+/// Bit-identity contract: sweeps over a frame write each per-component
+/// expression exactly as `Vec::AddScaled`, `operator/` and `DistanceTo`
+/// write it, so results equal the `Vec` formulation bit for bit.
+///
+/// The buffers are thread-local and keep their capacity, so a frame over a
+/// warm circuit (its `virtual_coord`s already sized) allocates nothing.
+/// At most one frame per thread may be live.
+class SweepFrame {
+ public:
+  SweepFrame(overlay::Circuit* circuit, const coords::CostSpace& space);
+  SweepFrame(const SweepFrame&) = delete;
+  SweepFrame& operator=(const SweepFrame&) = delete;
+
+  size_t dims() const { return dims_; }
+  const double* coord(int i) const { return coords_[i]; }
+  double* mutable_coord(int i) { return coords_[i]; }
+  /// `dims()` doubles of per-vertex scratch (a sweep's numerator).
+  double* accum() { return accum_; }
+
+ private:
+  size_t dims_;
+  double* const* coords_;
+  double* accum_;
+};
 
 }  // namespace internal
 

@@ -1,8 +1,10 @@
 #include "query/enumerate.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "query/stats.h"
 
@@ -33,37 +35,51 @@ uint64_t MixHash(uint64_t a, uint64_t b) {
   return x;
 }
 
-std::vector<size_t> MaskPositions(uint32_t mask) {
-  std::vector<size_t> out;
+// Stream positions of a subset or a subtree's leaves, in a fixed array:
+// the subset DP caps a query at 31 streams.
+struct Positions {
+  std::array<size_t, 31> at{};
+  size_t size = 0;
+
+  void push_back(size_t pos) { at[size++] = pos; }
+  std::span<const size_t> view(size_t begin, size_t end) const {
+    return std::span<const size_t>(at).subspan(begin, end - begin);
+  }
+};
+
+// Positions of the set bits of `mask`, ascending.
+Positions MaskPositions(uint32_t mask) {
+  Positions out;
   for (size_t i = 0; mask != 0; ++i, mask >>= 1) {
     if (mask & 1u) out.push_back(i);
   }
   return out;
 }
 
-// Builds a LogicalPlan from a join tree over spec positions.
+// Builds a LogicalPlan from a join tree over spec positions, appending the
+// tree's leaf positions to `positions` in left-to-right order: a join's
+// left and right leaf lists are adjacent ranges of it.
 int EmitTree(const std::vector<TreeNode>& arena, int node,
              const QuerySpec& spec,
              const std::vector<std::vector<double>>& pair_sel,
-             LogicalPlan* plan, std::vector<size_t>* positions_out) {
+             LogicalPlan* plan, Positions* positions) {
   const TreeNode& t = arena[node];
   if (t.left < 0) {
     const size_t pos = t.leaf_pos;
     int op = plan->AddProducer(spec.streams[pos]);
     const double fsel = spec.filter_sel.empty() ? 1.0 : spec.filter_sel[pos];
     if (fsel < 1.0) op = plan->AddSelect(op, fsel);
-    positions_out->assign(1, pos);
+    positions->push_back(pos);
     return op;
   }
-  std::vector<size_t> left_pos, right_pos;
-  const int l = EmitTree(arena, t.left, spec, pair_sel, plan, &left_pos);
-  const int r = EmitTree(arena, t.right, spec, pair_sel, plan, &right_pos);
-  const double sel = CrossSelectivity(left_pos, right_pos, pair_sel);
-  const int op = plan->AddJoin(l, r, sel);
-  positions_out->assign(left_pos.begin(), left_pos.end());
-  positions_out->insert(positions_out->end(), right_pos.begin(),
-                        right_pos.end());
-  return op;
+  const size_t begin = positions->size;
+  const int l = EmitTree(arena, t.left, spec, pair_sel, plan, positions);
+  const size_t mid = positions->size;
+  const int r = EmitTree(arena, t.right, spec, pair_sel, plan, positions);
+  const double sel =
+      CrossSelectivity(positions->view(begin, mid),
+                       positions->view(mid, positions->size), pair_sel);
+  return plan->AddJoin(l, r, sel);
 }
 
 StatusOr<LogicalPlan> FinishPlan(const std::vector<TreeNode>& arena, int root,
@@ -71,7 +87,7 @@ StatusOr<LogicalPlan> FinishPlan(const std::vector<TreeNode>& arena, int root,
                                  const std::vector<std::vector<double>>& psel,
                                  const Catalog& catalog) {
   LogicalPlan plan;
-  std::vector<size_t> positions;
+  Positions positions;
   int op = EmitTree(arena, root, spec, psel, &plan, &positions);
   if (spec.aggregate_factor < 1.0) {
     op = plan.AddAggregate(op, spec.aggregate_factor);
@@ -80,13 +96,6 @@ StatusOr<LogicalPlan> FinishPlan(const std::vector<TreeNode>& arena, int root,
   Status s = plan.AnnotateRates(catalog, spec.join_window_s);
   if (!s.ok()) return s;
   return plan;
-}
-
-// Effective pairwise-selectivity matrix (all 1.0 when the spec omits it).
-std::vector<std::vector<double>> EffectivePairSel(const QuerySpec& spec) {
-  if (!spec.join_sel.empty()) return spec.join_sel;
-  return std::vector<std::vector<double>>(
-      spec.NumStreams(), std::vector<double>(spec.NumStreams(), 1.0));
 }
 
 }  // namespace
@@ -103,7 +112,8 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
   if (options.top_k == 0) {
     return Status::InvalidArgument("top_k must be >= 1");
   }
-  const std::vector<std::vector<double>> psel = EffectivePairSel(spec);
+  // Pairwise selectivities; empty when the spec has no join predicates.
+  const std::vector<std::vector<double>>& psel = spec.join_sel;
 
   std::vector<TreeNode> arena;
   // dp[mask] = up to top_k best partials, sorted by cost.
@@ -124,10 +134,13 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
   }
 
   const uint32_t full = (n >= 31) ? 0x7fffffffu : ((1u << n) - 1u);
+  // Every split's joins of one subset, reused across subsets; only the
+  // kept top_k are copied into dp.
+  std::vector<Partial> candidates;
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if ((mask & (mask - 1)) == 0) continue;  // singletons already seeded
     const uint32_t lowest = mask & (~mask + 1u);
-    std::vector<Partial>& bucket = dp[mask];
+    candidates.clear();
     // Iterate proper submasks containing the lowest bit (canonical split).
     for (uint32_t sub = (mask - 1u) & mask; sub != 0;
          sub = (sub - 1u) & mask) {
@@ -138,9 +151,11 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
         const bool rest_single = (rest & (rest - 1)) == 0;
         if (!sub_single && !rest_single) continue;
       }
-      const auto left_pos = MaskPositions(sub);
-      const auto right_pos = MaskPositions(rest);
-      const double sel = CrossSelectivity(left_pos, right_pos, psel);
+      const Positions left_pos = MaskPositions(sub);
+      const Positions right_pos = MaskPositions(rest);
+      const double sel =
+          CrossSelectivity(left_pos.view(0, left_pos.size),
+                           right_pos.view(0, right_pos.size), psel);
       for (const Partial& a : dp[sub]) {
         for (const Partial& b : dp[rest]) {
           Partial p;
@@ -153,26 +168,26 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
           p.shape_hash = MixHash(std::min(ha, hb), std::max(ha, hb));
           arena.push_back(TreeNode{a.tree, b.tree, 0});
           p.tree = static_cast<int>(arena.size()) - 1;
-          bucket.push_back(p);
+          candidates.push_back(p);
         }
       }
     }
     // Keep the top_k cheapest distinct shapes.
-    std::sort(bucket.begin(), bucket.end(),
+    std::sort(candidates.begin(), candidates.end(),
               [](const Partial& a, const Partial& b) {
                 if (a.cost != b.cost) return a.cost < b.cost;
                 return a.shape_hash < b.shape_hash;
               });
-    std::vector<Partial> kept;
-    for (const Partial& p : bucket) {
-      const bool dup = std::any_of(kept.begin(), kept.end(),
-                                   [&](const Partial& q) {
-                                     return q.shape_hash == p.shape_hash;
-                                   });
-      if (!dup) kept.push_back(p);
-      if (kept.size() >= options.top_k) break;
+    // Compacted in place: the kept prefix never overtakes the scan.
+    size_t kept = 0;
+    for (size_t i = 0; i < candidates.size() && kept < options.top_k; ++i) {
+      const uint64_t hash = candidates[i].shape_hash;
+      const bool dup =
+          std::any_of(candidates.begin(), candidates.begin() + kept,
+                      [&](const Partial& q) { return q.shape_hash == hash; });
+      if (!dup) candidates[kept++] = candidates[i];
     }
-    bucket = std::move(kept);
+    dp[mask].assign(candidates.begin(), candidates.begin() + kept);
   }
 
   std::vector<LogicalPlan> plans;
@@ -227,7 +242,7 @@ StatusOr<std::vector<LogicalPlan>> EnumerateAllPlansExhaustive(
   if (n > 7) {
     return Status::InvalidArgument("exhaustive enumeration limited to n<=7");
   }
-  const std::vector<std::vector<double>> psel = EffectivePairSel(spec);
+  const std::vector<std::vector<double>>& psel = spec.join_sel;
   std::vector<TreeNode> arena;
   std::map<uint32_t, std::vector<int>> memo;
   const uint32_t full = (1u << n) - 1u;

@@ -96,7 +96,10 @@ Status LogicalPlan::Validate() const {
   if (consumer_ == kInvalidNode) {
     return Status::FailedPrecondition("consumer node not set");
   }
-  std::vector<int> indegree(ops_.size(), 0);
+  // Parent count per op, in a thread-local buffer that keeps its capacity:
+  // validation runs on every plan build and stays heap-free.
+  thread_local std::vector<int> indegree;
+  indegree.assign(ops_.size(), 0);
   for (size_t i = 0; i < ops_.size(); ++i) {
     const PlanOp& op = ops_[i];
     const size_t expected_children =

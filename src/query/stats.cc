@@ -18,10 +18,11 @@ double JoinOutputTupleSize(double size_left, double size_right) {
   return size_left + size_right;
 }
 
-double CrossSelectivity(const std::vector<size_t>& left_set,
-                        const std::vector<size_t>& right_set,
+double CrossSelectivity(std::span<const size_t> left_set,
+                        std::span<const size_t> right_set,
                         const std::vector<std::vector<double>>& pair_sel) {
   double s = 1.0;
+  if (pair_sel.empty()) return s;
   for (size_t i : left_set) {
     for (size_t j : right_set) {
       s *= pair_sel[i][j];

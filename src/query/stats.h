@@ -2,6 +2,7 @@
 #define SBON_QUERY_STATS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace sbon::query {
@@ -30,10 +31,11 @@ double JoinOutputTupleSize(double size_left, double size_right);
 
 /// Combined join selectivity between two stream sets, given the pairwise
 /// selectivity matrix of the join graph: the product of the pairwise
-/// selectivities across the cut (1.0 entries mean "no predicate" /
-/// cross-product-free join graphs keep those at 1).
-double CrossSelectivity(const std::vector<size_t>& left_set,
-                        const std::vector<size_t>& right_set,
+/// selectivities across the cut, left-major (1.0 entries mean "no
+/// predicate" / cross-product-free join graphs keep those at 1). An empty
+/// matrix means no predicates at all: the product is exactly 1.0.
+double CrossSelectivity(std::span<const size_t> left_set,
+                        std::span<const size_t> right_set,
                         const std::vector<std::vector<double>>& pair_sel);
 
 }  // namespace sbon::query

@@ -61,9 +61,12 @@ TEST(StatsTest, CrossSelectivityProductOverCut) {
       {0.1, 1.0, 0.5},
       {1.0, 0.5, 1.0},
   };
-  EXPECT_DOUBLE_EQ(CrossSelectivity({0}, {1}, sel), 0.1);
-  EXPECT_DOUBLE_EQ(CrossSelectivity({0, 1}, {2}, sel), 0.5);
-  EXPECT_DOUBLE_EQ(CrossSelectivity({0}, {1, 2}, sel), 0.1);
+  using Set = std::vector<size_t>;
+  EXPECT_DOUBLE_EQ(CrossSelectivity(Set{0}, Set{1}, sel), 0.1);
+  EXPECT_DOUBLE_EQ(CrossSelectivity(Set{0, 1}, Set{2}, sel), 0.5);
+  EXPECT_DOUBLE_EQ(CrossSelectivity(Set{0}, Set{1, 2}, sel), 0.1);
+  // No predicates at all: an empty matrix is exactly 1.0.
+  EXPECT_EQ(CrossSelectivity(Set{0, 1}, Set{2}, {}), 1.0);
 }
 
 // --------------------------- LogicalPlan ---------------------------
