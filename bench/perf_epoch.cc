@@ -19,27 +19,16 @@
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
 // units), --churn-rate=R (expected node crashes per epoch in the churn
 // section; crashed hosts evict their services and the engine re-places
-// orphaned queries under their original handles), --threads=T (worker
-// threads for the epoch pipeline's parallel stages; T=0 defers to the
-// SBON_EPOCH_THREADS environment variable exactly like the engine API;
-// results are bit-identical at any T), --fabric=auto|dense|sparse (latency
-// substrate backend; see README "Architecture"), --exec=oracle|message
-// (coordinate/ring maintenance execution for the engine-loop sections; see
-// README "Execution modes"), --faults=LOSS,DUP[,JITTER_MS] (fault rates of
-// the chaos section's injection plan; defaults 0.10,0.05,0), --kernels
+// orphaned queries under their original handles),
+// --fabric=auto|dense|sparse (latency substrate backend; see README
+// "Architecture"), --exec=oracle|message (coordinate/ring maintenance
+// execution for the engine-loop sections; see README "Execution modes"),
+// --faults=LOSS,DUP[,JITTER_MS] (fault rates of the chaos section's
+// injection plan; defaults 0.10,0.05,0), --kernels
 // (print the per-epoch hot-kernel attribution table; the `kernels` JSON
 // section is always emitted), --baseline=PATH + --baseline-tolerance=FRAC
 // (regression gate: fail if churn-free ns_per_epoch exceeds the baseline
 // JSON's figure by more than FRAC, default 0.5).
-//
-// The `parallel` section measures the pure AdvanceEpoch pipeline (no
-// submit/remove churn in the loop) at threads=1 vs threads=4 and verifies
-// the two runs end bit-identical. `hw_threads` records the hardware
-// concurrency the numbers were taken on — on a box with fewer cores than
-// the parallel run's thread count a speedup is unmeasurable, so the JSON
-// reports it as null ("skipped-single-core") instead of recording the ~1x
-// a time-sliced run produces; the CI release-perf lane regenerates the
-// JSON on multi-core runners.
 //
 // The `sparse` section measures the generative sparse fabric backend at two
 // sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) in
@@ -55,17 +44,16 @@
 // (independent of --nodes): a message-mode engine with a scripted crash
 // burst and partition window, reporting control-traffic volume
 // (bytes/node/epoch, per-protocol messages), ring convergence after the
-// last churn event, placement-staleness percentiles, and a threads=1 vs
-// threads=4 replay check (message stages are serial by contract, so the
-// full run must be bit-identical at any thread count).
+// last churn event, placement-staleness percentiles, and a replay check
+// (the section runs twice at the same configuration and both runs must end
+// bit-identical).
 //
 // The `chaos` section reruns that workload with seeded fault injection
 // (--faults rates on every protocol), ack/retry/backoff reliability and
 // the decentralized failure detector enabled, reporting delivery rate,
 // retry byte overhead, detection-latency percentiles, false suspicions,
-// and the same threads=1 vs threads=4 replay gate — faulty runs replay
-// bit-identically too, because all fault draws come from a dedicated
-// seeded stream.
+// and the same two-run replay gate — faulty runs replay bit-identically
+// too, because all fault draws come from a dedicated seeded stream.
 
 #include <algorithm>
 #include <chrono>
@@ -75,7 +63,6 @@
 #include <cstring>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -152,11 +139,10 @@ struct EpochLoopResult {
 // function so the epsilon/churn sweeps measure identical work per
 // configuration. `churn_rate > 0` attaches a seeded ChurnModel: every
 // epoch additionally pays for node crashes/rejoins and the engine's
-// handle-stable repair of orphaned queries. `threads = 0` defers to
-// SBON_EPOCH_THREADS via the engine's own resolution.
+// handle-stable repair of orphaned queries.
 EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
                              double epsilon, uint64_t seed,
-                             double churn_rate = 0.0, size_t threads = 1,
+                             double churn_rate = 0.0,
                              engine::ExecMode exec = engine::ExecMode::kOracle) {
   engine::EngineOptions opts;
   opts.sbon.latency_jitter_sigma = 0.1;
@@ -198,7 +184,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   epoch.vivaldi_samples = 1;
   epoch.refresh_index = true;
   epoch.refresh_epsilon = epsilon;
-  epoch.threads = threads;
   epoch.exec_mode = exec;
   // Stack-constructed (a heap ChurnModel here trips gcc's
   // -Wmismatched-new-delete against this file's counting operator new);
@@ -252,12 +237,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   return out;
 }
 
-struct PipelineRunResult {
-  double ns_per_epoch = 0.0;
-  uint64_t fingerprint = 0;  ///< bit-pattern hash of coords + live latency
-};
-
-// FNV-1a over the bit patterns of the parallel stages' outputs: every
+// FNV-1a over the bit patterns of the epoch's coordinate outputs: every
 // vector coordinate, every scalar penalty, and a strided sample of the live
 // latency view (full coverage up to ~64k pairs; the same deterministic
 // stride either side of a comparison, so runs that are bit-identical hash
@@ -291,49 +271,6 @@ uint64_t StateFingerprint(const overlay::Sbon& sbon) {
   return h;
 }
 
-// The pure epoch pipeline (AdvanceEpoch only, no submit/remove churn in
-// the loop) under a realistic maintenance epoch: jitter seed swap, ambient
-// load, 4 online Vivaldi samples per node, dirty refresh. This is the
-// workload the `parallel` JSON section compares across thread counts —
-// identical seeds must end in bit-identical state at any thread count.
-PipelineRunResult RunPipelineOnly(size_t nodes, size_t queries,
-                                  size_t epochs, size_t threads,
-                                  uint64_t seed,
-                                  engine::ExecMode exec =
-                                      engine::ExecMode::kOracle) {
-  engine::EngineOptions opts;
-  opts.sbon.latency_jitter_sigma = 0.1;
-  auto eng = bench::MakeTransitStubEngine(nodes, seed, std::move(opts));
-  overlay::Sbon& sbon = eng->sbon();
-
-  query::WorkloadParams wp;
-  wp.num_streams = 48;
-  eng->SetCatalog(
-      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
-  for (size_t q = 0; q < queries; ++q) {
-    (void)eng->Submit(query::MakeRandomQuery(wp, eng->catalog(),
-                                             sbon.overlay_nodes(), &sbon.rng())
-                          .value());
-  }
-
-  engine::EpochOptions epoch;
-  epoch.dt = 1.0;
-  epoch.tick_network = true;
-  epoch.vivaldi_samples = 4;
-  epoch.refresh_index = true;
-  epoch.refresh_epsilon = 1.0;
-  epoch.threads = threads;
-  epoch.exec_mode = exec;
-  eng->AdvanceEpoch(epoch);  // warm-up (pool spawn, cold caches)
-
-  PipelineRunResult out;
-  const Clock::time_point start = Clock::now();
-  for (size_t e = 0; e < epochs; ++e) eng->AdvanceEpoch(epoch);
-  out.ns_per_epoch = NsSince(start) / static_cast<double>(epochs);
-  out.fingerprint = StateFingerprint(sbon);
-  return out;
-}
-
 struct MessageModeResult {
   size_t nodes = 0;
   size_t queries = 0;
@@ -358,7 +295,7 @@ struct MessageModeResult {
 // plan plus reliability/detector hardening, and a longer drain so capped
 // retry backoff chains finish inside the convergence window.
 MessageModeResult RunMessageSection(
-    size_t threads, uint64_t seed,
+    uint64_t seed,
     const msg::RuntimeParams& mp = msg::RuntimeParams(),
     size_t drain_epochs = 8) {
   const size_t nodes = 256;
@@ -376,7 +313,6 @@ MessageModeResult RunMessageSection(
   epoch.vivaldi_samples = 1;
   epoch.refresh_index = true;
   epoch.refresh_epsilon = 1.0;
-  epoch.threads = threads;
   epoch.exec_mode = engine::ExecMode::kMessage;
   epoch.msg = mp;
   // Creates the msg runtime before any placement; params are validated here.
@@ -761,9 +697,6 @@ int main(int argc, char** argv) {
   const size_t epochs = std::max<size_t>(
       1, sbon::bench::FlagOr(argc, argv, "epochs", smoke ? 4 : 32));
   const double epsilon = sbon::bench::DoubleFlagOr(argc, argv, "epsilon", 1.0);
-  // 0 = resolve from SBON_EPOCH_THREADS inside the engine (the documented
-  // env path); any positive value pins the pipeline's worker count.
-  const size_t threads = sbon::bench::FlagOr(argc, argv, "threads", 0);
 
   const bool dense_requested = sbon::bench::FabricFlag() == "dense";
   if (dense_requested && nodes > 20000) {
@@ -781,15 +714,11 @@ int main(int argc, char** argv) {
 
   const sbon::engine::ExecMode exec = sbon::bench::ExecMode();
   std::printf("perf_epoch: N=%zu nodes, Q=%zu queries, E=%zu epochs, "
-              "T=%zu threads%s, fabric=%s, exec=%s\n",
-              nodes, queries, epochs, threads,
-              threads == 0 ? " (0: SBON_EPOCH_THREADS)" : "",
-              sbon::bench::FabricFlag().c_str(),
+              "fabric=%s, exec=%s\n",
+              nodes, queries, epochs, sbon::bench::FabricFlag().c_str(),
               sbon::bench::ExecFlag().c_str());
 
   sbon::EpochLoopResult primary, eps0, churned;
-  sbon::PipelineRunResult pipe1, pipeN;
-  bool bit_identical = true;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0, place_allocs = 0.0;
   sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
   struct NamedKb {
@@ -803,21 +732,13 @@ int main(int argc, char** argv) {
       {"cost_eval", &kb_costeval, sbon::Kernel::kCostEval},
   };
   const bool kernels_detail = sbon::HasFlag(argc, argv, "--kernels");
-  const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const size_t par_threads = std::max<size_t>(4, threads);
-  // A parallel speedup is only measurable with at least as many cores as
-  // worker threads; a time-sliced run produces a meaningless ~1x that must
-  // not be recorded as if it were the parallelization's value.
-  const bool speedup_measurable = hw_threads >= par_threads;
-  double speedup = 0.0;
   const double churn_rate =
       sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
   if (!scaling_only) {
     sbon::bench::Section("Epoch+Submit throughput (dirty refresh, epsilon)");
     primary = sbon::RunEpochLoop(nodes, queries, epochs, epsilon,
-                                 /*seed=*/42, /*churn_rate=*/0.0, threads,
-                                 exec);
+                                 /*seed=*/42, /*churn_rate=*/0.0, exec);
     std::printf(
         "epsilon=%-4g  %10.0f ns/epoch  %10.0f ns/submit  %zu queries\n"
         "              republished=%zu skipped=%zu quiet_refreshes=%zu/%zu\n"
@@ -829,13 +750,13 @@ int main(int argc, char** argv) {
 
     sbon::bench::Section("Epoch+Submit throughput (epsilon=0: every change)");
     eps0 = sbon::RunEpochLoop(nodes, queries, epochs, 0.0,
-                              /*seed=*/42, /*churn_rate=*/0.0, threads, exec);
+                              /*seed=*/42, /*churn_rate=*/0.0, exec);
     std::printf("epsilon=0     %10.0f ns/epoch  %10.0f ns/submit\n",
                 eps0.ns_per_epoch, eps0.ns_per_submit);
 
     sbon::bench::Section("Epoch throughput under churn (crashes + repair)");
     churned = sbon::RunEpochLoop(nodes, queries, epochs, epsilon,
-                                 /*seed=*/42, churn_rate, threads, exec);
+                                 /*seed=*/42, churn_rate, exec);
     std::printf(
         "churn=%-5g  %10.0f ns/epoch  (%+0.0f%% vs churn-free)\n"
         "              crashes=%zu rejoins=%zu evicted=%zu orphaned=%zu "
@@ -847,37 +768,6 @@ int main(int argc, char** argv) {
         churned.repair.crashes, churned.repair.rejoins,
         churned.repair.services_evicted, churned.repair.circuits_orphaned,
         churned.repair.queries_repaired, churned.repair.queries_dropped);
-
-    sbon::bench::Section("Parallel epoch pipeline (AdvanceEpoch only)");
-    pipe1 = sbon::RunPipelineOnly(nodes, queries, epochs, /*threads=*/1, 42,
-                                  exec);
-    pipeN = sbon::RunPipelineOnly(nodes, queries, epochs, par_threads, 42,
-                                  exec);
-    bit_identical = pipe1.fingerprint == pipeN.fingerprint;
-    speedup = pipeN.ns_per_epoch > 0.0
-                  ? pipe1.ns_per_epoch / pipeN.ns_per_epoch
-                  : 0.0;
-    std::printf("threads=1     %10.0f ns/epoch\n", pipe1.ns_per_epoch);
-    if (speedup_measurable) {
-      std::printf("threads=%-4zu  %10.0f ns/epoch   speedup %.2fx  "
-                  "(hw threads: %zu)\n",
-                  par_threads, pipeN.ns_per_epoch, speedup, hw_threads);
-    } else {
-      std::printf("threads=%-4zu  %10.0f ns/epoch   speedup n/a: only %zu "
-                  "hw thread(s) for %zu workers\n",
-                  par_threads, pipeN.ns_per_epoch, hw_threads, par_threads);
-    }
-    std::printf("state fingerprints %s\n",
-                bit_identical ? "bit-identical across thread counts"
-                              : "DIVERGED ACROSS THREAD COUNTS");
-    if (!bit_identical) {
-      std::fprintf(
-          stderr,
-          "FAIL: thread count changed results (t1=%016llx tN=%016llx)\n",
-          static_cast<unsigned long long>(pipe1.fingerprint),
-          static_cast<unsigned long long>(pipeN.fingerprint));
-      return 1;
-    }
 
     sbon::bench::Section("Hot-loop allocation audit");
     vivaldi_allocs = sbon::MeasureVivaldiAllocs();
@@ -962,9 +852,9 @@ int main(int argc, char** argv) {
   }
 
   sbon::bench::Section("Decentralized execution (message mode, pinned size)");
-  const auto msg1 = sbon::RunMessageSection(/*threads=*/1, /*seed=*/42);
-  const auto msgN = sbon::RunMessageSection(/*threads=*/4, /*seed=*/42);
-  const bool msg_replay_identical = msg1.fingerprint == msgN.fingerprint;
+  const auto msg1 = sbon::RunMessageSection(/*seed=*/42);
+  const auto msg2 = sbon::RunMessageSection(/*seed=*/42);
+  const bool msg_replay_identical = msg1.fingerprint == msg2.fingerprint;
   {
     const sbon::msg::TrafficSummary& t = msg1.summary;
     std::printf(
@@ -982,15 +872,15 @@ int main(int argc, char** argv) {
         t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kPlacement)],
         t.convergence_epochs, t.converged ? "converged" : "NOT CONVERGED",
         t.staleness_p50, t.staleness_p95, t.staleness_samples,
-        msg_replay_identical ? "bit-identical across thread counts"
-                             : "DIVERGED ACROSS THREAD COUNTS");
+        msg_replay_identical ? "bit-identical across two runs"
+                             : "DIVERGED BETWEEN TWO RUNS");
   }
   if (!msg_replay_identical) {
     std::fprintf(
         stderr,
-        "FAIL: message-mode replay diverged (t1=%016llx t4=%016llx)\n",
+        "FAIL: message-mode replay diverged (run1=%016llx run2=%016llx)\n",
         static_cast<unsigned long long>(msg1.fingerprint),
-        static_cast<unsigned long long>(msgN.fingerprint));
+        static_cast<unsigned long long>(msg2.fingerprint));
     return 1;
   }
 
@@ -1009,11 +899,11 @@ int main(int argc, char** argv) {
   chaos_mp.reliability.max_backoff_epochs = 2;
   chaos_mp.reliability.max_retries = 3;
   chaos_mp.detector.enabled = true;
-  const auto chaos1 = sbon::RunMessageSection(/*threads=*/1, /*seed=*/42,
-                                              chaos_mp, /*drain_epochs=*/12);
-  const auto chaosN = sbon::RunMessageSection(/*threads=*/4, /*seed=*/42,
-                                              chaos_mp, /*drain_epochs=*/12);
-  const bool chaos_replay_identical = chaos1.fingerprint == chaosN.fingerprint;
+  const auto chaos1 = sbon::RunMessageSection(/*seed=*/42, chaos_mp,
+                                              /*drain_epochs=*/12);
+  const auto chaos2 = sbon::RunMessageSection(/*seed=*/42, chaos_mp,
+                                              /*drain_epochs=*/12);
+  const bool chaos_replay_identical = chaos1.fingerprint == chaos2.fingerprint;
   const sbon::msg::TrafficSummary& ct = chaos1.summary;
   const double chaos_delivery_rate =
       ct.msgs_delivered + ct.msgs_dropped_fault > 0
@@ -1043,14 +933,15 @@ int main(int argc, char** argv) {
       ct.crash_confirmations, ct.detection_p50, ct.detection_p95,
       ct.detection_samples, ct.convergence_epochs,
       ct.converged ? "converged" : "NOT CONVERGED",
-      chaos_replay_identical ? "bit-identical across thread counts"
-                             : "DIVERGED ACROSS THREAD COUNTS");
+      chaos_replay_identical ? "bit-identical across two runs"
+                             : "DIVERGED BETWEEN TWO RUNS");
   if (!chaos_replay_identical) {
     std::fprintf(
         stderr,
-        "FAIL: chaos message-mode replay diverged (t1=%016llx t4=%016llx)\n",
+        "FAIL: chaos message-mode replay diverged (run1=%016llx "
+        "run2=%016llx)\n",
         static_cast<unsigned long long>(chaos1.fingerprint),
-        static_cast<unsigned long long>(chaosN.fingerprint));
+        static_cast<unsigned long long>(chaos2.fingerprint));
     return 1;
   }
 
@@ -1135,12 +1026,6 @@ int main(int argc, char** argv) {
                  sbon::bench::FabricFlag().c_str(),
                  sbon::bench::ExecFlag().c_str(), nodes, queries, epochs);
     if (!scaling_only) {
-      char speedup_buf[64];
-      if (speedup_measurable) {
-        std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2f", speedup);
-      } else {
-        std::snprintf(speedup_buf, sizeof(speedup_buf), "null");
-      }
       std::fprintf(
           f,
           "  \"refresh_epsilon\": %g,\n"
@@ -1157,16 +1042,6 @@ int main(int argc, char** argv) {
           "  \"allocs_per_vivaldi_update\": %g,\n"
           "  \"allocs_per_knearest\": %g,\n"
           "  \"allocs_per_place\": %g,\n"
-          "  \"parallel\": {\n"
-          "    \"hw_threads\": %zu,\n"
-          "    \"threads\": %zu,\n"
-          "    \"vivaldi_samples\": 4,\n"
-          "    \"ns_per_epoch_threads1\": %.1f,\n"
-          "    \"ns_per_epoch_threadsN\": %.1f,\n"
-          "    \"speedup\": %s,\n"
-          "    \"speedup_note\": \"%s\",\n"
-          "    \"bit_identical\": %s\n"
-          "  },\n"
           "  \"churn\": {\n"
           "    \"crash_rate\": %g,\n"
           "    \"ns_per_epoch\": %.1f,\n"
@@ -1183,11 +1058,8 @@ int main(int argc, char** argv) {
           primary.live_reads_per_epoch, primary.refresh.republished,
           primary.refresh.skipped, primary.refresh.quiet_refreshes,
           primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, place_allocs, hw_threads,
-          par_threads,
-          pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,
-          speedup_measurable ? "ok" : "skipped-single-core",
-          bit_identical ? "true" : "false", churn_rate, churned.ns_per_epoch,
+          vivaldi_allocs, knearest_allocs, place_allocs, churn_rate,
+          churned.ns_per_epoch,
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,
           churned.repair.queries_repaired, churned.repair.queries_dropped);

@@ -12,7 +12,7 @@
 //  - the flash-crowd phase sheds nothing (admission control regression:
 //    overload must be a *measured* scenario, not an accident), or
 //  - the cumulative offered-query count misses the configured floor, or
-//  - the fixed-seed replay diverges between threads=1 and threads=4.
+//  - two runs of the same fixed-seed replay soak diverge.
 //
 // Full run (~minutes, Release): ≥ 1M cumulative offered queries.
 //   ./perf_workload --json=BENCH_workload.json
@@ -82,7 +82,6 @@ struct SoakConfig {
   double hotspot_site_frac = 0.05;
   size_t max_running = 1600;
   double churn_crash_rate = 0.02;
-  size_t threads = 1;
   uint64_t seed = 42;
 };
 
@@ -145,7 +144,6 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   wl_opts.epoch.dt = 0.25;
   wl_opts.epoch.vivaldi_samples = 1;
   wl_opts.epoch.refresh_epsilon = 0.05;
-  wl_opts.epoch.threads = cfg.threads;
   wl_opts.epoch.churn = cfg.churn_crash_rate > 0.0 ? &churn : nullptr;
   wl_opts.epoch.exec_mode = sbon::bench::ExecMode();
   // Reuse-capable optimization is the point of tracking catalog hit rates;
@@ -251,7 +249,6 @@ int main(int argc, char** argv) {
   cfg.nodes = sbon::bench::FlagOr(argc, argv, "nodes", cfg.nodes);
   cfg.epochs = sbon::bench::FlagOr(argc, argv, "epochs", cfg.epochs);
   cfg.base_rate = sbon::bench::DoubleFlagOr(argc, argv, "rate", cfg.base_rate);
-  cfg.threads = sbon::bench::FlagOr(argc, argv, "threads", cfg.threads);
   cfg.seed = sbon::bench::FlagOr(argc, argv, "seed", cfg.seed);
   const size_t min_cumulative = sbon::bench::FlagOr(
       argc, argv, "min-cumulative", sbon::bench::SmokeMode() ? 0 : 1000000);
@@ -259,11 +256,11 @@ int main(int argc, char** argv) {
   sbon::bench::Section("open-loop workload soak");
   std::printf(
       "nodes=%zu epochs=%zu base_rate=%.1f lifetime=%.1f flash=[%zu,%zu)x%.1f "
-      "cap=%zu crash_rate=%.2f threads=%zu seed=%llu\n",
+      "cap=%zu crash_rate=%.2f seed=%llu\n",
       cfg.nodes, cfg.epochs, cfg.base_rate, cfg.mean_lifetime,
       cfg.flash_start, cfg.flash_start + cfg.flash_duration,
       cfg.flash_multiplier, cfg.max_running, cfg.churn_crash_rate,
-      cfg.threads, static_cast<unsigned long long>(cfg.seed));
+      static_cast<unsigned long long>(cfg.seed));
 
   const SoakResult run = RunSoak(cfg);
   std::printf(
@@ -277,10 +274,10 @@ int main(int argc, char** argv) {
               run.repair.queries_dropped);
   for (const auto& p : run.phases) PrintPhase(p);
 
-  // Replay gate: a pinned small soak must be bit-identical at threads=1 vs
-  // threads=4 — the pool schedules epochs, it never changes what they
-  // compute, and the workload driver's draws all come from its own Rng.
-  sbon::bench::Section("replay gate (threads=1 vs threads=4)");
+  // Replay gate: a pinned small soak run twice in one process must end
+  // bit-identical — the workload driver's draws all come from its own Rng,
+  // and no state may leak from one run into the next.
+  sbon::bench::Section("replay gate (two runs, same configuration)");
   SoakConfig replay_cfg;
   replay_cfg.nodes = 96;
   replay_cfg.epochs = 30;
@@ -293,18 +290,16 @@ int main(int argc, char** argv) {
   replay_cfg.max_running = 40;
   replay_cfg.churn_crash_rate = 0.3;
   replay_cfg.seed = cfg.seed;
-  replay_cfg.threads = 1;
   const SoakResult r1 = RunSoak(replay_cfg);
-  replay_cfg.threads = 4;
-  const SoakResult r4 = RunSoak(replay_cfg);
-  const bool replay_ok = r1.fingerprint == r4.fingerprint &&
-                         r1.totals.arrivals == r4.totals.arrivals &&
-                         r1.totals.shed == r4.totals.shed &&
-                         r1.totals.submitted == r4.totals.submitted &&
-                         r1.totals.departures == r4.totals.departures;
-  std::printf("fingerprint t1=%016llx t4=%016llx -> %s\n",
+  const SoakResult r2 = RunSoak(replay_cfg);
+  const bool replay_ok = r1.fingerprint == r2.fingerprint &&
+                         r1.totals.arrivals == r2.totals.arrivals &&
+                         r1.totals.shed == r2.totals.shed &&
+                         r1.totals.submitted == r2.totals.submitted &&
+                         r1.totals.departures == r2.totals.departures;
+  std::printf("fingerprint run1=%016llx run2=%016llx -> %s\n",
               static_cast<unsigned long long>(r1.fingerprint),
-              static_cast<unsigned long long>(r4.fingerprint),
+              static_cast<unsigned long long>(r2.fingerprint),
               replay_ok ? "identical" : "DIVERGED");
 
   // Gates.
@@ -314,7 +309,7 @@ int main(int argc, char** argv) {
   }
   bool failed = false;
   if (!replay_ok) {
-    std::fprintf(stderr, "GATE: threads=1 vs threads=4 replay diverged\n");
+    std::fprintf(stderr, "GATE: two-run replay diverged\n");
     failed = true;
   }
   if (flash_phase == nullptr || flash_phase->shed == 0) {
@@ -348,13 +343,12 @@ int main(int argc, char** argv) {
         "\"flash_start\": %zu, \"flash_duration\": %zu, "
         "\"flash_multiplier\": %.1f, \"hotspot_site_frac\": %.2f, "
         "\"max_running_queries\": %zu, \"churn_crash_rate\": %.2f, "
-        "\"threads\": %zu, \"seed\": %llu},\n",
+        "\"seed\": %llu},\n",
         sbon::bench::SmokeMode() ? "true" : "false", cfg.nodes, cfg.epochs,
         cfg.base_rate, cfg.mean_lifetime, cfg.diurnal_amplitude,
         cfg.diurnal_period, cfg.flash_start, cfg.flash_duration,
         cfg.flash_multiplier, cfg.hotspot_site_frac, cfg.max_running,
-        cfg.churn_crash_rate, cfg.threads,
-        static_cast<unsigned long long>(cfg.seed));
+        cfg.churn_crash_rate, static_cast<unsigned long long>(cfg.seed));
     std::fprintf(
         f,
         "  \"totals\": {\"arrivals\": %zu, \"shed\": %zu, "
@@ -389,10 +383,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ],\n");
     std::fprintf(
         f,
-        "  \"replay\": {\"fingerprint_t1\": \"%016llx\", "
-        "\"fingerprint_t4\": \"%016llx\", \"identical\": %s}\n}\n",
+        "  \"replay\": {\"fingerprint_run1\": \"%016llx\", "
+        "\"fingerprint_run2\": \"%016llx\", \"identical\": %s}\n}\n",
         static_cast<unsigned long long>(r1.fingerprint),
-        static_cast<unsigned long long>(r4.fingerprint),
+        static_cast<unsigned long long>(r2.fingerprint),
         replay_ok ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", sbon::bench::JsonFlag().c_str());

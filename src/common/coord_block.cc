@@ -89,15 +89,14 @@ void DistanceSquaredToMany(const CoordBlock& b, const double* target,
   }
 }
 
-void DisplacementSquared(const CoordBlock& a, size_t a_begin,
-                         const CoordBlock& b, const NodeId* ids, size_t count,
-                         double* out) {
+void DisplacementSquared(const CoordBlock& a, const CoordBlock& b,
+                         const NodeId* ids, size_t count, double* out) {
   const size_t dims = a.dims();
   assert(dims == b.dims());
   if (count == 0) return;
   assert(dims >= 1);
   {
-    const double* la = a.lane(0) + a_begin;
+    const double* la = a.lane(0);
     const double* lb = b.lane(0);
     SBON_SIMD_LOOP
     for (size_t j = 0; j < count; ++j) {
@@ -106,7 +105,7 @@ void DisplacementSquared(const CoordBlock& a, size_t a_begin,
     }
   }
   for (size_t d = 1; d < dims; ++d) {
-    const double* la = a.lane(d) + a_begin;
+    const double* la = a.lane(d);
     const double* lb = b.lane(d);
     SBON_SIMD_LOOP
     for (size_t j = 0; j < count; ++j) {

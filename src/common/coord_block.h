@@ -106,12 +106,11 @@ void DistanceSquaredToMany(const CoordBlock& b, const double* target,
 void DistanceSquaredToMany(const CoordBlock& b, const double* target,
                            const NodeId* ids, size_t count, double* out);
 
-/// out[j] = squared distance between node (a_begin + j) of `a` and node
-/// ids[j] of `b` — the refresh displacement scan (`a` is positional scratch,
-/// `b` is addressed by node id). Blocks must have equal dims.
-void DisplacementSquared(const CoordBlock& a, size_t a_begin,
-                         const CoordBlock& b, const NodeId* ids, size_t count,
-                         double* out);
+/// out[j] = squared distance between node j of `a` and node ids[j] of `b` —
+/// the refresh displacement scan (`a` is positional scratch, `b` is
+/// addressed by node id). Blocks must have equal dims.
+void DisplacementSquared(const CoordBlock& a, const CoordBlock& b,
+                         const NodeId* ids, size_t count, double* out);
 
 /// v[j] = sqrt(v[j]) for j in [0, count).
 void SqrtMany(double* v, size_t count);

@@ -111,19 +111,19 @@ void CostSpace::SyncVectorFrom(const CoordBlock& coords) {
 }
 
 void CostSpace::FullCoordsInto(const NodeId* nodes, size_t count,
-                               size_t out_begin, CoordBlock* out) const {
+                               CoordBlock* out) const {
   assert(out->dims() == spec_.total_dims());
-  assert(out->nodes() >= out_begin + count);
+  assert(out->nodes() >= count);
   const size_t vdims = spec_.vector_dims();
   for (size_t d = 0; d < vdims; ++d) {
     const double* src = vector_coords_.lane(d);
-    double* dst = out->lane(d) + out_begin;
+    double* dst = out->lane(d);
     SBON_SIMD_LOOP
     for (size_t j = 0; j < count; ++j) dst[j] = src[nodes[j]];
   }
   for (size_t i = 0; i < spec_.num_scalar_dims(); ++i) {
     const double* src = weighted_scalars_.lane(i);
-    double* dst = out->lane(vdims + i) + out_begin;
+    double* dst = out->lane(vdims + i);
     SBON_SIMD_LOOP
     for (size_t j = 0; j < count; ++j) dst[j] = src[nodes[j]];
   }

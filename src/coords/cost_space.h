@@ -112,10 +112,9 @@ class CostSpace {
   void SyncVectorFrom(const CoordBlock& coords);
 
   /// Writes the full coordinates of nodes[0..count) into `out` node slots
-  /// [out_begin, out_begin + count): vector lanes first, then the cached
-  /// weighted scalar lanes. `out` must be shaped total_dims x (>= out_begin
-  /// + count). Shard-safe: writes only the given slot range.
-  void FullCoordsInto(const NodeId* nodes, size_t count, size_t out_begin,
+  /// [0, count): vector lanes first, then the cached weighted scalar lanes.
+  /// `out` must be shaped total_dims x (>= count).
+  void FullCoordsInto(const NodeId* nodes, size_t count,
                       CoordBlock* out) const;
 
   /// Batched VectorDistanceTo over a candidate set: out[j] is the vector

@@ -81,8 +81,7 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
 
 void CoordinateManager::UpdateCoordinatesOnline(
     const net::LatencyView& live, size_t samples_per_node,
-    const std::vector<bool>& alive, double rtt_noise_sigma, Rng* rng,
-    ThreadPool* pool) {
+    const std::vector<bool>& alive, double rtt_noise_sigma, Rng* rng) {
   if (vivaldi_ == nullptr) return;
   const size_t n = space_->NumNodes();
   if (n < 2) return;
@@ -114,127 +113,50 @@ void CoordinateManager::UpdateCoordinatesOnline(
     sample_end_[self] = samples_.size();
   }
 
-  // Phase 2 — spring updates, counted as the vivaldi_update kernel. Serial
-  // semantics (the contract both paths implement): nodes update in index
-  // order, so a sample against a lower peer sees that peer's fully-updated
+  // Phase 2 — spring updates in index order, counted as the vivaldi_update
+  // kernel: a sample against a lower peer sees that peer's fully-updated
   // epoch state and a sample against a higher peer sees its epoch-start
   // state.
   {
-  KernelTimer timer(Kernel::kVivaldiUpdate, samples_.size());
-  if (pool == nullptr || pool->threads() <= 1) {
+    KernelTimer timer(Kernel::kVivaldiUpdate, samples_.size());
     for (NodeId self = 0; self < n; ++self) {
       const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
       for (size_t k = begin; k < sample_end_[self]; ++k) {
         vivaldi_->Update(self, samples_[k].peer, samples_[k].rtt);
       }
     }
-  } else {
-    // Wavefront execution. A node's updates may run as soon as every lower
-    // peer it samples has finished (flow dependency); reads of higher peers
-    // go to the epoch-start snapshot, which removes the anti-dependency
-    // serial order would otherwise impose. Generation numbers depend only
-    // on the pre-drawn samples, and nodes within a generation write
-    // disjoint state, so any thread count produces the serial result.
-    snap_block_ = vivaldi_->coords();
-    snap_error_.resize(n);
-    for (NodeId i = 0; i < n; ++i) {
-      snap_error_[i] = vivaldi_->LocalError(i);
-    }
-    generation_.assign(n, 0);
-    size_t max_gen = 0;
-    for (NodeId self = 0; self < n; ++self) {
-      const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-      size_t g = 0;
-      for (size_t k = begin; k < sample_end_[self]; ++k) {
-        const NodeId peer = samples_[k].peer;
-        if (peer < self) g = std::max(g, generation_[peer] + 1);
-      }
-      generation_[self] = g;
-      max_gen = std::max(max_gen, g);
-    }
-    // Bucket nodes by generation, ascending node id within each bucket
-    // (counting sort; order inside a bucket is irrelevant for correctness
-    // but kept deterministic anyway).
-    wave_begin_.assign(max_gen + 2, 0);
-    for (NodeId self = 0; self < n; ++self) {
-      const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-      if (begin < sample_end_[self]) ++wave_begin_[generation_[self] + 1];
-    }
-    for (size_t g = 1; g < wave_begin_.size(); ++g) {
-      wave_begin_[g] += wave_begin_[g - 1];
-    }
-    wave_order_.resize(wave_begin_.back());
-    {
-      std::vector<size_t> cursor(wave_begin_.begin(),
-                                 wave_begin_.end() - 1);
-      for (NodeId self = 0; self < n; ++self) {
-        const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-        if (begin < sample_end_[self]) {
-          wave_order_[cursor[generation_[self]]++] = self;
-        }
-      }
-    }
-    for (size_t g = 0; g <= max_gen; ++g) {
-      const size_t bucket_begin = wave_begin_[g];
-      const size_t bucket_size = wave_begin_[g + 1] - bucket_begin;
-      ParallelSlices(pool, bucket_size, [&](size_t lo, size_t hi) {
-        for (size_t w = lo; w < hi; ++w) {
-          const NodeId self = wave_order_[bucket_begin + w];
-          const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-          for (size_t k = begin; k < sample_end_[self]; ++k) {
-            const NodeId peer = samples_[k].peer;
-            if (peer < self) {
-              // Lower peer: finished in an earlier generation; live state.
-              vivaldi_->Update(self, peer, samples_[k].rtt);
-            } else {
-              vivaldi_->UpdateAgainstBlock(self, peer, snap_block_,
-                                           snap_error_[peer], samples_[k].rtt);
-            }
-          }
-        }
-      });
-    }
   }
-  }  // KernelTimer(vivaldi_update) scope: phase 2 only
 
   space_->SyncVectorFrom(vivaldi_->coords());
 }
 
 void CoordinateManager::ScanDisplaced(
-    const std::vector<NodeId>& overlay_nodes, double epsilon,
-    ThreadPool* pool) {
+    const std::vector<NodeId>& overlay_nodes, double epsilon) {
   const double eps2 = epsilon * epsilon;
   const size_t m = overlay_nodes.size();
   // Counted as the cost_eval kernel: gather every overlay node's full
   // coordinate into positional SoA lanes, then diff lane-wise against the
   // index's published block and flag the slots displaced beyond epsilon.
-  // Each slot is written by exactly one shard; dirty_ is byte-wide because
-  // vector<bool> packs bits and adjacent writes would race. Per slot the
-  // squared displacement accumulates dims-ascending — bitwise the order the
-  // per-Vec DistanceSquaredTo scan used.
+  // Per slot the squared displacement accumulates dims-ascending — bitwise
+  // the order the per-Vec DistanceSquaredTo scan used.
   dirty_.assign(m, 0);
   full_block_.Reset(params_.spec.total_dims(), m);
   disp_scratch_.resize(m);
   KernelTimer timer(Kernel::kCostEval, m);
-  const CoordBlock& published = index_->published_coords();
-  ParallelSlices(pool, m, [&](size_t lo, size_t hi) {
-    space_->FullCoordsInto(overlay_nodes.data() + lo, hi - lo, lo,
-                           &full_block_);
-    kernels::DisplacementSquared(full_block_, lo, published,
-                                 overlay_nodes.data() + lo, hi - lo,
-                                 disp_scratch_.data() + lo);
-    for (size_t k = lo; k < hi; ++k) {
-      // Strictly-greater: epsilon 0 republishes any changed coordinate and
-      // skips bit-identical ones (the ring state is the same either way).
-      dirty_[k] = disp_scratch_[k] > eps2;
-    }
-  });
+  space_->FullCoordsInto(overlay_nodes.data(), m, &full_block_);
+  kernels::DisplacementSquared(full_block_, index_->published_coords(),
+                               overlay_nodes.data(), m, disp_scratch_.data());
+  for (size_t k = 0; k < m; ++k) {
+    // Strictly-greater: epsilon 0 republishes any changed coordinate and
+    // skips bit-identical ones (the ring state is the same either way).
+    dirty_[k] = disp_scratch_[k] > eps2;
+  }
 }
 
 void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
-                                     double epsilon, ThreadPool* pool) {
+                                     double epsilon) {
   refresh_stats_.refreshes += 1;
-  ScanDisplaced(overlay_nodes, epsilon, pool);
+  ScanDisplaced(overlay_nodes, epsilon);
   // Republish the displaced nodes in node order as one ring batch.
   publish_nodes_.clear();
   publish_coords_.clear();
@@ -266,7 +188,7 @@ void CoordinateManager::SyncVectorCoords() {
 void CoordinateManager::CollectDisplaced(
     const std::vector<NodeId>& overlay_nodes, double epsilon,
     std::vector<NodeId>* out) {
-  ScanDisplaced(overlay_nodes, epsilon, nullptr);
+  ScanDisplaced(overlay_nodes, epsilon);
   for (size_t k = 0; k < overlay_nodes.size(); ++k) {
     if (dirty_[k]) out->push_back(overlay_nodes[k]);
   }

@@ -6,7 +6,6 @@
 
 #include "common/coord_block.h"
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/vec.h"
@@ -43,11 +42,6 @@ struct IndexRefreshStats {
 ///
 /// One of the three substrates `overlay::Sbon` composes (alongside
 /// net::NetworkFabric and overlay::ServiceLedger).
-///
-/// Two stages shard across an optional ThreadPool: the online Vivaldi epoch
-/// (dependency-wavefront execution of pre-drawn samples) and the refresh's
-/// dirty scan. Both replicate the serial index-order sweep exactly, so
-/// fixed-seed results are bit-identical at any thread count.
 class CoordinateManager {
  public:
   struct Params {
@@ -90,21 +84,19 @@ class CoordinateManager {
   /// `samples_per_node` RTT measurements against `live` latencies and runs
   /// Vivaldi updates, then the cost space's vector part is refreshed.
   /// Sample draws come from `rng` in the legacy serial order; the updates
-  /// execute either in index order (serial) or as a dependency wavefront
-  /// over `pool` — bit-identical either way. No-op without Vivaldi.
+  /// run in node index order, so a sample against a lower peer sees that
+  /// peer's updated state and one against a higher peer its epoch-start
+  /// state. No-op without Vivaldi.
   void UpdateCoordinatesOnline(const net::LatencyView& live,
                                size_t samples_per_node,
                                const std::vector<bool>& alive,
-                               double rtt_noise_sigma, Rng* rng,
-                               ThreadPool* pool = nullptr);
+                               double rtt_noise_sigma, Rng* rng);
 
   /// Dirty-driven index refresh: republishes the full coordinate of every
   /// overlay node displaced more than `epsilon` (cost-space units) from its
   /// published coordinate, as one ring batch in node order; when nothing
-  /// moved the ring is left entirely untouched. The displacement scan
-  /// shards over `pool`.
-  void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon,
-                    ThreadPool* pool = nullptr);
+  /// moved the ring is left entirely untouched.
+  void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon);
 
   /// Ring Leave on a crash: the index stops returning the node immediately.
   void Withdraw(NodeId n);
@@ -157,11 +149,6 @@ class CoordinateManager {
   // in steady state).
   std::vector<Sample> samples_;
   std::vector<size_t> sample_end_;   ///< per node: end offset into samples_
-  std::vector<size_t> generation_;   ///< wavefront generation per node
-  std::vector<NodeId> wave_order_;   ///< nodes bucketed by generation
-  std::vector<size_t> wave_begin_;   ///< bucket boundaries into wave_order_
-  CoordBlock snap_block_;            ///< epoch-start coordinate snapshot
-  std::vector<double> snap_error_;   ///< epoch-start error snapshot
   CoordBlock full_block_;            ///< recomputed full coords (refresh),
                                      ///< positional (slot k = overlay_nodes[k])
   std::vector<double> disp_scratch_; ///< squared displacement per slot
@@ -175,7 +162,7 @@ class CoordinateManager {
   /// displaced more than `epsilon` from the index's published coordinate.
   /// Every alive overlay node is published, so each one has a slot there.
   void ScanDisplaced(const std::vector<NodeId>& overlay_nodes,
-                     double epsilon, ThreadPool* pool);
+                     double epsilon);
 };
 
 }  // namespace sbon::coords

@@ -31,14 +31,6 @@ void VivaldiSystem::UpdateAgainst(NodeId self, NodeId peer,
   UpdateKernel(self, peer, peer_coord.data(), 1, peer_error, measured_rtt_ms);
 }
 
-void VivaldiSystem::UpdateAgainstBlock(NodeId self, NodeId peer,
-                                       const CoordBlock& peers,
-                                       double peer_error,
-                                       double measured_rtt_ms) {
-  UpdateKernel(self, peer, peers.lane(0) + peer, peers.stride(), peer_error,
-               measured_rtt_ms);
-}
-
 void VivaldiSystem::UpdateKernel(NodeId self, NodeId peer,
                                  const double* peer_base, size_t peer_stride,
                                  double peer_error, double measured_rtt_ms) {

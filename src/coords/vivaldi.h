@@ -49,24 +49,16 @@ class VivaldiSystem {
   void Update(NodeId self, NodeId peer, double measured_rtt_ms);
 
   /// Update reading the peer's state from explicit values instead of the
-  /// live arrays — the building block of the deterministic parallel online
-  /// update (coords::CoordinateManager feeds peers above `self` their
-  /// epoch-start snapshot and peers below their fully-updated state,
-  /// replicating the serial index-order sweep bit for bit). `peer` is still
-  /// needed for the deterministic tiebreak direction.
+  /// live arrays — message mode applies a pong's carried peer state through
+  /// it. `peer` is still needed for the deterministic tiebreak direction.
   void UpdateAgainst(NodeId self, NodeId peer, const Vec& peer_coord,
                      double peer_error, double measured_rtt_ms);
-
-  /// UpdateAgainst reading the peer coordinate out of a snapshot block
-  /// (same lane-major shape as `coords()`) without materializing a `Vec`.
-  void UpdateAgainstBlock(NodeId self, NodeId peer, const CoordBlock& peers,
-                          double peer_error, double measured_rtt_ms);
 
   /// Predicted latency between two nodes: coordinate distance.
   double Predict(NodeId a, NodeId b) const;
 
  private:
-  /// The one spring-update implementation behind the three entry points;
+  /// The one spring-update implementation behind both entry points;
   /// reads the peer coordinate as `peer_base[d * peer_stride]`.
   void UpdateKernel(NodeId self, NodeId peer, const double* peer_base,
                     size_t peer_stride, double peer_error,

@@ -1,11 +1,10 @@
 #ifndef SBON_ENGINE_EPOCH_PIPELINE_H_
 #define SBON_ENGINE_EPOCH_PIPELINE_H_
 
-#include <functional>
+#include <chrono>
 #include <vector>
 
 #include "common/kernel_stats.h"
-#include "common/parallel.h"
 
 namespace sbon::engine {
 
@@ -13,7 +12,6 @@ namespace sbon::engine {
 struct EpochStageTrace {
   const char* name = "";  ///< stage name (stable across epochs)
   bool ran = false;       ///< stage was enabled this epoch
-  bool sharded = false;   ///< executed across the thread pool
   double ns = 0.0;        ///< wall time spent in the stage
   /// Hot-kernel activity attributed to this stage (KernelStats delta across
   /// the stage body): per kernel, the calls/ops/ns/allocs it recorded.
@@ -23,31 +21,37 @@ struct EpochStageTrace {
 /// The explicit staged runner behind StreamEngine::AdvanceEpoch. An epoch
 /// is a fixed sequence of named stages over the overlay substrates
 /// (jitter -> load -> coords -> churn+repair -> refresh); the pipeline runs
-/// each enabled stage in order, hands the thread pool only to stages whose
-/// work is deterministically shardable, and records a per-stage trace
-/// (what ran, whether it sharded, how long it took) for introspection.
+/// each enabled stage in order and records a per-stage trace (what ran,
+/// how long it took) for introspection.
 ///
 /// Stage *order* is the determinism backbone: every stage observes exactly
-/// the state the previous stages produced, and the shardable stages
-/// guarantee bit-identical results at any thread count (see the substrate
-/// contracts), so a fixed seed yields one answer no matter how the epoch
-/// was scheduled.
+/// the state the previous stages produced, so a fixed seed yields one
+/// answer.
 class EpochPipeline {
  public:
-  /// `pool` may be null (fully serial epoch). Not owned.
-  explicit EpochPipeline(ThreadPool* pool) : pool_(pool) {}
-
-  /// Runs `fn` as the next stage when `enabled`; always records the trace
-  /// entry (disabled stages record ran=false with zero time). `fn` receives
-  /// the pool when `parallelizable` and a multi-thread pool is attached,
-  /// null otherwise — serial-only stages never see the pool at all.
-  void Run(const char* name, bool enabled, bool parallelizable,
-           const std::function<void(ThreadPool*)>& fn);
+  /// Runs `fn()` as the next stage when `enabled`; always records the trace
+  /// entry (disabled stages record ran=false with zero time).
+  template <typename Fn>
+  void Run(const char* name, bool enabled, Fn&& fn) {
+    EpochStageTrace entry;
+    entry.name = name;
+    if (enabled) {
+      const KernelStatsSnapshot before = KernelStats::Instance().Snapshot();
+      const auto start = std::chrono::steady_clock::now();
+      fn();
+      entry.ran = true;
+      entry.ns = static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+      entry.kernels = KernelStats::Instance().Snapshot().Since(before);
+    }
+    trace_.push_back(entry);
+  }
 
   const std::vector<EpochStageTrace>& trace() const { return trace_; }
 
  private:
-  ThreadPool* pool_;
   std::vector<EpochStageTrace> trace_;
 };
 

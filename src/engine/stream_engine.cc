@@ -1,29 +1,10 @@
 #include "engine/stream_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string>
 #include <utility>
 
 namespace sbon::engine {
-
-namespace {
-
-/// Thread count an EpochOptions::threads of 0 resolves to: the
-/// SBON_EPOCH_THREADS environment variable when set to a positive integer
-/// (read once — how CI lanes run every suite multi-threaded), else 1.
-size_t DefaultEpochThreads() {
-  static const size_t threads = [] {
-    const char* env = std::getenv("SBON_EPOCH_THREADS");
-    if (env != nullptr) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) return static_cast<size_t>(parsed);
-    }
-    return size_t{1};
-  }();
-  return threads;
-}
-
-}  // namespace
 
 StreamEngine::StreamEngine(EngineOptions options)
     : default_optimizer_(std::move(options.optimizer)),
@@ -385,18 +366,12 @@ void StreamEngine::MaybeRefreshIndex() {
   sbon_->RefreshIndex();
 }
 
-ThreadPool* StreamEngine::PoolFor(size_t threads) {
-  if (threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->threads() != threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
-  const size_t threads =
-      epoch.threads > 0 ? epoch.threads : DefaultEpochThreads();
-  EpochPipeline pipeline(PoolFor(threads));
+  if (epoch.threads > 1) {
+    return Status::InvalidArgument("the epoch pipeline is serial: threads " +
+                                   std::to_string(epoch.threads) + " > 1");
+  }
+  EpochPipeline pipeline;
 
   const bool message = epoch.exec_mode == ExecMode::kMessage;
   if (message && msg_runtime_ == nullptr) {
@@ -410,80 +385,65 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
 
   // Stage order is the epoch's semantics: each stage sees exactly what the
   // previous stages produced.
-  // The jitter stage is an O(1) seed swap: nothing to shard.
-  pipeline.Run("jitter", epoch.tick_network, /*parallelizable=*/false,
-               [&](ThreadPool*) { sbon_->TickNetwork(); });
-  // Ambient load is one serial O(n) sweep over the shared Rng stream.
-  pipeline.Run("load", epoch.dt > 0.0, /*parallelizable=*/false,
-               [&](ThreadPool*) { sbon_->Tick(epoch.dt); });
+  pipeline.Run("jitter", epoch.tick_network, [&] { sbon_->TickNetwork(); });
+  pipeline.Run("load", epoch.dt > 0.0, [&] { sbon_->Tick(epoch.dt); });
   if (message) {
     // Message-mode coordinate maintenance: advance the bus clock and fan
     // out this epoch's pings. Pongs (and their spring updates) land in the
-    // msg-refresh stage's drain. Serial by contract — single-threaded
-    // discrete-event execution is what makes replay trivially thread-count
-    // independent.
-    pipeline.Run("msg-coords", /*enabled=*/true, /*parallelizable=*/false,
-                 [&](ThreadPool*) {
-                   msg_runtime_->BeginEpoch();
-                   if (epoch.vivaldi_samples > 0) {
-                     msg_runtime_->StepVivaldi(epoch.vivaldi_samples);
-                   }
-                 });
+    // msg-refresh stage's drain.
+    pipeline.Run("msg-coords", /*enabled=*/true, [&] {
+      msg_runtime_->BeginEpoch();
+      if (epoch.vivaldi_samples > 0) {
+        msg_runtime_->StepVivaldi(epoch.vivaldi_samples);
+      }
+    });
   } else {
-    pipeline.Run("coords", epoch.vivaldi_samples > 0, /*parallelizable=*/true,
-                 [&](ThreadPool* pool) {
-                   sbon_->UpdateCoordinatesOnline(epoch.vivaldi_samples, pool);
-                 });
+    pipeline.Run("coords", epoch.vivaldi_samples > 0, [&] {
+      sbon_->UpdateCoordinatesOnline(epoch.vivaldi_samples);
+    });
   }
   // Churn lands after the network/load/coordinate updates (repairs place
   // against this epoch's state) and before the refresh (so the refresh
   // publishes post-repair load for every surviving node). Repairs stay
   // ordered: each re-plan may legitimately reuse instances the previous
-  // repair just deployed, so the stage is sequential by design.
+  // repair just deployed.
   pipeline.Run("churn+repair", epoch.churn != nullptr,
-               /*parallelizable=*/false,
-               [&](ThreadPool*) { ApplyChurn(epoch.churn->Step()); });
+               [&] { ApplyChurn(epoch.churn->Step()); });
   if (message) {
     // Message-mode refresh: displacement publishes + ring heartbeats, the
     // epoch drain (delivering pongs and publishes in latency order) and the
     // coordinate sync.
-    pipeline.Run("msg-refresh", /*enabled=*/true, /*parallelizable=*/false,
-                 [&](ThreadPool*) {
-                   msg_runtime_->FinishEpoch(epoch.refresh_index,
-                                             epoch.refresh_epsilon);
-                 });
+    pipeline.Run("msg-refresh", /*enabled=*/true, [&] {
+      msg_runtime_->FinishEpoch(epoch.refresh_index, epoch.refresh_epsilon);
+    });
   } else {
-    pipeline.Run("refresh", epoch.refresh_index, /*parallelizable=*/true,
-                 [&](ThreadPool* pool) {
-                   sbon_->RefreshIndex(epoch.refresh_epsilon, pool);
-                 });
+    pipeline.Run("refresh", epoch.refresh_index,
+                 [&] { sbon_->RefreshIndex(epoch.refresh_epsilon); });
   }
   if (message && msg_runtime_->detector_enabled()) {
     // Detector verdicts from this epoch's heartbeat sweep turn into the
     // membership transitions oracle mode applied instantly at the crash:
     // FailNode + the two-phase repair plan, with detection latency now a
     // measured quantity instead of zero by construction.
-    pipeline.Run(
-        "detect+repair", /*enabled=*/true, /*parallelizable=*/false,
-        [&](ThreadPool*) {
-          const size_t completed = msg_runtime_->bus_epoch() - 1;
-          for (NodeId n : msg_runtime_->TakeConfirmedCrashes()) {
-            auto pc = pending_crashes_.find(n);
-            if (pc == pending_crashes_.end()) {
-              // The node never physically crashed — the detector was
-              // starved of its heartbeats (e.g. by a partition cut).
-              msg_runtime_->NoteSpuriousConfirm(n);
-              continue;
-            }
-            const size_t crash_epoch = pc->second;
-            if (FailAndRepair(n, /*notify_msg_runtime=*/false)) {
-              pending_crashes_.erase(pc);
-              msg_runtime_->NotifyCrashConfirmed(n, completed - crash_epoch);
-            }
-            // FailNode refused (e.g. last alive node): keep the pending
-            // record; suspicion rebuilds from silence and re-confirms.
-          }
-        });
+    pipeline.Run("detect+repair", /*enabled=*/true, [&] {
+      const size_t completed = msg_runtime_->bus_epoch() - 1;
+      for (NodeId n : msg_runtime_->TakeConfirmedCrashes()) {
+        auto pc = pending_crashes_.find(n);
+        if (pc == pending_crashes_.end()) {
+          // The node never physically crashed — the detector was
+          // starved of its heartbeats (e.g. by a partition cut).
+          msg_runtime_->NoteSpuriousConfirm(n);
+          continue;
+        }
+        const size_t crash_epoch = pc->second;
+        if (FailAndRepair(n, /*notify_msg_runtime=*/false)) {
+          pending_crashes_.erase(pc);
+          msg_runtime_->NotifyCrashConfirmed(n, completed - crash_epoch);
+        }
+        // FailNode refused (e.g. last alive node): keep the pending
+        // record; suspicion rebuilds from silence and re-confirms.
+      }
+    });
   }
   last_epoch_trace_ = pipeline.trace();
   return Status::OK();

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/status.h"
 #include "core/multi_query.h"
 #include "core/optimizer.h"
@@ -103,20 +102,16 @@ struct EpochOptions {
   /// updates and before the index refresh. nullptr (the default) runs
   /// a bit-identical epoch to the pre-churn engine. Not owned.
   net::ChurnModel* churn = nullptr;
-  /// Worker threads for the parallelizable pipeline stages (per-node
-  /// Vivaldi updates, the refresh dirty scan). 1 = fully serial.
-  /// 0 (the default) resolves from the SBON_EPOCH_THREADS environment
-  /// variable when set (how the CI ThreadSanitizer lane runs the whole
-  /// suite multi-threaded without touching each test), else 1. Fixed-seed
-  /// results are bit-identical at any thread count — the pool changes only
-  /// how epochs are scheduled, never what they compute.
-  size_t threads = 0;
+  /// The epoch pipeline is serial; only 0 and 1 are accepted, and
+  /// AdvanceEpoch rejects anything larger with InvalidArgument. The field
+  /// remains only because the benchmark suite's driver
+  /// (bench/suite/sbon_bench.cc) assigns it; the next change to
+  /// bench/suite/ deletes it together with that assignment.
+  size_t threads = 1;
   /// Coordinate/ring maintenance execution (see ExecMode). The first
   /// kMessage epoch creates the engine's msg::Runtime from `msg`; later
   /// epochs keep that runtime (its params are pinned at creation, so agents
-  /// and counters stay continuous across epochs). The message stages run
-  /// serially whatever `threads` says — replay is bit-identical per seed at
-  /// any thread count by construction.
+  /// and counters stay continuous across epochs).
   ExecMode exec_mode = ExecMode::kOracle;
   msg::RuntimeParams msg;
 };
@@ -290,14 +285,12 @@ class StreamEngine {
   /// Advances simulated time one epoch through the explicit staged
   /// pipeline: jitter -> load -> coords -> churn+repair -> refresh (see
   /// EpochPipeline; message mode appends a detect+repair stage that
-  /// consumes failure-detector verdicts). Stages whose work is
-  /// deterministically shardable run across `EpochOptions::threads`
-  /// workers; results are bit-identical at any thread count. Returns
-  /// InvalidArgument (without running any stage) when the first kMessage
+  /// consumes failure-detector verdicts). Returns InvalidArgument (without
+  /// running any stage) when `threads` exceeds 1 or the first kMessage
   /// epoch carries out-of-range msg::RuntimeParams.
   Status AdvanceEpoch(const EpochOptions& epoch = EpochOptions());
   /// Per-stage trace of the most recent AdvanceEpoch (empty before the
-  /// first call): which stages ran, which sharded, and their wall time.
+  /// first call): which stages ran and their wall time.
   const std::vector<EpochStageTrace>& last_epoch_trace() const {
     return last_epoch_trace_;
   }
@@ -407,12 +400,6 @@ class StreamEngine {
   /// Repair phase 2: re-optimizes and redeploys under the same handle.
   Status ReplanQuery(QueryHandle handle, const std::string& optimizer);
 
-  /// The epoch pipeline's worker pool, created lazily at the first
-  /// multi-threaded AdvanceEpoch and resized when the requested thread
-  /// count changes. Returns nullptr for threads <= 1 (serial epochs pay
-  /// zero threading overhead).
-  ThreadPool* PoolFor(size_t threads);
-
   /// The install-time refresh gate shared by every deployment mutation:
   /// refreshes immediately when the engine was built with
   /// refresh_index_on_install and no DeferRefresh scope is open, otherwise
@@ -437,7 +424,6 @@ class StreamEngine {
   std::map<CircuitId, QueryHandle> by_circuit_;
   uint64_t next_handle_ = 1;
   RepairStats repair_stats_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<EpochStageTrace> last_epoch_trace_;
   /// Created lazily by the first kMessage AdvanceEpoch; never torn down
   /// (traffic accounting is cumulative, like repair_stats_).

@@ -37,7 +37,7 @@ struct LossBurst {
 /// Everything the injector needs, pinned at bus construction. The fault Rng
 /// is dedicated (seeded from `seed`), so enabling faults never perturbs the
 /// bus's peer-sampling stream and a faulty run replays bit-identically from
-/// its plan at any thread count.
+/// its plan.
 struct FaultPlan {
   FaultRates protocol[kNumProtocols];
   std::vector<LossBurst> bursts;
@@ -60,7 +60,7 @@ struct FaultPlan {
 /// nonzero (zero-rate plans are provably inert — the Rng is never
 /// advanced), and the draw order per message is fixed (loss, then
 /// duplication, then delays), so a fixed plan replays bit-identically
-/// across runs and thread counts (the bus is serial by contract).
+/// across runs.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan);

@@ -234,14 +234,14 @@ void Sbon::Tick(double dt) {
 
 void Sbon::TickNetwork() { fabric_->TickNetwork(&rng_); }
 
-void Sbon::UpdateCoordinatesOnline(size_t samples_per_node, ThreadPool* pool) {
+void Sbon::UpdateCoordinatesOnline(size_t samples_per_node) {
   coords_->UpdateCoordinatesOnline(fabric_->live(), samples_per_node, alive_,
                                    options_.vivaldi_run.rtt_noise_sigma,
-                                   &rng_, pool);
+                                   &rng_);
 }
 
-void Sbon::RefreshIndex(double epsilon, ThreadPool* pool) {
-  coords_->RefreshIndex(overlay_nodes_, epsilon, pool);
+void Sbon::RefreshIndex(double epsilon) {
+  coords_->RefreshIndex(overlay_nodes_, epsilon);
 }
 
 StatusOr<CircuitCost> Sbon::CircuitCostOf(CircuitId id) const {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "coords/cost_space.h"
@@ -39,10 +38,6 @@ namespace sbon::overlay {
 /// topology, the shared Rng, node liveness, the ambient LoadModel, and the
 /// scalar-metric bridge (total load -> cost space) that must run after
 /// every load-changing operation.
-///
-/// Methods that take a ThreadPool shard their embarrassingly parallel work
-/// across it; fixed-seed results are bit-identical at any thread count
-/// (see each substrate's contract).
 class Sbon {
  public:
   /// How the fabric resolves base latency.
@@ -183,10 +178,8 @@ class Sbon {
   /// Online coordinate maintenance: every node takes `samples_per_node`
   /// RTT measurements against the *current* (jittered) latencies and runs
   /// Vivaldi updates, then the cost space is refreshed. No-op when the
-  /// overlay was built with MDS coordinates. `pool` runs the updates as a
-  /// deterministic dependency wavefront.
-  void UpdateCoordinatesOnline(size_t samples_per_node,
-                               ThreadPool* pool = nullptr);
+  /// overlay was built with MDS coordinates.
+  void UpdateCoordinatesOnline(size_t samples_per_node);
   /// The pristine latency view (before jitter), for measuring how far
   /// the current epoch has drifted.
   const net::LatencyView& base_latency() const { return fabric_->base(); }
@@ -196,8 +189,8 @@ class Sbon {
   /// untouched (no Leave/Join). `epsilon = 0` republishes any node whose
   /// coordinate changed at all, which is query-for-query identical to
   /// republishing everything. Call after load changes when index queries
-  /// should see fresh scalars. `pool` shards the displacement scan.
-  void RefreshIndex(double epsilon = 0.0, ThreadPool* pool = nullptr);
+  /// should see fresh scalars.
+  void RefreshIndex(double epsilon = 0.0);
 
   // --- metrics ---
   /// Cost of one deployed circuit against true latencies (marginal: only

@@ -72,7 +72,7 @@ struct WorkloadEngineOptions {
   engine::StrategySpec strategy;
   /// Seeds the engine-independent private Rng: all arrival-count, spec,
   /// and lifetime draws come from it in a fixed order, so a fixed seed
-  /// replays bit-identically at any epoch thread count.
+  /// replays bit-identically.
   uint64_t seed = 1;
 };
 
@@ -122,8 +122,8 @@ struct WorkloadPhaseStats {
 ///
 /// Deterministic replay: every random draw comes from the engine's seeded
 /// substrate Rngs or this driver's private Rng, in stage order, so a fixed
-/// (seed, options) pair yields bit-identical overlay state and counters at
-/// any `epoch.threads` — the property the 5-seed replay test pins.
+/// (seed, options) pair yields bit-identical overlay state and counters —
+/// the property the 5-seed replay test pins.
 class WorkloadEngine {
  public:
   /// Validates options, seeds the generator, builds a fresh catalog over

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/summary.h"
@@ -307,52 +305,6 @@ TEST(TableWriterTest, RendersAlignedColumns) {
   const std::string out = t.Render();
   EXPECT_NE(out.find("| name   | value |"), std::string::npos);
   EXPECT_NE(out.find("| longer | 22    |"), std::string::npos);
-}
-
-// --------------------------- ThreadPool ---------------------------
-
-TEST(ThreadPoolTest, RunsEveryShardExactlyOnce) {
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.threads(), threads);
-    constexpr size_t kShards = 64;
-    std::vector<std::atomic<int>> hits(kShards);
-    pool.Run(kShards, [&](size_t shard) { hits[shard].fetch_add(1); });
-    for (size_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(hits[s].load(), 1) << "shard " << s;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool pool(3);
-  std::atomic<size_t> total{0};
-  for (int job = 0; job < 20; ++job) {
-    pool.Run(7, [&](size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 7u * 20u);
-}
-
-TEST(ThreadPoolTest, ParallelSlicesCoverRangeDisjointly) {
-  ThreadPool pool(4);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{17},
-                   size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(n);
-    ParallelSlices(&pool, n, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
-    }
-  }
-  // Null pool = one serial slice over the whole range.
-  size_t calls = 0, covered = 0;
-  ParallelSlices(nullptr, 42, [&](size_t begin, size_t end) {
-    ++calls;
-    covered += end - begin;
-  });
-  EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(covered, 42u);
 }
 
 TEST(TableWriterTest, NumFormats) {

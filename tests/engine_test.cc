@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -259,13 +260,11 @@ TEST(StreamEngine, AdvanceEpochRecordsTheStagedPipeline) {
   auto engine = MakeEngine(std::move(eo));
   EXPECT_TRUE(engine->last_epoch_trace().empty());
 
-  // Serial epoch (threads pinned to 1 so the SBON_EPOCH_THREADS CI override
-  // cannot change what this test asserts): every stage appears in pipeline
-  // order; the disabled ones record ran=false and nothing shards.
+  // Every stage appears in pipeline order; the disabled ones record
+  // ran=false.
   engine::EpochOptions epoch;
   epoch.dt = 1.0;
   epoch.vivaldi_samples = 2;
-  epoch.threads = 1;
   engine->AdvanceEpoch(epoch);
   const auto& trace = engine->last_epoch_trace();
   ASSERT_EQ(trace.size(), 5u);
@@ -279,20 +278,37 @@ TEST(StreamEngine, AdvanceEpochRecordsTheStagedPipeline) {
   EXPECT_TRUE(trace[2].ran);
   EXPECT_FALSE(trace[3].ran);  // no churn model attached
   EXPECT_TRUE(trace[4].ran);
-  for (const auto& stage : trace) EXPECT_FALSE(stage.sharded);
+}
 
-  // Multi-threaded epoch: exactly the parallelizable stages shard; the
-  // serial-only stages (jitter's O(1) seed swap, load, churn+repair) never
-  // see the pool.
+// The epoch pipeline is serial: threads > 1 is rejected before any stage
+// runs, leaving the previous epoch's trace and the overlay untouched.
+TEST(StreamEngine, AdvanceEpochRejectsMoreThanOneThread) {
+  engine::EngineOptions eo = SmallEngineOptions(45);
+  eo.sbon.latency_jitter_sigma = 0.2;
+  auto engine = MakeEngine(std::move(eo));
+  engine->SetCatalog(MakeCatalog(engine->sbon(), TestWorkloadParams(), 19));
+  for (const auto& q : MakeQueries(engine->sbon(), engine->catalog(),
+                                   TestWorkloadParams(), 3, 23)) {
+    ASSERT_TRUE(engine->Submit(q).ok());
+  }
+  engine::EpochOptions epoch;
+  epoch.vivaldi_samples = 2;
+  ASSERT_TRUE(engine->AdvanceEpoch(epoch).ok());
+  const std::vector<engine::EpochStageTrace> trace =
+      engine->last_epoch_trace();
+  const std::string fingerprint = OverlayFingerprint(engine->sbon());
+
   epoch.threads = 4;
-  engine->AdvanceEpoch(epoch);
-  const auto& sharded = engine->last_epoch_trace();
-  ASSERT_EQ(sharded.size(), 5u);
-  EXPECT_FALSE(sharded[0].sharded);  // jitter
-  EXPECT_FALSE(sharded[1].sharded);  // load
-  EXPECT_TRUE(sharded[2].sharded);   // coords
-  EXPECT_FALSE(sharded[3].sharded);  // churn+repair (disabled anyway)
-  EXPECT_TRUE(sharded[4].sharded);   // refresh
+  const Status st = engine->AdvanceEpoch(epoch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  const auto& after = engine->last_epoch_trace();
+  ASSERT_EQ(after.size(), trace.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_STREQ(after[i].name, trace[i].name);
+    EXPECT_EQ(after[i].ran, trace[i].ran);
+    EXPECT_EQ(after[i].ns, trace[i].ns);
+  }
+  EXPECT_EQ(OverlayFingerprint(engine->sbon()), fingerprint);
 }
 
 // Exact fabric-read gate: a churn-free oracle epoch reads exactly one live
@@ -319,22 +335,17 @@ TEST(StreamEngine, EpochReadsExactlyOneLiveLatencyPerSample) {
   jitter_only.dt = 0.0;
   jitter_only.vivaldi_samples = 0;
   jitter_only.refresh_index = false;
-  jitter_only.threads = 1;
   size_t before = reads();
   engine->AdvanceEpoch(jitter_only);
   EXPECT_EQ(reads() - before, 0u);
 
   for (const size_t samples : {1u, 3u}) {
-    for (const size_t threads : {1u, 4u}) {
-      engine::EpochOptions epoch;
-      epoch.dt = 1.0;
-      epoch.vivaldi_samples = samples;
-      epoch.threads = threads;
-      before = reads();
-      engine->AdvanceEpoch(epoch);
-      EXPECT_EQ(reads() - before, alive * samples)
-          << "samples=" << samples << " threads=" << threads;
-    }
+    engine::EpochOptions epoch;
+    epoch.dt = 1.0;
+    epoch.vivaldi_samples = samples;
+    before = reads();
+    engine->AdvanceEpoch(epoch);
+    EXPECT_EQ(reads() - before, alive * samples) << "samples=" << samples;
   }
 }
 

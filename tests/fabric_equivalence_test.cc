@@ -171,7 +171,6 @@ TEST(FabricEquivalenceTest, BitIdenticalAcrossBackendsSeedsAndSizes) {
       epoch.vivaldi_samples = 1;
       epoch.refresh_index = true;
       epoch.refresh_epsilon = 1.0;
-      epoch.threads = 1;
       g_max_alloc_size = 0;
       for (int e = 0; e < 3; ++e) {
         dense.eng->AdvanceEpoch(epoch);

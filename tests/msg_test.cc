@@ -2,14 +2,14 @@
 // deterministic MessageBus (latency-delayed delivery, drop semantics,
 // epoch-boundary carry-over), the protocol agents driven through
 // StreamEngine's ExecMode::kMessage epochs (traffic accounting, convergence
-// after churn, placement staleness), bit-identical multi-seed replay at any
-// thread count, and oracle-vs-message embedding convergence at zero churn.
+// after churn, placement staleness), bit-identical multi-seed replay, and
+// oracle-vs-message embedding convergence at zero churn.
 //
 // Chaos hardening: the seeded FaultInjector (loss / duplication / delay
 // jitter / scripted loss bursts), ack+retry+backoff reliability for the
 // ring's kPublish/kJoin, handler idempotence under duplication, the
 // heartbeat-silence failure detector with its deferred-crash repair path,
-// and bit-identical chaos replay at any thread count.
+// and bit-identical chaos replay.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -444,13 +444,12 @@ std::unique_ptr<engine::StreamEngine> MakeEngine(engine::EngineOptions eo) {
   return std::move(created.value());
 }
 
-engine::EpochOptions MessageEpoch(size_t threads = 1) {
+engine::EpochOptions MessageEpoch() {
   engine::EpochOptions epoch;
   epoch.dt = 0.5;
   epoch.tick_network = true;
   epoch.vivaldi_samples = 1;
   epoch.refresh_index = true;
-  epoch.threads = threads;
   epoch.exec_mode = engine::ExecMode::kMessage;
   return epoch;
 }
@@ -499,7 +498,7 @@ msg::RuntimeParams ChaosParams(double loss, double duplicate,
 /// One full message-mode scenario: warm-up epoch (creates the runtime so
 /// submissions are billed), query submission, churn-driven epochs, then the
 /// overlay + traffic fingerprint.
-std::string RunMessageScenario(uint64_t seed, size_t threads,
+std::string RunMessageScenario(uint64_t seed,
                                const msg::RuntimeParams& mp =
                                    msg::RuntimeParams()) {
   auto eng = MakeEngine(MsgEngineOptions(seed, /*jitter=*/0.05));
@@ -508,7 +507,7 @@ std::string RunMessageScenario(uint64_t seed, size_t threads,
   const auto specs =
       MakeQueries(eng->sbon(), eng->catalog(), wp, 4, seed * 131 + 13);
 
-  engine::EpochOptions epoch = MessageEpoch(threads);
+  engine::EpochOptions epoch = MessageEpoch();
   epoch.msg = mp;
   eng->AdvanceEpoch(epoch);  // creates the msg runtime before any placement
 
@@ -587,12 +586,9 @@ TEST(MsgEngine, PlacementsAfterRuntimeCreationAreBilledAndStamped) {
 TEST(MsgEngine, FiveSeedBitIdenticalReplay) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::string first = RunMessageScenario(seed, /*threads=*/1);
-    const std::string replay = RunMessageScenario(seed, /*threads=*/1);
+    const std::string first = RunMessageScenario(seed);
+    const std::string replay = RunMessageScenario(seed);
     EXPECT_EQ(first, replay) << "same-seed replay diverged";
-    const std::string threaded = RunMessageScenario(seed, /*threads=*/4);
-    EXPECT_EQ(first, threaded)
-        << "message-mode run changed with the thread count";
   }
 }
 
@@ -1036,16 +1032,14 @@ TEST(MsgEngine, ChaosRunsReplayBitIdenticallyAtAnyThreadCount) {
   // The full chaos stack (loss + duplication + delay jitter + reliability
   // + detector) over random churn: the run must be a pure function of the
   // seed — same fingerprint (overlay + every chaos counter) on a second
-  // run and on a 4-thread run.
+  // run.
   msg::RuntimeParams mp = ChaosParams(0.10, 0.05, 10.0, /*reliability=*/true,
                                       /*detector=*/true);
   for (uint64_t seed : {6u, 7u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::string first = RunMessageScenario(seed, /*threads=*/1, mp);
-    const std::string replay = RunMessageScenario(seed, /*threads=*/1, mp);
+    const std::string first = RunMessageScenario(seed, mp);
+    const std::string replay = RunMessageScenario(seed, mp);
     EXPECT_EQ(first, replay) << "same-seed chaos replay diverged";
-    const std::string threaded = RunMessageScenario(seed, /*threads=*/4, mp);
-    EXPECT_EQ(first, threaded) << "chaos run changed with the thread count";
   }
 }
 

