@@ -2,6 +2,7 @@
 #define SBON_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -284,6 +285,44 @@ inline std::unique_ptr<engine::StreamEngine> MakeTransitStubEngine(
     std::abort();
   }
   return std::move(e.value());
+}
+
+/// FNV-1a over the bit patterns of the overlay's state: every vector
+/// coordinate and scalar penalty, a strided sample of the live latency view
+/// (full coverage up to ~64k pairs; the same deterministic stride either
+/// side of a comparison, so bit-identical runs hash identically and a single
+/// differing ulp in a sampled pair does not), the deployed service count
+/// and the total network usage. Per-pair view reads, so it works in any
+/// fabric base mode, dense or sparse. The replay gates compare two runs'
+/// fingerprints.
+inline uint64_t StateFingerprint(const overlay::Sbon& sbon) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](double v) {
+    uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto& space = sbon.cost_space();
+  for (NodeId n = 0; n < space.NumNodes(); ++n) {
+    const Vec& v = space.VectorCoord(n);
+    for (size_t d = 0; d < v.dims(); ++d) mix(v[d]);
+    mix(space.ScalarPenalty(n));
+  }
+  const size_t nn = sbon.topology().NumNodes();
+  const net::LatencyView& lat = sbon.latency();
+  const size_t pairs = nn * nn;
+  const size_t stride = std::max<size_t>(1, pairs / 65536);
+  for (size_t i = 0; i < pairs; i += stride) {
+    mix(lat.Latency(static_cast<NodeId>(i / nn),
+                    static_cast<NodeId>(i % nn)));
+  }
+  mix(static_cast<double>(sbon.ledger().NumServices()));
+  mix(sbon.TotalNetworkUsage());
+  return h;
 }
 
 /// Prints a section header in the harness output.

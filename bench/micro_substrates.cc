@@ -1,8 +1,12 @@
 // Kernel throughput of the substrate pieces: Hilbert curve, Chord routing,
-// coordinate-index queries, Vivaldi updates, shortest paths.
+// coordinate-index queries (probed, exact and radius), Vivaldi updates,
+// batched cost-space distance evaluation, shortest paths.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "coords/vivaldi.h"
 #include "dht/chord.h"
@@ -157,6 +161,21 @@ void BM_IndexKNearest(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexKNearest)->Arg(100)->Arg(600)->Arg(2000);
 
+// The batched exact sweep over every published node; items = nodes swept.
+void BM_IndexKNearestExact(benchmark::State& state) {
+  Rng rng(5);
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto idx = MakeIndex(n, &rng);
+  std::vector<dht::IndexMatch> matches;
+  for (auto _ : state) {
+    const Vec target{rng.Uniform(0, 200), rng.Uniform(0, 200), 0.0};
+    idx.KNearestExactInto(target, 8, &matches);
+    benchmark::DoNotOptimize(matches.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_IndexKNearestExact)->Arg(100)->Arg(600)->Arg(2000);
+
 void BM_IndexWithinRadius(benchmark::State& state) {
   Rng rng(6);
   auto idx = MakeIndex(600, &rng);
@@ -199,6 +218,25 @@ void BM_VivaldiFullRun(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(lat.NumNodes()));
 }
 BENCHMARK(BM_VivaldiFullRun)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
+
+// Batched full-distance-to-ideal over an overlay's every node, the ideal
+// point rotating through the overlay's vector coordinates; items = nodes
+// evaluated.
+void BM_CostEvalMany(benchmark::State& state) {
+  auto sbon = bench::MakeTransitStubSbon(200, 7);
+  const coords::CostSpace& space = sbon->cost_space();
+  const std::vector<NodeId>& overlay = sbon->overlay_nodes();
+  const size_t count = overlay.size();
+  std::vector<double> dists(count);
+  size_t i = 0;
+  for (auto _ : state) {
+    space.FullDistancesToIdealMany(space.VectorCoord(overlay[i++ % count]),
+                                   overlay.data(), count, dists.data());
+    benchmark::DoNotOptimize(dists.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
+}
+BENCHMARK(BM_CostEvalMany);
 
 void BM_LatencyMatrix(benchmark::State& state) {
   Rng trng(10);

@@ -7,13 +7,14 @@
 // Emits machine-readable JSON via --json=PATH (schema documented in the
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
-// verifies, via a global allocation counter, that the Vivaldi update,
-// KNearest and RelaxationPlacer::Place inner loops are heap-free per call in
-// steady state (the run fails otherwise), and the
-// `kernels` section times the three SoA hot kernels standalone, failing
-// the run if any of them allocates. Their bit-identity against the pre-SoA
-// per-Vec references is pinned by tests/simd_equivalence_test.cc (ctest
-// label `equivalence`), not here.
+// audits, via a global allocation counter, that five hot calls are heap-free
+// per call in steady state — VivaldiSystem::Update,
+// CoordinateIndex::KNearestInto and KNearestExactInto,
+// CostSpace::FullDistancesToIdealMany and RelaxationPlacer::Place — and
+// fails the run otherwise. Standalone kernel timings live in
+// micro_substrates; the kernels' bit-identity against the pre-SoA per-Vec
+// references is pinned by tests/simd_equivalence_test.cc (ctest label
+// `equivalence`), not here.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -24,9 +25,8 @@
 // "Architecture"), --exec=oracle|message (coordinate/ring maintenance
 // execution for the engine-loop sections; see README "Execution modes"),
 // --faults=LOSS,DUP[,JITTER_MS] (fault rates of the chaos section's
-// injection plan; defaults 0.10,0.05,0), --kernels
-// (print the per-epoch hot-kernel attribution table; the `kernels` JSON
-// section is always emitted), --baseline=PATH + --baseline-tolerance=FRAC
+// injection plan; defaults 0.10,0.05,0), --baseline=PATH +
+// --baseline-tolerance=FRAC
 // (regression gate: fail if churn-free ns_per_epoch exceeds the baseline
 // JSON's figure by more than FRAC, default 0.5).
 //
@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/kernel_stats.h"
 #include "common/rng.h"
 #include "coords/vivaldi.h"
 #include "engine/stream_engine.h"
@@ -85,8 +84,7 @@
 // a code region counts that region's heap allocations exactly. The max-size
 // watermark catches any O(n^2) buffer the sparse sections must never make.
 namespace {
-uint64_t g_alloc_count = 0;  // also registered with KernelStats, so the
-                             // hot-kernel timers attribute their alloc share
+uint64_t g_alloc_count = 0;
 size_t g_max_alloc_size = 0;
 }  // namespace
 
@@ -131,8 +129,6 @@ struct EpochLoopResult {
   size_t queries_running = 0;
   coords::IndexRefreshStats refresh;   // cumulative over the loop
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
-  KernelStatsSnapshot kernels;         // hot-kernel delta across the loop
-  size_t epochs = 0;                   // divisor for per-epoch attribution
 };
 
 // Builds an engine, submits Q queries, then runs E churn epochs. One
@@ -197,7 +193,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   engine::ReoptPolicy local_reopt;  // defaults: kLocal
 
   const coords::IndexRefreshStats before = sbon.coords().refresh_stats();
-  const KernelStatsSnapshot kernels_before = KernelStats::Instance().Snapshot();
   const uint64_t allocs_before = g_alloc_count;
   size_t epoch_live_reads = 0;
   const Clock::time_point loop_start = Clock::now();
@@ -225,8 +220,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
       static_cast<double>(epochs);
   out.live_reads_per_epoch =
       static_cast<double>(epoch_live_reads) / static_cast<double>(epochs);
-  out.kernels = KernelStats::Instance().Snapshot().Since(kernels_before);
-  out.epochs = epochs;
   const coords::IndexRefreshStats after = sbon.coords().refresh_stats();
   out.refresh.refreshes = after.refreshes - before.refreshes;
   out.refresh.republished = after.republished - before.republished;
@@ -235,40 +228,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
       after.quiet_refreshes - before.quiet_refreshes;
   out.repair = eng->repair_stats();
   return out;
-}
-
-// FNV-1a over the bit patterns of the epoch's coordinate outputs: every
-// vector coordinate, every scalar penalty, and a strided sample of the live
-// latency view (full coverage up to ~64k pairs; the same deterministic
-// stride either side of a comparison, so runs that are bit-identical hash
-// identically and a single differing ulp in a sampled pair does not).
-// Per-pair view reads: works in any fabric base mode, dense or sparse.
-uint64_t StateFingerprint(const overlay::Sbon& sbon) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto& space = sbon.cost_space();
-  for (NodeId n = 0; n < space.NumNodes(); ++n) {
-    const Vec& v = space.VectorCoord(n);
-    for (size_t d = 0; d < v.dims(); ++d) mix(v[d]);
-    mix(space.ScalarPenalty(n));
-  }
-  const size_t nn = sbon.topology().NumNodes();
-  const net::LatencyView& lat = sbon.latency();
-  const size_t pairs = nn * nn;
-  const size_t stride = std::max<size_t>(1, pairs / 65536);
-  for (size_t i = 0; i < pairs; i += stride) {
-    mix(lat.Latency(static_cast<NodeId>(i / nn),
-                    static_cast<NodeId>(i % nn)));
-  }
-  return h;
 }
 
 struct MessageModeResult {
@@ -386,7 +345,7 @@ MessageModeResult RunMessageSection(
 
   const engine::EngineSnapshot snapshot = eng->Snapshot();
   if (snapshot.decentralized.has_value()) out.summary = *snapshot.decentralized;
-  uint64_t h = StateFingerprint(sbon);
+  uint64_t h = bench::StateFingerprint(sbon);
   auto mix = [&h](size_t v) {
     h ^= static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
          (h >> 2);
@@ -490,53 +449,76 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   return out;
 }
 
-// Allocations per VivaldiSystem::Update in steady state (must be 0).
+// ---------------------------------------------------------------------------
+// Hot-call allocation audit: each call must be heap-free in steady state.
+
+// Heap allocations per `fn(i)` over `rounds` calls, after `warmup` calls
+// that size the callee's reusable scratch. Both loops count i from 0.
+template <typename Fn>
+double AllocsPerCall(size_t warmup, size_t rounds, Fn&& fn) {
+  for (size_t i = 0; i < warmup; ++i) fn(i);
+  const uint64_t before = g_alloc_count;
+  for (size_t i = 0; i < rounds; ++i) fn(i);
+  return static_cast<double>(g_alloc_count - before) /
+         static_cast<double>(rounds);
+}
+
+// VivaldiSystem::Update on a fixed peer schedule.
 double MeasureVivaldiAllocs() {
   Rng rng(7);
   coords::VivaldiSystem::Params params;
   params.dims = 2;
   coords::VivaldiSystem sys(64, params, &rng);
-  auto update = [&](size_t rounds) {
-    for (size_t i = 0; i < rounds; ++i) {
-      const NodeId self = static_cast<NodeId>(i % 64);
-      const NodeId peer = static_cast<NodeId>((i * 13 + 1) % 64);
-      if (self == peer) continue;
+  return AllocsPerCall(256, 20000, [&](size_t i) {
+    const NodeId self = static_cast<NodeId>(i % 64);
+    const NodeId peer = static_cast<NodeId>((i * 13 + 1) % 64);
+    if (self != peer) {
       sys.Update(self, peer, 10.0 + static_cast<double>(i % 17));
     }
-  };
-  update(256);  // warm-up
-  const size_t before = g_alloc_count;
-  constexpr size_t kRounds = 20000;
-  update(kRounds);
-  return static_cast<double>(g_alloc_count - before) /
-         static_cast<double>(kRounds);
+  });
 }
 
-// Allocations per CoordinateIndex::KNearestInto with a reused output buffer
-// in steady state (must be 0).
+// CoordinateIndex::KNearestInto with a reused output buffer.
 double MeasureKNearestAllocs(const overlay::Sbon& sbon) {
   const dht::CoordinateIndex& index = sbon.index();
+  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
   std::vector<dht::IndexMatch> matches;
   dht::IndexQueryCost cost;
-  auto query = [&](size_t rounds) {
-    for (size_t i = 0; i < rounds; ++i) {
-      const NodeId n =
-          sbon.overlay_nodes()[i % sbon.overlay_nodes().size()];
-      const Vec target = sbon.cost_space().FullCoord(n);
-      (void)index.KNearestInto(target, 8, 16, &cost, {}, &matches);
-    }
-  };
-  query(64);  // warm-up
-  const size_t before = g_alloc_count;
-  constexpr size_t kRounds = 2000;
-  query(kRounds);
-  return static_cast<double>(g_alloc_count - before) /
-         static_cast<double>(kRounds);
+  return AllocsPerCall(64, 2000, [&](size_t i) {
+    const Vec target =
+        sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
+    (void)index.KNearestInto(target, 8, 16, &cost, {}, &matches);
+  });
 }
 
-// Allocations per RelaxationPlacer::Place on a warm circuit (one already
-// placed once, so its virtual coordinates are sized) in steady state (must
-// be 0).
+// CoordinateIndex::KNearestExactInto (the batched sweep over every
+// published node) with a reused output buffer.
+double MeasureKNearestExactAllocs(const overlay::Sbon& sbon) {
+  const dht::CoordinateIndex& index = sbon.index();
+  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
+  std::vector<dht::IndexMatch> matches;
+  return AllocsPerCall(1, 200, [&](size_t i) {
+    const Vec target =
+        sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
+    index.KNearestExactInto(target, 8, &matches);
+  });
+}
+
+// CostSpace::FullDistancesToIdealMany over the whole overlay.
+double MeasureCostEvalAllocs(const overlay::Sbon& sbon) {
+  const coords::CostSpace& space = sbon.cost_space();
+  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
+  const size_t count = overlay.size();
+  std::vector<double> dists(count);
+  return AllocsPerCall(1, 500, [&](size_t i) {
+    const Vec ideal = space.VectorCoord(overlay[(i * 11 + 3) % count]);
+    space.FullDistancesToIdealMany(ideal, overlay.data(), count,
+                                   dists.data());
+  });
+}
+
+// RelaxationPlacer::Place on a warm circuit (the warm-up call sizes its
+// virtual coordinates).
 double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
   Rng rng(11);
   query::WorkloadParams wp;
@@ -551,104 +533,9 @@ double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
   overlay::Circuit circuit =
       overlay::Circuit::FromPlan(std::move(plans[0]), catalog).value();
   const placement::RelaxationPlacer placer;
-  (void)placer.Place(&circuit, sbon.cost_space());  // warm-up
-  const size_t before = g_alloc_count;
-  constexpr size_t kRounds = 2000;
-  for (size_t i = 0; i < kRounds; ++i) {
+  return AllocsPerCall(1, 2000, [&](size_t) {
     (void)placer.Place(&circuit, sbon.cost_space());
-  }
-  return static_cast<double>(g_alloc_count - before) /
-         static_cast<double>(kRounds);
-}
-
-// ---------------------------------------------------------------------------
-// Hot-kernel microbenchmarks: each production kernel timed standalone on a
-// fixed schedule, with its steady-state heap allocations counted (must be
-// 0).
-
-struct KernelBenchResult {
-  double ns_per_op = 0.0;
-  double allocs_per_op = 0.0;  // steady state (must be 0)
-};
-
-// vivaldi_update: the SoA lane spring update on a fixed peer schedule.
-KernelBenchResult BenchVivaldiKernel() {
-  constexpr size_t kNodes = 256;
-  const size_t rounds = sbon::bench::SmokeMode() ? 20000 : 400000;
-  coords::VivaldiSystem::Params params;
-  params.dims = 3;
-  Rng rng(7);
-  coords::VivaldiSystem vivaldi(kNodes, params, &rng);
-
-  KernelBenchResult out;
-  const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point start = Clock::now();
-  for (size_t i = 0; i < rounds; ++i) {
-    vivaldi.Update(static_cast<NodeId>(i % kNodes),
-                   static_cast<NodeId>((i * 13 + 1) % kNodes),
-                   10.0 + static_cast<double>(i % 17));
-  }
-  out.ns_per_op = NsSince(start) / static_cast<double>(rounds);
-  out.allocs_per_op = static_cast<double>(g_alloc_count - allocs_before) /
-                      static_cast<double>(rounds);
-  return out;
-}
-
-// knearest_scan: the batched SoA exact sweep over every published node.
-KernelBenchResult BenchKNearestKernel(const overlay::Sbon& sbon) {
-  const dht::CoordinateIndex& index = sbon.index();
-  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  const size_t queries = sbon::bench::SmokeMode() ? 200 : 2000;
-  constexpr size_t kK = 8;
-  std::vector<dht::IndexMatch> matches;
-  auto target_of = [&](size_t i) {
-    return sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
-  };
-
-  KernelBenchResult out;
-  const double ops = static_cast<double>(queries * index.NumPublished());
-  index.KNearestExactInto(target_of(0), kK, &matches);  // warm scratch
-  const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point start = Clock::now();
-  for (size_t i = 0; i < queries; ++i) {
-    index.KNearestExactInto(target_of(i), kK, &matches);
-  }
-  out.ns_per_op = NsSince(start) / ops;
-  out.allocs_per_op =
-      static_cast<double>(g_alloc_count - allocs_before) / ops;
-  return out;
-}
-
-// cost_eval: the batched full-distance-to-ideal sweep over overlay nodes.
-KernelBenchResult BenchCostEvalKernel(const overlay::Sbon& sbon) {
-  const coords::CostSpace& space = sbon.cost_space();
-  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  const size_t count = overlay.size();
-  const size_t rounds = sbon::bench::SmokeMode() ? 500 : 5000;
-  std::vector<double> dists(count);
-  auto point_of = [&](size_t i) {
-    return space.VectorCoord(overlay[(i * 11 + 3) % count]);
-  };
-
-  KernelBenchResult out;
-  const double ops = static_cast<double>(rounds * count);
-  const uint64_t allocs_before = g_alloc_count;
-  const Clock::time_point start = Clock::now();
-  for (size_t i = 0; i < rounds; ++i) {
-    space.FullDistancesToIdealMany(point_of(i), overlay.data(), count,
-                                   dists.data());
-  }
-  out.ns_per_op = NsSince(start) / ops;
-  out.allocs_per_op =
-      static_cast<double>(g_alloc_count - allocs_before) / ops;
-  return out;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
+  });
 }
 
 // Value of a `--name=<string>` flag, or empty when absent.
@@ -686,9 +573,6 @@ double BaselineNsPerEpoch(const std::string& path) {
 
 int main(int argc, char** argv) {
   sbon::bench::ParseBenchArgs(argc, argv);
-  // Attribute this harness's counting operator new to the hot-kernel
-  // timers, so the kernels section reports allocs per kernel.
-  sbon::KernelStats::Instance().set_alloc_counter(&g_alloc_count);
   const bool smoke = sbon::bench::SmokeMode();
   const size_t nodes =
       sbon::bench::FlagOr(argc, argv, "nodes", sbon::bench::Nodes(512));
@@ -719,19 +603,9 @@ int main(int argc, char** argv) {
               sbon::bench::ExecFlag().c_str());
 
   sbon::EpochLoopResult primary, eps0, churned;
-  double vivaldi_allocs = 0.0, knearest_allocs = 0.0, place_allocs = 0.0;
-  sbon::KernelBenchResult kb_vivaldi, kb_knearest, kb_costeval;
-  struct NamedKb {
-    const char* name;
-    const sbon::KernelBenchResult* kb;
-    sbon::Kernel kernel;
-  };
-  const NamedKb named_kbs[] = {
-      {"vivaldi_update", &kb_vivaldi, sbon::Kernel::kVivaldiUpdate},
-      {"knearest_scan", &kb_knearest, sbon::Kernel::kKNearestScan},
-      {"cost_eval", &kb_costeval, sbon::Kernel::kCostEval},
-  };
-  const bool kernels_detail = sbon::HasFlag(argc, argv, "--kernels");
+  double vivaldi_allocs = 0.0, knearest_allocs = 0.0,
+         knearest_exact_allocs = 0.0, cost_eval_allocs = 0.0,
+         place_allocs = 0.0;
   const double churn_rate =
       sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
@@ -769,59 +643,35 @@ int main(int argc, char** argv) {
         churned.repair.services_evicted, churned.repair.circuits_orphaned,
         churned.repair.queries_repaired, churned.repair.queries_dropped);
 
-    sbon::bench::Section("Hot-loop allocation audit");
+    sbon::bench::Section("Hot-call allocation audit");
     vivaldi_allocs = sbon::MeasureVivaldiAllocs();
     // A small dedicated overlay keeps the audit cheap under --smoke.
     auto audit_sbon = sbon::bench::MakeTransitStubSbon(
         sbon::bench::Nodes(200), /*seed=*/7);
     knearest_allocs = sbon::MeasureKNearestAllocs(*audit_sbon);
+    knearest_exact_allocs = sbon::MeasureKNearestExactAllocs(*audit_sbon);
+    cost_eval_allocs = sbon::MeasureCostEvalAllocs(*audit_sbon);
     place_allocs = sbon::MeasurePlaceAllocs(*audit_sbon);
-    std::printf("allocs/VivaldiSystem::Update = %g (want 0)\n",
-                vivaldi_allocs);
-    std::printf("allocs/KNearestInto          = %g (want 0)\n",
-                knearest_allocs);
-    std::printf("allocs/RelaxationPlacer::Place = %g (want 0)\n",
-                place_allocs);
-    if (vivaldi_allocs != 0.0 || knearest_allocs != 0.0 ||
-        place_allocs != 0.0) {
-      std::fprintf(stderr,
-                   "FAIL: hot loops allocate (vivaldi=%g knearest=%g "
-                   "place=%g)\n",
-                   vivaldi_allocs, knearest_allocs, place_allocs);
-      return 1;
-    }
-
-    sbon::bench::Section("Hot-kernel microbenchmarks");
-    kb_vivaldi = sbon::BenchVivaldiKernel();
-    kb_knearest = sbon::BenchKNearestKernel(*audit_sbon);
-    kb_costeval = sbon::BenchCostEvalKernel(*audit_sbon);
-    bool kernels_ok = true;
-    for (const NamedKb& nk : named_kbs) {
-      std::printf("%-14s  %7.2f ns/op  allocs/op=%g\n", nk.name,
-                  nk.kb->ns_per_op, nk.kb->allocs_per_op);
-      if (nk.kb->allocs_per_op != 0.0) {
-        std::fprintf(stderr, "FAIL: %s kernel allocates (%g allocs/op)\n",
-                     nk.name, nk.kb->allocs_per_op);
-        kernels_ok = false;
+    const struct {
+      const char* call;
+      double allocs;
+    } audit[] = {
+        {"VivaldiSystem::Update", vivaldi_allocs},
+        {"CoordinateIndex::KNearestInto", knearest_allocs},
+        {"CoordinateIndex::KNearestExactInto", knearest_exact_allocs},
+        {"CostSpace::FullDistancesToIdealMany", cost_eval_allocs},
+        {"RelaxationPlacer::Place", place_allocs},
+    };
+    bool audit_ok = true;
+    for (const auto& a : audit) {
+      std::printf("allocs/%-36s = %g (want 0)\n", a.call, a.allocs);
+      if (a.allocs != 0.0) {
+        std::fprintf(stderr, "FAIL: %s allocates (%g allocs/call)\n", a.call,
+                     a.allocs);
+        audit_ok = false;
       }
     }
-    if (!kernels_ok) return 1;
-    if (kernels_detail) {
-      std::printf("\nper-epoch kernel attribution (primary engine loop, "
-                  "E=%zu):\n", primary.epochs);
-      std::printf("%-14s %10s %12s %14s %10s\n", "kernel", "calls/ep",
-                  "ops/ep", "ns/ep", "allocs/ep");
-      for (const NamedKb& nk : named_kbs) {
-        const sbon::KernelCounters& c = primary.kernels[nk.kernel];
-        const double e = static_cast<double>(std::max<size_t>(1,
-                                                              primary.epochs));
-        std::printf("%-14s %10.1f %12.1f %14.1f %10.1f\n", nk.name,
-                    static_cast<double>(c.calls) / e,
-                    static_cast<double>(c.ops) / e,
-                    static_cast<double>(c.ns) / e,
-                    static_cast<double>(c.allocs) / e);
-      }
-    }
+    if (!audit_ok) return 1;
 
     const std::string baseline_path =
         sbon::StringFlagOr(argc, argv, "baseline");
@@ -1011,6 +861,11 @@ int main(int argc, char** argv) {
                    sbon::bench::JsonFlag().c_str());
       return 1;
     }
+#if defined(SBON_SIMD_ENABLED)
+    const char* simd_mode = "on";
+#else
+    const char* simd_mode = "off";
+#endif
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"perf_epoch\",\n"
@@ -1018,13 +873,15 @@ int main(int argc, char** argv) {
                  "  \"mode\": \"%s\",\n"
                  "  \"fabric\": \"%s\",\n"
                  "  \"exec\": \"%s\",\n"
+                 "  \"simd\": \"%s\",\n"
                  "  \"nodes\": %zu,\n"
                  "  \"queries\": %zu,\n"
                  "  \"epochs\": %zu,\n",
                  smoke ? "true" : "false",
                  scaling_only ? "sparse-scaling" : "standard",
                  sbon::bench::FabricFlag().c_str(),
-                 sbon::bench::ExecFlag().c_str(), nodes, queries, epochs);
+                 sbon::bench::ExecFlag().c_str(), simd_mode, nodes, queries,
+                 epochs);
     if (!scaling_only) {
       std::fprintf(
           f,
@@ -1041,6 +898,8 @@ int main(int argc, char** argv) {
           "  \"refreshes\": %zu,\n"
           "  \"allocs_per_vivaldi_update\": %g,\n"
           "  \"allocs_per_knearest\": %g,\n"
+          "  \"allocs_per_knearest_exact\": %g,\n"
+          "  \"allocs_per_cost_eval\": %g,\n"
           "  \"allocs_per_place\": %g,\n"
           "  \"churn\": {\n"
           "    \"crash_rate\": %g,\n"
@@ -1058,40 +917,12 @@ int main(int argc, char** argv) {
           primary.live_reads_per_epoch, primary.refresh.republished,
           primary.refresh.skipped, primary.refresh.quiet_refreshes,
           primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, place_allocs, churn_rate,
+          vivaldi_allocs, knearest_allocs, knearest_exact_allocs,
+          cost_eval_allocs, place_allocs, churn_rate,
           churned.ns_per_epoch,
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,
           churned.repair.queries_repaired, churned.repair.queries_dropped);
-      // Per-kernel microbenchmarks plus per-epoch attribution from the
-      // primary engine loop's KernelStats delta.
-#if defined(SBON_SIMD_ENABLED)
-      const char* simd_mode = "on";
-#else
-      const char* simd_mode = "off";
-#endif
-      std::fprintf(f, "  \"kernels\": {\n    \"simd\": \"%s\"", simd_mode);
-      const double ep = static_cast<double>(std::max<size_t>(1,
-                                                             primary.epochs));
-      for (const NamedKb& kj : named_kbs) {
-        const sbon::KernelCounters& c = primary.kernels[kj.kernel];
-        std::fprintf(
-            f,
-            ",\n"
-            "    \"%s\": {\n"
-            "      \"ns_per_op\": %.2f,\n"
-            "      \"microbench_allocs_per_op\": %g,\n"
-            "      \"calls_per_epoch\": %.1f,\n"
-            "      \"ops_per_epoch\": %.1f,\n"
-            "      \"ns_per_epoch\": %.1f,\n"
-            "      \"allocs_per_epoch\": %.1f\n"
-            "    }",
-            kj.name, kj.kb->ns_per_op, kj.kb->allocs_per_op,
-            static_cast<double>(c.calls) / ep,
-            static_cast<double>(c.ops) / ep, static_cast<double>(c.ns) / ep,
-            static_cast<double>(c.allocs) / ep);
-      }
-      std::fprintf(f, "\n  },\n");
     }
     auto write_point = [f](const char* key,
                            const sbon::SparseScalePoint& p) {

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,39 +31,11 @@
 
 namespace {
 
-using sbon::NodeId;
-using sbon::Vec;
-
 double NsSince(std::chrono::steady_clock::time_point start) {
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-}
-
-/// FNV-1a over the overlay's coordinate/penalty state plus a strided
-/// latency sample (same scheme as perf_epoch): the replay gate's equality
-/// check.
-uint64_t StateFingerprint(const sbon::overlay::Sbon& sbon) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto& space = sbon.cost_space();
-  for (NodeId n = 0; n < space.NumNodes(); ++n) {
-    const Vec& v = space.VectorCoord(n);
-    for (size_t d = 0; d < v.dims(); ++d) mix(v[d]);
-    mix(space.ScalarPenalty(n));
-  }
-  mix(static_cast<double>(sbon.ledger().NumServices()));
-  mix(sbon.TotalNetworkUsage());
-  return h;
 }
 
 /// Everything one soak run produces (the JSON body, and the replay gate's
@@ -187,7 +158,7 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   out.totals = w.totals();
   out.phases = w.phases();
   out.final_running = w.running();
-  out.fingerprint = StateFingerprint(engine->sbon());
+  out.fingerprint = sbon::bench::StateFingerprint(engine->sbon());
   out.repair = engine->repair_stats();
   return out;
 }

@@ -67,10 +67,6 @@ class CoordBlock {
     assert(node < nodes_);
     for (size_t d = 0; d < dims_; ++d) data_[d * stride_ + node] = v[d];
   }
-  void ZeroNode(size_t node) {
-    assert(node < nodes_);
-    for (size_t d = 0; d < dims_; ++d) data_[d * stride_ + node] = 0.0;
-  }
 
   /// Materializes one node's coordinate as a dense `Vec` (a copy).
   Vec NodeVec(size_t node) const {

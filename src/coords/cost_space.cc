@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/kernel_stats.h"
 #include "common/simd.h"
 
 namespace sbon::coords {
@@ -133,7 +132,6 @@ void CostSpace::VectorDistancesToMany(const Vec& vector_point,
                                       const NodeId* nodes, size_t count,
                                       double* out) const {
   assert(vector_point.dims() == spec_.vector_dims());
-  KernelTimer timer(Kernel::kCostEval, count);
   kernels::DistanceSquaredToMany(vector_coords_, vector_point.data(), nodes,
                                  count, out);
   kernels::SqrtMany(out, count);
@@ -143,7 +141,6 @@ void CostSpace::FullDistancesToIdealMany(const Vec& vector_point,
                                          const NodeId* nodes, size_t count,
                                          double* out) const {
   assert(vector_point.dims() == spec_.vector_dims());
-  KernelTimer timer(Kernel::kCostEval, count);
   kernels::DistanceSquaredToMany(vector_coords_, vector_point.data(), nodes,
                                  count, out);
   for (size_t i = 0; i < spec_.num_scalar_dims(); ++i) {

@@ -118,14 +118,13 @@ class CostSpace {
                       CoordBlock* out) const;
 
   /// Batched VectorDistanceTo over a candidate set: out[j] is the vector
-  /// subspace distance from nodes[j] to `vector_point`. Counted under the
-  /// cost_eval kernel.
+  /// subspace distance from nodes[j] to `vector_point`.
   void VectorDistancesToMany(const Vec& vector_point, const NodeId* nodes,
                              size_t count, double* out) const;
 
   /// Batched FullDistanceToIdeal over a candidate set: out[j] is the full
   /// cost-space distance from nodes[j] to the ideal target over
-  /// `vector_point`. Counted under the cost_eval kernel.
+  /// `vector_point`.
   void FullDistancesToIdealMany(const Vec& vector_point, const NodeId* nodes,
                                 size_t count, double* out) const;
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/kernel_stats.h"
-
 namespace sbon::coords {
 
 StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
@@ -113,17 +111,13 @@ void CoordinateManager::UpdateCoordinatesOnline(
     sample_end_[self] = samples_.size();
   }
 
-  // Phase 2 — spring updates in index order, counted as the vivaldi_update
-  // kernel: a sample against a lower peer sees that peer's fully-updated
-  // epoch state and a sample against a higher peer sees its epoch-start
-  // state.
-  {
-    KernelTimer timer(Kernel::kVivaldiUpdate, samples_.size());
-    for (NodeId self = 0; self < n; ++self) {
-      const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-      for (size_t k = begin; k < sample_end_[self]; ++k) {
-        vivaldi_->Update(self, samples_[k].peer, samples_[k].rtt);
-      }
+  // Phase 2 — spring updates in index order: a sample against a lower peer
+  // sees that peer's fully-updated epoch state and a sample against a higher
+  // peer sees its epoch-start state.
+  for (NodeId self = 0; self < n; ++self) {
+    const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
+    for (size_t k = begin; k < sample_end_[self]; ++k) {
+      vivaldi_->Update(self, samples_[k].peer, samples_[k].rtt);
     }
   }
 
@@ -134,15 +128,14 @@ void CoordinateManager::ScanDisplaced(
     const std::vector<NodeId>& overlay_nodes, double epsilon) {
   const double eps2 = epsilon * epsilon;
   const size_t m = overlay_nodes.size();
-  // Counted as the cost_eval kernel: gather every overlay node's full
-  // coordinate into positional SoA lanes, then diff lane-wise against the
-  // index's published block and flag the slots displaced beyond epsilon.
-  // Per slot the squared displacement accumulates dims-ascending — bitwise
-  // the order the per-Vec DistanceSquaredTo scan used.
+  // Gather every overlay node's full coordinate into positional SoA lanes,
+  // then diff lane-wise against the index's published block and flag the
+  // slots displaced beyond epsilon. Per slot the squared displacement
+  // accumulates dims-ascending — bitwise the order the per-Vec
+  // DistanceSquaredTo scan used.
   dirty_.assign(m, 0);
   full_block_.Reset(params_.spec.total_dims(), m);
   disp_scratch_.resize(m);
-  KernelTimer timer(Kernel::kCostEval, m);
   space_->FullCoordsInto(overlay_nodes.data(), m, &full_block_);
   kernels::DisplacementSquared(full_block_, index_->published_coords(),
                                overlay_nodes.data(), m, disp_scratch_.data());

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/kernel_stats.h"
-
 namespace sbon::dht {
 
 CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
@@ -89,7 +87,6 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   // per-query seen-set. Each distinct member costs exactly one ring probe,
   // excluded or not — a member is never billed twice.
   const size_t total = std::min(2 * width + 1, n);
-  KernelTimer timer(Kernel::kKNearestScan, total);
   walk_scratch_.clear();
   auto consider = [&](const ChordRing::Member& m) {
     if (cost != nullptr) cost->ring_probes += 1;
@@ -170,14 +167,11 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
   }
 
   BeginSeenEpoch();
-  KernelTimer timer(Kernel::kKNearestScan, 0);
-  size_t probes = 0;
   pair_scratch_.clear();
   const size_t n = ring_.NumMembers();
   auto consider = [&](const ChordRing::Member& m) {
     if (seen_stamp_[m.node] == query_epoch_) return false;
     seen_stamp_[m.node] = query_epoch_;
-    ++probes;
     if (cost != nullptr) cost->ring_probes += 1;
     const double d = DistanceTo(m.node, target);
     if (d <= radius) pair_scratch_.push_back(DistNode{d, m.node});
@@ -207,7 +201,6 @@ StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
       }
     }
   }
-  timer.set_ops(probes);
   // Rank 16-byte (distance, node) pairs; build the matches only at the end.
   std::sort(pair_scratch_.begin(), pair_scratch_.end());
   std::vector<IndexMatch> out;
@@ -220,7 +213,6 @@ void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
   out->clear();
   const size_t slots = coords_.nodes();
   if (slots == 0) return;
-  KernelTimer timer(Kernel::kKNearestScan, slots);
   // Unit-stride distance sweep over every slot. Withdrawn slots keep their
   // stale published coordinate (exactly as the per-Vec store did); their
   // distances are computed and filtered below — cheaper than branching

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <vector>
 
-#include "common/kernel_stats.h"
-
 namespace sbon::engine {
 
 /// One stage of an AdvanceEpoch run, as executed.
@@ -13,9 +11,6 @@ struct EpochStageTrace {
   const char* name = "";  ///< stage name (stable across epochs)
   bool ran = false;       ///< stage was enabled this epoch
   double ns = 0.0;        ///< wall time spent in the stage
-  /// Hot-kernel activity attributed to this stage (KernelStats delta across
-  /// the stage body): per kernel, the calls/ops/ns/allocs it recorded.
-  KernelStatsSnapshot kernels;
 };
 
 /// The explicit staged runner behind StreamEngine::AdvanceEpoch. An epoch
@@ -36,7 +31,6 @@ class EpochPipeline {
     EpochStageTrace entry;
     entry.name = name;
     if (enabled) {
-      const KernelStatsSnapshot before = KernelStats::Instance().Snapshot();
       const auto start = std::chrono::steady_clock::now();
       fn();
       entry.ran = true;
@@ -44,7 +38,6 @@ class EpochPipeline {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - start)
               .count());
-      entry.kernels = KernelStats::Instance().Snapshot().Since(before);
     }
     trace_.push_back(entry);
   }

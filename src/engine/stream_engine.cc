@@ -484,7 +484,6 @@ EngineSnapshot StreamEngine::Snapshot() const {
   snapshot.max_load = sbon_->MaxLoad();
   snapshot.repair = repair_stats_;
   if (msg_runtime_ != nullptr) snapshot.decentralized = msg_runtime_->Summary();
-  snapshot.kernels = KernelStats::Instance().Snapshot();
   snapshot.queries.reserve(queries_.size());
   for (const auto& [handle, record] : queries_) {
     auto stats = StatsOf(handle);

@@ -189,11 +189,6 @@ struct EngineSnapshot {
   /// engine has run a kMessage epoch): msgs/bytes by protocol, bytes per
   /// node per epoch, convergence epochs after churn, placement staleness.
   std::optional<msg::TrafficSummary> decentralized;
-  /// Cumulative hot-kernel counters (vivaldi_update / knearest_scan /
-  /// cost_eval) since process start — calls, ops, ns, attributed allocs.
-  /// Process-wide (KernelStats singleton), so with several engines alive it
-  /// aggregates across them; diff two snapshots to scope a window.
-  KernelStatsSnapshot kernels;
 };
 
 /// The SBON as a service (paper Sec. 4): clients submit continuous queries

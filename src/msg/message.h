@@ -144,13 +144,6 @@ struct TrafficStats {
     for (const TrafficCounters& c : protocol) s += c.delivered;
     return s;
   }
-  size_t TotalDropped() const {
-    size_t s = 0;
-    for (const TrafficCounters& c : protocol) {
-      s += c.dropped_dead + c.dropped_partition + c.dropped_fault;
-    }
-    return s;
-  }
   size_t TotalBytes() const {
     size_t s = 0;
     for (const TrafficCounters& c : protocol) s += c.bytes;

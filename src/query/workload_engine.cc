@@ -173,22 +173,26 @@ Status WorkloadEngine::Step() {
 
   // Stage 1: the engine epoch (network/load/coords/churn/refresh). Repair
   // latency is billed per repaired query from the pipeline's own stage
-  // clock, so it composes with any exec mode.
+  // clocks: oracle mode repairs in churn+repair, detector mode defers the
+  // repairs to detect+repair, so both stages are billed.
   const engine::RepairStats repairs_before = engine_->repair_stats();
   Status st = engine_->AdvanceEpoch(options_.epoch);
   if (!st.ok()) return st;
   const size_t repaired =
       engine_->repair_stats().queries_repaired - repairs_before.queries_repaired;
   if (repaired > 0) {
+    double repair_stage_ns = 0.0;
     for (const engine::EpochStageTrace& stage : engine_->last_epoch_trace()) {
-      if (stage.ran && std::string_view(stage.name) == "churn+repair") {
-        const double per_query = stage.ns / static_cast<double>(repaired);
-        Bill([&](WorkloadPhaseStats& s) {
-          for (size_t i = 0; i < repaired; ++i) s.repair_ns.Add(per_query);
-        });
-        break;
+      const std::string_view name(stage.name);
+      if (name == "churn+repair" || name == "detect+repair") {
+        repair_stage_ns += stage.ns;
       }
     }
+    const double per_query =
+        repair_stage_ns / static_cast<double>(repaired);
+    Bill([&](WorkloadPhaseStats& s) {
+      for (size_t i = 0; i < repaired; ++i) s.repair_ns.Add(per_query);
+    });
   }
 
   // Stage 2: lifetime-expired queries leave.

@@ -93,9 +93,11 @@ struct WorkloadPhaseStats {
   /// client waits for its handle. One sample per admitted query; the
   /// batch's single deferred index refresh is not billed to any query.
   Summary placement_ns;
-  /// Per-repaired-query churn+repair stage latency (churn epochs only).
-  /// Stays amortized: the stage time divided by the queries it repaired,
-  /// added once per repaired query.
+  /// Per-repaired-query repair latency (repairing epochs only). Stays
+  /// amortized: the churn+repair plus detect+repair stage time (the latter
+  /// runs only in message mode with the failure detector, where the
+  /// repairs happen) divided by the queries repaired, added once per
+  /// repaired query.
   Summary repair_ns;
 
   double shed_rate() const {

@@ -1028,7 +1028,7 @@ TEST(MsgEngine, RingReconvergesUnderChaosWithDetector) {
                              t.msgs_dropped_partition + t.msgs_dropped_fault);
 }
 
-TEST(MsgEngine, ChaosRunsReplayBitIdenticallyAtAnyThreadCount) {
+TEST(MsgEngine, ChaosRunsReplayBitIdentically) {
   // The full chaos stack (loss + duplication + delay jitter + reliability
   // + detector) over random churn: the run must be a pure function of the
   // seed — same fingerprint (overlay + every chaos counter) on a second

@@ -5,6 +5,7 @@
 // StreamEngine::SubmitAll / DeferRefresh.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -393,6 +394,41 @@ TEST(WorkloadEngine, DeparturesDrainUnderOneDeferredRefresh) {
   EXPECT_GT((*wl)->totals().departures, 0u);
 }
 
+TEST(WorkloadEngine, RepairLatencyBillsTheStageThatRepaired) {
+  // With the failure detector on, crashes are repaired in detect+repair,
+  // not churn+repair: the per-query repair latency must bill both stages.
+  auto engine = MakeEngine(WorkloadEngineOptionsBase(31));
+  net::ChurnModel::Params cp;
+  cp.crash_rate = 0.5;
+  cp.seed = 77;
+  net::ChurnModel churn(engine->sbon().overlay_nodes(), cp);
+  query::WorkloadEngineOptions o = SmallWorkload(31);
+  o.epoch.exec_mode = engine::ExecMode::kMessage;
+  o.epoch.msg.detector.enabled = true;
+  o.epoch.churn = &churn;
+  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+
+  size_t repairing_steps = 0;
+  for (size_t t = 0; t < 30; ++t) {
+    const size_t repaired_before = engine->repair_stats().queries_repaired;
+    const double billed_before = (*wl)->totals().repair_ns.Sum();
+    ASSERT_TRUE((*wl)->Step().ok());
+    if (engine->repair_stats().queries_repaired == repaired_before) continue;
+    ++repairing_steps;
+    double stage_ns = 0.0;
+    for (const engine::EpochStageTrace& stage : engine->last_epoch_trace()) {
+      const std::string name = stage.name;
+      if (name == "churn+repair" || name == "detect+repair") {
+        stage_ns += stage.ns;
+      }
+    }
+    const double billed = (*wl)->totals().repair_ns.Sum() - billed_before;
+    EXPECT_LE(std::abs(billed - stage_ns), 1e-9 * stage_ns) << "epoch " << t;
+  }
+  EXPECT_GT(repairing_steps, 0u);
+}
+
 // ----------------------- deterministic replay -----------------------
 
 struct ReplayRecord {
@@ -442,7 +478,7 @@ ReplayRecord RunReplay(uint64_t seed) {
   return rec;
 }
 
-TEST(WorkloadEngine, ReplayIsBitIdenticalAcrossThreadCounts) {
+TEST(WorkloadEngine, ReplayIsBitIdenticalAcrossRuns) {
   // 5 seeds: the full soak — churn, flash crowd, diurnal modulation,
   // admission — must replay bit-identically when run twice in one process.
   for (uint64_t seed : {3u, 5u, 8u, 13u, 21u}) {
