@@ -19,6 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/vec.h"
+#include "dht/chord.h"
+#include "dht/coord_index.h"
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "harness/golden.h"
@@ -495,9 +498,29 @@ msg::RuntimeParams ChaosParams(double loss, double duplicate,
   return mp;
 }
 
+/// The coordinate index state OverlayFingerprint does not cover, bit-exact:
+/// one line per ring member, `(key.hi, key.lo, node)` followed by the
+/// coordinate it published.
+std::string IndexStateRender(const overlay::Sbon& sbon) {
+  const dht::CoordinateIndex& index = sbon.index();
+  std::string out;
+  char buf[64];
+  for (const dht::ChordRing::Member& m : index.ring().members()) {
+    out += "m " + std::to_string(m.key.hi) + " " + std::to_string(m.key.lo) +
+           " " + std::to_string(m.node);
+    const Vec coord = index.published_coords().NodeVec(m.node);
+    for (size_t d = 0; d < coord.dims(); ++d) {
+      std::snprintf(buf, sizeof(buf), " %.17g", coord[d]);
+      out += buf;
+    }
+    out += "\n";
+  }
+  return out;
+}
+
 /// One full message-mode scenario: warm-up epoch (creates the runtime so
 /// submissions are billed), query submission, churn-driven epochs, then the
-/// overlay + traffic fingerprint.
+/// overlay + traffic fingerprint and the index state.
 std::string RunMessageScenario(uint64_t seed,
                                const msg::RuntimeParams& mp =
                                    msg::RuntimeParams()) {
@@ -534,7 +557,7 @@ std::string RunMessageScenario(uint64_t seed,
   if (snapshot.decentralized.has_value()) {
     fp += TrafficRender(*snapshot.decentralized);
   }
-  return fp;
+  return fp + IndexStateRender(eng->sbon());
 }
 
 TEST(MsgEngine, MessageModeProducesTrafficSummaryAndOracleDoesNot) {
@@ -1041,6 +1064,21 @@ TEST(MsgEngine, ChaosRunsReplayBitIdentically) {
     const std::string replay = RunMessageScenario(seed, mp);
     EXPECT_EQ(first, replay) << "same-seed chaos replay diverged";
   }
+}
+
+TEST(MsgEngine, MessageModeStateMatchesPinnedGolden) {
+  // Pins the whole message-mode end state, polite and under full chaos:
+  // placement, every traffic and chaos counter, the ring membership and
+  // every published coordinate. A change to how the bus drains or how the
+  // ring applies delivered publishes must leave all of it bit-identical.
+  const msg::RuntimeParams chaos = ChaosParams(
+      0.10, 0.05, 10.0, /*reliability=*/true, /*detector=*/true);
+  std::string state = "== seed 3 polite\n" + RunMessageScenario(3);
+  for (uint64_t seed : {6u, 7u}) {
+    state += "== seed " + std::to_string(seed) + " chaos\n" +
+             RunMessageScenario(seed, chaos);
+  }
+  EXPECT_EQ("", CheckGolden("msg_state", state));
 }
 
 TEST(MsgEngine, ScenarioMatrixHoldsInvariantsUnderChaos) {
