@@ -193,8 +193,11 @@ void CoordinateManager::Withdraw(NodeId n) {
   index_->Withdraw(n);
 }
 
-void CoordinateManager::Publish(NodeId n) {
-  index_->Publish(n, space_->FullCoord(n));
+void CoordinateManager::Publish(std::span<const NodeId> nodes) {
+  publish_nodes_.assign(nodes.begin(), nodes.end());
+  publish_coords_.clear();
+  for (NodeId n : nodes) publish_coords_.push_back(space_->FullCoord(n));
+  index_->PublishAll(publish_nodes_, publish_coords_);
 }
 
 }  // namespace sbon::coords

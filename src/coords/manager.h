@@ -2,6 +2,7 @@
 #define SBON_COORDS_MANAGER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/coord_block.h"
@@ -100,10 +101,12 @@ class CoordinateManager {
 
   /// Ring Leave on a crash: the index stops returning the node immediately.
   void Withdraw(NodeId n);
-  /// Ring Join: republishes the node's current full coordinate (stale
-  /// vector part + fresh scalars on a rejoin). Message-mode kPublish
-  /// deliveries apply through this too.
-  void Publish(NodeId n);
+  /// Ring Join of each node's current full coordinate, in order, as one
+  /// ring batch: bitwise the ring and catalog that publishing the nodes one
+  /// at a time builds, including a node listed twice. Sbon::RejoinNode
+  /// passes one node (stale vector part + fresh scalars); message mode
+  /// passes the publishes one epoch's drain delivered.
+  void Publish(std::span<const NodeId> nodes);
 
   // --- message-mode hooks (msg::Runtime) -----------------------------------
   // The message-passing execution mode re-expresses the two substrate
@@ -154,7 +157,7 @@ class CoordinateManager {
   std::vector<double> disp_scratch_; ///< squared displacement per slot
   std::vector<uint8_t> dirty_;       ///< per overlay node: moved > epsilon
   std::vector<NodeId> publish_nodes_;  ///< PublishAll batch (bring-up,
-                                       ///< refresh): nodes ...
+                                       ///< refresh, Publish): nodes ...
   std::vector<Vec> publish_coords_;    ///< ... and their full coordinates
 
   /// The displacement scan RefreshIndex and CollectDisplaced share: fills

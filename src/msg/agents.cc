@@ -198,9 +198,9 @@ void RingAgent::StepEpoch(double epsilon) {
 void RingAgent::HandleMessage(const Envelope& e) {
   if (reliability_.enabled) {
     if (e.kind == MsgKind::kAck) {
-      // The ack carries its transfer's tid; erase is idempotent, so a
+      // The ack carries its transfer's tid; acking is idempotent, so a
       // duplicated ack needs no dedup of its own.
-      pending_.erase(e.tid);
+      Acknowledge(e.tid);
       return;
     }
     if (!dedup_.FirstSighting(e.to, e.tid)) {
@@ -216,12 +216,11 @@ void RingAgent::HandleMessage(const Envelope& e) {
   }
   switch (e.kind) {
     case MsgKind::kPublish:
-      // The owner records the (re)published coordinate. Reads the node's
-      // *current* full coordinate — deliveries later in the drain see any
-      // Vivaldi movement that landed before them, exactly like a datagram
-      // serialized at transmission time would have been re-read on retry.
+      // The owner records the (re)published coordinate: the node's current
+      // full coordinate, which holds still until the post-drain Vivaldi
+      // sync, so the ring batch after the drain applies the same value.
       if (sbon_->IsAlive(e.subject)) {
-        sbon_->mutable_coords().Publish(e.subject);
+        delivered_publishes_.push_back(e.subject);
         publish_epoch_[e.subject] = static_cast<uint32_t>(bus_->epoch());
       }
       if (reliability_.enabled) SendAck(e);
@@ -243,28 +242,47 @@ void RingAgent::HandleMessage(const Envelope& e) {
   }
 }
 
+void RingAgent::ApplyDeliveredPublishes() {
+  sbon_->mutable_coords().Publish(delivered_publishes_);
+  delivered_publishes_.clear();
+}
+
 void RingAgent::TrackReliable(const Envelope& e) {
   ReliabilityCounters& r = bus_->stats().reliability;
-  if (pending_.size() >= reliability_.max_pending) {
+  if (pending_live_ >= reliability_.max_pending) {
     // Bounded retransmit queue: the transfer goes out once, untracked.
     ++r.retransmit_overflow;
     return;
   }
-  PendingTransfer p;
+  PendingTransfer& p = pending_.emplace_back();
   p.env = e;
   p.backoff_epochs = reliability_.retry_after_epochs;
   p.retry_epoch = bus_->epoch() + p.backoff_epochs;
-  pending_.emplace(e.tid, std::move(p));
+  ++pending_live_;
+}
+
+void RingAgent::Acknowledge(uint64_t tid) {
+  const auto it = std::lower_bound(
+      pending_.begin(), pending_.end(), tid,
+      [](const PendingTransfer& p, uint64_t t) { return p.env.tid < t; });
+  if (it == pending_.end() || it->env.tid != tid || it->acked) return;
+  it->acked = true;
+  --pending_live_;
 }
 
 void RingAgent::RetryPending() {
   if (!reliability_.enabled || pending_.empty()) return;
   const size_t epoch = bus_->epoch();
   ReliabilityCounters& r = bus_->stats().reliability;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    PendingTransfer& p = it->second;
+  // One pass in tid order: retransmit what is due, and compact out acked
+  // and abandoned transfers behind the kept ones.
+  auto kept = pending_.begin();
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    PendingTransfer& p = *it;
+    if (p.acked) continue;
     if (p.retry_epoch > epoch) {
-      ++it;
+      if (kept != it) *kept = std::move(p);
+      ++kept;
       continue;
     }
     if (p.attempts >= reliability_.max_retries ||
@@ -272,7 +290,7 @@ void RingAgent::RetryPending() {
       // Give up: retries are spent, or the subject left the overlay (its
       // publish/join could no longer be applied anyway).
       ++r.retry_exhausted;
-      it = pending_.erase(it);
+      --pending_live_;
       continue;
     }
     // Retransmit with a fresh route and the subject's *current* full
@@ -294,8 +312,10 @@ void RingAgent::RetryPending() {
     r.retry_bytes += again.bytes;
     if (again.kind == MsgKind::kPublish) ++publishes_sent_epoch_;
     bus_->Send(std::move(again));
-    ++it;
+    if (kept != it) *kept = std::move(p);
+    ++kept;
   }
+  pending_.erase(kept, pending_.end());
 }
 
 void RingAgent::SendAck(const Envelope& e) {
@@ -494,6 +514,7 @@ void Runtime::NotifyChurn(const net::ChurnEvent& ev) {
 void Runtime::FinishEpoch(bool refresh, double epsilon) {
   ring_.StepEpoch(refresh ? epsilon : -1.0);
   bus_.EndEpoch();
+  ring_.ApplyDeliveredPublishes();
   sbon_->mutable_coords().SyncVectorCoords();
 
   TrafficStats& stats = bus_.stats();

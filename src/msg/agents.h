@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/ids.h"
@@ -196,6 +195,13 @@ class VivaldiAgent {
 /// themselves ride the oracle path (Sbon::FailNode / RejoinNode keep the
 /// ring correct for repair placement — idealized instant failure
 /// detection); the agent carries the *cost* and the staleness clock.
+///
+/// A delivered kPublish does not touch the ring at once: the handler
+/// records its subject, and ApplyDeliveredPublishes lands the whole drain's
+/// publishes as one ring batch after the drain. That is bitwise the
+/// per-delivery result: no handler reads the ring or the index, a node's
+/// full coordinate cannot change before the post-drain Vivaldi sync, and
+/// a batch equals sequential Leave + Join, nodes that move twice included.
 class RingAgent {
  public:
   RingAgent(MessageBus* bus, overlay::Sbon* sbon,
@@ -208,6 +214,10 @@ class RingAgent {
   /// ring member to its successor.
   void StepEpoch(double epsilon);
   void HandleMessage(const Envelope& e);
+  /// Republishes, as one ring batch, the alive subjects of the kPublish
+  /// messages delivered since the last call, in delivery order. Call once
+  /// after each drain, before anything reads the ring or the index.
+  void ApplyDeliveredPublishes();
 
   void OnCrash(NodeId n);
   void OnRejoin(NodeId n);
@@ -220,7 +230,7 @@ class RingAgent {
   const std::vector<uint32_t>& publish_epoch() const { return publish_epoch_; }
 
   /// Transfers still awaiting an ack (bounded by max_pending).
-  size_t pending_size() const { return pending_.size(); }
+  size_t pending_size() const { return pending_live_; }
   /// Wires the failure detector in: kStabilize deliveries report
   /// heartbeats to it. Null (the default) disables reporting.
   void set_detector(FailureDetector* detector) { detector_ = detector; }
@@ -232,14 +242,19 @@ class RingAgent {
     size_t attempts = 0;        ///< retransmissions sent so far
     size_t backoff_epochs = 0;  ///< current wait between retries
     size_t retry_epoch = 0;     ///< bus epoch of the next retry
+    bool acked = false;         ///< done; compacted out by RetryPending
   };
 
-  /// Starts tracking a reliable send (tid already issued); counts an
-  /// overflow instead when the pending map is full.
+  /// Starts tracking a reliable send (tid just issued, so above every
+  /// tracked tid); counts an overflow instead when the queue is full.
   void TrackReliable(const Envelope& e);
+  /// Marks the tracked transfer `tid` acked; a repeated or unknown tid is a
+  /// no-op.
+  void Acknowledge(uint64_t tid);
   /// Retransmits every tracked transfer whose timer expired, with capped
-  /// exponential backoff; exhausted or moot transfers are dropped and
-  /// counted. Runs even when refresh is disabled so retries always drain.
+  /// exponential backoff, in ascending tid order; exhausted or moot
+  /// transfers are dropped and counted, and acked ones compacted out in the
+  /// same pass. Runs even when refresh is disabled so retries always drain.
   void RetryPending();
   /// Acks a delivered reliable envelope back to its sender.
   void SendAck(const Envelope& e);
@@ -260,12 +275,16 @@ class RingAgent {
   ReliabilityParams reliability_;
   DedupWindow dedup_;
   FailureDetector* detector_ = nullptr;  ///< owned by the Runtime
-  /// Tracked reliable transfers by tid. std::map for deterministic
-  /// retry iteration order.
-  std::map<uint64_t, PendingTransfer> pending_;
+  /// Tracked reliable transfers in ascending tid order (tids are issued
+  /// increasing), acked ones included until the next RetryPending.
+  std::vector<PendingTransfer> pending_;
+  size_t pending_live_ = 0;  ///< entries of pending_ not yet acked
   std::vector<uint32_t> publish_epoch_;  ///< by node id
   size_t publishes_sent_epoch_ = 0;
   std::vector<NodeId> displaced_;  ///< scratch for the displacement scan
+  /// Alive subjects of the kPublish deliveries since the last
+  /// ApplyDeliveredPublishes, in delivery order.
+  std::vector<NodeId> delivered_publishes_;
 };
 
 /// The message-mode execution runtime the engine drives: owns the bus and
@@ -291,8 +310,9 @@ class Runtime {
   /// detector's confirmation (NotifyCrashConfirmed).
   void NotifyChurn(const net::ChurnEvent& ev);
   /// The msg-refresh stage: displacement publishes + heartbeats, the epoch
-  /// drain, the Vivaldi -> cost-space sync, and the convergence
-  /// bookkeeping. `refresh` mirrors EpochOptions::refresh_index.
+  /// drain, the drain's delivered publishes as one ring batch, the
+  /// Vivaldi -> cost-space sync, and the convergence bookkeeping.
+  /// `refresh` mirrors EpochOptions::refresh_index.
   void FinishEpoch(bool refresh, double epsilon);
 
   /// Bills the DHT traffic of one placement run (`delta` of the index's

@@ -46,7 +46,9 @@ enum class MsgKind : uint8_t {
 
 /// One typed message on the bus. Envelopes are plain values: the payload
 /// fields double up across kinds (documented per field) instead of a
-/// variant, so the priority queue stays flat and copy-cheap.
+/// variant, so the bus slab holds them flat and heap-free (the coordinate
+/// is an inline Vec). The bus orders them by small keys and moves each
+/// envelope once, out of its slot at delivery.
 struct Envelope {
   Protocol proto = Protocol::kVivaldi;
   MsgKind kind = MsgKind::kPing;

@@ -1,5 +1,6 @@
 #include "msg/message_bus.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -74,10 +75,24 @@ Status MessageBus::Send(Envelope e) {
     ++c.sent;
     ++c.duplicated;
     c.bytes += dup.bytes;
-    queue_.push(std::move(dup));
+    Enqueue(std::move(dup));
   }
-  queue_.push(std::move(e));
+  Enqueue(std::move(e));
   return Status::OK();
+}
+
+void MessageBus::Enqueue(Envelope&& e) {
+  size_t slot;
+  if (free_.empty()) {
+    slot = slab_.size();
+    slab_.push_back(std::move(e));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(e);
+  }
+  heap_.push_back(Key{slab_[slot].deliver_ms, slab_[slot].seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later());
 }
 
 void MessageBus::BeginEpoch() {
@@ -87,9 +102,14 @@ void MessageBus::BeginEpoch() {
 void MessageBus::EndEpoch() {
   const double horizon =
       static_cast<double>(stats_.epochs + 1) * options_.epoch_ms;
-  while (!queue_.empty() && queue_.top().deliver_ms <= horizon) {
-    Envelope e = queue_.top();
-    queue_.pop();
+  while (!heap_.empty() && heap_.front().deliver_ms <= horizon) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later());
+    const size_t slot = heap_.back().slot;
+    heap_.pop_back();
+    // Out of the slab before the handler: its Sends may grow the slab (and
+    // reuse this slot first).
+    const Envelope e = std::move(slab_[slot]);
+    free_.push_back(slot);
     now_ms_ = e.deliver_ms;
     // Endpoints can die between send and delivery (the churn stage runs
     // mid-epoch): a message addressed to a now-dead node is lost.

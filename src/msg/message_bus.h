@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/ids.h"
@@ -34,10 +33,18 @@ namespace sbon::msg {
 ///    latency for the oracle, but control-plane datagrams across the cut
 ///    are treated as lost, which is what makes staleness measurable.
 ///
+/// Queue layout: envelopes sit still in a slab (a freed slot is reused LIFO)
+/// while a binary min-heap of 24-byte `{deliver_ms, seq, slot}` keys orders
+/// them, so sifting never moves an envelope. A delivery moves its envelope
+/// out of the slab before the handler runs (handlers Send, which may grow
+/// the slab). Slab, heap and free list keep their high-water capacity: a
+/// steady-state Send + EndEpoch round is heap-free.
+///
 /// Determinism: single-threaded by contract (like every substrate here);
-/// delivery order is a total order (deliver_ms, then send seq); the bus
-/// owns a private seeded Rng that agents draw peer samples from, so
-/// message-mode never perturbs the overlay's oracle RNG stream.
+/// delivery order is a total order (deliver_ms, then send seq — unique, so
+/// the heap's layout never decides a tie); the bus owns a private seeded
+/// Rng that agents draw peer samples from, so message-mode never perturbs
+/// the overlay's oracle RNG stream.
 class MessageBus {
  public:
   struct Options {
@@ -91,7 +98,7 @@ class MessageBus {
   double now_ms() const { return now_ms_; }
   /// Engine epochs fully drained so far.
   size_t epoch() const { return stats_.epochs; }
-  size_t pending() const { return queue_.size(); }
+  size_t pending() const { return heap_.size(); }
   Rng& rng() { return rng_; }
   const net::NetworkFabric& fabric() const { return *fabric_; }
   size_t NumNodes() const { return fabric_->NumNodes(); }
@@ -100,12 +107,22 @@ class MessageBus {
   const TrafficStats& stats() const { return stats_; }
 
  private:
+  /// Heap entry of one queued envelope: its delivery order and its slot.
+  struct Key {
+    double deliver_ms;
+    uint64_t seq;
+    size_t slot;
+  };
+  /// Heap comparator: the earliest (deliver_ms, seq) rises to the front.
   struct Later {
-    bool operator()(const Envelope& a, const Envelope& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.deliver_ms != b.deliver_ms) return a.deliver_ms > b.deliver_ms;
       return a.seq > b.seq;
     }
   };
+
+  /// Parks `e` (fully stamped) in a slab slot and pushes its key.
+  void Enqueue(Envelope&& e);
 
   const net::NetworkFabric* fabric_;
   Options options_;
@@ -114,7 +131,9 @@ class MessageBus {
   double now_ms_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t next_tid_ = 1;  ///< 0 means "unset" on an Envelope
-  std::priority_queue<Envelope, std::vector<Envelope>, Later> queue_;
+  std::vector<Key> heap_;        ///< min-heap under Later
+  std::vector<Envelope> slab_;   ///< queued envelopes, addressed by slot
+  std::vector<size_t> free_;     ///< free slab slots, reused LIFO
   Handler handlers_[kNumProtocols];
   TrafficStats stats_;
 };

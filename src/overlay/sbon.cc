@@ -182,7 +182,7 @@ Status Sbon::RejoinNode(NodeId n) {
   UpdateScalarMetrics();
   // Ring Join: republish the full coordinate (stale vector part + fresh
   // load scalar) so placement sees the node again.
-  coords_->Publish(n);
+  coords_->Publish({&n, 1});
   return Status::OK();
 }
 
