@@ -7,11 +7,12 @@
 // Emits machine-readable JSON via --json=PATH (schema documented in the
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
-// audits, via a global allocation counter, that five hot calls are heap-free
+// audits, via a global allocation counter, that six hot calls are heap-free
 // per call in steady state — VivaldiSystem::Update,
 // CoordinateIndex::KNearestInto and KNearestExactInto,
-// CostSpace::FullDistancesToIdealMany and RelaxationPlacer::Place — and
-// fails the run otherwise. Standalone kernel timings live in
+// CostSpace::FullDistancesToIdealMany, RelaxationPlacer::Place and a bare
+// MessageBus Send + EndEpoch round (counted per message) — and fails the
+// run otherwise. Standalone kernel timings live in
 // micro_substrates; the kernels' bit-identity against the pre-SoA per-Vec
 // references is pinned by tests/simd_equivalence_test.cc (ctest label
 // `equivalence`), not here.
@@ -71,6 +72,7 @@
 #include "engine/stream_engine.h"
 #include "msg/agents.h"
 #include "msg/message.h"
+#include "msg/message_bus.h"
 #include "net/churn.h"
 #include "net/shortest_path.h"
 #include "net/fabric.h"
@@ -538,6 +540,69 @@ double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
   });
 }
 
+// One bare-bus round per call: Send a mixed batch (pings and coordinate-
+// carrying publishes) under a fixed fault plan, with a handler that answers
+// half the pings in the same drain, then EndEpoch. The warm-up rounds grow
+// the bus queue to its high-water mark. Returns allocations per message
+// sent (replies and network duplicates included).
+double MeasureBusAllocs() {
+  const net::Topology topo = bench::MakeTransitStubTopology(100, /*seed=*/13);
+  Rng rng(13);
+  net::NetworkFabric::Options fabric_options;
+  fabric_options.base_mode = net::NetworkFabric::BaseMode::kDense;
+  net::NetworkFabric fabric(topo, /*jitter_sigma=*/0.0, &rng,
+                            fabric_options);
+  msg::MessageBus::Options opts;
+  opts.epoch_ms = 1000.0;  // every reply lands in the drain that caused it
+  for (msg::FaultRates& r : opts.faults.protocol) {
+    r.loss = 0.05;
+    r.duplicate = 0.05;
+    r.delay_jitter_ms = 5.0;
+  }
+  msg::MessageBus bus(&fabric, opts);
+  bus.SetHandler(msg::Protocol::kVivaldi, [&](const msg::Envelope& e) {
+    if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
+    msg::Envelope pong;
+    pong.proto = msg::Protocol::kVivaldi;
+    pong.kind = msg::MsgKind::kPong;
+    pong.from = e.to;
+    pong.to = e.from;
+    pong.coord = Vec{1.0, 2.0, 3.0};
+    pong.bytes = 56;
+    bus.Send(std::move(pong));
+  });
+  bus.SetHandler(msg::Protocol::kRing, [](const msg::Envelope&) {});
+  const NodeId nodes = static_cast<NodeId>(topo.NumNodes());
+  constexpr size_t kBatch = 256;
+  constexpr size_t kRounds = 200;
+  const auto round_fn = [&](size_t round) {
+    bus.BeginEpoch();
+    for (size_t i = 0; i < kBatch; ++i) {
+      msg::Envelope e;
+      e.from = static_cast<NodeId>((round * 31 + i * 7) % nodes);
+      e.to = static_cast<NodeId>((e.from + 1 + i % (nodes - 1)) % nodes);
+      if (i % 2 == 0) {
+        e.proto = msg::Protocol::kVivaldi;
+        e.kind = msg::MsgKind::kPing;
+        e.bytes = 24;
+      } else {
+        e.proto = msg::Protocol::kRing;
+        e.kind = msg::MsgKind::kPublish;
+        e.subject = e.from;
+        e.coord = Vec{4.0, 5.0, 6.0};
+        e.bytes = 64;
+      }
+      bus.Send(std::move(e));
+    }
+    bus.EndEpoch();
+  };
+  for (size_t round = 0; round < 16; ++round) round_fn(round);
+  const size_t sent_before = bus.stats().TotalSent();
+  const double per_round = AllocsPerCall(0, kRounds, round_fn);
+  return per_round * static_cast<double>(kRounds) /
+         static_cast<double>(bus.stats().TotalSent() - sent_before);
+}
+
 // Value of a `--name=<string>` flag, or empty when absent.
 std::string StringFlagOr(int argc, char** argv, const char* name) {
   const std::string prefix = std::string("--") + name + "=";
@@ -605,7 +670,7 @@ int main(int argc, char** argv) {
   sbon::EpochLoopResult primary, eps0, churned;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0,
          knearest_exact_allocs = 0.0, cost_eval_allocs = 0.0,
-         place_allocs = 0.0;
+         place_allocs = 0.0, bus_allocs = 0.0;
   const double churn_rate =
       sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
@@ -652,6 +717,7 @@ int main(int argc, char** argv) {
     knearest_exact_allocs = sbon::MeasureKNearestExactAllocs(*audit_sbon);
     cost_eval_allocs = sbon::MeasureCostEvalAllocs(*audit_sbon);
     place_allocs = sbon::MeasurePlaceAllocs(*audit_sbon);
+    bus_allocs = sbon::MeasureBusAllocs();
     const struct {
       const char* call;
       double allocs;
@@ -661,6 +727,7 @@ int main(int argc, char** argv) {
         {"CoordinateIndex::KNearestExactInto", knearest_exact_allocs},
         {"CostSpace::FullDistancesToIdealMany", cost_eval_allocs},
         {"RelaxationPlacer::Place", place_allocs},
+        {"MessageBus::Send+EndEpoch per msg", bus_allocs},
     };
     bool audit_ok = true;
     for (const auto& a : audit) {
@@ -901,6 +968,7 @@ int main(int argc, char** argv) {
           "  \"allocs_per_knearest_exact\": %g,\n"
           "  \"allocs_per_cost_eval\": %g,\n"
           "  \"allocs_per_place\": %g,\n"
+          "  \"allocs_per_bus_message\": %g,\n"
           "  \"churn\": {\n"
           "    \"crash_rate\": %g,\n"
           "    \"ns_per_epoch\": %.1f,\n"
@@ -918,7 +986,7 @@ int main(int argc, char** argv) {
           primary.refresh.skipped, primary.refresh.quiet_refreshes,
           primary.refresh.refreshes,
           vivaldi_allocs, knearest_allocs, knearest_exact_allocs,
-          cost_eval_allocs, place_allocs, churn_rate,
+          cost_eval_allocs, place_allocs, bus_allocs, churn_rate,
           churned.ns_per_epoch,
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,
