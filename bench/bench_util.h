@@ -14,7 +14,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/vec.h"
 #include "engine/stream_engine.h"
+#include "msg/message.h"
+#include "msg/message_bus.h"
+#include "net/fabric.h"
 #include "net/generators.h"
 #include "overlay/sbon.h"
 
@@ -329,6 +333,90 @@ inline uint64_t StateFingerprint(const overlay::Sbon& sbon) {
 inline void Section(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
+
+/// A bare message bus over a dense transit-stub fabric (reads are one
+/// matrix load, so the bus itself is what gets measured) under a fixed
+/// fault plan: 5% loss, 5% duplication and 5 ms mean extra delay on every
+/// protocol. The Vivaldi handler answers each ping whose send sequence is
+/// even with a pong (about half of them: duplicates and replies shift the
+/// parity), so the queue grows mid-drain; ring deliveries are consumed. The drain
+/// `micro_substrates` times and `perf_epoch`'s allocation audit checks.
+class BusDrainRig {
+ public:
+  BusDrainRig(size_t target_nodes, uint64_t seed)
+      : topo_(MakeTransitStubTopology(target_nodes, seed)),
+        rng_(seed),
+        fabric_(topo_, /*jitter_sigma=*/0.0, &rng_, DenseFabric()),
+        bus_(&fabric_, BusOptions()) {
+    bus_.SetHandler(msg::Protocol::kVivaldi, [this](const msg::Envelope& e) {
+      if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
+      msg::Envelope pong;
+      pong.proto = msg::Protocol::kVivaldi;
+      pong.kind = msg::MsgKind::kPong;
+      pong.from = e.to;
+      pong.to = e.from;
+      pong.coord = Vec{1.0, 2.0, 3.0};
+      pong.bytes = 56;
+      bus_.Send(std::move(pong));
+    });
+    bus_.SetHandler(msg::Protocol::kRing, [](const msg::Envelope&) {});
+  }
+
+  BusDrainRig(const BusDrainRig&) = delete;
+  BusDrainRig& operator=(const BusDrainRig&) = delete;
+
+  /// One epoch: Sends `messages` envelopes, alternating pings and
+  /// coordinate-carrying publishes, then EndEpoch. Envelope i always links
+  /// the same endpoint pair, so latency reads stay cache-warm across
+  /// rounds and the bus dominates. The epoch is long enough that every
+  /// reply lands in the same drain.
+  void Round(size_t messages) {
+    const size_t nodes = topo_.NumNodes();
+    bus_.BeginEpoch();
+    for (size_t i = 0; i < messages; ++i) {
+      msg::Envelope e;
+      e.from = static_cast<NodeId>(i * 7 % nodes);
+      e.to = static_cast<NodeId>((e.from + 1 + i % (nodes - 1)) % nodes);
+      if (i % 2 == 0) {
+        e.proto = msg::Protocol::kVivaldi;
+        e.kind = msg::MsgKind::kPing;
+        e.bytes = 24;
+      } else {
+        e.proto = msg::Protocol::kRing;
+        e.kind = msg::MsgKind::kPublish;
+        e.subject = e.from;
+        e.coord = Vec{4.0, 5.0, 6.0};
+        e.bytes = 64;
+      }
+      bus_.Send(std::move(e));
+    }
+    bus_.EndEpoch();
+  }
+
+  const msg::MessageBus& bus() const { return bus_; }
+
+ private:
+  static net::NetworkFabric::Options DenseFabric() {
+    net::NetworkFabric::Options o;
+    o.base_mode = net::NetworkFabric::BaseMode::kDense;
+    return o;
+  }
+  static msg::MessageBus::Options BusOptions() {
+    msg::MessageBus::Options o;
+    o.epoch_ms = 1000.0;
+    for (msg::FaultRates& r : o.faults.protocol) {
+      r.loss = 0.05;
+      r.duplicate = 0.05;
+      r.delay_jitter_ms = 5.0;
+    }
+    return o;
+  }
+
+  net::Topology topo_;
+  Rng rng_;
+  net::NetworkFabric fabric_;
+  msg::MessageBus bus_;
+};
 
 }  // namespace sbon::bench
 

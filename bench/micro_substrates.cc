@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -14,9 +13,6 @@
 #include "dht/chord.h"
 #include "dht/coord_index.h"
 #include "dht/hilbert.h"
-#include "msg/message.h"
-#include "msg/message_bus.h"
-#include "net/fabric.h"
 #include "net/generators.h"
 #include "net/shortest_path.h"
 
@@ -256,69 +252,14 @@ void BM_LatencyMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyMatrix)->Arg(4)->Arg(12)->Unit(benchmark::kMillisecond);
 
-// One message-mode drain: Send N mixed envelopes (Vivaldi pings and
-// coordinate-carrying ring publishes) under a fixed fault plan, with a
-// handler that answers half of the pings, then EndEpoch. The epoch is long
-// enough that replies land in the same drain; the bus keeps its queue
-// capacity across iterations, as it does across engine epochs.
+// One message-mode drain over bench::BusDrainRig: N mixed envelopes under
+// a fixed fault plan, about half the pings answered mid-drain, then
+// EndEpoch. The bus keeps its queue capacity across iterations, as it does
+// across engine epochs.
 void BM_MessageBusDrain(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(12);
-  auto topo = net::GenerateTransitStub(net::TransitStubParams(), &rng);
-  // Dense base latencies: reads are one matrix load, so the drain itself
-  // is what gets timed.
-  net::NetworkFabric::Options fabric_options;
-  fabric_options.base_mode = net::NetworkFabric::BaseMode::kDense;
-  net::NetworkFabric fabric(*topo, /*jitter_sigma=*/0.0, &rng,
-                            fabric_options);
-  msg::MessageBus::Options opts;
-  opts.epoch_ms = 1000.0;
-  for (msg::FaultRates& r : opts.faults.protocol) {
-    r.loss = 0.05;
-    r.duplicate = 0.05;
-    r.delay_jitter_ms = 5.0;
-  }
-  msg::MessageBus bus(&fabric, opts);
-  bus.SetHandler(msg::Protocol::kVivaldi, [&](const msg::Envelope& e) {
-    if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
-    msg::Envelope pong;
-    pong.proto = msg::Protocol::kVivaldi;
-    pong.kind = msg::MsgKind::kPong;
-    pong.from = e.to;
-    pong.to = e.from;
-    pong.coord = Vec{1.0, 2.0, 3.0};
-    pong.bytes = 56;
-    bus.Send(std::move(pong));
-  });
-  bus.SetHandler(msg::Protocol::kRing, [](const msg::Envelope&) {});
-
-  const NodeId nodes = static_cast<NodeId>(topo->NumNodes());
-  std::vector<std::pair<NodeId, NodeId>> pairs(n);
-  for (auto& [from, to] : pairs) {
-    from = static_cast<NodeId>(rng.UniformInt(nodes));
-    to = static_cast<NodeId>((from + 1 + rng.UniformInt(nodes - 1)) % nodes);
-  }
-  for (auto _ : state) {
-    bus.BeginEpoch();
-    for (size_t i = 0; i < n; ++i) {
-      msg::Envelope e;
-      e.from = pairs[i].first;
-      e.to = pairs[i].second;
-      if (i % 2 == 0) {
-        e.proto = msg::Protocol::kVivaldi;
-        e.kind = msg::MsgKind::kPing;
-        e.bytes = 24;
-      } else {
-        e.proto = msg::Protocol::kRing;
-        e.kind = msg::MsgKind::kPublish;
-        e.subject = e.from;
-        e.coord = Vec{4.0, 5.0, 6.0};
-        e.bytes = 64;
-      }
-      bus.Send(std::move(e));
-    }
-    bus.EndEpoch();
-  }
+  bench::BusDrainRig rig(/*target_nodes=*/600, /*seed=*/12);
+  for (auto _ : state) rig.Round(n);
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_MessageBusDrain)->Arg(1024)->Arg(4096);

@@ -72,7 +72,6 @@
 #include "engine/stream_engine.h"
 #include "msg/agents.h"
 #include "msg/message.h"
-#include "msg/message_bus.h"
 #include "net/churn.h"
 #include "net/shortest_path.h"
 #include "net/fabric.h"
@@ -540,67 +539,18 @@ double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
   });
 }
 
-// One bare-bus round per call: Send a mixed batch (pings and coordinate-
-// carrying publishes) under a fixed fault plan, with a handler that answers
-// half the pings in the same drain, then EndEpoch. The warm-up rounds grow
-// the bus queue to its high-water mark. Returns allocations per message
-// sent (replies and network duplicates included).
+// Allocations per message sent (replies and network duplicates included)
+// over steady-state bench::BusDrainRig rounds of 256 envelopes; the warm-up
+// rounds grow the bus queue to its high-water mark.
 double MeasureBusAllocs() {
-  const net::Topology topo = bench::MakeTransitStubTopology(100, /*seed=*/13);
-  Rng rng(13);
-  net::NetworkFabric::Options fabric_options;
-  fabric_options.base_mode = net::NetworkFabric::BaseMode::kDense;
-  net::NetworkFabric fabric(topo, /*jitter_sigma=*/0.0, &rng,
-                            fabric_options);
-  msg::MessageBus::Options opts;
-  opts.epoch_ms = 1000.0;  // every reply lands in the drain that caused it
-  for (msg::FaultRates& r : opts.faults.protocol) {
-    r.loss = 0.05;
-    r.duplicate = 0.05;
-    r.delay_jitter_ms = 5.0;
-  }
-  msg::MessageBus bus(&fabric, opts);
-  bus.SetHandler(msg::Protocol::kVivaldi, [&](const msg::Envelope& e) {
-    if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
-    msg::Envelope pong;
-    pong.proto = msg::Protocol::kVivaldi;
-    pong.kind = msg::MsgKind::kPong;
-    pong.from = e.to;
-    pong.to = e.from;
-    pong.coord = Vec{1.0, 2.0, 3.0};
-    pong.bytes = 56;
-    bus.Send(std::move(pong));
-  });
-  bus.SetHandler(msg::Protocol::kRing, [](const msg::Envelope&) {});
-  const NodeId nodes = static_cast<NodeId>(topo.NumNodes());
-  constexpr size_t kBatch = 256;
+  bench::BusDrainRig rig(/*target_nodes=*/100, /*seed=*/13);
   constexpr size_t kRounds = 200;
-  const auto round_fn = [&](size_t round) {
-    bus.BeginEpoch();
-    for (size_t i = 0; i < kBatch; ++i) {
-      msg::Envelope e;
-      e.from = static_cast<NodeId>((round * 31 + i * 7) % nodes);
-      e.to = static_cast<NodeId>((e.from + 1 + i % (nodes - 1)) % nodes);
-      if (i % 2 == 0) {
-        e.proto = msg::Protocol::kVivaldi;
-        e.kind = msg::MsgKind::kPing;
-        e.bytes = 24;
-      } else {
-        e.proto = msg::Protocol::kRing;
-        e.kind = msg::MsgKind::kPublish;
-        e.subject = e.from;
-        e.coord = Vec{4.0, 5.0, 6.0};
-        e.bytes = 64;
-      }
-      bus.Send(std::move(e));
-    }
-    bus.EndEpoch();
-  };
-  for (size_t round = 0; round < 16; ++round) round_fn(round);
-  const size_t sent_before = bus.stats().TotalSent();
-  const double per_round = AllocsPerCall(0, kRounds, round_fn);
+  const auto round = [&](size_t) { rig.Round(256); };
+  for (size_t i = 0; i < 16; ++i) round(i);
+  const size_t sent_before = rig.bus().stats().TotalSent();
+  const double per_round = AllocsPerCall(0, kRounds, round);
   return per_round * static_cast<double>(kRounds) /
-         static_cast<double>(bus.stats().TotalSent() - sent_before);
+         static_cast<double>(rig.bus().stats().TotalSent() - sent_before);
 }
 
 // Value of a `--name=<string>` flag, or empty when absent.
