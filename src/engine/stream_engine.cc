@@ -411,8 +411,8 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
                [&] { ApplyChurn(epoch.churn->Step()); });
   if (message) {
     // Message-mode refresh: displacement publishes + ring heartbeats, the
-    // epoch drain (delivering pongs and publishes in latency order) and the
-    // coordinate sync.
+    // epoch drain (delivering pongs and publishes in latency order), the
+    // drain's publishes as one ring batch and the coordinate sync.
     pipeline.Run("msg-refresh", /*enabled=*/true, [&] {
       msg_runtime_->FinishEpoch(epoch.refresh_index, epoch.refresh_epsilon);
     });
