@@ -7,15 +7,15 @@
 // Emits machine-readable JSON via --json=PATH (schema documented in the
 // README "Performance" section); BENCH_epoch.json at the repo root is the
 // recorded baseline from a full run at N=512 / Q=64. The harness also
-// audits, via a global allocation counter, that six hot calls are heap-free
-// per call in steady state — VivaldiSystem::Update,
+// audits, via a global allocation counter, that seven hot calls are
+// heap-free per call in steady state — VivaldiSystem::Update,
 // CoordinateIndex::KNearestInto and KNearestExactInto,
-// CostSpace::FullDistancesToIdealMany, RelaxationPlacer::Place and a bare
-// MessageBus Send + EndEpoch round (counted per message) — and fails the
-// run otherwise. Standalone kernel timings live in
-// micro_substrates; the kernels' bit-identity against the pre-SoA per-Vec
-// references is pinned by tests/simd_equivalence_test.cc (ctest label
-// `equivalence`), not here.
+// CostSpace::FullDistancesToIdealMany, RelaxationPlacer::Place,
+// placement::MapVertex and a bare MessageBus Send + EndEpoch round
+// (counted per message) — and fails the run otherwise. Standalone kernel
+// timings live in micro_substrates; the kernels' bit-identity against the
+// pre-SoA per-Vec references is pinned by tests/simd_equivalence_test.cc
+// (ctest label `equivalence`), not here.
 //
 // Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
 // --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
@@ -76,6 +76,7 @@
 #include "net/shortest_path.h"
 #include "net/fabric.h"
 #include "overlay/circuit.h"
+#include "placement/mapping.h"
 #include "placement/relaxation.h"
 #include "query/enumerate.h"
 #include "query/workload.h"
@@ -518,9 +519,8 @@ double MeasureCostEvalAllocs(const overlay::Sbon& sbon) {
   });
 }
 
-// RelaxationPlacer::Place on a warm circuit (the warm-up call sizes its
-// virtual coordinates).
-double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
+// A virtually placed 5-stream circuit over `sbon`'s overlay.
+overlay::Circuit FiveStreamCircuit(const overlay::Sbon& sbon) {
   Rng rng(11);
   query::WorkloadParams wp;
   wp.num_streams = 16;
@@ -533,9 +533,30 @@ double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
   auto plans = query::EnumeratePlans(spec, catalog, {}).value();
   overlay::Circuit circuit =
       overlay::Circuit::FromPlan(std::move(plans[0]), catalog).value();
+  (void)placement::RelaxationPlacer().Place(&circuit, sbon.cost_space());
+  return circuit;
+}
+
+// RelaxationPlacer::Place on a warm circuit (the warm-up call sizes its
+// virtual coordinates).
+double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
+  overlay::Circuit circuit = FiveStreamCircuit(sbon);
   const placement::RelaxationPlacer placer;
   return AllocsPerCall(1, 2000, [&](size_t) {
     (void)placer.Place(&circuit, sbon.cost_space());
+  });
+}
+
+// placement::MapVertex over a warm circuit's placeable vertices in turn
+// (the warm-up round sizes the candidate buffer and the index scratch).
+double MeasureMapVertexAllocs(const overlay::Sbon& sbon) {
+  overlay::Circuit circuit = FiveStreamCircuit(sbon);
+  const std::vector<int> placeable = circuit.PlaceableVertices();
+  const placement::MappingOptions options;
+  placement::MappingReport report;
+  return AllocsPerCall(placeable.size(), 2000, [&](size_t i) {
+    (void)placement::MapVertex(&circuit, placeable[i % placeable.size()],
+                               sbon, options, &report);
   });
 }
 
@@ -620,7 +641,7 @@ int main(int argc, char** argv) {
   sbon::EpochLoopResult primary, eps0, churned;
   double vivaldi_allocs = 0.0, knearest_allocs = 0.0,
          knearest_exact_allocs = 0.0, cost_eval_allocs = 0.0,
-         place_allocs = 0.0, bus_allocs = 0.0;
+         place_allocs = 0.0, map_vertex_allocs = 0.0, bus_allocs = 0.0;
   const double churn_rate =
       sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
@@ -667,6 +688,7 @@ int main(int argc, char** argv) {
     knearest_exact_allocs = sbon::MeasureKNearestExactAllocs(*audit_sbon);
     cost_eval_allocs = sbon::MeasureCostEvalAllocs(*audit_sbon);
     place_allocs = sbon::MeasurePlaceAllocs(*audit_sbon);
+    map_vertex_allocs = sbon::MeasureMapVertexAllocs(*audit_sbon);
     bus_allocs = sbon::MeasureBusAllocs();
     const struct {
       const char* call;
@@ -677,6 +699,7 @@ int main(int argc, char** argv) {
         {"CoordinateIndex::KNearestExactInto", knearest_exact_allocs},
         {"CostSpace::FullDistancesToIdealMany", cost_eval_allocs},
         {"RelaxationPlacer::Place", place_allocs},
+        {"placement::MapVertex", map_vertex_allocs},
         {"MessageBus::Send+EndEpoch per msg", bus_allocs},
     };
     bool audit_ok = true;
@@ -918,6 +941,7 @@ int main(int argc, char** argv) {
           "  \"allocs_per_knearest_exact\": %g,\n"
           "  \"allocs_per_cost_eval\": %g,\n"
           "  \"allocs_per_place\": %g,\n"
+          "  \"allocs_per_map_vertex\": %g,\n"
           "  \"allocs_per_bus_message\": %g,\n"
           "  \"churn\": {\n"
           "    \"crash_rate\": %g,\n"
@@ -936,7 +960,8 @@ int main(int argc, char** argv) {
           primary.refresh.skipped, primary.refresh.quiet_refreshes,
           primary.refresh.refreshes,
           vivaldi_allocs, knearest_allocs, knearest_exact_allocs,
-          cost_eval_allocs, place_allocs, bus_allocs, churn_rate,
+          cost_eval_allocs, place_allocs, map_vertex_allocs, bus_allocs,
+          churn_rate,
           churned.ns_per_epoch,
           churned.repair.crashes, churned.repair.rejoins,
           churned.repair.services_evicted, churned.repair.circuits_orphaned,

@@ -1,5 +1,6 @@
 #include "coords/cost_space.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -30,6 +31,7 @@ CostSpace::CostSpace(CostSpaceSpec spec, size_t num_nodes)
     const double w0 = spec_.scalar_dim(i).weighting->Apply(0.0);
     double* lane = weighted_scalars_.lane(i);
     for (size_t n = 0; n < num_nodes; ++n) lane[n] = w0;
+    if (w0 < 0.0) negative_scalars_ += num_nodes;
   }
 }
 
@@ -50,7 +52,10 @@ Status CostSpace::SetScalarMetric(NodeId n, size_t i, double raw) {
   raw_scalars_.At(i, n) = raw;
   // Weightings are pure functions, so caching at write time returns exactly
   // what compute-on-read returned.
-  weighted_scalars_.At(i, n) = spec_.scalar_dim(i).weighting->Apply(raw);
+  double& weighted = weighted_scalars_.At(i, n);
+  if (weighted < 0.0) --negative_scalars_;
+  weighted = spec_.scalar_dim(i).weighting->Apply(raw);
+  if (weighted < 0.0) ++negative_scalars_;
   return Status::OK();
 }
 
@@ -60,6 +65,15 @@ double CostSpace::ScalarPenalty(NodeId n) const {
     s += weighted_scalars_.At(i, n);
   }
   return s;
+}
+
+double CostSpace::PenaltyFloor() const {
+  if (negative_scalars_ == 0) return 0.0;
+  double floor = 0.0;
+  for (NodeId n = 0; n < NumNodes(); ++n) {
+    floor = std::min(floor, ScalarPenalty(n));
+  }
+  return floor;
 }
 
 Vec CostSpace::FullCoord(NodeId n) const {

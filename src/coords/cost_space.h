@@ -84,6 +84,10 @@ class CostSpace {
   /// Sum of weighted scalar coordinates — the node's total penalty; used as
   /// the load term of circuit cost.
   double ScalarPenalty(NodeId n) const;
+  /// min(0, smallest ScalarPenalty of any node): no node's penalty is
+  /// lower. O(1) while no weighted scalar is negative (every penalty is
+  /// then a sum of non-negative terms); a scan of every node otherwise.
+  double PenaltyFloor() const;
 
   /// Full coordinate: vector dims followed by weighted scalar dims.
   Vec FullCoord(NodeId n) const;
@@ -133,6 +137,7 @@ class CostSpace {
   CoordBlock vector_coords_;     // vector_dims x N lanes
   CoordBlock raw_scalars_;       // num_scalar_dims x N lanes
   CoordBlock weighted_scalars_;  // num_scalar_dims x N lanes, w_i(raw) cache
+  size_t negative_scalars_ = 0;  // entries of weighted_scalars_ below 0
 };
 
 }  // namespace sbon::coords

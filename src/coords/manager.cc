@@ -23,8 +23,7 @@ StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
       for (NodeId i = 0; i < n; ++i) coords.push_back(mgr->vivaldi_->Coord(i));
       break;
     }
-    case CoordMode::kMds:
-    case CoordMode::kTrue: {
+    case CoordMode::kMds: {
       coords = ClassicalMds(lat, params.spec.vector_dims(), rng);
       break;
     }

@@ -22,8 +22,6 @@ namespace sbon::coords {
 enum class CoordMode {
   kVivaldi,  ///< decentralized Vivaldi embedding (deployable; default)
   kMds,      ///< centralized classical-MDS oracle (ablation)
-  kTrue,     ///< no embedding: mapping/cost-space queries use MDS coords,
-             ///< but this mode is reserved for ablation harnesses
 };
 
 /// Cumulative counters of the dirty-driven index refresh (ring traffic a

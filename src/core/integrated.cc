@@ -1,10 +1,22 @@
 #include "core/integrated.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "core/two_step.h"
+#include <vector>
 
 namespace sbon::core {
+namespace {
+
+// A virtually placed candidate plan. Candidates are mapped in ascending
+// (virtual_usage, index); virtual network usage orders the mapping and
+// bounds nothing.
+struct Candidate {
+  double virtual_usage = 0.0;
+  size_t index = 0;  // enumeration index, the tie-break between equal costs
+  overlay::Circuit circuit;
+};
+
+}  // namespace
 
 IntegratedOptimizer::IntegratedOptimizer(
     OptimizerConfig config,
@@ -14,42 +26,77 @@ IntegratedOptimizer::IntegratedOptimizer(
 StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
     const query::QuerySpec& spec, const query::Catalog& catalog,
     overlay::Sbon* sbon) {
+  Status st = ValidateLambda(config_.lambda);
+  if (!st.ok()) return st;
   auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 
-  OptimizeResult best;
-  bool have_best = false;
-  size_t placements = 0;
-  placement::MappingReport mapping_total;
-
-  for (query::LogicalPlan& plan : *plans) {
-    auto circuit = overlay::Circuit::FromPlan(std::move(plan), catalog);
+  // Per-thread scratch kept for its capacity (an engine builds a fresh
+  // optimizer per Submit), so a warm Submit allocates nothing here.
+  thread_local std::vector<Candidate> candidates;
+  candidates.clear();
+  const coords::CostSpace& space = sbon->cost_space();
+  for (size_t index = 0; index < plans->size(); ++index) {
+    auto circuit =
+        overlay::Circuit::FromPlan(std::move((*plans)[index]), catalog);
     if (!circuit.ok()) return circuit.status();
-    placement::MappingReport report;
-    Status st = PlaceAndMap(&circuit.value(), sbon, *placer_,
-                            config_.mapping, &report);
+    st = placer_->Place(&circuit.value(), space);
     if (!st.ok()) return st;
-    ++placements;
-    mapping_total.dht_cost.lookups += report.dht_cost.lookups;
-    mapping_total.dht_cost.routing_hops += report.dht_cost.routing_hops;
-    mapping_total.dht_cost.ring_probes += report.dht_cost.ring_probes;
-    mapping_total.services_mapped += report.services_mapped;
-    mapping_total.total_mapping_error += report.total_mapping_error;
-    mapping_total.load_overrides += report.load_overrides;
+    candidates.push_back(
+        Candidate{placement::VirtualLinearCost(*circuit, space), index,
+                  std::move(circuit.value())});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.virtual_usage != b.virtual_usage) {
+                return a.virtual_usage < b.virtual_usage;
+              }
+              return a.index < b.index;
+            });
 
-    auto cost = EstimateCost(*circuit, *sbon, config_.lambda);
+  const double penalty_floor = space.PenaltyFloor();
+  OptimizeResult result;
+  Candidate* best = nullptr;
+  double best_cost = 0.0;
+  // True if (cost, index) would replace the best so far: the least
+  // (estimated cost, enumeration index) wins, as in a loop that maps every
+  // candidate in enumeration order and keeps the first strictly cheaper.
+  auto beats_best = [&](double cost, size_t index) {
+    return best == nullptr || cost < best_cost ||
+           (cost == best_cost && index < best->index);
+  };
+  for (Candidate& candidate : candidates) {
+    overlay::Circuit& circuit = candidate.circuit;
+    bool pruned = false;
+    for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
+      if (!circuit.Placeable(v)) continue;
+      if (best != nullptr &&
+          !beats_best(EstimateCostLowerBound(circuit, *sbon, config_.lambda,
+                                             penalty_floor),
+                      candidate.index)) {
+        pruned = true;
+        break;
+      }
+      st = placement::MapVertex(&circuit, v, *sbon, config_.mapping,
+                                &result.mapping);
+      if (!st.ok()) return st;
+    }
+    if (pruned) continue;
+    ++result.placements_evaluated;
+    auto cost = EstimateCost(circuit, *sbon, config_.lambda);
     if (!cost.ok()) return cost.status();
-    if (!have_best || *cost < best.estimated_cost) {
-      best.circuit = std::move(circuit.value());
-      best.estimated_cost = *cost;
-      have_best = true;
+    if (beats_best(*cost, candidate.index)) {
+      best = &candidate;
+      best_cost = *cost;
     }
   }
-  if (!have_best) return Status::Internal("no candidate circuit produced");
-  best.plans_considered = plans->size();
-  best.placements_evaluated = placements;
-  best.mapping = mapping_total;
-  return best;
+  if (best == nullptr) {
+    return Status::Internal("no candidate circuit produced");
+  }
+  result.circuit = std::move(best->circuit);
+  result.estimated_cost = best_cost;
+  result.plans_considered = candidates.size();
+  return result;
 }
 
 }  // namespace sbon::core

@@ -8,14 +8,22 @@
 namespace sbon::core {
 
 /// The paper's integrated cost-space optimizer (Sec. 3.3): enumerate a set
-/// of candidate plans, *virtually place and physically map every one of
-/// them* in the cost space — "this yields exactly one candidate circuit per
-/// plan, with the cost of the circuit representing the current node and
-/// network state" — and select the cheapest candidate circuit.
+/// of candidate plans, virtually place each one in the cost space —
+/// "this yields exactly one candidate circuit per plan, with the cost of
+/// the circuit representing the current node and network state" — and
+/// select the cheapest candidate circuit.
 ///
 /// Virtual placement is computationally inexpensive (no services are
 /// instantiated), which is what makes considering placement for every
-/// candidate plan tractable at overlay scale.
+/// candidate plan tractable at overlay scale. Physical mapping is not: it
+/// costs one DHT lookup per service. So the candidates are mapped best
+/// first, in ascending virtual network usage, vertex by vertex, and a
+/// candidate stops mapping as soon as `EstimateCostLowerBound` shows it
+/// cannot win — a cost-limit branch and bound (Graefe & McKenna, "The
+/// Volcano Optimizer Generator", ICDE'93). The bound is valid, so the
+/// pruning is exact: the winner is the least (estimated cost, enumeration
+/// index) over all candidates, the circuit that mapping every one of them
+/// in full would pick, bit for bit.
 class IntegratedOptimizer : public Optimizer {
  public:
   IntegratedOptimizer(OptimizerConfig config,

@@ -46,6 +46,8 @@ MultiQueryOptimizer::MultiQueryOptimizer(
 StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
     const query::QuerySpec& spec, const query::Catalog& catalog,
     overlay::Sbon* sbon) {
+  Status valid = ValidateLambda(config_.lambda);
+  if (!valid.ok()) return valid;
   auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 

@@ -18,10 +18,11 @@ namespace sbon::core {
 /// Shared optimizer configuration.
 struct OptimizerConfig {
   /// Weight of the node-load penalty relative to network usage when ranking
-  /// candidate circuits.
+  /// candidate circuits. Must be >= 0: the optimizers reject anything else
+  /// with InvalidArgument.
   double lambda = 1.0;
-  /// Plan enumeration (the integrated optimizer places every one of the
-  /// top-K candidates; the two-step baseline uses K=1 internally).
+  /// Plan enumeration (the integrated optimizer virtually places every one
+  /// of the top-K candidates; the two-step baseline uses K=1 internally).
   query::EnumerationOptions enumeration;
   /// Physical mapping behaviour.
   placement::MappingOptions mapping;
@@ -35,7 +36,10 @@ struct OptimizeResult {
   /// optimizer cannot see true latencies; benches measure those separately).
   double estimated_cost = 0.0;
   size_t plans_considered = 0;
-  size_t placements_evaluated = 0;  ///< candidate circuits placed + mapped
+  /// Candidate circuits placed and fully mapped. The integrated optimizer
+  /// stops mapping a candidate once its cost bound cannot win, so this can
+  /// be below `plans_considered`.
+  size_t placements_evaluated = 0;
   size_t reuse_candidates_considered = 0;
   size_t services_reused = 0;
   placement::MappingReport mapping;
@@ -60,6 +64,24 @@ class Optimizer {
 /// fully placed.
 StatusOr<double> EstimateCost(const overlay::Circuit& circuit,
                               const overlay::Sbon& sbon, double lambda);
+
+/// Lower bound on the `EstimateCost` of every full mapping of a virtually
+/// placed, partly mapped circuit (unmapped vertices have host
+/// kInvalidNode). Evaluates EstimateCost's expression in the same term
+/// order, each term that needs an unmapped host replaced by its lower
+/// bound: 0 for a network-usage term, `penalty_floor` x rate for a penalty
+/// term. With lambda >= 0, non-negative rates and `penalty_floor` at most
+/// every node's `ScalarPenalty`, monotone rounding keeps the bound at or
+/// below the mapped cost; on a fully placed circuit it is EstimateCost, bit
+/// for bit.
+double EstimateCostLowerBound(const overlay::Circuit& circuit,
+                              const overlay::Sbon& sbon, double lambda,
+                              double penalty_floor);
+
+/// The optimizers' shared precondition: InvalidArgument unless
+/// `lambda >= 0`. A negative weight would reward load, and the integrated
+/// optimizer's cost bound rests on it.
+Status ValidateLambda(double lambda);
 
 }  // namespace sbon::core
 

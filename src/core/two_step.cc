@@ -21,6 +21,8 @@ TwoStepOptimizer::TwoStepOptimizer(
 StatusOr<OptimizeResult> TwoStepOptimizer::Optimize(
     const query::QuerySpec& spec, const query::Catalog& catalog,
     overlay::Sbon* sbon) {
+  Status valid = ValidateLambda(config_.lambda);
+  if (!valid.ok()) return valid;
   // Step 1: network-blind plan generation — classical DP, one winner.
   query::EnumerationOptions enum_opts = config_.enumeration;
   enum_opts.top_k = 1;

@@ -60,11 +60,9 @@ void CoordinateIndex::BeginSeenEpoch() const {
   }
 }
 
-Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
-                                     size_t probe_width, IndexQueryCost* cost,
-                                     const std::vector<NodeId>& exclude,
-                                     std::vector<IndexMatch>* out) const {
-  out->clear();
+StatusOr<size_t> CoordinateIndex::RankNearest(
+    const Vec& target, size_t k, size_t probe_width, IndexQueryCost* cost,
+    const std::vector<NodeId>& exclude) const {
   if (ring_.NumMembers() == 0) {
     return Status::FailedPrecondition("coordinate index is empty");
   }
@@ -115,8 +113,7 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   }
 
   // Batched distance sweep over the walked candidates, then rank 16-byte
-  // (distance, node) pairs; the coordinate payload is copied only for the
-  // final k matches.
+  // (distance, node) pairs.
   const size_t count = walk_scratch_.size();
   dist_scratch_.resize(count);
   kernels::DistanceSquaredToMany(coords_, target.data(), walk_scratch_.data(),
@@ -131,7 +128,29 @@ Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
   const size_t keep = std::min(k, pair_scratch_.size());
   std::partial_sort(pair_scratch_.begin(), pair_scratch_.begin() + keep,
                     pair_scratch_.end());
-  EmitMatches(keep, out);
+  return keep;
+}
+
+Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
+                                     size_t probe_width, IndexQueryCost* cost,
+                                     const std::vector<NodeId>& exclude,
+                                     std::vector<IndexMatch>* out) const {
+  out->clear();
+  auto keep = RankNearest(target, k, probe_width, cost, exclude);
+  if (!keep.ok()) return keep.status();
+  EmitMatches(*keep, out);
+  return Status::OK();
+}
+
+Status CoordinateIndex::KNearestNodesInto(const Vec& target, size_t k,
+                                          size_t probe_width,
+                                          IndexQueryCost* cost,
+                                          std::vector<NodeId>* out) const {
+  out->clear();
+  auto keep = RankNearest(target, k, probe_width, cost, {});
+  if (!keep.ok()) return keep.status();
+  out->reserve(*keep);
+  for (size_t j = 0; j < *keep; ++j) out->push_back(pair_scratch_[j].node);
   return Status::OK();
 }
 

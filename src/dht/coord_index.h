@@ -98,12 +98,19 @@ class CoordinateIndex {
       const std::vector<NodeId>& exclude = {}) const;
 
   /// KNearest into a caller-owned buffer (`out` is cleared first). Reusing
-  /// `out` across queries makes the whole call heap-free in steady state —
-  /// the form the mapping loop uses.
+  /// `out` across queries makes the whole call heap-free in steady state.
   Status KNearestInto(const Vec& target, size_t k, size_t probe_width,
                       IndexQueryCost* cost,
                       const std::vector<NodeId>& exclude,
                       std::vector<IndexMatch>* out) const;
+
+  /// KNearestInto without exclusions, returning only the node ids (`out` is
+  /// cleared first): the same walk, ranking and `cost`, and the same nodes
+  /// in the same order, with no coordinate copied. The form the mapping
+  /// loop uses; callers read coordinates from `published_coords()`.
+  Status KNearestNodesInto(const Vec& target, size_t k, size_t probe_width,
+                           IndexQueryCost* cost,
+                           std::vector<NodeId>* out) const;
 
   /// Single nearest node (convenience wrapper over KNearest).
   StatusOr<IndexMatch> Nearest(const Vec& target, size_t probe_width = 16,
@@ -163,6 +170,13 @@ class CoordinateIndex {
   mutable std::vector<DistNode> pair_scratch_;
   mutable std::vector<NodeId> walk_scratch_;
 
+  /// The probed walk both k-nearest queries share: walks the ring around
+  /// `target`'s key, bills `cost`, and ranks the walked members minus
+  /// `exclude`, leaving the top k as the first pairs of `pair_scratch_`.
+  /// Returns how many pairs it ranked (at most k).
+  StatusOr<size_t> RankNearest(const Vec& target, size_t k,
+                               size_t probe_width, IndexQueryCost* cost,
+                               const std::vector<NodeId>& exclude) const;
   /// PublishAll over `count` contiguous (node, coordinate) pairs.
   void PublishAll(const NodeId* nodes, const Vec* coords, size_t count);
   double DistanceTo(NodeId n, const Vec& target) const;

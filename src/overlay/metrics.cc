@@ -36,11 +36,14 @@ double CriticalPathLatency(const Circuit& c, const net::LatencyView& lat) {
 
 }  // namespace
 
-double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space) {
+double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space,
+                   double unmapped_penalty) {
   double penalty = 0.0;
   for (int i = 0; i < static_cast<int>(circuit.NumVertices()); ++i) {
     if (!circuit.Placeable(i)) continue;
-    penalty += space.ScalarPenalty(circuit.vertex(i).host) *
+    const NodeId host = circuit.vertex(i).host;
+    penalty += (host == kInvalidNode ? unmapped_penalty
+                                     : space.ScalarPenalty(host)) *
                circuit.PhysicalInputRate(i);
   }
   return penalty;

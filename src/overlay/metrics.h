@@ -41,8 +41,12 @@ StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
 /// Load penalty of a placed circuit's newly deployed services: for every
 /// placeable vertex, its host's weighted scalar penalty times the physical
 /// input rate the service processes, summed in vertex order. The
-/// `node_penalty` of `CircuitCost`.
-double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space);
+/// `node_penalty` of `CircuitCost`. A placeable vertex with no host yet
+/// contributes `unmapped_penalty` times its rate instead; with
+/// `unmapped_penalty` at most every node's `ScalarPenalty`, the sum is a
+/// lower bound on the penalty of every way to map those vertices.
+double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space,
+                   double unmapped_penalty = 0.0);
 
 /// Producer-to-vertex critical-path latency up to the vertex bound to
 /// `service` within `circuit` (ms). Used when another circuit reuses that

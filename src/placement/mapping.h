@@ -42,8 +42,16 @@ struct MappingReport {
   }
 };
 
-/// Maps every placeable vertex of `circuit` to a host using the overlay's
-/// coordinate index. Fails if the index is empty. `report` is optional.
+/// Maps placeable vertex `v` of a virtually placed `circuit` to a host: one
+/// index query for the top-k node ids nearest the ideal point over `v`'s
+/// virtual coordinate, ranked and checked against the index's published
+/// coordinates. Heap-free in steady state. Fails if the index is empty.
+/// `report` is optional.
+Status MapVertex(overlay::Circuit* circuit, int v, const overlay::Sbon& sbon,
+                 const MappingOptions& options, MappingReport* report);
+
+/// Maps every placeable vertex of `circuit`, in vertex order, with
+/// MapVertex. `report` is optional.
 Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                   const MappingOptions& options, MappingReport* report);
 

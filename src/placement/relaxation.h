@@ -76,8 +76,10 @@ class GradientPlacer : public VirtualPlacer {
   Params params_;
 };
 
-/// Objective helpers over virtual coordinates (used by tests/benches).
-/// sum over edges of rate * distance(anchor(from), anchor(to)).
+/// Objective helpers over virtual coordinates.
+/// sum over physical edges of rate * distance(anchor(from), anchor(to)):
+/// a virtually placed circuit's network usage, by which the integrated
+/// optimizer orders candidates for mapping.
 double VirtualLinearCost(const overlay::Circuit& circuit,
                          const coords::CostSpace& space);
 /// sum over edges of rate * distance^2.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "coords/cost_space.h"
@@ -138,6 +140,38 @@ TEST(CostSpaceTest, VectorDistanceSymmetric) {
   ASSERT_TRUE(cs.SetVectorCoord(1, Vec{3.0, 4.0}).ok());
   EXPECT_DOUBLE_EQ(cs.VectorDistance(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(cs.VectorDistance(1, 0), 5.0);
+}
+
+// w(x) = x - 0.5: negative below half load.
+class ShiftedWeighting : public WeightingFn {
+ public:
+  double Apply(double raw) const override { return raw - 0.5; }
+  std::string Name() const override { return "shifted"; }
+};
+
+TEST(CostSpaceTest, PenaltyFloorIsMinOfZeroAndSmallestPenalty) {
+  CostSpace squared(CostSpaceSpec::LatencyAndLoad(2, 100.0), 3);
+  ASSERT_TRUE(squared.SetScalarMetric(1, 0, 0.5).ok());
+  EXPECT_EQ(squared.PenaltyFloor(), 0.0);
+
+  // Two shifted dims: penalty = (x0 - 0.5) + (x1 - 0.5).
+  const auto shifted = std::make_shared<ShiftedWeighting>();
+  CostSpace cs(CostSpaceSpec(2, {ScalarDimSpec{"a", shifted},
+                                 ScalarDimSpec{"b", shifted}}),
+               3);
+  EXPECT_EQ(cs.PenaltyFloor(), -1.0);  // all metrics start at 0
+  for (NodeId n = 0; n < 3; ++n) {
+    ASSERT_TRUE(cs.SetScalarMetric(n, 0, 1.0).ok());
+    ASSERT_TRUE(cs.SetScalarMetric(n, 1, 0.75).ok());
+  }
+  EXPECT_EQ(cs.PenaltyFloor(), 0.0);  // every penalty is 0.75
+  ASSERT_TRUE(cs.SetScalarMetric(2, 1, 0.25).ok());
+  EXPECT_EQ(cs.PenaltyFloor(), 0.0);  // one negative term, penalty 0.25
+  ASSERT_TRUE(cs.SetScalarMetric(2, 0, 0.0).ok());
+  EXPECT_EQ(cs.PenaltyFloor(), -0.75);
+  ASSERT_TRUE(cs.SetScalarMetric(2, 0, 1.0).ok());
+  ASSERT_TRUE(cs.SetScalarMetric(2, 1, 1.0).ok());
+  EXPECT_EQ(cs.PenaltyFloor(), 0.0);
 }
 
 // --------------------------- Vivaldi ---------------------------

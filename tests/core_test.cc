@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/integrated.h"
 #include "core/multi_query.h"
 #include "core/reopt.h"
 #include "core/two_step.h"
 #include "harness/fixtures.h"
+#include "harness/reference_optimizer.h"
 #include "net/generators.h"
 #include "overlay/metrics.h"
+#include "placement/relaxation.h"
 #include "query/enumerate.h"
 #include "query/workload.h"
 
@@ -89,8 +92,17 @@ TEST(IntegratedTest, ConsidersMultiplePlans) {
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->plans_considered, 1u);
-  EXPECT_EQ(r->placements_evaluated, r->plans_considered);
+  // Every plan is placed virtually; only those still in contention are
+  // mapped in full, and at least the winner is.
+  EXPECT_GE(r->placements_evaluated, 1u);
+  EXPECT_LE(r->placements_evaluated, r->plans_considered);
   EXPECT_TRUE(r->circuit.FullyPlaced());
+  // The pruned search picks the circuit mapping every plan would.
+  auto ref = test::ExhaustiveIntegratedOptimize(cfg, *Relaxation(), q, cat,
+                                                s.get());
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(test::CircuitDiff(r->circuit, ref->circuit), "");
+  EXPECT_EQ(r->estimated_cost, ref->estimated_cost);
 }
 
 // Invariant 5: integrated never estimates worse than two-step when the
@@ -259,6 +271,48 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
     large_work += rl->reuse_candidates_considered;
   }
   EXPECT_LE(small_work, large_work);
+}
+
+// A relaxation placer that counts its Place calls.
+class CountingPlacer : public placement::VirtualPlacer {
+ public:
+  Status Place(overlay::Circuit* circuit,
+               const coords::CostSpace& space) const override {
+    ++calls;
+    return inner_.Place(circuit, space);
+  }
+  std::string Name() const override { return "counting"; }
+
+  mutable size_t calls = 0;
+
+ private:
+  placement::RelaxationPlacer inner_;
+};
+
+TEST(OptimizerTest, NegativeLambdaRejectedBeforeAnyWork) {
+  auto s = MakeSbon(3);
+  query::Catalog cat = test::TwoStreamCatalog(*s);
+  const query::QuerySpec q =
+      query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[2], 0.01);
+  auto placer = std::make_shared<const CountingPlacer>();
+  OptimizerConfig cfg;
+  cfg.lambda = -0.5;
+  std::unique_ptr<Optimizer> optimizers[] = {
+      std::make_unique<TwoStepOptimizer>(cfg, placer),
+      std::make_unique<IntegratedOptimizer>(cfg, placer),
+      std::make_unique<MultiQueryOptimizer>(cfg, placer, RadiusParams(-1.0)),
+  };
+  for (const auto& opt : optimizers) {
+    auto r = opt->Optimize(q, cat, s.get());
+    ASSERT_FALSE(r.ok()) << opt->Name();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << opt->Name();
+  }
+  EXPECT_EQ(placer->calls, 0u);
+  // lambda = 0 is valid.
+  cfg.lambda = 0.0;
+  EXPECT_TRUE(IntegratedOptimizer(cfg, placer).Optimize(q, cat, s.get()).ok());
+  EXPECT_GT(placer->calls, 0u);
 }
 
 // --------------------------- Reopt ---------------------------

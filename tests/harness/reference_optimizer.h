@@ -1,0 +1,31 @@
+#ifndef SBON_TESTS_HARNESS_REFERENCE_OPTIMIZER_H_
+#define SBON_TESTS_HARNESS_REFERENCE_OPTIMIZER_H_
+
+#include <string>
+
+#include "core/optimizer.h"
+#include "overlay/circuit.h"
+#include "overlay/sbon.h"
+#include "placement/virtual_placement.h"
+#include "query/catalog.h"
+#include "query/query_spec.h"
+
+namespace sbon::test {
+
+/// The exhaustive integrated optimizer the best-first one must match: place
+/// and map every candidate plan in full, in enumeration order, and keep the
+/// first strictly cheaper circuit by a local copy of the estimate (network
+/// usage over physical edges in edge order, plus lambda times
+/// `overlay::LoadPenalty`). Its `mapping` report bills every candidate.
+StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
+    const core::OptimizerConfig& config,
+    const placement::VirtualPlacer& placer, const query::QuerySpec& spec,
+    const query::Catalog& catalog, overlay::Sbon* sbon);
+
+/// The first difference between two circuits' plan ops (kind, stream,
+/// children, output rate) or vertex hosts, as text; "" when they agree.
+std::string CircuitDiff(const overlay::Circuit& a, const overlay::Circuit& b);
+
+}  // namespace sbon::test
+
+#endif  // SBON_TESTS_HARNESS_REFERENCE_OPTIMIZER_H_

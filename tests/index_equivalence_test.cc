@@ -4,7 +4,9 @@
 // last. Published coordinates here sit on a coarse grid, so many nodes
 // share a coordinate and distance ties are the norm: every answer must
 // equal a full sort of the same walked members under the (distance, node)
-// order, truncated to k.
+// order, truncated to k. The node-only query must answer exactly what
+// KNearestInto answers, and mapping over it exactly what mapping over
+// KNearestInto's matches did.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,10 @@
 #include "common/vec.h"
 #include "dht/coord_index.h"
 #include "dht/hilbert.h"
+#include "harness/fixtures.h"
+#include "placement/mapping.h"
+#include "placement/relaxation.h"
+#include "query/enumerate.h"
 
 namespace sbon::dht {
 namespace {
@@ -183,6 +189,131 @@ TEST(IndexEquivalenceTest, WithinRadiusEqualsMatchLessSort) {
     }
   }
   EXPECT_GT(ties, 100u);
+}
+
+TEST(IndexEquivalenceTest, KNearestNodesEqualsKNearestOrderAndCost) {
+  for (uint64_t seed : {7u, 8u, 9u}) {
+    TiedIndex fx(seed);
+    Rng rng(seed * 13 + 5);
+    std::vector<IndexMatch> matches;
+    std::vector<NodeId> nodes;
+    for (int q = 0; q < 200; ++q) {
+      const Vec target = GridPoint(&rng);
+      const size_t k = 1 + rng.UniformInt(12);
+      const size_t width = 1 + rng.UniformInt(40);
+      IndexQueryCost match_cost, node_cost;
+      ASSERT_TRUE(fx.index
+                      .KNearestInto(target, k, width, &match_cost, {},
+                                    &matches)
+                      .ok());
+      ASSERT_TRUE(
+          fx.index.KNearestNodesInto(target, k, width, &node_cost, &nodes)
+              .ok());
+      ASSERT_EQ(nodes.size(), matches.size());
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_EQ(nodes[i], matches[i].node) << "rank " << i;
+      }
+      EXPECT_EQ(node_cost.lookups, match_cost.lookups);
+      EXPECT_EQ(node_cost.routing_hops, match_cost.routing_hops);
+      EXPECT_EQ(node_cost.ring_probes, match_cost.ring_probes);
+    }
+  }
+}
+
+// The mapping path the node-only query replaced: KNearestInto's matches,
+// with vector-part distances read from each match's copied coordinate.
+Status IndexMatchMapCircuit(overlay::Circuit* circuit,
+                            const overlay::Sbon& sbon,
+                            const placement::MappingOptions& options,
+                            placement::MappingReport* report) {
+  const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
+  auto vector_part_distance = [](const Vec& full, const Vec& point) {
+    double s = 0.0;
+    for (size_t d = 0; d < point.dims(); ++d) {
+      const double diff = full[d] - point[d];
+      s += diff * diff;
+    }
+    return std::sqrt(s);
+  };
+  std::vector<IndexMatch> candidates;
+  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+    if (!circuit->Placeable(v)) continue;
+    const Vec& point = circuit->vertex(v).virtual_coord;
+    Vec target = point;
+    for (size_t i = 0; i < scalar_dims; ++i) target.Append(0.0);
+    Status st = sbon.index().KNearestInto(target, options.k_candidates,
+                                          options.probe_width,
+                                          &report->dht_cost, {}, &candidates);
+    if (!st.ok()) return st;
+    if (candidates.empty()) return Status::NotFound("no candidates");
+    size_t vector_nearest = 0;
+    double best_vec = 1e300;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const double dv = vector_part_distance(candidates[i].coord, point);
+      if (dv < best_vec) {
+        best_vec = dv;
+        vector_nearest = i;
+      }
+    }
+    const size_t chosen = options.load_aware ? 0 : vector_nearest;
+    circuit->mutable_vertex(v).host = candidates[chosen].node;
+    report->services_mapped += 1;
+    report->total_mapping_error +=
+        vector_part_distance(candidates[chosen].coord, point);
+    if (options.load_aware && chosen != vector_nearest &&
+        candidates[chosen].node != candidates[vector_nearest].node) {
+      report->load_overrides += 1;
+    }
+  }
+  return Status::OK();
+}
+
+TEST(IndexEquivalenceTest, MapCircuitEqualsIndexMatchPath) {
+  size_t overrides = 0;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    auto sbon = test::MakeTransitStubSbon(test::TopologySize::kSmall, seed);
+    const query::WorkloadParams wp = test::TestWorkloadParams();
+    const query::Catalog catalog = test::MakeCatalog(*sbon, wp, seed);
+    const placement::RelaxationPlacer placer;
+    for (const query::QuerySpec& spec :
+         test::MakeQueries(*sbon, catalog, wp, 20, seed + 1)) {
+      auto plans = query::EnumeratePlans(spec, catalog, {});
+      ASSERT_TRUE(plans.ok());
+      for (const query::LogicalPlan& plan : *plans) {
+        auto placed = overlay::Circuit::FromPlan(plan, catalog);
+        ASSERT_TRUE(placed.ok());
+        ASSERT_TRUE(placer.Place(&placed.value(), sbon->cost_space()).ok());
+        for (bool load_aware : {true, false}) {
+          placement::MappingOptions options;
+          options.load_aware = load_aware;
+          overlay::Circuit got = *placed;
+          overlay::Circuit want = *placed;
+          placement::MappingReport got_report, want_report;
+          ASSERT_TRUE(
+              placement::MapCircuit(&got, *sbon, options, &got_report).ok());
+          ASSERT_TRUE(
+              IndexMatchMapCircuit(&want, *sbon, options, &want_report).ok());
+          for (int v = 0; v < static_cast<int>(got.NumVertices()); ++v) {
+            ASSERT_EQ(got.vertex(v).host, want.vertex(v).host);
+          }
+          EXPECT_EQ(got_report.services_mapped, want_report.services_mapped);
+          EXPECT_EQ(got_report.total_mapping_error,
+                    want_report.total_mapping_error);
+          EXPECT_EQ(got_report.load_overrides, want_report.load_overrides);
+          EXPECT_EQ(got_report.dht_cost.lookups,
+                    want_report.dht_cost.lookups);
+          EXPECT_EQ(got_report.dht_cost.routing_hops,
+                    want_report.dht_cost.routing_hops);
+          EXPECT_EQ(got_report.dht_cost.ring_probes,
+                    want_report.dht_cost.ring_probes);
+          overrides += want_report.load_overrides;
+        }
+      }
+    }
+  }
+  // The load-aware ranking overrode the vector-nearest candidate often
+  // enough for the override count to be pinned.
+  EXPECT_GT(overrides, 10u);
 }
 
 }  // namespace
