@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "engine/stream_engine.h"
@@ -45,8 +46,8 @@ inline std::string& PlacerFlag() {
 }
 
 /// Path for machine-readable results (`--json=PATH`); empty = no JSON
-/// output. Harnesses that record baselines (perf_epoch) write their
-/// measurements here in addition to the human-readable tables.
+/// output. Harnesses that record baselines (perf_epoch, perf_workload)
+/// write here the document whose sections they print (WriteJson).
 inline std::string& JsonFlag() {
   static std::string path;
   return path;
@@ -199,6 +200,17 @@ inline double DoubleFlagOr(int argc, char** argv, const char* name,
   return fallback;
 }
 
+/// Value of a `--name=<string>` flag, or empty when absent.
+inline std::string StringFlagOr(int argc, char** argv, const char* name) {
+  const std::string prefix = std::string("--") + name + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
+      return std::string(argv[i] + prefix.size());
+    }
+  }
+  return std::string();
+}
+
 /// Sweep breadth: `full` seeds/trials in figure runs, `smoke` under --smoke.
 inline size_t Sweep(size_t full, size_t smoke = 2) {
   return SmokeMode() ? std::min(full, smoke) : full;
@@ -332,6 +344,31 @@ inline uint64_t StateFingerprint(const overlay::Sbon& sbon) {
 /// Prints a section header in the harness output.
 inline void Section(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+/// Prints what `doc` rendered since `*mark` (one harness section, the same
+/// text --json writes) and moves the mark to the end of the document.
+inline void PrintSection(const JsonWriter& doc, size_t* mark) {
+  std::string_view text = std::string_view(doc.str()).substr(*mark);
+  text.remove_prefix(std::min(text.find_first_not_of(",\n"), text.size()));
+  std::printf("%.*s\n", static_cast<int>(text.size()), text.data());
+  *mark = doc.str().size();
+}
+
+/// Writes the finished document to the --json= path, if one was given.
+/// False when the file cannot be written.
+inline bool WriteJson(const JsonWriter& doc) {
+  if (JsonFlag().empty()) return true;
+  std::FILE* f = std::fopen(JsonFlag().c_str(), "w");
+  bool ok = f != nullptr && std::fputs(doc.str().c_str(), f) >= 0 &&
+            std::fputc('\n', f) != EOF;
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s\n", JsonFlag().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", JsonFlag().c_str());
+  return true;
 }
 
 /// A bare message bus over a dense transit-stub fabric (reads are one

@@ -4,64 +4,37 @@
 // steady-state Submit/Remove churn and local re-optimization — the loop the
 // paper claims stays cheap enough to run continuously.
 //
-// Emits machine-readable JSON via --json=PATH (schema documented in the
-// README "Performance" section); BENCH_epoch.json at the repo root is the
-// recorded baseline from a full run at N=512 / Q=64. The harness also
-// audits, via a global allocation counter, that seven hot calls are
-// heap-free per call in steady state — VivaldiSystem::Update,
-// CoordinateIndex::KNearestInto and KNearestExactInto,
-// CostSpace::FullDistancesToIdealMany, RelaxationPlacer::Place,
-// placement::MapVertex and a bare MessageBus Send + EndEpoch round
-// (counted per message) — and fails the run otherwise. Standalone kernel
-// timings live in micro_substrates; the kernels' bit-identity against the
-// pre-SoA per-Vec references is pinned by tests/simd_equivalence_test.cc
-// (ctest label `equivalence`), not here.
+// Each section is written once, through a JsonWriter: stdout shows it as it
+// completes and --json=PATH writes the whole document. The README
+// "Performance" section documents the flags and the schema; BENCH_epoch.json
+// at the repo root is the recorded baseline from a full run at N=512 / Q=64.
+// The run exits non-zero when a gate fails:
+//  - a call in the hot-call allocation audit (AuditHotCalls) allocates in
+//    steady state, counted by this file's global operator new;
+//  - the --baseline=PATH file comes from a run of another shape, or
+//    churn-free ns_per_epoch exceeds its figure by more than
+//    --baseline-tolerance (default 0.5);
+//  - a message-mode section diverges between two same-configuration runs;
+//  - the sparse section makes an O(N^2)-sized allocation.
+// Standalone kernel timings live in micro_substrates; the kernels'
+// bit-identity against the pre-SoA per-Vec references is pinned by
+// tests/simd_equivalence_test.cc (ctest label `equivalence`), not here.
 //
-// Flags: --smoke (tiny sweep), --json=PATH, --nodes=N, --queries=Q,
-// --epochs=E, --epsilon=X (refresh displacement threshold, cost-space
-// units), --churn-rate=R (expected node crashes per epoch in the churn
-// section; crashed hosts evict their services and the engine re-places
-// orphaned queries under their original handles),
-// --fabric=auto|dense|sparse (latency substrate backend; see README
-// "Architecture"), --exec=oracle|message (coordinate/ring maintenance
-// execution for the engine-loop sections; see README "Execution modes"),
-// --faults=LOSS,DUP[,JITTER_MS] (fault rates of the chaos section's
-// injection plan; defaults 0.10,0.05,0), --baseline=PATH +
-// --baseline-tolerance=FRAC
-// (regression gate: fail if churn-free ns_per_epoch exceeds the baseline
-// JSON's figure by more than FRAC, default 0.5).
-//
-// The `sparse` section measures the generative sparse fabric backend at two
-// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) in
-// every base mode), a full maintenance epoch (tick + load + 1 Vivaldi sample
-// per node + dirty refresh), and the largest single heap allocation, which
-// must stay far below an N x N matrix — that flat-memory guarantee is the
-// whole point of the backend. Above 4096 nodes the engine-loop sections are
-// skipped (they exist to track the dense-scale baseline) and the binary
-// runs the sparse scaling section only, which is what lets
-// `--fabric=sparse --nodes=100000 --smoke` complete in minutes.
-//
-// The `decentralized` section always runs on a pinned small workload
-// (independent of --nodes): a message-mode engine with a scripted crash
-// burst and partition window, reporting control-traffic volume
-// (bytes/node/epoch, per-protocol messages), ring convergence after the
-// last churn event, placement-staleness percentiles, and a replay check
-// (the section runs twice at the same configuration and both runs must end
-// bit-identical).
-//
-// The `chaos` section reruns that workload with seeded fault injection
-// (--faults rates on every protocol), ack/retry/backoff reliability and
-// the decentralized failure detector enabled, reporting delivery rate,
-// retry byte overhead, detection-latency percentiles, false suspicions,
-// and the same two-run replay gate — faulty runs replay bit-identically
-// too, because all fault draws come from a dedicated seeded stream.
+// The sections: the engine loop at N (churn-free, re-run at epsilon=0 and
+// under churn) with the allocation audit; `decentralized` and `chaos`, a
+// message-mode workload at a pinned size (RunMessageSection) run twice each
+// for the replay gate; and `sparse`, the generative sparse backend at N/5
+// and N (RunSparsePoint), whose largest single allocation must stay far
+// below an N x N matrix. Above 4096 nodes the engine loop is skipped, which
+// lets `--fabric=sparse --nodes=100000 --smoke` finish in minutes.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -116,10 +89,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 double NsSince(Clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           start)
-          .count());
+  return std::chrono::duration<double, std::nano>(Clock::now() - start).count();
 }
 
 struct EpochLoopResult {
@@ -128,7 +98,6 @@ struct EpochLoopResult {
   double allocs_per_submit = 0.0;  // initial submission, per query
   double allocs_per_epoch = 0.0;
   double live_reads_per_epoch = 0.0;  // fabric live reads inside AdvanceEpoch
-  size_t queries_running = 0;
   coords::IndexRefreshStats refresh;   // cumulative over the loop
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
 };
@@ -173,7 +142,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   out.ns_per_submit = NsSince(submit_start) / submitted;
   out.allocs_per_submit =
       static_cast<double>(g_alloc_count - submit_allocs_before) / submitted;
-  out.queries_running = handles.size();
   if (handles.empty()) return out;
 
   engine::EpochOptions epoch;
@@ -232,14 +200,54 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   return out;
 }
 
-struct MessageModeResult {
-  size_t nodes = 0;
-  size_t queries = 0;
-  size_t epochs = 0;         // active epochs measured (drain excluded)
-  double ns_per_epoch = 0.0;
-  msg::TrafficSummary summary;
-  uint64_t fingerprint = 0;  ///< overlay state + traffic counters
-};
+// The counters of one message-mode run, in the order both message sections
+// report them; the replay fingerprint hashes this rendering too.
+void WriteTraffic(JsonWriter& w, const msg::TrafficSummary& t) {
+  w.Key("bytes_per_node_per_epoch").Double(t.bytes_per_node_per_epoch, 1);
+  w.Key("msgs_sent").Int(t.msgs_sent);
+  w.Key("msgs_delivered").Int(t.msgs_delivered);
+  w.Key("msgs_dropped_dead").Int(t.msgs_dropped_dead);
+  w.Key("msgs_dropped_partition").Int(t.msgs_dropped_partition);
+  w.Key("msgs_dropped_fault").Int(t.msgs_dropped_fault);
+  w.Key("msgs_duplicated").Int(t.msgs_duplicated);
+  const size_t attempted = t.msgs_delivered + t.msgs_dropped_fault;
+  w.Key("delivery_rate")
+      .Double(attempted > 0 ? static_cast<double>(t.msgs_delivered) /
+                                  static_cast<double>(attempted)
+                            : 1.0,
+              4);
+  for (size_t p = 0; p < msg::kNumProtocols; ++p) {
+    const std::string name = msg::ProtocolName(static_cast<msg::Protocol>(p));
+    w.Key(name + "_msgs").Int(t.protocol_msgs[p]);
+    w.Key(name + "_bytes").Int(t.protocol_bytes[p]);
+  }
+  w.Key("retries").Int(t.retries);
+  w.Key("retry_bytes").Int(t.retry_bytes);
+  w.Key("retry_byte_overhead")
+      .Double(t.bytes_total > t.retry_bytes
+                  ? static_cast<double>(t.retry_bytes) /
+                        static_cast<double>(t.bytes_total - t.retry_bytes)
+                  : 0.0,
+              4);
+  w.Key("acks").Int(t.acks);
+  w.Key("dup_suppressed").Int(t.dup_suppressed);
+  w.Key("retry_exhausted").Int(t.retry_exhausted);
+  w.Key("retransmit_overflow").Int(t.retransmit_overflow);
+  w.Key("retry_pending").Int(t.retry_pending);
+  w.Key("suspicions").Int(t.suspicions);
+  w.Key("false_suspicions").Int(t.false_suspicions);
+  w.Key("suspicions_refuted").Int(t.suspicions_refuted);
+  w.Key("confirmations_vetoed").Int(t.confirmations_vetoed);
+  w.Key("crash_confirmations").Int(t.crash_confirmations);
+  w.Key("detection_p50").Double(t.detection_p50, 1);
+  w.Key("detection_p95").Double(t.detection_p95, 1);
+  w.Key("detection_samples").Int(t.detection_samples);
+  w.Key("convergence_epochs_after_churn").Int(t.convergence_epochs);
+  w.Key("converged").Bool(t.converged);
+  w.Key("staleness_p50").Double(t.staleness_p50, 1);
+  w.Key("staleness_p95").Double(t.staleness_p95, 1);
+  w.Key("staleness_samples").Int(t.staleness_samples);
+}
 
 // The decentralized-execution workload: pinned size (this section tracks
 // per-protocol traffic constants and convergence behavior, not scale), a
@@ -254,11 +262,15 @@ struct MessageModeResult {
 //
 // The chaos section reruns the same workload with `mp` carrying a fault
 // plan plus reliability/detector hardening, and a longer drain so capped
-// retry backoff chains finish inside the convergence window.
-MessageModeResult RunMessageSection(
-    uint64_t seed,
-    const msg::RuntimeParams& mp = msg::RuntimeParams(),
-    size_t drain_epochs = 8) {
+// retry backoff chains finish inside the convergence window. Faulty runs
+// replay bit-identically too: every fault draw comes from a dedicated
+// seeded stream.
+//
+// Writes the run's shape, timing (active epochs only) and traffic into
+// `report` when one is given, and returns the replay fingerprint: the
+// overlay state hashed together with the rendered traffic counters.
+uint64_t RunMessageSection(uint64_t seed, const msg::RuntimeParams& mp,
+                           size_t drain_epochs, JsonWriter* report) {
   const size_t nodes = 256;
   const size_t queries = 16;
   const size_t active_epochs = sbon::bench::SmokeMode() ? 8 : 20;
@@ -318,10 +330,6 @@ MessageModeResult RunMessageSection(
   churn.ScheduleAt(active_epochs / 2 + 3, heal);
   epoch.churn = &churn;
 
-  MessageModeResult out;
-  out.nodes = nodes;
-  out.queries = handles.size();
-  out.epochs = active_epochs;
   const Clock::time_point start = Clock::now();
   for (size_t e = 0; e < active_epochs; ++e) {
     eng->AdvanceEpoch(epoch);
@@ -334,7 +342,8 @@ MessageModeResult RunMessageSection(
       if (h.ok()) handles[victim] = *h;
     }
   }
-  out.ns_per_epoch = NsSince(start) / static_cast<double>(active_epochs);
+  const double ns_per_epoch =
+      NsSince(start) / static_cast<double>(active_epochs);
 
   // Quiescent drain: no churn, no Vivaldi sampling, no load drift or
   // jitter ticks. Publishes are displacement-gated, so once nothing moves
@@ -345,40 +354,25 @@ MessageModeResult RunMessageSection(
   epoch.tick_network = false;
   for (size_t e = 0; e < drain_epochs; ++e) eng->AdvanceEpoch(epoch);
 
-  const engine::EngineSnapshot snapshot = eng->Snapshot();
-  if (snapshot.decentralized.has_value()) out.summary = *snapshot.decentralized;
-  uint64_t h = bench::StateFingerprint(sbon);
-  auto mix = [&h](size_t v) {
-    h ^= static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-  };
-  const msg::TrafficSummary& t = out.summary;
-  mix(t.msgs_sent);
-  mix(t.msgs_delivered);
-  mix(t.msgs_dropped_dead);
-  mix(t.msgs_dropped_partition);
-  mix(t.bytes_total);
-  for (size_t p = 0; p < msg::kNumProtocols; ++p) {
-    mix(t.protocol_msgs[p]);
-    mix(t.protocol_bytes[p]);
+  const msg::TrafficSummary summary =
+      eng->Snapshot().decentralized.value_or(msg::TrafficSummary());
+  if (report != nullptr) {
+    report->Key("nodes").Int(nodes);
+    report->Key("queries").Int(handles.size());
+    report->Key("epochs").Int(active_epochs);
+    report->Key("ns_per_epoch").Double(ns_per_epoch, 1);
+    WriteTraffic(*report, summary);
   }
-  mix(t.convergence_epochs);
-  mix(t.staleness_samples);
-  mix(t.msgs_dropped_fault);
-  mix(t.msgs_duplicated);
-  mix(t.retries);
-  mix(t.retry_bytes);
-  mix(t.acks);
-  mix(t.dup_suppressed);
-  mix(t.retry_exhausted);
-  mix(t.retransmit_overflow);
-  mix(t.retry_pending);
-  mix(t.suspicions);
-  mix(t.false_suspicions);
-  mix(t.crash_confirmations);
-  mix(t.detection_samples);
-  out.fingerprint = h;
-  return out;
+  JsonWriter traffic;
+  traffic.BeginObject();
+  WriteTraffic(traffic, summary);
+  traffic.EndObject();
+  uint64_t fingerprint = bench::StateFingerprint(sbon);
+  for (const char c : traffic.str()) {
+    fingerprint =
+        (fingerprint ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  return fingerprint;
 }
 
 // One measured size of the sparse-backend scaling section: a query-free
@@ -386,15 +380,11 @@ MessageModeResult RunMessageSection(
 // scale benchmark above) driven through tick-only and full maintenance
 // epochs by direct substrate calls.
 struct SparseScalePoint {
-  size_t nodes = 0;           // actual node count of the built topology
-  double bringup_ms = 0.0;    // Sbon::Create (fabric + Vivaldi + index)
-  double tick_ns = 0.0;       // TickNetwork-only epoch (O(1) seed swap)
-  double maint_ns = 0.0;      // tick + load + 1 Vivaldi sample + refresh
-  size_t max_alloc = 0;       // largest single heap allocation in the run
-  const char* base_mode = ""; // "exact" / "sketch"
-  size_t landmarks = 0;
-  size_t row_builds = 0;      // on-demand Dijkstra rows computed
-  double neighbor_hit_rate = 0.0;
+  size_t nodes = 0;       // actual node count of the built topology
+  double maint_ns = 0.0;  // tick + load + 1 Vivaldi sample + refresh
+  size_t max_alloc = 0;   // largest single heap allocation in the run
+  bool sketch = false;    // the fabric runs the sketch-mode base
+  JsonWriter json;        // the point's object in the `sparse` section
 };
 
 SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
@@ -413,6 +403,7 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   SparseScalePoint out;
   out.nodes = topo.NumNodes();
 
+  // Sbon::Create builds the fabric, Vivaldi and the index.
   const Clock::time_point create_start = Clock::now();
   auto s = overlay::Sbon::Create(std::move(topo), opts);
   if (!s.ok()) {
@@ -420,12 +411,13 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
                  s.status().ToString().c_str());
     std::abort();
   }
-  out.bringup_ms = NsSince(create_start) * 1e-6;
+  const double bringup_ms = NsSince(create_start) * 1e-6;
   overlay::Sbon& sbon = **s;
 
+  // A tick-only epoch is an O(1) seed swap.
   const Clock::time_point tick_start = Clock::now();
   for (size_t e = 0; e < epochs; ++e) sbon.TickNetwork();
-  out.tick_ns = NsSince(tick_start) / static_cast<double>(epochs);
+  const double tick_ns = NsSince(tick_start) / static_cast<double>(epochs);
 
   const Clock::time_point maint_start = Clock::now();
   for (size_t e = 0; e < epochs; ++e) {
@@ -438,16 +430,25 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   out.max_alloc = g_max_alloc_size;
 
   const net::NetworkFabric& fabric = sbon.fabric();
-  out.base_mode = fabric.base_mode() == net::NetworkFabric::BaseMode::kExact
-                      ? "exact"
-                      : "sketch";
-  out.landmarks = fabric.num_landmarks();
   const net::NetworkFabric::ReadStats& stats = fabric.read_stats();
-  out.row_builds = stats.row_builds;
-  out.neighbor_hit_rate =
-      stats.base_reads > 0 ? static_cast<double>(stats.neighbor_hits) /
-                                 static_cast<double>(stats.base_reads)
-                           : 0.0;
+  out.sketch = fabric.base_mode() != net::NetworkFabric::BaseMode::kExact;
+  JsonWriter& w = out.json;
+  w.BeginObject();
+  w.Key("nodes").Int(out.nodes);
+  w.Key("bringup_ms").Double(bringup_ms, 1);
+  w.Key("tick_ns").Double(tick_ns, 1);
+  w.Key("maint_ns").Double(out.maint_ns, 1);
+  w.Key("max_single_alloc_bytes").Int(out.max_alloc);
+  w.Key("base_mode").String(out.sketch ? "sketch" : "exact");
+  w.Key("landmarks").Int(fabric.num_landmarks());
+  // On-demand Dijkstra rows computed.
+  w.Key("row_builds").Int(stats.row_builds);
+  w.Key("neighbor_hit_rate")
+      .Double(stats.base_reads > 0 ? static_cast<double>(stats.neighbor_hits) /
+                                         static_cast<double>(stats.base_reads)
+                                   : 0.0,
+              3);
+  w.EndObject();
   return out;
 }
 
@@ -463,60 +464,6 @@ double AllocsPerCall(size_t warmup, size_t rounds, Fn&& fn) {
   for (size_t i = 0; i < rounds; ++i) fn(i);
   return static_cast<double>(g_alloc_count - before) /
          static_cast<double>(rounds);
-}
-
-// VivaldiSystem::Update on a fixed peer schedule.
-double MeasureVivaldiAllocs() {
-  Rng rng(7);
-  coords::VivaldiSystem::Params params;
-  params.dims = 2;
-  coords::VivaldiSystem sys(64, params, &rng);
-  return AllocsPerCall(256, 20000, [&](size_t i) {
-    const NodeId self = static_cast<NodeId>(i % 64);
-    const NodeId peer = static_cast<NodeId>((i * 13 + 1) % 64);
-    if (self != peer) {
-      sys.Update(self, peer, 10.0 + static_cast<double>(i % 17));
-    }
-  });
-}
-
-// CoordinateIndex::KNearestInto with a reused output buffer.
-double MeasureKNearestAllocs(const overlay::Sbon& sbon) {
-  const dht::CoordinateIndex& index = sbon.index();
-  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  std::vector<dht::IndexMatch> matches;
-  dht::IndexQueryCost cost;
-  return AllocsPerCall(64, 2000, [&](size_t i) {
-    const Vec target =
-        sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
-    (void)index.KNearestInto(target, 8, 16, &cost, {}, &matches);
-  });
-}
-
-// CoordinateIndex::KNearestExactInto (the batched sweep over every
-// published node) with a reused output buffer.
-double MeasureKNearestExactAllocs(const overlay::Sbon& sbon) {
-  const dht::CoordinateIndex& index = sbon.index();
-  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  std::vector<dht::IndexMatch> matches;
-  return AllocsPerCall(1, 200, [&](size_t i) {
-    const Vec target =
-        sbon.cost_space().FullCoord(overlay[i % overlay.size()]);
-    index.KNearestExactInto(target, 8, &matches);
-  });
-}
-
-// CostSpace::FullDistancesToIdealMany over the whole overlay.
-double MeasureCostEvalAllocs(const overlay::Sbon& sbon) {
-  const coords::CostSpace& space = sbon.cost_space();
-  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
-  const size_t count = overlay.size();
-  std::vector<double> dists(count);
-  return AllocsPerCall(1, 500, [&](size_t i) {
-    const Vec ideal = space.VectorCoord(overlay[(i * 11 + 3) % count]);
-    space.FullDistancesToIdealMany(ideal, overlay.data(), count,
-                                   dists.data());
-  });
 }
 
 // A virtually placed 5-stream circuit over `sbon`'s overlay.
@@ -537,71 +484,153 @@ overlay::Circuit FiveStreamCircuit(const overlay::Sbon& sbon) {
   return circuit;
 }
 
-// RelaxationPlacer::Place on a warm circuit (the warm-up call sizes its
-// virtual coordinates).
-double MeasurePlaceAllocs(const overlay::Sbon& sbon) {
-  overlay::Circuit circuit = FiveStreamCircuit(sbon);
-  const placement::RelaxationPlacer placer;
-  return AllocsPerCall(1, 2000, [&](size_t) {
-    (void)placer.Place(&circuit, sbon.cost_space());
-  });
-}
+// Writes the heap allocations per call of each audited hot call under its
+// key, and a FAIL: line for each one that allocates in steady state; false
+// if any does. `sbon` is a small dedicated overlay.
+bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
+  bool ok = true;
+  const auto audit = [&](const char* key, const char* call, double allocs) {
+    w.Key(key).Double(allocs);
+    if (allocs == 0.0) return;
+    std::fprintf(stderr, "FAIL: %s allocates (%g allocs/call)\n", call, allocs);
+    ok = false;
+  };
+  const coords::CostSpace& space = sbon.cost_space();
+  const dht::CoordinateIndex& index = sbon.index();
+  const std::vector<NodeId>& overlay = sbon.overlay_nodes();
 
-// placement::MapVertex over a warm circuit's placeable vertices in turn
-// (the warm-up round sizes the candidate buffer and the index scratch).
-double MeasureMapVertexAllocs(const overlay::Sbon& sbon) {
-  overlay::Circuit circuit = FiveStreamCircuit(sbon);
-  const std::vector<int> placeable = circuit.PlaceableVertices();
+  // On a fixed peer schedule.
+  Rng rng(7);
+  coords::VivaldiSystem::Params params;
+  params.dims = 2;
+  coords::VivaldiSystem sys(64, params, &rng);
+  audit("allocs_per_vivaldi_update", "VivaldiSystem::Update",
+        AllocsPerCall(256, 20000, [&](size_t i) {
+          const NodeId self = static_cast<NodeId>(i % 64);
+          const NodeId peer = static_cast<NodeId>((i * 13 + 1) % 64);
+          if (self != peer) {
+            sys.Update(self, peer, 10.0 + static_cast<double>(i % 17));
+          }
+        }));
+
+  // Both k-nearest searches write into a reused output buffer; the exact
+  // one is the batched sweep over every published node.
+  std::vector<dht::IndexMatch> matches;
+  dht::IndexQueryCost cost;
+  audit("allocs_per_knearest", "CoordinateIndex::KNearestInto",
+        AllocsPerCall(64, 2000, [&](size_t i) {
+          const Vec target = space.FullCoord(overlay[i % overlay.size()]);
+          (void)index.KNearestInto(target, 8, 16, &cost, {}, &matches);
+        }));
+  std::vector<dht::IndexMatch> exact_matches;
+  audit("allocs_per_knearest_exact", "CoordinateIndex::KNearestExactInto",
+        AllocsPerCall(1, 200, [&](size_t i) {
+          const Vec target = space.FullCoord(overlay[i % overlay.size()]);
+          index.KNearestExactInto(target, 8, &exact_matches);
+        }));
+
+  // Over the whole overlay.
+  std::vector<double> dists(overlay.size());
+  audit("allocs_per_cost_eval", "CostSpace::FullDistancesToIdealMany",
+        AllocsPerCall(1, 500, [&](size_t i) {
+          const Vec ideal =
+              space.VectorCoord(overlay[(i * 11 + 3) % overlay.size()]);
+          space.FullDistancesToIdealMany(ideal, overlay.data(), overlay.size(),
+                                         dists.data());
+        }));
+
+  // On a warm circuit: the warm-up call sizes its virtual coordinates.
+  overlay::Circuit placed = FiveStreamCircuit(sbon);
+  const placement::RelaxationPlacer placer;
+  audit("allocs_per_place", "RelaxationPlacer::Place",
+        AllocsPerCall(1, 2000,
+                      [&](size_t) { (void)placer.Place(&placed, space); }));
+
+  // Over a warm circuit's placeable vertices in turn: the warm-up round
+  // sizes the candidate buffer and the index scratch.
+  overlay::Circuit mapped = FiveStreamCircuit(sbon);
+  const std::vector<int> placeable = mapped.PlaceableVertices();
   const placement::MappingOptions options;
   placement::MappingReport report;
-  return AllocsPerCall(placeable.size(), 2000, [&](size_t i) {
-    (void)placement::MapVertex(&circuit, placeable[i % placeable.size()],
-                               sbon, options, &report);
-  });
-}
+  audit("allocs_per_map_vertex", "placement::MapVertex",
+        AllocsPerCall(placeable.size(), 2000, [&](size_t i) {
+          (void)placement::MapVertex(&mapped, placeable[i % placeable.size()],
+                                     sbon, options, &report);
+        }));
 
-// Allocations per message sent (replies and network duplicates included)
-// over steady-state bench::BusDrainRig rounds of 256 envelopes; the warm-up
-// rounds grow the bus queue to its high-water mark.
-double MeasureBusAllocs() {
+  // Per message sent (replies and network duplicates included) over
+  // steady-state bench::BusDrainRig rounds of 256 envelopes; the warm-up
+  // rounds grow the bus queue to its high-water mark.
   bench::BusDrainRig rig(/*target_nodes=*/100, /*seed=*/13);
   constexpr size_t kRounds = 200;
   const auto round = [&](size_t) { rig.Round(256); };
   for (size_t i = 0; i < 16; ++i) round(i);
   const size_t sent_before = rig.bus().stats().TotalSent();
   const double per_round = AllocsPerCall(0, kRounds, round);
-  return per_round * static_cast<double>(kRounds) /
-         static_cast<double>(rig.bus().stats().TotalSent() - sent_before);
+  audit("allocs_per_bus_message", "MessageBus::Send+EndEpoch per msg",
+        per_round * static_cast<double>(kRounds) /
+            static_cast<double>(rig.bus().stats().TotalSent() - sent_before));
+  return ok;
 }
 
-// Value of a `--name=<string>` flag, or empty when absent.
-std::string StringFlagOr(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+// The text of the first `"key": value` in a perf_epoch JSON document, or
+// empty. The run-shape keys open the document, and in a "standard" one the
+// churn-free ns_per_epoch precedes every nested section, so the first hit
+// is the top-level one.
+std::string_view JsonValueText(std::string_view json, std::string_view key) {
+  std::string pattern(1, '"');
+  pattern.append(key).append("\": ");
+  const size_t at = json.find(pattern);
+  if (at == std::string_view::npos) return {};
+  const std::string_view value = json.substr(at + pattern.size());
+  return value.substr(0, value.find_first_of(",\n}"));
+}
+
+// The baseline regression gate. The baseline must come from a run of the
+// same shape as `run` (so a sparse-scaling or smoke file cannot stand in
+// for the full standard run), and `ns_per_epoch` may exceed its churn-free
+// figure by at most `tolerance`. Prints a FAIL: line and returns false
+// otherwise.
+bool BaselineGate(const std::string& path, double tolerance,
+                  const JsonWriter& run, double ns_per_epoch) {
+  std::ifstream in(path);
+  const std::string baseline{std::istreambuf_iterator<char>(in), {}};
+  if (baseline.empty()) {
+    std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path.c_str());
+    return false;
+  }
+  for (const char* key : {"mode", "smoke", "nodes", "queries", "epochs"}) {
+    const std::string_view want = JsonValueText(run.str(), key);
+    const std::string_view got = JsonValueText(baseline, key);
+    if (got != want) {
+      std::fprintf(stderr,
+                   "FAIL: baseline %s is from a different run: %s is %.*s "
+                   "there, %.*s here\n",
+                   path.c_str(), key, static_cast<int>(got.size()),
+                   got.data(), static_cast<int>(want.size()), want.data());
+      return false;
     }
   }
-  return std::string();
-}
-
-// First `"ns_per_epoch": <number>` in a baseline JSON (the top-level key is
-// emitted before the nested sections, so the first hit is the churn-free
-// engine-loop figure this binary writes).
-double BaselineNsPerEpoch(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return -1.0;
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
+  const double base_ns = std::strtod(
+      std::string(JsonValueText(baseline, "ns_per_epoch")).c_str(), nullptr);
+  if (base_ns <= 0.0) {
+    std::fprintf(stderr, "FAIL: cannot read ns_per_epoch from baseline %s\n",
+                 path.c_str());
+    return false;
   }
-  std::fclose(f);
-  const size_t pos = text.find("\"ns_per_epoch\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + pos + std::strlen("\"ns_per_epoch\":"),
-                     nullptr);
+  const double limit = base_ns * (1.0 + tolerance);
+  std::printf("churn-free ns_per_epoch %.0f vs baseline %.0f "
+              "(limit %.0f at %.0f%% tolerance): %s\n",
+              ns_per_epoch, base_ns, limit, 100.0 * tolerance,
+              ns_per_epoch <= limit ? "ok" : "REGRESSED");
+  if (ns_per_epoch > limit) {
+    std::fprintf(stderr,
+                 "FAIL: ns_per_epoch regressed past the tolerance gate "
+                 "(%.0f > %.0f)\n",
+                 ns_per_epoch, limit);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -617,6 +646,8 @@ int main(int argc, char** argv) {
   const size_t epochs = std::max<size_t>(
       1, sbon::bench::FlagOr(argc, argv, "epochs", smoke ? 4 : 32));
   const double epsilon = sbon::bench::DoubleFlagOr(argc, argv, "epsilon", 1.0);
+  const double churn_rate =
+      sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
   const bool dense_requested = sbon::bench::FabricFlag() == "dense";
   if (dense_requested && nodes > 20000) {
@@ -628,151 +659,116 @@ int main(int argc, char** argv) {
   }
   // The engine-loop sections track the dense-scale baseline; above the
   // sparse auto threshold they would spend minutes measuring a regime the
-  // dense backend cannot reach anyway, so the binary runs the sparse
-  // scaling section only.
+  // dense backend cannot reach anyway, so the binary skips them.
   const bool scaling_only = nodes > 4096 && !dense_requested;
-
   const sbon::engine::ExecMode exec = sbon::bench::ExecMode();
-  std::printf("perf_epoch: N=%zu nodes, Q=%zu queries, E=%zu epochs, "
-              "fabric=%s, exec=%s\n",
-              nodes, queries, epochs, sbon::bench::FabricFlag().c_str(),
-              sbon::bench::ExecFlag().c_str());
 
-  sbon::EpochLoopResult primary, eps0, churned;
-  double vivaldi_allocs = 0.0, knearest_allocs = 0.0,
-         knearest_exact_allocs = 0.0, cost_eval_allocs = 0.0,
-         place_allocs = 0.0, map_vertex_allocs = 0.0, bus_allocs = 0.0;
-  const double churn_rate =
-      sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
+#if defined(SBON_SIMD_ENABLED)
+  const char* simd_mode = "on";
+#else
+  const char* simd_mode = "off";
+#endif
+  // Each section is written once, into `doc`: stdout shows it when it
+  // completes, and --json writes the whole document at the end.
+  sbon::JsonWriter doc;
+  size_t printed = 0;
+  doc.BeginObject();
+  doc.Key("bench").String("perf_epoch");
+  doc.Key("smoke").Bool(smoke);
+  doc.Key("mode").String(scaling_only ? "sparse-scaling" : "standard");
+  doc.Key("fabric").String(sbon::bench::FabricFlag());
+  doc.Key("exec").String(sbon::bench::ExecFlag());
+  doc.Key("simd").String(simd_mode);
+  doc.Key("nodes").Int(nodes);
+  doc.Key("queries").Int(queries);
+  doc.Key("epochs").Int(epochs);
+  sbon::bench::PrintSection(doc, &printed);
 
   if (!scaling_only) {
-    sbon::bench::Section("Epoch+Submit throughput (dirty refresh, epsilon)");
-    primary = sbon::RunEpochLoop(nodes, queries, epochs, epsilon,
-                                 /*seed=*/42, /*churn_rate=*/0.0, exec);
-    std::printf(
-        "epsilon=%-4g  %10.0f ns/epoch  %10.0f ns/submit  %zu queries\n"
-        "              republished=%zu skipped=%zu quiet_refreshes=%zu/%zu\n"
-        "              live fabric reads/epoch=%.1f\n",
-        epsilon, primary.ns_per_epoch, primary.ns_per_submit,
-        primary.queries_running, primary.refresh.republished,
-        primary.refresh.skipped, primary.refresh.quiet_refreshes,
-        primary.refresh.refreshes, primary.live_reads_per_epoch);
+    sbon::bench::Section(
+        "Epoch+Submit throughput (dirty refresh; _eps0 republishes every "
+        "change)");
+    const sbon::EpochLoopResult primary = sbon::RunEpochLoop(
+        nodes, queries, epochs, epsilon, /*seed=*/42, /*churn_rate=*/0.0, exec);
+    const sbon::EpochLoopResult eps0 = sbon::RunEpochLoop(
+        nodes, queries, epochs, 0.0, /*seed=*/42, /*churn_rate=*/0.0, exec);
+    doc.Key("refresh_epsilon").Double(epsilon);
+    doc.Key("ns_per_epoch").Double(primary.ns_per_epoch, 1);
+    doc.Key("ns_per_submit").Double(primary.ns_per_submit, 1);
+    doc.Key("allocs_per_submit").Double(primary.allocs_per_submit, 1);
+    doc.Key("ns_per_epoch_eps0").Double(eps0.ns_per_epoch, 1);
+    doc.Key("allocs_per_epoch").Double(primary.allocs_per_epoch, 1);
+    doc.Key("live_reads_per_epoch").Double(primary.live_reads_per_epoch, 1);
+    doc.Key("republished").Int(primary.refresh.republished);
+    doc.Key("republish_skipped").Int(primary.refresh.skipped);
+    doc.Key("quiet_refreshes").Int(primary.refresh.quiet_refreshes);
+    doc.Key("refreshes").Int(primary.refresh.refreshes);
+    sbon::bench::PrintSection(doc, &printed);
 
-    sbon::bench::Section("Epoch+Submit throughput (epsilon=0: every change)");
-    eps0 = sbon::RunEpochLoop(nodes, queries, epochs, 0.0,
-                              /*seed=*/42, /*churn_rate=*/0.0, exec);
-    std::printf("epsilon=0     %10.0f ns/epoch  %10.0f ns/submit\n",
-                eps0.ns_per_epoch, eps0.ns_per_submit);
-
-    sbon::bench::Section("Epoch throughput under churn (crashes + repair)");
-    churned = sbon::RunEpochLoop(nodes, queries, epochs, epsilon,
-                                 /*seed=*/42, churn_rate, exec);
-    std::printf(
-        "churn=%-5g  %10.0f ns/epoch  (%+0.0f%% vs churn-free)\n"
-        "              crashes=%zu rejoins=%zu evicted=%zu orphaned=%zu "
-        "repaired=%zu dropped=%zu\n",
-        churn_rate, churned.ns_per_epoch,
-        primary.ns_per_epoch > 0.0
-            ? 100.0 * (churned.ns_per_epoch / primary.ns_per_epoch - 1.0)
-            : 0.0,
-        churned.repair.crashes, churned.repair.rejoins,
-        churned.repair.services_evicted, churned.repair.circuits_orphaned,
-        churned.repair.queries_repaired, churned.repair.queries_dropped);
-
-    sbon::bench::Section("Hot-call allocation audit");
-    vivaldi_allocs = sbon::MeasureVivaldiAllocs();
+    sbon::bench::Section("Hot-call allocation audit (each must be 0)");
     // A small dedicated overlay keeps the audit cheap under --smoke.
-    auto audit_sbon = sbon::bench::MakeTransitStubSbon(
-        sbon::bench::Nodes(200), /*seed=*/7);
-    knearest_allocs = sbon::MeasureKNearestAllocs(*audit_sbon);
-    knearest_exact_allocs = sbon::MeasureKNearestExactAllocs(*audit_sbon);
-    cost_eval_allocs = sbon::MeasureCostEvalAllocs(*audit_sbon);
-    place_allocs = sbon::MeasurePlaceAllocs(*audit_sbon);
-    map_vertex_allocs = sbon::MeasureMapVertexAllocs(*audit_sbon);
-    bus_allocs = sbon::MeasureBusAllocs();
-    const struct {
-      const char* call;
-      double allocs;
-    } audit[] = {
-        {"VivaldiSystem::Update", vivaldi_allocs},
-        {"CoordinateIndex::KNearestInto", knearest_allocs},
-        {"CoordinateIndex::KNearestExactInto", knearest_exact_allocs},
-        {"CostSpace::FullDistancesToIdealMany", cost_eval_allocs},
-        {"RelaxationPlacer::Place", place_allocs},
-        {"placement::MapVertex", map_vertex_allocs},
-        {"MessageBus::Send+EndEpoch per msg", bus_allocs},
-    };
-    bool audit_ok = true;
-    for (const auto& a : audit) {
-      std::printf("allocs/%-36s = %g (want 0)\n", a.call, a.allocs);
-      if (a.allocs != 0.0) {
-        std::fprintf(stderr, "FAIL: %s allocates (%g allocs/call)\n", a.call,
-                     a.allocs);
-        audit_ok = false;
-      }
-    }
+    const bool audit_ok = sbon::AuditHotCalls(
+        doc, *sbon::bench::MakeTransitStubSbon(sbon::bench::Nodes(200),
+                                               /*seed=*/7));
+    sbon::bench::PrintSection(doc, &printed);
     if (!audit_ok) return 1;
 
+    sbon::bench::Section("Epoch throughput under churn (crashes + repair)");
+    const sbon::EpochLoopResult churned = sbon::RunEpochLoop(
+        nodes, queries, epochs, epsilon, /*seed=*/42, churn_rate, exec);
+    const sbon::engine::RepairStats& repair = churned.repair;
+    doc.Key("churn").BeginObject();
+    doc.Key("crash_rate").Double(churn_rate);
+    doc.Key("ns_per_epoch").Double(churned.ns_per_epoch, 1);
+    doc.Key("crashes").Int(repair.crashes);
+    doc.Key("rejoins").Int(repair.rejoins);
+    doc.Key("services_evicted").Int(repair.services_evicted);
+    doc.Key("circuits_orphaned").Int(repair.circuits_orphaned);
+    doc.Key("queries_repaired").Int(repair.queries_repaired);
+    doc.Key("queries_dropped").Int(repair.queries_dropped);
+    doc.EndObject();
+    sbon::bench::PrintSection(doc, &printed);
+
     const std::string baseline_path =
-        sbon::StringFlagOr(argc, argv, "baseline");
+        sbon::bench::StringFlagOr(argc, argv, "baseline");
     if (!baseline_path.empty()) {
+      sbon::bench::Section("Baseline regression gate");
       const double tolerance = sbon::bench::DoubleFlagOr(
           argc, argv, "baseline-tolerance", 0.5);
-      const double base_ns = sbon::BaselineNsPerEpoch(baseline_path);
-      sbon::bench::Section("Baseline regression gate");
-      if (base_ns <= 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: cannot read ns_per_epoch from baseline %s\n",
-                     baseline_path.c_str());
-        return 1;
-      }
-      const double limit = base_ns * (1.0 + tolerance);
-      std::printf("churn-free ns_per_epoch %.0f vs baseline %.0f "
-                  "(limit %.0f at %.0f%% tolerance): %s\n",
-                  primary.ns_per_epoch, base_ns, limit, 100.0 * tolerance,
-                  primary.ns_per_epoch <= limit ? "ok" : "REGRESSED");
-      if (primary.ns_per_epoch > limit) {
-        std::fprintf(stderr,
-                     "FAIL: ns_per_epoch regressed past the tolerance gate "
-                     "(%.0f > %.0f)\n",
-                     primary.ns_per_epoch, limit);
+      if (!sbon::BaselineGate(baseline_path, tolerance, doc,
+                              primary.ns_per_epoch)) {
         return 1;
       }
     }
   }
 
+  // Runs a message-mode workload twice at the same configuration: the
+  // first run writes its report into the open section object, which this
+  // closes with the replay verdict. False (after a FAIL: line) when the
+  // two runs did not end bit-identical.
+  const auto message_section = [&doc, &printed](
+                                   const char* what,
+                                   const sbon::msg::RuntimeParams& mp,
+                                   size_t drain_epochs) {
+    const uint64_t run1 =
+        sbon::RunMessageSection(/*seed=*/42, mp, drain_epochs, &doc);
+    const uint64_t run2 =
+        sbon::RunMessageSection(/*seed=*/42, mp, drain_epochs, nullptr);
+    doc.Key("replay_bit_identical").Bool(run1 == run2);
+    doc.EndObject();
+    sbon::bench::PrintSection(doc, &printed);
+    if (run1 != run2) {
+      std::fprintf(stderr,
+                   "FAIL: %s replay diverged (run1=%016llx run2=%016llx)\n",
+                   what, static_cast<unsigned long long>(run1),
+                   static_cast<unsigned long long>(run2));
+    }
+    return run1 == run2;
+  };
+
   sbon::bench::Section("Decentralized execution (message mode, pinned size)");
-  const auto msg1 = sbon::RunMessageSection(/*seed=*/42);
-  const auto msg2 = sbon::RunMessageSection(/*seed=*/42);
-  const bool msg_replay_identical = msg1.fingerprint == msg2.fingerprint;
-  {
-    const sbon::msg::TrafficSummary& t = msg1.summary;
-    std::printf(
-        "N=%zu Q=%zu E=%zu  %10.0f ns/epoch  %.1f bytes/node/epoch\n"
-        "  sent=%zu delivered=%zu dropped_dead=%zu dropped_partition=%zu\n"
-        "  vivaldi=%zu msgs ring=%zu msgs placement=%zu msgs\n"
-        "  convergence=%zu epochs after last churn (%s)  "
-        "staleness p50=%.1f p95=%.1f (%zu samples)\n"
-        "  replay %s\n",
-        msg1.nodes, msg1.queries, msg1.epochs, msg1.ns_per_epoch,
-        t.bytes_per_node_per_epoch, t.msgs_sent, t.msgs_delivered,
-        t.msgs_dropped_dead, t.msgs_dropped_partition,
-        t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kVivaldi)],
-        t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kRing)],
-        t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kPlacement)],
-        t.convergence_epochs, t.converged ? "converged" : "NOT CONVERGED",
-        t.staleness_p50, t.staleness_p95, t.staleness_samples,
-        msg_replay_identical ? "bit-identical across two runs"
-                             : "DIVERGED BETWEEN TWO RUNS");
-  }
-  if (!msg_replay_identical) {
-    std::fprintf(
-        stderr,
-        "FAIL: message-mode replay diverged (run1=%016llx run2=%016llx)\n",
-        static_cast<unsigned long long>(msg1.fingerprint),
-        static_cast<unsigned long long>(msg2.fingerprint));
-    return 1;
-  }
+  doc.Key("decentralized").BeginObject();
+  if (!message_section("message-mode", {}, /*drain_epochs=*/8)) return 1;
 
   sbon::bench::Section("Chaos message mode (faults + reliability + detector)");
   sbon::msg::RuntimeParams chaos_mp;
@@ -789,49 +785,13 @@ int main(int argc, char** argv) {
   chaos_mp.reliability.max_backoff_epochs = 2;
   chaos_mp.reliability.max_retries = 3;
   chaos_mp.detector.enabled = true;
-  const auto chaos1 = sbon::RunMessageSection(/*seed=*/42, chaos_mp,
-                                              /*drain_epochs=*/12);
-  const auto chaos2 = sbon::RunMessageSection(/*seed=*/42, chaos_mp,
-                                              /*drain_epochs=*/12);
-  const bool chaos_replay_identical = chaos1.fingerprint == chaos2.fingerprint;
-  const sbon::msg::TrafficSummary& ct = chaos1.summary;
-  const double chaos_delivery_rate =
-      ct.msgs_delivered + ct.msgs_dropped_fault > 0
-          ? static_cast<double>(ct.msgs_delivered) /
-                static_cast<double>(ct.msgs_delivered + ct.msgs_dropped_fault)
-          : 1.0;
-  const double chaos_retry_overhead =
-      ct.bytes_total > ct.retry_bytes
-          ? static_cast<double>(ct.retry_bytes) /
-                static_cast<double>(ct.bytes_total - ct.retry_bytes)
-          : 0.0;
-  std::printf(
-      "loss=%.0f%% dup=%.0f%% jitter=%.1fms  %10.0f ns/epoch\n"
-      "  sent=%zu delivered=%zu dropped_fault=%zu duplicated=%zu  "
-      "delivery_rate=%.3f\n"
-      "  retries=%zu (%.1f%% byte overhead) acks=%zu dup_suppressed=%zu "
-      "exhausted=%zu overflow=%zu pending=%zu\n"
-      "  detector: suspicions=%zu false=%zu confirmations=%zu  "
-      "detection p50=%.1f p95=%.1f epochs (%zu samples)\n"
-      "  convergence=%zu epochs after last churn (%s)  replay %s\n",
-      100.0 * fault_rates.loss, 100.0 * fault_rates.duplicate,
-      fault_rates.delay_jitter_ms, chaos1.ns_per_epoch, ct.msgs_sent,
-      ct.msgs_delivered, ct.msgs_dropped_fault, ct.msgs_duplicated,
-      chaos_delivery_rate, ct.retries, 100.0 * chaos_retry_overhead, ct.acks,
-      ct.dup_suppressed, ct.retry_exhausted, ct.retransmit_overflow,
-      ct.retry_pending, ct.suspicions, ct.false_suspicions,
-      ct.crash_confirmations, ct.detection_p50, ct.detection_p95,
-      ct.detection_samples, ct.convergence_epochs,
-      ct.converged ? "converged" : "NOT CONVERGED",
-      chaos_replay_identical ? "bit-identical across two runs"
-                             : "DIVERGED BETWEEN TWO RUNS");
-  if (!chaos_replay_identical) {
-    std::fprintf(
-        stderr,
-        "FAIL: chaos message-mode replay diverged (run1=%016llx "
-        "run2=%016llx)\n",
-        static_cast<unsigned long long>(chaos1.fingerprint),
-        static_cast<unsigned long long>(chaos2.fingerprint));
+  doc.Key("chaos").BeginObject();
+  doc.Key("faults").BeginObject();
+  doc.Key("loss").Double(fault_rates.loss);
+  doc.Key("duplicate").Double(fault_rates.duplicate);
+  doc.Key("delay_jitter_ms").Double(fault_rates.delay_jitter_ms);
+  doc.EndObject();
+  if (!message_section("chaos message-mode", chaos_mp, /*drain_epochs=*/12)) {
     return 1;
   }
 
@@ -842,31 +802,29 @@ int main(int argc, char** argv) {
   const auto sp_full = nodes > small_target
                            ? sbon::RunSparsePoint(nodes, 42, sparse_epochs)
                            : sp_small;
-  for (const auto* p : {&sp_small, &sp_full}) {
-    std::printf(
-        "N=%-7zu  bringup %8.1f ms  tick %10.0f ns  maint %12.0f ns\n"
-        "           base=%s landmarks=%zu row_builds=%zu nbr_hit=%.0f%% "
-        "max_alloc=%zu B\n",
-        p->nodes, p->bringup_ms, p->tick_ns, p->maint_ns, p->base_mode,
-        p->landmarks, p->row_builds, 100.0 * p->neighbor_hit_rate,
-        p->max_alloc);
-    if (p == &sp_full && nodes <= small_target) break;
-  }
+  doc.Key("sparse").BeginObject();
+  doc.Key("small").Embed(sp_small.json);
+  doc.Key("full").Embed(sp_full.json);
   // The scaling exponent is only meaningful when both points exercise the
   // sketch-mode sparse backend at large N (the regime whose asymptote it
   // claims to measure). Small-N points run the exact-mode base — fitting an
-  // exponent across those is numerology, so it is reported as null instead.
+  // exponent across those is numerology, so it is NaN, written as null.
   const bool maint_exponent_valid =
       scaling_only && sp_full.nodes > sp_small.nodes &&
-      sp_small.maint_ns > 0.0 &&
-      std::strcmp(sp_small.base_mode, "sketch") == 0 &&
-      std::strcmp(sp_full.base_mode, "sketch") == 0;
-  const double maint_exponent =
-      maint_exponent_valid
-          ? std::log(sp_full.maint_ns / sp_small.maint_ns) /
-                std::log(static_cast<double>(sp_full.nodes) /
-                         static_cast<double>(sp_small.nodes))
-          : 0.0;
+      sp_small.maint_ns > 0.0 && sp_small.sketch && sp_full.sketch;
+  doc.Key("maint_scaling_exponent")
+      .Double(maint_exponent_valid
+                  ? std::log(sp_full.maint_ns / sp_small.maint_ns) /
+                        std::log(static_cast<double>(sp_full.nodes) /
+                                 static_cast<double>(sp_small.nodes))
+                  : std::nan(""),
+              2);
+  doc.Key("maint_scaling_note")
+      .String(maint_exponent_valid
+                  ? "fit across the sketch-mode sparse sweep"
+                  : "null: only meaningful across a large-N sketch-mode "
+                    "sparse sweep (--fabric=sparse --nodes>4096); small-N "
+                    "points run the exact-mode base");
   // The flat-memory acceptance gate: no single allocation anywhere near an
   // N x N double matrix (or an N(N+1)/2 triangle) may happen while
   // the sparse backend runs. Only meaningful once quadratic buffers dwarf
@@ -884,216 +842,10 @@ int main(int argc, char** argv) {
                    p->max_alloc, p->nodes);
     }
   }
-  if (maint_exponent_valid) {
-    std::printf("maintenance-epoch scaling exponent: %.2f  (dense is 2.0)\n",
-                maint_exponent);
-  } else {
-    std::printf(
-        "maintenance-epoch scaling exponent: n/a — only measured across a "
-        "large-N sketch-mode sweep (--fabric=sparse --nodes>4096)\n");
-  }
+  doc.Key("mem_flat").Bool(sparse_mem_flat);
+  doc.EndObject();
+  doc.EndObject();
+  sbon::bench::PrintSection(doc, &printed);
   if (!sparse_mem_flat) return 1;
-
-  if (!sbon::bench::JsonFlag().empty()) {
-    std::FILE* f = std::fopen(sbon::bench::JsonFlag().c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n",
-                   sbon::bench::JsonFlag().c_str());
-      return 1;
-    }
-#if defined(SBON_SIMD_ENABLED)
-    const char* simd_mode = "on";
-#else
-    const char* simd_mode = "off";
-#endif
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"perf_epoch\",\n"
-                 "  \"smoke\": %s,\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"fabric\": \"%s\",\n"
-                 "  \"exec\": \"%s\",\n"
-                 "  \"simd\": \"%s\",\n"
-                 "  \"nodes\": %zu,\n"
-                 "  \"queries\": %zu,\n"
-                 "  \"epochs\": %zu,\n",
-                 smoke ? "true" : "false",
-                 scaling_only ? "sparse-scaling" : "standard",
-                 sbon::bench::FabricFlag().c_str(),
-                 sbon::bench::ExecFlag().c_str(), simd_mode, nodes, queries,
-                 epochs);
-    if (!scaling_only) {
-      std::fprintf(
-          f,
-          "  \"refresh_epsilon\": %g,\n"
-          "  \"ns_per_epoch\": %.1f,\n"
-          "  \"ns_per_submit\": %.1f,\n"
-          "  \"allocs_per_submit\": %.1f,\n"
-          "  \"ns_per_epoch_eps0\": %.1f,\n"
-          "  \"allocs_per_epoch\": %.1f,\n"
-          "  \"live_reads_per_epoch\": %.1f,\n"
-          "  \"republished\": %zu,\n"
-          "  \"republish_skipped\": %zu,\n"
-          "  \"quiet_refreshes\": %zu,\n"
-          "  \"refreshes\": %zu,\n"
-          "  \"allocs_per_vivaldi_update\": %g,\n"
-          "  \"allocs_per_knearest\": %g,\n"
-          "  \"allocs_per_knearest_exact\": %g,\n"
-          "  \"allocs_per_cost_eval\": %g,\n"
-          "  \"allocs_per_place\": %g,\n"
-          "  \"allocs_per_map_vertex\": %g,\n"
-          "  \"allocs_per_bus_message\": %g,\n"
-          "  \"churn\": {\n"
-          "    \"crash_rate\": %g,\n"
-          "    \"ns_per_epoch\": %.1f,\n"
-          "    \"crashes\": %zu,\n"
-          "    \"rejoins\": %zu,\n"
-          "    \"services_evicted\": %zu,\n"
-          "    \"circuits_orphaned\": %zu,\n"
-          "    \"queries_repaired\": %zu,\n"
-          "    \"queries_dropped\": %zu\n"
-          "  },\n",
-          epsilon, primary.ns_per_epoch, primary.ns_per_submit,
-          primary.allocs_per_submit, eps0.ns_per_epoch,
-          primary.allocs_per_epoch,
-          primary.live_reads_per_epoch, primary.refresh.republished,
-          primary.refresh.skipped, primary.refresh.quiet_refreshes,
-          primary.refresh.refreshes,
-          vivaldi_allocs, knearest_allocs, knearest_exact_allocs,
-          cost_eval_allocs, place_allocs, map_vertex_allocs, bus_allocs,
-          churn_rate,
-          churned.ns_per_epoch,
-          churned.repair.crashes, churned.repair.rejoins,
-          churned.repair.services_evicted, churned.repair.circuits_orphaned,
-          churned.repair.queries_repaired, churned.repair.queries_dropped);
-    }
-    auto write_point = [f](const char* key,
-                           const sbon::SparseScalePoint& p) {
-      std::fprintf(f,
-                   "    \"%s\": {\n"
-                   "      \"nodes\": %zu,\n"
-                   "      \"bringup_ms\": %.1f,\n"
-                   "      \"tick_ns\": %.1f,\n"
-                   "      \"maint_ns\": %.1f,\n"
-                   "      \"max_single_alloc_bytes\": %zu,\n"
-                   "      \"base_mode\": \"%s\",\n"
-                   "      \"landmarks\": %zu,\n"
-                   "      \"row_builds\": %zu,\n"
-                   "      \"neighbor_hit_rate\": %.3f\n"
-                   "    }",
-                   key, p.nodes, p.bringup_ms, p.tick_ns, p.maint_ns,
-                   p.max_alloc, p.base_mode, p.landmarks, p.row_builds,
-                   p.neighbor_hit_rate);
-    };
-    {
-      const sbon::msg::TrafficSummary& t = msg1.summary;
-      std::fprintf(
-          f,
-          "  \"decentralized\": {\n"
-          "    \"nodes\": %zu,\n"
-          "    \"queries\": %zu,\n"
-          "    \"epochs\": %zu,\n"
-          "    \"ns_per_epoch\": %.1f,\n"
-          "    \"bytes_per_node_per_epoch\": %.1f,\n"
-          "    \"msgs_sent\": %zu,\n"
-          "    \"msgs_delivered\": %zu,\n"
-          "    \"msgs_dropped_dead\": %zu,\n"
-          "    \"msgs_dropped_partition\": %zu,\n"
-          "    \"vivaldi_msgs\": %zu,\n"
-          "    \"vivaldi_bytes\": %zu,\n"
-          "    \"ring_msgs\": %zu,\n"
-          "    \"ring_bytes\": %zu,\n"
-          "    \"placement_msgs\": %zu,\n"
-          "    \"placement_bytes\": %zu,\n"
-          "    \"convergence_epochs_after_churn\": %zu,\n"
-          "    \"converged\": %s,\n"
-          "    \"staleness_p50\": %.1f,\n"
-          "    \"staleness_p95\": %.1f,\n"
-          "    \"staleness_samples\": %zu,\n"
-          "    \"replay_bit_identical\": %s\n"
-          "  },\n",
-          msg1.nodes, msg1.queries, msg1.epochs, msg1.ns_per_epoch,
-          t.bytes_per_node_per_epoch, t.msgs_sent, t.msgs_delivered,
-          t.msgs_dropped_dead, t.msgs_dropped_partition,
-          t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kVivaldi)],
-          t.protocol_bytes[static_cast<size_t>(sbon::msg::Protocol::kVivaldi)],
-          t.protocol_msgs[static_cast<size_t>(sbon::msg::Protocol::kRing)],
-          t.protocol_bytes[static_cast<size_t>(sbon::msg::Protocol::kRing)],
-          t.protocol_msgs[static_cast<size_t>(
-              sbon::msg::Protocol::kPlacement)],
-          t.protocol_bytes[static_cast<size_t>(
-              sbon::msg::Protocol::kPlacement)],
-          t.convergence_epochs, t.converged ? "true" : "false",
-          t.staleness_p50, t.staleness_p95, t.staleness_samples,
-          msg_replay_identical ? "true" : "false");
-    }
-    std::fprintf(
-        f,
-        "  \"chaos\": {\n"
-        "    \"faults\": {\"loss\": %g, \"duplicate\": %g, "
-        "\"delay_jitter_ms\": %g},\n"
-        "    \"nodes\": %zu,\n"
-        "    \"queries\": %zu,\n"
-        "    \"epochs\": %zu,\n"
-        "    \"ns_per_epoch\": %.1f,\n"
-        "    \"msgs_sent\": %zu,\n"
-        "    \"msgs_delivered\": %zu,\n"
-        "    \"msgs_dropped_fault\": %zu,\n"
-        "    \"msgs_duplicated\": %zu,\n"
-        "    \"delivery_rate\": %.4f,\n"
-        "    \"retries\": %zu,\n"
-        "    \"retry_bytes\": %zu,\n"
-        "    \"retry_byte_overhead\": %.4f,\n"
-        "    \"acks\": %zu,\n"
-        "    \"dup_suppressed\": %zu,\n"
-        "    \"retry_exhausted\": %zu,\n"
-        "    \"retransmit_overflow\": %zu,\n"
-        "    \"retry_pending\": %zu,\n"
-        "    \"suspicions\": %zu,\n"
-        "    \"false_suspicions\": %zu,\n"
-        "    \"crash_confirmations\": %zu,\n"
-        "    \"detection_p50\": %.1f,\n"
-        "    \"detection_p95\": %.1f,\n"
-        "    \"detection_samples\": %zu,\n"
-        "    \"convergence_epochs_after_churn\": %zu,\n"
-        "    \"converged\": %s,\n"
-        "    \"replay_bit_identical\": %s\n"
-        "  },\n",
-        fault_rates.loss, fault_rates.duplicate, fault_rates.delay_jitter_ms,
-        chaos1.nodes, chaos1.queries, chaos1.epochs, chaos1.ns_per_epoch,
-        ct.msgs_sent, ct.msgs_delivered, ct.msgs_dropped_fault,
-        ct.msgs_duplicated, chaos_delivery_rate, ct.retries, ct.retry_bytes,
-        chaos_retry_overhead, ct.acks, ct.dup_suppressed, ct.retry_exhausted,
-        ct.retransmit_overflow, ct.retry_pending, ct.suspicions,
-        ct.false_suspicions, ct.crash_confirmations, ct.detection_p50,
-        ct.detection_p95, ct.detection_samples, ct.convergence_epochs,
-        ct.converged ? "true" : "false",
-        chaos_replay_identical ? "true" : "false");
-    std::fprintf(f, "  \"sparse\": {\n");
-    write_point("small", sp_small);
-    std::fprintf(f, ",\n");
-    write_point("full", sp_full);
-    if (maint_exponent_valid) {
-      std::fprintf(f,
-                   ",\n"
-                   "    \"maint_scaling_exponent\": %.2f,\n",
-                   maint_exponent);
-    } else {
-      std::fprintf(f, ",\n    \"maint_scaling_exponent\": null,\n");
-    }
-    std::fprintf(f,
-                 "    \"maint_scaling_note\": \"%s\",\n"
-                 "    \"mem_flat\": %s\n"
-                 "  }\n"
-                 "}\n",
-                 maint_exponent_valid
-                     ? "fit across the sketch-mode sparse sweep"
-                     : "null: only meaningful across a large-N sketch-mode "
-                       "sparse sweep (--fabric=sparse --nodes>4096); "
-                       "small-N points run the exact-mode base",
-                 sparse_mem_flat ? "true" : "false");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", sbon::bench::JsonFlag().c_str());
-  }
-  return 0;
+  return sbon::bench::WriteJson(doc) ? 0 : 1;
 }

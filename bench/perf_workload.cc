@@ -31,13 +31,6 @@
 
 namespace {
 
-double NsSince(std::chrono::steady_clock::time_point start) {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 /// Everything one soak run produces (the JSON body, and the replay gate's
 /// comparison record).
 struct SoakConfig {
@@ -56,17 +49,10 @@ struct SoakConfig {
   uint64_t seed = 42;
 };
 
-struct TimelinePoint {
-  size_t epoch = 0;
-  size_t running = 0;
-  double reuse_hit_rate = 0.0;  // cumulative
-  double shed_rate = 0.0;       // cumulative
-};
-
 struct SoakResult {
   sbon::query::WorkloadPhaseStats totals;
   std::vector<sbon::query::WorkloadPhaseStats> phases;
-  std::vector<TimelinePoint> timeline;
+  sbon::JsonWriter timeline;  // cumulative rates, sampled 16 times
   uint64_t fingerprint = 0;
   double wall_ns = 0.0;
   size_t final_running = 0;
@@ -136,6 +122,7 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   const size_t sample_every = std::max<size_t>(1, cfg.epochs / 16);
   const auto start = std::chrono::steady_clock::now();
   w.BeginPhase("steady");
+  out.timeline.BeginArray();
   for (size_t t = 0; t < cfg.epochs; ++t) {
     if (t == cfg.flash_start) w.BeginPhase("flash-crowd");
     if (t == flash_end) w.BeginPhase("recovery");
@@ -146,15 +133,18 @@ SoakResult RunSoak(const SoakConfig& cfg) {
       std::exit(1);
     }
     if ((t + 1) % sample_every == 0 || t + 1 == cfg.epochs) {
-      TimelinePoint p;
-      p.epoch = t + 1;
-      p.running = w.running();
-      p.reuse_hit_rate = w.totals().reuse_hit_rate();
-      p.shed_rate = w.totals().shed_rate();
-      out.timeline.push_back(p);
+      out.timeline.BeginObject();
+      out.timeline.Key("epoch").Int(t + 1);
+      out.timeline.Key("running").Int(w.running());
+      out.timeline.Key("reuse_hit_rate").Double(w.totals().reuse_hit_rate(), 6);
+      out.timeline.Key("shed_rate").Double(w.totals().shed_rate(), 6);
+      out.timeline.EndObject();
     }
   }
-  out.wall_ns = NsSince(start);
+  out.timeline.EndArray();
+  out.wall_ns = std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
   out.totals = w.totals();
   out.phases = w.phases();
   out.final_running = w.running();
@@ -163,39 +153,39 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   return out;
 }
 
-void PrintPhase(const sbon::query::WorkloadPhaseStats& p) {
-  std::printf(
-      "  %-11s epochs=%-5zu arrivals=%-8zu shed=%-7zu (%.1f%%) "
-      "submitted=%-8zu reuse=%.1f%%\n",
-      p.name.c_str(), p.epochs, p.arrivals, p.shed, 100.0 * p.shed_rate(),
-      p.submitted, 100.0 * p.reuse_hit_rate());
-  std::printf(
-      "              placement p50=%.0f p95=%.0f p99=%.0f ns  "
-      "repair p50=%.0f p95=%.0f p99=%.0f ns (%zu repairs)\n",
-      p.placement_ns.Percentile(50), p.placement_ns.Percentile(95), p.placement_ns.Percentile(99),
-      p.repair_ns.Percentile(50), p.repair_ns.Percentile(95), p.repair_ns.Percentile(99),
-      p.repair_ns.count());
+// The admission counters the totals and every phase report.
+void WriteCounts(sbon::JsonWriter& w,
+                 const sbon::query::WorkloadPhaseStats& p) {
+  w.Key("arrivals").Int(p.arrivals);
+  w.Key("shed").Int(p.shed);
+  w.Key("shed_rate").Double(p.shed_rate(), 6);
+  w.Key("admitted").Int(p.admitted);
+  w.Key("submitted").Int(p.submitted);
+  w.Key("submit_failures").Int(p.submit_failures);
+  w.Key("departures").Int(p.departures);
+  w.Key("reuse_hit_rate").Double(p.reuse_hit_rate(), 6);
 }
 
-void JsonPhase(std::FILE* f, const sbon::query::WorkloadPhaseStats& p,
-               bool last) {
-  std::fprintf(
-      f,
-      "    {\"name\": \"%s\", \"epochs\": %zu, \"arrivals\": %zu, "
-      "\"shed\": %zu, \"shed_rate\": %.6f, \"admitted\": %zu, "
-      "\"submitted\": %zu, \"submit_failures\": %zu, \"departures\": %zu, "
-      "\"reuse_hit_rate\": %.6f, \"services_reused\": %zu,\n"
-      "     \"placement_ns\": {\"count\": %zu, \"mean\": %.1f, "
-      "\"p50\": %.1f, \"p95\": %.1f, \"p99\": %.1f, \"max\": %.1f},\n"
-      "     \"repair_ns\": {\"count\": %zu, \"mean\": %.1f, "
-      "\"p50\": %.1f, \"p95\": %.1f, \"p99\": %.1f, \"max\": %.1f}}%s\n",
-      p.name.c_str(), p.epochs, p.arrivals, p.shed, p.shed_rate(),
-      p.admitted, p.submitted, p.submit_failures, p.departures,
-      p.reuse_hit_rate(), p.services_reused, p.placement_ns.count(),
-      p.placement_ns.Mean(), p.placement_ns.Percentile(50), p.placement_ns.Percentile(95),
-      p.placement_ns.Percentile(99), p.placement_ns.Max(), p.repair_ns.count(),
-      p.repair_ns.Mean(), p.repair_ns.Percentile(50), p.repair_ns.Percentile(95),
-      p.repair_ns.Percentile(99), p.repair_ns.Max(), last ? "" : ",");
+// One phase's row of the "phases" array.
+void WritePhase(sbon::JsonWriter& w, const sbon::query::WorkloadPhaseStats& p) {
+  w.BeginObject();
+  w.Key("name").String(p.name);
+  w.Key("epochs").Int(p.epochs);
+  WriteCounts(w, p);
+  w.Key("services_reused").Int(p.services_reused);
+  const auto latency = [&w](const char* key, const sbon::Summary& ns) {
+    w.Key(key).BeginObject();
+    w.Key("count").Int(ns.count());
+    w.Key("mean").Double(ns.Mean(), 1);
+    w.Key("p50").Double(ns.Percentile(50), 1);
+    w.Key("p95").Double(ns.Percentile(95), 1);
+    w.Key("p99").Double(ns.Percentile(99), 1);
+    w.Key("max").Double(ns.Max(), 1);
+    w.EndObject();
+  };
+  latency("placement_ns", p.placement_ns);
+  latency("repair_ns", p.repair_ns);
+  w.EndObject();
 }
 
 }  // namespace
@@ -224,26 +214,48 @@ int main(int argc, char** argv) {
   const size_t min_cumulative = sbon::bench::FlagOr(
       argc, argv, "min-cumulative", sbon::bench::SmokeMode() ? 0 : 1000000);
 
+  // Each section is written once, into `doc`: stdout shows it when it
+  // completes, and --json writes the whole document at the end.
+  sbon::JsonWriter doc;
+  size_t printed = 0;
   sbon::bench::Section("open-loop workload soak");
-  std::printf(
-      "nodes=%zu epochs=%zu base_rate=%.1f lifetime=%.1f flash=[%zu,%zu)x%.1f "
-      "cap=%zu crash_rate=%.2f seed=%llu\n",
-      cfg.nodes, cfg.epochs, cfg.base_rate, cfg.mean_lifetime,
-      cfg.flash_start, cfg.flash_start + cfg.flash_duration,
-      cfg.flash_multiplier, cfg.max_running, cfg.churn_crash_rate,
-      static_cast<unsigned long long>(cfg.seed));
+  doc.BeginObject();
+  doc.Key("bench").String("perf_workload");
+  doc.Key("smoke").Bool(sbon::bench::SmokeMode());
+  doc.Key("config").BeginObject();
+  doc.Key("nodes").Int(cfg.nodes);
+  doc.Key("epochs").Int(cfg.epochs);
+  doc.Key("base_rate_per_epoch").Double(cfg.base_rate, 1);
+  doc.Key("mean_lifetime_epochs").Double(cfg.mean_lifetime, 1);
+  doc.Key("diurnal_amplitude").Double(cfg.diurnal_amplitude, 2);
+  doc.Key("diurnal_period_epochs").Int(cfg.diurnal_period);
+  doc.Key("flash_start").Int(cfg.flash_start);
+  doc.Key("flash_duration").Int(cfg.flash_duration);
+  doc.Key("flash_multiplier").Double(cfg.flash_multiplier, 1);
+  doc.Key("hotspot_site_frac").Double(cfg.hotspot_site_frac, 2);
+  doc.Key("max_running_queries").Int(cfg.max_running);
+  doc.Key("churn_crash_rate").Double(cfg.churn_crash_rate, 2);
+  doc.Key("seed").Int(cfg.seed);
+  doc.EndObject();
+  sbon::bench::PrintSection(doc, &printed);
 
   const SoakResult run = RunSoak(cfg);
-  std::printf(
-      "soak: %.1fs wall, %zu offered / %zu submitted / %zu shed (%.1f%%), "
-      "%zu departures, %zu running at end\n",
-      run.wall_ns / 1e9, run.totals.arrivals, run.totals.submitted,
-      run.totals.shed, 100.0 * run.totals.shed_rate(),
-      run.totals.departures, run.final_running);
-  std::printf("repair: %zu crashes, %zu repaired, %zu dropped\n",
-              run.repair.crashes, run.repair.queries_repaired,
-              run.repair.queries_dropped);
-  for (const auto& p : run.phases) PrintPhase(p);
+  doc.Key("totals").BeginObject();
+  WriteCounts(doc, run.totals);
+  doc.Key("final_running").Int(run.final_running);
+  doc.Key("wall_seconds").Double(run.wall_ns / 1e9, 1);
+  doc.EndObject();
+  doc.Key("repair").BeginObject();
+  doc.Key("crashes").Int(run.repair.crashes);
+  doc.Key("rejoins").Int(run.repair.rejoins);
+  doc.Key("queries_repaired").Int(run.repair.queries_repaired);
+  doc.Key("queries_dropped").Int(run.repair.queries_dropped);
+  doc.EndObject();
+  doc.Key("phases").BeginArray();
+  for (const auto& p : run.phases) WritePhase(doc, p);
+  doc.EndArray();
+  doc.Key("timeline").Embed(run.timeline);
+  sbon::bench::PrintSection(doc, &printed);
 
   // Replay gate: a pinned small soak run twice in one process must end
   // bit-identical — the workload driver's draws all come from its own Rng,
@@ -268,10 +280,19 @@ int main(int argc, char** argv) {
                          r1.totals.shed == r2.totals.shed &&
                          r1.totals.submitted == r2.totals.submitted &&
                          r1.totals.departures == r2.totals.departures;
-  std::printf("fingerprint run1=%016llx run2=%016llx -> %s\n",
-              static_cast<unsigned long long>(r1.fingerprint),
-              static_cast<unsigned long long>(r2.fingerprint),
-              replay_ok ? "identical" : "DIVERGED");
+  const auto hex = [](uint64_t fingerprint) {
+    char text[17];
+    std::snprintf(text, sizeof(text), "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    return std::string(text);
+  };
+  doc.Key("replay").BeginObject();
+  doc.Key("fingerprint_run1").String(hex(r1.fingerprint));
+  doc.Key("fingerprint_run2").String(hex(r2.fingerprint));
+  doc.Key("identical").Bool(replay_ok);
+  doc.EndObject();
+  doc.EndObject();
+  sbon::bench::PrintSection(doc, &printed);
 
   // Gates.
   const sbon::query::WorkloadPhaseStats* flash_phase = nullptr;
@@ -295,73 +316,6 @@ int main(int argc, char** argv) {
                  run.totals.arrivals, min_cumulative);
     failed = true;
   }
-
-  if (!sbon::bench::JsonFlag().empty()) {
-    std::FILE* f = std::fopen(sbon::bench::JsonFlag().c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   sbon::bench::JsonFlag().c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"perf_workload\",\n"
-        "  \"smoke\": %s,\n"
-        "  \"config\": {\"nodes\": %zu, \"epochs\": %zu, "
-        "\"base_rate_per_epoch\": %.1f, \"mean_lifetime_epochs\": %.1f, "
-        "\"diurnal_amplitude\": %.2f, \"diurnal_period_epochs\": %zu, "
-        "\"flash_start\": %zu, \"flash_duration\": %zu, "
-        "\"flash_multiplier\": %.1f, \"hotspot_site_frac\": %.2f, "
-        "\"max_running_queries\": %zu, \"churn_crash_rate\": %.2f, "
-        "\"seed\": %llu},\n",
-        sbon::bench::SmokeMode() ? "true" : "false", cfg.nodes, cfg.epochs,
-        cfg.base_rate, cfg.mean_lifetime, cfg.diurnal_amplitude,
-        cfg.diurnal_period, cfg.flash_start, cfg.flash_duration,
-        cfg.flash_multiplier, cfg.hotspot_site_frac, cfg.max_running,
-        cfg.churn_crash_rate, static_cast<unsigned long long>(cfg.seed));
-    std::fprintf(
-        f,
-        "  \"totals\": {\"arrivals\": %zu, \"shed\": %zu, "
-        "\"shed_rate\": %.6f, \"admitted\": %zu, \"submitted\": %zu, "
-        "\"submit_failures\": %zu, \"departures\": %zu, "
-        "\"reuse_hit_rate\": %.6f, \"final_running\": %zu, "
-        "\"wall_seconds\": %.1f},\n",
-        run.totals.arrivals, run.totals.shed, run.totals.shed_rate(),
-        run.totals.admitted, run.totals.submitted,
-        run.totals.submit_failures, run.totals.departures,
-        run.totals.reuse_hit_rate(), run.final_running, run.wall_ns / 1e9);
-    std::fprintf(
-        f,
-        "  \"repair\": {\"crashes\": %zu, \"rejoins\": %zu, "
-        "\"queries_repaired\": %zu, \"queries_dropped\": %zu},\n",
-        run.repair.crashes, run.repair.rejoins, run.repair.queries_repaired,
-        run.repair.queries_dropped);
-    std::fprintf(f, "  \"phases\": [\n");
-    for (size_t i = 0; i < run.phases.size(); ++i) {
-      JsonPhase(f, run.phases[i], i + 1 == run.phases.size());
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"timeline\": [\n");
-    for (size_t i = 0; i < run.timeline.size(); ++i) {
-      const TimelinePoint& p = run.timeline[i];
-      std::fprintf(f,
-                   "    {\"epoch\": %zu, \"running\": %zu, "
-                   "\"reuse_hit_rate\": %.6f, \"shed_rate\": %.6f}%s\n",
-                   p.epoch, p.running, p.reuse_hit_rate, p.shed_rate,
-                   i + 1 == run.timeline.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(
-        f,
-        "  \"replay\": {\"fingerprint_run1\": \"%016llx\", "
-        "\"fingerprint_run2\": \"%016llx\", \"identical\": %s}\n}\n",
-        static_cast<unsigned long long>(r1.fingerprint),
-        static_cast<unsigned long long>(r2.fingerprint),
-        replay_ok ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", sbon::bench::JsonFlag().c_str());
-  }
-
+  if (!sbon::bench::WriteJson(doc)) return 1;
   return failed ? 1 : 0;
 }

@@ -406,7 +406,7 @@ void FailureDetector::Step(const std::vector<NodeId>& members,
     if (heard_[n]) {
       // Alive by evidence. A heartbeat from a suspect is the detector
       // catching its own mistake before the confirmation timeout fired.
-      if (suspect_[n]) ++counters->false_suspicions;
+      if (suspect_[n]) ++counters->suspicions_refuted;
       Reset(n);
       continue;
     }
@@ -556,7 +556,7 @@ void Runtime::NotifyCrashConfirmed(NodeId n, size_t latency_epochs) {
 }
 
 void Runtime::NoteSpuriousConfirm(NodeId n) {
-  ++bus_.stats().detector.false_suspicions;
+  ++bus_.stats().detector.confirmations_vetoed;
   detector_.Reset(n);
 }
 

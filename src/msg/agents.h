@@ -131,8 +131,8 @@ class DedupWindow {
 /// was not heard for `suspect_after_missed` consecutive epochs becomes
 /// suspect; a suspect silent for another `confirm_after_suspect` epochs is
 /// confirmed crashed — the verdict the engine's repair path consumes. A
-/// heartbeat from a suspect clears it and counts a false suspicion (the
-/// detector can be fooled by partitions; the engine rejects confirmations
+/// heartbeat from a suspect clears it and counts a refuted suspicion (the
+/// detector can be fooled by partitions; the engine vetoes confirmations
 /// of nodes that are actually alive via Runtime::NoteSpuriousConfirm).
 class FailureDetector {
  public:
@@ -337,7 +337,7 @@ class Runtime {
   /// the leaf-set kLeave notifications that oracle mode sends at the crash.
   void NotifyCrashConfirmed(NodeId n, size_t latency_epochs);
   /// The engine rejected a confirmation (the node is actually alive — e.g.
-  /// heartbeat-starved by a partition): counted as a false suspicion, and
+  /// heartbeat-starved by a partition): counted as a vetoed confirmation, and
   /// the detector's state about the node is wiped so suspicion must
   /// rebuild from fresh silence.
   void NoteSpuriousConfirm(NodeId n);

@@ -103,10 +103,11 @@ struct ReliabilityCounters {
 
 /// Failure-detector counters; all stay zero while the detector is disabled.
 struct DetectorCounters {
-  size_t suspicions = 0;          ///< nodes that entered the suspect state
-  size_t false_suspicions = 0;    ///< suspicions cleared by a heartbeat (or
-                                  ///< a confirm the engine rejected)
-  size_t crash_confirmations = 0; ///< verdicts the engine acted on
+  size_t suspicions = 0;            ///< nodes that entered the suspect state
+  size_t suspicions_refuted = 0;    ///< suspicions cleared by a heartbeat
+  size_t confirmations_vetoed = 0;  ///< confirmations of live nodes the
+                                    ///< engine rejected
+  size_t crash_confirmations = 0;   ///< verdicts the engine acted on
   /// Epochs from physical crash to confirmed verdict, one per confirmation.
   std::vector<uint32_t> detection_latency_samples;
 };
@@ -186,7 +187,10 @@ struct TrafficSummary {
   size_t retry_pending = 0;
   /// Failure detector (all zero while it is disabled).
   size_t suspicions = 0;
+  /// suspicions_refuted + confirmations_vetoed.
   size_t false_suspicions = 0;
+  size_t suspicions_refuted = 0;
+  size_t confirmations_vetoed = 0;
   size_t crash_confirmations = 0;
   double detection_p50 = 0.0;
   double detection_p95 = 0.0;
@@ -234,7 +238,9 @@ inline TrafficSummary Summarize(const TrafficStats& stats, size_t num_nodes) {
   s.retry_exhausted = stats.reliability.retry_exhausted;
   s.retransmit_overflow = stats.reliability.retransmit_overflow;
   s.suspicions = stats.detector.suspicions;
-  s.false_suspicions = stats.detector.false_suspicions;
+  s.suspicions_refuted = stats.detector.suspicions_refuted;
+  s.confirmations_vetoed = stats.detector.confirmations_vetoed;
+  s.false_suspicions = s.suspicions_refuted + s.confirmations_vetoed;
   s.crash_confirmations = stats.detector.crash_confirmations;
   s.detection_p50 =
       StalenessPercentile(stats.detector.detection_latency_samples, 0.50);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/summary.h"
@@ -310,6 +314,131 @@ TEST(TableWriterTest, RendersAlignedColumns) {
 TEST(TableWriterTest, NumFormats) {
   EXPECT_EQ(TableWriter::Num(1234.5678), "1235");
   EXPECT_EQ(TableWriter::Fixed(1.23456, 2), "1.23");
+}
+
+// --------------------------- JsonWriter ---------------------------
+
+TEST(JsonWriterTest, NestsObjectsInArraysInObjectsWithCommas) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("name").String("run");
+  w.Key("rows").BeginArray();
+  w.BeginObject().Key("a").Int(1).Key("b").Int(2).EndObject();
+  w.BeginObject().Key("a").Int(3).EndObject();
+  w.Int(4);
+  w.EndArray();
+  w.Key("done").Bool(true);
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"run\",\n"
+            "  \"rows\": [\n"
+            "    {\n"
+            "      \"a\": 1,\n"
+            "      \"b\": 2\n"
+            "    },\n"
+            "    {\n"
+            "      \"a\": 3\n"
+            "    },\n"
+            "    4\n"
+            "  ],\n"
+            "  \"done\": true\n"
+            "}");
+}
+
+TEST(JsonWriterTest, EmptyContainersAndNull) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("o").BeginObject().EndObject();
+  w.Key("a").BeginArray().EndArray();
+  w.Key("n").Null();
+  w.EndObject();
+  EXPECT_EQ(w.str(), "{\n  \"o\": {},\n  \"a\": [],\n  \"n\": null\n}");
+
+  JsonWriter top;
+  top.BeginArray().EndArray();
+  EXPECT_EQ(top.str(), "[]");
+}
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter w;
+  w.BeginArray();
+  w.String("say \"hi\"");
+  w.String("C:\\dir");
+  w.String(std::string("tab\tnl\ncr\rbell\x07nul") + '\0');
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[\n"
+            "  \"say \\\"hi\\\"\",\n"
+            "  \"C:\\\\dir\",\n"
+            "  \"tab\\u0009nl\\u000acr\\u000dbell\\u0007nul\\u0000\"\n"
+            "]");
+}
+
+TEST(JsonWriterTest, KeysAreEscapedToo) {
+  JsonWriter w;
+  w.BeginObject().Key("a\"b").Int(1).EndObject();
+  EXPECT_EQ(w.str(), "{\n  \"a\\\"b\": 1\n}");
+}
+
+TEST(JsonWriterTest, EmbedsAFinishedDocumentAtTheCurrentDepth) {
+  JsonWriter inner;
+  inner.BeginObject().Key("a").Int(1).Key("b").BeginArray().Int(2);
+  inner.EndArray().EndObject();
+  JsonWriter w;
+  w.BeginObject().Key("x").Embed(inner).Key("y").Embed(inner).EndObject();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"x\": {\n"
+            "    \"a\": 1,\n"
+            "    \"b\": [\n"
+            "      2\n"
+            "    ]\n"
+            "  },\n"
+            "  \"y\": {\n"
+            "    \"a\": 1,\n"
+            "    \"b\": [\n"
+            "      2\n"
+            "    ]\n"
+            "  }\n"
+            "}");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreNull) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Double(std::nan(""));
+  w.Double(std::numeric_limits<double>::infinity());
+  w.Double(-std::numeric_limits<double>::infinity(), 2);
+  w.EndArray();
+  EXPECT_EQ(w.str(), "[\n  null,\n  null,\n  null\n]");
+}
+
+TEST(JsonWriterTest, IntegersAndDoublesKeepTheirForm) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Int(size_t{18446744073709551615u});
+  w.Int(int64_t{-42});
+  w.Double(3.0);        // integral double keeps a decimal point
+  w.Double(0.1);        // shortest text that reads back exactly
+  w.Double(-2.5e-7);
+  w.Double(1e21);
+  w.Double(350380.56, 1);  // fixed decimals, rounded
+  w.Double(0.94746, 4);
+  w.Double(2.0, 0);
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[\n"
+            "  18446744073709551615,\n"
+            "  -42,\n"
+            "  3.0,\n"
+            "  0.1,\n"
+            "  -2.5e-07,\n"
+            "  1e+21,\n"
+            "  350380.6,\n"
+            "  0.9475,\n"
+            "  2\n"
+            "]");
 }
 
 }  // namespace

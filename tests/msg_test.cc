@@ -1059,6 +1059,10 @@ TEST(MsgEngine, RejoinBeforeConfirmationCancelsThePendingCrash) {
   EXPECT_EQ(t.detection_samples, 0u);
   EXPECT_GE(t.false_suspicions, 1u)
       << "the aborted suspicion must be accounted";
+  EXPECT_GE(t.suspicions_refuted, 1u) << "the rejoin's heartbeat refutes it";
+  EXPECT_EQ(t.confirmations_vetoed, 0u) << "nothing was ever confirmed";
+  EXPECT_EQ(t.suspicions_refuted + t.confirmations_vetoed,
+            t.false_suspicions);
 }
 
 TEST(MsgEngine, PartitionSilenceIsAFalseSuspicionNotACrash) {
@@ -1096,6 +1100,10 @@ TEST(MsgEngine, PartitionSilenceIsAFalseSuspicionNotACrash) {
   const msg::TrafficSummary& t = *snapshot.decentralized;
   EXPECT_GT(t.suspicions, 0u);
   EXPECT_GT(t.false_suspicions, 0u);
+  EXPECT_GT(t.confirmations_vetoed, 0u)
+      << "partition silence outlasts the confirmation timeout";
+  EXPECT_EQ(t.suspicions_refuted + t.confirmations_vetoed,
+            t.false_suspicions);
   EXPECT_EQ(t.crash_confirmations, 0u);
   EXPECT_EQ(t.detection_samples, 0u);
 }
