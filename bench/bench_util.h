@@ -159,7 +159,7 @@ inline void ParseBenchArgs(int argc, char** argv) {
   auto check = [](const char* what, const std::string& name, bool known,
                   const std::vector<std::string>& names) {
     if (known) return;
-    std::fprintf(stderr, "unknown %s '%s'; registered:", what, name.c_str());
+    std::fprintf(stderr, "unknown %s '%s'; built in:", what, name.c_str());
     for (const std::string& n : names) std::fprintf(stderr, " %s", n.c_str());
     std::fprintf(stderr, "\n");
     std::exit(2);

@@ -20,12 +20,12 @@
 // bit-identity against the pre-SoA per-Vec references is pinned by
 // tests/simd_equivalence_test.cc (ctest label `equivalence`), not here.
 //
-// The sections: the engine loop at N (churn-free, re-run at epsilon=0 and
-// under churn) with the allocation audit; `decentralized` and `chaos`, a
-// message-mode workload at a pinned size (RunMessageSection) run twice each
-// for the replay gate; and `sparse`, the generative sparse backend at N/5
-// and N (RunSparsePoint), whose largest single allocation must stay far
-// below an N x N matrix. Above 4096 nodes the engine loop is skipped, which
+// The sections: the engine loop at N (churn-free, re-run at epsilon=0, and
+// in 15 churn-free/churn pass pairs) with the allocation audit;
+// `decentralized` and `chaos`, a message-mode workload at a pinned size
+// (RunMessageSection) run twice each for the replay gate; and `sparse`, the
+// generative sparse backend at N/5 and N (RunSparsePoint), whose largest
+// single allocation must stay far below an N x N matrix. Above 4096 nodes the engine loop is skipped, which
 // lets `--fabric=sparse --nodes=100000 --smoke` finish in minutes.
 
 #include <algorithm>
@@ -41,6 +41,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/summary.h"
 #include "coords/vivaldi.h"
 #include "engine/stream_engine.h"
 #include "msg/agents.h"
@@ -714,12 +715,30 @@ int main(int argc, char** argv) {
     if (!audit_ok) return 1;
 
     sbon::bench::Section("Epoch throughput under churn (crashes + repair)");
-    const sbon::EpochLoopResult churned = sbon::RunEpochLoop(
-        nodes, queries, epochs, epsilon, /*seed=*/42, churn_rate, exec);
-    const sbon::engine::RepairStats& repair = churned.repair;
+    // One pass is too short to read the churn overhead against run-to-run
+    // noise, so churn-free and churn passes alternate, every pass on the
+    // same seed (the repair counters are those of each churn pass), and
+    // the section reports medians and the median per-pair ratio.
+    constexpr size_t kChurnPairs = 15;
+    sbon::Summary churn_free_ns, churn_ns, overhead;
+    sbon::engine::RepairStats repair;
+    for (size_t pair = 0; pair < kChurnPairs; ++pair) {
+      const sbon::EpochLoopResult churn_free = sbon::RunEpochLoop(
+          nodes, queries, epochs, epsilon, /*seed=*/42, /*churn_rate=*/0.0,
+          exec);
+      const sbon::EpochLoopResult churned = sbon::RunEpochLoop(
+          nodes, queries, epochs, epsilon, /*seed=*/42, churn_rate, exec);
+      churn_free_ns.Add(churn_free.ns_per_epoch);
+      churn_ns.Add(churned.ns_per_epoch);
+      overhead.Add(churned.ns_per_epoch / churn_free.ns_per_epoch);
+      repair = churned.repair;
+    }
     doc.Key("churn").BeginObject();
     doc.Key("crash_rate").Double(churn_rate);
-    doc.Key("ns_per_epoch").Double(churned.ns_per_epoch, 1);
+    doc.Key("pairs").Int(kChurnPairs);
+    doc.Key("ns_per_epoch").Double(churn_ns.Median(), 1);
+    doc.Key("churn_free_ns_per_epoch").Double(churn_free_ns.Median(), 1);
+    doc.Key("overhead_p50").Double(overhead.Median(), 3);
     doc.Key("crashes").Int(repair.crashes);
     doc.Key("rejoins").Int(repair.rejoins);
     doc.Key("services_evicted").Int(repair.services_evicted);

@@ -24,6 +24,10 @@ namespace sbon::core {
 /// pruning is exact: the winner is the least (estimated cost, enumeration
 /// index) over all candidates, the circuit that mapping every one of them
 /// in full would pick, bit for bit.
+///
+/// With `enumeration.top_k = 1` this is the classical two-step baseline
+/// (Sec. 2.3): network-blind dynamic programming picks the one plan of
+/// least intermediate data volume, and only that plan is placed.
 class IntegratedOptimizer : public Optimizer {
  public:
   IntegratedOptimizer(OptimizerConfig config,
@@ -32,7 +36,6 @@ class IntegratedOptimizer : public Optimizer {
   StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
                                     const query::Catalog& catalog,
                                     overlay::Sbon* sbon) override;
-  std::string Name() const override { return "integrated"; }
 
   const OptimizerConfig& config() const { return config_; }
   const placement::VirtualPlacer& placer() const { return *placer_; }

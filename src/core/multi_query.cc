@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/two_step.h"
 #include "overlay/metrics.h"
 
 namespace sbon::core {

@@ -41,7 +41,6 @@ class MultiQueryOptimizer : public Optimizer {
   StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
                                     const query::Catalog& catalog,
                                     overlay::Sbon* sbon) override;
-  std::string Name() const override { return "multi-query"; }
 
   const Params& params() const { return params_; }
 

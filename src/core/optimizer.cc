@@ -39,6 +39,15 @@ double EstimateCostLowerBound(const overlay::Circuit& circuit,
   return CostExpression(circuit, sbon.cost_space(), lambda, penalty_floor);
 }
 
+Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
+                   const placement::VirtualPlacer& placer,
+                   const placement::MappingOptions& mapping,
+                   placement::MappingReport* report) {
+  Status st = placer.Place(circuit, sbon->cost_space());
+  if (!st.ok()) return st;
+  return placement::MapCircuit(circuit, *sbon, mapping, report);
+}
+
 Status ValidateLambda(double lambda) {
   if (lambda >= 0.0) return Status::OK();
   return Status::InvalidArgument("optimizer lambda must be >= 0");

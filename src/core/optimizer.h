@@ -2,7 +2,6 @@
 #define SBON_CORE_OPTIMIZER_H_
 
 #include <memory>
-#include <string>
 
 #include "common/status.h"
 #include "dht/coord_index.h"
@@ -22,7 +21,7 @@ struct OptimizerConfig {
   /// with InvalidArgument.
   double lambda = 1.0;
   /// Plan enumeration (the integrated optimizer virtually places every one
-  /// of the top-K candidates; the two-step baseline uses K=1 internally).
+  /// of the top-K candidates; the two-step baseline is K=1).
   query::EnumerationOptions enumeration;
   /// Physical mapping behaviour.
   placement::MappingOptions mapping;
@@ -54,9 +53,14 @@ class Optimizer {
   virtual StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
                                             const query::Catalog& catalog,
                                             overlay::Sbon* sbon) = 0;
-
-  virtual std::string Name() const = 0;
 };
+
+/// Places and maps an unplaced circuit in one go (virtual placement with
+/// `placer`, then DHT mapping).
+Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
+                   const placement::VirtualPlacer& placer,
+                   const placement::MappingOptions& mapping,
+                   placement::MappingReport* report);
 
 /// Ranking metric shared by all optimizers: cost-space estimate of network
 /// usage (rate x host vector distance over physical edges, in edge order)

@@ -2,28 +2,29 @@
 
 #include <utility>
 
-#include "core/two_step.h"
 #include "overlay/metrics.h"
 
 namespace sbon::core {
 
 StatusOr<LocalReoptReport> LocalReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id,
-    const placement::VirtualPlacer& placer, const ReoptConfig& config) {
+    const placement::VirtualPlacer& placer,
+    const OptimizerConfig& query_config, const ReoptConfig& config) {
   const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
   if (live == nullptr) return Status::NotFound("no such circuit");
 
   LocalReoptReport report;
-  auto before = EstimateCost(*live, *sbon, config.lambda);
+  auto before = EstimateCost(*live, *sbon, query_config.lambda);
   if (!before.ok()) return before.status();
   report.estimated_cost_before = *before;
   report.estimated_cost_after = *before;
 
   // Re-place a scratch copy against the current cost space.
   overlay::Circuit scratch = *live;
-  Status st = PlaceAndMap(&scratch, sbon, placer, config.mapping, nullptr);
+  Status st =
+      PlaceAndMap(&scratch, sbon, placer, query_config.mapping, nullptr);
   if (!st.ok()) return st;
-  auto after = EstimateCost(scratch, *sbon, config.lambda);
+  auto after = EstimateCost(scratch, *sbon, query_config.lambda);
   if (!after.ok()) return after.status();
 
   report.services_considered = scratch.PlaceableVertices().size();
@@ -52,7 +53,7 @@ StatusOr<LocalReoptReport> LocalReoptimize(
     ++report.migrations;
   }
   auto final_cost = EstimateCost(*sbon->ledger().FindCircuit(circuit_id),
-                                 *sbon, config.lambda);
+                                 *sbon, query_config.lambda);
   if (!final_cost.ok()) return final_cost.status();
   if (*final_cost >= *before && !undo.empty()) {
     // Verification failed (load displacement ate the predicted gain):
@@ -69,17 +70,15 @@ StatusOr<LocalReoptReport> LocalReoptimize(
   return report;
 }
 
-StatusOr<FullReoptReport> FullReoptimize(overlay::Sbon* sbon,
-                                         CircuitId circuit_id,
-                                         const query::QuerySpec& spec,
-                                         const query::Catalog& catalog,
-                                         Optimizer* optimizer,
-                                         const ReoptConfig& config) {
+StatusOr<FullReoptReport> FullReoptimize(
+    overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
+    const query::Catalog& catalog, Optimizer* optimizer,
+    const OptimizerConfig& query_config, const ReoptConfig& config) {
   const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
   if (live == nullptr) return Status::NotFound("no such circuit");
 
   FullReoptReport report;
-  auto before = EstimateCost(*live, *sbon, config.lambda);
+  auto before = EstimateCost(*live, *sbon, query_config.lambda);
   if (!before.ok()) return before.status();
   report.estimated_cost_before = *before;
 

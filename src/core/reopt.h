@@ -8,7 +8,10 @@ namespace sbon::core {
 /// Configuration of circuit re-optimization (paper Sec. 3.3): as network and
 /// node dynamics change, hosting nodes can locally re-run placement and
 /// migrate services; stronger drifts trigger a full re-optimization that
-/// deploys a parallel circuit and cancels the original.
+/// deploys a parallel circuit and cancels the original. The improvement
+/// bars live here; lambda and the mapping options are the query's own
+/// (the `OptimizerConfig` it was optimized with), so a re-optimization
+/// prices the running circuit exactly as the optimizer priced it.
 struct ReoptConfig {
   /// Minimum fractional estimated-cost improvement before any migration is
   /// performed (hysteresis against oscillation).
@@ -16,8 +19,6 @@ struct ReoptConfig {
   /// Minimum fractional improvement before a full re-plan replaces the
   /// running circuit.
   double replan_threshold = 0.15;
-  double lambda = 1.0;
-  placement::MappingOptions mapping;
   /// Shared service instances serve several circuits; migrating them for
   /// one circuit's benefit can hurt the others, so local re-optimization
   /// skips them unless this is set.
@@ -32,12 +33,14 @@ struct LocalReoptReport {
   double estimated_cost_after = 0.0;
 };
 
-/// Re-runs virtual placement + mapping for `circuit_id` against the current
-/// cost space and migrates services whose new hosts improve the estimated
-/// cost by at least the hysteresis fraction. Local: no plan rewriting.
+/// Re-runs virtual placement + mapping (with `query_config.mapping`) for
+/// `circuit_id` against the current cost space and migrates services whose
+/// new hosts improve the estimated cost (at `query_config.lambda`) by at
+/// least the hysteresis fraction. Local: no plan rewriting.
 StatusOr<LocalReoptReport> LocalReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id,
-    const placement::VirtualPlacer& placer, const ReoptConfig& config);
+    const placement::VirtualPlacer& placer,
+    const OptimizerConfig& query_config, const ReoptConfig& config);
 
 /// Outcome of a full re-optimization attempt.
 struct FullReoptReport {
@@ -55,13 +58,13 @@ struct FullReoptReport {
 /// Runs `optimizer` afresh for the circuit's original spec; if the candidate
 /// circuit is cheaper than the running one by more than `replan_threshold`,
 /// deploys it in parallel and cancels the original (the paper's stronger
-/// re-optimization). Returns the report either way.
-StatusOr<FullReoptReport> FullReoptimize(overlay::Sbon* sbon,
-                                         CircuitId circuit_id,
-                                         const query::QuerySpec& spec,
-                                         const query::Catalog& catalog,
-                                         Optimizer* optimizer,
-                                         const ReoptConfig& config);
+/// re-optimization). The running circuit is priced at
+/// `query_config.lambda`, the weight `optimizer` ranks its candidates by.
+/// Returns the report either way.
+StatusOr<FullReoptReport> FullReoptimize(
+    overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
+    const query::Catalog& catalog, Optimizer* optimizer,
+    const OptimizerConfig& query_config, const ReoptConfig& config);
 
 }  // namespace sbon::core
 

@@ -1,8 +1,6 @@
 #ifndef SBON_ENGINE_REGISTRY_H_
 #define SBON_ENGINE_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,95 +14,44 @@ namespace sbon::engine {
 
 /// Everything an optimizer factory may consume. Strategies ignore the
 /// fields they have no use for (e.g. only "multi-query" reads
-/// `multi_query`), so one spec type serves every registered optimizer and
-/// new strategies can grow knobs without touching call sites.
+/// `multi_query`), so one spec type serves every built-in optimizer.
 struct OptimizerSpec {
   core::OptimizerConfig config;
   core::MultiQueryOptimizer::Params multi_query;
   std::shared_ptr<const placement::VirtualPlacer> placer;
 };
 
-/// String-keyed registry of query-optimizer strategies. Benches, examples
-/// and config files select optimizers by name ("two-step", "integrated",
-/// "multi-query", ...) instead of including concrete headers; new
-/// strategies self-register via SBON_REGISTER_OPTIMIZER from any linked
-/// translation unit.
+/// Read-only view of the built-in query-optimizer strategies, selected by
+/// name so benches, examples and config files need no concrete headers.
+/// The table is fixed (see registry.cc): "integrated" (paper Sec. 3.3),
+/// "multi-query" (Sec. 3.4), and "two-step" (Sec. 2.3), which is the
+/// integrated optimizer with one candidate plan (`enumeration.top_k = 1`).
 class OptimizerRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<core::Optimizer>(const OptimizerSpec&)>;
-
-  /// The process-wide registry (initialized on first use; the built-in
-  /// strategies are guaranteed to be present).
-  static OptimizerRegistry& Global();
-
-  /// Registers `factory` under `name`; returns false (keeping the first
-  /// registration) if the name is already taken.
-  bool Register(const std::string& name, Factory factory);
+  static const OptimizerRegistry& Global();
 
   StatusOr<std::unique_ptr<core::Optimizer>> Create(
       const std::string& name, const OptimizerSpec& spec) const;
 
   bool Has(const std::string& name) const;
-  /// Registered names, sorted — for --help output and error messages.
+  /// Built-in names, sorted — for --help output and error messages.
   std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
 };
 
-/// String-keyed registry of virtual-placement strategies ("relaxation",
-/// "centroid", "gradient", ...). Each Create() invokes the factory for a
-/// fresh instance; placers are stateless and const, so callers that create
-/// many optimizers may cache and share one instance per name.
+/// Read-only view of the built-in virtual-placement strategies
+/// ("centroid", "gradient", "relaxation"). Each Create() returns a fresh
+/// instance; placers are stateless and const, so callers that create many
+/// optimizers may cache and share one instance per name.
 class PlacerRegistry {
  public:
-  using Factory =
-      std::function<std::shared_ptr<const placement::VirtualPlacer>()>;
-
-  static PlacerRegistry& Global();
-
-  bool Register(const std::string& name, Factory factory);
+  static const PlacerRegistry& Global();
 
   StatusOr<std::shared_ptr<const placement::VirtualPlacer>> Create(
       const std::string& name) const;
 
   bool Has(const std::string& name) const;
   std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
 };
-
-namespace internal {
-/// Defined in strategies.cc. Referenced by the Global() accessors so the
-/// static-library linker always pulls in the translation unit holding the
-/// built-in strategy registrars (self-registration alone is dead-stripped
-/// from archives).
-void EnsureBuiltinStrategiesLinked();
-}  // namespace internal
-
-#define SBON_REGISTRY_CONCAT_INNER(a, b) a##b
-#define SBON_REGISTRY_CONCAT(a, b) SBON_REGISTRY_CONCAT_INNER(a, b)
-
-/// Self-registration of an optimizer strategy:
-///   SBON_REGISTER_OPTIMIZER("mine", [](const engine::OptimizerSpec& s) {
-///     return std::make_unique<MyOptimizer>(s.config, s.placer);
-///   });
-#define SBON_REGISTER_OPTIMIZER(name, ...)                       \
-  [[maybe_unused]] static const bool SBON_REGISTRY_CONCAT(       \
-      sbon_optimizer_registrar_, __COUNTER__) =                  \
-      ::sbon::engine::OptimizerRegistry::Global().Register(name, \
-                                                           __VA_ARGS__)
-
-/// Self-registration of a virtual-placement strategy:
-///   SBON_REGISTER_PLACER("mine", [] {
-///     return std::make_shared<const MyPlacer>();
-///   });
-#define SBON_REGISTER_PLACER(name, ...)                                      \
-  [[maybe_unused]] static const bool SBON_REGISTRY_CONCAT(                   \
-      sbon_placer_registrar_, __COUNTER__) =                                 \
-      ::sbon::engine::PlacerRegistry::Global().Register(name, __VA_ARGS__)
 
 }  // namespace sbon::engine
 

@@ -5,25 +5,58 @@
 #include <utility>
 
 namespace sbon::engine {
+namespace {
+
+// `strategy` with every empty field taken from `base`, a resolved spec.
+StrategySpec Resolve(StrategySpec strategy, const StrategySpec& base) {
+  if (strategy.optimizer.empty()) strategy.optimizer = base.optimizer;
+  if (strategy.placer.empty()) strategy.placer = base.placer;
+  if (!strategy.config) strategy.config = base.config;
+  if (!strategy.multi_query) strategy.multi_query = base.multi_query;
+  return strategy;
+}
+
+// The engine-wide default strategy, every field set.
+StrategySpec DefaultStrategy(const EngineOptions& options) {
+  StrategySpec strategy;
+  strategy.optimizer = options.optimizer;
+  strategy.placer = options.placer;
+  strategy.config = options.config;
+  strategy.multi_query = options.multi_query;
+  return strategy;
+}
+
+// Instantiates the optimizer a resolved strategy names.
+StatusOr<std::unique_ptr<core::Optimizer>> MakeOptimizer(
+    const StrategySpec& strategy) {
+  auto placer = PlacerRegistry::Global().Create(strategy.placer);
+  if (!placer.ok()) return placer.status();
+  OptimizerSpec spec;
+  spec.config = *strategy.config;
+  spec.multi_query = *strategy.multi_query;
+  spec.placer = std::move(placer.value());
+  return OptimizerRegistry::Global().Create(strategy.optimizer, spec);
+}
+
+// A resolved `strategy` with its optimizer replaced by `optimizer`, unless
+// that is empty.
+StrategySpec WithOptimizer(StrategySpec strategy,
+                           const std::string& optimizer) {
+  if (!optimizer.empty()) strategy.optimizer = optimizer;
+  return strategy;
+}
+
+}  // namespace
 
 StreamEngine::StreamEngine(EngineOptions options)
-    : default_optimizer_(std::move(options.optimizer)),
-      default_placer_(std::move(options.placer)),
-      default_config_(options.config),
-      default_multi_query_(options.multi_query),
+    : defaults_(DefaultStrategy(options)),
       refresh_index_on_install_(options.refresh_index_on_install) {}
 
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
     EngineOptions options) {
   // Validate the default strategy names by resolving them once, so a typo
   // fails engine creation instead of the first Submit.
-  auto placer = PlacerRegistry::Global().Create(options.placer);
-  if (!placer.ok()) return placer.status();
-  OptimizerSpec spec;
-  spec.config = options.config;
-  spec.multi_query = options.multi_query;
-  spec.placer = std::move(placer.value());
-  auto optimizer = OptimizerRegistry::Global().Create(options.optimizer, spec);
+  auto optimizer = MakeOptimizer(DefaultStrategy(options));
   if (!optimizer.ok()) return optimizer.status();
 
   auto sbon = overlay::Sbon::Create(std::move(options.topology), options.sbon);
@@ -39,40 +72,16 @@ StreamId StreamEngine::AddStream(std::string name, double tuple_rate_per_s,
                             tuple_size_bytes, producer);
 }
 
-StatusOr<std::unique_ptr<core::Optimizer>> StreamEngine::MakeOptimizer(
-    const StrategySpec& strategy, std::string* optimizer_name,
-    std::string* placer_name, OptimizerSpec* resolved) const {
-  const std::string& opt_name =
-      strategy.optimizer.empty() ? default_optimizer_ : strategy.optimizer;
-  const std::string& pl_name =
-      strategy.placer.empty() ? default_placer_ : strategy.placer;
-  auto placer = PlacerRegistry::Global().Create(pl_name);
-  if (!placer.ok()) return placer.status();
-  OptimizerSpec spec;
-  spec.config = strategy.config.value_or(default_config_);
-  spec.multi_query = strategy.multi_query.value_or(default_multi_query_);
-  spec.placer = std::move(placer.value());
-  auto optimizer = OptimizerRegistry::Global().Create(opt_name, spec);
-  if (!optimizer.ok()) return optimizer.status();
-  if (optimizer_name != nullptr) *optimizer_name = opt_name;
-  if (placer_name != nullptr) *placer_name = pl_name;
-  if (resolved != nullptr) *resolved = std::move(spec);
-  return optimizer;
-}
-
 StatusOr<core::OptimizeResult> StreamEngine::Optimize(
     const query::QuerySpec& spec, const StrategySpec& strategy) {
-  auto optimizer = MakeOptimizer(strategy, nullptr, nullptr);
+  auto optimizer = MakeOptimizer(Resolve(strategy, defaults_));
   if (!optimizer.ok()) return optimizer.status();
   return (*optimizer)->Optimize(spec, catalog_, sbon_.get());
 }
 
-Status StreamEngine::OptimizeAndInstall(const StrategySpec& strategy,
+Status StreamEngine::OptimizeAndInstall(StrategySpec strategy,
                                         QueryRecord* record) {
-  std::string optimizer_name, placer_name;
-  OptimizerSpec resolved;
-  auto optimizer =
-      MakeOptimizer(strategy, &optimizer_name, &placer_name, &resolved);
+  auto optimizer = MakeOptimizer(strategy);
   if (!optimizer.ok()) return optimizer.status();
   auto result = (*optimizer)->Optimize(record->spec, catalog_, sbon_.get());
   if (!result.ok()) return result.status();
@@ -88,10 +97,7 @@ Status StreamEngine::OptimizeAndInstall(const StrategySpec& strategy,
     msg_runtime_->BillPlacement(result->mapping.dht_cost,
                                 sbon_->ledger().FindCircuit(*circuit_id));
   }
-  record->optimizer = std::move(optimizer_name);
-  record->placer = std::move(placer_name);
-  record->config = resolved.config;
-  record->multi_query = resolved.multi_query;
+  record->strategy = std::move(strategy);
   record->result = std::move(*result);
   // The record keeps only the run's accounting; the installed circuit is
   // the authoritative copy (the one here would go stale on reopt anyway).
@@ -100,21 +106,11 @@ Status StreamEngine::OptimizeAndInstall(const StrategySpec& strategy,
   return Status::OK();
 }
 
-StrategySpec StreamEngine::StrategyFromRecord(const QueryRecord& record,
-                                              const std::string& optimizer) {
-  StrategySpec strategy;
-  strategy.optimizer = optimizer.empty() ? record.optimizer : optimizer;
-  strategy.placer = record.placer;
-  strategy.config = record.config;
-  strategy.multi_query = record.multi_query;
-  return strategy;
-}
-
 StatusOr<QueryHandle> StreamEngine::Submit(const query::QuerySpec& spec,
                                            const StrategySpec& strategy) {
   QueryRecord record;
   record.spec = spec;
-  Status st = OptimizeAndInstall(strategy, &record);
+  Status st = OptimizeAndInstall(Resolve(strategy, defaults_), &record);
   if (!st.ok()) return st;
 
   const QueryHandle handle{next_handle_++};
@@ -174,22 +170,22 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     return outcome;
   }
   if (policy.mode == ReoptPolicy::Mode::kLocal) {
-    auto placer = PlacerRegistry::Global().Create(record.placer);
+    auto placer = PlacerRegistry::Global().Create(record.strategy.placer);
     if (!placer.ok()) return placer.status();
-    auto report = core::LocalReoptimize(sbon_.get(), record.circuit,
-                                        **placer, policy.config);
+    auto report =
+        core::LocalReoptimize(sbon_.get(), record.circuit, **placer,
+                              *record.strategy.config, policy.config);
     if (!report.ok()) return report.status();
     outcome.local = *report;
     return outcome;
   }
 
-  const StrategySpec strategy = StrategyFromRecord(record, policy.optimizer);
-  std::string optimizer_name;
-  auto optimizer = MakeOptimizer(strategy, &optimizer_name, nullptr);
+  StrategySpec strategy = WithOptimizer(record.strategy, policy.optimizer);
+  auto optimizer = MakeOptimizer(strategy);
   if (!optimizer.ok()) return optimizer.status();
-  auto report =
-      core::FullReoptimize(sbon_.get(), record.circuit, record.spec, catalog_,
-                           optimizer->get(), policy.config);
+  auto report = core::FullReoptimize(sbon_.get(), record.circuit, record.spec,
+                                     catalog_, optimizer->get(),
+                                     *strategy.config, policy.config);
   if (!report.ok()) return report.status();
   outcome.full = *report;
   if (report->redeployed) {
@@ -204,7 +200,7 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     by_circuit_.erase(record.circuit);
     record.circuit = report->new_circuit;
     by_circuit_.emplace(record.circuit, handle);
-    record.optimizer = optimizer_name;
+    record.strategy = std::move(strategy);
     record.result = report->candidate;
     MaybeRefreshIndex();
   }
@@ -243,7 +239,7 @@ Status StreamEngine::ReplanQuery(QueryHandle handle,
   if (it == queries_.end()) return Status::NotFound("no such query");
   QueryRecord& record = it->second;
   const Status st =
-      OptimizeAndInstall(StrategyFromRecord(record, optimizer), &record);
+      OptimizeAndInstall(WithOptimizer(record.strategy, optimizer), &record);
   if (!st.ok()) return st;
   by_circuit_.emplace(record.circuit, handle);
   MaybeRefreshIndex();
@@ -461,7 +457,7 @@ StatusOr<QueryStats> StreamEngine::StatsOf(QueryHandle handle) const {
   QueryStats stats;
   stats.handle = handle;
   stats.circuit = record.circuit;
-  stats.optimizer = record.optimizer;
+  stats.optimizer = record.strategy.optimizer;
   stats.estimated_cost = record.result.estimated_cost;
   stats.plans_considered = record.result.plans_considered;
   stats.placements_evaluated = record.result.placements_evaluated;
@@ -518,7 +514,8 @@ StatusOr<double> StreamEngine::CurrentEstimatedCost(QueryHandle handle) const {
   const overlay::Circuit* circuit =
       sbon_->ledger().FindCircuit(it->second.circuit);
   if (circuit == nullptr) return Status::NotFound("circuit not deployed");
-  return core::EstimateCost(*circuit, *sbon_, it->second.config.lambda);
+  return core::EstimateCost(*circuit, *sbon_,
+                            it->second.strategy.config->lambda);
 }
 
 }  // namespace sbon::engine

@@ -39,6 +39,8 @@ struct QueryHandle {
 /// Per-call strategy override. Empty/absent fields fall back to the
 /// engine-wide defaults from EngineOptions, so the common case is
 /// `Submit(spec)` and an ablation is `Submit(spec, {.optimizer = "two-step"})`.
+/// The engine records each query's strategy with every field resolved, and
+/// re-optimizes and repairs the query with it.
 struct StrategySpec {
   std::string optimizer;  ///< registry name; empty = engine default
   std::string placer;     ///< registry name; empty = engine default
@@ -51,7 +53,7 @@ struct StrategySpec {
 struct EngineOptions {
   net::Topology topology;
   overlay::Sbon::Options sbon;
-  /// Default strategies, resolved through the global registries.
+  /// Default strategies, resolved through the built-in registries.
   std::string optimizer = "integrated";
   std::string placer = "relaxation";
   core::OptimizerConfig config;
@@ -132,6 +134,8 @@ struct ReoptPolicy {
   };
   Mode mode = Mode::kLocal;
   Trigger trigger = Trigger::kDrift;
+  /// The improvement bars. Lambda and the mapping options are the query's
+  /// own: the `core::OptimizerConfig` it was submitted with.
   core::ReoptConfig config;
   /// Full-reopt optimizer override (registry name). Empty = the optimizer
   /// the query was submitted with.
@@ -334,36 +338,19 @@ class StreamEngine {
   struct QueryRecord {
     query::QuerySpec spec;
     CircuitId circuit = kInvalidCircuit;
-    std::string optimizer;  ///< resolved registry name
-    std::string placer;     ///< resolved registry name
-    core::OptimizerConfig config;
-    core::MultiQueryOptimizer::Params multi_query;
+    StrategySpec strategy;  ///< resolved: every field set
     core::OptimizeResult result;  ///< accounting of the winning run
   };
 
   explicit StreamEngine(EngineOptions options);
 
-  /// Resolves a StrategySpec against the engine defaults into concrete
-  /// (optimizer name, placer name, spec) and instantiates the optimizer.
-  /// All out-params are optional; `resolved` receives the exact spec the
-  /// optimizer was built with (single point of defaults resolution).
-  StatusOr<std::unique_ptr<core::Optimizer>> MakeOptimizer(
-      const StrategySpec& strategy, std::string* optimizer_name,
-      std::string* placer_name, OptimizerSpec* resolved = nullptr) const;
-
-  /// The deploy protocol shared by Submit and Repair: resolves `strategy`,
-  /// optimizes `record->spec`, installs the winning circuit, and rewrites
-  /// the record's accounting (strategy names, config, result with its
-  /// circuit cleared — the installed copy is authoritative — and the new
-  /// circuit id). On failure the overlay is untouched and the record keeps
+  /// The deploy protocol shared by Submit and Repair: optimizes
+  /// `record->spec` with the resolved `strategy`, installs the winning
+  /// circuit, and rewrites the record's strategy, accounting (the result
+  /// with its circuit cleared — the installed copy is authoritative) and
+  /// circuit id. On failure the overlay is untouched and the record keeps
   /// whatever it held before.
-  Status OptimizeAndInstall(const StrategySpec& strategy,
-                            QueryRecord* record);
-
-  /// The strategy a query was last deployed with, with an optional
-  /// optimizer override by registry name.
-  static StrategySpec StrategyFromRecord(const QueryRecord& record,
-                                         const std::string& optimizer);
+  Status OptimizeAndInstall(StrategySpec strategy, QueryRecord* record);
 
   void FillCurrentCost(QueryStats* stats) const;
 
@@ -401,10 +388,7 @@ class StreamEngine {
   /// leaves the refresh pending for the outermost scope to flush.
   void MaybeRefreshIndex();
 
-  std::string default_optimizer_;
-  std::string default_placer_;
-  core::OptimizerConfig default_config_;
-  core::MultiQueryOptimizer::Params default_multi_query_;
+  StrategySpec defaults_;  ///< from EngineOptions; every field set
   bool refresh_index_on_install_ = false;
   /// Open DeferRefresh scopes; > 0 redirects install-time refreshes into
   /// deferred_refresh_pending_ for the outermost scope to flush.

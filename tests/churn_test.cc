@@ -576,7 +576,7 @@ TEST(ScenarioMatrixQuickTest, TinyCrossProductHoldsInvariants) {
   ScenarioMatrix matrix(options);
   const auto cells = ScenarioMatrix::CrossProduct(
       /*churn_rates=*/{0.5}, /*jitter_sigmas=*/{0.0, 0.1},
-      /*hotspot_fracs=*/{0.2}, /*optimizers=*/{OptimizerKind::kIntegrated},
+      /*hotspot_fracs=*/{0.2}, /*optimizers=*/{"integrated"},
       /*seeds=*/{1, 2});
   ASSERT_EQ(cells.size(), 4u);
   const auto outcomes = matrix.Run(cells);
@@ -594,7 +594,7 @@ TEST(ScenarioMatrixQuickTest, PartitionCellsHoldInvariants) {
   options.churn.partition_duration_epochs = 2;
   ScenarioMatrix matrix(options);
   const auto outcomes = matrix.Run(ScenarioMatrix::CrossProduct(
-      {0.25}, {0.1}, {0.0}, {OptimizerKind::kTwoStep}, {3}));
+      {0.25}, {0.1}, {0.0}, {"two-step"}, {3}));
   ASSERT_EQ(outcomes.size(), 1u);
 }
 

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/integrated.h"
 #include "core/multi_query.h"
 #include "core/reopt.h"
-#include "core/two_step.h"
 #include "harness/fixtures.h"
 #include "harness/reference_optimizer.h"
 #include "net/generators.h"
@@ -31,6 +32,15 @@ std::shared_ptr<const placement::VirtualPlacer> Relaxation() {
   return test::DefaultPlacer();
 }
 
+// The two-step baseline (paper Sec. 2.3): the integrated optimizer over the
+// single minimum-data-volume plan.
+IntegratedOptimizer TwoStep(
+    OptimizerConfig cfg,
+    std::shared_ptr<const placement::VirtualPlacer> placer) {
+  cfg.enumeration.top_k = 1;
+  return IntegratedOptimizer(cfg, std::move(placer));
+}
+
 query::WorkloadParams TestWorkload() {
   query::WorkloadParams wp;
   wp.num_streams = 20;
@@ -48,7 +58,7 @@ TEST(TwoStepTest, ProducesInstallableCircuit) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  TwoStepOptimizer opt(OptimizerConfig{}, Relaxation());
+  IntegratedOptimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->circuit.FullyPlaced());
@@ -67,7 +77,7 @@ TEST(TwoStepTest, ChoosesMinDataVolumePlan) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  TwoStepOptimizer opt(OptimizerConfig{}, Relaxation());
+  IntegratedOptimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto all = query::EnumerateAllPlansExhaustive(q, cat);
@@ -116,7 +126,7 @@ TEST_P(IntegratedDominanceTest, IntegratedLeqTwoStepOnEstimate) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 8;
-  TwoStepOptimizer two(cfg, Relaxation());
+  IntegratedOptimizer two = TwoStep(cfg, Relaxation());
   IntegratedOptimizer integrated(cfg, Relaxation());
   for (int rep = 0; rep < 5; ++rep) {
     query::QuerySpec q =
@@ -143,13 +153,27 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 1;
-  TwoStepOptimizer two(cfg, Relaxation());
-  IntegratedOptimizer one(cfg, Relaxation());
-  auto rt = two.Optimize(q, cat, s.get());
-  auto ri = one.Optimize(q, cat, s.get());
-  ASSERT_TRUE(rt.ok() && ri.ok());
-  EXPECT_DOUBLE_EQ(ri->estimated_cost, rt->estimated_cost);
-  EXPECT_EQ(ri->circuit.plan().Canonical(), rt->circuit.plan().Canonical());
+  // Two-step spelled out: the DP's one plan, placed and mapped in one go.
+  auto plans = query::EnumeratePlans(q, cat, cfg.enumeration);
+  ASSERT_TRUE(plans.ok());
+  ASSERT_EQ(plans->size(), 1u);
+  auto two = overlay::Circuit::FromPlan((*plans)[0], cat);
+  ASSERT_TRUE(two.ok());
+  placement::MappingReport two_report;
+  ASSERT_TRUE(PlaceAndMap(&two.value(), s.get(), *Relaxation(), cfg.mapping,
+                          &two_report)
+                  .ok());
+  auto two_cost = EstimateCost(*two, *s, cfg.lambda);
+  ASSERT_TRUE(two_cost.ok());
+
+  auto one = IntegratedOptimizer(cfg, Relaxation()).Optimize(q, cat, s.get());
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(test::CircuitDiff(one->circuit, *two), "");
+  EXPECT_EQ(one->estimated_cost, *two_cost);
+  EXPECT_EQ(one->plans_considered, 1u);
+  EXPECT_EQ(one->placements_evaluated, 1u);
+  EXPECT_EQ(one->mapping.services_mapped, two_report.services_mapped);
+  EXPECT_EQ(one->mapping.total_mapping_error, two_report.total_mapping_error);
 }
 
 // --------------------------- MultiQuery ---------------------------
@@ -298,15 +322,15 @@ TEST(OptimizerTest, NegativeLambdaRejectedBeforeAnyWork) {
   OptimizerConfig cfg;
   cfg.lambda = -0.5;
   std::unique_ptr<Optimizer> optimizers[] = {
-      std::make_unique<TwoStepOptimizer>(cfg, placer),
+      std::make_unique<IntegratedOptimizer>(TwoStep(cfg, placer)),
       std::make_unique<IntegratedOptimizer>(cfg, placer),
       std::make_unique<MultiQueryOptimizer>(cfg, placer, RadiusParams(-1.0)),
   };
-  for (const auto& opt : optimizers) {
-    auto r = opt->Optimize(q, cat, s.get());
-    ASSERT_FALSE(r.ok()) << opt->Name();
+  for (size_t i = 0; i < std::size(optimizers); ++i) {
+    auto r = optimizers[i]->Optimize(q, cat, s.get());
+    ASSERT_FALSE(r.ok()) << "optimizer " << i;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
-        << opt->Name();
+        << "optimizer " << i;
   }
   EXPECT_EQ(placer->calls, 0u);
   // lambda = 0 is valid.
@@ -342,7 +366,7 @@ TEST(ReoptTest, LocalReoptMigratesAwayFromLoadedHost) {
   placement::RelaxationPlacer placer;
   ReoptConfig rc;
   rc.migration_hysteresis = 0.02;
-  auto report = LocalReoptimize(s.get(), *id, placer, rc);
+  auto report = LocalReoptimize(s.get(), *id, placer, cfg, rc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->migrations, 0u);
   EXPECT_LT(report->estimated_cost_after, report->estimated_cost_before);
@@ -362,7 +386,7 @@ TEST(ReoptTest, LocalReoptNoOpWhenAlreadyGood) {
   auto id = s->InstallCircuit(std::move(r->circuit));
   ASSERT_TRUE(id.ok());
   placement::RelaxationPlacer placer;
-  auto report = LocalReoptimize(s.get(), *id, placer, ReoptConfig{});
+  auto report = LocalReoptimize(s.get(), *id, placer, cfg, ReoptConfig{});
   ASSERT_TRUE(report.ok());
   // Nothing changed since installation: no migrations expected.
   EXPECT_EQ(report->migrations, 0u);
@@ -392,7 +416,7 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
 
   ReoptConfig rc;
   rc.replan_threshold = 0.05;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
+  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, cfg, rc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   if (report->redeployed) {
     EXPECT_EQ(s->ledger().FindCircuit(*id), nullptr);
@@ -419,7 +443,7 @@ TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
   ASSERT_TRUE(id.ok());
   ReoptConfig rc;
   rc.replan_threshold = 0.15;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
+  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, cfg, rc);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->redeployed);
   EXPECT_NE(s->ledger().FindCircuit(*id), nullptr);
@@ -428,7 +452,9 @@ TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
 TEST(ReoptTest, MissingCircuitRejected) {
   auto s = MakeSbon(13);
   placement::RelaxationPlacer placer;
-  EXPECT_FALSE(LocalReoptimize(s.get(), 999, placer, ReoptConfig{}).ok());
+  EXPECT_FALSE(LocalReoptimize(s.get(), 999, placer, OptimizerConfig{},
+                               ReoptConfig{})
+                   .ok());
 }
 
 // --------------------------- End-to-end ---------------------------

@@ -138,7 +138,7 @@ TEST(DeterminismTest, ChurnFreeAdvanceEpochIsBitIdenticalWithModelAttached) {
     const auto queries =
         MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
     for (const auto& q : queries) {
-      run.PlaceAndInstall(OptimizerKind::kIntegrated, q);
+      run.PlaceAndInstall("integrated", q);
     }
     net::ChurnModel churn(run.sbon().overlay_nodes(),
                           net::ChurnModel::Params{});  // all rates zero
@@ -170,7 +170,7 @@ TEST(DeterminismTest, EpochPipelineReplaysBitIdentically) {
       const auto queries =
           MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
       for (const auto& q : queries) {
-        run.PlaceAndInstall(OptimizerKind::kIntegrated, q);
+        run.PlaceAndInstall("integrated", q);
       }
       engine::EpochOptions epoch;
       epoch.dt = 1.0;
@@ -211,7 +211,7 @@ TEST(DeterminismTest, EndToEndPlacementIsBitIdentical) {
     const auto queries =
         MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
     for (const auto& q : queries) {
-      auto rec = run.PlaceAndInstall(OptimizerKind::kIntegrated, q);
+      auto rec = run.PlaceAndInstall("integrated", q);
       ASSERT_NE(rec.circuit_id, kInvalidCircuit);
     }
     fingerprints.push_back(OverlayFingerprint(run.sbon()));

@@ -206,7 +206,8 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
     s->TickNetwork();
     for (int i = 0; i < 5; ++i) s->UpdateCoordinatesOnline(4);
     s->RefreshIndex();
-    auto rep = core::FullReoptimize(s.get(), current, q, cat, &opt, rc);
+    auto rep = core::FullReoptimize(s.get(), current, q, cat, &opt,
+                                    core::OptimizerConfig{}, rc);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     if (rep->redeployed) {
       ++redeploys;
@@ -245,6 +246,7 @@ TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {
     s->RefreshIndex();
     for (CircuitId id : ids) {
       auto rep = core::LocalReoptimize(s.get(), id, placer,
+                                       core::OptimizerConfig{},
                                        core::ReoptConfig{});
       ASSERT_TRUE(rep.ok());
       // Migration must never make the estimate worse than doing nothing.

@@ -32,8 +32,8 @@ TEST(E2ETwoStepVsIntegrated, IntegratedEstimateNeverWorse) {
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 6, 11);
   for (const auto& q : queries) {
-    auto two = run.OptimizeOnly(OptimizerKind::kTwoStep, q);
-    auto integrated = run.OptimizeOnly(OptimizerKind::kIntegrated, q);
+    auto two = run.OptimizeOnly("two-step", q);
+    auto integrated = run.OptimizeOnly("integrated", q);
     ASSERT_TRUE(two.ok()) << two.status().ToString();
     ASSERT_TRUE(integrated.ok()) << integrated.status().ToString();
     // The integrated optimizer places every top-K plan — including the
@@ -50,8 +50,8 @@ TEST(E2ETwoStepVsIntegrated, BothInstallWithValidTrueCost) {
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 2, 5);
 
-  auto two = run.PlaceAndInstall(OptimizerKind::kTwoStep, queries[0]);
-  auto integrated = run.PlaceAndInstall(OptimizerKind::kIntegrated, queries[1]);
+  auto two = run.PlaceAndInstall("two-step", queries[0]);
+  auto integrated = run.PlaceAndInstall("integrated", queries[1]);
   EXPECT_NE(two.circuit_id, kInvalidCircuit);
   EXPECT_NE(integrated.circuit_id, kInvalidCircuit);
   EXPECT_GT(two.true_cost.network_usage, 0.0);
@@ -71,7 +71,7 @@ TEST(E2EMultiQuery, ReusePrunedByRadiusStillInstallable) {
   const auto& nodes = run.sbon().overlay_nodes();
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({0, 1}, nodes[4], 0.01);
-  auto first = run.PlaceAndInstall(OptimizerKind::kMultiQuery, q);
+  auto first = run.PlaceAndInstall("multi-query", q);
   ASSERT_NE(first.circuit_id, kInvalidCircuit);
   EXPECT_EQ(first.services_reused, 0u);  // nothing deployed yet
 
@@ -79,9 +79,9 @@ TEST(E2EMultiQuery, ReusePrunedByRadiusStillInstallable) {
   // the reuse-based estimate can't be worse than placing q2 standalone.
   query::QuerySpec q2 = q;
   q2.consumer = nodes[nodes.size() - 1];
-  auto standalone = run.OptimizeOnly(OptimizerKind::kIntegrated, q2);
+  auto standalone = run.OptimizeOnly("integrated", q2);
   ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
-  auto second = run.PlaceAndInstall(OptimizerKind::kMultiQuery, q2);
+  auto second = run.PlaceAndInstall("multi-query", q2);
   ASSERT_NE(second.circuit_id, kInvalidCircuit);
   EXPECT_GE(second.services_reused, 1u);
   EXPECT_LE(second.estimated_cost, standalone->estimated_cost + 1e-9);
@@ -110,7 +110,7 @@ TEST(E2EMultiQuery, SequentialWorkloadReuseReducesServices) {
       for (size_t c : {size_t{2}, nodes.size() / 2, nodes.size() - 1}) {
         query::QuerySpec q = spec;
         q.consumer = nodes[c];
-        auto rec = run.PlaceAndInstall(OptimizerKind::kMultiQuery, q);
+        auto rec = run.PlaceAndInstall("multi-query", q);
         ASSERT_NE(rec.circuit_id, kInvalidCircuit);
         if (radius < 0) reused_bindings += rec.services_reused;
       }
@@ -135,7 +135,7 @@ TEST(E2EChurnReopt, LocalReoptNeverRaisesEstimatedCost) {
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 17);
   std::vector<CircuitId> ids;
   for (const auto& q : queries) {
-    auto rec = run.PlaceAndInstall(OptimizerKind::kIntegrated, q);
+    auto rec = run.PlaceAndInstall("integrated", q);
     ASSERT_NE(rec.circuit_id, kInvalidCircuit);
     ids.push_back(rec.circuit_id);
   }
@@ -165,7 +165,7 @@ TEST(E2EChurnReopt, FullReoptRedeploysConsistently) {
   run.UseRandomCatalog(TestWorkloadParams(), 19);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 2, 23);
-  auto rec = run.PlaceAndInstall(OptimizerKind::kIntegrated, queries[0]);
+  auto rec = run.PlaceAndInstall("integrated", queries[0]);
   ASSERT_NE(rec.circuit_id, kInvalidCircuit);
 
   core::ReoptConfig cfg;
@@ -174,7 +174,7 @@ TEST(E2EChurnReopt, FullReoptRedeploysConsistently) {
   CircuitId live = rec.circuit_id;
   for (int epoch = 0; epoch < 5 && !redeployed; ++epoch) {
     run.Churn(/*dt=*/2.0, /*vivaldi_samples=*/4);
-    auto report = run.FullReopt(live, OptimizerKind::kIntegrated, cfg);
+    auto report = run.FullReopt(live, "integrated", cfg);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     if (report->redeployed) {
       redeployed = true;
@@ -208,9 +208,9 @@ TEST(E2EGolden, FixedSeedPlacementFingerprint) {
   run.UseRandomCatalog(TestWorkloadParams(8), 5);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(8), 3, 9);
-  run.PlaceAndInstall(OptimizerKind::kTwoStep, queries[0]);
-  run.PlaceAndInstall(OptimizerKind::kIntegrated, queries[1]);
-  run.PlaceAndInstall(OptimizerKind::kMultiQuery, queries[2]);
+  run.PlaceAndInstall("two-step", queries[0]);
+  run.PlaceAndInstall("integrated", queries[1]);
+  run.PlaceAndInstall("multi-query", queries[2]);
   run.VerifyAllInstalled();
   EXPECT_EQ("", CheckGolden("e2e_fixed_seed_placement",
                             OverlayFingerprint(run.sbon())));

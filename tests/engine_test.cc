@@ -46,14 +46,17 @@ std::vector<double> ServiceLoads(const overlay::Sbon& sbon) {
 
 // ----------------------------- registries -----------------------------
 
-TEST(Registry, BuiltinStrategiesSelfRegister) {
-  auto& optimizers = engine::OptimizerRegistry::Global();
-  for (const char* name : {"two-step", "integrated", "multi-query"}) {
-    EXPECT_TRUE(optimizers.Has(name)) << name;
+TEST(Registry, NamesListTheBuiltinTable) {
+  EXPECT_EQ(engine::OptimizerRegistry::Global().Names(),
+            (std::vector<std::string>{"integrated", "multi-query",
+                                      "two-step"}));
+  EXPECT_EQ(engine::PlacerRegistry::Global().Names(),
+            (std::vector<std::string>{"centroid", "gradient", "relaxation"}));
+  for (const std::string& name : engine::OptimizerRegistry::Global().Names()) {
+    EXPECT_TRUE(engine::OptimizerRegistry::Global().Has(name)) << name;
   }
-  auto& placers = engine::PlacerRegistry::Global();
-  for (const char* name : {"relaxation", "centroid", "gradient"}) {
-    EXPECT_TRUE(placers.Has(name)) << name;
+  for (const std::string& name : engine::PlacerRegistry::Global().Names()) {
+    EXPECT_TRUE(engine::PlacerRegistry::Global().Has(name)) << name;
   }
 }
 
@@ -63,24 +66,43 @@ TEST(Registry, UnknownNamesAreNotFound) {
   auto opt = engine::OptimizerRegistry::Global().Create("nope", spec);
   EXPECT_FALSE(opt.ok());
   EXPECT_EQ(opt.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(engine::OptimizerRegistry::Global().Has("nope"));
   auto placer = engine::PlacerRegistry::Global().Create("nope");
   EXPECT_FALSE(placer.ok());
   EXPECT_EQ(placer.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(engine::PlacerRegistry::Global().Has("nope"));
 }
 
-TEST(Registry, CreatedOptimizersReportTheirNames) {
-  engine::OptimizerSpec spec;
-  spec.placer = DefaultPlacer();
-  for (const char* name : {"two-step", "integrated", "multi-query"}) {
-    auto opt = engine::OptimizerRegistry::Global().Create(name, spec);
-    ASSERT_TRUE(opt.ok()) << opt.status().ToString();
-    EXPECT_EQ((*opt)->Name(), name);
-  }
-  for (const char* name : {"relaxation", "centroid", "gradient"}) {
+TEST(Registry, CreatedPlacersReportTheirNames) {
+  for (const std::string& name : engine::PlacerRegistry::Global().Names()) {
     auto placer = engine::PlacerRegistry::Global().Create(name);
     ASSERT_TRUE(placer.ok()) << placer.status().ToString();
     EXPECT_EQ((*placer)->Name(), name);
   }
+}
+
+// "two-step" is the integrated optimizer over one candidate plan, whatever
+// top_k the spec asks for.
+TEST(Registry, TwoStepIsIntegratedOverOnePlan) {
+  auto sbon = MakeTransitStubSbon(TopologySize::kTiny, 5);
+  const query::Catalog catalog = MakeCatalog(*sbon, TestWorkloadParams(), 7);
+  const auto queries =
+      MakeQueries(*sbon, catalog, TestWorkloadParams(), 1, 9);
+  engine::OptimizerSpec spec;
+  spec.config = TestOptimizerConfig(/*top_k=*/8);
+  spec.placer = DefaultPlacer();
+  auto two_step = engine::OptimizerRegistry::Global().Create("two-step", spec);
+  ASSERT_TRUE(two_step.ok()) << two_step.status().ToString();
+  spec.config.enumeration.top_k = 1;
+  auto one = engine::OptimizerRegistry::Global().Create("integrated", spec);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+
+  auto got = (*two_step)->Optimize(queries[0], catalog, sbon.get());
+  auto want = (*one)->Optimize(queries[0], catalog, sbon.get());
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(got->plans_considered, 1u);
+  EXPECT_EQ(got->estimated_cost, want->estimated_cost);
+  EXPECT_EQ(got->circuit.plan().Canonical(), want->circuit.plan().Canonical());
 }
 
 TEST(Registry, EngineCreationRejectsUnknownStrategies) {
@@ -346,6 +368,45 @@ TEST(StreamEngine, EpochReadsExactlyOneLiveLatencyPerSample) {
     before = reads();
     engine->AdvanceEpoch(epoch);
     EXPECT_EQ(reads() - before, alive * samples) << "samples=" << samples;
+  }
+}
+
+// Re-optimization prices the running circuit at the lambda the query was
+// submitted with, the weight its optimizer ranks candidates by: the "before"
+// cost is CurrentEstimatedCost bit for bit, and a full re-plan never
+// redeploys a candidate that merely ties it.
+TEST(StreamEngine, ReoptimizePricesAtTheQuerysLambda) {
+  for (const double lambda : {0.0, 0.25, 4.0}) {
+    SCOPED_TRACE("lambda=" + std::to_string(lambda));
+    auto engine = MakeEngine(SmallEngineOptions(43));
+    engine->SetCatalog(MakeCatalog(engine->sbon(), TestWorkloadParams(), 19));
+    const auto queries = MakeQueries(engine->sbon(), engine->catalog(),
+                                     TestWorkloadParams(), 1, 23);
+    engine::StrategySpec strategy;
+    strategy.config = TestOptimizerConfig();
+    strategy.config->lambda = lambda;
+    auto handle = engine->Submit(queries[0], strategy);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+    auto current = engine->CurrentEstimatedCost(*handle);
+    ASSERT_TRUE(current.ok());
+    engine::ReoptPolicy local;  // kLocal
+    auto lo = engine->Reoptimize(*handle, local);
+    ASSERT_TRUE(lo.ok()) << lo.status().ToString();
+    EXPECT_EQ(lo->local.estimated_cost_before, *current);
+
+    current = engine->CurrentEstimatedCost(*handle);
+    ASSERT_TRUE(current.ok());
+    engine::ReoptPolicy full;
+    full.mode = engine::ReoptPolicy::Mode::kFull;
+    full.config.replan_threshold = 0.0;  // any strict improvement redeploys
+    auto fo = engine->Reoptimize(*handle, full);
+    ASSERT_TRUE(fo.ok()) << fo.status().ToString();
+    EXPECT_EQ(fo->full.estimated_cost_before, *current);
+    EXPECT_EQ(fo->full.redeployed,
+              fo->full.estimated_cost_candidate < *current)
+        << "candidate " << fo->full.estimated_cost_candidate << " current "
+        << *current;
   }
 }
 

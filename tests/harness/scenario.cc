@@ -32,18 +32,6 @@ std::unique_ptr<engine::StreamEngine> MakeEngineOrDie(
 
 }  // namespace
 
-const char* OptimizerKindName(OptimizerKind kind) {
-  switch (kind) {
-    case OptimizerKind::kTwoStep:
-      return "two-step";
-    case OptimizerKind::kIntegrated:
-      return "integrated";
-    case OptimizerKind::kMultiQuery:
-      return "multi-query";
-  }
-  return "unknown";
-}
-
 ScenarioRunner::ScenarioRunner(ScenarioOptions options)
     : options_(std::move(options)), engine_(MakeEngineOrDie(options_)) {}
 
@@ -84,21 +72,19 @@ void ScenarioRunner::VerifyPlacedCircuit(const overlay::Circuit& circuit,
 }
 
 StatusOr<core::OptimizeResult> ScenarioRunner::OptimizeOnly(
-    OptimizerKind kind, const query::QuerySpec& spec) {
+    const std::string& optimizer, const query::QuerySpec& spec) {
   engine::StrategySpec strategy;
-  strategy.optimizer = OptimizerKindName(kind);
+  strategy.optimizer = optimizer;
   return engine_->Optimize(spec, strategy);
 }
 
-PlacementRecord ScenarioRunner::PlaceAndInstall(OptimizerKind kind,
-                                                const query::QuerySpec& spec) {
+PlacementRecord ScenarioRunner::PlaceAndInstall(
+    const std::string& optimizer, const query::QuerySpec& spec) {
   PlacementRecord rec;
-  rec.kind = kind;
-
   engine::StrategySpec strategy;
-  strategy.optimizer = OptimizerKindName(kind);
+  strategy.optimizer = optimizer;
   auto handle = engine_->Submit(spec, strategy);
-  EXPECT_TRUE(handle.ok()) << OptimizerKindName(kind)
+  EXPECT_TRUE(handle.ok()) << optimizer
                            << " submit failed: " << handle.status().ToString();
   if (!handle.ok()) return rec;
 
@@ -207,11 +193,12 @@ StatusOr<core::LocalReoptReport> ScenarioRunner::LocalReopt(
 }
 
 StatusOr<core::FullReoptReport> ScenarioRunner::FullReopt(
-    CircuitId id, OptimizerKind kind, const core::ReoptConfig& config) {
+    CircuitId id, const std::string& optimizer,
+    const core::ReoptConfig& config) {
   engine::ReoptPolicy policy;
   policy.mode = engine::ReoptPolicy::Mode::kFull;
   policy.config = config;
-  policy.optimizer = OptimizerKindName(kind);
+  policy.optimizer = optimizer;
   auto outcome = engine_->Reoptimize(engine_->HandleOf(id), policy);
   if (!outcome.ok()) return outcome.status();
   return outcome->full;

@@ -2,6 +2,7 @@
 #define SBON_TESTS_HARNESS_SCENARIO_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/multi_query.h"
@@ -12,12 +13,6 @@
 #include "overlay/sbon.h"
 
 namespace sbon::test {
-
-/// Which optimizer a scenario step runs (mapped onto the engine's
-/// OptimizerRegistry names by OptimizerKindName).
-enum class OptimizerKind { kTwoStep, kIntegrated, kMultiQuery };
-
-const char* OptimizerKindName(OptimizerKind kind);
 
 /// Configuration of an end-to-end scenario.
 struct ScenarioOptions {
@@ -33,7 +28,6 @@ struct ScenarioOptions {
 /// estimate and the true-latency cost measured after installation.
 struct PlacementRecord {
   CircuitId circuit_id = kInvalidCircuit;
-  OptimizerKind kind = OptimizerKind::kIntegrated;
   double estimated_cost = 0.0;
   size_t plans_considered = 0;
   size_t placements_evaluated = 0;
@@ -71,15 +65,16 @@ class ScenarioRunner {
   const query::Catalog& UseCatalog(query::Catalog catalog);
   const query::Catalog& catalog() const { return engine_->catalog(); }
 
-  /// Submits `spec` under `kind` through the engine, verifies placement
+  /// Submits `spec` under `optimizer` (an OptimizerRegistry name) through
+  /// the engine, verifies placement
   /// invariants, measures the true cost, and returns the record (structured
   /// failure via gtest on invariant violations; optimizer/install errors
   /// surface as ASSERT-style failures with the record left at defaults).
-  PlacementRecord PlaceAndInstall(OptimizerKind kind,
+  PlacementRecord PlaceAndInstall(const std::string& optimizer,
                                   const query::QuerySpec& spec);
 
   /// Optimizes without installing (for compare-only steps).
-  StatusOr<core::OptimizeResult> OptimizeOnly(OptimizerKind kind,
+  StatusOr<core::OptimizeResult> OptimizeOnly(const std::string& optimizer,
                                               const query::QuerySpec& spec);
 
   /// One churn epoch: advance ambient load by `dt`, resample latency jitter,
@@ -91,8 +86,9 @@ class ScenarioRunner {
   /// circuit.
   StatusOr<core::LocalReoptReport> LocalReopt(CircuitId id,
                                               const core::ReoptConfig& config);
-  /// Full re-optimization (parallel circuit deployment) using `kind`.
-  StatusOr<core::FullReoptReport> FullReopt(CircuitId id, OptimizerKind kind,
+  /// Full re-optimization (parallel circuit deployment) using `optimizer`.
+  StatusOr<core::FullReoptReport> FullReopt(CircuitId id,
+                                            const std::string& optimizer,
                                             const core::ReoptConfig& config);
 
   /// Re-verifies cost invariants over every installed circuit (e.g. after

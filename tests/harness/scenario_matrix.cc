@@ -66,7 +66,7 @@ std::string CellName(const MatrixCell& cell) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "churn=%g jitter=%g hotspot=%g opt=%s seed=%llu",
                 cell.churn_rate, cell.jitter_sigma, cell.hotspot_frac,
-                OptimizerKindName(cell.optimizer),
+                cell.optimizer.c_str(),
                 static_cast<unsigned long long>(cell.seed));
   return buf;
 }
@@ -78,14 +78,14 @@ std::vector<MatrixCell> ScenarioMatrix::CrossProduct(
     const std::vector<double>& churn_rates,
     const std::vector<double>& jitter_sigmas,
     const std::vector<double>& hotspot_fracs,
-    const std::vector<OptimizerKind>& optimizers,
+    const std::vector<std::string>& optimizers,
     const std::vector<uint64_t>& seeds) {
   std::vector<MatrixCell> cells;
   for (uint64_t seed : seeds) {
     for (double rate : churn_rates) {
       for (double jitter : jitter_sigmas) {
         for (double hotspot : hotspot_fracs) {
-          for (OptimizerKind opt : optimizers) {
+          for (const std::string& opt : optimizers) {
             cells.push_back({rate, jitter, hotspot, opt, seed});
           }
         }
@@ -99,7 +99,7 @@ std::vector<MatrixCell> ScenarioMatrix::Rotation(
     const std::vector<double>& churn_rates,
     const std::vector<double>& jitter_sigmas,
     const std::vector<double>& hotspot_fracs,
-    const std::vector<OptimizerKind>& optimizers,
+    const std::vector<std::string>& optimizers,
     const std::vector<uint64_t>& seeds) {
   std::vector<MatrixCell> cells;
   cells.reserve(seeds.size());
@@ -182,7 +182,7 @@ CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
   eo.sbon.seed = cell.seed;
   eo.sbon.latency_jitter_sigma = cell.jitter_sigma;
   eo.sbon.load_params.hotspot_frac = cell.hotspot_frac;
-  eo.optimizer = OptimizerKindName(cell.optimizer);
+  eo.optimizer = cell.optimizer;
   eo.config = TestOptimizerConfig();
   auto created = engine::StreamEngine::Create(std::move(eo));
   if (!created.ok()) {
@@ -318,7 +318,7 @@ CellOutcome ScenarioMatrix::RunWorkloadCellOnce(const MatrixCell& cell) {
   eo.sbon.seed = cell.seed;
   eo.sbon.latency_jitter_sigma = cell.jitter_sigma;
   eo.sbon.load_params.hotspot_frac = cell.hotspot_frac;
-  eo.optimizer = OptimizerKindName(cell.optimizer);
+  eo.optimizer = cell.optimizer;
   eo.config = TestOptimizerConfig();
   auto created = engine::StreamEngine::Create(std::move(eo));
   if (!created.ok()) {

@@ -19,7 +19,7 @@ struct MatrixCell {
   double churn_rate = 0.0;    ///< expected node crashes per epoch
   double jitter_sigma = 0.0;  ///< latency jitter sigma
   double hotspot_frac = 0.0;  ///< fraction of nodes pinned to high load
-  OptimizerKind optimizer = OptimizerKind::kIntegrated;
+  std::string optimizer = "integrated";  ///< OptimizerRegistry name
   uint64_t seed = 1;
 };
 
@@ -101,7 +101,7 @@ class ScenarioMatrix {
       const std::vector<double>& churn_rates,
       const std::vector<double>& jitter_sigmas,
       const std::vector<double>& hotspot_fracs,
-      const std::vector<OptimizerKind>& optimizers,
+      const std::vector<std::string>& optimizers,
       const std::vector<uint64_t>& seeds);
 
   /// One cell per seed, rotating through each axis independently —
@@ -111,7 +111,7 @@ class ScenarioMatrix {
       const std::vector<double>& churn_rates,
       const std::vector<double>& jitter_sigmas,
       const std::vector<double>& hotspot_fracs,
-      const std::vector<OptimizerKind>& optimizers,
+      const std::vector<std::string>& optimizers,
       const std::vector<uint64_t>& seeds);
 
   /// Runs every cell (twice each when `check_replay`); returns one outcome

@@ -1207,7 +1207,7 @@ TEST(MsgEngine, ScenarioMatrixHoldsInvariantsUnderChaos) {
                        /*detector=*/true);
   ScenarioMatrix matrix(mo);
   const auto cells = ScenarioMatrix::Rotation(
-      {0.0, 0.5}, {0.0, 0.05}, {0.0, 0.3}, {OptimizerKind::kIntegrated},
+      {0.0, 0.5}, {0.0, 0.05}, {0.0, 0.3}, {"integrated"},
       {401, 402, 403});
   const auto outcomes = matrix.Run(cells);
   EXPECT_EQ(outcomes.size(), cells.size());
@@ -1228,7 +1228,7 @@ TEST(MsgEngine, ScenarioMatrixHoldsInvariantsInMessageMode) {
   mo.churn.partition_duration_epochs = 2;
   ScenarioMatrix matrix(mo);
   const auto cells = ScenarioMatrix::Rotation(
-      {0.0, 0.5}, {0.0, 0.05}, {0.0, 0.3}, {OptimizerKind::kIntegrated},
+      {0.0, 0.5}, {0.0, 0.05}, {0.0, 0.3}, {"integrated"},
       {101, 202, 303});
   const auto outcomes = matrix.Run(cells);
   EXPECT_EQ(outcomes.size(), cells.size());

@@ -167,8 +167,10 @@ TEST(OptimizerTieBreakTest, AllFreeCandidatesPickFirstEnumerated) {
         sbon->overlay_nodes()[(7 * seed) % sbon->overlay_nodes().size()];
     query::Catalog catalog;
     for (int i = 0; i < 5; ++i) {
-      catalog.AddStream("s" + std::to_string(i), 10.0 + 7.0 * i,
-                        64.0 + 16.0 * i, site);
+      // Not "s" + std::to_string(i): at -O3 gcc 12 reports a false
+      // -Wrestrict on that operator+.
+      catalog.AddStream(std::string("s").append(std::to_string(i)),
+                        10.0 + 7.0 * i, 64.0 + 16.0 * i, site);
     }
     const query::QuerySpec spec =
         query::QuerySpec::SimpleJoin({0, 1, 2, 3, 4}, site, 1e-4);

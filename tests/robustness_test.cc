@@ -8,7 +8,6 @@
 
 #include "core/integrated.h"
 #include "core/multi_query.h"
-#include "core/two_step.h"
 #include "dht/coord_index.h"
 #include "net/generators.h"
 #include "overlay/metrics.h"
@@ -168,8 +167,10 @@ TEST(DegenerateQueryTest, SingleStreamNoInteriorServices) {
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({2}, s->overlay_nodes()[3], 0.5);
-  core::TwoStepOptimizer opt(core::OptimizerConfig{},
-                             std::make_shared<placement::RelaxationPlacer>());
+  core::OptimizerConfig two_step;  // one candidate plan: the two-step baseline
+  two_step.enumeration.top_k = 1;
+  core::IntegratedOptimizer opt(two_step,
+                                std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->circuit.PlaceableVertices().empty());

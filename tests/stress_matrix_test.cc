@@ -30,9 +30,7 @@ TEST(StressMatrixTest, TenSeedMediumSweepWithCrashesAndRejoins) {
       /*churn_rates=*/{1.5, 3.0},
       /*jitter_sigmas=*/{0.0, 0.1},
       /*hotspot_fracs=*/{0.0, 0.2},
-      /*optimizers=*/
-      {OptimizerKind::kIntegrated, OptimizerKind::kTwoStep,
-       OptimizerKind::kMultiQuery},
+      /*optimizers=*/{"integrated", "two-step", "multi-query"},
       /*seeds=*/{101, 102, 103, 104, 105, 106, 107, 108, 109, 110});
   ASSERT_EQ(cells.size(), 10u);
 
@@ -70,7 +68,7 @@ TEST(StressMatrixTest, PartitionsUnderChurnHoldInvariants) {
 
   const auto outcomes = matrix.Run(ScenarioMatrix::Rotation(
       {0.5}, {0.1}, {0.2},
-      {OptimizerKind::kIntegrated, OptimizerKind::kMultiQuery},
+      {"integrated", "multi-query"},
       {201, 202, 203, 204}));
   size_t partitions = 0, heals = 0;
   for (const auto& o : outcomes) {
@@ -105,7 +103,7 @@ TEST(StressMatrixTest, WorkloadFlashCrowdUnderChurnHoldsInvariants) {
 
   const auto outcomes = matrix.Run(ScenarioMatrix::Rotation(
       {0.5, 1.0}, {0.0, 0.1}, {0.0, 0.2},
-      {OptimizerKind::kIntegrated, OptimizerKind::kMultiQuery},
+      {"integrated", "multi-query"},
       {401, 402, 403, 404}));
   size_t submitted = 0, crashes = 0;
   for (const auto& o : outcomes) {
@@ -134,7 +132,7 @@ TEST(StressMatrixTest, LongHorizonSoakStaysConsistent) {
   ScenarioMatrix matrix(options);
   const auto outcome = matrix.RunCell(
       {/*churn_rate=*/2.0, /*jitter_sigma=*/0.1, /*hotspot_frac=*/0.3,
-       OptimizerKind::kIntegrated, /*seed=*/301});
+       "integrated", /*seed=*/301});
   EXPECT_GT(outcome.repair.crashes, 20u);
   EXPECT_GT(outcome.repair.rejoins, 10u);
 }
