@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "engine/registry.h"
@@ -47,29 +49,60 @@ BENCHMARK(BM_EnumeratePlans)
     ->Args({10, 8})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_RelaxationPlace(benchmark::State& state) {
-  const size_t producers = static_cast<size_t>(state.range(0));
-  auto sbon = bench::MakeTransitStubSbon(200, 11);
+// A 200-node cost space of `dims` vector dims with uniform coordinates, and
+// the top plan of a `producers`-stream join over it as a circuit.
+struct PlaceFixture {
+  coords::CostSpace space;
+  overlay::Circuit circuit;
+};
+
+PlaceFixture MakePlaceFixture(size_t producers, size_t dims) {
+  constexpr size_t kNodes = 200;
   Rng rng(2);
+  coords::CostSpace space(coords::CostSpaceSpec::LatencyOnly(dims), kNodes);
+  for (NodeId n = 0; n < kNodes; ++n) {
+    Vec c(dims);
+    for (size_t d = 0; d < dims; ++d) c[d] = rng.Uniform(-100.0, 100.0);
+    (void)space.SetVectorCoord(n, c);
+  }
   query::Catalog cat;
   std::vector<StreamId> ids;
   for (size_t i = 0; i < producers; ++i) {
-    ids.push_back(cat.AddStream(
-        query::IndexedStreamName(i), rng.Uniform(10, 500), 128.0,
-        sbon->overlay_nodes()[rng.UniformInt(sbon->overlay_nodes().size())]));
+    ids.push_back(cat.AddStream(query::IndexedStreamName(i),
+                                rng.Uniform(10, 500), 128.0,
+                                static_cast<NodeId>(rng.UniformInt(kNodes))));
   }
-  const query::QuerySpec spec = query::QuerySpec::SimpleJoin(
-      ids, sbon->overlay_nodes()[0], 0.001);
+  const query::QuerySpec spec = query::QuerySpec::SimpleJoin(ids, 0, 0.001);
   auto plans = query::EnumeratePlans(spec, cat, query::EnumerationOptions{});
-  auto circuit = overlay::Circuit::FromPlan((*plans)[0], cat);
-  placement::RelaxationPlacer placer;
+  auto circuit = overlay::Circuit::FromPlan(std::move((*plans)[0]), cat);
+  return PlaceFixture{std::move(space), std::move(circuit.value())};
+}
+
+// `Place` reseeds every placeable vertex at the pinned centroid, so placing
+// the same circuit again repeats the same work without a copy.
+void RunPlaceBench(benchmark::State& state,
+                   const placement::VirtualPlacer& placer) {
+  PlaceFixture f = MakePlaceFixture(static_cast<size_t>(state.range(0)),
+                                    static_cast<size_t>(state.range(1)));
   for (auto _ : state) {
-    overlay::Circuit c = circuit.value();
-    benchmark::DoNotOptimize(placer.Place(&c, sbon->cost_space()));
+    benchmark::DoNotOptimize(placer.Place(&f.circuit, f.space));
   }
 }
-BENCHMARK(BM_RelaxationPlace)->Arg(3)->Arg(5)->Arg(8)->Unit(
-    benchmark::kMicrosecond);
+
+void BM_RelaxationPlace(benchmark::State& state) {
+  RunPlaceBench(state, placement::RelaxationPlacer());
+}
+void BM_GradientPlace(benchmark::State& state) {
+  RunPlaceBench(state, placement::GradientPlacer());
+}
+// {producers, vector dims}: 2 and 3 dims run the unrolled sweep bodies,
+// 11 the runtime-dims body (and heap-backed `Vec`s).
+BENCHMARK(BM_RelaxationPlace)
+    ->ArgsProduct({{3, 5, 8}, {2, 3, 11}})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GradientPlace)
+    ->ArgsProduct({{3, 5, 8}, {2, 3, 11}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MapCircuit(benchmark::State& state) {
   auto sbon = bench::MakeTransitStubSbon(

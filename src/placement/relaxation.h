@@ -17,20 +17,34 @@ namespace sbon::placement {
 /// the same fixed point the force integration in [7] converges to, reached
 /// deterministically.
 ///
-/// Sweeps run over an `internal::SweepFrame`: each anchor's host coordinate
-/// is fetched once per `Place`, the circuit's CSR incidence is walked in
-/// place, and placeable positions are read and written as raw doubles. A
-/// `Place` on a warm circuit allocates nothing. Bit-identity contract: every
-/// per-component expression is the one `Vec::AddScaled`, `operator/` and
-/// `DistanceTo` evaluate, in the same order, so positions and the number of
-/// sweeps run equal those of the `Vec`-valued sweep bit for bit
-/// (`tests/placement_equivalence_test.cc` pins this, `GradientPlacer`
-/// included).
+/// Sweeps run over an `internal::SweepFrame`'s term table: one row per
+/// placeable vertex holding its positive-rate springs as (rate, anchor
+/// pointer) terms in ascending edge order, and their rate sum. Each anchor's
+/// host coordinate is fetched once per `Place`, placeable positions are read
+/// and written as raw doubles in place, and a `Place` on a warm circuit
+/// allocates nothing. `Place` dispatches once on the space's vector
+/// dimension count: the sweep body is one template, instantiated at 2 and 3
+/// dims with every per-component loop unrolled, and at 0 for any other
+/// count, which reads the count at runtime.
+///
+/// Bit-identity contract: positions and the number of sweeps run equal
+/// those of the `Vec`-valued sweep bit for bit
+/// (`tests/placement_equivalence_test.cc` pins this at 2, 3 and 11 dims,
+/// `GradientPlacer` included), because
+///  - every per-component expression is the one `Vec::AddScaled`,
+///    `operator/` and `DistanceTo` evaluate, in the same order, and the
+///    division stays a division (no reciprocal);
+///  - the hoisted rate sum adds the same rates in the same order as a
+///    per-sweep `den += rate`, and no sweep changes a rate;
+///  - a sweep keeps its largest *squared* move and takes one sqrt of it:
+///    a correctly rounded sqrt is monotone, so sqrt(max s) = max sqrt(s),
+///    the largest `DistanceTo`.
 class RelaxationPlacer : public VirtualPlacer {
  public:
   struct Params {
     size_t max_sweeps = 200;
-    /// Stop when no vertex moved farther than this (cost-space units).
+    /// Stop after a sweep in which every vertex moved strictly less than
+    /// this (cost-space units); 0 runs all `max_sweeps`.
     double tolerance = 1e-4;
   };
 
@@ -56,11 +70,17 @@ class CentroidPlacer : public VirtualPlacer {
 
 /// Iteratively minimizes the *linear* network-usage objective
 /// sum(rate * dist) by per-vertex Weiszfeld updates (the true "amount of
-/// data in transit" objective, vs. the spring system's quadratic proxy).
+/// data in transit" objective, vs. the spring system's quadratic proxy),
+/// seeded at the spring equilibrium. The Weiszfeld sweep runs over the same
+/// term table, dims dispatch and bit-identity contract as
+/// `RelaxationPlacer`; its weights depend on positions, so it sums them per
+/// sweep.
 class GradientPlacer : public VirtualPlacer {
  public:
   struct Params {
     size_t max_sweeps = 300;
+    /// Stop after a Weiszfeld sweep in which every vertex moved strictly
+    /// less than this; 0 runs all `max_sweeps`.
     double tolerance = 1e-4;
     double epsilon = 1e-6;  ///< distance guard for Weiszfeld weights
   };
@@ -76,7 +96,9 @@ class GradientPlacer : public VirtualPlacer {
   Params params_;
 };
 
-/// Objective helpers over virtual coordinates.
+/// Objective helpers over virtual coordinates. Both read each anchor in
+/// place (a pinned or reused vertex's host column of `vector_block()`, a
+/// placeable vertex's `virtual_coord`) with `Vec::DistanceTo`'s arithmetic.
 /// sum over physical edges of rate * distance(anchor(from), anchor(to)):
 /// a virtually placed circuit's network usage, by which the integrated
 /// optimizer orders candidates for mapping.

@@ -4,19 +4,13 @@
 
 namespace sbon::placement::internal {
 
-Vec AnchorCoord(const overlay::Circuit& c, int i,
-                const coords::CostSpace& space) {
-  const overlay::CircuitVertex& v = c.vertex(i);
-  if (v.pinned || v.reused) return space.VectorCoord(v.host);
-  return v.virtual_coord;
-}
-
 namespace {
 
 struct SweepBuffers {
-  std::vector<double*> coords;  // per vertex: anchor or live virtual_coord
   std::vector<double> anchors;  // NumVertices x dims host coordinates
   std::vector<double> accum;    // dims
+  std::vector<SweepRow> rows;   // per placeable vertex
+  std::vector<SweepTerm> terms;
 };
 
 SweepBuffers& Buffers() {
@@ -30,15 +24,20 @@ SweepFrame::SweepFrame(overlay::Circuit* circuit,
                        const coords::CostSpace& space)
     : dims_(space.spec().vector_dims()) {
   SweepBuffers& b = Buffers();
-  const size_t n = circuit->NumVertices();
-  b.coords.assign(n, nullptr);
-  b.anchors.resize(n * dims_);
+  const int n = static_cast<int>(circuit->NumVertices());
+  b.anchors.resize(static_cast<size_t>(n) * dims_);
   b.accum.resize(dims_);
-  for (size_t i = 0; i < n; ++i) {
-    if (circuit->Placeable(static_cast<int>(i))) continue;
-    b.coords[i] = b.anchors.data() + i * dims_;
-    space.vector_block().NodeTo(circuit->vertex(static_cast<int>(i)).host,
-                                b.coords[i]);
+  // Vertex i's anchor: the cached host coordinate of a pinned or reused
+  // vertex, or the live `virtual_coord` storage of a placeable one.
+  const auto anchor = [&](int i) -> double* {
+    if (circuit->Placeable(i)) {
+      return circuit->mutable_vertex(i).virtual_coord.data();
+    }
+    return b.anchors.data() + static_cast<size_t>(i) * dims_;
+  };
+  for (int i = 0; i < n; ++i) {
+    if (circuit->Placeable(i)) continue;
+    space.vector_block().NodeTo(circuit->vertex(i).host, anchor(i));
   }
   // Seed at the pinned centroid: each edge adds its anchored ends,
   // weighted by its rate, in edge order (`Vec::AddScaled`, then `/=`).
@@ -47,10 +46,10 @@ SweepFrame::SweepFrame(overlay::Circuit* circuit,
   double weight = 0.0;
   for (const overlay::CircuitEdge& e : circuit->edges()) {
     for (int end : {e.from, e.to}) {
-      const double* anchor = b.coords[end];
-      if (anchor == nullptr) continue;
+      if (circuit->Placeable(end)) continue;
+      const double* a = anchor(end);
       for (size_t d = 0; d < dims_; ++d) {
-        centroid[d] += anchor[d] * e.rate_bytes_per_s;
+        centroid[d] += a[d] * e.rate_bytes_per_s;
       }
       weight += e.rate_bytes_per_s;
     }
@@ -58,13 +57,28 @@ SweepFrame::SweepFrame(overlay::Circuit* circuit,
   if (weight > 0.0) {
     for (size_t d = 0; d < dims_; ++d) centroid[d] /= weight;
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (b.coords[i] != nullptr) continue;
-    Vec& vc = circuit->mutable_vertex(static_cast<int>(i)).virtual_coord;
-    vc.AssignFrom(centroid, dims_);
-    b.coords[i] = vc.data();
+  for (int i = 0; i < n; ++i) {
+    if (!circuit->Placeable(i)) continue;
+    circuit->mutable_vertex(i).virtual_coord.AssignFrom(centroid, dims_);
   }
-  coords_ = b.coords.data();
+  // The term table, built once every placeable coordinate has its final
+  // storage.
+  b.rows.clear();
+  b.terms.clear();
+  for (int v = 0; v < n; ++v) {
+    if (!circuit->Placeable(v)) continue;
+    SweepRow row{anchor(v), 0.0, b.terms.size(), 0};
+    for (const auto& [edge_idx, other] : circuit->IncidentEdges(v)) {
+      const double rate = circuit->edges()[edge_idx].rate_bytes_per_s;
+      if (rate <= 0.0) continue;
+      b.terms.push_back(SweepTerm{rate, anchor(other)});
+      row.rate_sum += rate;
+    }
+    row.end = b.terms.size();
+    b.rows.push_back(row);
+  }
+  rows_ = b.rows;
+  terms_ = b.terms.data();
   accum_ = b.accum.data();
 }
 

@@ -1,6 +1,7 @@
 #ifndef SBON_PLACEMENT_VIRTUAL_PLACEMENT_H_
 #define SBON_PLACEMENT_VIRTUAL_PLACEMENT_H_
 
+#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -31,23 +32,38 @@ class VirtualPlacer {
 
 namespace internal {
 
-/// Anchor coordinate of vertex `i`: pinned and reused vertices anchor at
-/// their host's vector coordinate; placeable vertices use their current
-/// `virtual_coord`.
-Vec AnchorCoord(const overlay::Circuit& c, int i,
-                const coords::CostSpace& space);
+/// One spring of a placeable vertex: an incident edge's rate (> 0) and the
+/// anchor at the edge's other end.
+struct SweepTerm {
+  double rate;
+  const double* anchor;
+};
+
+/// A placeable vertex's row of the term table: its live `virtual_coord`
+/// storage, its terms `[begin, end)`, and their rate sum.
+struct SweepRow {
+  double* coord;
+  double rate_sum;
+  size_t begin;
+  size_t end;
+};
 
 /// The raw-double view one `Place` call sweeps over. Construction fetches
 /// every anchor's host vector coordinate once (pinned and reused vertices)
 /// and seeds each placeable vertex's `virtual_coord` at the rate-weighted
 /// centroid of those anchors, a deterministic start for the iterative
-/// refiners. `coord(i)` is then vertex i's anchor: the cached host
-/// coordinate, or the live `virtual_coord` storage of a placeable vertex,
-/// which sweeps read and write in place, so they stay Gauss-Seidel.
+/// refiners. It then builds the term table: one row per placeable vertex,
+/// in ascending vertex order, whose terms are its incident edges of
+/// positive rate in ascending edge order. A term's anchor is the cached
+/// host coordinate, or the live `virtual_coord` storage of a placeable
+/// neighbor, which sweeps read and write in place, so they stay
+/// Gauss-Seidel. `rate_sum` is the sum of the row's rates in term order:
+/// the spring sweep's denominator, which no sweep changes, hoisted.
 ///
 /// Bit-identity contract: sweeps over a frame write each per-component
 /// expression exactly as `Vec::AddScaled`, `operator/` and `DistanceTo`
-/// write it, so results equal the `Vec` formulation bit for bit.
+/// write it, and add each row's terms in edge order, so results equal the
+/// `Vec` formulation bit for bit.
 ///
 /// The buffers are thread-local and keep their capacity, so a frame over a
 /// warm circuit (its `virtual_coord`s already sized) allocates nothing.
@@ -59,14 +75,15 @@ class SweepFrame {
   SweepFrame& operator=(const SweepFrame&) = delete;
 
   size_t dims() const { return dims_; }
-  const double* coord(int i) const { return coords_[i]; }
-  double* mutable_coord(int i) { return coords_[i]; }
+  std::span<const SweepRow> rows() const { return rows_; }
+  const SweepTerm* terms() const { return terms_; }
   /// `dims()` doubles of per-vertex scratch (a sweep's numerator).
   double* accum() { return accum_; }
 
  private:
   size_t dims_;
-  double* const* coords_;
+  std::span<const SweepRow> rows_;
+  const SweepTerm* terms_;
   double* accum_;
 };
 

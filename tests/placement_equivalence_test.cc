@@ -1,9 +1,11 @@
 // Bit-identity pin of the iterative virtual placers: RelaxationPlacer and
-// GradientPlacer sweep raw doubles over the circuit's CSR incidence with
-// anchors fetched once per Place. The references below are the Vec-valued
-// sweeps they replaced — an incidence list rebuilt by scanning every edge,
-// and each anchor re-read from the cost space per neighbor per sweep. Both
-// must produce the same bits and stop after the same number of sweeps.
+// GradientPlacer sweep raw doubles over a per-Place term table (anchors
+// fetched once, each vertex's rates summed once), with the per-component
+// loops unrolled at 2 and 3 dims and run to the runtime count otherwise.
+// The references below are the Vec-valued sweeps they replaced — an
+// incidence list rebuilt by scanning every edge, and each anchor re-read
+// from the cost space per neighbor per sweep. Both must produce the same
+// bits and stop after the same number of sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,9 +65,11 @@ void RefSeed(Circuit* circuit, const coords::CostSpace& space) {
   }
 }
 
-// Returns the number of sweeps run.
+// Returns the number of sweeps run; `moves`, if given, receives each
+// sweep's largest move.
 size_t RefRelax(Circuit* circuit, const coords::CostSpace& space,
-                const RelaxationPlacer::Params& params) {
+                const RelaxationPlacer::Params& params,
+                std::vector<double>* moves = nullptr) {
   const std::vector<int> placeable = circuit->PlaceableVertices();
   if (placeable.empty()) return 0;
   RefSeed(circuit, space);
@@ -88,14 +92,17 @@ size_t RefRelax(Circuit* circuit, const coords::CostSpace& space,
       max_move = std::max(max_move, cv.virtual_coord.DistanceTo(target));
       cv.virtual_coord = target;
     }
+    if (moves != nullptr) moves->push_back(max_move);
     if (max_move < params.tolerance) break;
   }
   return sweeps;
 }
 
-// Returns the number of Weiszfeld sweeps run (after the relaxation seed).
+// Returns the number of Weiszfeld sweeps run (after the relaxation seed);
+// `moves`, if given, receives each Weiszfeld sweep's largest move.
 size_t RefGradient(Circuit* circuit, const coords::CostSpace& space,
-                   const GradientPlacer::Params& params) {
+                   const GradientPlacer::Params& params,
+                   std::vector<double>* moves = nullptr) {
   const std::vector<int> placeable = circuit->PlaceableVertices();
   if (placeable.empty()) return 0;
   RefRelax(circuit, space, RelaxationPlacer::Params());
@@ -121,6 +128,7 @@ size_t RefGradient(Circuit* circuit, const coords::CostSpace& space,
       max_move = std::max(max_move, cv.virtual_coord.DistanceTo(target));
       cv.virtual_coord = target;
     }
+    if (moves != nullptr) moves->push_back(max_move);
     if (max_move < params.tolerance) break;
   }
   return sweeps;
@@ -241,6 +249,23 @@ size_t CheckCaps(const Circuit& base, Params params, PlaceFn place,
   return sweeps;
 }
 
+// The virtual cost helpers read anchors in place; they must equal the sums
+// over `Vec` anchors and `DistanceTo` bit for bit.
+void CheckVirtualCosts(const Circuit& placed, const coords::CostSpace& space) {
+  double linear = 0.0, quadratic = 0.0;
+  for (const overlay::CircuitEdge& e : placed.edges()) {
+    if (!e.physical) continue;
+    const double d = RefAnchor(placed, e.from, space)
+                         .DistanceTo(RefAnchor(placed, e.to, space));
+    linear += e.rate_bytes_per_s * d;
+    quadratic += e.rate_bytes_per_s * d * d;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(VirtualLinearCost(placed, space)),
+            std::bit_cast<uint64_t>(linear));
+  EXPECT_EQ(std::bit_cast<uint64_t>(VirtualQuadraticCost(placed, space)),
+            std::bit_cast<uint64_t>(quadratic));
+}
+
 // Returns the relaxation placer's sweep count.
 size_t CheckPlacers(const Circuit& base, const coords::CostSpace& space) {
   const size_t sweeps = CheckCaps(
@@ -259,6 +284,9 @@ size_t CheckPlacers(const Circuit& base, const coords::CostSpace& space) {
       [&](Circuit* c, const GradientPlacer::Params& p) {
         return RefGradient(c, space, p);
       });
+  Circuit placed = base;
+  EXPECT_TRUE(RelaxationPlacer().Place(&placed, space).ok());
+  CheckVirtualCosts(placed, space);
   return sweeps;
 }
 
@@ -289,6 +317,114 @@ TEST_P(PlacerEquivalence, MatchesVecSweepsBitForBit) {
   EXPECT_GT(reused, 0u);
   // Many circuits relax over several sweeps, so the stopping point matters.
   EXPECT_GT(long_runs, circuits / 3);
+}
+
+// The sweep cap and the zero-sweep path. With tolerance 0 no sweep stops
+// early, so a cap of k runs exactly k sweeps; max_sweeps = 0 runs none, so
+// every vertex stays at its seed: the pinned centroid for relaxation, the
+// spring equilibrium for gradient's Weiszfeld loop.
+TEST_P(PlacerEquivalence, SweepCapAndZeroSweeps) {
+  const size_t dims = GetParam();
+  Rng rng(0xCA9 + dims);
+  const coords::CostSpace space = RandomSpace(dims, &rng);
+  const query::Catalog catalog = RandomCatalog(&rng);
+  size_t circuits = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    for (Circuit& base : RandomCircuits(catalog, (trial % 2) == 0, &rng)) {
+      if (trial % 4 == 1) BindRandomReuse(&base, &rng);
+      if (base.PlaceableVertices().empty()) continue;
+      ++circuits;
+      for (size_t cap : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
+        RelaxationPlacer::Params rp;
+        rp.max_sweeps = cap;
+        rp.tolerance = 0.0;
+        Circuit want = base;
+        EXPECT_EQ(RefRelax(&want, space, rp), cap);
+        Circuit got = base;
+        ASSERT_TRUE(RelaxationPlacer(rp).Place(&got, space).ok());
+        ExpectBitIdentical(got, want, "relaxation at the cap");
+
+        GradientPlacer::Params gp;
+        gp.max_sweeps = cap;
+        gp.tolerance = 0.0;
+        Circuit want_g = base;
+        EXPECT_EQ(RefGradient(&want_g, space, gp), cap);
+        Circuit got_g = base;
+        ASSERT_TRUE(GradientPlacer(gp).Place(&got_g, space).ok());
+        ExpectBitIdentical(got_g, want_g, "gradient at the cap");
+
+        if (cap == 0) {
+          Circuit seeded = base;
+          RefSeed(&seeded, space);
+          ExpectBitIdentical(got, seeded, "relaxation, no sweep");
+          Circuit relaxed = base;
+          RefRelax(&relaxed, space, RelaxationPlacer::Params());
+          ExpectBitIdentical(got_g, relaxed, "gradient, no Weiszfeld sweep");
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(circuits, 8u);
+}
+
+// The stop test is strict: a sweep whose largest move equals the tolerance
+// exactly does not stop the loop. Setting the tolerance to a reference
+// sweep's own largest move pins that, and pins that the placers' largest
+// move (the sqrt of the largest squared move) is that `DistanceTo` bit for
+// bit: one ulp either way would stop a sweep early or late.
+TEST_P(PlacerEquivalence, StopTestIsStrictAtTheTolerance) {
+  const size_t dims = GetParam();
+  Rng rng(0x5709 + dims);
+  const coords::CostSpace space = RandomSpace(dims, &rng);
+  const query::Catalog catalog = RandomCatalog(&rng);
+  size_t pinned = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    for (const Circuit& base :
+         RandomCircuits(catalog, (trial % 2) == 0, &rng)) {
+      if (base.PlaceableVertices().empty()) continue;
+      RelaxationPlacer::Params rp;
+      rp.max_sweeps = 12;
+      rp.tolerance = 0.0;
+      std::vector<double> moves;
+      Circuit scratch = base;
+      RefRelax(&scratch, space, rp, &moves);
+      GradientPlacer::Params gp;
+      gp.max_sweeps = 12;
+      gp.tolerance = 0.0;
+      std::vector<double> moves_g;
+      scratch = base;
+      RefGradient(&scratch, space, gp, &moves_g);
+      // Sweep k's move as the tolerance: no earlier sweep moved less, so
+      // the strict test runs sweep k + 1, which moves something.
+      const auto pins = [](const std::vector<double>& m, size_t k) {
+        return m[k] > 0.0 && m[k + 1] > 0.0 &&
+               *std::min_element(m.begin(), m.begin() + k + 1) == m[k];
+      };
+      for (size_t k = 1; k + 1 < moves.size(); ++k) {
+        if (!pins(moves, k)) continue;
+        rp.tolerance = moves[k];
+        Circuit want = base;
+        EXPECT_GT(RefRelax(&want, space, rp), k + 1);
+        Circuit got = base;
+        ASSERT_TRUE(RelaxationPlacer(rp).Place(&got, space).ok());
+        ExpectBitIdentical(got, want, "relaxation, tolerance = a move");
+        ++pinned;
+      }
+      for (size_t k = 1; k + 1 < moves_g.size(); ++k) {
+        if (!pins(moves_g, k)) continue;
+        gp.tolerance = moves_g[k];
+        Circuit want = base;
+        EXPECT_GT(RefGradient(&want, space, gp), k + 1);
+        Circuit got = base;
+        ASSERT_TRUE(GradientPlacer(gp).Place(&got, space).ok());
+        ExpectBitIdentical(got, want, "gradient, tolerance = a move");
+        ++pinned;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(pinned, 20u);
 }
 
 // 2 and 3 dims are the library's spaces; 11 exceeds Vec::kInlineDims, so
