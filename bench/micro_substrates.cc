@@ -1,7 +1,7 @@
 // Kernel throughput of the substrate pieces: Hilbert curve, Chord routing,
-// coordinate-index queries (probed, exact and radius), Vivaldi updates,
-// batched cost-space distance evaluation, shortest paths, and the
-// message-mode bus drain.
+// coordinate-index queries (probed, exact and radius, each into a reused
+// node-id buffer), Vivaldi updates, shortest paths, and the message-mode bus
+// drain.
 
 #include <benchmark/benchmark.h>
 
@@ -155,9 +155,11 @@ dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
 void BM_IndexKNearest(benchmark::State& state) {
   Rng rng(5);
   auto idx = MakeIndex(static_cast<size_t>(state.range(0)), &rng);
+  std::vector<NodeId> nodes;
   for (auto _ : state) {
     const Vec target{rng.Uniform(0, 200), rng.Uniform(0, 200), 0.0};
-    benchmark::DoNotOptimize(idx.KNearest(target, 8, 16));
+    (void)idx.KNearestNodesInto(target, 8, 16, nullptr, &nodes);
+    benchmark::DoNotOptimize(nodes.data());
   }
 }
 BENCHMARK(BM_IndexKNearest)->Arg(100)->Arg(600)->Arg(2000);
@@ -167,11 +169,11 @@ void BM_IndexKNearestExact(benchmark::State& state) {
   Rng rng(5);
   const size_t n = static_cast<size_t>(state.range(0));
   auto idx = MakeIndex(n, &rng);
-  std::vector<dht::IndexMatch> matches;
+  std::vector<NodeId> nodes;
   for (auto _ : state) {
     const Vec target{rng.Uniform(0, 200), rng.Uniform(0, 200), 0.0};
-    idx.KNearestExactInto(target, 8, &matches);
-    benchmark::DoNotOptimize(matches.data());
+    idx.KNearestExactInto(target, 8, &nodes);
+    benchmark::DoNotOptimize(nodes.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
@@ -181,9 +183,11 @@ void BM_IndexWithinRadius(benchmark::State& state) {
   Rng rng(6);
   auto idx = MakeIndex(600, &rng);
   const double radius = static_cast<double>(state.range(0));
+  std::vector<NodeId> nodes;
   for (auto _ : state) {
     const Vec target{rng.Uniform(0, 200), rng.Uniform(0, 200), 0.0};
-    benchmark::DoNotOptimize(idx.WithinRadius(target, radius));
+    (void)idx.WithinRadiusInto(target, radius, nullptr, &nodes);
+    benchmark::DoNotOptimize(nodes.data());
   }
 }
 BENCHMARK(BM_IndexWithinRadius)->Arg(10)->Arg(40)->Arg(160);
@@ -219,25 +223,6 @@ void BM_VivaldiFullRun(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(lat.NumNodes()));
 }
 BENCHMARK(BM_VivaldiFullRun)->Arg(6)->Arg(12)->Unit(benchmark::kMillisecond);
-
-// Batched full-distance-to-ideal over an overlay's every node, the ideal
-// point rotating through the overlay's vector coordinates; items = nodes
-// evaluated.
-void BM_CostEvalMany(benchmark::State& state) {
-  auto sbon = bench::MakeTransitStubSbon(200, 7);
-  const coords::CostSpace& space = sbon->cost_space();
-  const std::vector<NodeId>& overlay = sbon->overlay_nodes();
-  const size_t count = overlay.size();
-  std::vector<double> dists(count);
-  size_t i = 0;
-  for (auto _ : state) {
-    space.FullDistancesToIdealMany(space.VectorCoord(overlay[i++ % count]),
-                                   overlay.data(), count, dists.data());
-    benchmark::DoNotOptimize(dists.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
-}
-BENCHMARK(BM_CostEvalMany);
 
 void BM_LatencyMatrix(benchmark::State& state) {
   Rng trng(10);

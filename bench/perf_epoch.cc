@@ -43,6 +43,7 @@
 #include "common/rng.h"
 #include "common/summary.h"
 #include "coords/vivaldi.h"
+#include "core/multi_query.h"
 #include "engine/stream_engine.h"
 #include "msg/agents.h"
 #include "msg/message.h"
@@ -514,30 +515,28 @@ bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
           }
         }));
 
-  // Both k-nearest searches write into a reused output buffer; the exact
-  // one is the batched sweep over every published node.
-  std::vector<dht::IndexMatch> matches;
+  // The index's three queries write node ids into a reused output buffer;
+  // the exact one is the batched sweep over every published node.
+  std::vector<NodeId> nodes;
   dht::IndexQueryCost cost;
-  audit("allocs_per_knearest", "CoordinateIndex::KNearestInto",
+  audit("allocs_per_knearest", "CoordinateIndex::KNearestNodesInto",
         AllocsPerCall(64, 2000, [&](size_t i) {
           const Vec target = space.FullCoord(overlay[i % overlay.size()]);
-          (void)index.KNearestInto(target, 8, 16, &cost, {}, &matches);
+          (void)index.KNearestNodesInto(target, 8, 16, &cost, &nodes);
         }));
-  std::vector<dht::IndexMatch> exact_matches;
   audit("allocs_per_knearest_exact", "CoordinateIndex::KNearestExactInto",
         AllocsPerCall(1, 200, [&](size_t i) {
           const Vec target = space.FullCoord(overlay[i % overlay.size()]);
-          index.KNearestExactInto(target, 8, &exact_matches);
+          index.KNearestExactInto(target, 8, &nodes);
         }));
-
-  // Over the whole overlay.
-  std::vector<double> dists(overlay.size());
-  audit("allocs_per_cost_eval", "CostSpace::FullDistancesToIdealMany",
-        AllocsPerCall(1, 500, [&](size_t i) {
-          const Vec ideal =
-              space.VectorCoord(overlay[(i * 11 + 3) % overlay.size()]);
-          space.FullDistancesToIdealMany(ideal, overlay.data(), overlay.size(),
-                                         dists.data());
+  // At the multi-query optimizer's default reuse radius. The warm-up visits
+  // every target once, so the buffer holds the largest sphere before the
+  // counted rounds.
+  const double radius = core::MultiQueryOptimizer::Params{}.reuse_radius;
+  audit("allocs_per_within_radius", "CoordinateIndex::WithinRadiusInto",
+        AllocsPerCall(overlay.size(), 2000, [&](size_t i) {
+          const Vec target = space.FullCoord(overlay[i % overlay.size()]);
+          (void)index.WithinRadiusInto(target, radius, &cost, &nodes);
         }));
 
   // On a warm circuit: the warm-up call sizes its virtual coordinates.

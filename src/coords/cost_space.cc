@@ -96,20 +96,10 @@ double CostSpace::VectorDistance(NodeId a, NodeId b) const {
   return std::sqrt(s);
 }
 
-double CostSpace::VectorDistanceTo(NodeId a, const Vec& vector_point) const {
-  return std::sqrt(
-      kernels::DistanceSquaredAt(vector_coords_, a, vector_point.data()));
-}
-
-double CostSpace::FullDistanceToIdeal(NodeId n,
-                                      const Vec& vector_point) const {
-  assert(vector_point.dims() == spec_.vector_dims());
-  double s = kernels::DistanceSquaredAt(vector_coords_, n, vector_point.data());
-  for (size_t i = 0; i < spec_.num_scalar_dims(); ++i) {
-    const double w = weighted_scalars_.At(i, n);  // target scalar coord is 0
-    s += w * w;
-  }
-  return std::sqrt(s);
+Vec CostSpace::IdealTarget(const Vec& vector_point) const {
+  Vec out = vector_point;
+  for (size_t i = 0; i < spec_.num_scalar_dims(); ++i) out.Append(0.0);
+  return out;
 }
 
 void CostSpace::SyncVectorFrom(const CoordBlock& coords) {
@@ -148,23 +138,6 @@ void CostSpace::VectorDistancesToMany(const Vec& vector_point,
   assert(vector_point.dims() == spec_.vector_dims());
   kernels::DistanceSquaredToMany(vector_coords_, vector_point.data(), nodes,
                                  count, out);
-  kernels::SqrtMany(out, count);
-}
-
-void CostSpace::FullDistancesToIdealMany(const Vec& vector_point,
-                                         const NodeId* nodes, size_t count,
-                                         double* out) const {
-  assert(vector_point.dims() == spec_.vector_dims());
-  kernels::DistanceSquaredToMany(vector_coords_, vector_point.data(), nodes,
-                                 count, out);
-  for (size_t i = 0; i < spec_.num_scalar_dims(); ++i) {
-    const double* lane = weighted_scalars_.lane(i);
-    SBON_SIMD_LOOP
-    for (size_t j = 0; j < count; ++j) {
-      const double w = lane[nodes[j]];
-      out[j] += w * w;
-    }
-  }
   kernels::SqrtMany(out, count);
 }
 

@@ -96,13 +96,12 @@ class CostSpace {
   /// "the virtual placement algorithm operates only over the vector cost
   /// dimensions", Sec. 3.2).
   double VectorDistance(NodeId a, NodeId b) const;
-  double VectorDistanceTo(NodeId a, const Vec& vector_point) const;
 
-  /// Distance between the node's full coordinate and an ideal target whose
-  /// vector part is `vector_point` and whose scalar coordinates are all zero
-  /// ("the ideal scalar components will all be zero", Sec. 3.2). This is the
-  /// metric physical mapping minimizes.
-  double FullDistanceToIdeal(NodeId n, const Vec& vector_point) const;
+  /// The ideal target over `vector_point`: its vector part followed by a
+  /// zero in every scalar dimension ("the ideal scalar components will all
+  /// be zero", Sec. 3.2). Physical mapping asks the coordinate index for
+  /// the nodes nearest it; reuse pruning searches a sphere around it.
+  Vec IdealTarget(const Vec& vector_point) const;
 
   // --- structure-of-arrays access and batched kernels ---------------------
 
@@ -121,16 +120,10 @@ class CostSpace {
   void FullCoordsInto(const NodeId* nodes, size_t count,
                       CoordBlock* out) const;
 
-  /// Batched VectorDistanceTo over a candidate set: out[j] is the vector
-  /// subspace distance from nodes[j] to `vector_point`.
+  /// Vector subspace distances over a candidate set: out[j] is the
+  /// distance from nodes[j] to `vector_point`.
   void VectorDistancesToMany(const Vec& vector_point, const NodeId* nodes,
                              size_t count, double* out) const;
-
-  /// Batched FullDistanceToIdeal over a candidate set: out[j] is the full
-  /// cost-space distance from nodes[j] to the ideal target over
-  /// `vector_point`.
-  void FullDistancesToIdealMany(const Vec& vector_point, const NodeId* nodes,
-                                size_t count, double* out) const;
 
  private:
   CostSpaceSpec spec_;

@@ -64,7 +64,6 @@ class CoordinateManager {
 
   const CostSpace& space() const { return *space_; }
   const dht::CoordinateIndex& index() const { return *index_; }
-  dht::IndexQueryCost& index_cost() { return index_cost_; }
   const IndexRefreshStats& refresh_stats() const { return refresh_stats_; }
   /// False for MDS/true-coordinate ablations (online epochs are a no-op).
   bool online_updates_supported() const { return vivaldi_ != nullptr; }
@@ -143,7 +142,6 @@ class CoordinateManager {
   std::unique_ptr<VivaldiSystem> vivaldi_;  // null for MDS/true modes
   std::unique_ptr<CostSpace> space_;
   std::unique_ptr<dht::CoordinateIndex> index_;
-  dht::IndexQueryCost index_cost_;
   IndexRefreshStats refresh_stats_;
 
   // Reused scratch for the online-update and refresh stages (allocation-free

@@ -15,13 +15,6 @@ struct ReuseCandidate {
   double distance = 0.0;
 };
 
-// Ideal full-space target for a virtual coordinate (zero scalars).
-Vec IdealTarget(const Vec& virtual_coord, size_t scalar_dims) {
-  Vec t = virtual_coord;
-  for (size_t i = 0; i < scalar_dims; ++i) t.Append(0.0);
-  return t;
-}
-
 double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
                          const overlay::Sbon& sbon) {
   for (CircuitId cid : inst.circuits) {
@@ -50,13 +43,13 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
   auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 
-  const size_t scalar_dims = sbon->cost_space().spec().num_scalar_dims();
   OptimizeResult best;
   bool have_best = false;
 
   // Reused across reuse passes: surviving instances and their hosts, so the
   // cost-space pruning distance runs as one batched kernel call per service
   // instead of a per-instance strided probe.
+  std::vector<NodeId> sphere_nodes;
   std::vector<const overlay::ServiceInstance*> inst_scratch;
   std::vector<NodeId> host_scratch;
   std::vector<double> dist_scratch;
@@ -115,21 +108,17 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
         } else {
           // Hyper-sphere search via the Hilbert/Chord index, charged as
           // DHT traffic; only nodes the sphere search returns are eligible.
-          dht::IndexQueryCost qcost;
-          auto nearby = sbon->index().WithinRadius(
-              IdealTarget(current.vertex(v).virtual_coord, scalar_dims),
-              params_.reuse_radius, &qcost);
-          report.dht_cost.lookups += qcost.lookups;
-          report.dht_cost.routing_hops += qcost.routing_hops;
-          report.dht_cost.ring_probes += qcost.ring_probes;
-          if (!nearby.ok()) return nearby.status();
+          // Room for every published node: one allocation per Optimize.
+          sphere_nodes.reserve(sbon->index().NumPublished());
+          Status sst = sbon->index().WithinRadiusInto(
+              sbon->cost_space().IdealTarget(current.vertex(v).virtual_coord),
+              params_.reuse_radius, &report.dht_cost, &sphere_nodes);
+          if (!sst.ok()) return sst;
           if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
             std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);
             sphere_epoch_ = 1;
           }
-          for (const dht::IndexMatch& m : *nearby) {
-            sphere_stamp_[m.node] = sphere_epoch_;
-          }
+          for (NodeId n : sphere_nodes) sphere_stamp_[n] = sphere_epoch_;
           inst_scratch.clear();
           for (const overlay::ServiceInstance* inst : instances) {
             if (sphere_stamp_[inst->host] == sphere_epoch_) {
@@ -189,12 +178,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
       best.services_reused = current_reused;
       have_best = true;
     }
-    best.mapping.dht_cost.lookups += report.dht_cost.lookups;
-    best.mapping.dht_cost.routing_hops += report.dht_cost.routing_hops;
-    best.mapping.dht_cost.ring_probes += report.dht_cost.ring_probes;
-    best.mapping.services_mapped += report.services_mapped;
-    best.mapping.total_mapping_error += report.total_mapping_error;
-    best.mapping.load_overrides += report.load_overrides;
+    best.mapping += report;
   }
   if (!have_best) return Status::Internal("no candidate circuit produced");
   best.plans_considered = plans->size();

@@ -183,15 +183,4 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key) const {
   return Lookup(key, members_[0].key);
 }
 
-const ChordRing::Member& ChordRing::SuccessorAt(size_t member_index,
-                                                size_t i) const {
-  return members_[(member_index + i) % members_.size()];
-}
-
-const ChordRing::Member& ChordRing::PredecessorAt(size_t member_index,
-                                                  size_t i) const {
-  const size_t n = members_.size();
-  return members_[(member_index + n - (i % n)) % n];
-}
-
 }  // namespace sbon::dht

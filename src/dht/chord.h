@@ -67,11 +67,6 @@ class ChordRing {
   /// Lookup starting from the first member (deterministic origin).
   StatusOr<LookupResult> Lookup(U128 key) const;
 
-  /// The i-th member clockwise from `member_index` (wraps).
-  const Member& SuccessorAt(size_t member_index, size_t i) const;
-  /// The i-th member counter-clockwise from `member_index` (wraps).
-  const Member& PredecessorAt(size_t member_index, size_t i) const;
-
  private:
   // Sorted by key; at most one entry per node.
   std::vector<Member> members_;

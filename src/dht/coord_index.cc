@@ -41,105 +41,69 @@ double CoordinateIndex::DistanceTo(NodeId n, const Vec& target) const {
   return std::sqrt(kernels::DistanceSquaredAt(coords_, n, target.data()));
 }
 
-void CoordinateIndex::EmitMatches(size_t count,
-                                  std::vector<IndexMatch>* out) const {
-  out->reserve(out->size() + count);
-  for (size_t j = 0; j < count; ++j) {
-    const DistNode& p = pair_scratch_[j];
-    out->push_back(IndexMatch{p.node, p.distance, coords_.NodeVec(p.node)});
-  }
-}
-
-void CoordinateIndex::BeginSeenEpoch() const {
-  if (seen_stamp_.size() < coords_.nodes()) {
-    seen_stamp_.resize(coords_.nodes(), 0);
-  }
-  if (++query_epoch_ == 0) {  // stamp wrap-around: invalidate all marks
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    query_epoch_ = 1;
-  }
-}
-
-StatusOr<size_t> CoordinateIndex::RankNearest(
-    const Vec& target, size_t k, size_t probe_width, IndexQueryCost* cost,
-    const std::vector<NodeId>& exclude) const {
+StatusOr<size_t> CoordinateIndex::StartWalk(const Vec& target,
+                                             IndexQueryCost* cost) const {
   if (ring_.NumMembers() == 0) {
     return Status::FailedPrecondition("coordinate index is empty");
   }
-  const U128 key = quantizer_.Key(target);
-  auto lookup = ring_.Lookup(key);
+  auto lookup = ring_.Lookup(quantizer_.Key(target));
   if (!lookup.ok()) return lookup.status();
   if (cost != nullptr) {
     cost->lookups += 1;
     cost->routing_hops += lookup->hops;
   }
+  return lookup->member_index;
+}
 
-  exclude_scratch_.assign(exclude.begin(), exclude.end());
-  std::sort(exclude_scratch_.begin(), exclude_scratch_.end());
+StatusOr<size_t> CoordinateIndex::RankNearest(const Vec& target, size_t k,
+                                              size_t probe_width,
+                                              IndexQueryCost* cost) const {
+  auto start = StartWalk(target, cost);
+  if (!start.ok()) return start.status();
 
   const size_t n = ring_.NumMembers();
   const size_t width = std::min(probe_width, n);
   // The interleaved walk 0, +1, -1, +2, -2, ... visits pairwise-distinct
   // ring members as long as at most n are taken (positions +i and -j first
   // coincide at i + j = n), so capping the walk at `total` members needs no
-  // per-query seen-set. Each distinct member costs exactly one ring probe,
-  // excluded or not — a member is never billed twice.
+  // per-query seen-set. Each distinct member costs exactly one ring probe.
   const size_t total = std::min(2 * width + 1, n);
+  if (cost != nullptr) cost->ring_probes += total;
   walk_scratch_.clear();
-  auto consider = [&](const ChordRing::Member& m) {
-    if (cost != nullptr) cost->ring_probes += 1;
-    if (std::binary_search(exclude_scratch_.begin(), exclude_scratch_.end(),
-                           m.node)) {
-      return;
-    }
-    walk_scratch_.push_back(m.node);
-  };
   // Odd steps take the next successor, even steps the next predecessor.
   // Both indices are stepped with a wrap test instead of a modulo per
-  // member: after step 2i - 1, members[succ] is SuccessorAt(start, i);
-  // after step 2i, members[pred] is PredecessorAt(start, i).
+  // member: after step 2i - 1, members[succ] is i members clockwise of the
+  // start; after step 2i, members[pred] is i members counter-clockwise.
   const std::vector<ChordRing::Member>& members = ring_.members();
-  size_t succ = lookup->member_index;
+  size_t succ = *start;
   size_t pred = succ;
-  consider(members[succ]);
+  walk_scratch_.push_back(members[succ].node);
   for (size_t step = 1; step < total; ++step) {
     if ((step & 1) != 0) {
       if (++succ == n) succ = 0;
-      consider(members[succ]);
+      walk_scratch_.push_back(members[succ].node);
     } else {
       pred = (pred == 0 ? n : pred) - 1;
-      consider(members[pred]);
+      walk_scratch_.push_back(members[pred].node);
     }
   }
 
   // Batched distance sweep over the walked candidates, then rank 16-byte
   // (distance, node) pairs.
-  const size_t count = walk_scratch_.size();
-  dist_scratch_.resize(count);
+  dist_scratch_.resize(total);
   kernels::DistanceSquaredToMany(coords_, target.data(), walk_scratch_.data(),
-                                 count, dist_scratch_.data());
-  kernels::SqrtMany(dist_scratch_.data(), count);
+                                 total, dist_scratch_.data());
+  kernels::SqrtMany(dist_scratch_.data(), total);
   pair_scratch_.clear();
-  for (size_t j = 0; j < count; ++j) {
+  for (size_t j = 0; j < total; ++j) {
     pair_scratch_.push_back(DistNode{dist_scratch_[j], walk_scratch_[j]});
   }
   // The (distance, node) order is strict, so the partially sorted top-k
   // prefix is exactly the prefix of a full sort.
-  const size_t keep = std::min(k, pair_scratch_.size());
+  const size_t keep = std::min(k, total);
   std::partial_sort(pair_scratch_.begin(), pair_scratch_.begin() + keep,
                     pair_scratch_.end());
   return keep;
-}
-
-Status CoordinateIndex::KNearestInto(const Vec& target, size_t k,
-                                     size_t probe_width, IndexQueryCost* cost,
-                                     const std::vector<NodeId>& exclude,
-                                     std::vector<IndexMatch>* out) const {
-  out->clear();
-  auto keep = RankNearest(target, k, probe_width, cost, exclude);
-  if (!keep.ok()) return keep.status();
-  EmitMatches(*keep, out);
-  return Status::OK();
 }
 
 Status CoordinateIndex::KNearestNodesInto(const Vec& target, size_t k,
@@ -147,95 +111,64 @@ Status CoordinateIndex::KNearestNodesInto(const Vec& target, size_t k,
                                           IndexQueryCost* cost,
                                           std::vector<NodeId>* out) const {
   out->clear();
-  auto keep = RankNearest(target, k, probe_width, cost, {});
+  auto keep = RankNearest(target, k, probe_width, cost);
   if (!keep.ok()) return keep.status();
   out->reserve(*keep);
   for (size_t j = 0; j < *keep; ++j) out->push_back(pair_scratch_[j].node);
   return Status::OK();
 }
 
-StatusOr<std::vector<IndexMatch>> CoordinateIndex::KNearest(
-    const Vec& target, size_t k, size_t probe_width, IndexQueryCost* cost,
-    const std::vector<NodeId>& exclude) const {
-  std::vector<IndexMatch> out;
-  Status st = KNearestInto(target, k, probe_width, cost, exclude, &out);
-  if (!st.ok()) return st;
-  return out;
-}
+Status CoordinateIndex::WithinRadiusInto(const Vec& target, double radius,
+                                         IndexQueryCost* cost,
+                                         std::vector<NodeId>* out) const {
+  out->clear();
+  auto start = StartWalk(target, cost);
+  if (!start.ok()) return start.status();
 
-StatusOr<IndexMatch> CoordinateIndex::Nearest(const Vec& target,
-                                              size_t probe_width,
-                                              IndexQueryCost* cost) const {
-  Status st = KNearestInto(target, 1, probe_width, cost, {}, &nearest_scratch_);
-  if (!st.ok()) return st;
-  if (nearest_scratch_.empty()) return Status::NotFound("no nodes in index");
-  return nearest_scratch_[0];
-}
-
-StatusOr<std::vector<IndexMatch>> CoordinateIndex::WithinRadius(
-    const Vec& target, double radius, IndexQueryCost* cost) const {
-  if (ring_.NumMembers() == 0) {
-    return Status::FailedPrecondition("coordinate index is empty");
-  }
-  const U128 key = quantizer_.Key(target);
-  auto lookup = ring_.Lookup(key);
-  if (!lookup.ok()) return lookup.status();
-  if (cost != nullptr) {
-    cost->lookups += 1;
-    cost->routing_hops += lookup->hops;
-  }
-
-  BeginSeenEpoch();
-  pair_scratch_.clear();
-  const size_t n = ring_.NumMembers();
-  auto consider = [&](const ChordRing::Member& m) {
-    if (seen_stamp_[m.node] == query_epoch_) return false;
-    seen_stamp_[m.node] = query_epoch_;
-    if (cost != nullptr) cost->ring_probes += 1;
-    const double d = DistanceTo(m.node, target);
-    if (d <= radius) pair_scratch_.push_back(DistNode{d, m.node});
-    return d <= radius;
+  const std::vector<ChordRing::Member>& members = ring_.members();
+  const size_t n = members.size();
+  size_t considered = 0;
+  auto consider = [&](size_t i) {
+    ++considered;
+    const NodeId node = members[i].node;
+    const bool hit = DistanceTo(node, target) <= radius;
+    if (hit) out->push_back(node);
+    return hit;
   };
-
-  consider(ring_.SuccessorAt(lookup->member_index, 0));
-  // Walk both directions; stop a direction after `kMissesToStop` consecutive
-  // members outside the radius (the curve has carried us away from the
-  // sphere), or when the whole ring was seen.
+  // Walk both directions, stepping indices as RankNearest does; stop a
+  // direction after `kMissesToStop` consecutive members outside the radius
+  // (the curve has carried us away from the sphere). The two arcs stay
+  // disjoint until they meet, which happens exactly when all n members
+  // were considered, so the walk stops there and examines no member twice.
   constexpr size_t kMissesToStop = 8;
+  size_t succ = *start;
+  size_t pred = succ;
   size_t succ_misses = 0, pred_misses = 0;
-  bool succ_done = false, pred_done = false;
-  for (size_t i = 1; i < n && (!succ_done || !pred_done); ++i) {
-    if (!succ_done) {
-      if (consider(ring_.SuccessorAt(lookup->member_index, i))) {
-        succ_misses = 0;
-      } else if (++succ_misses >= kMissesToStop) {
-        succ_done = true;
-      }
+  consider(succ);
+  while (considered < n &&
+         (succ_misses < kMissesToStop || pred_misses < kMissesToStop)) {
+    if (succ_misses < kMissesToStop) {
+      if (++succ == n) succ = 0;
+      succ_misses = consider(succ) ? 0 : succ_misses + 1;
+      if (considered == n) break;
     }
-    if (!pred_done) {
-      if (consider(ring_.PredecessorAt(lookup->member_index, i))) {
-        pred_misses = 0;
-      } else if (++pred_misses >= kMissesToStop) {
-        pred_done = true;
-      }
+    if (pred_misses < kMissesToStop) {
+      pred = (pred == 0 ? n : pred) - 1;
+      pred_misses = consider(pred) ? 0 : pred_misses + 1;
     }
   }
-  // Rank 16-byte (distance, node) pairs; build the matches only at the end.
-  std::sort(pair_scratch_.begin(), pair_scratch_.end());
-  std::vector<IndexMatch> out;
-  EmitMatches(pair_scratch_.size(), &out);
-  return out;
+  if (cost != nullptr) cost->ring_probes += considered;
+  return Status::OK();
 }
 
 void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
-                                        std::vector<IndexMatch>* out) const {
+                                        std::vector<NodeId>* out) const {
   out->clear();
   const size_t slots = coords_.nodes();
   if (slots == 0) return;
   // Unit-stride distance sweep over every slot. Withdrawn slots keep their
-  // stale published coordinate (exactly as the per-Vec store did); their
-  // distances are computed and filtered below — cheaper than branching
-  // inside the vector loop.
+  // stale published coordinate; their distances are computed and filtered
+  // below — cheaper than branching inside the vector loop.
   dist_scratch_.resize(slots);
   kernels::DistanceSquaredToMany(coords_, target.data(), dist_scratch_.data());
   kernels::SqrtMany(dist_scratch_.data(), slots);
@@ -253,14 +186,7 @@ void CoordinateIndex::KNearestExactInto(const Vec& target, size_t k,
     pair_scratch_.resize(k);
   }
   std::sort(pair_scratch_.begin(), pair_scratch_.end());
-  EmitMatches(pair_scratch_.size(), out);
-}
-
-std::vector<IndexMatch> CoordinateIndex::KNearestExact(const Vec& target,
-                                                       size_t k) const {
-  std::vector<IndexMatch> out;
-  KNearestExactInto(target, k, &out);
-  return out;
+  for (const DistNode& p : pair_scratch_) out->push_back(p.node);
 }
 
 }  // namespace sbon::dht

@@ -104,7 +104,6 @@ class Sbon {
   const net::LatencyView& latency() const { return fabric_->live(); }
   const coords::CostSpace& cost_space() const { return coords_->space(); }
   const dht::CoordinateIndex& index() const { return coords_->index(); }
-  dht::IndexQueryCost& index_cost() { return coords_->index_cost(); }
   Rng& rng() { return rng_; }
   /// Overlay-eligible nodes currently *alive* (failed nodes drop out until
   /// they rejoin). Sorted ascending.

@@ -7,14 +7,6 @@
 namespace sbon::placement {
 namespace {
 
-// Extends a vector-space point with zero scalar coordinates (the "ideal"
-// target of physical mapping).
-Vec IdealFullTarget(const Vec& vector_point, size_t scalar_dims) {
-  Vec out = vector_point;
-  for (size_t i = 0; i < scalar_dims; ++i) out.Append(0.0);
-  return out;
-}
-
 // Distance from the vector part of `node`'s published full coordinate to
 // `vector_point`.
 double VectorPartDistance(const CoordBlock& coords, NodeId node,
@@ -66,17 +58,11 @@ Status MapVertex(overlay::Circuit* circuit, int v, const overlay::Sbon& sbon,
   // index query keeps its capacity, so mapping a vertex is heap-free.
   thread_local std::vector<NodeId> candidates;
   const Vec target =
-      IdealFullTarget(circuit->vertex(v).virtual_coord,
-                      sbon.cost_space().spec().num_scalar_dims());
-  dht::IndexQueryCost qcost;
+      sbon.cost_space().IdealTarget(circuit->vertex(v).virtual_coord);
   Status st = sbon.index().KNearestNodesInto(
-      target, options.k_candidates, options.probe_width, &qcost, &candidates);
+      target, options.k_candidates, options.probe_width,
+      report != nullptr ? &report->dht_cost : nullptr, &candidates);
   if (!st.ok()) return st;
-  if (report != nullptr) {
-    report->dht_cost.lookups += qcost.lookups;
-    report->dht_cost.routing_hops += qcost.routing_hops;
-    report->dht_cost.ring_probes += qcost.ring_probes;
-  }
   return MapOneVertex(circuit, v, candidates, sbon.index().published_coords(),
                       options, report);
 }
@@ -93,15 +79,11 @@ Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
 
 Status MapCircuitExact(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                        const MappingOptions& options, MappingReport* report) {
-  const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
-  std::vector<dht::IndexMatch> matches;
   std::vector<NodeId> candidates;
   for (int v : circuit->PlaceableVertices()) {
-    const Vec target =
-        IdealFullTarget(circuit->vertex(v).virtual_coord, scalar_dims);
-    sbon.index().KNearestExactInto(target, options.k_candidates, &matches);
-    candidates.clear();
-    for (const dht::IndexMatch& m : matches) candidates.push_back(m.node);
+    sbon.index().KNearestExactInto(
+        sbon.cost_space().IdealTarget(circuit->vertex(v).virtual_coord),
+        options.k_candidates, &candidates);
     Status st = MapOneVertex(circuit, v, candidates,
                              sbon.index().published_coords(), options, report);
     if (!st.ok()) return st;

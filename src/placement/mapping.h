@@ -35,6 +35,14 @@ struct MappingReport {
   /// Times the load-aware ranking overrode the vector-nearest candidate.
   size_t load_overrides = 0;
 
+  MappingReport& operator+=(const MappingReport& o) {
+    dht_cost += o.dht_cost;
+    services_mapped += o.services_mapped;
+    total_mapping_error += o.total_mapping_error;
+    load_overrides += o.load_overrides;
+    return *this;
+  }
+
   double MeanMappingError() const {
     return services_mapped == 0 ? 0.0
                                 : total_mapping_error /

@@ -253,11 +253,12 @@ TEST_F(SbonChurnTest, RejoinRestoresMembershipAndIndex) {
   EXPECT_EQ(sbon_->index().NumPublished(), alive.size());
   EXPECT_EQ(sbon_->ledger().service_load(host), 0.0);
   // The rejoined node is findable by coordinate queries again.
-  auto nearest = sbon_->index().KNearest(
-      sbon_->cost_space().FullCoord(host), 1);
-  ASSERT_TRUE(nearest.ok());
-  ASSERT_EQ(nearest->size(), 1u);
-  EXPECT_EQ((*nearest)[0].node, host);
+  std::vector<NodeId> nearest;
+  ASSERT_TRUE(sbon_->index()
+                  .KNearestNodesInto(sbon_->cost_space().FullCoord(host), 1,
+                                     16, nullptr, &nearest)
+                  .ok());
+  EXPECT_EQ(nearest, std::vector<NodeId>{host});
 }
 
 TEST_F(SbonChurnTest, DeadNodesNeverComeBackFromIndexQueries) {
@@ -265,10 +266,13 @@ TEST_F(SbonChurnTest, DeadNodesNeverComeBackFromIndexQueries) {
   ASSERT_TRUE(sbon_->FailNode(host).ok());
   // Probe around the dead node's own coordinate with a wide beam: it must
   // never be returned while down.
-  auto matches = sbon_->index().KNearest(sbon_->cost_space().FullCoord(host),
-                                         8, 32);
-  ASSERT_TRUE(matches.ok());
-  for (const auto& m : *matches) EXPECT_NE(m.node, host);
+  std::vector<NodeId> matches;
+  ASSERT_TRUE(sbon_->index()
+                  .KNearestNodesInto(sbon_->cost_space().FullCoord(host), 8,
+                                     32, nullptr, &matches)
+                  .ok());
+  EXPECT_EQ(matches.size(), 8u);
+  for (NodeId m : matches) EXPECT_NE(m, host);
 }
 
 TEST_F(SbonChurnTest, InstallAndMigrateRefuseDeadHosts) {

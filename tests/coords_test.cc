@@ -121,17 +121,12 @@ TEST(CostSpaceTest, RejectsBadIndices) {
   EXPECT_FALSE(cs.SetScalarMetric(0, 0, 1.0).ok());  // no scalar dims
 }
 
-TEST(CostSpaceTest, FullDistanceToIdealIncludesLoad) {
-  // Paper Figure 3: N1 latency-closer but overloaded; N2 wins in full space.
-  CostSpace cs(CostSpaceSpec::LatencyAndLoad(2, 100.0), 2);
-  ASSERT_TRUE(cs.SetVectorCoord(0, Vec{1.0, 0.0}).ok());   // N1, close
-  ASSERT_TRUE(cs.SetScalarMetric(0, 0, 0.9).ok());         // overloaded
-  ASSERT_TRUE(cs.SetVectorCoord(1, Vec{10.0, 0.0}).ok());  // N2, farther
-  ASSERT_TRUE(cs.SetScalarMetric(1, 0, 0.1).ok());         // idle
-  const Vec target{0.0, 0.0};
-  EXPECT_LT(cs.VectorDistanceTo(0, target), cs.VectorDistanceTo(1, target));
-  EXPECT_GT(cs.FullDistanceToIdeal(0, target),
-            cs.FullDistanceToIdeal(1, target));
+TEST(CostSpaceTest, IdealTargetZerosEveryScalarDim) {
+  CostSpace cs(CostSpaceSpec::LatencyAndLoad(2, 100.0), 1);
+  EXPECT_EQ(cs.IdealTarget(Vec{1.0, -2.0}), (Vec{1.0, -2.0, 0.0}));
+  CostSpace latency_only(CostSpaceSpec::LatencyOnly(3), 1);
+  EXPECT_EQ(latency_only.IdealTarget(Vec{1.0, 2.0, 3.0}),
+            (Vec{1.0, 2.0, 3.0}));
 }
 
 TEST(CostSpaceTest, VectorDistanceSymmetric) {

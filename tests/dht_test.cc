@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "dht/chord.h"
@@ -589,11 +591,14 @@ TEST(ChordTest, SuccessorPredecessorWalk) {
   }
   auto r = ring.Lookup(U128::FromU64(15));
   ASSERT_TRUE(r.ok());  // member 20 at index 1
-  EXPECT_EQ(ring.SuccessorAt(r->member_index, 0).node, 20u);
-  EXPECT_EQ(ring.SuccessorAt(r->member_index, 1).node, 30u);
-  EXPECT_EQ(ring.SuccessorAt(r->member_index, 2).node, 10u);  // wrap
-  EXPECT_EQ(ring.PredecessorAt(r->member_index, 1).node, 10u);
-  EXPECT_EQ(ring.PredecessorAt(r->member_index, 2).node, 30u);  // wrap
+  // Walking the sorted members from the lookup's index, both ways.
+  const std::vector<ChordRing::Member>& m = ring.members();
+  const size_t n = m.size();
+  EXPECT_EQ(m[r->member_index].node, 20u);
+  EXPECT_EQ(m[(r->member_index + 1) % n].node, 30u);
+  EXPECT_EQ(m[(r->member_index + 2) % n].node, 10u);  // wrap
+  EXPECT_EQ(m[(r->member_index + n - 1) % n].node, 10u);
+  EXPECT_EQ(m[(r->member_index + n - 2) % n].node, 30u);  // wrap
 }
 
 // --------------------------- CoordinateIndex ---------------------------
@@ -606,35 +611,59 @@ CoordinateIndex MakeIndex(const std::vector<Vec>& coords, unsigned bits = 8) {
   return idx;
 }
 
+// The probed query's node ids, nearest first (a fresh vector per call).
+std::vector<NodeId> ProbedNodes(const CoordinateIndex& idx, const Vec& target,
+                                size_t k, size_t probe_width = 16,
+                                IndexQueryCost* cost = nullptr) {
+  std::vector<NodeId> out;
+  EXPECT_TRUE(idx.KNearestNodesInto(target, k, probe_width, cost, &out).ok());
+  return out;
+}
+
+std::vector<NodeId> ExactNodes(const CoordinateIndex& idx, const Vec& target,
+                               size_t k) {
+  std::vector<NodeId> out;
+  idx.KNearestExactInto(target, k, &out);
+  return out;
+}
+
+std::vector<NodeId> SphereNodes(const CoordinateIndex& idx, const Vec& target,
+                                double radius) {
+  std::vector<NodeId> out;
+  EXPECT_TRUE(idx.WithinRadiusInto(target, radius, nullptr, &out).ok());
+  return out;
+}
+
 TEST(CoordinateIndexTest, NearestFindsObviousNeighbor) {
   std::vector<Vec> coords = {{0, 0}, {100, 100}, {50, 50}, {10, 2}};
   auto idx = MakeIndex(coords);
-  auto m = idx.Nearest(Vec{9, 1});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->node, 3u);
+  EXPECT_EQ(ProbedNodes(idx, Vec{9, 1}, 1), std::vector<NodeId>{3});
+  EXPECT_EQ(ExactNodes(idx, Vec{9, 1}, 1), std::vector<NodeId>{3});
 }
 
 TEST(CoordinateIndexTest, EmptyIndexFails) {
   CoordinateIndex idx(HilbertQuantizer({0.0}, {1.0}, 4));
-  EXPECT_FALSE(idx.Nearest(Vec{0.5}).ok());
+  std::vector<NodeId> out = {7};
+  EXPECT_FALSE(idx.KNearestNodesInto(Vec{0.5}, 1, 16, nullptr, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(idx.WithinRadiusInto(Vec{0.5}, 1.0, nullptr, &out).ok());
+  idx.KNearestExactInto(Vec{0.5}, 1, &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(CoordinateIndexTest, WithdrawRemoves) {
   std::vector<Vec> coords = {{0, 0}, {1, 1}};
   auto idx = MakeIndex(coords);
   idx.Withdraw(0);
-  auto m = idx.Nearest(Vec{0, 0});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->node, 1u);
+  EXPECT_EQ(ProbedNodes(idx, Vec{0, 0}, 1), std::vector<NodeId>{1});
+  EXPECT_EQ(ExactNodes(idx, Vec{0, 0}, 2), std::vector<NodeId>{1});
 }
 
 TEST(CoordinateIndexTest, RepublishMovesNode) {
   std::vector<Vec> coords = {{0, 0}, {100, 100}};
   auto idx = MakeIndex(coords);
   idx.Publish(0, Vec{90, 90});
-  auto m = idx.Nearest(Vec{80, 80});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->node, 0u);
+  EXPECT_EQ(ProbedNodes(idx, Vec{80, 80}, 1), std::vector<NodeId>{0});
   EXPECT_EQ(idx.NumPublished(), 2u);
 }
 
@@ -660,15 +689,8 @@ TEST(CoordinateIndexTest, PublishAllMatchesOneByOnePublish) {
     }
     for (int rep = 0; rep < 20; ++rep) {
       const Vec target{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-      auto a = batch.KNearest(target, 5, 4);
-      auto b = single.KNearest(target, 5, 4);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a->size(), b->size());
-      for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ((*a)[i].node, (*b)[i].node);
-        EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-      }
+      EXPECT_EQ(ProbedNodes(batch, target, 5, 4),
+                ProbedNodes(single, target, 5, 4));
     }
   };
   batch.PublishAll(nodes, coords);
@@ -692,15 +714,6 @@ TEST(CoordinateIndexTest, PublishAllMatchesOneByOnePublish) {
   EXPECT_EQ(batch.NumPublished(), 60u);
 }
 
-TEST(CoordinateIndexTest, ExcludeSkipsNodes) {
-  std::vector<Vec> coords = {{0, 0}, {1, 0}, {2, 0}};
-  auto idx = MakeIndex(coords);
-  auto ms = idx.KNearest(Vec{0, 0}, 1, 16, nullptr, {0});
-  ASSERT_TRUE(ms.ok());
-  ASSERT_EQ(ms->size(), 1u);
-  EXPECT_EQ((*ms)[0].node, 1u);
-}
-
 TEST(CoordinateIndexTest, KNearestSortedByDistance) {
   Rng rng(3);
   std::vector<Vec> coords;
@@ -708,10 +721,12 @@ TEST(CoordinateIndexTest, KNearestSortedByDistance) {
     coords.push_back(Vec{rng.Uniform(0, 100), rng.Uniform(0, 100)});
   }
   auto idx = MakeIndex(coords);
-  auto ms = idx.KNearest(Vec{50, 50}, 10, 30);
-  ASSERT_TRUE(ms.ok());
-  for (size_t i = 1; i < ms->size(); ++i) {
-    EXPECT_LE((*ms)[i - 1].distance, (*ms)[i].distance);
+  const Vec target{50, 50};
+  const std::vector<NodeId> got = ProbedNodes(idx, target, 10, 30);
+  ASSERT_EQ(got.size(), 10u);
+  for (size_t i = 1; i < got.size(); ++i) {
+    EXPECT_LE(coords[got[i - 1]].DistanceTo(target),
+              coords[got[i]].DistanceTo(target));
   }
 }
 
@@ -728,13 +743,7 @@ TEST_P(IndexAccuracyTest, WideProbeMatchesExactOracle) {
   for (int rep = 0; rep < 30; ++rep) {
     const Vec target{rng.Uniform(0, 100), rng.Uniform(0, 100)};
     // Probe width covering the whole ring: must equal the oracle.
-    auto got = idx.KNearest(target, 5, n);
-    ASSERT_TRUE(got.ok());
-    const auto want = idx.KNearestExact(target, 5);
-    ASSERT_EQ(got->size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ((*got)[i].node, want[i].node);
-    }
+    EXPECT_EQ(ProbedNodes(idx, target, 5, n), ExactNodes(idx, target, 5));
   }
 }
 
@@ -749,11 +758,12 @@ TEST_P(IndexAccuracyTest, NarrowProbeNearOptimal) {
   double got_total = 0.0, want_total = 0.0;
   for (int rep = 0; rep < 60; ++rep) {
     const Vec target{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    auto got = idx.Nearest(target, /*probe_width=*/16);
-    ASSERT_TRUE(got.ok());
-    const auto want = idx.KNearestExact(target, 1);
-    got_total += got->distance;
-    want_total += want[0].distance;
+    const std::vector<NodeId> got =
+        ProbedNodes(idx, target, 1, /*probe_width=*/16);
+    ASSERT_EQ(got.size(), 1u);
+    const std::vector<NodeId> want = ExactNodes(idx, target, 1);
+    got_total += coords[got[0]].DistanceTo(target);
+    want_total += coords[want[0]].DistanceTo(target);
   }
   // Hilbert probing is approximate; on average it must stay within 2x of
   // the exact nearest distance (typically much closer).
@@ -766,10 +776,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IndexAccuracyTest,
 TEST(CoordinateIndexTest, WithinRadiusFindsAllNearby) {
   std::vector<Vec> coords = {{0, 0}, {3, 0}, {0, 4}, {30, 40}, {100, 100}};
   auto idx = MakeIndex(coords);
-  auto ms = idx.WithinRadius(Vec{0, 0}, 5.5);
-  ASSERT_TRUE(ms.ok());
-  std::set<NodeId> nodes;
-  for (const auto& m : *ms) nodes.insert(m.node);
+  const std::vector<NodeId> got = SphereNodes(idx, Vec{0, 0}, 5.5);
+  const std::set<NodeId> nodes(got.begin(), got.end());
+  EXPECT_EQ(nodes.size(), got.size());  // each member at most once
   EXPECT_TRUE(nodes.count(0));
   EXPECT_TRUE(nodes.count(1));
   EXPECT_TRUE(nodes.count(2));
@@ -779,10 +788,7 @@ TEST(CoordinateIndexTest, WithinRadiusFindsAllNearby) {
 TEST(CoordinateIndexTest, WithinRadiusZeroMatchesOnlyCoincident) {
   std::vector<Vec> coords = {{5, 5}, {6, 6}};
   auto idx = MakeIndex(coords);
-  auto ms = idx.WithinRadius(Vec{5, 5}, 0.0);
-  ASSERT_TRUE(ms.ok());
-  ASSERT_EQ(ms->size(), 1u);
-  EXPECT_EQ((*ms)[0].node, 0u);
+  EXPECT_EQ(SphereNodes(idx, Vec{5, 5}, 0.0), std::vector<NodeId>{0});
 }
 
 TEST(CoordinateIndexTest, QueryCostAccounted) {
@@ -793,22 +799,23 @@ TEST(CoordinateIndexTest, QueryCostAccounted) {
   }
   auto idx = MakeIndex(coords);
   IndexQueryCost cost;
-  auto ms = idx.KNearest(Vec{50, 50}, 4, 8, &cost);
-  ASSERT_TRUE(ms.ok());
+  EXPECT_EQ(ProbedNodes(idx, Vec{50, 50}, 4, 8, &cost).size(), 4u);
   EXPECT_EQ(cost.lookups, 1u);
   EXPECT_GT(cost.ring_probes, 0u);
+  std::vector<NodeId> sphere;
+  ASSERT_TRUE(idx.WithinRadiusInto(Vec{50, 50}, 10.0, &cost, &sphere).ok());
+  EXPECT_EQ(cost.lookups, 2u);
 }
 
-// Straightforward reference for KNearest, kept deliberately naive: rebuild
-// the sorted ring from the published coordinates, walk the curve
+// Straightforward reference for the probed query, kept deliberately naive:
+// rebuild the sorted ring from the published coordinates, walk the curve
 // neighborhood with an explicit seen-set (the pre-optimization algorithm),
 // re-rank by true distance, truncate to k. The production fast path must
-// return bit-identical results.
-std::vector<IndexMatch> ReferenceKNearest(const CoordinateIndex& idx,
-                                          const std::vector<Vec>& coords,
-                                          const Vec& target, size_t k,
-                                          size_t probe_width,
-                                          const std::set<NodeId>& exclude) {
+// return the same nodes in the same order.
+std::vector<NodeId> ReferenceKNearest(const CoordinateIndex& idx,
+                                      const std::vector<Vec>& coords,
+                                      const Vec& target, size_t k,
+                                      size_t probe_width) {
   struct RingEntry {
     U128 key;
     NodeId node;
@@ -828,13 +835,11 @@ std::vector<IndexMatch> ReferenceKNearest(const CoordinateIndex& idx,
   start %= n;  // successor(key), wrapping
 
   std::set<NodeId> seen;
-  std::vector<IndexMatch> cand;
+  std::vector<std::pair<double, NodeId>> cand;
   auto consider = [&](size_t mi) {
     const NodeId node = ring[mi].node;
     if (!seen.insert(node).second) return;
-    if (exclude.count(node) != 0) return;
-    cand.push_back(
-        IndexMatch{node, coords[node].DistanceTo(target), coords[node]});
+    cand.emplace_back(coords[node].DistanceTo(target), node);
   };
   const size_t width = std::min(probe_width, n);
   consider(start);
@@ -842,13 +847,12 @@ std::vector<IndexMatch> ReferenceKNearest(const CoordinateIndex& idx,
     consider((start + i) % n);
     consider((start + n - (i % n)) % n);
   }
-  std::sort(cand.begin(), cand.end(),
-            [](const IndexMatch& a, const IndexMatch& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.node < b.node;
-            });
-  if (cand.size() > k) cand.resize(k);
-  return cand;
+  std::sort(cand.begin(), cand.end());  // by distance, node id breaking ties
+  std::vector<NodeId> out;
+  for (size_t i = 0; i < std::min(k, cand.size()); ++i) {
+    out.push_back(cand[i].second);
+  }
+  return out;
 }
 
 // Generates a point set whose Hilbert keys are pairwise distinct, so the
@@ -877,26 +881,13 @@ TEST_P(IndexEquivalenceTest, KNearestMatchesReferenceBitIdentically) {
   const auto coords = DistinctKeyCoords(n, &rng, 10);
   ASSERT_EQ(coords.size(), n);
   auto idx = MakeIndex(coords, 10);
+  std::vector<NodeId> got;  // reused across queries, as mapping does
   for (int rep = 0; rep < 40; ++rep) {
     const Vec target{rng.Uniform(0, 100), rng.Uniform(0, 100)};
     const size_t k = 1 + rng.UniformInt(8);
     const size_t width = 1 + rng.UniformInt(2 * n);  // includes wrap cases
-    std::vector<NodeId> exclude;
-    const size_t num_excl = rng.UniformInt(4);
-    for (size_t e = 0; e < num_excl; ++e) {
-      exclude.push_back(static_cast<NodeId>(rng.UniformInt(n)));
-    }
-    auto got = idx.KNearest(target, k, width, nullptr, exclude);
-    ASSERT_TRUE(got.ok());
-    const auto want = ReferenceKNearest(
-        idx, coords, target, k, width,
-        std::set<NodeId>(exclude.begin(), exclude.end()));
-    ASSERT_EQ(got->size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ((*got)[i].node, want[i].node);
-      EXPECT_EQ((*got)[i].distance, want[i].distance);  // bit-identical
-      EXPECT_EQ((*got)[i].coord, want[i].coord);
-    }
+    ASSERT_TRUE(idx.KNearestNodesInto(target, k, width, nullptr, &got).ok());
+    EXPECT_EQ(got, ReferenceKNearest(idx, coords, target, k, width));
   }
 }
 
@@ -908,28 +899,22 @@ TEST_P(IndexEquivalenceTest, KNearestExactMatchesFullSortReference) {
     coords.push_back(Vec{rng.Uniform(0, 50), rng.Uniform(0, 50)});
   }
   auto idx = MakeIndex(coords, 9);
+  std::vector<NodeId> got;
   for (int rep = 0; rep < 40; ++rep) {
     const Vec target{rng.Uniform(0, 50), rng.Uniform(0, 50)};
     const size_t k = 1 + rng.UniformInt(n + 10);  // includes k > population
-    // Reference: sort everything, take the prefix.
-    std::vector<IndexMatch> want;
+    // Reference: sort everything by (distance, node), take the prefix.
+    std::vector<std::pair<double, NodeId>> all;
     for (NodeId node = 0; node < n; ++node) {
-      want.push_back(
-          IndexMatch{node, coords[node].DistanceTo(target), coords[node]});
+      all.emplace_back(coords[node].DistanceTo(target), node);
     }
-    std::sort(want.begin(), want.end(),
-              [](const IndexMatch& a, const IndexMatch& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                return a.node < b.node;
-              });
-    if (want.size() > k) want.resize(k);
-    const auto got = idx.KNearestExact(target, k);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].node, want[i].node);
-      EXPECT_EQ(got[i].distance, want[i].distance);  // bit-identical
-      EXPECT_EQ(got[i].coord, want[i].coord);
+    std::sort(all.begin(), all.end());
+    std::vector<NodeId> want;
+    for (size_t i = 0; i < std::min(k, all.size()); ++i) {
+      want.push_back(all[i].second);
     }
+    idx.KNearestExactInto(target, k, &got);
+    EXPECT_EQ(got, want);
   }
 }
 
@@ -945,18 +930,19 @@ TEST(CoordinateIndexTest, RingProbesBilledOncePerDistinctMember) {
   const Vec target{50, 50};
   for (size_t width : {size_t{1}, size_t{3}, size_t{5}, size_t{16}}) {
     IndexQueryCost cost;
-    auto ms = idx.KNearest(target, 4, width, &cost);
-    ASSERT_TRUE(ms.ok());
+    ProbedNodes(idx, target, 4, width, &cost);
     // One probe per distinct ring member in the walk window — wrapping past
     // the far side of the ring must not bill the same member twice.
     EXPECT_EQ(cost.ring_probes, std::min(2 * width + 1, n)) << width;
     EXPECT_EQ(cost.lookups, 1u);
   }
-  // Excluded members are examined (and billed) exactly once as well.
+  // A sphere holding every member walks the whole ring once.
   IndexQueryCost cost;
-  auto ms = idx.KNearest(target, 4, 3, &cost, {0, 1, 2});
-  ASSERT_TRUE(ms.ok());
-  EXPECT_EQ(cost.ring_probes, 7u);
+  std::vector<NodeId> sphere;
+  ASSERT_TRUE(idx.WithinRadiusInto(target, 1e9, &cost, &sphere).ok());
+  EXPECT_EQ(std::set<NodeId>(sphere.begin(), sphere.end()).size(), n);
+  EXPECT_EQ(sphere.size(), n);
+  EXPECT_EQ(cost.ring_probes, n);
 }
 
 TEST(CoordinateIndexTest, HigherDimensionalIndexWorks) {
@@ -970,10 +956,9 @@ TEST(CoordinateIndexTest, HigherDimensionalIndexWorks) {
   auto idx = MakeIndex(coords, 8);
   Vec target(4);
   for (int d = 0; d < 4; ++d) target[d] = 5.0;
-  auto got = idx.KNearest(target, 3, 80);
-  ASSERT_TRUE(got.ok());
-  const auto want = idx.KNearestExact(target, 3);
-  EXPECT_EQ((*got)[0].node, want[0].node);
+  const std::vector<NodeId> got = ProbedNodes(idx, target, 3, 80);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], ExactNodes(idx, target, 3)[0]);
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
-// Selection pins of the coordinate index: KNearestInto picks its top k by
-// partial_sort over (distance, node) pairs and steps its ring walk without
-// a modulo; WithinRadius ranks (distance, node) pairs and builds matches
-// last. Published coordinates here sit on a coarse grid, so many nodes
-// share a coordinate and distance ties are the norm: every answer must
-// equal a full sort of the same walked members under the (distance, node)
-// order, truncated to k. The node-only query must answer exactly what
-// KNearestInto answers, and mapping over it exactly what mapping over
-// KNearestInto's matches did.
+// Selection pins of the coordinate index. KNearestNodesInto picks its top
+// k by partial_sort over (distance, node) pairs and steps its ring walk
+// without a modulo; WithinRadiusInto steps both arcs the same way and stops
+// once it has considered every member. Published coordinates here sit on a
+// coarse grid, so many nodes share a coordinate and distance ties are the
+// norm: every probed answer must equal a full sort of the same walked
+// members under the (distance, node) order, truncated to k, and every
+// sphere answer the hits of a seen-set walk in walk order — with the same
+// lookups, hops and probes. Mapping over node ids must answer exactly what
+// mapping over coordinate-copying matches did.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,10 +31,9 @@ namespace {
 constexpr size_t kDims = 3;
 constexpr size_t kNodes = 150;
 
-bool MatchLess(const IndexMatch& a, const IndexMatch& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.node < b.node;
-}
+// A walked member and its distance to the query target; pairs sort by
+// distance, node id breaking ties.
+using Ranked = std::pair<double, NodeId>;
 
 // A grid point: each component one of {-20, -10, 0, 10, 20}.
 Vec GridPoint(Rng* rng) {
@@ -43,189 +44,216 @@ Vec GridPoint(Rng* rng) {
   return p;
 }
 
-struct TiedIndex {
-  CoordinateIndex index;
-  std::vector<Vec> mirror;
-
-  explicit TiedIndex(uint64_t seed)
-      : index(HilbertQuantizer(std::vector<double>(kDims, -25.0),
-                               std::vector<double>(kDims, 25.0),
-                               /*bits=*/8)) {
-    Rng rng(seed);
-    for (NodeId n = 0; n < kNodes; ++n) mirror.push_back(GridPoint(&rng));
-    index.PublishAll([] {
-      std::vector<NodeId> ids(kNodes);
-      for (NodeId n = 0; n < kNodes; ++n) ids[n] = n;
-      return ids;
-    }(), mirror);
+std::vector<NodeId> FirstNodes(const std::vector<Ranked>& ranked, size_t k) {
+  std::vector<NodeId> out;
+  for (size_t i = 0; i < std::min(k, ranked.size()); ++i) {
+    out.push_back(ranked[i].second);
   }
+  return out;
+}
 
-  IndexMatch Match(NodeId n, const Vec& target) const {
-    return IndexMatch{n, mirror[n].DistanceTo(target), mirror[n]};
+void ExpectSameCost(const IndexQueryCost& got, const IndexQueryCost& want) {
+  EXPECT_EQ(got.lookups, want.lookups);
+  EXPECT_EQ(got.routing_hops, want.routing_hops);
+  EXPECT_EQ(got.ring_probes, want.ring_probes);
+}
+
+// Reference walks over `index`'s ring, with a modulo per member and the
+// distance of each published coordinate copied out as a `Vec`.
+struct Reference {
+  const CoordinateIndex& index;
+
+  const ChordRing::Member& Succ(size_t start, size_t i) const {
+    const auto& m = index.ring().members();
+    return m[(start + i) % m.size()];
   }
-
-  // The walked members of a probed query (0, +1, -1, +2, -2, ...), minus
-  // exclusions, fully sorted and truncated to k.
-  std::vector<IndexMatch> RefKNearest(const Vec& target, size_t k,
-                                      size_t probe_width,
-                                      std::vector<NodeId> exclude) const {
-    const ChordRing& ring = index.ring();
-    auto lookup = ring.Lookup(index.quantizer().Key(target));
+  const ChordRing::Member& Pred(size_t start, size_t i) const {
+    const auto& m = index.ring().members();
+    return m[(start + m.size() - (i % m.size())) % m.size()];
+  }
+  double Distance(NodeId n, const Vec& target) const {
+    return index.published_coords().NodeVec(n).DistanceTo(target);
+  }
+  size_t Start(const Vec& target, IndexQueryCost* cost) const {
+    auto lookup = index.ring().Lookup(index.quantizer().Key(target));
     EXPECT_TRUE(lookup.ok());
-    std::sort(exclude.begin(), exclude.end());
-    const size_t n = ring.NumMembers();
+    cost->lookups += 1;
+    cost->routing_hops += lookup->hops;
+    return lookup->member_index;
+  }
+
+  // The walked members of a probed query (0, +1, -1, +2, -2, ...), fully
+  // sorted.
+  std::vector<Ranked> Probed(const Vec& target, size_t probe_width,
+                             IndexQueryCost* cost) const {
+    const size_t start = Start(target, cost);
+    const size_t n = index.ring().NumMembers();
     const size_t total = std::min(2 * std::min(probe_width, n) + 1, n);
-    std::vector<IndexMatch> out;
+    std::vector<Ranked> out;
     for (size_t step = 0; step < total; ++step) {
       const size_t i = (step + 1) / 2;
-      const ChordRing::Member& m =
-          step % 2 == 1 ? ring.SuccessorAt(lookup->member_index, i)
-                        : ring.PredecessorAt(lookup->member_index, i);
-      if (std::binary_search(exclude.begin(), exclude.end(), m.node)) {
-        continue;
-      }
-      out.push_back(Match(m.node, target));
+      const NodeId node =
+          (step % 2 == 1 ? Succ(start, i) : Pred(start, i)).node;
+      out.emplace_back(Distance(node, target), node);
     }
-    std::sort(out.begin(), out.end(), MatchLess);
-    if (out.size() > k) out.resize(k);
+    cost->ring_probes += total;
+    std::sort(out.begin(), out.end());
     return out;
   }
 
-  // The sphere walk with a seen-set, then a MatchLess sort of the hits.
-  std::vector<IndexMatch> RefWithinRadius(const Vec& target,
-                                          double radius) const {
-    const ChordRing& ring = index.ring();
-    auto lookup = ring.Lookup(index.quantizer().Key(target));
-    EXPECT_TRUE(lookup.ok());
-    std::vector<bool> seen(kNodes, false);
-    std::vector<IndexMatch> out;
+  // The sphere walk with a seen-set, as it ran before the walk counted its
+  // members: a member seen twice is a miss and is not billed again. Returns
+  // the hits in walk order; `met` tells whether both directions were still
+  // walking when the walk had seen every member.
+  std::vector<NodeId> Sphere(const Vec& target, double radius,
+                             IndexQueryCost* cost, bool* met) const {
+    const size_t start = Start(target, cost);
+    const size_t n = index.ring().NumMembers();
+    std::vector<bool> seen(index.published_coords().nodes(), false);
+    size_t seen_count = 0;
+    std::vector<NodeId> out;
     auto consider = [&](const ChordRing::Member& m) {
       if (seen[m.node]) return false;
       seen[m.node] = true;
-      const IndexMatch hit = Match(m.node, target);
-      if (hit.distance <= radius) out.push_back(hit);
-      return hit.distance <= radius;
+      ++seen_count;
+      cost->ring_probes += 1;
+      const bool hit = Distance(m.node, target) <= radius;
+      if (hit) out.push_back(m.node);
+      return hit;
     };
-    consider(ring.SuccessorAt(lookup->member_index, 0));
-    const size_t n = ring.NumMembers();
+    consider(Succ(start, 0));
     size_t succ_misses = 0, pred_misses = 0;
     bool succ_done = false, pred_done = false;
+    *met = false;
     for (size_t i = 1; i < n && (!succ_done || !pred_done); ++i) {
       if (!succ_done) {
-        if (consider(ring.SuccessorAt(lookup->member_index, i))) {
+        if (consider(Succ(start, i))) {
           succ_misses = 0;
         } else if (++succ_misses >= 8) {
           succ_done = true;
         }
       }
+      if (seen_count == n && !succ_done && !pred_done) *met = true;
       if (!pred_done) {
-        if (consider(ring.PredecessorAt(lookup->member_index, i))) {
+        if (consider(Pred(start, i))) {
           pred_misses = 0;
         } else if (++pred_misses >= 8) {
           pred_done = true;
         }
       }
+      if (seen_count == n && !succ_done && !pred_done) *met = true;
     }
-    std::sort(out.begin(), out.end(), MatchLess);
     return out;
   }
 };
 
-void ExpectSame(const std::vector<IndexMatch>& got,
-                const std::vector<IndexMatch>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].node, want[i].node) << "rank " << i;
-    ASSERT_EQ(got[i].distance, want[i].distance) << "rank " << i;
-    ASSERT_TRUE(got[i].coord == want[i].coord) << "rank " << i;
+struct TiedIndex {
+  CoordinateIndex index;
+
+  explicit TiedIndex(uint64_t seed, size_t nodes = kNodes)
+      : index(HilbertQuantizer(std::vector<double>(kDims, -25.0),
+                               std::vector<double>(kDims, 25.0),
+                               /*bits=*/8)) {
+    Rng rng(seed);
+    std::vector<NodeId> ids;
+    std::vector<Vec> coords;
+    for (NodeId n = 0; n < nodes; ++n) {
+      ids.push_back(n);
+      coords.push_back(GridPoint(&rng));
+    }
+    index.PublishAll(ids, coords);
   }
-}
+
+  Reference ref() const { return Reference{index}; }
+};
 
 TEST(IndexEquivalenceTest, KNearestWithTiesEqualsTruncatedFullSort) {
   size_t tied_cutoffs = 0;
-  for (uint64_t seed : {1u, 2u, 3u}) {
+  for (uint64_t seed : {1u, 2u, 3u, 7u, 8u, 9u}) {
     TiedIndex fx(seed);
     Rng rng(seed * 31 + 7);
-    std::vector<IndexMatch> got;
-    IndexQueryCost cost;
+    std::vector<NodeId> got;  // reused across queries, as mapping does
     for (int q = 0; q < 200; ++q) {
       const Vec target = GridPoint(&rng);
       const size_t k = 1 + rng.UniformInt(12);
       const size_t width = 1 + rng.UniformInt(40);
-      std::vector<NodeId> exclude;
-      for (size_t e = rng.UniformInt(5); e > 0; --e) {
-        exclude.push_back(static_cast<NodeId>(rng.UniformInt(kNodes)));
-      }
+      IndexQueryCost got_cost, want_cost;
       ASSERT_TRUE(
-          fx.index.KNearestInto(target, k, width, &cost, exclude, &got).ok());
-      const std::vector<IndexMatch> full =
-          fx.RefKNearest(target, kNodes, width, exclude);
-      ExpectSame(got, fx.RefKNearest(target, k, width, exclude));
+          fx.index.KNearestNodesInto(target, k, width, &got_cost, &got).ok());
+      const std::vector<Ranked> full = fx.ref().Probed(target, width,
+                                                       &want_cost);
+      ASSERT_EQ(got, FirstNodes(full, k));
+      ExpectSameCost(got_cost, want_cost);
       // A tie straddling the cutoff: the node id decides who is kept.
-      if (full.size() > k && full[k].distance == full[k - 1].distance) {
+      if (full.size() > k && full[k].first == full[k - 1].first) {
         ++tied_cutoffs;
       }
     }
   }
-  EXPECT_GT(tied_cutoffs, 50u);
+  EXPECT_GT(tied_cutoffs, 400u);
 }
 
-TEST(IndexEquivalenceTest, WithinRadiusEqualsMatchLessSort) {
-  size_t ties = 0;
+TEST(IndexEquivalenceTest, WithinRadiusEqualsSeenSetWalk) {
+  size_t hits = 0;
   for (uint64_t seed : {4u, 5u, 6u}) {
     TiedIndex fx(seed);
     Rng rng(seed * 17 + 3);
+    std::vector<NodeId> got;
     for (int q = 0; q < 100; ++q) {
       const Vec target = GridPoint(&rng);
       const double radius = rng.Uniform(0.0, 30.0);
-      IndexQueryCost cost;
-      auto got = fx.index.WithinRadius(target, radius, &cost);
-      ASSERT_TRUE(got.ok());
-      const std::vector<IndexMatch> want = fx.RefWithinRadius(target, radius);
-      ExpectSame(*got, want);
-      for (size_t i = 1; i < want.size(); ++i) {
-        ties += want[i].distance == want[i - 1].distance ? 1 : 0;
-      }
-    }
-  }
-  EXPECT_GT(ties, 100u);
-}
-
-TEST(IndexEquivalenceTest, KNearestNodesEqualsKNearestOrderAndCost) {
-  for (uint64_t seed : {7u, 8u, 9u}) {
-    TiedIndex fx(seed);
-    Rng rng(seed * 13 + 5);
-    std::vector<IndexMatch> matches;
-    std::vector<NodeId> nodes;
-    for (int q = 0; q < 200; ++q) {
-      const Vec target = GridPoint(&rng);
-      const size_t k = 1 + rng.UniformInt(12);
-      const size_t width = 1 + rng.UniformInt(40);
-      IndexQueryCost match_cost, node_cost;
-      ASSERT_TRUE(fx.index
-                      .KNearestInto(target, k, width, &match_cost, {},
-                                    &matches)
-                      .ok());
+      IndexQueryCost got_cost, want_cost;
       ASSERT_TRUE(
-          fx.index.KNearestNodesInto(target, k, width, &node_cost, &nodes)
-              .ok());
-      ASSERT_EQ(nodes.size(), matches.size());
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        ASSERT_EQ(nodes[i], matches[i].node) << "rank " << i;
-      }
-      EXPECT_EQ(node_cost.lookups, match_cost.lookups);
-      EXPECT_EQ(node_cost.routing_hops, match_cost.routing_hops);
-      EXPECT_EQ(node_cost.ring_probes, match_cost.ring_probes);
+          fx.index.WithinRadiusInto(target, radius, &got_cost, &got).ok());
+      bool met = false;
+      ASSERT_EQ(got, fx.ref().Sphere(target, radius, &want_cost, &met));
+      ExpectSameCost(got_cost, want_cost);
+      hits += got.size();
     }
   }
+  EXPECT_GT(hits, 2000u);
 }
 
-// The mapping path the node-only query replaced: KNearestInto's matches,
-// with vector-part distances read from each match's copied coordinate.
-Status IndexMatchMapCircuit(overlay::Circuit* circuit,
-                            const overlay::Sbon& sbon,
-                            const placement::MappingOptions& options,
-                            placement::MappingReport* report) {
+// Rings of at most 17 members under radii that hold most of them: both arcs
+// are still walking when they meet on the far side of the ring, so the walk
+// must stop at exactly n members — one fewer misses a member, one more bills
+// (and returns) a member twice.
+TEST(IndexEquivalenceTest, WithinRadiusStopsWhereBothWalksMeet) {
+  size_t met_queries = 0;
+  for (size_t n = 1; n <= 17; ++n) {
+    for (uint64_t seed : {10u, 11u, 12u}) {
+      TiedIndex fx(seed * 100 + n, n);
+      Rng rng(seed * 7 + n);
+      std::vector<NodeId> got;
+      for (int q = 0; q < 20; ++q) {
+        const Vec target = GridPoint(&rng);
+        const double radius = rng.Uniform(20.0, 80.0);
+        IndexQueryCost got_cost, want_cost;
+        ASSERT_TRUE(
+            fx.index.WithinRadiusInto(target, radius, &got_cost, &got).ok());
+        bool met = false;
+        ASSERT_EQ(got, fx.ref().Sphere(target, radius, &want_cost, &met))
+            << "n=" << n;
+        ExpectSameCost(got_cost, want_cost);
+        EXPECT_LE(got_cost.ring_probes, fx.index.NumPublished());
+        met_queries += met ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(met_queries, 500u);
+}
+
+// The mapping path the node-only query replaced: the reference walk's
+// top-k matches, each with its published coordinate copied out, and
+// vector-part distances read from those copies.
+Status CopiedMatchMapCircuit(overlay::Circuit* circuit,
+                             const overlay::Sbon& sbon,
+                             const placement::MappingOptions& options,
+                             placement::MappingReport* report) {
+  struct Match {
+    NodeId node;
+    Vec coord;
+  };
   const size_t scalar_dims = sbon.cost_space().spec().num_scalar_dims();
   auto vector_part_distance = [](const Vec& full, const Vec& point) {
     double s = 0.0;
@@ -235,16 +263,20 @@ Status IndexMatchMapCircuit(overlay::Circuit* circuit,
     }
     return std::sqrt(s);
   };
-  std::vector<IndexMatch> candidates;
+  const Reference ref{sbon.index()};
+  std::vector<Match> candidates;
   for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
     if (!circuit->Placeable(v)) continue;
     const Vec& point = circuit->vertex(v).virtual_coord;
     Vec target = point;
     for (size_t i = 0; i < scalar_dims; ++i) target.Append(0.0);
-    Status st = sbon.index().KNearestInto(target, options.k_candidates,
-                                          options.probe_width,
-                                          &report->dht_cost, {}, &candidates);
-    if (!st.ok()) return st;
+    candidates.clear();
+    for (NodeId node :
+         FirstNodes(ref.Probed(target, options.probe_width, &report->dht_cost),
+                    options.k_candidates)) {
+      candidates.push_back(
+          Match{node, sbon.index().published_coords().NodeVec(node)});
+    }
     if (candidates.empty()) return Status::NotFound("no candidates");
     size_t vector_nearest = 0;
     double best_vec = 1e300;
@@ -292,7 +324,7 @@ TEST(IndexEquivalenceTest, MapCircuitEqualsIndexMatchPath) {
           ASSERT_TRUE(
               placement::MapCircuit(&got, *sbon, options, &got_report).ok());
           ASSERT_TRUE(
-              IndexMatchMapCircuit(&want, *sbon, options, &want_report).ok());
+              CopiedMatchMapCircuit(&want, *sbon, options, &want_report).ok());
           for (int v = 0; v < static_cast<int>(got.NumVertices()); ++v) {
             ASSERT_EQ(got.vertex(v).host, want.vertex(v).host);
           }
@@ -300,12 +332,7 @@ TEST(IndexEquivalenceTest, MapCircuitEqualsIndexMatchPath) {
           EXPECT_EQ(got_report.total_mapping_error,
                     want_report.total_mapping_error);
           EXPECT_EQ(got_report.load_overrides, want_report.load_overrides);
-          EXPECT_EQ(got_report.dht_cost.lookups,
-                    want_report.dht_cost.lookups);
-          EXPECT_EQ(got_report.dht_cost.routing_hops,
-                    want_report.dht_cost.routing_hops);
-          EXPECT_EQ(got_report.dht_cost.ring_probes,
-                    want_report.dht_cost.ring_probes);
+          ExpectSameCost(got_report.dht_cost, want_report.dht_cost);
           overrides += want_report.load_overrides;
         }
       }

@@ -273,8 +273,12 @@ TEST(SbonTest, QuietRefreshPerformsZeroRepublishes) {
   EXPECT_EQ(s->coords().refresh_stats().quiet_refreshes, 2u);
 
   // Queries still see the refreshed state identically after a quiet epoch.
-  auto m = s->index().Nearest(s->cost_space().FullCoord(0));
-  EXPECT_TRUE(m.ok());
+  std::vector<NodeId> m;
+  EXPECT_TRUE(
+      s->index().KNearestNodesInto(s->cost_space().FullCoord(0), 1, 16,
+                                   nullptr, &m)
+          .ok());
+  EXPECT_EQ(m.size(), 1u);
 }
 
 TEST(SbonTest, InstallCircuitCreatesServices) {

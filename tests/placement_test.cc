@@ -266,7 +266,10 @@ TEST(MappingTest, FailsOnUnplacedVirtualCoords) {
   // (No public withdraw-all; simulate by querying an empty fresh index.)
   dht::CoordinateIndex empty(dht::HilbertQuantizer({0.0, 0.0, 0.0},
                                                    {1.0, 1.0, 1.0}, 4));
-  EXPECT_FALSE(empty.Nearest(Vec{0.5, 0.5, 0.5}).ok());
+  std::vector<NodeId> nodes;
+  EXPECT_FALSE(
+      empty.KNearestNodesInto(Vec{0.5, 0.5, 0.5}, 1, 16, nullptr, &nodes)
+          .ok());
 }
 
 // --------------------------- Baselines ---------------------------

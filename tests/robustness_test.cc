@@ -290,9 +290,9 @@ TEST(IndexChurnTest, KNearestWithKLargerThanPopulation) {
   dht::CoordinateIndex idx(dht::HilbertQuantizer::FitTo(coords, 6));
   idx.Publish(0, coords[0]);
   idx.Publish(1, coords[1]);
-  auto ms = idx.KNearest(Vec{0.0, 0.0}, 10, 10);
-  ASSERT_TRUE(ms.ok());
-  EXPECT_EQ(ms->size(), 2u);
+  std::vector<NodeId> ms;
+  ASSERT_TRUE(idx.KNearestNodesInto(Vec{0.0, 0.0}, 10, 10, nullptr, &ms).ok());
+  EXPECT_EQ(ms.size(), 2u);
 }
 
 TEST(IndexChurnTest, NegativeRadiusReturnsEmpty) {
@@ -300,9 +300,9 @@ TEST(IndexChurnTest, NegativeRadiusReturnsEmpty) {
   dht::CoordinateIndex idx(dht::HilbertQuantizer::FitTo(coords, 6));
   idx.Publish(0, coords[0]);
   idx.Publish(1, coords[1]);
-  auto ms = idx.WithinRadius(Vec{0.0, 0.0}, -1.0);
-  ASSERT_TRUE(ms.ok());
-  EXPECT_TRUE(ms->empty());
+  std::vector<NodeId> ms = {0};
+  ASSERT_TRUE(idx.WithinRadiusInto(Vec{0.0, 0.0}, -1.0, nullptr, &ms).ok());
+  EXPECT_TRUE(ms.empty());
 }
 
 // --------------------------- oracle with load ---------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/coord_block.h"
@@ -136,9 +137,14 @@ TEST(SimdEquivalenceTest, VivaldiHeapSpillDimsMatchScalarReference) {
 
 // --------------------------- Index reference ------------------------------
 
-bool MatchLess(const dht::IndexMatch& a, const dht::IndexMatch& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.node < b.node;
+// A published node and its distance to the query target; pairs sort by
+// distance, node id breaking ties — the index's selection order.
+using Ranked = std::pair<double, NodeId>;
+
+std::vector<NodeId> NodesOf(const std::vector<Ranked>& ranked) {
+  std::vector<NodeId> out;
+  for (const Ranked& r : ranked) out.push_back(r.second);
+  return out;
 }
 
 struct IndexFixture {
@@ -169,80 +175,59 @@ struct IndexFixture {
   }
 
   // The pre-SoA exact scan: one Vec distance per published node, selection
-  // by nth_element on IndexMatch.
-  std::vector<dht::IndexMatch> RefExact(const Vec& target, size_t k) const {
-    std::vector<dht::IndexMatch> out;
+  // by nth_element on (distance, node) pairs.
+  std::vector<NodeId> RefExact(const Vec& target, size_t k) const {
+    std::vector<Ranked> out;
     for (NodeId n = 0; n < mirror.size(); ++n) {
-      out.push_back(dht::IndexMatch{n, mirror[n].DistanceTo(target),
-                                    mirror[n]});
+      out.emplace_back(mirror[n].DistanceTo(target), n);
     }
     if (out.size() > k) {
-      std::nth_element(out.begin(), out.begin() + k, out.end(), MatchLess);
+      std::nth_element(out.begin(), out.begin() + k, out.end());
       out.resize(k);
     }
-    std::sort(out.begin(), out.end(), MatchLess);
-    return out;
+    std::sort(out.begin(), out.end());
+    return NodesOf(out);
   }
 
-  // The pre-SoA probed walk: identical interleaved ring walk and exclusion
-  // billing, per-member Vec distance, full sort + truncate.
-  std::vector<dht::IndexMatch> RefProbed(
-      const Vec& target, size_t k, size_t probe_width,
-      const std::vector<NodeId>& exclude) const {
-    std::vector<dht::IndexMatch> out;
-    const auto& ring = index.ring();
-    const dht::U128 key = index.quantizer().Key(target);
-    auto lookup = ring.Lookup(key);
-    if (!lookup.ok()) return out;
-    std::vector<NodeId> ex(exclude);
-    std::sort(ex.begin(), ex.end());
-    const size_t n = ring.NumMembers();
-    const size_t width = std::min(probe_width, n);
-    const size_t total = std::min(2 * width + 1, n);
-    size_t considered = 0;
-    auto consider = [&](const dht::ChordRing::Member& m) {
-      ++considered;
-      if (std::binary_search(ex.begin(), ex.end(), m.node)) return;
-      out.push_back(dht::IndexMatch{m.node, mirror[m.node].DistanceTo(target),
-                                    mirror[m.node]});
+  // The pre-SoA probed walk: identical interleaved ring walk, per-member
+  // Vec distance, full sort + truncate.
+  std::vector<NodeId> RefProbed(const Vec& target, size_t k,
+                                size_t probe_width) const {
+    std::vector<Ranked> out;
+    const auto& members = index.ring().members();
+    auto lookup = index.ring().Lookup(index.quantizer().Key(target));
+    if (!lookup.ok()) return {};
+    const size_t start = lookup->member_index;
+    const size_t n = members.size();
+    const size_t total = std::min(2 * std::min(probe_width, n) + 1, n);
+    auto consider = [&](size_t i) {
+      const NodeId node = members[i % n].node;
+      out.emplace_back(mirror[node].DistanceTo(target), node);
     };
-    consider(ring.SuccessorAt(lookup->member_index, 0));
-    for (size_t i = 1; considered < total; ++i) {
-      consider(ring.SuccessorAt(lookup->member_index, i));
-      if (considered >= total) break;
-      consider(ring.PredecessorAt(lookup->member_index, i));
+    consider(start);
+    for (size_t i = 1; out.size() < total; ++i) {
+      consider(start + i);
+      if (out.size() >= total) break;
+      consider(start + n - (i % n));
     }
-    std::sort(out.begin(), out.end(), MatchLess);
+    std::sort(out.begin(), out.end());
     if (out.size() > k) out.resize(k);
-    return out;
+    return NodesOf(out);
   }
 };
-
-void ExpectMatchesEqual(const std::vector<dht::IndexMatch>& got,
-                        const std::vector<dht::IndexMatch>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].node, want[i].node) << "rank " << i;
-    ASSERT_EQ(got[i].distance, want[i].distance) << "rank " << i;
-    ASSERT_EQ(got[i].coord.dims(), want[i].coord.dims());
-    for (size_t d = 0; d < got[i].coord.dims(); ++d) {
-      ASSERT_EQ(got[i].coord[d], want[i].coord[d]) << "rank " << i;
-    }
-  }
-}
 
 TEST(SimdEquivalenceTest, KNearestExactMatchesScalarReference) {
   for (uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
     IndexFixture fx(seed);
     Rng rng(seed + 99);
-    std::vector<dht::IndexMatch> got;
+    std::vector<NodeId> got;
     for (size_t q = 0; q < 32; ++q) {
       Vec target(4);
       for (size_t d = 0; d < 4; ++d) target[d] = rng.Uniform(-60.0, 60.0);
       const size_t k = 1 + rng.UniformInt(12);
       fx.index.KNearestExactInto(target, k, &got);
-      ExpectMatchesEqual(got, fx.RefExact(target, k));
+      ASSERT_EQ(got, fx.RefExact(target, k));
     }
   }
 }
@@ -252,22 +237,16 @@ TEST(SimdEquivalenceTest, KNearestProbedWalkMatchesScalarReference) {
     SCOPED_TRACE(seed);
     IndexFixture fx(seed);
     Rng rng(seed + 7);
-    std::vector<dht::IndexMatch> got;
+    std::vector<NodeId> got;
     dht::IndexQueryCost cost;
     for (size_t q = 0; q < 32; ++q) {
       Vec target(4);
       for (size_t d = 0; d < 4; ++d) target[d] = rng.Uniform(-60.0, 60.0);
       const size_t k = 1 + rng.UniformInt(8);
       const size_t width = 4 + rng.UniformInt(16);
-      std::vector<NodeId> exclude;
-      for (size_t e = rng.UniformInt(4); e > 0; --e) {
-        exclude.push_back(static_cast<NodeId>(
-            rng.UniformInt(fx.mirror.size())));
-      }
       ASSERT_TRUE(
-          fx.index.KNearestInto(target, k, width, &cost, exclude, &got)
-              .ok());
-      ExpectMatchesEqual(got, fx.RefProbed(target, k, width, exclude));
+          fx.index.KNearestNodesInto(target, k, width, &cost, &got).ok());
+      ASSERT_EQ(got, fx.RefProbed(target, k, width));
     }
   }
 }
@@ -304,25 +283,15 @@ TEST(SimdEquivalenceTest, BatchedCostEvalMatchesScalarReference) {
     for (NodeId n = 0; n < kNodes; ++n) {
       if (rng.UniformInt(3) != 0) cands.push_back(n);
     }
-    std::vector<double> vec_d(cands.size()), full_d(cands.size());
+    std::vector<double> vec_d(cands.size());
     for (size_t q = 0; q < 16; ++q) {
       Vec point(vdims);
       for (size_t d = 0; d < vdims; ++d) point[d] = rng.Uniform(-50.0, 50.0);
       space.VectorDistancesToMany(point, cands.data(), cands.size(),
                                   vec_d.data());
-      space.FullDistancesToIdealMany(point, cands.data(), cands.size(),
-                                     full_d.data());
       for (size_t j = 0; j < cands.size(); ++j) {
         const NodeId n = cands[j];
         ASSERT_EQ(vec_d[j], vmirror[n].DistanceTo(point)) << "cand " << j;
-        double s = vmirror[n].DistanceSquaredTo(point);
-        for (size_t i = 0; i < sdims; ++i) {
-          s += wmirror[i][n] * wmirror[i][n];
-        }
-        ASSERT_EQ(full_d[j], std::sqrt(s)) << "cand " << j;
-        // Strided single-pair evaluations agree with the batched lanes.
-        ASSERT_EQ(space.VectorDistanceTo(n, point), vec_d[j]);
-        ASSERT_EQ(space.FullDistanceToIdeal(n, point), full_d[j]);
       }
     }
 
