@@ -153,7 +153,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
               rc.vertex, rc.instance->id, rc.instance->host,
               UpstreamLatencyOf(*rc.instance, *sbon));
           Status pst = PlaceAndMap(&variant, sbon, *placer_, config_.mapping,
-                                   nullptr);
+                                   &report);
           if (!pst.ok()) return pst;
           best.placements_evaluated += 1;
           auto vcost = EstimateCost(variant, *sbon, config_.lambda);

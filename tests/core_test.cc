@@ -297,6 +297,40 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   EXPECT_LE(small_work, large_work);
 }
 
+// Every placement the optimizer maps is billed to OptimizeResult::mapping,
+// the reuse variants' included. With an unbounded radius there is no sphere
+// search, so each mapped service is one index lookup, and the variants'
+// services come on top of the enumerated plans'.
+TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
+  auto s = MakeSbon(6);
+  query::WorkloadParams wp = TestWorkload();
+  query::Catalog cat =
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
+  OptimizerConfig cfg;
+  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  auto first = mq.Optimize(
+      query::QuerySpec::SimpleJoin({0, 1, 2}, s->overlay_nodes()[5], 0.001),
+      cat, s.get());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(s->InstallCircuit(std::move(first->circuit)).ok());
+
+  const query::QuerySpec q = query::QuerySpec::SimpleJoin(
+      {0, 1, 2, 3}, s->overlay_nodes()[40], 0.001);
+  auto plans = query::EnumeratePlans(q, cat, cfg.enumeration);
+  ASSERT_TRUE(plans.ok());
+  size_t plan_services = 0;
+  for (query::LogicalPlan& plan : *plans) {
+    auto circuit = overlay::Circuit::FromPlan(std::move(plan), cat);
+    ASSERT_TRUE(circuit.ok());
+    plan_services += circuit->PlaceableVertices().size();
+  }
+  auto r = mq.Optimize(q, cat, s.get());
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(r->placements_evaluated, r->plans_considered);  // variants ran
+  EXPECT_GT(r->mapping.services_mapped, plan_services);
+  EXPECT_EQ(r->mapping.dht_cost.lookups, r->mapping.services_mapped);
+}
+
 // A relaxation placer that counts its Place calls.
 class CountingPlacer : public placement::VirtualPlacer {
  public:
