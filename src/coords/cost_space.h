@@ -107,8 +107,6 @@ class CostSpace {
 
   /// The vector-part lanes (vector_dims x NumNodes), read-only.
   const CoordBlock& vector_block() const { return vector_coords_; }
-  /// The cached weighted-scalar lanes (num_scalar_dims x NumNodes).
-  const CoordBlock& weighted_scalar_block() const { return weighted_scalars_; }
 
   /// Bulk-copies the vector part from a lane-major block of the same shape
   /// (the per-epoch Vivaldi -> cost-space sync).

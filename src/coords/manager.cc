@@ -6,6 +6,14 @@
 
 namespace sbon::coords {
 
+namespace {
+
+// The Vivaldi gossip run at bring-up; its RTT noise also perturbs every
+// online sample.
+constexpr VivaldiRunOptions kVivaldiRun;
+
+}  // namespace
+
 StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
     Params params, const net::LatencyView& lat, Rng* rng) {
   const size_t n = lat.NumNodes();
@@ -15,10 +23,10 @@ StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
   std::vector<Vec> coords;
   switch (params.mode) {
     case CoordMode::kVivaldi: {
-      VivaldiSystem::Params vp = params.vivaldi;
+      VivaldiSystem::Params vp;
       vp.dims = params.spec.vector_dims();
       mgr->vivaldi_ = std::make_unique<VivaldiSystem>(
-          RunVivaldi(lat, vp, params.vivaldi_run, rng));
+          RunVivaldi(lat, vp, kVivaldiRun, rng));
       coords.reserve(n);
       for (NodeId i = 0; i < n; ++i) coords.push_back(mgr->vivaldi_->Coord(i));
       break;
@@ -78,7 +86,7 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
 
 void CoordinateManager::UpdateCoordinatesOnline(
     const net::LatencyView& live, size_t samples_per_node,
-    const std::vector<bool>& alive, double rtt_noise_sigma, Rng* rng) {
+    const std::vector<bool>& alive, Rng* rng) {
   if (vivaldi_ == nullptr) return;
   const size_t n = space_->NumNodes();
   if (n < 2) return;
@@ -101,8 +109,8 @@ void CoordinateManager::UpdateCoordinatesOnline(
           peer = static_cast<NodeId>(rng->UniformInt(n));
         } while (peer == self || !alive[peer]);
         double rtt = live.Latency(self, peer);
-        if (rtt_noise_sigma > 0.0) {
-          rtt *= std::exp(rng->Normal(0.0, rtt_noise_sigma));
+        if (kVivaldiRun.rtt_noise_sigma > 0.0) {
+          rtt *= std::exp(rng->Normal(0.0, kVivaldiRun.rtt_noise_sigma));
         }
         samples_.push_back(Sample{peer, rtt});
       }

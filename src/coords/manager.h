@@ -46,16 +46,15 @@ class CoordinateManager {
   struct Params {
     CostSpaceSpec spec = CostSpaceSpec::LatencyAndLoad();
     CoordMode mode = CoordMode::kVivaldi;
-    VivaldiSystem::Params vivaldi;
-    VivaldiRunOptions vivaldi_run;
     unsigned hilbert_bits = 10;
   };
 
-  /// Embeds coordinates against `lat` — a full Vivaldi gossip run or a
-  /// classical-MDS solve, drawing from `rng` in exactly the order the
-  /// monolithic Sbon::Initialize always did — and fills the cost space's
-  /// vector part. Scalar metrics start at zero; call SetScalarMetrics then
-  /// BuildIndex to finish bring-up.
+  /// Embeds coordinates against `lat` — a full Vivaldi gossip run (default
+  /// VivaldiRunOptions, in the spec's vector dimensions) or a classical-MDS
+  /// solve, drawing from `rng` in exactly the order the monolithic
+  /// Sbon::Initialize always did — and fills the cost space's vector part.
+  /// Scalar metrics start at zero; call SetScalarMetrics then BuildIndex
+  /// to finish bring-up.
   static StatusOr<std::unique_ptr<CoordinateManager>> Build(
       Params params, const net::LatencyView& lat, Rng* rng);
 
@@ -65,8 +64,6 @@ class CoordinateManager {
   const CostSpace& space() const { return *space_; }
   const dht::CoordinateIndex& index() const { return *index_; }
   const IndexRefreshStats& refresh_stats() const { return refresh_stats_; }
-  /// False for MDS/true-coordinate ablations (online epochs are a no-op).
-  bool online_updates_supported() const { return vivaldi_ != nullptr; }
 
   /// Writes each node's raw scalar metric (by convention: total CPU load)
   /// into every scalar dimension of the cost space. `raw` is indexed by
@@ -79,16 +76,16 @@ class CoordinateManager {
   void BuildIndex(const std::vector<NodeId>& overlay_nodes);
 
   /// Online coordinate maintenance: every alive node takes
-  /// `samples_per_node` RTT measurements against `live` latencies and runs
-  /// Vivaldi updates, then the cost space's vector part is refreshed.
+  /// `samples_per_node` RTT measurements against `live` latencies (with the
+  /// bring-up run's multiplicative noise) and runs Vivaldi updates, then
+  /// the cost space's vector part is refreshed.
   /// Sample draws come from `rng` in the legacy serial order; the updates
   /// run in node index order, so a sample against a lower peer sees that
   /// peer's updated state and one against a higher peer its epoch-start
   /// state. No-op without Vivaldi.
   void UpdateCoordinatesOnline(const net::LatencyView& live,
                                size_t samples_per_node,
-                               const std::vector<bool>& alive,
-                               double rtt_noise_sigma, Rng* rng);
+                               const std::vector<bool>& alive, Rng* rng);
 
   /// Dirty-driven index refresh: republishes the full coordinate of every
   /// overlay node displaced more than `epsilon` (cost-space units) from its

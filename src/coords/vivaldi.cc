@@ -5,10 +5,19 @@
 
 namespace sbon::coords {
 
+namespace {
+
+// RunVivaldi's RTT samples per node per round, and the size of each node's
+// long-lived neighbor set that every other sample is drawn from.
+constexpr size_t kSamplesPerRound = 8;
+constexpr size_t kFixedNeighbors = 8;
+
+}  // namespace
+
 VivaldiSystem::VivaldiSystem(size_t num_nodes, const Params& params, Rng* rng)
     : params_(params),
       coords_(params.dims, num_nodes),
-      error_(num_nodes, params.initial_error),
+      error_(num_nodes, kInitialError),
       rng_(rng) {
   // Start at tiny random offsets so initial forces have direction. Draws
   // are node-major (all dims of node 0, then node 1, ...), the order the
@@ -34,7 +43,7 @@ void VivaldiSystem::UpdateAgainst(NodeId self, NodeId peer,
 void VivaldiSystem::UpdateKernel(NodeId self, NodeId peer,
                                  const double* peer_base, size_t peer_stride,
                                  double peer_error, double measured_rtt_ms) {
-  const double rtt = std::max(measured_rtt_ms, params_.min_rtt_ms);
+  const double rtt = std::max(measured_rtt_ms, kMinRttMs);
   const size_t dims = params_.dims;
   const size_t stride = coords_.stride();
   double* base = coords_.lane(0) + self;  // self's dim d at base[d * stride]
@@ -62,12 +71,11 @@ void VivaldiSystem::UpdateKernel(NodeId self, NodeId peer,
   // Relative error of this sample.
   const double es = std::abs(dist - rtt) / rtt;
   // Update the local error with an EWMA weighted by confidence.
-  error_[self] =
-      es * params_.ce * w + error_[self] * (1.0 - params_.ce * w);
+  error_[self] = es * kCe * w + error_[self] * (1.0 - kCe * w);
   error_[self] = std::clamp(error_[self], 0.0, 10.0);
   // Move along the spring force direction. `dist` is bitwise the norm the
   // historical `diff.Unit(tiebreak)` recomputed internally.
-  const double delta = params_.cc * w;
+  const double delta = kCc * w;
   const double step = delta * (rtt - dist);
   if (dist > 1e-12) {
     // dir[d] = diff[d] / dist, applied as self[d] += dir[d] * step: the
@@ -126,7 +134,7 @@ VivaldiSystem RunVivaldi(const net::LatencyView& lat,
   // mix long-lived and random neighbors.
   std::vector<std::vector<NodeId>> fixed(n);
   for (size_t i = 0; i < n; ++i) {
-    const size_t k = std::min(options.fixed_neighbors, n - 1);
+    const size_t k = std::min(kFixedNeighbors, n - 1);
     for (size_t j = 0; j < k; ++j) {
       NodeId peer;
       do {
@@ -142,7 +150,7 @@ VivaldiSystem RunVivaldi(const net::LatencyView& lat,
   for (size_t round = 0; round < options.rounds; ++round) {
     rng->Shuffle(&order);
     for (NodeId self : order) {
-      for (size_t s = 0; s < options.neighbors_per_round; ++s) {
+      for (size_t s = 0; s < kSamplesPerRound; ++s) {
         NodeId peer;
         if (!fixed[self].empty() && s % 2 == 0) {
           peer = fixed[self][rng->UniformInt(fixed[self].size())];

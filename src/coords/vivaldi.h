@@ -27,11 +27,16 @@ class VivaldiSystem {
  public:
   struct Params {
     size_t dims = 2;
-    double ce = 0.25;           ///< Error damping constant.
-    double cc = 0.25;           ///< Coordinate step constant.
-    double initial_error = 1.0; ///< Starting local error estimate.
-    double min_rtt_ms = 0.01;   ///< Samples below this are clamped.
   };
+
+  /// Vivaldi's error damping (c_e) and coordinate step (c_c) constants, at
+  /// the 0.25 Dabek et al. settle on.
+  static constexpr double kCe = 0.25;
+  static constexpr double kCc = 0.25;
+  /// Every node's local error estimate before its first sample.
+  static constexpr double kInitialError = 1.0;
+  /// RTT samples below this are clamped to it.
+  static constexpr double kMinRttMs = 0.01;
 
   VivaldiSystem(size_t num_nodes, const Params& params, Rng* rng);
 
@@ -73,18 +78,16 @@ class VivaldiSystem {
 /// Options for driving Vivaldi to convergence against a latency oracle.
 struct VivaldiRunOptions {
   size_t rounds = 60;               ///< Gossip rounds.
-  size_t neighbors_per_round = 8;   ///< RTT samples per node per round.
   double rtt_noise_sigma = 0.05;    ///< Multiplicative LogNormal noise on
                                     ///< each sample (measurement error).
-  /// Fraction of samples drawn from a fixed long-lived neighbor set (the
-  /// rest are random nodes; mixing near and far neighbors is what makes
-  /// Vivaldi embeddings globally accurate).
-  size_t fixed_neighbors = 8;
 };
 
 /// Runs Vivaldi over simulated RTTs from `lat` (shortest-path latencies with
 /// multiplicative noise) and leaves converged coordinates in the returned
-/// system. Deterministic given `rng`'s state.
+/// system. Each round every node takes 8 samples, alternating between its
+/// 8 long-lived neighbors and random nodes: mixing near and far neighbors
+/// is what makes Vivaldi embeddings globally accurate. Deterministic given
+/// `rng`'s state.
 VivaldiSystem RunVivaldi(const net::LatencyView& lat,
                          const VivaldiSystem::Params& params,
                          const VivaldiRunOptions& options, Rng* rng);

@@ -8,6 +8,12 @@
 namespace sbon::core {
 namespace {
 
+// Greedy reuse passes per candidate circuit (each pass may bind one more
+// existing instance).
+constexpr size_t kMaxReuseBindings = 4;
+// Cap on instances evaluated per service (closest first).
+constexpr size_t kMaxCandidatesPerService = 8;
+
 // A compatible, in-radius instance for one placeable vertex.
 struct ReuseCandidate {
   int vertex = -1;
@@ -79,7 +85,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
     // Greedy reuse passes.
     for (size_t pass = 0;
-         pass < params_.max_reuse_bindings && params_.reuse_radius != 0.0;
+         pass < kMaxReuseBindings && params_.reuse_radius != 0.0;
          ++pass) {
       // Consider larger subtrees first (bigger savings when reused).
       order.clear();
@@ -142,8 +148,8 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
                   [](const ReuseCandidate& a, const ReuseCandidate& b) {
                     return a.distance < b.distance;
                   });
-        if (cands.size() > params_.max_candidates_per_service) {
-          cands.resize(params_.max_candidates_per_service);
+        if (cands.size() > kMaxCandidatesPerService) {
+          cands.resize(kMaxCandidatesPerService);
         }
         best.reuse_candidates_considered += cands.size();
 

@@ -27,11 +27,6 @@ class MultiQueryOptimizer : public Optimizer {
  public:
   struct Params {
     double reuse_radius = 50.0;
-    /// Greedy reuse passes per candidate circuit (each pass may bind one
-    /// more existing instance).
-    size_t max_reuse_bindings = 4;
-    /// Cap on instances evaluated per service (closest first).
-    size_t max_candidates_per_service = 8;
   };
 
   MultiQueryOptimizer(OptimizerConfig config,

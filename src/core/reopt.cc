@@ -21,8 +21,8 @@ StatusOr<LocalReoptReport> LocalReoptimize(
 
   // Re-place a scratch copy against the current cost space.
   overlay::Circuit scratch = *live;
-  Status st =
-      PlaceAndMap(&scratch, sbon, placer, query_config.mapping, nullptr);
+  Status st = PlaceAndMap(&scratch, sbon, placer, query_config.mapping,
+                          &report.mapping);
   if (!st.ok()) return st;
   auto after = EstimateCost(scratch, *sbon, query_config.lambda);
   if (!after.ok()) return after.status();
@@ -46,7 +46,7 @@ StatusOr<LocalReoptReport> LocalReoptimize(
     const overlay::ServiceInstance* inst =
         sbon->ledger().FindService(old_v.service);
     if (inst == nullptr) continue;
-    if (inst->Shared() && !config.migrate_shared_services) continue;
+    if (inst->Shared()) continue;
     Status mig = sbon->MigrateService(old_v.service, new_v.host);
     if (!mig.ok()) return mig;
     undo.emplace_back(old_v.service, old_v.host);

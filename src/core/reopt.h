@@ -19,10 +19,6 @@ struct ReoptConfig {
   /// Minimum fractional improvement before a full re-plan replaces the
   /// running circuit.
   double replan_threshold = 0.15;
-  /// Shared service instances serve several circuits; migrating them for
-  /// one circuit's benefit can hurt the others, so local re-optimization
-  /// skips them unless this is set.
-  bool migrate_shared_services = false;
 };
 
 /// Outcome of one local re-optimization pass.
@@ -31,12 +27,17 @@ struct LocalReoptReport {
   size_t migrations = 0;
   double estimated_cost_before = 0.0;
   double estimated_cost_after = 0.0;
+  /// Accounting of the re-mapping run (its index lookups/hops/probes),
+  /// whether or not anything migrated.
+  placement::MappingReport mapping;
 };
 
 /// Re-runs virtual placement + mapping (with `query_config.mapping`) for
 /// `circuit_id` against the current cost space and migrates services whose
 /// new hosts improve the estimated cost (at `query_config.lambda`) by at
-/// least the hysteresis fraction. Local: no plan rewriting.
+/// least the hysteresis fraction. Local: no plan rewriting. Shared service
+/// instances serve several circuits; migrating one for this circuit's
+/// benefit can hurt the others, so they stay where they are.
 StatusOr<LocalReoptReport> LocalReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id,
     const placement::VirtualPlacer& placer,

@@ -176,6 +176,14 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
         core::LocalReoptimize(sbon_.get(), record.circuit, **placer,
                               *record.strategy.config, policy.config);
     if (!report.ok()) return report.status();
+    if (msg_runtime_ != nullptr) {
+      // The re-mapping's index traffic is paid whether or not anything
+      // moved; staleness is stamped only on a placement that was adopted.
+      msg_runtime_->BillPlacement(
+          report->mapping.dht_cost,
+          report->migrations > 0 ? sbon_->ledger().FindCircuit(record.circuit)
+                                 : nullptr);
+    }
     outcome.local = *report;
     return outcome;
   }
@@ -188,12 +196,15 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
                                      *strategy.config, policy.config);
   if (!report.ok()) return report.status();
   outcome.full = *report;
+  if (msg_runtime_ != nullptr) {
+    // The candidate's lookups were paid whether or not it was deployed; a
+    // kept running circuit gets no staleness stamps.
+    msg_runtime_->BillPlacement(
+        report->candidate.mapping.dht_cost,
+        report->redeployed ? sbon_->ledger().FindCircuit(report->new_circuit)
+                           : nullptr);
+  }
   if (report->redeployed) {
-    if (msg_runtime_ != nullptr) {
-      msg_runtime_->BillPlacement(
-          report->candidate.mapping.dht_cost,
-          sbon_->ledger().FindCircuit(report->new_circuit));
-    }
     // The handle now refers to the replacement circuit; the record's
     // accounting must describe the run that produced it, not the cancelled
     // original's.

@@ -5,26 +5,58 @@
 
 namespace sbon::msg {
 
+namespace {
+
+// The wire-size model: bytes per message, with coordinate payloads adding
+// 8 bytes per dimension on top of a base.
+constexpr size_t kPingBytes = 24;
+constexpr size_t kPongBaseBytes = 32;
+constexpr size_t kPublishBaseBytes = 40;
+constexpr size_t kRingHopBytes = 32;  // each Chord routing hop forwards this
+constexpr size_t kStabilizeBytes = 16;
+constexpr size_t kJoinBaseBytes = 48;
+constexpr size_t kLeaveBytes = 24;
+constexpr size_t kAckBytes = 16;
+constexpr size_t kLookupBytes = 40;
+constexpr size_t kPlacementHopBytes = 32;
+constexpr size_t kProbeBytes = 48;
+
+// Long-lived sampled peers per node. Bounds each node's view: message mode
+// samples this set round-robin instead of the oracle's any-alive global
+// draw, re-sampling a slot only when its peer is found dead.
+constexpr size_t kPeerSetSize = 8;
+// kLeave notifications fanned out by a crash detector (the leaf-set size a
+// real ring would inform).
+constexpr size_t kLeafFanout = 4;
+// A reliable transfer's retry wait multiplies by this per retry (capped at
+// ReliabilityParams::max_backoff_epochs): capped exponential backoff.
+constexpr size_t kBackoffFactor = 2;
+// Recent transfer ids remembered per node for duplicate suppression.
+constexpr size_t kDedupWindow = 64;
+// Consecutive silent epochs before a member becomes suspect, and epochs a
+// suspect must stay silent before its crash is confirmed.
+constexpr size_t kSuspectAfterMissed = 2;
+constexpr size_t kConfirmAfterSuspect = 2;
+
+}  // namespace
+
 // --- VivaldiAgent ----------------------------------------------------------
 
 VivaldiAgent::VivaldiAgent(MessageBus* bus, overlay::Sbon* sbon,
-                           const VivaldiAgentParams& params,
                            const ReliabilityParams& reliability)
     : bus_(bus),
       sbon_(sbon),
-      params_(params),
       reliability_(reliability),
       dedup_(sbon->topology().NumNodes(),
-             reliability.enabled ? reliability.dedup_window : 1) {
-  peers_.assign(sbon_->topology().NumNodes() * params_.peer_set_size,
-                kInvalidNode);
+             reliability.enabled ? kDedupWindow : 1) {
+  peers_.assign(sbon_->topology().NumNodes() * kPeerSetSize, kInvalidNode);
   bus_->SetHandler(Protocol::kVivaldi,
                    [this](const Envelope& e) { HandleMessage(e); });
 }
 
 NodeId VivaldiAgent::PeerFor(NodeId self, size_t slot) {
-  NodeId& peer = peers_[static_cast<size_t>(self) * params_.peer_set_size +
-                        slot % params_.peer_set_size];
+  NodeId& peer =
+      peers_[static_cast<size_t>(self) * kPeerSetSize + slot % kPeerSetSize];
   if (peer == kInvalidNode || !sbon_->IsAlive(peer)) {
     // Re-sample a dead/empty slot from the currently alive overlay nodes
     // (the caller guarantees at least two, so the self-rejection loop
@@ -48,7 +80,7 @@ void VivaldiAgent::StepEpoch(size_t samples_per_node) {
       ping.kind = MsgKind::kPing;
       ping.from = self;
       ping.to = PeerFor(self, round_ + s);
-      ping.bytes = params_.ping_bytes;
+      ping.bytes = kPingBytes;
       bus_->Send(std::move(ping));
     }
   }
@@ -78,7 +110,7 @@ void VivaldiAgent::HandleMessage(const Envelope& e) {
       pong.coord = vivaldi->Coord(e.to);
       pong.aux0 = e.send_ms;  // echo: the sampler recovers the round trip
       pong.aux1 = vivaldi->LocalError(e.to);
-      pong.bytes = params_.pong_base_bytes + 8 * vivaldi->dims();
+      pong.bytes = kPongBaseBytes + 8 * vivaldi->dims();
       bus_->Send(std::move(pong));
       break;
     }
@@ -98,14 +130,12 @@ void VivaldiAgent::HandleMessage(const Envelope& e) {
 // --- RingAgent -------------------------------------------------------------
 
 RingAgent::RingAgent(MessageBus* bus, overlay::Sbon* sbon,
-                     const RingAgentParams& params,
                      const ReliabilityParams& reliability)
     : bus_(bus),
       sbon_(sbon),
-      params_(params),
       reliability_(reliability),
       dedup_(sbon->topology().NumNodes(),
-             reliability.enabled ? reliability.dedup_window : 1) {
+             reliability.enabled ? kDedupWindow : 1) {
   publish_epoch_.assign(sbon_->topology().NumNodes(), 0);
   bus_->SetHandler(Protocol::kRing,
                    [this](const Envelope& e) { HandleMessage(e); });
@@ -132,9 +162,9 @@ void RingAgent::BillHops(NodeId via, size_t hops) {
   TrafficStats& stats = bus_->stats();
   TrafficCounters& c = stats.protocol[static_cast<size_t>(Protocol::kRing)];
   c.sent += hops;
-  c.bytes += hops * params_.per_hop_bytes;
+  c.bytes += hops * kRingHopBytes;
   stats.node_msgs[via] += hops;
-  stats.node_bytes[via] += hops * params_.per_hop_bytes;
+  stats.node_bytes[via] += hops * kRingHopBytes;
 }
 
 NodeId RingAgent::NextAliveAfter(NodeId n) const {
@@ -170,7 +200,7 @@ void RingAgent::StepEpoch(double epsilon) {
       publish.to = route.node;
       publish.subject = n;
       publish.coord = full;
-      publish.bytes = params_.publish_base_bytes + 8 * full.dims();
+      publish.bytes = kPublishBaseBytes + 8 * full.dims();
       if (reliability_.enabled) {
         publish.tid = bus_->IssueTid();
         TrackReliable(publish);
@@ -189,7 +219,7 @@ void RingAgent::StepEpoch(double epsilon) {
       beat.kind = MsgKind::kStabilize;
       beat.from = members[i].node;
       beat.to = members[(i + 1) % members.size()].node;
-      beat.bytes = params_.stabilize_bytes;
+      beat.bytes = kStabilizeBytes;
       bus_->Send(std::move(beat));
     }
   }
@@ -305,7 +335,7 @@ void RingAgent::RetryPending() {
     again.coord = full;
     p.env.to = route.node;  // remember the refreshed destination
     ++p.attempts;
-    p.backoff_epochs = std::min(p.backoff_epochs * reliability_.backoff_factor,
+    p.backoff_epochs = std::min(p.backoff_epochs * kBackoffFactor,
                                 reliability_.max_backoff_epochs);
     p.retry_epoch = epoch + p.backoff_epochs;
     ++r.retries;
@@ -326,7 +356,7 @@ void RingAgent::SendAck(const Envelope& e) {
   ack.to = e.from;
   ack.subject = e.subject;
   ack.tid = e.tid;  // identifies the acked transfer; acks aren't tracked
-  ack.bytes = reliability_.ack_bytes;
+  ack.bytes = kAckBytes;
   ++bus_->stats().reliability.acks;
   bus_->Send(std::move(ack));
 }
@@ -334,13 +364,13 @@ void RingAgent::SendAck(const Envelope& e) {
 void RingAgent::OnCrash(NodeId n) {
   // Idealized fast failure detection: the dead node's ring neighborhood
   // learns of the crash within the epoch. The detector (its successor in
-  // node-id order) notifies `leaf_fanout` leaf-set members.
+  // node-id order) notifies kLeafFanout leaf-set members.
   const NodeId detector = NextAliveAfter(n);
   if (detector == kInvalidNode) return;
   const std::vector<NodeId>& alive = sbon_->overlay_nodes();
   auto it = std::upper_bound(alive.begin(), alive.end(), detector);
   size_t idx = static_cast<size_t>(it - alive.begin()) % alive.size();
-  for (size_t k = 0; k < params_.leaf_fanout && k + 1 < alive.size();
+  for (size_t k = 0; k < kLeafFanout && k + 1 < alive.size();
        ++k, idx = (idx + 1) % alive.size()) {
     if (alive[idx] == detector) break;  // wrapped the whole membership
     Envelope leave;
@@ -349,7 +379,7 @@ void RingAgent::OnCrash(NodeId n) {
     leave.from = detector;
     leave.to = alive[idx];
     leave.subject = n;
-    leave.bytes = params_.leave_bytes;
+    leave.bytes = kLeaveBytes;
     bus_->Send(std::move(leave));
   }
 }
@@ -374,7 +404,7 @@ void RingAgent::OnRejoin(NodeId n) {
   join.from = n;
   join.to = route.node;
   join.subject = n;
-  join.bytes = params_.join_base_bytes + 8 * full.dims();
+  join.bytes = kJoinBaseBytes + 8 * full.dims();
   if (reliability_.enabled) {
     join.tid = bus_->IssueTid();
     TrackReliable(join);
@@ -384,10 +414,8 @@ void RingAgent::OnRejoin(NodeId n) {
 
 // --- FailureDetector -------------------------------------------------------
 
-FailureDetector::FailureDetector(size_t num_nodes,
-                                 const DetectorParams& params)
-    : params_(params),
-      heard_(num_nodes, 0),
+FailureDetector::FailureDetector(size_t num_nodes)
+    : heard_(num_nodes, 0),
       missed_(num_nodes, 0),
       suspect_(num_nodes, 0),
       suspect_for_(num_nodes, 0) {}
@@ -412,14 +440,14 @@ void FailureDetector::Step(const std::vector<NodeId>& members,
     }
     ++missed_[n];
     if (!suspect_[n]) {
-      if (missed_[n] >= params_.suspect_after_missed) {
+      if (missed_[n] >= kSuspectAfterMissed) {
         suspect_[n] = 1;
         suspect_for_[n] = 0;
         ++counters->suspicions;
       }
       continue;
     }
-    if (++suspect_for_[n] >= params_.confirm_after_suspect) {
+    if (++suspect_for_[n] >= kConfirmAfterSuspect) {
       confirmed->push_back(n);
       Reset(n);  // the verdict is out; state rebuilds if the engine rejects
     }
@@ -432,18 +460,6 @@ void FailureDetector::Step(const std::vector<NodeId>& members,
 Status ValidateRuntimeParams(const RuntimeParams& p) {
   if (!(p.bus.epoch_ms > 0.0)) {
     return Status::InvalidArgument("RuntimeParams: bus.epoch_ms must be > 0");
-  }
-  if (p.vivaldi.peer_set_size == 0) {
-    return Status::InvalidArgument(
-        "RuntimeParams: vivaldi.peer_set_size must be > 0");
-  }
-  if (p.vivaldi.ping_bytes == 0 || p.vivaldi.pong_base_bytes == 0 ||
-      p.ring.publish_base_bytes == 0 || p.ring.per_hop_bytes == 0 ||
-      p.ring.stabilize_bytes == 0 || p.ring.join_base_bytes == 0 ||
-      p.ring.leave_bytes == 0 || p.placement.lookup_bytes == 0 ||
-      p.placement.per_hop_bytes == 0 || p.placement.probe_bytes == 0) {
-    return Status::InvalidArgument(
-        "RuntimeParams: every wire-size model byte count must be > 0");
   }
   for (const FaultRates& r : p.bus.faults.protocol) {
     if (r.loss < 0.0 || r.loss > 1.0 || r.duplicate < 0.0 ||
@@ -460,22 +476,12 @@ Status ValidateRuntimeParams(const RuntimeParams& p) {
     }
   }
   if (p.reliability.enabled) {
-    if (p.reliability.ack_bytes == 0 || p.reliability.retry_after_epochs == 0 ||
-        p.reliability.backoff_factor == 0 ||
+    if (p.reliability.retry_after_epochs == 0 ||
         p.reliability.max_backoff_epochs == 0 ||
-        p.reliability.max_pending == 0 || p.reliability.dedup_window == 0) {
+        p.reliability.max_pending == 0) {
       return Status::InvalidArgument(
-          "RuntimeParams: enabled reliability needs nonzero ack_bytes, "
-          "retry_after_epochs, backoff_factor, max_backoff_epochs, "
-          "max_pending and dedup_window");
-    }
-  }
-  if (p.detector.enabled) {
-    if (p.detector.suspect_after_missed == 0 ||
-        p.detector.confirm_after_suspect == 0) {
-      return Status::InvalidArgument(
-          "RuntimeParams: enabled detector needs nonzero "
-          "suspect_after_missed and confirm_after_suspect");
+          "RuntimeParams: enabled reliability needs nonzero "
+          "retry_after_epochs, max_backoff_epochs and max_pending");
     }
   }
   return Status::OK();
@@ -484,10 +490,9 @@ Status ValidateRuntimeParams(const RuntimeParams& p) {
 Runtime::Runtime(overlay::Sbon* sbon, const RuntimeParams& params)
     : sbon_(sbon),
       bus_(&sbon->fabric(), params.bus),
-      vivaldi_(&bus_, sbon, params.vivaldi, params.reliability),
-      ring_(&bus_, sbon, params.ring, params.reliability),
-      placement_(params.placement),
-      detector_(sbon->topology().NumNodes(), params.detector),
+      vivaldi_(&bus_, sbon, params.reliability),
+      ring_(&bus_, sbon, params.reliability),
+      detector_(sbon->topology().NumNodes()),
       detector_enabled_(params.detector.enabled) {
   if (detector_enabled_) ring_.set_detector(&detector_);
 }
@@ -565,9 +570,9 @@ void Runtime::BillPlacement(const dht::IndexQueryCost& delta,
   const size_t msgs = delta.lookups + delta.routing_hops + delta.ring_probes;
   TrafficStats& stats = bus_.stats();
   if (msgs > 0) {
-    const size_t bytes = delta.lookups * placement_.lookup_bytes +
-                         delta.routing_hops * placement_.per_hop_bytes +
-                         delta.ring_probes * placement_.probe_bytes;
+    const size_t bytes = delta.lookups * kLookupBytes +
+                         delta.routing_hops * kPlacementHopBytes +
+                         delta.ring_probes * kProbeBytes;
     TrafficCounters& c =
         stats.protocol[static_cast<size_t>(Protocol::kPlacement)];
     // Placement probes are synchronous RPCs resolved within the placement

@@ -16,36 +16,6 @@
 
 namespace sbon::msg {
 
-/// Wire-size model of the Vivaldi protocol (bytes per message; coordinate
-/// payloads add 8 bytes per dimension on top of the base).
-struct VivaldiAgentParams {
-  /// Long-lived sampled peers per node. Bounds each node's view: message
-  /// mode samples this set round-robin instead of the oracle's any-alive
-  /// global draw, re-sampling a slot only when its peer is found dead.
-  size_t peer_set_size = 8;
-  size_t ping_bytes = 24;
-  size_t pong_base_bytes = 32;
-};
-
-/// Wire-size model of the ring-maintenance protocol.
-struct RingAgentParams {
-  size_t publish_base_bytes = 40;
-  size_t per_hop_bytes = 32;  ///< each Chord routing hop forwards this much
-  size_t stabilize_bytes = 16;
-  size_t join_base_bytes = 48;
-  size_t leave_bytes = 24;
-  /// kLeave notifications fanned out by a crash detector (leaf-set size a
-  /// real ring would inform).
-  size_t leaf_fanout = 4;
-};
-
-/// Wire-size model of placement probing.
-struct PlacementAgentParams {
-  size_t lookup_bytes = 40;
-  size_t per_hop_bytes = 32;
-  size_t probe_bytes = 48;
-};
-
 /// Ack/timeout/retransmission hardening for the reliable ring kinds
 /// (kPublish, kJoin) plus the dedup windows that make every handler
 /// idempotent under network duplication. Off by default: with
@@ -53,12 +23,9 @@ struct PlacementAgentParams {
 /// ack is ever sent, so fault-free runs stay bit-identical.
 struct ReliabilityParams {
   bool enabled = false;
-  size_t ack_bytes = 16;
-  /// Epochs to wait for an ack before the first retransmission.
+  /// Epochs to wait for an ack before the first retransmission; each retry
+  /// doubles the wait, capped at `max_backoff_epochs`.
   size_t retry_after_epochs = 2;
-  /// The wait multiplies by this per retry (capped), giving capped
-  /// exponential backoff.
-  size_t backoff_factor = 2;
   size_t max_backoff_epochs = 8;
   /// Retransmissions per transfer before giving up (counted as exhausted).
   size_t max_retries = 4;
@@ -66,8 +33,6 @@ struct ReliabilityParams {
   /// sent once, never tracked, and counted (graceful degradation, never
   /// unbounded memory).
   size_t max_pending = 1024;
-  /// Recent transfer ids remembered per node for duplicate suppression.
-  size_t dedup_window = 64;
 };
 
 /// Decentralized failure detection from kStabilize heartbeat silence.
@@ -75,25 +40,18 @@ struct ReliabilityParams {
 /// notification (Sbon::FailNode at the churn event).
 struct DetectorParams {
   bool enabled = false;
-  /// Consecutive silent epochs before a member becomes suspect.
-  size_t suspect_after_missed = 2;
-  /// Epochs a suspect must stay silent before the crash is confirmed.
-  size_t confirm_after_suspect = 2;
 };
 
 struct RuntimeParams {
   MessageBus::Options bus;
-  VivaldiAgentParams vivaldi;
-  RingAgentParams ring;
-  PlacementAgentParams placement;
   ReliabilityParams reliability;
   DetectorParams detector;
 };
 
 /// InvalidArgument when any knob is out of range (non-positive epoch_ms,
-/// zero peer set, zero wire sizes, probabilities outside [0, 1], zeroed
-/// reliability/detector windows while enabled). The engine validates at
-/// construction, mirroring Sbon::Options validation.
+/// probabilities outside [0, 1], zeroed reliability windows while
+/// enabled). The engine validates at construction, mirroring Sbon::Options
+/// validation.
 Status ValidateRuntimeParams(const RuntimeParams& params);
 
 /// Per-node bounded ring buffer of recently seen transfer ids: the dedup
@@ -128,15 +86,15 @@ class DedupWindow {
 
 /// Decentralized crash detection from heartbeat silence. Every epoch the
 /// runtime sweeps the ring membership: a member whose kStabilize heartbeat
-/// was not heard for `suspect_after_missed` consecutive epochs becomes
-/// suspect; a suspect silent for another `confirm_after_suspect` epochs is
-/// confirmed crashed — the verdict the engine's repair path consumes. A
-/// heartbeat from a suspect clears it and counts a refuted suspicion (the
-/// detector can be fooled by partitions; the engine vetoes confirmations
-/// of nodes that are actually alive via Runtime::NoteSpuriousConfirm).
+/// was not heard for 2 consecutive epochs becomes suspect; a suspect silent
+/// for another 2 epochs is confirmed crashed — the verdict the engine's
+/// repair path consumes. A heartbeat from a suspect clears it and counts a
+/// refuted suspicion (the detector can be fooled by partitions; the engine
+/// vetoes confirmations of nodes that are actually alive via
+/// Runtime::NoteSpuriousConfirm).
 class FailureDetector {
  public:
-  FailureDetector(size_t num_nodes, const DetectorParams& params);
+  explicit FailureDetector(size_t num_nodes);
 
   /// A kStabilize heartbeat from `from` was delivered this epoch.
   void NoteHeartbeat(NodeId from) { heard_[from] = 1; }
@@ -150,7 +108,6 @@ class FailureDetector {
   void Reset(NodeId n);
 
  private:
-  DetectorParams params_;
   std::vector<uint8_t> heard_;        ///< heartbeat seen this epoch
   std::vector<uint32_t> missed_;      ///< consecutive silent epochs
   std::vector<uint8_t> suspect_;
@@ -166,7 +123,6 @@ class FailureDetector {
 class VivaldiAgent {
  public:
   VivaldiAgent(MessageBus* bus, overlay::Sbon* sbon,
-               const VivaldiAgentParams& params,
                const ReliabilityParams& reliability);
 
   /// Sends this epoch's pings (`samples_per_node` per alive overlay node).
@@ -181,10 +137,9 @@ class VivaldiAgent {
 
   MessageBus* bus_;
   overlay::Sbon* sbon_;
-  VivaldiAgentParams params_;
   ReliabilityParams reliability_;
   DedupWindow dedup_;          ///< suppresses duplicated pings and pongs
-  std::vector<NodeId> peers_;  ///< n * peer_set_size, kInvalidNode = empty
+  std::vector<NodeId> peers_;  ///< n * kPeerSetSize, kInvalidNode = empty
   size_t round_ = 0;           ///< round-robin cursor over peer slots
 };
 
@@ -205,7 +160,6 @@ class VivaldiAgent {
 class RingAgent {
  public:
   RingAgent(MessageBus* bus, overlay::Sbon* sbon,
-            const RingAgentParams& params,
             const ReliabilityParams& reliability);
 
   /// The message-mode refresh: collects nodes displaced beyond `epsilon`
@@ -271,7 +225,6 @@ class RingAgent {
 
   MessageBus* bus_;
   overlay::Sbon* sbon_;
-  RingAgentParams params_;
   ReliabilityParams reliability_;
   DedupWindow dedup_;
   FailureDetector* detector_ = nullptr;  ///< owned by the Runtime
@@ -356,7 +309,6 @@ class Runtime {
   MessageBus bus_;
   VivaldiAgent vivaldi_;
   RingAgent ring_;
-  PlacementAgentParams placement_;
   FailureDetector detector_;
   bool detector_enabled_ = false;
   std::vector<NodeId> confirmed_crashes_;  ///< verdicts awaiting the engine

@@ -100,7 +100,6 @@ class LoadModel {
   const std::vector<double>& loads() const { return load_; }
   /// Directly sets a node's load (tests / scripted scenarios).
   void SetLoad(NodeId n, double load);
-  bool is_hotspot(NodeId n) const { return hotspot_[n]; }
 
   size_t NumNodes() const { return load_.size(); }
 

@@ -7,26 +7,40 @@
 namespace sbon::net {
 namespace {
 
+// Probability scale of an extra intra-domain edge beyond the connecting
+// ring (adds redundancy, mirrors GT-ITM edge probability).
+constexpr double kExtraTransitEdgeProb = 0.5;
+constexpr double kExtraStubEdgeProb = 0.25;
+
+// Waxman edge probability scale, edge length sensitivity, and link latency
+// in ms per unit Euclidean distance.
+constexpr double kWaxmanAlpha = 0.25;
+constexpr double kWaxmanBeta = 0.35;
+constexpr double kWaxmanMsPerUnit = 50;
+
+double Draw(const LatencyRange& range, Rng* rng) {
+  return rng->Uniform(range.min_ms, range.max_ms);
+}
+
 // Connects `members` into a ring plus random chords, giving every generated
 // domain 2-edge redundancy like GT-ITM's default connectivity.
 void ConnectDomain(Topology* topo, const std::vector<NodeId>& members,
-                   double lat_min, double lat_max, double extra_edge_prob,
+                   const LatencyRange& latency, double extra_edge_prob,
                    Rng* rng) {
   const size_t n = members.size();
   if (n <= 1) return;
   if (n == 2) {
-    topo->AddLink(members[0], members[1], rng->Uniform(lat_min, lat_max));
+    topo->AddLink(members[0], members[1], Draw(latency, rng));
     return;
   }
   for (size_t i = 0; i < n; ++i) {
-    topo->AddLink(members[i], members[(i + 1) % n],
-                  rng->Uniform(lat_min, lat_max));
+    topo->AddLink(members[i], members[(i + 1) % n], Draw(latency, rng));
   }
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 2; j < n; ++j) {
       if (i == 0 && j == n - 1) continue;  // already a ring edge
       if (rng->Bernoulli(extra_edge_prob / static_cast<double>(n))) {
-        topo->AddLink(members[i], members[j], rng->Uniform(lat_min, lat_max));
+        topo->AddLink(members[i], members[j], Draw(latency, rng));
       }
     }
   }
@@ -50,12 +64,11 @@ StatusOr<Topology> GenerateTransitStub(const TransitStubParams& p, Rng* rng) {
     const int dom = next_domain++;
     std::vector<NodeId> members;
     for (size_t i = 0; i < p.transit_nodes_per_domain; ++i) {
-      members.push_back(topo.AddNode(NodeKind::kTransit, dom,
-                                     /*overlay_eligible=*/
-                                     !p.overlay_on_stub_only));
+      members.push_back(
+          topo.AddNode(NodeKind::kTransit, dom, /*overlay_eligible=*/false));
     }
-    ConnectDomain(&topo, members, p.intra_transit_latency_min,
-                  p.intra_transit_latency_max, p.extra_transit_edge_prob, rng);
+    ConnectDomain(&topo, members, kIntraTransitLatency, kExtraTransitEdgeProb,
+                  rng);
     transit_domains.push_back(std::move(members));
   }
 
@@ -68,16 +81,15 @@ StatusOr<Topology> GenerateTransitStub(const TransitStubParams& p, Rng* rng) {
       const auto& to = transit_domains[(d + 1) % td];
       const NodeId a = from[rng->UniformInt(from.size())];
       const NodeId b = to[rng->UniformInt(to.size())];
-      topo.AddLink(a, b, rng->Uniform(p.inter_transit_latency_min,
-                                      p.inter_transit_latency_max));
+      topo.AddLink(a, b, Draw(kInterTransitLatency, rng));
       if (td > 2 && rng->Bernoulli(0.5)) {
         const size_t other = (d + 2 + rng->UniformInt(td - 2)) % td;
         if (other != d) {
           const auto& t2 = transit_domains[other];
           topo.AddLink(from[rng->UniformInt(from.size())],
                        t2[rng->UniformInt(t2.size())],
-                       rng->Uniform(p.inter_transit_latency_min,
-                                    p.inter_transit_latency_max));
+                       rng->Uniform(kInterTransitLatency.min_ms,
+                                    kInterTransitLatency.max_ms));
         }
       }
     }
@@ -93,12 +105,11 @@ StatusOr<Topology> GenerateTransitStub(const TransitStubParams& p, Rng* rng) {
           members.push_back(topo.AddNode(NodeKind::kStub, dom,
                                          /*overlay_eligible=*/true));
         }
-        ConnectDomain(&topo, members, p.intra_stub_latency_min,
-                      p.intra_stub_latency_max, p.extra_stub_edge_prob, rng);
+        ConnectDomain(&topo, members, kIntraStubLatency, kExtraStubEdgeProb,
+                      rng);
         // Gateway link from a random stub node to its transit node.
         const NodeId gw = members[rng->UniformInt(members.size())];
-        topo.AddLink(tnode, gw, rng->Uniform(p.transit_stub_latency_min,
-                                             p.transit_stub_latency_max));
+        topo.AddLink(tnode, gw, Draw(kTransitStubLatency, rng));
       }
     }
   }
@@ -126,10 +137,11 @@ StatusOr<Topology> GenerateWaxman(const WaxmanParams& p, Rng* rng) {
   for (size_t i = 0; i < p.nodes; ++i) {
     for (size_t j = i + 1; j < p.nodes; ++j) {
       const double d = dist(i, j);
-      const double prob = p.alpha * std::exp(-d / (p.beta * kMaxDist));
+      const double prob =
+          kWaxmanAlpha * std::exp(-d / (kWaxmanBeta * kMaxDist));
       if (rng->Bernoulli(prob)) {
         topo.AddLink(static_cast<NodeId>(i), static_cast<NodeId>(j),
-                     std::max(0.1, d * p.latency_per_unit));
+                     std::max(0.1, d * kWaxmanMsPerUnit));
       }
     }
   }
@@ -160,7 +172,7 @@ StatusOr<Topology> GenerateWaxman(const WaxmanParams& p, Rng* rng) {
         anchor = static_cast<NodeId>(rng->UniformInt(p.nodes));
       } while (!seen[anchor]);
       topo.AddLink(static_cast<NodeId>(i), anchor,
-                   std::max(0.1, dist(i, anchor) * p.latency_per_unit));
+                   std::max(0.1, dist(i, anchor) * kWaxmanMsPerUnit));
       seen[i] = true;
       bfs_from({static_cast<NodeId>(i)});
     }

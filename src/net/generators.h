@@ -18,42 +18,36 @@ struct TransitStubParams {
   size_t transit_nodes_per_domain = 4;
   size_t stub_domains_per_transit_node = 3;
   size_t nodes_per_stub_domain = 12;
-
-  /// Latency ranges (ms) per link class; actual latencies drawn uniformly.
-  double intra_transit_latency_min = 10.0;
-  double intra_transit_latency_max = 30.0;
-  double inter_transit_latency_min = 30.0;
-  double inter_transit_latency_max = 80.0;
-  double transit_stub_latency_min = 5.0;
-  double transit_stub_latency_max = 15.0;
-  double intra_stub_latency_min = 1.0;
-  double intra_stub_latency_max = 5.0;
-
-  /// Probability of an extra intra-domain edge beyond the connecting ring
-  /// (adds redundancy, mirrors GT-ITM edge probability).
-  double extra_transit_edge_prob = 0.5;
-  double extra_stub_edge_prob = 0.25;
-
-  /// If true, only stub-domain nodes can host overlay services (transit
-  /// routers are plain forwarders, matching the SBON deployment model).
-  bool overlay_on_stub_only = true;
 };
 
-/// Generates a connected transit-stub topology. Never fails for positive
-/// sizes; returns InvalidArgument for degenerate parameters.
+/// Latency range (ms) of one transit-stub link class; each link's latency
+/// is drawn uniformly from it.
+struct LatencyRange {
+  double min_ms;
+  double max_ms;
+};
+inline constexpr LatencyRange kIntraTransitLatency{10.0, 30.0};
+inline constexpr LatencyRange kInterTransitLatency{30.0, 80.0};
+inline constexpr LatencyRange kTransitStubLatency{5.0, 15.0};
+inline constexpr LatencyRange kIntraStubLatency{1.0, 5.0};
+
+/// Generates a connected transit-stub topology. Only stub-domain nodes can
+/// host overlay services (transit routers are plain forwarders, matching
+/// the SBON deployment model). Never fails for positive sizes; returns
+/// InvalidArgument for degenerate parameters.
 StatusOr<Topology> GenerateTransitStub(const TransitStubParams& params,
                                        Rng* rng);
 
 /// Parameters of a Waxman random graph on the unit square.
 struct WaxmanParams {
   size_t nodes = 100;
-  double alpha = 0.25;           ///< Edge probability scale.
-  double beta = 0.35;            ///< Edge length sensitivity.
-  double latency_per_unit = 50;  ///< ms per unit Euclidean distance.
 };
 
-/// Generates a connected Waxman graph (extra edges are added from a random
-/// spanning tree if the probabilistic phase leaves the graph disconnected).
+/// Generates a connected Waxman graph: nodes i, j at distance d are linked
+/// with probability alpha * exp(-d / (beta * sqrt(2))) at alpha = 0.25,
+/// beta = 0.35, with 50 ms of latency per unit of distance (extra edges are
+/// added from a random spanning tree if the probabilistic phase leaves the
+/// graph disconnected).
 StatusOr<Topology> GenerateWaxman(const WaxmanParams& params, Rng* rng);
 
 /// Generates a `side` x `side` grid with uniform `link_latency_ms` links.

@@ -8,9 +8,10 @@ namespace sbon::overlay {
 namespace {
 // Shared by Create (validation) and Initialize (construction) so the two
 // can never disagree on which base mode an Options/topology pair resolves to.
+// The sparse modes run the fabric's default tuning.
 net::NetworkFabric::Options FabricOptionsFor(const Sbon::Options& options,
                                              size_t num_nodes) {
-  net::NetworkFabric::Options fo = options.sparse_options;
+  net::NetworkFabric::Options fo;
   if (options.fabric_mode == Sbon::FabricMode::kDense ||
       (options.fabric_mode == Sbon::FabricMode::kAuto &&
        num_nodes <= options.sparse_auto_threshold)) {
@@ -42,9 +43,6 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
     // A coordinate's Hilbert key is a U128: total_dims * hilbert_bits bits.
     return Status::InvalidArgument(
         "space_spec.total_dims() * hilbert_bits must be <= 128");
-  }
-  if (options.load_per_byte_per_s <= 0.0) {
-    return Status::InvalidArgument("load_per_byte_per_s must be > 0");
   }
   if (FabricOptionsFor(options, topo.NumNodes()).base_mode !=
           net::NetworkFabric::BaseMode::kDense &&
@@ -80,8 +78,6 @@ Status Sbon::Initialize() {
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;
   cp.mode = options_.coord_mode;
-  cp.vivaldi = options_.vivaldi_params;
-  cp.vivaldi_run = options_.vivaldi_run;
   cp.hilbert_bits = options_.hilbert_bits;
   auto coords = coords::CoordinateManager::Build(cp, fabric_->live(), &rng_);
   if (!coords.ok()) return coords.status();
@@ -89,7 +85,7 @@ Status Sbon::Initialize() {
 
   load_model_ = std::make_unique<net::LoadModel>(n, options_.load_params,
                                                  &rng_);
-  ledger_ = std::make_unique<ServiceLedger>(n, options_.load_per_byte_per_s);
+  ledger_ = std::make_unique<ServiceLedger>(n, kLoadPerBytePerS);
   total_load_scratch_.assign(n, 0.0);
   UpdateScalarMetrics();
 
@@ -236,7 +232,6 @@ void Sbon::TickNetwork() { fabric_->TickNetwork(&rng_); }
 
 void Sbon::UpdateCoordinatesOnline(size_t samples_per_node) {
   coords_->UpdateCoordinatesOnline(fabric_->live(), samples_per_node, alive_,
-                                   options_.vivaldi_run.rtt_noise_sigma,
                                    &rng_);
 }
 

@@ -44,22 +44,18 @@ class Sbon {
   enum class FabricMode {
     kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
     kDense,   ///< force the materialized O(n^2) base matrix
-    kSparse,  ///< force on-demand O(n) resolution (sparse_options.base_mode)
+    kSparse,  ///< force on-demand O(n) resolution (exact rows up to 2048
+              ///< nodes, the landmark sketch above)
   };
 
   struct Options {
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
     coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
-    coords::VivaldiSystem::Params vivaldi_params;
-    coords::VivaldiRunOptions vivaldi_run;
     /// Hilbert-curve resolution of the coordinate index, in [1, 16] bits
     /// per dimension, with space_spec.total_dims() * hilbert_bits <= 128
     /// so a key fits a U128 (both validated at Create).
     unsigned hilbert_bits = 10;
     net::LoadModel::Params load_params;
-    /// Load a service adds to its host per (byte/s) of input it processes.
-    /// Must be > 0 (validated at Create).
-    double load_per_byte_per_s = 2e-6;
     /// Sigma of the multiplicative (approximately LogNormal; see
     /// net::JitterFactorAt) latency jitter applied per pair on every
     /// `TickNetwork` epoch (0 = static latencies). Must be >= 0 (validated
@@ -74,11 +70,11 @@ class Sbon {
     /// dense matrix anyway.
     FabricMode fabric_mode = FabricMode::kAuto;
     size_t sparse_auto_threshold = 4096;
-    /// Tuning of the fabric when a sparse mode is selected (exact-vs-sketch
-    /// threshold, landmark count, cache geometry). Ignored in dense mode.
-    net::NetworkFabric::Options sparse_options;
     uint64_t seed = 1;
   };
+
+  /// Load a service adds to its host per (byte/s) of input it processes.
+  static constexpr double kLoadPerBytePerS = 2e-6;
 
   /// Builds the overlay: latency matrix, coordinates, cost space, index.
   /// Rejects malformed topologies and out-of-range Options with

@@ -35,7 +35,7 @@ struct FailureReport {
 /// mutating call.
 ///
 /// Load-book invariant (what the unit tests pin): the book equals the sum
-/// of `input_bytes_per_s * load_per_byte_per_s` over hosted instances at
+/// of each hosted instance's input rate times the load factor, at
 /// all times, and returns to exactly zero once every circuit is gone.
 ///
 /// Two indexes keep Submit and Remove O(circuit): the signature catalog

@@ -103,7 +103,8 @@ void WeiszfeldSweeps(SweepFrame* frame, const GradientPlacer::Params& params) {
           s += diff * diff;
         }
         const double w =
-            terms[t].rate / std::max(std::sqrt(s), params.epsilon);
+            terms[t].rate /
+            std::max(std::sqrt(s), GradientPlacer::kDistanceGuard);
         for (size_t d = 0; d < dims; ++d) num[d] += a[d] * w;
         den += w;
       }

@@ -82,8 +82,10 @@ class GradientPlacer : public VirtualPlacer {
     /// Stop after a Weiszfeld sweep in which every vertex moved strictly
     /// less than this; 0 runs all `max_sweeps`.
     double tolerance = 1e-4;
-    double epsilon = 1e-6;  ///< distance guard for Weiszfeld weights
   };
+
+  /// Floor on the distance a Weiszfeld weight divides by.
+  static constexpr double kDistanceGuard = 1e-6;
 
   GradientPlacer() : GradientPlacer(Params()) {}
   explicit GradientPlacer(Params params) : params_(params) {}

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "query/stats.h"
@@ -197,66 +196,6 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
     plans.push_back(std::move(plan.value()));
   }
   if (plans.empty()) return Status::Internal("enumeration produced no plans");
-  return plans;
-}
-
-namespace {
-
-// Recursively enumerates every distinct join tree over `mask`.
-void AllTrees(uint32_t mask, std::vector<TreeNode>* arena,
-              std::map<uint32_t, std::vector<int>>* memo) {
-  if (memo->count(mask) != 0) return;
-  std::vector<int>& out = (*memo)[mask];
-  if ((mask & (mask - 1)) == 0) {
-    size_t pos = 0;
-    while (((mask >> pos) & 1u) == 0) ++pos;
-    arena->push_back(TreeNode{-1, -1, pos});
-    out.push_back(static_cast<int>(arena->size()) - 1);
-    return;
-  }
-  const uint32_t lowest = mask & (~mask + 1u);
-  for (uint32_t sub = (mask - 1u) & mask; sub != 0; sub = (sub - 1u) & mask) {
-    if ((sub & lowest) == 0) continue;
-    const uint32_t rest = mask ^ sub;
-    AllTrees(sub, arena, memo);
-    AllTrees(rest, arena, memo);
-    // Copy index lists: recursion may invalidate references into the map.
-    const std::vector<int> lefts = (*memo)[sub];
-    const std::vector<int> rights = (*memo)[rest];
-    for (int l : lefts) {
-      for (int r : rights) {
-        arena->push_back(TreeNode{l, r, 0});
-        (*memo)[mask].push_back(static_cast<int>(arena->size()) - 1);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-StatusOr<std::vector<LogicalPlan>> EnumerateAllPlansExhaustive(
-    const QuerySpec& spec, const Catalog& catalog) {
-  Status valid = spec.Validate(catalog);
-  if (!valid.ok()) return valid;
-  const size_t n = spec.NumStreams();
-  if (n > 7) {
-    return Status::InvalidArgument("exhaustive enumeration limited to n<=7");
-  }
-  const std::vector<std::vector<double>>& psel = spec.join_sel;
-  std::vector<TreeNode> arena;
-  std::map<uint32_t, std::vector<int>> memo;
-  const uint32_t full = (1u << n) - 1u;
-  AllTrees(full, &arena, &memo);
-  std::vector<LogicalPlan> plans;
-  for (int root : memo[full]) {
-    auto plan = FinishPlan(arena, root, spec, psel, catalog);
-    if (!plan.ok()) return plan.status();
-    plans.push_back(std::move(plan.value()));
-  }
-  std::sort(plans.begin(), plans.end(),
-            [](const LogicalPlan& a, const LogicalPlan& b) {
-              return a.IntermediateDataRate() < b.IntermediateDataRate();
-            });
   return plans;
 }
 

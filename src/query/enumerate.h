@@ -35,12 +35,6 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
     const QuerySpec& spec, const Catalog& catalog,
     const EnumerationOptions& options);
 
-/// Exhaustively enumerates *every* distinct join tree (bushy, all leaf
-/// partitions) — the oracle used to test DP optimality. Practical for
-/// NumStreams() <= 6 (105 trees at n=5, 945 at n=6).
-StatusOr<std::vector<LogicalPlan>> EnumerateAllPlansExhaustive(
-    const QuerySpec& spec, const Catalog& catalog);
-
 }  // namespace sbon::query
 
 #endif  // SBON_QUERY_ENUMERATE_H_

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/integrated.h"
 #include "core/multi_query.h"
@@ -80,7 +81,7 @@ TEST(TwoStepTest, ChoosesMinDataVolumePlan) {
   IntegratedOptimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
-  auto all = query::EnumerateAllPlansExhaustive(q, cat);
+  auto all = test::EnumerateAllPlansExhaustive(q, cat);
   ASSERT_TRUE(all.ok());
   EXPECT_NEAR(r->circuit.plan().IntermediateDataRate(),
               (*all)[0].IntermediateDataRate(),
@@ -404,6 +405,74 @@ TEST(ReoptTest, LocalReoptMigratesAwayFromLoadedHost) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->migrations, 0u);
   EXPECT_LT(report->estimated_cost_after, report->estimated_cost_before);
+}
+
+TEST(ReoptTest, LocalReoptLeavesSharedInstancesInPlace) {
+  // A shared instance serves several circuits, so one circuit's local
+  // re-optimization must not move it, even when moving it is cheaper for
+  // that circuit.
+  auto s = MakeSbon(6);
+  query::WorkloadParams wp = TestWorkload();
+  query::Catalog cat =
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
+  OptimizerConfig cfg;
+  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  const query::QuerySpec q = query::QuerySpec::SimpleJoin(
+      {0, 1, 2}, s->overlay_nodes()[5], 0.001);
+  auto first = mq.Optimize(q, cat, s.get());
+  ASSERT_TRUE(first.ok());
+  auto id = s->InstallCircuit(std::move(first->circuit));
+  ASSERT_TRUE(id.ok());
+  query::QuerySpec q2 = q;
+  q2.consumer = s->overlay_nodes()[40];
+  auto second = mq.Optimize(q2, cat, s.get());
+  ASSERT_TRUE(second.ok());
+  ASSERT_GT(second->services_reused, 0u);
+  ASSERT_TRUE(s->InstallCircuit(std::move(second->circuit)).ok());
+
+  // Saturate every host of the first circuit's services.
+  const overlay::Circuit* live = s->ledger().FindCircuit(*id);
+  ASSERT_NE(live, nullptr);
+  std::vector<std::pair<ServiceInstanceId, NodeId>> shared;
+  for (int v : live->PlaceableVertices()) {
+    const overlay::CircuitVertex& cv = live->vertex(v);
+    s->SetBaseLoad(cv.host, 1.0);
+    if (s->ledger().FindService(cv.service)->Shared()) {
+      shared.emplace_back(cv.service, cv.host);
+    }
+  }
+  ASSERT_FALSE(shared.empty());
+  s->RefreshIndex();
+
+  // Re-placing the circuit from scratch would move a shared instance and
+  // lower the circuit's cost.
+  placement::RelaxationPlacer placer;
+  overlay::Circuit scratch = *live;
+  ASSERT_TRUE(
+      PlaceAndMap(&scratch, s.get(), placer, cfg.mapping, nullptr).ok());
+  const auto before = EstimateCost(*live, *s, cfg.lambda);
+  const auto moved = EstimateCost(scratch, *s, cfg.lambda);
+  ASSERT_TRUE(before.ok() && moved.ok());
+  EXPECT_LT(*moved, *before);
+  bool shared_would_move = false;
+  for (int v : scratch.PlaceableVertices()) {
+    const ServiceInstanceId sid = live->vertex(v).service;
+    for (const auto& [id_shared, host] : shared) {
+      if (sid == id_shared && scratch.vertex(v).host != host) {
+        shared_would_move = true;
+      }
+    }
+  }
+  ASSERT_TRUE(shared_would_move);
+
+  ReoptConfig rc;
+  rc.migration_hysteresis = 0.02;
+  auto report = LocalReoptimize(s.get(), *id, placer, cfg, rc);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const auto& [sid, host] : shared) {
+    EXPECT_EQ(s->ledger().FindService(sid)->host, host)
+        << "shared instance " << sid << " migrated";
+  }
 }
 
 TEST(ReoptTest, LocalReoptNoOpWhenAlreadyGood) {

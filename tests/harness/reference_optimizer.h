@@ -2,12 +2,14 @@
 #define SBON_TESTS_HARNESS_REFERENCE_OPTIMIZER_H_
 
 #include <string>
+#include <vector>
 
 #include "core/optimizer.h"
 #include "overlay/circuit.h"
 #include "overlay/sbon.h"
 #include "placement/virtual_placement.h"
 #include "query/catalog.h"
+#include "query/plan.h"
 #include "query/query_spec.h"
 
 namespace sbon::test {
@@ -21,6 +23,14 @@ StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
     const core::OptimizerConfig& config,
     const placement::VirtualPlacer& placer, const query::QuerySpec& spec,
     const query::Catalog& catalog, overlay::Sbon* sbon);
+
+/// Exhaustively enumerates *every* distinct join tree (bushy, all leaf
+/// partitions), by ascending intermediate data rate — the oracle the
+/// subset DP's optimality is tested against. Filters sit on the leaves and
+/// an aggregate (if any) under the consumer, as in query::EnumeratePlans.
+/// Limited to NumStreams() <= 7 (105 trees at n=5, 945 at n=6).
+StatusOr<std::vector<query::LogicalPlan>> EnumerateAllPlansExhaustive(
+    const query::QuerySpec& spec, const query::Catalog& catalog);
 
 /// The first difference between two circuits' plan ops (kind, stream,
 /// children, output rate) or vertex hosts, as text; "" when they agree.

@@ -154,7 +154,7 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
   std::vector<double> expected(num_nodes, 0.0);
   for (const auto& [id, inst] : sbon.ledger().services()) {
     expected[inst.host] +=
-        inst.input_bytes_per_s * sbon.options().load_per_byte_per_s;
+        inst.input_bytes_per_s * overlay::Sbon::kLoadPerBytePerS;
   }
   for (NodeId n = 0; n < num_nodes; ++n) {
     EXPECT_NEAR(sbon.ledger().service_load(n), expected[n], 1e-9)

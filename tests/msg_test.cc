@@ -707,6 +707,49 @@ TEST(MsgEngine, PlacementsAfterRuntimeCreationAreBilledAndStamped) {
       << "every placed vertex must contribute a staleness sample";
 }
 
+TEST(MsgEngine, ReoptimizationLookupsAreBilled) {
+  // Both re-optimization modes query the index; message mode bills that
+  // traffic whether or not the re-optimization changed anything.
+  auto eng = MakeEngine(MsgEngineOptions(35));
+  eng->AdvanceEpoch(MessageEpoch());
+  const query::WorkloadParams wp = TestWorkloadParams();
+  eng->SetCatalog(MakeCatalog(eng->sbon(), wp, 353));
+  const auto specs = MakeQueries(eng->sbon(), eng->catalog(), wp, 3, 354);
+  std::vector<engine::QueryHandle> handles;
+  for (const query::QuerySpec& spec : specs) {
+    auto h = eng->Submit(spec);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    handles.push_back(*h);
+  }
+  const auto placement_msgs = [&] {
+    return eng->Snapshot().decentralized->protocol_msgs[static_cast<size_t>(
+        msg::Protocol::kPlacement)];
+  };
+  const auto msgs_of = [](const dht::IndexQueryCost& c) {
+    return c.lookups + c.routing_hops + c.ring_probes;
+  };
+
+  engine::ReoptPolicy local;
+  local.mode = engine::ReoptPolicy::Mode::kLocal;
+  const size_t before_local = placement_msgs();
+  auto lo = eng->Reoptimize(handles[0], local);
+  ASSERT_TRUE(lo.ok()) << lo.status().ToString();
+  const size_t local_msgs = msgs_of(lo->local.mapping.dht_cost);
+  EXPECT_GT(local_msgs, 0u);
+  EXPECT_EQ(placement_msgs() - before_local, local_msgs);
+
+  engine::ReoptPolicy full;
+  full.mode = engine::ReoptPolicy::Mode::kFull;
+  full.config.replan_threshold = 1.0;  // no candidate can clear the bar
+  const size_t before_full = placement_msgs();
+  auto fo = eng->Reoptimize(handles[1], full);
+  ASSERT_TRUE(fo.ok()) << fo.status().ToString();
+  ASSERT_FALSE(fo->full.redeployed);
+  const size_t full_msgs = msgs_of(fo->full.candidate.mapping.dht_cost);
+  EXPECT_GT(full_msgs, 0u);
+  EXPECT_EQ(placement_msgs() - before_full, full_msgs);
+}
+
 TEST(MsgEngine, FiveSeedBitIdenticalReplay) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -837,10 +880,6 @@ TEST(MsgEngine, RuntimeParamsAreValidatedAtTheFirstMessageEpoch) {
   const Case cases[] = {
       {"non-positive epoch_ms",
        [](msg::RuntimeParams* p) { p->bus.epoch_ms = 0.0; }},
-      {"zero peer set",
-       [](msg::RuntimeParams* p) { p->vivaldi.peer_set_size = 0; }},
-      {"zero wire size",
-       [](msg::RuntimeParams* p) { p->ring.stabilize_bytes = 0; }},
       {"loss above 1",
        [](msg::RuntimeParams* p) {
          p->bus.faults.protocol[0].loss = 1.5;
@@ -849,15 +888,10 @@ TEST(MsgEngine, RuntimeParamsAreValidatedAtTheFirstMessageEpoch) {
        [](msg::RuntimeParams* p) {
          p->bus.faults.protocol[1].delay_jitter_ms = -1.0;
        }},
-      {"reliability with zero dedup window",
+      {"reliability with zero retry wait",
        [](msg::RuntimeParams* p) {
          p->reliability.enabled = true;
-         p->reliability.dedup_window = 0;
-       }},
-      {"detector with zero confirm window",
-       [](msg::RuntimeParams* p) {
-         p->detector.enabled = true;
-         p->detector.confirm_after_suspect = 0;
+         p->reliability.retry_after_epochs = 0;
        }},
   };
   for (const Case& c : cases) {
@@ -986,7 +1020,7 @@ TEST(MsgEngine, FailureDetectorConfirmsACrashAndDrivesRepair) {
   // Scripted crash with the detector on: the node's endpoint goes dark but
   // the overlay is not told. Silence builds suspicion, the confirmation
   // timeout expires, and only then does the engine run FailNode + repair.
-  // With (suspect_after_missed, confirm_after_suspect) = (2, 2) the crash
+  // With the detector's (suspect, confirm) windows of (2, 2) the crash
   // at epoch 2 confirms at epoch 5: detection latency exactly 3 epochs.
   auto eng = MakeEngine(MsgEngineOptions(44));
   net::ChurnModel churn(eng->sbon().overlay_nodes(), {});

@@ -111,22 +111,21 @@ TEST(TransitStubTest, DeterministicGivenSeed) {
 
 TEST(TransitStubTest, LatencyClassesRespectRanges) {
   Rng rng(7);
-  TransitStubParams p;
-  auto t = GenerateTransitStub(p, &rng);
+  auto t = GenerateTransitStub(TransitStubParams{}, &rng);
   ASSERT_TRUE(t.ok());
   for (const Link& l : t->links()) {
     const bool a_transit = t->kind(l.a) == NodeKind::kTransit;
     const bool b_transit = t->kind(l.b) == NodeKind::kTransit;
     if (a_transit && b_transit) {
       // Intra- or inter-transit: within the union of the two ranges.
-      EXPECT_GE(l.latency_ms, p.intra_transit_latency_min);
-      EXPECT_LE(l.latency_ms, p.inter_transit_latency_max);
+      EXPECT_GE(l.latency_ms, kIntraTransitLatency.min_ms);
+      EXPECT_LE(l.latency_ms, kInterTransitLatency.max_ms);
     } else if (a_transit != b_transit) {
-      EXPECT_GE(l.latency_ms, p.transit_stub_latency_min);
-      EXPECT_LE(l.latency_ms, p.transit_stub_latency_max);
+      EXPECT_GE(l.latency_ms, kTransitStubLatency.min_ms);
+      EXPECT_LE(l.latency_ms, kTransitStubLatency.max_ms);
     } else {
-      EXPECT_GE(l.latency_ms, p.intra_stub_latency_min);
-      EXPECT_LE(l.latency_ms, p.intra_stub_latency_max);
+      EXPECT_GE(l.latency_ms, kIntraStubLatency.min_ms);
+      EXPECT_LE(l.latency_ms, kIntraStubLatency.max_ms);
     }
   }
 }

@@ -223,12 +223,6 @@ TEST(SbonTest, CreateValidatesOptions) {
               o->hilbert_bits = 16;
             }).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(create([](Sbon::Options* o) { o->load_per_byte_per_s = 0.0; })
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(create([](Sbon::Options* o) { o->load_per_byte_per_s = -1e-6; })
-                .code(),
-            StatusCode::kInvalidArgument);
 
   // Boundary values are legal.
   EXPECT_TRUE(create([](Sbon::Options* o) { o->hilbert_bits = 1; }).ok());

@@ -118,7 +118,8 @@ size_t RefGradient(Circuit* circuit, const coords::CostSpace& space,
         const double rate = circuit->edges()[edge_idx].rate_bytes_per_s;
         if (rate <= 0.0) continue;
         const Vec a = RefAnchor(*circuit, other, space);
-        const double d = std::max(cur.DistanceTo(a), params.epsilon);
+        const double d =
+            std::max(cur.DistanceTo(a), GradientPlacer::kDistanceGuard);
         num.AddScaled(a, rate / d);
         den += rate / d;
       }

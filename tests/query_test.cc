@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "harness/reference_optimizer.h"
 #include "query/catalog.h"
 #include "query/enumerate.h"
 #include "query/plan.h"
@@ -342,7 +343,7 @@ TEST(EnumerateTest, ExhaustiveCountsMatchDoubleFactorial) {
     std::vector<StreamId> ids;
     for (size_t i = 0; i < n; ++i) ids.push_back(static_cast<StreamId>(i));
     QuerySpec q = QuerySpec::SimpleJoin(ids, 9, 0.01);
-    auto plans = EnumerateAllPlansExhaustive(q, c);
+    auto plans = test::EnumerateAllPlansExhaustive(q, c);
     ASSERT_TRUE(plans.ok());
     size_t expected = 1;
     for (size_t k = 2 * n - 3; k >= 2; k -= 2) expected *= k;
@@ -364,7 +365,7 @@ TEST_P(DpOptimalityTest, DpMatchesExhaustiveOptimum) {
   for (int rep = 0; rep < 10; ++rep) {
     QuerySpec q = MakeRandomQuery(wp, c, {5}, &rng).value();
     auto dp = EnumeratePlans(q, c, EnumerationOptions{});
-    auto all = EnumerateAllPlansExhaustive(q, c);
+    auto all = test::EnumerateAllPlansExhaustive(q, c);
     ASSERT_TRUE(dp.ok() && all.ok());
     EXPECT_NEAR((*dp)[0].IntermediateDataRate(),
                 (*all)[0].IntermediateDataRate(),
@@ -386,7 +387,7 @@ TEST(EnumerateTest, TopKSubsetOfExhaustiveBest) {
   EnumerationOptions opts;
   opts.top_k = 3;
   auto dp = EnumeratePlans(q, c, opts);
-  auto all = EnumerateAllPlansExhaustive(q, c);
+  auto all = test::EnumerateAllPlansExhaustive(q, c);
   ASSERT_TRUE(dp.ok() && all.ok());
   ASSERT_LE(dp->size(), 3u);
   // The DP's k-th candidate can be no better than the exhaustive k-th best

@@ -32,15 +32,13 @@ constexpr uint64_t kSeeds[] = {1, 42, 9001, 31337, 777};
 // The pre-SoA spring update, verbatim: value-Vec diff / Norm / Unit /
 // AddScaled against per-node Vec storage.
 struct VivaldiReference {
-  coords::VivaldiSystem::Params params;
   std::vector<Vec> coords;
   std::vector<double> error;
 
   VivaldiReference(size_t num_nodes, const coords::VivaldiSystem::Params& p,
                    Rng* rng)
-      : params(p),
-        coords(num_nodes, Vec(p.dims)),
-        error(num_nodes, p.initial_error) {
+      : coords(num_nodes, Vec(p.dims)),
+        error(num_nodes, coords::VivaldiSystem::kInitialError) {
     for (auto& c : coords) {
       for (size_t d = 0; d < c.dims(); ++d) c[d] = rng->Uniform(-0.1, 0.1);
     }
@@ -48,7 +46,8 @@ struct VivaldiReference {
 
   void UpdateAgainst(NodeId self, NodeId peer, const Vec& peer_coord,
                      double peer_error, double measured_rtt_ms) {
-    const double rtt = std::max(measured_rtt_ms, params.min_rtt_ms);
+    const double rtt =
+        std::max(measured_rtt_ms, coords::VivaldiSystem::kMinRttMs);
     Vec diff = coords[self];
     diff -= peer_coord;
     const double dist = diff.Norm();
@@ -57,9 +56,10 @@ struct VivaldiReference {
                          ? w_self / (w_self + peer_error)
                          : 0.5;
     const double es = std::abs(dist - rtt) / rtt;
-    error[self] = es * params.ce * w + error[self] * (1.0 - params.ce * w);
+    constexpr double kCe = coords::VivaldiSystem::kCe;
+    error[self] = es * kCe * w + error[self] * (1.0 - kCe * w);
     error[self] = std::clamp(error[self], 0.0, 10.0);
-    const double delta = params.cc * w;
+    const double delta = coords::VivaldiSystem::kCc * w;
     const Vec dir = diff.Unit(static_cast<uint64_t>(self) * 1000003u + peer);
     coords[self].AddScaled(dir, delta * (rtt - dist));
   }
