@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace sbon::core {
-namespace {
-
-// A virtually placed candidate plan. Candidates are mapped in ascending
-// (virtual_usage, index); virtual network usage orders the mapping and
-// bounds nothing.
-struct Candidate {
-  double virtual_usage = 0.0;
-  size_t index = 0;  // enumeration index, the tie-break between equal costs
-  overlay::Circuit circuit;
-};
-
-}  // namespace
 
 IntegratedOptimizer::IntegratedOptimizer(
     OptimizerConfig config,
@@ -31,10 +18,8 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
   auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 
-  // Per-thread scratch kept for its capacity (an engine builds a fresh
-  // optimizer per Submit), so a warm Submit allocates nothing here.
-  thread_local std::vector<Candidate> candidates;
-  candidates.clear();
+  candidates_.clear();
+  candidates_.reserve(plans->size());
   const coords::CostSpace& space = sbon->cost_space();
   for (size_t index = 0; index < plans->size(); ++index) {
     auto circuit =
@@ -42,11 +27,11 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
     if (!circuit.ok()) return circuit.status();
     st = placer_->Place(&circuit.value(), space);
     if (!st.ok()) return st;
-    candidates.push_back(
+    candidates_.push_back(
         Candidate{placement::VirtualLinearCost(*circuit, space), index,
                   std::move(circuit.value())});
   }
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(candidates_.begin(), candidates_.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.virtual_usage != b.virtual_usage) {
                 return a.virtual_usage < b.virtual_usage;
@@ -65,7 +50,7 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
     return best == nullptr || cost < best_cost ||
            (cost == best_cost && index < best->index);
   };
-  for (Candidate& candidate : candidates) {
+  for (Candidate& candidate : candidates_) {
     overlay::Circuit& circuit = candidate.circuit;
     bool pruned = false;
     for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
@@ -78,7 +63,7 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
         break;
       }
       st = placement::MapVertex(&circuit, v, *sbon, config_.mapping,
-                                &result.mapping);
+                                &result.mapping, &mapping_candidates_);
       if (!st.ok()) return st;
     }
     if (pruned) continue;
@@ -95,7 +80,7 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
   }
   result.circuit = std::move(best->circuit);
   result.estimated_cost = best_cost;
-  result.plans_considered = candidates.size();
+  result.plans_considered = candidates_.size();
   return result;
 }
 

@@ -2,6 +2,7 @@
 #define SBON_CORE_INTEGRATED_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/optimizer.h"
 
@@ -41,8 +42,20 @@ class IntegratedOptimizer : public Optimizer {
   const placement::VirtualPlacer& placer() const { return *placer_; }
 
  private:
+  // A virtually placed candidate plan. Candidates are mapped in ascending
+  // (virtual_usage, index); virtual network usage orders the mapping and
+  // bounds nothing.
+  struct Candidate {
+    double virtual_usage = 0.0;
+    size_t index = 0;  // enumeration index, the tie-break between equal costs
+    overlay::Circuit circuit;
+  };
+
   OptimizerConfig config_;
   std::shared_ptr<const placement::VirtualPlacer> placer_;
+  // Scratch kept across Optimize calls: a warm Optimize allocates nothing.
+  std::vector<Candidate> candidates_;
+  std::vector<NodeId> mapping_candidates_;
 };
 
 }  // namespace sbon::core

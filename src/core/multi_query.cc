@@ -14,13 +14,6 @@ constexpr size_t kMaxReuseBindings = 4;
 // Cap on instances evaluated per service (closest first).
 constexpr size_t kMaxCandidatesPerService = 8;
 
-// A compatible, in-radius instance for one placeable vertex.
-struct ReuseCandidate {
-  int vertex = -1;
-  const overlay::ServiceInstance* instance = nullptr;
-  double distance = 0.0;
-};
-
 double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
                          const overlay::Sbon& sbon) {
   for (CircuitId cid : inst.circuits) {
@@ -51,16 +44,6 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
   OptimizeResult best;
   bool have_best = false;
-
-  // Reused across reuse passes: surviving instances and their hosts, so the
-  // cost-space pruning distance runs as one batched kernel call per service
-  // instead of a per-instance strided probe.
-  std::vector<NodeId> sphere_nodes;
-  std::vector<const overlay::ServiceInstance*> inst_scratch;
-  std::vector<NodeId> host_scratch;
-  std::vector<double> dist_scratch;
-  std::vector<int> order;
-  std::vector<ReuseCandidate> cands;
   if (sphere_stamp_.size() < sbon->cost_space().NumNodes()) {
     sphere_stamp_.resize(sbon->cost_space().NumNodes(), 0);
   }
@@ -70,7 +53,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
     if (!base.ok()) return base.status();
     placement::MappingReport report;
     Status st = PlaceAndMap(&base.value(), sbon, *placer_, config_.mapping,
-                            &report);
+                            &report, &mapping_candidates_);
     if (!st.ok()) return st;
     best.placements_evaluated += 1;
 
@@ -88,11 +71,11 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
          pass < kMaxReuseBindings && params_.reuse_radius != 0.0;
          ++pass) {
       // Consider larger subtrees first (bigger savings when reused).
-      order.clear();
+      order_.clear();
       for (int v = 0; v < static_cast<int>(current.NumVertices()); ++v) {
-        if (current.Placeable(v)) order.push_back(v);
+        if (current.Placeable(v)) order_.push_back(v);
       }
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
+      std::sort(order_.begin(), order_.end(), [&](int a, int b) {
         return plan.op(a).stream_set.size() > plan.op(b).stream_set.size();
       });
 
@@ -101,65 +84,66 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
       double pass_best_cost = current_cost;
       size_t pass_best_extra_reused = 0;
 
-      for (int v : order) {
+      for (int v : order_) {
         const uint64_t sig = plan.OpSignature(v);
         const auto instances = sbon->ledger().ServicesWithSignature(sig);
         if (instances.empty()) continue;
 
         // Cost-space pruning: keep instances whose hosts fall inside the
         // radius-r hyper-sphere around the service's virtual coordinate.
-        cands.clear();
+        cands_.clear();
         if (params_.reuse_radius < 0.0) {
-          inst_scratch.assign(instances.begin(), instances.end());
+          inst_scratch_.assign(instances.begin(), instances.end());
         } else {
           // Hyper-sphere search via the Hilbert/Chord index, charged as
           // DHT traffic; only nodes the sphere search returns are eligible.
-          // Room for every published node: one allocation per Optimize.
-          sphere_nodes.reserve(sbon->index().NumPublished());
+          // Room for every published node: the buffer grows at most once.
+          sphere_nodes_.reserve(sbon->index().NumPublished());
           Status sst = sbon->index().WithinRadiusInto(
               sbon->cost_space().IdealTarget(current.vertex(v).virtual_coord),
-              params_.reuse_radius, &report.dht_cost, &sphere_nodes);
+              params_.reuse_radius, &report.dht_cost, &sphere_nodes_);
           if (!sst.ok()) return sst;
           if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
             std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);
             sphere_epoch_ = 1;
           }
-          for (NodeId n : sphere_nodes) sphere_stamp_[n] = sphere_epoch_;
-          inst_scratch.clear();
+          for (NodeId n : sphere_nodes_) sphere_stamp_[n] = sphere_epoch_;
+          inst_scratch_.clear();
           for (const overlay::ServiceInstance* inst : instances) {
             if (sphere_stamp_[inst->host] == sphere_epoch_) {
-              inst_scratch.push_back(inst);
+              inst_scratch_.push_back(inst);
             }
           }
         }
         // One batched distance sweep over the surviving instances' hosts.
-        host_scratch.clear();
-        for (const overlay::ServiceInstance* inst : inst_scratch) {
-          host_scratch.push_back(inst->host);
+        host_scratch_.clear();
+        for (const overlay::ServiceInstance* inst : inst_scratch_) {
+          host_scratch_.push_back(inst->host);
         }
-        dist_scratch.resize(host_scratch.size());
+        dist_scratch_.resize(host_scratch_.size());
         sbon->cost_space().VectorDistancesToMany(
-            current.vertex(v).virtual_coord, host_scratch.data(),
-            host_scratch.size(), dist_scratch.data());
-        for (size_t i = 0; i < inst_scratch.size(); ++i) {
-          cands.push_back(ReuseCandidate{v, inst_scratch[i], dist_scratch[i]});
+            current.vertex(v).virtual_coord, host_scratch_.data(),
+            host_scratch_.size(), dist_scratch_.data());
+        for (size_t i = 0; i < inst_scratch_.size(); ++i) {
+          cands_.push_back(
+              ReuseCandidate{v, inst_scratch_[i], dist_scratch_[i]});
         }
-        std::sort(cands.begin(), cands.end(),
+        std::sort(cands_.begin(), cands_.end(),
                   [](const ReuseCandidate& a, const ReuseCandidate& b) {
                     return a.distance < b.distance;
                   });
-        if (cands.size() > kMaxCandidatesPerService) {
-          cands.resize(kMaxCandidatesPerService);
+        if (cands_.size() > kMaxCandidatesPerService) {
+          cands_.resize(kMaxCandidatesPerService);
         }
-        best.reuse_candidates_considered += cands.size();
+        best.reuse_candidates_considered += cands_.size();
 
-        for (const ReuseCandidate& rc : cands) {
+        for (const ReuseCandidate& rc : cands_) {
           overlay::Circuit variant = current;  // deep copy
           variant.BindReusedSubtree(
               rc.vertex, rc.instance->id, rc.instance->host,
               UpstreamLatencyOf(*rc.instance, *sbon));
           Status pst = PlaceAndMap(&variant, sbon, *placer_, config_.mapping,
-                                   &report);
+                                   &report, &mapping_candidates_);
           if (!pst.ok()) return pst;
           best.placements_evaluated += 1;
           auto vcost = EstimateCost(variant, *sbon, config_.lambda);

@@ -27,6 +27,8 @@ class MultiQueryOptimizer : public Optimizer {
  public:
   struct Params {
     double reuse_radius = 50.0;
+
+    bool operator==(const Params&) const = default;
   };
 
   MultiQueryOptimizer(OptimizerConfig config,
@@ -37,9 +39,14 @@ class MultiQueryOptimizer : public Optimizer {
                                     const query::Catalog& catalog,
                                     overlay::Sbon* sbon) override;
 
-  const Params& params() const { return params_; }
-
  private:
+  // A compatible, in-radius instance for one placeable vertex.
+  struct ReuseCandidate {
+    int vertex = -1;
+    const overlay::ServiceInstance* instance = nullptr;
+    double distance = 0.0;
+  };
+
   OptimizerConfig config_;
   std::shared_ptr<const placement::VirtualPlacer> placer_;
   Params params_;
@@ -48,6 +55,15 @@ class MultiQueryOptimizer : public Optimizer {
   // bumping the epoch clears every mark without touching memory.
   std::vector<uint32_t> sphere_stamp_;
   uint32_t sphere_epoch_ = 0;
+  // Scratch kept across Optimize calls. Surviving instances' hosts feed one
+  // batched pruning-distance kernel call per service.
+  std::vector<NodeId> sphere_nodes_;
+  std::vector<const overlay::ServiceInstance*> inst_scratch_;
+  std::vector<NodeId> host_scratch_;
+  std::vector<double> dist_scratch_;
+  std::vector<int> order_;
+  std::vector<ReuseCandidate> cands_;
+  std::vector<NodeId> mapping_candidates_;
 };
 
 }  // namespace sbon::core

@@ -42,10 +42,11 @@ double EstimateCostLowerBound(const overlay::Circuit& circuit,
 Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
                    const placement::VirtualPlacer& placer,
                    const placement::MappingOptions& mapping,
-                   placement::MappingReport* report) {
+                   placement::MappingReport* report,
+                   std::vector<NodeId>* candidates) {
   Status st = placer.Place(circuit, sbon->cost_space());
   if (!st.ok()) return st;
-  return placement::MapCircuit(circuit, *sbon, mapping, report);
+  return placement::MapCircuit(circuit, *sbon, mapping, report, candidates);
 }
 
 Status ValidateLambda(double lambda) {

@@ -2,6 +2,7 @@
 #define SBON_CORE_OPTIMIZER_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "dht/coord_index.h"
@@ -25,6 +26,8 @@ struct OptimizerConfig {
   query::EnumerationOptions enumeration;
   /// Physical mapping behaviour.
   placement::MappingOptions mapping;
+
+  bool operator==(const OptimizerConfig&) const = default;
 };
 
 /// Everything an optimization run produced: the winning placed circuit plus
@@ -56,11 +59,12 @@ class Optimizer {
 };
 
 /// Places and maps an unplaced circuit in one go (virtual placement with
-/// `placer`, then DHT mapping).
+/// `placer`, then DHT mapping over the caller's `candidates` buffer).
 Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
                    const placement::VirtualPlacer& placer,
                    const placement::MappingOptions& mapping,
-                   placement::MappingReport* report);
+                   placement::MappingReport* report,
+                   std::vector<NodeId>* candidates);
 
 /// Ranking metric shared by all optimizers: cost-space estimate of network
 /// usage (rate x host vector distance over physical edges, in edge order)

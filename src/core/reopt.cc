@@ -1,6 +1,7 @@
 #include "core/reopt.h"
 
 #include <utility>
+#include <vector>
 
 #include "overlay/metrics.h"
 
@@ -21,8 +22,9 @@ StatusOr<LocalReoptReport> LocalReoptimize(
 
   // Re-place a scratch copy against the current cost space.
   overlay::Circuit scratch = *live;
+  std::vector<NodeId> candidates;
   Status st = PlaceAndMap(&scratch, sbon, placer, query_config.mapping,
-                          &report.mapping);
+                          &report.mapping, &candidates);
   if (!st.ok()) return st;
   auto after = EstimateCost(scratch, *sbon, query_config.lambda);
   if (!after.ok()) return after.status();

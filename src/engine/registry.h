@@ -40,8 +40,9 @@ class OptimizerRegistry {
 
 /// Read-only view of the built-in virtual-placement strategies
 /// ("centroid", "gradient", "relaxation"). Each Create() returns a fresh
-/// instance; placers are stateless and const, so callers that create many
-/// optimizers may cache and share one instance per name.
+/// instance. A placer owns the scratch its `Place` calls reuse, so calls on
+/// one instance must not overlap: give each optimizer its own instance, as
+/// `StreamEngine` does.
 class PlacerRegistry {
  public:
   static const PlacerRegistry& Global();

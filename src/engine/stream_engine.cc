@@ -1,6 +1,7 @@
 #include "engine/stream_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -16,28 +17,6 @@ StrategySpec Resolve(StrategySpec strategy, const StrategySpec& base) {
   return strategy;
 }
 
-// The engine-wide default strategy, every field set.
-StrategySpec DefaultStrategy(const EngineOptions& options) {
-  StrategySpec strategy;
-  strategy.optimizer = options.optimizer;
-  strategy.placer = options.placer;
-  strategy.config = options.config;
-  strategy.multi_query = options.multi_query;
-  return strategy;
-}
-
-// Instantiates the optimizer a resolved strategy names.
-StatusOr<std::unique_ptr<core::Optimizer>> MakeOptimizer(
-    const StrategySpec& strategy) {
-  auto placer = PlacerRegistry::Global().Create(strategy.placer);
-  if (!placer.ok()) return placer.status();
-  OptimizerSpec spec;
-  spec.config = *strategy.config;
-  spec.multi_query = *strategy.multi_query;
-  spec.placer = std::move(placer.value());
-  return OptimizerRegistry::Global().Create(strategy.optimizer, spec);
-}
-
 // A resolved `strategy` with its optimizer replaced by `optimizer`, unless
 // that is empty.
 StrategySpec WithOptimizer(StrategySpec strategy,
@@ -49,21 +28,42 @@ StrategySpec WithOptimizer(StrategySpec strategy,
 }  // namespace
 
 StreamEngine::StreamEngine(EngineOptions options)
-    : defaults_(DefaultStrategy(options)),
+    : defaults_{options.optimizer, options.placer, options.config,
+                options.multi_query},
       refresh_index_on_install_(options.refresh_index_on_install) {}
 
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
     EngineOptions options) {
-  // Validate the default strategy names by resolving them once, so a typo
-  // fails engine creation instead of the first Submit.
-  auto optimizer = MakeOptimizer(DefaultStrategy(options));
-  if (!optimizer.ok()) return optimizer.status();
-
   auto sbon = overlay::Sbon::Create(std::move(options.topology), options.sbon);
   if (!sbon.ok()) return sbon.status();
   std::unique_ptr<StreamEngine> engine(new StreamEngine(std::move(options)));
   engine->sbon_ = std::move(sbon.value());
+  // Build the default strategy's optimizer now, so a typo in its names
+  // fails engine creation instead of the first Submit.
+  auto built = engine->OptimizerFor(engine->defaults_);
+  if (!built.ok()) return built.status();
   return engine;
+}
+
+StatusOr<StreamEngine::BuiltOptimizer*> StreamEngine::OptimizerFor(
+    const StrategySpec& strategy) {
+  // Entries are found by value, and a NaN equals nothing: a strategy with
+  // one would add an entry per call.
+  if (std::isnan(strategy.config->lambda) ||
+      std::isnan(strategy.multi_query->reuse_radius)) {
+    return Status::InvalidArgument("strategy parameters must not be NaN");
+  }
+  for (BuiltOptimizer& built : optimizers_) {
+    if (built.strategy == strategy) return &built;
+  }
+  auto placer = PlacerRegistry::Global().Create(strategy.placer);
+  if (!placer.ok()) return placer.status();
+  const OptimizerSpec spec{*strategy.config, *strategy.multi_query, *placer};
+  auto optimizer = OptimizerRegistry::Global().Create(strategy.optimizer, spec);
+  if (!optimizer.ok()) return optimizer.status();
+  optimizers_.push_back(
+      BuiltOptimizer{strategy, spec.placer, std::move(optimizer.value())});
+  return &optimizers_.back();
 }
 
 StreamId StreamEngine::AddStream(std::string name, double tuple_rate_per_s,
@@ -74,16 +74,17 @@ StreamId StreamEngine::AddStream(std::string name, double tuple_rate_per_s,
 
 StatusOr<core::OptimizeResult> StreamEngine::Optimize(
     const query::QuerySpec& spec, const StrategySpec& strategy) {
-  auto optimizer = MakeOptimizer(Resolve(strategy, defaults_));
-  if (!optimizer.ok()) return optimizer.status();
-  return (*optimizer)->Optimize(spec, catalog_, sbon_.get());
+  auto built = OptimizerFor(Resolve(strategy, defaults_));
+  if (!built.ok()) return built.status();
+  return (*built)->optimizer->Optimize(spec, catalog_, sbon_.get());
 }
 
 Status StreamEngine::OptimizeAndInstall(StrategySpec strategy,
                                         QueryRecord* record) {
-  auto optimizer = MakeOptimizer(strategy);
-  if (!optimizer.ok()) return optimizer.status();
-  auto result = (*optimizer)->Optimize(record->spec, catalog_, sbon_.get());
+  auto built = OptimizerFor(strategy);
+  if (!built.ok()) return built.status();
+  auto result =
+      (*built)->optimizer->Optimize(record->spec, catalog_, sbon_.get());
   if (!result.ok()) return result.status();
   overlay::Circuit circuit = std::move(result->circuit);
   // InstallCircuit is failure-atomic, so a failure here leaves the overlay
@@ -170,10 +171,10 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     return outcome;
   }
   if (policy.mode == ReoptPolicy::Mode::kLocal) {
-    auto placer = PlacerRegistry::Global().Create(record.strategy.placer);
-    if (!placer.ok()) return placer.status();
+    auto built = OptimizerFor(record.strategy);
+    if (!built.ok()) return built.status();
     auto report =
-        core::LocalReoptimize(sbon_.get(), record.circuit, **placer,
+        core::LocalReoptimize(sbon_.get(), record.circuit, *(*built)->placer,
                               *record.strategy.config, policy.config);
     if (!report.ok()) return report.status();
     if (msg_runtime_ != nullptr) {
@@ -189,10 +190,10 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
   }
 
   StrategySpec strategy = WithOptimizer(record.strategy, policy.optimizer);
-  auto optimizer = MakeOptimizer(strategy);
-  if (!optimizer.ok()) return optimizer.status();
+  auto built = OptimizerFor(strategy);
+  if (!built.ok()) return built.status();
   auto report = core::FullReoptimize(sbon_.get(), record.circuit, record.spec,
-                                     catalog_, optimizer->get(),
+                                     catalog_, (*built)->optimizer.get(),
                                      *strategy.config, policy.config);
   if (!report.ok()) return report.status();
   outcome.full = *report;

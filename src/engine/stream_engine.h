@@ -1,6 +1,7 @@
 #ifndef SBON_ENGINE_STREAM_ENGINE_H_
 #define SBON_ENGINE_STREAM_ENGINE_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,6 +47,8 @@ struct StrategySpec {
   std::string placer;     ///< registry name; empty = engine default
   std::optional<core::OptimizerConfig> config;
   std::optional<core::MultiQueryOptimizer::Params> multi_query;
+
+  bool operator==(const StrategySpec&) const = default;
 };
 
 /// Everything needed to bring up a StreamEngine: the physical topology, the
@@ -342,7 +345,18 @@ class StreamEngine {
     core::OptimizeResult result;  ///< accounting of the winning run
   };
 
+  /// An optimizer built for one resolved strategy, with its placer.
+  struct BuiltOptimizer {
+    StrategySpec strategy;
+    std::shared_ptr<const placement::VirtualPlacer> placer;
+    std::unique_ptr<core::Optimizer> optimizer;
+  };
+
   explicit StreamEngine(EngineOptions options);
+
+  /// The engine's optimizer for a resolved strategy: the one built for an
+  /// equal strategy before, else a new one, kept unless building fails.
+  StatusOr<BuiltOptimizer*> OptimizerFor(const StrategySpec& strategy);
 
   /// The deploy protocol shared by Submit and Repair: optimizes
   /// `record->spec` with the resolved `strategy`, installs the winning
@@ -389,6 +403,9 @@ class StreamEngine {
   void MaybeRefreshIndex();
 
   StrategySpec defaults_;  ///< from EngineOptions; every field set
+  /// One per distinct resolved strategy run, the default's first; never
+  /// evicted (an engine sees a handful). Each owns its Submit scratch.
+  std::deque<BuiltOptimizer> optimizers_;
   bool refresh_index_on_install_ = false;
   /// Open DeferRefresh scopes; > 0 redirects install-time refreshes into
   /// deferred_refresh_pending_ for the outermost scope to flush.

@@ -6,13 +6,15 @@ namespace sbon::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Largest n the exact on-demand mode auto-selects at.
+constexpr size_t kExactThreshold = 2048;
 
 NetworkFabric::BaseMode ResolveBaseMode(const NetworkFabric::Options& options,
                                         size_t n) {
   if (options.base_mode != NetworkFabric::BaseMode::kAuto) {
     return options.base_mode;
   }
-  return n <= options.exact_threshold ? NetworkFabric::BaseMode::kExact
+  return n <= kExactThreshold ? NetworkFabric::BaseMode::kExact
                                       : NetworkFabric::BaseMode::kSketch;
 }
 }  // namespace

@@ -70,14 +70,12 @@ class NetworkFabric {
  public:
   struct Options {
     enum class BaseMode {
-      kAuto,    ///< exact at n <= exact_threshold, sketch above
+      kAuto,    ///< exact at n <= 2048, sketch above
       kDense,   ///< materialized n x n base matrix
       kExact,   ///< force on-demand Dijkstra rows (tests, equivalence pins)
       kSketch,  ///< force the landmark sketch (tests at small n)
     };
     BaseMode base_mode = BaseMode::kAuto;
-    /// Largest n the exact on-demand mode auto-selects at.
-    size_t exact_threshold = 2048;
     /// Landmarks of the sketch mode (each costs one n-vector of doubles).
     size_t num_landmarks = 32;
     /// Per-node direct-mapped base-latency cache slots (0 disables).

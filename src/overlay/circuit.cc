@@ -13,7 +13,6 @@ StatusOr<Circuit> Circuit::FromPlan(query::LogicalPlan plan,
   for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
     const query::PlanOp& op = plan.op(i);
     CircuitVertex& v = c.vertices_[i];
-    v.plan_op = i;
     switch (op.kind) {
       case query::OpKind::kProducer: {
         if (!catalog.Has(op.stream)) {

@@ -14,10 +14,9 @@
 namespace sbon::overlay {
 
 /// One vertex of a circuit: a plan operator bound (eventually) to a physical
-/// node. Producers and the consumer are pinned; interior services are
-/// unpinned until placement runs.
+/// node. Vertex i is the plan's op i. Producers and the consumer are pinned;
+/// interior services are unpinned until placement runs.
 struct CircuitVertex {
-  int plan_op = -1;                 ///< index into the circuit's plan
   NodeId host = kInvalidNode;       ///< physical node (kInvalidNode = unplaced)
   bool pinned = false;
   Vec virtual_coord;                ///< last virtual-placement coordinate

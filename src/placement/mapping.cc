@@ -53,28 +53,33 @@ Status MapOneVertex(overlay::Circuit* circuit, int v,
 }  // namespace
 
 Status MapVertex(overlay::Circuit* circuit, int v, const overlay::Sbon& sbon,
-                 const MappingOptions& options, MappingReport* report) {
-  // One candidate buffer per thread, reused across vertices and calls: the
-  // index query keeps its capacity, so mapping a vertex is heap-free.
-  thread_local std::vector<NodeId> candidates;
+                 const MappingOptions& options, MappingReport* report,
+                 std::vector<NodeId>* candidates) {
   const Vec target =
       sbon.cost_space().IdealTarget(circuit->vertex(v).virtual_coord);
   Status st = sbon.index().KNearestNodesInto(
       target, options.k_candidates, options.probe_width,
-      report != nullptr ? &report->dht_cost : nullptr, &candidates);
+      report != nullptr ? &report->dht_cost : nullptr, candidates);
   if (!st.ok()) return st;
-  return MapOneVertex(circuit, v, candidates, sbon.index().published_coords(),
-                      options, report);
+  return MapOneVertex(circuit, v, *candidates,
+                      sbon.index().published_coords(), options, report);
+}
+
+Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
+                  const MappingOptions& options, MappingReport* report,
+                  std::vector<NodeId>* candidates) {
+  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+    if (!circuit->Placeable(v)) continue;
+    Status st = MapVertex(circuit, v, sbon, options, report, candidates);
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
 Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                   const MappingOptions& options, MappingReport* report) {
-  for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
-    if (!circuit->Placeable(v)) continue;
-    Status st = MapVertex(circuit, v, sbon, options, report);
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  std::vector<NodeId> candidates;
+  return MapCircuit(circuit, sbon, options, report, &candidates);
 }
 
 Status MapCircuitExact(overlay::Circuit* circuit, const overlay::Sbon& sbon,

@@ -2,6 +2,7 @@
 #define SBON_PLACEMENT_MAPPING_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "dht/coord_index.h"
@@ -23,6 +24,8 @@ struct MappingOptions {
   size_t k_candidates = 8;   ///< candidates fetched per service
   size_t probe_width = 16;   ///< Hilbert-ring walk width per direction
   bool load_aware = true;
+
+  bool operator==(const MappingOptions&) const = default;
 };
 
 /// Accumulated per-mapping measurements.
@@ -52,14 +55,20 @@ struct MappingReport {
 
 /// Maps placeable vertex `v` of a virtually placed `circuit` to a host: one
 /// index query for the top-k node ids nearest the ideal point over `v`'s
-/// virtual coordinate, ranked and checked against the index's published
-/// coordinates. Heap-free in steady state. Fails if the index is empty.
-/// `report` is optional.
+/// virtual coordinate, written into the caller's `candidates` buffer,
+/// ranked and checked against the index's published coordinates. Heap-free
+/// once `candidates` has grown to k. Fails if the index is empty. `report`
+/// is optional.
 Status MapVertex(overlay::Circuit* circuit, int v, const overlay::Sbon& sbon,
-                 const MappingOptions& options, MappingReport* report);
+                 const MappingOptions& options, MappingReport* report,
+                 std::vector<NodeId>* candidates);
 
 /// Maps every placeable vertex of `circuit`, in vertex order, with
-/// MapVertex. `report` is optional.
+/// MapVertex over `candidates`, or over a buffer of its own when omitted.
+/// `report` is optional.
+Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
+                  const MappingOptions& options, MappingReport* report,
+                  std::vector<NodeId>* candidates);
 Status MapCircuit(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                   const MappingOptions& options, MappingReport* report);
 

@@ -121,7 +121,7 @@ void WeiszfeldSweeps(SweepFrame* frame, const GradientPlacer::Params& params) {
 Status RelaxationPlacer::Place(overlay::Circuit* circuit,
                                const coords::CostSpace& space) const {
   if (!HasPlaceable(*circuit)) return Status::OK();
-  SweepFrame frame(circuit, space);
+  SweepFrame frame(circuit, space, &buffers_);
   DispatchDims(frame.dims(), [&](auto dims) {
     SpringSweeps<decltype(dims)::value>(&frame, params_);
   });
@@ -130,7 +130,7 @@ Status RelaxationPlacer::Place(overlay::Circuit* circuit,
 
 Status CentroidPlacer::Place(overlay::Circuit* circuit,
                              const coords::CostSpace& space) const {
-  const SweepFrame seeded(circuit, space);  // construction seeds
+  const SweepFrame seeded(circuit, space, &buffers_);  // construction seeds
   return Status::OK();
 }
 
@@ -142,7 +142,7 @@ Status GradientPlacer::Place(overlay::Circuit* circuit,
   // an MM majorizer), so starting there guarantees the result is at least
   // as good as relaxation on sum(rate * dist) — and avoids the coordinate-
   // descent stalls the centroid seed can hit at non-smooth points.
-  SweepFrame frame(circuit, space);
+  SweepFrame frame(circuit, space, &buffers_);
   DispatchDims(frame.dims(), [&](auto dims) {
     SpringSweeps<decltype(dims)::value>(&frame, RelaxationPlacer::Params());
     WeiszfeldSweeps<decltype(dims)::value>(&frame, params_);

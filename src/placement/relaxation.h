@@ -21,11 +21,12 @@ namespace sbon::placement {
 /// placeable vertex holding its positive-rate springs as (rate, anchor
 /// pointer) terms in ascending edge order, and their rate sum. Each anchor's
 /// host coordinate is fetched once per `Place`, placeable positions are read
-/// and written as raw doubles in place, and a `Place` on a warm circuit
-/// allocates nothing. `Place` dispatches once on the space's vector
-/// dimension count: the sweep body is one template, instantiated at 2 and 3
-/// dims with every per-component loop unrolled, and at 0 for any other
-/// count, which reads the count at runtime.
+/// and written as raw doubles in place, and the frame's buffers are the
+/// placer's own, so a `Place` on a warm circuit allocates nothing (and
+/// calls on one placer must not overlap). `Place` dispatches once on the
+/// space's vector dimension count: the sweep body is one template,
+/// instantiated at 2 and 3 dims with every per-component loop unrolled, and
+/// at 0 for any other count, which reads the count at runtime.
 ///
 /// Bit-identity contract: positions and the number of sweeps run equal
 /// those of the `Vec`-valued sweep bit for bit
@@ -57,6 +58,7 @@ class RelaxationPlacer : public VirtualPlacer {
 
  private:
   Params params_;
+  mutable internal::SweepBuffers buffers_;
 };
 
 /// One-shot baseline: every unpinned service at the rate-weighted centroid
@@ -66,6 +68,9 @@ class CentroidPlacer : public VirtualPlacer {
   Status Place(overlay::Circuit* circuit,
                const coords::CostSpace& space) const override;
   std::string Name() const override { return "centroid"; }
+
+ private:
+  mutable internal::SweepBuffers buffers_;
 };
 
 /// Iteratively minimizes the *linear* network-usage objective
@@ -96,6 +101,7 @@ class GradientPlacer : public VirtualPlacer {
 
  private:
   Params params_;
+  mutable internal::SweepBuffers buffers_;
 };
 
 /// Objective helpers over virtual coordinates. Both read each anchor in

@@ -1,29 +1,11 @@
 #include "placement/virtual_placement.h"
 
-#include <vector>
-
 namespace sbon::placement::internal {
 
-namespace {
-
-struct SweepBuffers {
-  std::vector<double> anchors;  // NumVertices x dims host coordinates
-  std::vector<double> accum;    // dims
-  std::vector<SweepRow> rows;   // per placeable vertex
-  std::vector<SweepTerm> terms;
-};
-
-SweepBuffers& Buffers() {
-  thread_local SweepBuffers buffers;
-  return buffers;
-}
-
-}  // namespace
-
 SweepFrame::SweepFrame(overlay::Circuit* circuit,
-                       const coords::CostSpace& space)
-    : dims_(space.spec().vector_dims()) {
-  SweepBuffers& b = Buffers();
+                       const coords::CostSpace& space, SweepBuffers* buffers)
+    : dims_(space.spec().vector_dims()), buffers_(buffers) {
+  SweepBuffers& b = *buffers;
   const int n = static_cast<int>(circuit->NumVertices());
   b.anchors.resize(static_cast<size_t>(n) * dims_);
   b.accum.resize(dims_);
@@ -63,8 +45,11 @@ SweepFrame::SweepFrame(overlay::Circuit* circuit,
   }
   // The term table, built once every placeable coordinate has its final
   // storage.
+  // Each edge adds at most one term per end.
   b.rows.clear();
+  b.rows.reserve(static_cast<size_t>(n));
   b.terms.clear();
+  b.terms.reserve(2 * circuit->edges().size());
   for (int v = 0; v < n; ++v) {
     if (!circuit->Placeable(v)) continue;
     SweepRow row{anchor(v), 0.0, b.terms.size(), 0};
@@ -77,9 +62,6 @@ SweepFrame::SweepFrame(overlay::Circuit* circuit,
     row.end = b.terms.size();
     b.rows.push_back(row);
   }
-  rows_ = b.rows;
-  terms_ = b.terms.data();
-  accum_ = b.accum.data();
 }
 
 }  // namespace sbon::placement::internal

@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "coords/cost_space.h"
@@ -48,6 +49,14 @@ struct SweepRow {
   size_t end;
 };
 
+/// The storage a `SweepFrame` fills. Each placer owns one.
+struct SweepBuffers {
+  std::vector<double> anchors;  ///< NumVertices x dims host coordinates
+  std::vector<double> accum;    ///< dims
+  std::vector<SweepRow> rows;   ///< per placeable vertex
+  std::vector<SweepTerm> terms;
+};
+
 /// The raw-double view one `Place` call sweeps over. Construction fetches
 /// every anchor's host vector coordinate once (pinned and reused vertices)
 /// and seeds each placeable vertex's `virtual_coord` at the rate-weighted
@@ -65,26 +74,26 @@ struct SweepRow {
 /// write it, and add each row's terms in edge order, so results equal the
 /// `Vec` formulation bit for bit.
 ///
-/// The buffers are thread-local and keep their capacity, so a frame over a
-/// warm circuit (its `virtual_coord`s already sized) allocates nothing.
-/// At most one frame per thread may be live.
+/// The frame fills `buffers`, which its caller owns and reuses: the buffers
+/// keep their capacity, so a frame over a warm circuit (its
+/// `virtual_coord`s already sized) allocates nothing. A frame is valid
+/// until its buffers are next filled.
 class SweepFrame {
  public:
-  SweepFrame(overlay::Circuit* circuit, const coords::CostSpace& space);
+  SweepFrame(overlay::Circuit* circuit, const coords::CostSpace& space,
+             SweepBuffers* buffers);
   SweepFrame(const SweepFrame&) = delete;
   SweepFrame& operator=(const SweepFrame&) = delete;
 
   size_t dims() const { return dims_; }
-  std::span<const SweepRow> rows() const { return rows_; }
-  const SweepTerm* terms() const { return terms_; }
+  std::span<const SweepRow> rows() const { return buffers_->rows; }
+  const SweepTerm* terms() const { return buffers_->terms.data(); }
   /// `dims()` doubles of per-vertex scratch (a sweep's numerator).
-  double* accum() { return accum_; }
+  double* accum() { return buffers_->accum.data(); }
 
  private:
   size_t dims_;
-  std::span<const SweepRow> rows_;
-  const SweepTerm* terms_;
-  double* accum_;
+  SweepBuffers* buffers_;
 };
 
 }  // namespace internal

@@ -22,6 +22,8 @@ struct EnumerationOptions {
   bool left_deep_only = false;
   /// Maximum streams the subset DP accepts (2^n * K state blowup guard).
   size_t max_streams = 14;
+
+  bool operator==(const EnumerationOptions&) const = default;
 };
 
 /// Enumerates candidate logical plans for `spec` using dynamic programming

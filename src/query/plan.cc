@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 #include "query/stats.h"
 
@@ -19,104 +20,63 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
+int LogicalPlan::Append(PlanOp op, std::vector<int> children) {
+  for (int c : children) {
+    assert(c >= 0 && c < static_cast<int>(ops_.size()));
+    // Validate rejects an out-of-range child; only real ones are counted.
+    if (c >= 0 && c < static_cast<int>(ops_.size())) ++ops_[c].num_parents;
+  }
+  op.children = std::move(children);
+  ops_.push_back(std::move(op));
+  return static_cast<int>(ops_.size()) - 1;
+}
+
 int LogicalPlan::AddProducer(StreamId stream) {
   PlanOp op;
   op.kind = OpKind::kProducer;
   op.stream = stream;
-  ops_.push_back(std::move(op));
-  return static_cast<int>(ops_.size()) - 1;
+  return Append(std::move(op), {});
 }
 
 int LogicalPlan::AddSelect(int child, double selectivity) {
-  assert(child >= 0 && child < static_cast<int>(ops_.size()));
   PlanOp op;
   op.kind = OpKind::kSelect;
   op.selectivity = selectivity;
-  op.children = {child};
-  ops_.push_back(std::move(op));
-  return static_cast<int>(ops_.size()) - 1;
+  return Append(std::move(op), {child});
 }
 
 int LogicalPlan::AddJoin(int left, int right, double selectivity) {
-  assert(left >= 0 && left < static_cast<int>(ops_.size()));
-  assert(right >= 0 && right < static_cast<int>(ops_.size()));
   PlanOp op;
   op.kind = OpKind::kJoin;
   op.selectivity = selectivity;
-  op.children = {left, right};
-  ops_.push_back(std::move(op));
-  return static_cast<int>(ops_.size()) - 1;
+  return Append(std::move(op), {left, right});
 }
 
 int LogicalPlan::AddAggregate(int child, double rate_factor) {
-  assert(child >= 0 && child < static_cast<int>(ops_.size()));
   PlanOp op;
   op.kind = OpKind::kAggregate;
   op.rate_factor = rate_factor;
-  op.children = {child};
-  ops_.push_back(std::move(op));
-  return static_cast<int>(ops_.size()) - 1;
+  return Append(std::move(op), {child});
 }
 
 int LogicalPlan::SetConsumer(int child, NodeId consumer) {
-  assert(child >= 0 && child < static_cast<int>(ops_.size()));
   PlanOp op;
   op.kind = OpKind::kConsumer;
-  op.children = {child};
-  ops_.push_back(std::move(op));
-  root_ = static_cast<int>(ops_.size()) - 1;
+  root_ = Append(std::move(op), {child});
   consumer_ = consumer;
   return root_;
 }
 
-std::vector<int> LogicalPlan::UnpinnedOps() const {
-  std::vector<int> out;
-  for (int i = 0; i < static_cast<int>(ops_.size()); ++i) {
-    if (ops_[i].kind != OpKind::kProducer &&
-        ops_[i].kind != OpKind::kConsumer) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
-std::vector<int> LogicalPlan::ProducerOps() const {
-  std::vector<int> out;
-  for (int i = 0; i < static_cast<int>(ops_.size()); ++i) {
-    if (ops_[i].kind == OpKind::kProducer) out.push_back(i);
-  }
-  return out;
-}
-
 Status LogicalPlan::Validate() const {
   if (root_ < 0) return Status::FailedPrecondition("no consumer root");
-  if (ops_[root_].kind != OpKind::kConsumer) {
-    return Status::Internal("root is not a consumer");
-  }
   if (consumer_ == kInvalidNode) {
     return Status::FailedPrecondition("consumer node not set");
   }
-  // Parent count per op, in a thread-local buffer that keeps its capacity:
-  // validation runs on every plan build and stays heap-free.
-  thread_local std::vector<int> indegree;
-  indegree.assign(ops_.size(), 0);
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const PlanOp& op = ops_[i];
-    const size_t expected_children =
-        op.kind == OpKind::kProducer ? 0 : op.kind == OpKind::kJoin ? 2 : 1;
-    if (op.children.size() != expected_children) {
-      return Status::Internal("op has wrong child count");
+  for (int i = 0; i < static_cast<int>(ops_.size()); ++i) {
+    for (int c : ops_[i].children) {
+      if (c < 0 || c >= i) return Status::Internal("child index out of order");
     }
-    for (int c : op.children) {
-      if (c < 0 || c >= static_cast<int>(i)) {
-        return Status::Internal("child index out of order");
-      }
-      indegree[c]++;
-    }
-  }
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const int expected = (static_cast<int>(i) == root_) ? 0 : 1;
-    if (indegree[i] != expected) {
+    if (ops_[i].num_parents != (i == root_ ? 0 : 1)) {
       return Status::Internal("plan is not a tree");
     }
   }

@@ -32,6 +32,8 @@ struct PlanOp {
   double selectivity = 1.0;   ///< kSelect / kJoin.
   double rate_factor = 1.0;   ///< kAggregate: out rate = in rate * factor.
   std::vector<int> children;  ///< Indices of child ops.
+  /// Ops that list this one as a child, counted by the builders.
+  int num_parents = 0;
 
   // Annotations filled in by LogicalPlan::AnnotateRates():
   double out_tuple_rate = 0.0;  ///< tuples/s leaving this op.
@@ -65,13 +67,8 @@ class LogicalPlan {
   int root() const { return root_; }
   NodeId consumer() const { return consumer_; }
 
-  /// Indices of all interior (placeable) ops: everything that is neither a
-  /// producer nor the consumer.
-  std::vector<int> UnpinnedOps() const;
-  /// Indices of producer leaves.
-  std::vector<int> ProducerOps() const;
-
-  /// Structural checks: tree-shaped, consumer root present, children valid.
+  /// Structural checks: consumer root present, children valid, and every op
+  /// but the root the child of exactly one op (from the builders' counts).
   Status Validate() const;
 
   /// Propagates tuple rates / sizes / stream sets bottom-up using the
@@ -96,6 +93,9 @@ class LogicalPlan {
   int root_ = -1;
   NodeId consumer_ = kInvalidNode;
 
+  /// Appends `op` with `children`, each of which must already exist and
+  /// gains one parent. Returns the op index.
+  int Append(PlanOp op, std::vector<int> children);
   std::string CanonicalRec(int i) const;
 };
 

@@ -24,9 +24,9 @@ Status ValidateWorkloadParams(const WorkloadParams& p) {
   if (!(p.rate_cap >= p.rate_pareto_xm)) {
     return Status::InvalidArgument("rate_cap must be >= rate_pareto_xm");
   }
-  if (!(p.tuple_size_min > 0.0) || p.tuple_size_min > p.tuple_size_max) {
+  if (!(p.tuple_size_min > 0.0) || p.tuple_size_min > kTupleSizeMax) {
     return Status::InvalidArgument(
-        "tuple size bounds need 0 < min <= max");
+        "tuple size bounds need 0 < min <= kTupleSizeMax");
   }
   if (p.min_streams_per_query == 0 ||
       p.min_streams_per_query > p.max_streams_per_query) {
@@ -50,10 +50,9 @@ Status ValidateWorkloadParams(const WorkloadParams& p) {
         "filter selectivity bounds need 0 < min <= max <= 1");
   }
   if (!(p.aggregate_factor_min > 0.0) ||
-      p.aggregate_factor_min > p.aggregate_factor_max ||
-      p.aggregate_factor_max > 1.0) {
+      p.aggregate_factor_min > kAggregateFactorMax) {
     return Status::InvalidArgument(
-        "aggregate factor bounds need 0 < min <= max <= 1");
+        "aggregate factor bounds need 0 < min <= kAggregateFactorMax");
   }
   if (!(p.join_window_s > 0.0)) {
     return Status::InvalidArgument("join_window_s must be > 0");
@@ -75,7 +74,7 @@ StatusOr<Catalog> MakeRandomCatalog(const WorkloadParams& params,
         rng->Pareto(params.rate_pareto_xm, params.rate_pareto_alpha),
         params.rate_cap);
     const double size =
-        rng->Uniform(params.tuple_size_min, params.tuple_size_max);
+        rng->Uniform(params.tuple_size_min, kTupleSizeMax);
     const NodeId producer =
         producer_sites[rng->UniformInt(producer_sites.size())];
     catalog.AddStream(IndexedStreamName(i), rate, size, producer);
@@ -148,8 +147,8 @@ StatusOr<QuerySpec> MakeRandomQuery(const WorkloadParams& params,
   }
 
   if (rng->Bernoulli(params.aggregate_prob)) {
-    q.aggregate_factor = rng->Uniform(params.aggregate_factor_min,
-                                      params.aggregate_factor_max);
+    q.aggregate_factor =
+        rng->Uniform(params.aggregate_factor_min, kAggregateFactorMax);
   }
   return q;
 }

@@ -18,6 +18,11 @@ enum class JoinGraphShape {
   kClique, ///< predicates between every pair
 };
 
+/// Upper bounds of a random stream's tuple size (bytes) and of a random
+/// aggregate's rate factor; `WorkloadParams` holds the lower bounds.
+inline constexpr double kTupleSizeMax = 512.0;
+inline constexpr double kAggregateFactorMax = 0.2;
+
 /// Parameters of the synthetic workload generator. Defaults model a sensor
 /// network / continuous query mix: heavy-tailed stream rates, selective join
 /// predicates, occasional filters and aggregates.
@@ -27,8 +32,7 @@ struct WorkloadParams {
   double rate_pareto_xm = 10.0;     ///< tuples/s scale
   double rate_pareto_alpha = 1.6;   ///< tail index (heavy tail)
   double rate_cap = 2000.0;         ///< clamp for stability
-  double tuple_size_min = 32.0;
-  double tuple_size_max = 512.0;
+  double tuple_size_min = 32.0;  ///< at most kTupleSizeMax
 
   // --- queries ---
   size_t min_streams_per_query = 2;
@@ -40,14 +44,14 @@ struct WorkloadParams {
   double filter_sel_min = 0.05;
   double filter_sel_max = 0.8;
   double aggregate_prob = 0.3;
-  double aggregate_factor_min = 0.01;
-  double aggregate_factor_max = 0.2;
+  double aggregate_factor_min = 0.01;  ///< at most kAggregateFactorMax
   double join_window_s = 1.0;
 };
 
 /// Rejects parameter combinations the generator would silently mangle:
-/// probabilities outside [0, 1], inverted min/max pairs, non-positive
-/// Pareto scale/tail or join window, selectivities outside (0, 1].
+/// probabilities outside [0, 1], inverted min/max pairs (a `_min` above its
+/// k...Max constant included), non-positive Pareto scale/tail or join
+/// window, selectivities outside (0, 1].
 Status ValidateWorkloadParams(const WorkloadParams& params);
 
 /// Populates a catalog with random streams pinned to random nodes drawn

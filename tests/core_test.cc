@@ -161,8 +161,9 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
   auto two = overlay::Circuit::FromPlan((*plans)[0], cat);
   ASSERT_TRUE(two.ok());
   placement::MappingReport two_report;
+  std::vector<NodeId> candidates;
   ASSERT_TRUE(PlaceAndMap(&two.value(), s.get(), *Relaxation(), cfg.mapping,
-                          &two_report)
+                          &two_report, &candidates)
                   .ok());
   auto two_cost = EstimateCost(*two, *s, cfg.lambda);
   ASSERT_TRUE(two_cost.ok());
@@ -332,6 +333,55 @@ TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
   EXPECT_EQ(r->mapping.dht_cost.lookups, r->mapping.services_mapped);
 }
 
+// One optimizer instance keeps its sphere marks and scratch across Optimize
+// calls, and none of it may leak into an answer: on every query of a
+// growing deployment it answers exactly as a fresh instance on the same
+// state does.
+TEST(MultiQueryTest, LongLivedInstanceMatchesFreshOnes) {
+  auto s = MakeSbon(9);
+  query::WorkloadParams wp = TestWorkload();
+  wp.num_streams = 6;
+  query::Catalog cat =
+      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
+  const OptimizerConfig cfg;
+  // A sphere search that leaves some instances out, so a stale mark would
+  // change an answer, yet still reaches reusable ones on this overlay.
+  const MultiQueryOptimizer::Params params =
+      RadiusParams(0.2 * s->latency().MaxLatency());
+  MultiQueryOptimizer kept(cfg, Relaxation(), params);
+  size_t reused = 0;
+  int i = 0;
+  for (const query::QuerySpec& q : test::MakeShareableJoins(*s, 6, 20, 3)) {
+    SCOPED_TRACE(i++);
+    auto got = kept.Optimize(q, cat, s.get());
+    auto want =
+        MultiQueryOptimizer(cfg, Relaxation(), params).Optimize(q, cat, s.get());
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->circuit.NumVertices(), want->circuit.NumVertices());
+    for (int v = 0; v < static_cast<int>(got->circuit.NumVertices()); ++v) {
+      EXPECT_EQ(got->circuit.vertex(v).host, want->circuit.vertex(v).host);
+      EXPECT_EQ(got->circuit.vertex(v).reused, want->circuit.vertex(v).reused);
+    }
+    EXPECT_EQ(got->estimated_cost, want->estimated_cost);  // bit for bit
+    EXPECT_EQ(got->plans_considered, want->plans_considered);
+    EXPECT_EQ(got->placements_evaluated, want->placements_evaluated);
+    EXPECT_EQ(got->reuse_candidates_considered,
+              want->reuse_candidates_considered);
+    EXPECT_EQ(got->services_reused, want->services_reused);
+    const placement::MappingReport& gm = got->mapping;
+    const placement::MappingReport& wm = want->mapping;
+    EXPECT_EQ(gm.dht_cost.lookups, wm.dht_cost.lookups);
+    EXPECT_EQ(gm.dht_cost.routing_hops, wm.dht_cost.routing_hops);
+    EXPECT_EQ(gm.dht_cost.ring_probes, wm.dht_cost.ring_probes);
+    EXPECT_EQ(gm.services_mapped, wm.services_mapped);
+    EXPECT_EQ(gm.total_mapping_error, wm.total_mapping_error);
+    EXPECT_EQ(gm.load_overrides, wm.load_overrides);
+    reused += got->services_reused;
+    ASSERT_TRUE(s->InstallCircuit(std::move(got->circuit)).ok());
+  }
+  EXPECT_GT(reused, 0u);  // the sphere marks decided some answers
+}
+
 // A relaxation placer that counts its Place calls.
 class CountingPlacer : public placement::VirtualPlacer {
  public:
@@ -448,8 +498,10 @@ TEST(ReoptTest, LocalReoptLeavesSharedInstancesInPlace) {
   // lower the circuit's cost.
   placement::RelaxationPlacer placer;
   overlay::Circuit scratch = *live;
-  ASSERT_TRUE(
-      PlaceAndMap(&scratch, s.get(), placer, cfg.mapping, nullptr).ok());
+  std::vector<NodeId> candidates;
+  ASSERT_TRUE(PlaceAndMap(&scratch, s.get(), placer, cfg.mapping, nullptr,
+                          &candidates)
+                  .ok());
   const auto before = EstimateCost(*live, *s, cfg.lambda);
   const auto moved = EstimateCost(scratch, *s, cfg.lambda);
   ASSERT_TRUE(before.ok() && moved.ok());

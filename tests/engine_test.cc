@@ -460,16 +460,49 @@ TEST(StreamEngine, AdvanceEpochAndReoptimizeKeepHandlesValid) {
   EXPECT_EQ(engine->sbon().ledger().NumServices(), 0u);
 }
 
+// Engines share no optimizer scratch: an engine's deployment is its solo
+// run's, also when its Submits interleave with another engine's on one
+// thread, and also under the multi-query optimizer, whose sphere marks
+// persist across Submits.
 TEST(StreamEngine, DeterministicAcrossIdenticalEngines) {
-  auto run = [] {
-    auto engine = MakeEngine(SmallEngineOptions(41));
-    engine->SetCatalog(MakeCatalog(engine->sbon(), TestWorkloadParams(), 5));
-    const auto queries = MakeQueries(engine->sbon(), engine->catalog(),
-                                     TestWorkloadParams(), 3, 9);
-    for (const auto& q : queries) EXPECT_TRUE(engine->Submit(q).ok());
-    return OverlayFingerprint(engine->sbon());
-  };
-  EXPECT_EQ(run(), run());
+  const query::WorkloadParams wp = TestWorkloadParams(6);
+  for (const char* optimizer : {"integrated", "multi-query"}) {
+    SCOPED_TRACE(optimizer);
+    struct Run {
+      std::unique_ptr<engine::StreamEngine> engine;
+      std::vector<query::QuerySpec> queries;
+    };
+    const auto start = [&](uint64_t seed) {
+      engine::EngineOptions eo = SmallEngineOptions(seed);
+      eo.optimizer = optimizer;
+      Run run{MakeEngine(std::move(eo)), {}};
+      run.engine->SetCatalog(MakeCatalog(run.engine->sbon(), wp, 5));
+      run.queries = MakeShareableJoins(run.engine->sbon(), 6, 12, 9);
+      return run;
+    };
+    std::vector<std::string> solo;
+    size_t reused = 0;
+    for (uint64_t seed : {41, 43}) {
+      Run run = start(seed);
+      for (const auto& q : run.queries) {
+        auto handle = run.engine->Submit(q);
+        ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+        reused += run.engine->ResultOf(*handle)->services_reused;
+      }
+      solo.push_back(OverlayFingerprint(run.engine->sbon()));
+    }
+    if (std::string(optimizer) == "multi-query") {
+      EXPECT_GT(reused, 0u);
+    }
+
+    Run a = start(41), b = start(43);
+    for (size_t i = 0; i < a.queries.size(); ++i) {
+      EXPECT_TRUE(a.engine->Submit(a.queries[i]).ok());
+      EXPECT_TRUE(b.engine->Submit(b.queries[i]).ok());
+    }
+    EXPECT_EQ(OverlayFingerprint(a.engine->sbon()), solo[0]);
+    EXPECT_EQ(OverlayFingerprint(b.engine->sbon()), solo[1]);
+  }
 }
 
 // ------------------------- failure atomicity -------------------------

@@ -108,6 +108,25 @@ std::vector<query::QuerySpec> MakeQueries(const overlay::Sbon& sbon,
   return qs;
 }
 
+std::vector<query::QuerySpec> MakeShareableJoins(const overlay::Sbon& sbon,
+                                                 size_t num_streams,
+                                                 size_t count, uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<NodeId>& nodes = sbon.overlay_nodes();
+  std::vector<query::QuerySpec> qs;
+  qs.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<StreamId> streams;
+    for (StreamId s = 0; s < num_streams; ++s) {
+      if (rng.Bernoulli(0.5)) streams.push_back(s);
+    }
+    if (streams.size() < 2) streams = {0, 1};
+    qs.push_back(query::QuerySpec::SimpleJoin(
+        std::move(streams), nodes[rng.UniformInt(nodes.size())], 0.001));
+  }
+  return qs;
+}
+
 query::Catalog TwoStreamCatalog(const overlay::Sbon& sbon) {
   const auto& nodes = sbon.overlay_nodes();
   if (nodes.size() < 2) {

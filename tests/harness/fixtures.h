@@ -65,6 +65,14 @@ std::vector<query::QuerySpec> MakeQueries(const overlay::Sbon& sbon,
                                           const query::WorkloadParams& params,
                                           size_t count, uint64_t seed);
 
+/// Seeded joins that share subtrees: each joins a random subset (at least
+/// two) of streams 0..num_streams-1 at one fixed selectivity, so equal
+/// stream subsets have equal reuse signatures. Consumers are drawn from the
+/// overlay's eligible nodes.
+std::vector<query::QuerySpec> MakeShareableJoins(const overlay::Sbon& sbon,
+                                                 size_t num_streams,
+                                                 size_t count, uint64_t seed);
+
 /// A small fixed two-stream catalog (producers = first two overlay nodes)
 /// for tests that need hand-checkable rates: stream "a" at 6400 B/s,
 /// stream "b" at 1280 B/s.

@@ -33,7 +33,7 @@ std::string CircuitFingerprint(const overlay::Circuit& circuit) {
   std::ostringstream out;
   for (size_t i = 0; i < circuit.NumVertices(); ++i) {
     const auto& v = circuit.vertex(static_cast<int>(i));
-    out << "v" << i << " op=" << v.plan_op << " host=" << v.host;
+    out << "v" << i << " op=" << i << " host=" << v.host;
     if (v.pinned) out << " pinned";
     if (v.reused) out << " reused";
     out << "\n";

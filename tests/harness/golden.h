@@ -9,7 +9,7 @@
 namespace sbon::test {
 
 /// Canonical, line-oriented rendering of a placed circuit: one line per
-/// vertex (`v<i> op=<plan_op> host=<n> pinned/reused flags`) and one per
+/// vertex (`v<i> op=<i> host=<n> pinned/reused flags`) and one per
 /// edge (`e <from>-><to> rate=<bytes/s> [virtual]`). Floating-point values
 /// are rounded to 6 significant digits so the fingerprint is stable across
 /// compilers while still pinning real behavior.

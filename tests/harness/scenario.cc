@@ -135,16 +135,17 @@ void ScenarioRunner::VerifyInstalledCircuit(CircuitId id) const {
     const auto& plan = circuit->plan();
     NodeId consumer = kInvalidNode;
     double direct_bound = 0.0;
-    for (size_t i = 0; i < circuit->NumVertices(); ++i) {
-      const auto& v = circuit->vertex(static_cast<int>(i));
-      if (v.pinned && plan.op(v.plan_op).kind == query::OpKind::kConsumer) {
+    const int n = static_cast<int>(circuit->NumVertices());
+    for (int i = 0; i < n; ++i) {
+      const auto& v = circuit->vertex(i);
+      if (v.pinned && plan.op(i).kind == query::OpKind::kConsumer) {
         consumer = v.host;
       }
     }
     if (consumer != kInvalidNode) {
-      for (size_t i = 0; i < circuit->NumVertices(); ++i) {
-        const auto& v = circuit->vertex(static_cast<int>(i));
-        if (v.pinned && plan.op(v.plan_op).kind == query::OpKind::kProducer) {
+      for (int i = 0; i < n; ++i) {
+        const auto& v = circuit->vertex(i);
+        if (v.pinned && plan.op(i).kind == query::OpKind::kProducer) {
           direct_bound = std::max(direct_bound,
                                   sbon.latency().Latency(v.host, consumer));
         }

@@ -81,8 +81,10 @@ TEST(PlanTest, BuildAndValidate) {
   EXPECT_TRUE(p.Validate().ok());
   EXPECT_EQ(p.consumer(), 99u);
   EXPECT_EQ(p.NumOps(), 4u);
-  EXPECT_EQ(p.UnpinnedOps().size(), 1u);
-  EXPECT_EQ(p.ProducerOps().size(), 2u);
+  EXPECT_EQ(p.op(a).kind, OpKind::kProducer);
+  EXPECT_EQ(p.op(b).kind, OpKind::kProducer);
+  EXPECT_EQ(p.op(j).kind, OpKind::kJoin);
+  EXPECT_EQ(p.op(p.root()).kind, OpKind::kConsumer);
 }
 
 TEST(PlanTest, ValidateRejectsIncomplete) {
@@ -410,7 +412,7 @@ TEST(WorkloadTest, CatalogRespectsParams) {
     EXPECT_GE(d.tuple_rate_per_s, wp.rate_pareto_xm);
     EXPECT_LE(d.tuple_rate_per_s, wp.rate_cap);
     EXPECT_GE(d.tuple_size_bytes, wp.tuple_size_min);
-    EXPECT_LE(d.tuple_size_bytes, wp.tuple_size_max);
+    EXPECT_LE(d.tuple_size_bytes, kTupleSizeMax);
     EXPECT_TRUE(d.producer == 3 || d.producer == 4 || d.producer == 5);
   }
 }
