@@ -2,6 +2,7 @@
 // placement, physical mapping, and the full optimizers end to end.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <utility>
@@ -39,6 +40,11 @@ void BM_EnumeratePlans(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(query::EnumeratePlans(spec, cat, opts));
   }
+  // The process's peak resident set so far (getrusage): run one size alone
+  // (--benchmark_filter) to read that size's peak.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  state.counters["peak_rss_mb"] = static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 BENCHMARK(BM_EnumeratePlans)
     ->Args({4, 1})
@@ -47,6 +53,7 @@ BENCHMARK(BM_EnumeratePlans)
     ->Args({6, 8})
     ->Args({8, 8})
     ->Args({10, 8})
+    ->Args({12, 8})
     ->Unit(benchmark::kMicrosecond);
 
 // A 200-node cost space of `dims` vector dims with uniform coordinates, and

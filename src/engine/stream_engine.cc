@@ -159,9 +159,10 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
   outcome.mode = policy.mode;
   if (policy.trigger == ReoptPolicy::Trigger::kHostDied) {
     // Nothing valid is running: the thresholds (and kLocal migration, which
-    // needs an intact circuit) do not apply. Repair redeploys under the
-    // same handle unconditionally.
-    Status st = Repair(handle, policy.optimizer);
+    // needs an intact circuit) do not apply. The remnant is torn down and
+    // the query redeployed under the same handle unconditionally.
+    Status st = DetachForRepair(handle);
+    if (st.ok()) st = ReplanQuery(handle, policy.optimizer);
     if (!st.ok()) return st;
     outcome.mode = ReoptPolicy::Mode::kFull;
     outcome.full.redeployed = true;
@@ -256,12 +257,6 @@ Status StreamEngine::ReplanQuery(QueryHandle handle,
   by_circuit_.emplace(record.circuit, handle);
   MaybeRefreshIndex();
   return Status::OK();
-}
-
-Status StreamEngine::Repair(QueryHandle handle, const std::string& optimizer) {
-  Status st = DetachForRepair(handle);
-  if (!st.ok()) return st;
-  return ReplanQuery(handle, optimizer);
 }
 
 bool StreamEngine::FailAndRepair(NodeId n, bool notify_msg_runtime) {

@@ -216,7 +216,7 @@ class StreamEngine {
 
   /// RAII scope that coalesces install-triggered index refreshes
   /// (`EngineOptions::refresh_index_on_install`): while at least one scope
-  /// is open, Submit/Remove/Reoptimize/Repair skip their per-call
+  /// is open, Submit/Remove/Reoptimize skip their per-call
   /// `RefreshIndex()` and the outermost scope's destructor performs one
   /// refresh iff any deployment changed underneath it. SubmitAll opens one
   /// internally (a Q-query batch pays one refresh, not Q); WorkloadEngine
@@ -267,23 +267,13 @@ class StreamEngine {
   Status Remove(QueryHandle handle);
   /// Local (service-migration) or full (re-plan + parallel redeploy)
   /// re-optimization. The handle remains valid either way.
+  /// Trigger::kHostDied repairs: it tears down the remnant (DetachForRepair)
+  /// and re-plans the spec with no improvement bar (ReplanQuery); on
+  /// failure the record survives for a retry or Remove. Repair several
+  /// queries orphaned by one failure through AdvanceEpoch instead, which
+  /// tears every remnant down before re-planning any of them.
   StatusOr<ReoptOutcome> Reoptimize(QueryHandle handle,
                                     const ReoptPolicy& policy);
-  /// Handle-stable repair for a query whose circuit lost a host: tears down
-  /// whatever remnant is still installed (shared instances survive if other
-  /// circuits use them) and re-optimizes the original spec with the query's
-  /// recorded strategy — no improvement bar, because nothing valid is
-  /// running. On failure the query record survives unchanged (minus the
-  /// already-removed remnant), so the caller may retry or Remove it.
-  /// `optimizer` optionally overrides the recorded optimizer by registry
-  /// name. Also reachable via Reoptimize with Trigger::kHostDied.
-  ///
-  /// When one failure orphans *several* queries, repair them through the
-  /// churn pipeline (AdvanceEpoch) rather than one Repair call at a time:
-  /// the pipeline tears every orphaned remnant down before re-planning any
-  /// of them, so a re-plan can never reuse a surviving mid-chain instance
-  /// whose feeder was just evicted.
-  Status Repair(QueryHandle handle, const std::string& optimizer = {});
   /// Advances simulated time one epoch through the explicit staged
   /// pipeline: jitter -> load -> coords -> churn+repair -> refresh (see
   /// EpochPipeline; message mode appends a detect+repair stage that
@@ -331,7 +321,7 @@ class StreamEngine {
   const overlay::Sbon& sbon() const { return *sbon_; }
 
   /// The message-mode runtime (nullptr until the first kMessage epoch).
-  /// Once created, every subsequent placement (Submit/Repair/full reopt) is
+  /// Once created, every subsequent placement (Submit/repair/full reopt) is
   /// billed as kPlacement traffic and staleness-stamped, whichever exec
   /// mode later epochs use.
   const msg::Runtime* msg_runtime() const { return msg_runtime_.get(); }
@@ -358,7 +348,7 @@ class StreamEngine {
   /// equal strategy before, else a new one, kept unless building fails.
   StatusOr<BuiltOptimizer*> OptimizerFor(const StrategySpec& strategy);
 
-  /// The deploy protocol shared by Submit and Repair: optimizes
+  /// The deploy protocol shared by Submit and repair: optimizes
   /// `record->spec` with the resolved `strategy`, installs the winning
   /// circuit, and rewrites the record's strategy, accounting (the result
   /// with its circuit cleared — the installed copy is authoritative) and

@@ -31,29 +31,11 @@ StatusOr<Circuit> Circuit::FromPlan(query::LogicalPlan plan,
         break;
     }
     for (int child : op.children) {
+      c.vertices_[child].parent_edge = static_cast<int>(c.edges_.size());
       c.edges_.push_back(
           CircuitEdge{child, i, plan.op(child).out_bytes_per_s});
     }
   }
-  // CSR incidence: count degrees, prefix-sum them into row starts, then
-  // fill rows in ascending edge order (each edge lands in both endpoints'
-  // rows). During the fill incidence_begin_[v] is row v's cursor, which
-  // leaves it at row v + 1's start; shifting by one restores the starts.
-  std::vector<int>& begin = c.incidence_begin_;
-  begin.assign(c.vertices_.size() + 1, 0);
-  for (const CircuitEdge& e : c.edges_) {
-    ++begin[e.from + 1];
-    ++begin[e.to + 1];
-  }
-  for (size_t v = 1; v < begin.size(); ++v) begin[v] += begin[v - 1];
-  c.incidence_.resize(2 * c.edges_.size());
-  for (int e = 0; e < static_cast<int>(c.edges_.size()); ++e) {
-    const CircuitEdge& edge = c.edges_[e];
-    c.incidence_[begin[edge.from]++] = {e, edge.to};
-    c.incidence_[begin[edge.to]++] = {e, edge.from};
-  }
-  for (size_t v = begin.size() - 1; v > 0; --v) begin[v] = begin[v - 1];
-  begin[0] = 0;
   c.plan_ = std::move(plan);
   return c;
 }
@@ -81,6 +63,16 @@ bool Circuit::FullyPlaced() const {
   return true;
 }
 
+Circuit::IncidenceList Circuit::IncidentEdges(int v) const {
+  IncidenceList out;
+  for (int child : plan_.op(v).children) {
+    out.at[out.count++] = {vertices_[child].parent_edge, child};
+  }
+  const int up = vertices_[v].parent_edge;
+  if (up >= 0) out.at[out.count++] = {up, edges_[up].to};
+  return out;
+}
+
 double Circuit::PhysicalInputRate(int v) const {
   double rate = 0.0;
   for (const auto& [edge_idx, other] : IncidentEdges(v)) {
@@ -88,14 +80,6 @@ double Circuit::PhysicalInputRate(int v) const {
     if (e.physical && e.to == v) rate += e.rate_bytes_per_s;
   }
   return rate;
-}
-
-double Circuit::TotalEdgeRate() const {
-  double s = 0.0;
-  for (const CircuitEdge& e : edges_) {
-    if (e.physical) s += e.rate_bytes_per_s;
-  }
-  return s;
 }
 
 void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
@@ -107,24 +91,20 @@ void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
   v.host = instance_host;
   v.reused_upstream_latency_ms = upstream_latency_ms;
   // Everything below the reused vertex is served by the existing instance:
-  // mark descendants reused (no deployment) and their edges non-physical.
+  // mark descendants reused (no deployment) and the edges to their parents
+  // non-physical.
   std::vector<int> stack = plan_.op(vertex).children;
-  std::vector<bool> in_subtree(vertices_.size(), false);
-  in_subtree[vertex] = true;
   while (!stack.empty()) {
     const int i = stack.back();
     stack.pop_back();
-    in_subtree[i] = true;
     CircuitVertex& d = vertices_[i];
+    edges_[d.parent_edge].physical = false;
     if (!d.pinned) {
       d.reused = true;
       d.service = kInvalidService;
       d.host = instance_host;
     }
     for (int c : plan_.op(i).children) stack.push_back(c);
-  }
-  for (CircuitEdge& e : edges_) {
-    if (in_subtree[e.to] && in_subtree[e.from]) e.physical = false;
   }
 }
 

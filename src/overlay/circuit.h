@@ -1,7 +1,8 @@
 #ifndef SBON_OVERLAY_CIRCUIT_H_
 #define SBON_OVERLAY_CIRCUIT_H_
 
-#include <span>
+#include <array>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,8 @@ struct CircuitVertex {
   bool pinned = false;
   Vec virtual_coord;                ///< last virtual-placement coordinate
   ServiceInstanceId service = kInvalidService;  ///< deployed instance
+  /// Index of the edge to this vertex's parent; -1 at the root.
+  int parent_edge = -1;
   /// True if this vertex is served by a pre-existing instance from another
   /// circuit (multi-query reuse). Reused vertices deploy nothing; their
   /// subtree edges carry no new traffic.
@@ -45,17 +48,27 @@ struct CircuitEdge {
 /// services with pinned endpoints, unpinned interior, and data rates on
 /// every edge. Cost accounting and placement both operate on this.
 ///
-/// The vertex/edge incidence is built once, in `FromPlan`, as a CSR
-/// (compressed sparse row) table: two flat vectors, so placement sweeps
-/// walk a vertex's edges without allocating and a deep copy of a circuit
-/// (the multi-query optimizer copies one per reuse variant) copies two
-/// contiguous buffers. Edges never change after `FromPlan`
-/// (`BindReusedSubtree` only flips their `physical` bit), so the table
-/// never goes stale.
+/// The tree is stored once: the plan's child lists plus each vertex's
+/// `parent_edge`. `FromPlan` appends op i's child edges in child order, and
+/// children precede parents, so a vertex's incident edges in ascending edge
+/// index are its child edges followed by its parent edge — at most three,
+/// which `IncidentEdges` returns by value without allocating. Edges never
+/// change after `FromPlan` (`BindReusedSubtree` only flips their `physical`
+/// bit).
 class Circuit {
  public:
   /// One incidence entry: (edge index, other-vertex index).
   using Incidence = std::pair<int, int>;
+
+  /// A vertex's incident edges: a join's two child edges and its parent
+  /// edge at most.
+  struct IncidenceList {
+    std::array<Incidence, 3> at{};
+    size_t count = 0;
+    size_t size() const { return count; }
+    const Incidence* begin() const { return at.data(); }
+    const Incidence* end() const { return at.data() + count; }
+  };
 
   Circuit() = default;
 
@@ -71,7 +84,6 @@ class Circuit {
 
   const query::LogicalPlan& plan() const { return plan_; }
   size_t NumVertices() const { return vertices_.size(); }
-  size_t NumEdges() const { return edges_.size(); }
 
   const CircuitVertex& vertex(int i) const { return vertices_[i]; }
   CircuitVertex& mutable_vertex(int i) { return vertices_[i]; }
@@ -91,19 +103,12 @@ class Circuit {
   }
 
   /// Edges incident to vertex `v` as (edge index, other-vertex index), in
-  /// ascending edge index — a view into the CSR table, valid as long as
-  /// the circuit is.
-  std::span<const Incidence> IncidentEdges(int v) const {
-    return std::span<const Incidence>(incidence_).subspan(
-        incidence_begin_[v], incidence_begin_[v + 1] - incidence_begin_[v]);
-  }
+  /// ascending edge index: its child edges, then its parent edge.
+  IncidenceList IncidentEdges(int v) const;
 
   /// Data rate (bytes/s) entering vertex `v` over physical edges, summed
   /// in ascending edge order.
   double PhysicalInputRate(int v) const;
-
-  /// Total data rate (bytes/s) summed over physical edges.
-  double TotalEdgeRate() const;
 
   /// Binds `vertex` to a pre-existing service instance hosted at
   /// `instance_host` (multi-query reuse): marks the vertex and its whole
@@ -118,10 +123,6 @@ class Circuit {
   query::LogicalPlan plan_;
   std::vector<CircuitVertex> vertices_;
   std::vector<CircuitEdge> edges_;
-  // CSR incidence: vertex v's entries are
-  // incidence_[incidence_begin_[v] .. incidence_begin_[v + 1]).
-  std::vector<int> incidence_begin_;
-  std::vector<Incidence> incidence_;
 };
 
 }  // namespace sbon::overlay

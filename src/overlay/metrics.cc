@@ -7,31 +7,26 @@
 namespace sbon::overlay {
 namespace {
 
-// Longest root-ward latency path from any producer leaf to the consumer.
-// Circuits are trees, so a bottom-up DP over plan ops suffices. A reused
-// vertex acts as a leaf whose path already accumulated the source circuit's
-// upstream latency.
-double CriticalPathLatency(const Circuit& c, const net::LatencyView& lat) {
-  const query::LogicalPlan& plan = c.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
-  double best = 0.0;
-  for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
-    const query::PlanOp& op = plan.op(i);
+// Longest producer-to-`t` latency path. Circuits are trees whose children
+// precede their parents, so a bottom-up DP over ops 0..t suffices. A
+// reused vertex other than `t` is a leaf: the bound one carries the source
+// circuit's upstream latency, the ones inside its subtree carry 0.
+double LongestPathTo(const Circuit& c, int t, const net::LatencyView& lat) {
+  std::vector<double> longest(static_cast<size_t>(t) + 1, 0.0);
+  for (int i = 0; i <= t; ++i) {
     const CircuitVertex& v = c.vertex(i);
     double l = 0.0;
-    if (v.reused && v.service != kInvalidService) {
-      l = v.reused_upstream_latency_ms;
-    } else if (!v.reused) {
-      for (int child : op.children) {
-        const double hop =
-            lat.Latency(c.vertex(child).host, c.vertex(i).host);
+    if (i != t && v.reused) {
+      if (v.service != kInvalidService) l = v.reused_upstream_latency_ms;
+    } else {
+      for (int child : c.plan().op(i).children) {
+        const double hop = lat.Latency(c.vertex(child).host, v.host);
         l = std::max(l, longest[child] + hop);
       }
     }
     longest[i] = l;
-    if (i == plan.root()) best = l;
   }
-  return best;
+  return longest[t];
 }
 
 }  // namespace
@@ -62,7 +57,8 @@ StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
     const NodeId b = circuit.vertex(e.to).host;
     cost.network_usage += e.rate_bytes_per_s * lat.Latency(a, b);
   }
-  cost.critical_path_latency_ms = CriticalPathLatency(circuit, lat);
+  cost.critical_path_latency_ms =
+      LongestPathTo(circuit, circuit.plan().root(), lat);
   if (space != nullptr) cost.node_penalty = LoadPenalty(circuit, *space);
   return cost;
 }
@@ -70,23 +66,10 @@ StatusOr<CircuitCost> ComputeCircuitCost(const Circuit& circuit,
 StatusOr<double> UpstreamLatencyToService(const Circuit& circuit,
                                           ServiceInstanceId service,
                                           const net::LatencyView& lat) {
-  const query::LogicalPlan& plan = circuit.plan();
-  std::vector<double> longest(plan.NumOps(), 0.0);
-  for (int i = 0; i < static_cast<int>(plan.NumOps()); ++i) {
-    const CircuitVertex& v = circuit.vertex(i);
-    double l = 0.0;
-    if (v.reused && v.service != kInvalidService &&
-        v.service != service) {
-      l = v.reused_upstream_latency_ms;
-    } else if (!v.reused || v.service == service) {
-      for (int child : plan.op(i).children) {
-        const double hop =
-            lat.Latency(circuit.vertex(child).host, circuit.vertex(i).host);
-        l = std::max(l, longest[child] + hop);
-      }
+  for (int i = 0; i < static_cast<int>(circuit.NumVertices()); ++i) {
+    if (circuit.vertex(i).service == service) {
+      return LongestPathTo(circuit, i, lat);
     }
-    longest[i] = l;
-    if (v.service == service) return l;
   }
   return Status::NotFound("service not part of circuit");
 }

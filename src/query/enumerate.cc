@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -10,21 +11,70 @@
 namespace sbon::query {
 namespace {
 
-// Join-tree arena node over stream *positions* of the spec.
-struct TreeNode {
-  int left = -1;
-  int right = -1;
-  size_t leaf_pos = 0;  // valid when left < 0
-};
-
-// A partial DP result over one stream subset.
+// A partial DP result over one stream subset. A join's children are
+// slots `left_slot` of subset `left` and `right_slot` of the rest.
 struct Partial {
   double tuple_rate = 0.0;
   double tuple_size = 0.0;
   double cost = 0.0;  // bytes/s shipped on edges internal to the subtree
-  int tree = -1;
   uint64_t shape_hash = 0;  // order-insensitive structural hash for dedupe
+  uint32_t left = 0;  // unused for a leaf (a singleton subset)
+  uint32_t left_slot = 0;
+  uint32_t right_slot = 0;
 };
+
+// Rank order of a row: ascending cost, then shape hash.
+bool Precedes(const Partial& a, const Partial& b) {
+  return a.cost != b.cost ? a.cost < b.cost : a.shape_hash < b.shape_hash;
+}
+
+// The DP table: one row of `width` slots per stream subset, of which the
+// first `kept[mask]` hold the subset's cheapest distinct shapes in rank
+// order.
+struct Table {
+  size_t width;
+  std::vector<Partial> slots;
+  std::vector<uint32_t> kept;
+
+  Table(size_t n, size_t width)
+      : width(width), slots((size_t{1} << n) * width), kept(size_t{1} << n) {}
+
+  const Partial& at(uint32_t mask, uint32_t slot) const {
+    return slots[mask * width + slot];
+  }
+
+  // Bounded insert: a costlier copy of a kept shape is dropped, a cheaper
+  // one replaces it, and a new shape evicts a full row's last entry if it
+  // precedes it. So the row is the sorted, deduplicated top `width` of all
+  // offers: an evicted shape re-enters only by beating the last entry.
+  void Offer(uint32_t mask, const Partial& p) {
+    Partial* r = slots.data() + mask * width;
+    const size_t n = kept[mask];
+    size_t free = n;  // the slot the insertion shift ends at
+    if (n == width) {
+      if (!Precedes(p, r[n - 1])) return;
+      free = n - 1;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (r[i].shape_hash != p.shape_hash) continue;
+      if (!Precedes(p, r[i])) return;
+      free = i;
+      break;
+    }
+    if (free == n) ++kept[mask];
+    size_t pos = free;
+    for (; pos > 0 && Precedes(p, r[pos - 1]); --pos) r[pos] = r[pos - 1];
+    r[pos] = p;
+  }
+};
+
+// Distinct join trees over n leaves, (2n-3)!!, capped at `top_k`: no
+// subset's row can hold more shapes.
+size_t RowWidth(size_t n, size_t top_k) {
+  size_t trees = 1;
+  for (size_t f = 3; f + 3 <= 2 * n && trees < top_k; f += 2) trees *= f;
+  return std::min(trees, top_k);
+}
 
 uint64_t MixHash(uint64_t a, uint64_t b) {
   uint64_t x = a * 0x9e3779b97f4a7c15ULL + b + 0x7f4a7c15ULL;
@@ -34,10 +84,9 @@ uint64_t MixHash(uint64_t a, uint64_t b) {
   return x;
 }
 
-// Stream positions of a subset or a subtree's leaves, in a fixed array:
-// the subset DP caps a query at 31 streams.
+// Stream positions of a subset or a subtree's leaves, in a fixed array.
 struct Positions {
-  std::array<size_t, 31> at{};
+  std::array<size_t, kMaxStreams> at{};
   size_t size = 0;
 
   void push_back(size_t pos) { at[size++] = pos; }
@@ -55,39 +104,39 @@ Positions MaskPositions(uint32_t mask) {
   return out;
 }
 
-// Builds a LogicalPlan from a join tree over spec positions, appending the
-// tree's leaf positions to `positions` in left-to-right order: a join's
-// left and right leaf lists are adjacent ranges of it.
-int EmitTree(const std::vector<TreeNode>& arena, int node,
-             const QuerySpec& spec,
-             const std::vector<std::vector<double>>& pair_sel,
-             LogicalPlan* plan, Positions* positions) {
-  const TreeNode& t = arena[node];
-  if (t.left < 0) {
-    const size_t pos = t.leaf_pos;
+// Builds the plan subtree of the partial in `slot` of `mask`'s row,
+// appending the tree's leaf positions to `positions` in left-to-right
+// order: a join's left and right leaf lists are adjacent ranges of it. A
+// join's selectivity is taken over those tree-order positions, not over
+// the ascending ones the DP ranked it with.
+int EmitTree(const Table& table, uint32_t mask, uint32_t slot,
+             const QuerySpec& spec, LogicalPlan* plan, Positions* positions) {
+  if ((mask & (mask - 1)) == 0) {
+    const size_t pos = static_cast<size_t>(std::countr_zero(mask));
     int op = plan->AddProducer(spec.streams[pos]);
     const double fsel = spec.filter_sel.empty() ? 1.0 : spec.filter_sel[pos];
     if (fsel < 1.0) op = plan->AddSelect(op, fsel);
     positions->push_back(pos);
     return op;
   }
+  const Partial& p = table.at(mask, slot);
   const size_t begin = positions->size;
-  const int l = EmitTree(arena, t.left, spec, pair_sel, plan, positions);
+  const int l = EmitTree(table, p.left, p.left_slot, spec, plan, positions);
   const size_t mid = positions->size;
-  const int r = EmitTree(arena, t.right, spec, pair_sel, plan, positions);
+  const int r =
+      EmitTree(table, mask ^ p.left, p.right_slot, spec, plan, positions);
   const double sel =
       CrossSelectivity(positions->view(begin, mid),
-                       positions->view(mid, positions->size), pair_sel);
+                       positions->view(mid, positions->size), spec.join_sel);
   return plan->AddJoin(l, r, sel);
 }
 
-StatusOr<LogicalPlan> FinishPlan(const std::vector<TreeNode>& arena, int root,
-                                 const QuerySpec& spec,
-                                 const std::vector<std::vector<double>>& psel,
+StatusOr<LogicalPlan> FinishPlan(const Table& table, uint32_t full,
+                                 uint32_t slot, const QuerySpec& spec,
                                  const Catalog& catalog) {
   LogicalPlan plan;
   Positions positions;
-  int op = EmitTree(arena, root, spec, psel, &plan, &positions);
+  int op = EmitTree(table, full, slot, spec, &plan, &positions);
   if (spec.aggregate_factor < 1.0) {
     op = plan.AddAggregate(op, spec.aggregate_factor);
   }
@@ -105,7 +154,7 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
   Status valid = spec.Validate(catalog);
   if (!valid.ok()) return valid;
   const size_t n = spec.NumStreams();
-  if (n > options.max_streams || n > 31) {
+  if (n > kMaxStreams) {
     return Status::InvalidArgument("too many streams for subset DP");
   }
   if (options.top_k == 0) {
@@ -114,10 +163,7 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
   // Pairwise selectivities; empty when the spec has no join predicates.
   const std::vector<std::vector<double>>& psel = spec.join_sel;
 
-  std::vector<TreeNode> arena;
-  // dp[mask] = up to top_k best partials, sorted by cost.
-  std::vector<std::vector<Partial>> dp(1u << n);
-
+  Table table(n, RowWidth(n, options.top_k));
   for (size_t i = 0; i < n; ++i) {
     const StreamDef& sd = catalog.stream(spec.streams[i]);
     const double fsel = spec.filter_sel.empty() ? 1.0 : spec.filter_sel[i];
@@ -126,37 +172,28 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
     p.tuple_size = sd.tuple_size_bytes;
     // A pushed-down filter receives the raw stream over a local edge.
     p.cost = fsel < 1.0 ? sd.BytesPerSecond() : 0.0;
-    arena.push_back(TreeNode{-1, -1, i});
-    p.tree = static_cast<int>(arena.size()) - 1;
     p.shape_hash = MixHash(0x51ea5ULL, i);
-    dp[1u << i].push_back(p);
+    table.Offer(1u << i, p);
   }
 
-  const uint32_t full = (n >= 31) ? 0x7fffffffu : ((1u << n) - 1u);
-  // Every split's joins of one subset, reused across subsets; only the
-  // kept top_k are copied into dp.
-  std::vector<Partial> candidates;
+  const uint32_t full = (1u << n) - 1u;
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if ((mask & (mask - 1)) == 0) continue;  // singletons already seeded
     const uint32_t lowest = mask & (~mask + 1u);
-    candidates.clear();
     // Iterate proper submasks containing the lowest bit (canonical split).
     for (uint32_t sub = (mask - 1u) & mask; sub != 0;
          sub = (sub - 1u) & mask) {
       if ((sub & lowest) == 0) continue;
       const uint32_t rest = mask ^ sub;
-      if (options.left_deep_only) {
-        const bool sub_single = (sub & (sub - 1)) == 0;
-        const bool rest_single = (rest & (rest - 1)) == 0;
-        if (!sub_single && !rest_single) continue;
-      }
       const Positions left_pos = MaskPositions(sub);
       const Positions right_pos = MaskPositions(rest);
       const double sel =
           CrossSelectivity(left_pos.view(0, left_pos.size),
                            right_pos.view(0, right_pos.size), psel);
-      for (const Partial& a : dp[sub]) {
-        for (const Partial& b : dp[rest]) {
+      for (uint32_t i = 0; i < table.kept[sub]; ++i) {
+        const Partial& a = table.at(sub, i);
+        for (uint32_t j = 0; j < table.kept[rest]; ++j) {
+          const Partial& b = table.at(rest, j);
           Partial p;
           p.tuple_rate = JoinOutputRate(a.tuple_rate, b.tuple_rate, sel,
                                         spec.join_window_s);
@@ -165,37 +202,22 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
                    b.tuple_rate * b.tuple_size;
           const uint64_t ha = a.shape_hash, hb = b.shape_hash;
           p.shape_hash = MixHash(std::min(ha, hb), std::max(ha, hb));
-          arena.push_back(TreeNode{a.tree, b.tree, 0});
-          p.tree = static_cast<int>(arena.size()) - 1;
-          candidates.push_back(p);
+          p.left = sub;
+          p.left_slot = i;
+          p.right_slot = j;
+          table.Offer(mask, p);
         }
       }
     }
-    // Keep the top_k cheapest distinct shapes.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Partial& a, const Partial& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                return a.shape_hash < b.shape_hash;
-              });
-    // Compacted in place: the kept prefix never overtakes the scan.
-    size_t kept = 0;
-    for (size_t i = 0; i < candidates.size() && kept < options.top_k; ++i) {
-      const uint64_t hash = candidates[i].shape_hash;
-      const bool dup =
-          std::any_of(candidates.begin(), candidates.begin() + kept,
-                      [&](const Partial& q) { return q.shape_hash == hash; });
-      if (!dup) candidates[kept++] = candidates[i];
-    }
-    dp[mask].assign(candidates.begin(), candidates.begin() + kept);
   }
 
   std::vector<LogicalPlan> plans;
-  for (const Partial& p : dp[full]) {
-    auto plan = FinishPlan(arena, p.tree, spec, psel, catalog);
+  plans.reserve(table.kept[full]);
+  for (uint32_t slot = 0; slot < table.kept[full]; ++slot) {
+    auto plan = FinishPlan(table, full, slot, spec, catalog);
     if (!plan.ok()) return plan.status();
     plans.push_back(std::move(plan.value()));
   }
-  if (plans.empty()) return Status::Internal("enumeration produced no plans");
   return plans;
 }
 

@@ -1,6 +1,7 @@
 #ifndef SBON_QUERY_ENUMERATE_H_
 #define SBON_QUERY_ENUMERATE_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/status.h"
@@ -10,6 +11,11 @@
 
 namespace sbon::query {
 
+/// Most streams one query may join. The subset DP keeps one row of at most
+/// `top_k` partial plans per stream subset: a table of (2^n * top_k)
+/// entries, 16384 rows at this bound.
+inline constexpr size_t kMaxStreams = 14;
+
 /// Plan-enumeration options.
 struct EnumerationOptions {
   /// Candidate plans to return (ranked by network-blind intermediate data
@@ -17,18 +23,15 @@ struct EnumerationOptions {
   /// two-step baseline only ever looks at the first. K partial plans are
   /// also retained per DP subset, so K=1 is exactly the classical DP.
   size_t top_k = 8;
-  /// Restrict to left-deep join trees (classical System-R style); false
-  /// explores bushy trees too.
-  bool left_deep_only = false;
-  /// Maximum streams the subset DP accepts (2^n * K state blowup guard).
-  size_t max_streams = 14;
 
   bool operator==(const EnumerationOptions&) const = default;
 };
 
 /// Enumerates candidate logical plans for `spec` using dynamic programming
 /// over stream subsets with top-K pruning (paper Sec. 2.1: "dynamic
-/// programming with pruning or some other enumeration algorithm").
+/// programming with pruning or some other enumeration algorithm"). Bushy
+/// trees are explored; memory is O(2^n * top_k) for n streams, and a query
+/// of more than `kMaxStreams` streams is rejected.
 ///
 /// Returned plans are distinct join shapes, annotated with rates, best
 /// (lowest data volume) first. Per-stream filters are pushed to the leaves;

@@ -1,8 +1,12 @@
 #include "query/query_spec.h"
 
+#include <cmath>
+
 namespace sbon::query {
 
 Status QuerySpec::Validate(const Catalog& catalog) const {
+  // False for NaN as well as for values outside [0, 1].
+  const auto in_unit_interval = [](double x) { return x >= 0.0 && x <= 1.0; };
   if (streams.empty()) return Status::InvalidArgument("query has no streams");
   if (consumer == kInvalidNode) {
     return Status::InvalidArgument("query has no consumer");
@@ -13,14 +17,26 @@ Status QuerySpec::Validate(const Catalog& catalog) const {
   if (!filter_sel.empty() && filter_sel.size() != streams.size()) {
     return Status::InvalidArgument("filter_sel size mismatch");
   }
+  for (double sel : filter_sel) {
+    if (!in_unit_interval(sel)) {
+      return Status::InvalidArgument("filter_sel out of [0,1]");
+    }
+  }
   if (!join_sel.empty()) {
     if (join_sel.size() != streams.size()) {
       return Status::InvalidArgument("join_sel size mismatch");
     }
-    for (size_t i = 0; i < join_sel.size(); ++i) {
-      if (join_sel[i].size() != streams.size()) {
+    for (const std::vector<double>& row : join_sel) {
+      if (row.size() != streams.size()) {
         return Status::InvalidArgument("join_sel row size mismatch");
       }
+      for (double sel : row) {
+        if (!in_unit_interval(sel)) {
+          return Status::InvalidArgument("join_sel out of [0,1]");
+        }
+      }
+    }
+    for (size_t i = 0; i < join_sel.size(); ++i) {
       for (size_t j = 0; j < join_sel.size(); ++j) {
         if (join_sel[i][j] != join_sel[j][i]) {
           return Status::InvalidArgument("join_sel not symmetric");
@@ -28,11 +44,11 @@ Status QuerySpec::Validate(const Catalog& catalog) const {
       }
     }
   }
-  if (aggregate_factor < 0.0 || aggregate_factor > 1.0) {
+  if (!in_unit_interval(aggregate_factor)) {
     return Status::InvalidArgument("aggregate_factor out of [0,1]");
   }
-  if (join_window_s <= 0.0) {
-    return Status::InvalidArgument("join_window_s must be positive");
+  if (!std::isfinite(join_window_s) || join_window_s <= 0.0) {
+    return Status::InvalidArgument("join_window_s must be positive and finite");
   }
   return Status::OK();
 }

@@ -84,6 +84,49 @@ int EmitTree(const std::vector<TreeNode>& arena, int node,
   return plan->AddJoin(l, r, sel);
 }
 
+// One kept DP partial of the reference enumerator: its tree in the arena
+// and the structural hash it is deduplicated by.
+struct RefPartial {
+  double tuple_rate = 0.0;
+  double tuple_size = 0.0;
+  double cost = 0.0;
+  int tree = -1;
+  uint64_t shape_hash = 0;
+};
+
+uint64_t MixHash(uint64_t a, uint64_t b) {
+  uint64_t x = a * 0x9e3779b97f4a7c15ULL + b + 0x7f4a7c15ULL;
+  x ^= x >> 29;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 32;
+  return x;
+}
+
+std::vector<size_t> MaskPositions(uint32_t mask) {
+  std::vector<size_t> out;
+  for (size_t i = 0; mask != 0; ++i, mask >>= 1) {
+    if (mask & 1u) out.push_back(i);
+  }
+  return out;
+}
+
+// Annotated plan of the tree under `root`, as query::EnumeratePlans emits
+// it.
+StatusOr<query::LogicalPlan> FinishPlan(const std::vector<TreeNode>& arena,
+                                        int root, const query::QuerySpec& spec,
+                                        const query::Catalog& catalog) {
+  query::LogicalPlan plan;
+  std::vector<size_t> positions;
+  int op = EmitTree(arena, root, spec, &plan, &positions);
+  if (spec.aggregate_factor < 1.0) {
+    op = plan.AddAggregate(op, spec.aggregate_factor);
+  }
+  plan.SetConsumer(op, spec.consumer);
+  Status st = plan.AnnotateRates(catalog, spec.join_window_s);
+  if (!st.ok()) return st;
+  return plan;
+}
+
 }  // namespace
 
 StatusOr<std::vector<query::LogicalPlan>> EnumerateAllPlansExhaustive(
@@ -100,21 +143,95 @@ StatusOr<std::vector<query::LogicalPlan>> EnumerateAllPlansExhaustive(
   AllTrees(full, &arena, &memo);
   std::vector<query::LogicalPlan> plans;
   for (int root : memo[full]) {
-    query::LogicalPlan plan;
-    std::vector<size_t> positions;
-    int op = EmitTree(arena, root, spec, &plan, &positions);
-    if (spec.aggregate_factor < 1.0) {
-      op = plan.AddAggregate(op, spec.aggregate_factor);
-    }
-    plan.SetConsumer(op, spec.consumer);
-    Status st = plan.AnnotateRates(catalog, spec.join_window_s);
-    if (!st.ok()) return st;
-    plans.push_back(std::move(plan));
+    auto plan = FinishPlan(arena, root, spec, catalog);
+    if (!plan.ok()) return plan.status();
+    plans.push_back(std::move(plan.value()));
   }
   std::sort(plans.begin(), plans.end(),
             [](const query::LogicalPlan& a, const query::LogicalPlan& b) {
               return a.IntermediateDataRate() < b.IntermediateDataRate();
             });
+  return plans;
+}
+
+StatusOr<std::vector<query::LogicalPlan>> ReferenceEnumeratePlans(
+    const query::QuerySpec& spec, const query::Catalog& catalog,
+    size_t top_k) {
+  Status valid = spec.Validate(catalog);
+  if (!valid.ok()) return valid;
+  const size_t n = spec.NumStreams();
+  if (n > query::kMaxStreams) {
+    return Status::InvalidArgument("too many streams for subset DP");
+  }
+  if (top_k == 0) return Status::InvalidArgument("top_k must be >= 1");
+  const std::vector<std::vector<double>>& psel = spec.join_sel;
+
+  std::vector<TreeNode> arena;
+  std::vector<std::vector<RefPartial>> dp(1u << n);
+  for (size_t i = 0; i < n; ++i) {
+    const query::StreamDef& sd = catalog.stream(spec.streams[i]);
+    const double fsel = spec.filter_sel.empty() ? 1.0 : spec.filter_sel[i];
+    RefPartial p;
+    p.tuple_rate = query::SelectOutputRate(sd.tuple_rate_per_s, fsel);
+    p.tuple_size = sd.tuple_size_bytes;
+    p.cost = fsel < 1.0 ? sd.BytesPerSecond() : 0.0;
+    arena.push_back(TreeNode{-1, -1, i});
+    p.tree = static_cast<int>(arena.size()) - 1;
+    p.shape_hash = MixHash(0x51ea5ULL, i);
+    dp[1u << i].push_back(p);
+  }
+
+  const uint32_t full = (1u << n) - 1u;
+  for (uint32_t mask = 1; mask <= full; ++mask) {
+    if ((mask & (mask - 1)) == 0) continue;
+    const uint32_t lowest = mask & (~mask + 1u);
+    // Every join of every canonical split, each with its own arena node.
+    std::vector<RefPartial> candidates;
+    for (uint32_t sub = (mask - 1u) & mask; sub != 0;
+         sub = (sub - 1u) & mask) {
+      if ((sub & lowest) == 0) continue;
+      const uint32_t rest = mask ^ sub;
+      const double sel = query::CrossSelectivity(
+          MaskPositions(sub), MaskPositions(rest), psel);
+      for (const RefPartial& a : dp[sub]) {
+        for (const RefPartial& b : dp[rest]) {
+          RefPartial p;
+          p.tuple_rate = query::JoinOutputRate(a.tuple_rate, b.tuple_rate,
+                                               sel, spec.join_window_s);
+          p.tuple_size =
+              query::JoinOutputTupleSize(a.tuple_size, b.tuple_size);
+          p.cost = a.cost + b.cost + a.tuple_rate * a.tuple_size +
+                   b.tuple_rate * b.tuple_size;
+          const uint64_t ha = a.shape_hash, hb = b.shape_hash;
+          p.shape_hash = MixHash(std::min(ha, hb), std::max(ha, hb));
+          arena.push_back(TreeNode{a.tree, b.tree, 0});
+          p.tree = static_cast<int>(arena.size()) - 1;
+          candidates.push_back(p);
+        }
+      }
+    }
+    // Sort by (cost, shape hash), then keep the first copy of each shape
+    // until top_k are kept.
+    std::sort(candidates.begin(), candidates.end(),
+              [](const RefPartial& a, const RefPartial& b) {
+                if (a.cost != b.cost) return a.cost < b.cost;
+                return a.shape_hash < b.shape_hash;
+              });
+    for (const RefPartial& c : candidates) {
+      if (dp[mask].size() == top_k) break;
+      const bool dup = std::any_of(
+          dp[mask].begin(), dp[mask].end(),
+          [&](const RefPartial& q) { return q.shape_hash == c.shape_hash; });
+      if (!dup) dp[mask].push_back(c);
+    }
+  }
+
+  std::vector<query::LogicalPlan> plans;
+  for (const RefPartial& p : dp[full]) {
+    auto plan = FinishPlan(arena, p.tree, spec, catalog);
+    if (!plan.ok()) return plan.status();
+    plans.push_back(std::move(plan.value()));
+  }
   return plans;
 }
 

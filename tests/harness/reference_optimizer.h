@@ -32,6 +32,14 @@ StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
 StatusOr<std::vector<query::LogicalPlan>> EnumerateAllPlansExhaustive(
     const query::QuerySpec& spec, const query::Catalog& catalog);
 
+/// The subset DP that query::EnumeratePlans replaced, kept as its
+/// reference: an arena node for every join considered, and per subset all
+/// candidates collected, sorted by (cost, shape hash) and deduplicated down
+/// to the `top_k` cheapest distinct shapes. Same validation, same plans.
+StatusOr<std::vector<query::LogicalPlan>> ReferenceEnumeratePlans(
+    const query::QuerySpec& spec, const query::Catalog& catalog,
+    size_t top_k);
+
 /// The first difference between two circuits' plan ops (kind, stream,
 /// children, output rate) or vertex hosts, as text; "" when they agree.
 std::string CircuitDiff(const overlay::Circuit& a, const overlay::Circuit& b);

@@ -161,9 +161,51 @@ query::Catalog RandomCatalog(Rng* rng) {
   return c;
 }
 
-// Random candidate circuits of a 2-8 stream query. A few filters have
-// selectivity 0, so their output edges, and every edge above them up to
-// the root, carry no data (zero-rate edges).
+// Left-deep chain plans of `spec` (filters on the leaves, the aggregate
+// under the consumer): streams joined smallest filtered byte rate first,
+// the classical greedy order, then that order with its first two or its
+// second and third streams swapped.
+std::vector<query::LogicalPlan> LeftDeepChains(const query::QuerySpec& spec,
+                                               const query::Catalog& catalog) {
+  const size_t n = spec.NumStreams();
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  const auto bytes = [&](size_t pos) {
+    return catalog.stream(spec.streams[pos]).BytesPerSecond() *
+           spec.filter_sel[pos];
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return bytes(a) < bytes(b); });
+  std::vector<std::vector<size_t>> orders = {order};
+  for (size_t swap = 0; swap + 1 < std::min<size_t>(n, 3); ++swap) {
+    orders.push_back(order);
+    std::swap(orders.back()[swap], orders.back()[swap + 1]);
+  }
+  std::vector<query::LogicalPlan> out;
+  for (const std::vector<size_t>& chain : orders) {
+    query::LogicalPlan plan;
+    int top = -1;
+    for (size_t pos : chain) {
+      int leaf = plan.AddProducer(spec.streams[pos]);
+      if (spec.filter_sel[pos] < 1.0) {
+        leaf = plan.AddSelect(leaf, spec.filter_sel[pos]);
+      }
+      top = top < 0 ? leaf : plan.AddJoin(top, leaf, 1.0);
+    }
+    if (spec.aggregate_factor < 1.0) {
+      top = plan.AddAggregate(top, spec.aggregate_factor);
+    }
+    plan.SetConsumer(top, spec.consumer);
+    EXPECT_TRUE(plan.AnnotateRates(catalog, spec.join_window_s).ok());
+    out.push_back(std::move(plan));
+  }
+  return out;
+}
+
+// Random candidate circuits of a 2-8 stream query: its left-deep chains, or
+// its top 3 enumerated plans. A few filters have selectivity 0, so their
+// output edges, and every edge above them up to the root, carry no data
+// (zero-rate edges).
 std::vector<Circuit> RandomCircuits(const query::Catalog& catalog,
                                     bool left_deep, Rng* rng) {
   query::QuerySpec spec;
@@ -177,13 +219,18 @@ std::vector<Circuit> RandomCircuits(const query::Catalog& catalog,
     spec.filter_sel.push_back(u < 0.07 ? 0.0 : u < 0.5 ? 1.0 : u);
   }
   if (rng->Bernoulli(0.5)) spec.aggregate_factor = 0.1;
-  query::EnumerationOptions opts;
-  opts.top_k = 3;
-  opts.left_deep_only = left_deep;
-  auto plans = query::EnumeratePlans(spec, catalog, opts);
-  EXPECT_TRUE(plans.ok());
+  std::vector<query::LogicalPlan> plans;
+  if (left_deep) {
+    plans = LeftDeepChains(spec, catalog);
+  } else {
+    query::EnumerationOptions opts;
+    opts.top_k = 3;
+    auto enumerated = query::EnumeratePlans(spec, catalog, opts);
+    EXPECT_TRUE(enumerated.ok());
+    plans = std::move(enumerated.value());
+  }
   std::vector<Circuit> out;
-  for (query::LogicalPlan& plan : *plans) {
+  for (query::LogicalPlan& plan : plans) {
     auto c = Circuit::FromPlan(std::move(plan), catalog);
     EXPECT_TRUE(c.ok());
     out.push_back(std::move(c.value()));
