@@ -11,9 +11,11 @@
 // The run exits non-zero when a gate fails:
 //  - a call in the hot-call allocation audit (AuditHotCalls) allocates in
 //    steady state, counted by this file's global operator new;
-//  - the --baseline=PATH file comes from a run of another shape, or
+//  - the --baseline=PATH file comes from a run of another shape,
 //    churn-free ns_per_epoch exceeds its figure by more than
-//    --baseline-tolerance (default 0.5);
+//    --baseline-tolerance (default 0.5), or allocs_per_submit or
+//    allocs_per_epoch is above its figure (deterministic counts, so a
+//    ceiling: any rise fails, a drop passes);
 //  - a message-mode section diverges between two same-configuration runs;
 //  - the sparse section makes an O(N^2)-sized allocation.
 // Standalone kernel timings live in micro_substrates; the kernels'
@@ -587,11 +589,17 @@ std::string_view JsonValueText(std::string_view json, std::string_view key) {
   return value.substr(0, value.find_first_of(",\n}"));
 }
 
+// The number under `key` in a perf_epoch JSON document, or 0 if absent.
+double JsonNumber(std::string_view json, std::string_view key) {
+  return std::strtod(std::string(JsonValueText(json, key)).c_str(), nullptr);
+}
+
 // The baseline regression gate. The baseline must come from a run of the
 // same shape as `run` (so a sparse-scaling or smoke file cannot stand in
-// for the full standard run), and `ns_per_epoch` may exceed its churn-free
-// figure by at most `tolerance`. Prints a FAIL: line and returns false
-// otherwise.
+// for the full standard run), `ns_per_epoch` may exceed its churn-free
+// figure by at most `tolerance`, and the allocation counts may not exceed
+// theirs. Prints a FAIL: line per failed check and returns false if any
+// failed.
 bool BaselineGate(const std::string& path, double tolerance,
                   const JsonWriter& run, double ns_per_epoch) {
   std::ifstream in(path);
@@ -612,8 +620,7 @@ bool BaselineGate(const std::string& path, double tolerance,
       return false;
     }
   }
-  const double base_ns = std::strtod(
-      std::string(JsonValueText(baseline, "ns_per_epoch")).c_str(), nullptr);
+  const double base_ns = JsonNumber(baseline, "ns_per_epoch");
   if (base_ns <= 0.0) {
     std::fprintf(stderr, "FAIL: cannot read ns_per_epoch from baseline %s\n",
                  path.c_str());
@@ -624,14 +631,33 @@ bool BaselineGate(const std::string& path, double tolerance,
               "(limit %.0f at %.0f%% tolerance): %s\n",
               ns_per_epoch, base_ns, limit, 100.0 * tolerance,
               ns_per_epoch <= limit ? "ok" : "REGRESSED");
-  if (ns_per_epoch > limit) {
+  bool ok = ns_per_epoch <= limit;
+  if (!ok) {
     std::fprintf(stderr,
                  "FAIL: ns_per_epoch regressed past the tolerance gate "
                  "(%.0f > %.0f)\n",
                  ns_per_epoch, limit);
-    return false;
   }
-  return true;
+  // Both sides are read back from their printed text, so they are rounded
+  // alike.
+  for (const char* key : {"allocs_per_submit", "allocs_per_epoch"}) {
+    if (JsonValueText(baseline, key).empty()) {
+      std::fprintf(stderr, "FAIL: cannot read %s from baseline %s\n", key,
+                   path.c_str());
+      ok = false;
+      continue;
+    }
+    const double base = JsonNumber(baseline, key);
+    const double got = JsonNumber(run.str(), key);
+    std::printf("%s %.1f vs baseline %.1f (ceiling): %s\n", key, got, base,
+                got <= base ? "ok" : "ROSE");
+    if (got > base) {
+      std::fprintf(stderr, "FAIL: %s rose above the baseline (%.1f > %.1f)\n",
+                   key, got, base);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 }  // namespace

@@ -15,7 +15,7 @@ StatusOr<OptimizeResult> IntegratedOptimizer::Optimize(
     overlay::Sbon* sbon) {
   Status st = ValidateLambda(config_.lambda);
   if (!st.ok()) return st;
-  auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
+  auto plans = enumerator_.Enumerate(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 
   candidates_.clear();

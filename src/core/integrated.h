@@ -53,7 +53,9 @@ class IntegratedOptimizer : public Optimizer {
 
   OptimizerConfig config_;
   std::shared_ptr<const placement::VirtualPlacer> placer_;
-  // Scratch kept across Optimize calls: a warm Optimize allocates nothing.
+  // Scratch kept across Optimize calls: a warm Optimize allocates only the
+  // candidate plans and circuits.
+  query::PlanEnumerator enumerator_;
   std::vector<Candidate> candidates_;
   std::vector<NodeId> mapping_candidates_;
 };

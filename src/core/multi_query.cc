@@ -39,7 +39,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
     overlay::Sbon* sbon) {
   Status valid = ValidateLambda(config_.lambda);
   if (!valid.ok()) return valid;
-  auto plans = query::EnumeratePlans(spec, catalog, config_.enumeration);
+  auto plans = enumerator_.Enumerate(spec, catalog, config_.enumeration);
   if (!plans.ok()) return plans.status();
 
   OptimizeResult best;
@@ -76,7 +76,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
         if (current.Placeable(v)) order_.push_back(v);
       }
       std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-        return plan.op(a).stream_set.size() > plan.op(b).stream_set.size();
+        return plan.StreamSet(a).size() > plan.StreamSet(b).size();
       });
 
       bool improved = false;

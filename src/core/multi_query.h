@@ -57,6 +57,7 @@ class MultiQueryOptimizer : public Optimizer {
   uint32_t sphere_epoch_ = 0;
   // Scratch kept across Optimize calls. Surviving instances' hosts feed one
   // batched pruning-distance kernel call per service.
+  query::PlanEnumerator enumerator_;
   std::vector<NodeId> sphere_nodes_;
   std::vector<const overlay::ServiceInstance*> inst_scratch_;
   std::vector<NodeId> host_scratch_;

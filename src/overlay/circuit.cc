@@ -93,7 +93,8 @@ void Circuit::BindReusedSubtree(int vertex, ServiceInstanceId instance,
   // Everything below the reused vertex is served by the existing instance:
   // mark descendants reused (no deployment) and the edges to their parents
   // non-physical.
-  std::vector<int> stack = plan_.op(vertex).children;
+  const query::ChildList& top = plan_.op(vertex).children;
+  std::vector<int> stack(top.begin(), top.end());
   while (!stack.empty()) {
     const int i = stack.back();
     stack.pop_back();

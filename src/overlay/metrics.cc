@@ -9,14 +9,14 @@ namespace {
 
 // Longest producer-to-`t` latency path. Circuits are trees whose children
 // precede their parents, so a bottom-up DP over ops 0..t suffices. A
-// reused vertex other than `t` is a leaf: the bound one carries the source
+// reused vertex, `t` included, is a leaf: the bound one carries the source
 // circuit's upstream latency, the ones inside its subtree carry 0.
 double LongestPathTo(const Circuit& c, int t, const net::LatencyView& lat) {
   std::vector<double> longest(static_cast<size_t>(t) + 1, 0.0);
   for (int i = 0; i <= t; ++i) {
     const CircuitVertex& v = c.vertex(i);
     double l = 0.0;
-    if (i != t && v.reused) {
+    if (v.reused) {
       if (v.service != kInvalidService) l = v.reused_upstream_latency_ms;
     } else {
       for (int child : c.plan().op(i).children) {

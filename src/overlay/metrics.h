@@ -50,7 +50,9 @@ double LoadPenalty(const Circuit& circuit, const coords::CostSpace& space,
 
 /// Producer-to-vertex critical-path latency up to the vertex bound to
 /// `service` within `circuit` (ms). Used when another circuit reuses that
-/// service instance and needs the upstream latency it inherits.
+/// service instance and needs the upstream latency it inherits. When
+/// `circuit` itself reuses the instance, this is the latency its binding
+/// carries (`reused_upstream_latency_ms`).
 StatusOr<double> UpstreamLatencyToService(const Circuit& circuit,
                                           ServiceInstanceId service,
                                           const net::LatencyView& lat);

@@ -120,7 +120,8 @@ Status ServiceLedger::AttachDependencyChain(CircuitId circuit_id,
       for (int vi = 0; vi < static_cast<int>(src.NumVertices()); ++vi) {
         if (src.vertex(vi).service != sid) continue;
         // Walk descendants of vi collecting bound services.
-        std::vector<int> vstack = src.plan().op(vi).children;
+        const query::ChildList& top = src.plan().op(vi).children;
+        std::vector<int> vstack(top.begin(), top.end());
         while (!vstack.empty()) {
           const int d = vstack.back();
           vstack.pop_back();

@@ -11,33 +11,20 @@
 namespace sbon::query {
 namespace {
 
-// A partial DP result over one stream subset. A join's children are
-// slots `left_slot` of subset `left` and `right_slot` of the rest.
-struct Partial {
-  double tuple_rate = 0.0;
-  double tuple_size = 0.0;
-  double cost = 0.0;  // bytes/s shipped on edges internal to the subtree
-  uint64_t shape_hash = 0;  // order-insensitive structural hash for dedupe
-  uint32_t left = 0;  // unused for a leaf (a singleton subset)
-  uint32_t left_slot = 0;
-  uint32_t right_slot = 0;
-};
+using internal::Partial;
 
 // Rank order of a row: ascending cost, then shape hash.
 bool Precedes(const Partial& a, const Partial& b) {
   return a.cost != b.cost ? a.cost < b.cost : a.shape_hash < b.shape_hash;
 }
 
-// The DP table: one row of `width` slots per stream subset, of which the
-// first `kept[mask]` hold the subset's cheapest distinct shapes in rank
-// order.
+// A view of the DP table: one row of `width` slots per stream subset, of
+// which the first `kept[mask]` hold the subset's cheapest distinct shapes
+// in rank order.
 struct Table {
   size_t width;
-  std::vector<Partial> slots;
-  std::vector<uint32_t> kept;
-
-  Table(size_t n, size_t width)
-      : width(width), slots((size_t{1} << n) * width), kept(size_t{1} << n) {}
+  Partial* slots;
+  uint32_t* kept;
 
   const Partial& at(uint32_t mask, uint32_t slot) const {
     return slots[mask * width + slot];
@@ -48,7 +35,7 @@ struct Table {
   // precedes it. So the row is the sorted, deduplicated top `width` of all
   // offers: an evicted shape re-enters only by beating the last entry.
   void Offer(uint32_t mask, const Partial& p) {
-    Partial* r = slots.data() + mask * width;
+    Partial* r = slots + mask * width;
     const size_t n = kept[mask];
     size_t free = n;  // the slot the insertion shift ends at
     if (n == width) {
@@ -134,7 +121,12 @@ int EmitTree(const Table& table, uint32_t mask, uint32_t slot,
 StatusOr<LogicalPlan> FinishPlan(const Table& table, uint32_t full,
                                  uint32_t slot, const QuerySpec& spec,
                                  const Catalog& catalog) {
+  const size_t n = spec.NumStreams();
+  size_t filters = 0;
+  for (double fsel : spec.filter_sel) filters += fsel < 1.0 ? 1 : 0;
   LogicalPlan plan;
+  // n producers, their filters, n - 1 joins, an aggregate, the consumer.
+  plan.Reserve(2 * n + filters + (spec.aggregate_factor < 1.0 ? 1 : 0));
   Positions positions;
   int op = EmitTree(table, full, slot, spec, &plan, &positions);
   if (spec.aggregate_factor < 1.0) {
@@ -151,6 +143,12 @@ StatusOr<LogicalPlan> FinishPlan(const Table& table, uint32_t full,
 StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
     const QuerySpec& spec, const Catalog& catalog,
     const EnumerationOptions& options) {
+  return PlanEnumerator().Enumerate(spec, catalog, options);
+}
+
+StatusOr<std::vector<LogicalPlan>> PlanEnumerator::Enumerate(
+    const QuerySpec& spec, const Catalog& catalog,
+    const EnumerationOptions& options) {
   Status valid = spec.Validate(catalog);
   if (!valid.ok()) return valid;
   const size_t n = spec.NumStreams();
@@ -163,7 +161,13 @@ StatusOr<std::vector<LogicalPlan>> EnumeratePlans(
   // Pairwise selectivities; empty when the spec has no join predicates.
   const std::vector<std::vector<double>>& psel = spec.join_sel;
 
-  Table table(n, RowWidth(n, options.top_k));
+  // Slots are only read below a row's kept count, so a warm table keeps
+  // its old contents and only the counts are cleared.
+  const size_t width = RowWidth(n, options.top_k);
+  const size_t rows = size_t{1} << n;
+  if (slots_.size() < rows * width) slots_.resize(rows * width);
+  kept_.assign(rows, 0);
+  Table table{width, slots_.data(), kept_.data()};
   for (size_t i = 0; i < n; ++i) {
     const StreamDef& sd = catalog.stream(spec.streams[i]);
     const double fsel = spec.filter_sel.empty() ? 1.0 : spec.filter_sel[i];

@@ -20,14 +20,15 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
-int LogicalPlan::Append(PlanOp op, std::vector<int> children) {
+int LogicalPlan::Append(PlanOp op, std::initializer_list<int> children) {
+  assert(children.size() <= op.children.at_.size());
   for (int c : children) {
     assert(c >= 0 && c < static_cast<int>(ops_.size()));
     // Validate rejects an out-of-range child; only real ones are counted.
     if (c >= 0 && c < static_cast<int>(ops_.size())) ++ops_[c].num_parents;
+    op.children.at_[op.children.count_++] = c;
   }
-  op.children = std::move(children);
-  ops_.push_back(std::move(op));
+  ops_.push_back(op);
   return static_cast<int>(ops_.size()) - 1;
 }
 
@@ -35,34 +36,34 @@ int LogicalPlan::AddProducer(StreamId stream) {
   PlanOp op;
   op.kind = OpKind::kProducer;
   op.stream = stream;
-  return Append(std::move(op), {});
+  return Append(op, {});
 }
 
 int LogicalPlan::AddSelect(int child, double selectivity) {
   PlanOp op;
   op.kind = OpKind::kSelect;
   op.selectivity = selectivity;
-  return Append(std::move(op), {child});
+  return Append(op, {child});
 }
 
 int LogicalPlan::AddJoin(int left, int right, double selectivity) {
   PlanOp op;
   op.kind = OpKind::kJoin;
   op.selectivity = selectivity;
-  return Append(std::move(op), {left, right});
+  return Append(op, {left, right});
 }
 
 int LogicalPlan::AddAggregate(int child, double rate_factor) {
   PlanOp op;
   op.kind = OpKind::kAggregate;
   op.rate_factor = rate_factor;
-  return Append(std::move(op), {child});
+  return Append(op, {child});
 }
 
 int LogicalPlan::SetConsumer(int child, NodeId consumer) {
   PlanOp op;
   op.kind = OpKind::kConsumer;
-  root_ = Append(std::move(op), {child});
+  root_ = Append(op, {child});
   consumer_ = consumer;
   return root_;
 }
@@ -87,6 +88,23 @@ Status LogicalPlan::AnnotateRates(const Catalog& catalog,
                                   double join_window_s) {
   Status valid = Validate();
   if (!valid.ok()) return valid;
+  // Count each op's streams first, so the pool is sized once: producers
+  // and joins own a range, every other op shares its child's.
+  size_t pool_size = 0;
+  for (PlanOp& op : ops_) {
+    if (op.kind == OpKind::kProducer) {
+      op.stream_count = 1;
+    } else if (op.kind == OpKind::kJoin) {
+      op.stream_count = ops_[op.children[0]].stream_count +
+                        ops_[op.children[1]].stream_count;
+    } else {
+      op.stream_count = ops_[op.children[0]].stream_count;
+      continue;
+    }
+    pool_size += op.stream_count;
+  }
+  stream_pool_.resize(pool_size);
+  uint32_t next = 0;  // start of the next owned range
   for (PlanOp& op : ops_) {
     switch (op.kind) {
       case OpKind::kProducer: {
@@ -96,7 +114,8 @@ Status LogicalPlan::AnnotateRates(const Catalog& catalog,
         const StreamDef& s = catalog.stream(op.stream);
         op.out_tuple_rate = s.tuple_rate_per_s;
         op.out_tuple_size = s.tuple_size_bytes;
-        op.stream_set = {op.stream};
+        op.stream_begin = next++;
+        stream_pool_[op.stream_begin] = op.stream;
         break;
       }
       case OpKind::kSelect: {
@@ -104,7 +123,7 @@ Status LogicalPlan::AnnotateRates(const Catalog& catalog,
         op.out_tuple_rate = SelectOutputRate(c.out_tuple_rate,
                                              op.selectivity);
         op.out_tuple_size = c.out_tuple_size;
-        op.stream_set = c.stream_set;
+        op.stream_begin = c.stream_begin;
         break;
       }
       case OpKind::kJoin: {
@@ -115,24 +134,26 @@ Status LogicalPlan::AnnotateRates(const Catalog& catalog,
                            op.selectivity, join_window_s);
         op.out_tuple_size = JoinOutputTupleSize(l.out_tuple_size,
                                                 r.out_tuple_size);
-        op.stream_set = l.stream_set;
-        op.stream_set.insert(op.stream_set.end(), r.stream_set.begin(),
-                             r.stream_set.end());
-        std::sort(op.stream_set.begin(), op.stream_set.end());
+        op.stream_begin = next;
+        next += op.stream_count;
+        const std::span<const StreamId> ls = StreamSet(op.children[0]);
+        const std::span<const StreamId> rs = StreamSet(op.children[1]);
+        std::merge(ls.begin(), ls.end(), rs.begin(), rs.end(),
+                   stream_pool_.begin() + op.stream_begin);
         break;
       }
       case OpKind::kAggregate: {
         const PlanOp& c = ops_[op.children[0]];
         op.out_tuple_rate = c.out_tuple_rate * op.rate_factor;
         op.out_tuple_size = c.out_tuple_size;
-        op.stream_set = c.stream_set;
+        op.stream_begin = c.stream_begin;
         break;
       }
       case OpKind::kConsumer: {
         const PlanOp& c = ops_[op.children[0]];
         op.out_tuple_rate = c.out_tuple_rate;
         op.out_tuple_size = c.out_tuple_size;
-        op.stream_set = c.stream_set;
+        op.stream_begin = c.stream_begin;
         break;
       }
     }
@@ -194,7 +215,7 @@ uint64_t LogicalPlan::OpSignature(int i) const {
   // Quantize params so float noise does not break signature equality.
   mix(static_cast<uint64_t>(op.selectivity * 1e9));
   mix(static_cast<uint64_t>(op.rate_factor * 1e9));
-  for (StreamId s : op.stream_set) mix(s + 1);
+  for (StreamId s : StreamSet(i)) mix(s + 1);
   return h;
 }
 

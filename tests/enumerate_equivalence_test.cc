@@ -7,6 +7,7 @@
 // bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -63,7 +64,9 @@ std::string PlanListDiff(const std::vector<LogicalPlan>& got,
       if (Bits(a.out_bytes_per_s) != Bits(b.out_bytes_per_s)) {
         return op + "out bytes/s";
       }
-      if (a.stream_set != b.stream_set) return op + "stream set";
+      if (!std::ranges::equal(g.StreamSet(i), w.StreamSet(i))) {
+        return op + "stream set";
+      }
     }
   }
   return "";
@@ -86,9 +89,9 @@ std::string EnumerationDiff(const QuerySpec& spec, const Catalog& catalog,
 // orders can cost exactly the same.
 Catalog RandomCatalog(Rng* rng) {
   Catalog c;
-  for (int s = 0; s < 8; ++s) {
+  for (size_t s = 0; s < 8; ++s) {
     const bool tied = rng->Bernoulli(0.3);
-    c.AddStream("s" + std::to_string(s),
+    c.AddStream(IndexedStreamName(s),
                 tied ? 50.0 : rng->Uniform(1.0, 500.0),
                 tied ? 64.0 : rng->Uniform(16.0, 256.0),
                 static_cast<NodeId>(rng->UniformInt(64)));

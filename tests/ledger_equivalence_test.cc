@@ -153,7 +153,8 @@ class ReferenceLedger {
         const Circuit& src = cit->second;
         for (int vi = 0; vi < static_cast<int>(src.NumVertices()); ++vi) {
           if (src.vertex(vi).service != sid) continue;
-          std::vector<int> vstack = src.plan().op(vi).children;
+          const query::ChildList& top = src.plan().op(vi).children;
+          std::vector<int> vstack(top.begin(), top.end());
           while (!vstack.empty()) {
             const int d = vstack.back();
             vstack.pop_back();

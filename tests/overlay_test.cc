@@ -182,6 +182,23 @@ TEST(MetricsTest, ReusedVertexUsesUpstreamLatency) {
   EXPECT_DOUBLE_EQ(cost->critical_path_latency_ms, 53.0);
 }
 
+TEST(MetricsTest, UpstreamLatencyOfReusedInstance) {
+  auto topo = net::GenerateLine(5, 10.0);
+  ASSERT_TRUE(topo.ok());
+  const net::LatencyMatrix lat(*topo);
+  query::Catalog c = TwoStreamCatalog();
+  auto circuit = Circuit::FromPlan(JoinPlan(c, 4), c);
+  ASSERT_TRUE(circuit.ok());
+  circuit->BindReusedSubtree(2, /*instance=*/1, /*instance_host=*/2,
+                             /*upstream_latency_ms=*/33.0);
+  // The circuit reuses the instance, so its upstream latency is the one
+  // the binding carries, not the hops from the producers (0->2: 20 ms).
+  auto upstream = UpstreamLatencyToService(*circuit, 1, lat);
+  ASSERT_TRUE(upstream.ok());
+  EXPECT_DOUBLE_EQ(*upstream, 33.0);
+  EXPECT_FALSE(UpstreamLatencyToService(*circuit, 2, lat).ok());
+}
+
 // --------------------------- Sbon ---------------------------
 
 std::unique_ptr<Sbon> MakeSbon(uint64_t seed = 1, size_t line = 6) {

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "harness/reference_optimizer.h"
@@ -24,6 +27,12 @@ Catalog SmallCatalog() {
   c.AddStream("c", 1000.0, 32.0, 3);  // 32000 B/s
   c.AddStream("d", 50.0, 256.0, 4);   // 12800 B/s
   return c;
+}
+
+// Op `i`'s pooled stream set, as a vector.
+std::vector<StreamId> Streams(const LogicalPlan& p, int i) {
+  const std::span<const StreamId> s = p.StreamSet(i);
+  return std::vector<StreamId>(s.begin(), s.end());
 }
 
 // --------------------------- Catalog ---------------------------
@@ -123,7 +132,114 @@ TEST(PlanTest, StreamSetsSortedAndMerged) {
   const int j = p.AddJoin(b, a, 0.1);
   p.SetConsumer(j, 9);
   ASSERT_TRUE(p.AnnotateRates(c).ok());
-  EXPECT_EQ(p.op(j).stream_set, (std::vector<StreamId>{0, 2}));
+  EXPECT_EQ(Streams(p, j), (std::vector<StreamId>{0, 2}));
+  EXPECT_EQ(Streams(p, p.root()), (std::vector<StreamId>{0, 2}));
+  EXPECT_EQ(Streams(p, b), (std::vector<StreamId>{2}));
+}
+
+// Op `i`'s stream ids found by walking the leaves below it, sorted: an
+// independent check of the pooled StreamSet ranges.
+std::vector<StreamId> LeafStreams(const LogicalPlan& p, int i) {
+  std::vector<StreamId> out;
+  std::vector<int> stack = {i};
+  while (!stack.empty()) {
+    const PlanOp& op = p.op(stack.back());
+    stack.pop_back();
+    if (op.kind == OpKind::kProducer) out.push_back(op.stream);
+    for (int c : op.children) stack.push_back(c);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Wraps `op` in a random chain of selects and aggregates.
+int RandomChain(LogicalPlan* p, int op, Rng* rng) {
+  while (rng->Bernoulli(0.4)) {
+    op = rng->Bernoulli(0.5) ? p->AddSelect(op, rng->Uniform(0.1, 1.0))
+                             : p->AddAggregate(op, rng->Uniform(0.1, 1.0));
+  }
+  return op;
+}
+
+// A builder-made plan over 1-8 producers drawn from `c`'s four streams (so
+// ids repeat), each under a random chain, joined in random bushy order.
+LogicalPlan RandomPlan(const Catalog& c, Rng* rng) {
+  LogicalPlan p;
+  std::vector<int> tops;
+  const size_t leaves = 1 + rng->UniformInt(8);
+  for (size_t i = 0; i < leaves; ++i) {
+    const auto stream = static_cast<StreamId>(rng->UniformInt(c.NumStreams()));
+    tops.push_back(RandomChain(&p, p.AddProducer(stream), rng));
+  }
+  while (tops.size() > 1) {
+    rng->Shuffle(&tops);
+    const int l = tops.back();
+    tops.pop_back();
+    const int r = tops.back();
+    tops.back() = RandomChain(&p, p.AddJoin(l, r, 0.5), rng);
+  }
+  p.SetConsumer(tops[0], 9);
+  return p;
+}
+
+TEST(PlanTest, StreamSetIsSortedLeafUnion) {
+  Catalog c = SmallCatalog();
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    LogicalPlan p = RandomPlan(c, &rng);
+    ASSERT_TRUE(p.AnnotateRates(c).ok());
+    for (int i = 0; i < static_cast<int>(p.NumOps()); ++i) {
+      ASSERT_EQ(Streams(p, i), LeafStreams(p, i))
+          << "trial " << trial << " op " << i << ": " << p.Canonical();
+    }
+    // Re-annotating rebuilds the pool in place, with the same sets.
+    ASSERT_TRUE(p.AnnotateRates(c, 2.0).ok());
+    for (int i = 0; i < static_cast<int>(p.NumOps()); ++i) {
+      ASSERT_EQ(Streams(p, i), LeafStreams(p, i)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(PlanTest, CopiedAndMovedPlansKeepStreamSets) {
+  Catalog c = SmallCatalog();
+  Rng rng(7);
+  for (int trial = 0; trial < 50; ++trial) {
+    LogicalPlan p = RandomPlan(c, &rng);
+    ASSERT_TRUE(p.AnnotateRates(c).ok());
+    LogicalPlan copy = p;
+    LogicalPlan moved_from = p;
+    LogicalPlan moved = std::move(moved_from);
+    moved_from = std::move(moved);  // moved from, then moved to again
+    LogicalPlan assigned = RandomPlan(c, &rng);
+    ASSERT_TRUE(assigned.AnnotateRates(c).ok());
+    assigned = p;  // copy-assigned over a plan with its own pool
+    for (const LogicalPlan* q : {&copy, &moved_from, &assigned}) {
+      ASSERT_EQ(q->NumOps(), p.NumOps());
+      for (int i = 0; i < static_cast<int>(p.NumOps()); ++i) {
+        EXPECT_EQ(Streams(*q, i), Streams(p, i)) << "trial " << trial;
+        EXPECT_EQ(q->OpSignature(i), p.OpSignature(i)) << "trial " << trial;
+        EXPECT_TRUE(q->op(i).children == p.op(i).children);
+      }
+    }
+  }
+}
+
+TEST(PlanTest, ChildListHoldsBuilderChildren) {
+  LogicalPlan p;
+  const int a = p.AddProducer(0);
+  const int b = p.AddProducer(1);
+  const int j = p.AddJoin(b, a, 0.1);
+  const int s = p.AddSelect(j, 0.5);
+  p.SetConsumer(s, 9);
+  EXPECT_EQ(p.op(a).children.size(), 0u);
+  ASSERT_EQ(p.op(j).children.size(), 2u);
+  EXPECT_EQ(p.op(j).children[0], b);
+  EXPECT_EQ(p.op(j).children[1], a);
+  EXPECT_EQ(std::vector<int>(p.op(s).children.begin(),
+                             p.op(s).children.end()),
+            std::vector<int>{j});
+  EXPECT_FALSE(p.op(j).children == p.op(s).children);
+  EXPECT_TRUE(p.op(a).children == p.op(b).children);  // both empty
 }
 
 TEST(PlanTest, AnnotateRejectsUnknownStream) {
