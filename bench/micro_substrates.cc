@@ -119,6 +119,26 @@ void BM_RejoinFullRing(benchmark::State& state) {
 }
 BENCHMARK(BM_RejoinFullRing);
 
+// A first-member Lookup(key) on a ring no membership change touches: the
+// index query's lookup while one ring state serves many Submits. After the
+// first pass over the keys every target's hop count is memoized.
+void BM_ChordLookupFirstMember(benchmark::State& state) {
+  Rng rng(10);
+  const dht::ChordRing ring = MakeRing(&rng);
+  constexpr size_t kKeys = 4096;
+  std::vector<dht::U128> keys;
+  for (size_t i = 0; i < kKeys; ++i) keys.push_back(RandomRingKey(&rng));
+  size_t i = 0, hops = 0;
+  for (auto _ : state) {
+    auto r = ring.Lookup(keys[i++ & (kKeys - 1)]);
+    benchmark::DoNotOptimize(r);
+    hops += r.ok() ? r->hops : 0;
+  }
+  state.counters["hops"] = benchmark::Counter(
+      static_cast<double>(hops) / static_cast<double>(i));
+}
+BENCHMARK(BM_ChordLookupFirstMember);
+
 // One member moves: a churn rejoin (Sbon::RejoinNode).
 void BM_RejoinOne(benchmark::State& state) {
   Rng rng(9);
@@ -162,7 +182,11 @@ void BM_IndexKNearest(benchmark::State& state) {
     benchmark::DoNotOptimize(nodes.data());
   }
 }
-BENCHMARK(BM_IndexKNearest)->Arg(100)->Arg(600)->Arg(2000);
+BENCHMARK(BM_IndexKNearest)
+    ->Arg(100)
+    ->Arg(kRingMembers)
+    ->Arg(600)
+    ->Arg(2000);
 
 // The batched exact sweep over every published node; items = nodes swept.
 void BM_IndexKNearestExact(benchmark::State& state) {

@@ -45,15 +45,11 @@ StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
   return mgr;
 }
 
-void CoordinateManager::SetScalarMetrics(const std::vector<double>& raw) {
-  const size_t scalar_dims = params_.spec.num_scalar_dims();
-  if (scalar_dims == 0) return;
-  for (NodeId n = 0; n < space_->NumNodes(); ++n) {
-    // Dimension 0 is CPU load by convention of LatencyAndLoad; additional
-    // scalar dims (if any) default to the same metric.
-    for (size_t i = 0; i < scalar_dims; ++i) {
-      space_->SetScalarMetric(n, i, raw[n]);
-    }
+void CoordinateManager::SetScalarMetric(NodeId n, double raw) {
+  // Dimension 0 is CPU load by convention of LatencyAndLoad; additional
+  // scalar dims (if any) default to the same metric.
+  for (size_t i = 0; i < params_.spec.num_scalar_dims(); ++i) {
+    space_->SetScalarMetric(n, i, raw);
   }
 }
 

@@ -53,8 +53,8 @@ class CoordinateManager {
   /// VivaldiRunOptions, in the spec's vector dimensions) or a classical-MDS
   /// solve, drawing from `rng` in exactly the order the monolithic
   /// Sbon::Initialize always did — and fills the cost space's vector part.
-  /// Scalar metrics start at zero; call SetScalarMetrics then BuildIndex
-  /// to finish bring-up.
+  /// Scalar metrics start at zero; call SetScalarMetric for every node then
+  /// BuildIndex to finish bring-up.
   static StatusOr<std::unique_ptr<CoordinateManager>> Build(
       Params params, const net::LatencyView& lat, Rng* rng);
 
@@ -65,10 +65,9 @@ class CoordinateManager {
   const dht::CoordinateIndex& index() const { return *index_; }
   const IndexRefreshStats& refresh_stats() const { return refresh_stats_; }
 
-  /// Writes each node's raw scalar metric (by convention: total CPU load)
-  /// into every scalar dimension of the cost space. `raw` is indexed by
-  /// node id and must cover all nodes.
-  void SetScalarMetrics(const std::vector<double>& raw);
+  /// Writes node `n`'s raw scalar metric (by convention: total CPU load)
+  /// into every scalar dimension of the cost space.
+  void SetScalarMetric(NodeId n, double raw);
 
   /// Builds the coordinate index over the overlay nodes' full coordinates:
   /// fits the Hilbert quantizer box (vector span plus worst-case scalar

@@ -32,7 +32,9 @@ void ChordRing::Join(U128 key, NodeId node) {
 
 void ChordRing::Leave(NodeId node) {
   const size_t pos = EntryOf(node);
-  if (pos != kNoMove) members_.erase(members_.begin() + pos);
+  if (pos == kNoMove) return;
+  members_.erase(members_.begin() + pos);
+  first_hops_.clear();
 }
 
 size_t ChordRing::EntryOf(NodeId node) const {
@@ -66,6 +68,7 @@ bool ChordRing::KeyTaken(const U128& key, size_t i) const {
 
 void ChordRing::Rejoin(const Member* moves, size_t d) {
   if (d == 0) return;
+  first_hops_.clear();
   NodeId max_node = 0;
   for (size_t i = 0; i < d; ++i) max_node = std::max(max_node, moves[i].node);
   if (first_move_.size() <= max_node) {
@@ -141,16 +144,9 @@ size_t ChordRing::SuccessorIndex(U128 key) const {
   return static_cast<size_t>(it - members_.begin());
 }
 
-StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
-                                                    U128 origin_key) const {
-  if (members_.empty()) return Status::FailedPrecondition("empty ring");
-
-  // Start at the member owning origin_key (its successor).
-  size_t cur = SuccessorIndex(origin_key);
-  size_t hops = 0;
+size_t ChordRing::RouteHops(size_t cur, size_t target_idx) const {
   const size_t n = members_.size();
-  const size_t target_idx = SuccessorIndex(key);
-  // The last member strictly before `key`.
+  // The last member strictly before the target's key.
   const size_t pred_idx = (target_idx + n - 1) % n;
   const U128& pred_key = members_[pred_idx].key;
 
@@ -161,6 +157,7 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
   // The closest preceding finger is therefore finger j for the top set bit
   // j of pred - cur. Each hop lands strictly closer to key, so the walk
   // ends within n hops.
+  size_t hops = 0;
   while (cur != target_idx) {
     if (cur == pred_idx) {
       cur = target_idx;  // key lies in (cur, successor]
@@ -170,17 +167,37 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
     }
     ++hops;
   }
+  return hops;
+}
+
+ChordRing::LookupResult ChordRing::ResultAt(size_t member_index,
+                                            size_t hops) const {
   LookupResult r;
-  r.node = members_[cur].node;
-  r.key = members_[cur].key;
+  r.node = members_[member_index].node;
+  r.key = members_[member_index].key;
   r.hops = hops;
-  r.member_index = cur;
+  r.member_index = member_index;
   return r;
+}
+
+StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
+                                                    U128 origin_key) const {
+  if (members_.empty()) return Status::FailedPrecondition("empty ring");
+  // Start at the member owning origin_key (its successor).
+  const size_t target_idx = SuccessorIndex(key);
+  return ResultAt(target_idx,
+                  RouteHops(SuccessorIndex(origin_key), target_idx));
 }
 
 StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key) const {
   if (members_.empty()) return Status::FailedPrecondition("empty ring");
-  return Lookup(key, members_[0].key);
+  // The first member owns its own key (keys are unique), so the route starts
+  // at index 0 and its hop count depends on the target index alone.
+  const size_t target_idx = SuccessorIndex(key);
+  if (first_hops_.empty()) first_hops_.assign(members_.size(), kUnrouted);
+  uint32_t& hops = first_hops_[target_idx];
+  if (hops == kUnrouted) hops = static_cast<uint32_t>(RouteHops(0, target_idx));
+  return ResultAt(target_idx, hops);
 }
 
 }  // namespace sbon::dht

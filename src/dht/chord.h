@@ -2,6 +2,7 @@
 #define SBON_DHT_CHORD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -64,7 +65,12 @@ class ChordRing {
   /// returns successor(key). Requires a non-empty ring.
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
 
-  /// Lookup starting from the first member (deterministic origin).
+  /// Lookup starting from the first member (deterministic origin). The
+  /// route from members()[0] depends only on the target's member index, so
+  /// its hop count is computed once per target and kept in a memo until the
+  /// membership next changes (Join, Rejoin and a member's Leave clear it); a
+  /// warm lookup costs one binary search. The memo makes this overload
+  /// unsafe to call concurrently on one ring, like the rest of the library.
   StatusOr<LookupResult> Lookup(U128 key) const;
 
  private:
@@ -100,6 +106,16 @@ class ChordRing {
   /// True when `key` is held at move `i` of the batch in flight.
   bool KeyTaken(const U128& key, size_t i) const;
   size_t SuccessorIndex(U128 key) const;
+  /// Hops of the greedy Chord route from member `cur` to member
+  /// `target_idx`.
+  size_t RouteHops(size_t cur, size_t target_idx) const;
+  LookupResult ResultAt(size_t member_index, size_t hops) const;
+
+  // Lookup(key)'s hop count per target member index, kUnrouted until that
+  // target is first routed; empty after a membership change, sized on the
+  // next first-member lookup (its capacity is kept).
+  static constexpr uint32_t kUnrouted = static_cast<uint32_t>(-1);
+  mutable std::vector<uint32_t> first_hops_;
 };
 
 }  // namespace sbon::dht

@@ -69,7 +69,10 @@ StatusOr<size_t> CoordinateIndex::RankNearest(const Vec& target, size_t k,
   // per-query seen-set. Each distinct member costs exactly one ring probe.
   const size_t total = std::min(2 * width + 1, n);
   if (cost != nullptr) cost->ring_probes += total;
-  walk_scratch_.clear();
+  const size_t keep = std::min(k, total);
+  if (keep == 0) return keep;
+  walk_scratch_.resize(total);
+  NodeId* walked = walk_scratch_.data();
   // Odd steps take the next successor, even steps the next predecessor.
   // Both indices are stepped with a wrap test instead of a modulo per
   // member: after step 2i - 1, members[succ] is i members clockwise of the
@@ -77,32 +80,38 @@ StatusOr<size_t> CoordinateIndex::RankNearest(const Vec& target, size_t k,
   const std::vector<ChordRing::Member>& members = ring_.members();
   size_t succ = *start;
   size_t pred = succ;
-  walk_scratch_.push_back(members[succ].node);
+  walked[0] = members[succ].node;
   for (size_t step = 1; step < total; ++step) {
     if ((step & 1) != 0) {
       if (++succ == n) succ = 0;
-      walk_scratch_.push_back(members[succ].node);
+      walked[step] = members[succ].node;
     } else {
       pred = (pred == 0 ? n : pred) - 1;
-      walk_scratch_.push_back(members[pred].node);
+      walked[step] = members[pred].node;
     }
   }
 
-  // Batched distance sweep over the walked candidates, then rank 16-byte
-  // (distance, node) pairs.
+  // Batched distance sweep over the walked candidates, then a bounded
+  // insertion of each (distance, node) pair into a sorted `keep`-slot
+  // buffer. The order is strict, so the buffer ends up holding exactly the
+  // prefix of a full sort, ties included.
   dist_scratch_.resize(total);
-  kernels::DistanceSquaredToMany(coords_, target.data(), walk_scratch_.data(),
-                                 total, dist_scratch_.data());
+  kernels::DistanceSquaredToMany(coords_, target.data(), walked, total,
+                                 dist_scratch_.data());
   kernels::SqrtMany(dist_scratch_.data(), total);
-  pair_scratch_.clear();
+  pair_scratch_.resize(keep);
+  DistNode* top = pair_scratch_.data();
+  size_t held = 0;
   for (size_t j = 0; j < total; ++j) {
-    pair_scratch_.push_back(DistNode{dist_scratch_[j], walk_scratch_[j]});
+    const DistNode p{dist_scratch_[j], walked[j]};
+    if (held == keep) {
+      if (!(p < top[keep - 1])) continue;
+      --held;  // p displaces the current last
+    }
+    size_t i = held++;
+    for (; i > 0 && p < top[i - 1]; --i) top[i] = top[i - 1];
+    top[i] = p;
   }
-  // The (distance, node) order is strict, so the partially sorted top-k
-  // prefix is exactly the prefix of a full sort.
-  const size_t keep = std::min(k, total);
-  std::partial_sort(pair_scratch_.begin(), pair_scratch_.begin() + keep,
-                    pair_scratch_.end());
   return keep;
 }
 

@@ -92,9 +92,10 @@ class CoordinateIndex {
   /// members on each side of the target key — the query physical mapping
   /// issues per service. `cost` (optional) accumulates DHT traffic. The
   /// walk steps ring indices (no modulo per member), and the top k of the
-  /// walked members are selected with `partial_sort` under the strict
-  /// (distance, node) order, so ties resolve exactly as a full sort would.
-  /// Fails if the index is empty.
+  /// walked members are kept by bounded insertion into a sorted k-slot
+  /// buffer under the strict (distance, node) order, so ties resolve
+  /// exactly as a full sort would. `k = 0` answers nothing but bills the
+  /// same traffic. Fails if the index is empty.
   Status KNearestNodesInto(const Vec& target, size_t k, size_t probe_width,
                            IndexQueryCost* cost,
                            std::vector<NodeId>* out) const;
@@ -151,7 +152,8 @@ class CoordinateIndex {
   StatusOr<size_t> StartWalk(const Vec& target, IndexQueryCost* cost) const;
   /// The probed walk of KNearestNodesInto: walks the ring around `target`'s
   /// key, bills `cost`, and ranks the walked members, leaving the top k as
-  /// the first pairs of `pair_scratch_`. Returns how many it ranked.
+  /// the first pairs of `pair_scratch_`. Returns how many it kept:
+  /// min(k, members walked).
   StatusOr<size_t> RankNearest(const Vec& target, size_t k,
                                size_t probe_width, IndexQueryCost* cost) const;
   /// PublishAll over `count` contiguous (node, coordinate) pairs.

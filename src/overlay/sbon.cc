@@ -86,7 +86,6 @@ Status Sbon::Initialize() {
   load_model_ = std::make_unique<net::LoadModel>(n, options_.load_params,
                                                  &rng_);
   ledger_ = std::make_unique<ServiceLedger>(n, kLoadPerBytePerS);
-  total_load_scratch_.assign(n, 0.0);
   UpdateScalarMetrics();
 
   // Coordinate index over *overlay* nodes' full coordinates.
@@ -108,31 +107,36 @@ void Sbon::UpdateScalarMetrics() {
   // Vector-only cost spaces have nothing to bridge; skip the O(n) sweep.
   if (options_.space_spec.num_scalar_dims() == 0) return;
   for (NodeId n = 0; n < topo_.NumNodes(); ++n) {
-    total_load_scratch_[n] = TotalLoad(n);
+    coords_->SetScalarMetric(n, TotalLoad(n));
   }
-  coords_->SetScalarMetrics(total_load_scratch_);
+}
+
+void Sbon::UpdateTouchedScalarMetrics() {
+  for (NodeId n : ledger_->touched_hosts()) {
+    coords_->SetScalarMetric(n, TotalLoad(n));
+  }
 }
 
 StatusOr<CircuitId> Sbon::InstallCircuit(Circuit circuit) {
   auto id = ledger_->InstallCircuit(std::move(circuit), alive_);
   // The load book changed on success *and* on a rolled-back failure (the
-  // rollback restores snapshots); re-derive scalar metrics either way so
-  // the cost space never goes stale.
-  UpdateScalarMetrics();
+  // rollback restores snapshots of hosts it touched); re-derive those
+  // hosts' scalar metrics either way so the cost space never goes stale.
+  UpdateTouchedScalarMetrics();
   return id;
 }
 
 Status Sbon::RemoveCircuit(CircuitId id) {
   Status st = ledger_->RemoveCircuit(id);
   if (!st.ok()) return st;
-  UpdateScalarMetrics();
+  UpdateTouchedScalarMetrics();
   return Status::OK();
 }
 
 Status Sbon::MigrateService(ServiceInstanceId id, NodeId new_host) {
   Status st = ledger_->MigrateService(id, new_host, alive_);
   if (!st.ok()) return st;
-  UpdateScalarMetrics();
+  UpdateTouchedScalarMetrics();
   return Status::OK();
 }
 

@@ -95,7 +95,8 @@ class Sbon {
   coords::CoordinateManager& mutable_coords() { return *coords_; }
   /// Deployed circuits, service instances, the reuse catalog and the
   /// per-node service load. Mutations go through Sbon (InstallCircuit,
-  /// RemoveCircuit, MigrateService, FailNode) so cost-space scalars follow.
+  /// RemoveCircuit, MigrateService, FailNode), which re-derives the
+  /// cost-space scalar of every host the ledger call touched.
   const ServiceLedger& ledger() const { return *ledger_; }
   const net::LatencyView& latency() const { return fabric_->live(); }
   const coords::CostSpace& cost_space() const { return coords_->space(); }
@@ -206,9 +207,15 @@ class Sbon {
   Sbon(net::Topology topo, Options options);
 
   Status Initialize();
-  /// Re-derives the cost space's scalar metrics from total (ambient +
-  /// service) load. Must run after anything that changes either part.
+  /// Re-derives every node's cost-space scalar metrics from total (ambient
+  /// + service) load. Runs after anything that can change the ambient part
+  /// (Tick, SetBaseLoad), liveness (FailNode, RejoinNode) and at bring-up.
   void UpdateScalarMetrics();
+  /// The same for only the hosts the last ledger mutation touched
+  /// (ServiceLedger::touched_hosts()): after Install, Remove and Migrate,
+  /// which change no other node's load. Every other load writer sweeps all
+  /// nodes, so an untouched node's scalar is never stale.
+  void UpdateTouchedScalarMetrics();
 
   net::Topology topo_;
   Options options_;
@@ -221,8 +228,6 @@ class Sbon {
   /// Per-node liveness (by node id); failed overlay nodes also leave
   /// overlay_nodes_ until they rejoin.
   std::vector<bool> alive_;
-  /// Scratch for the scalar-metric bridge (per-node total load).
-  std::vector<double> total_load_scratch_;
 };
 
 }  // namespace sbon::overlay

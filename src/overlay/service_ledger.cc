@@ -13,6 +13,7 @@ ServiceLedger::ServiceLedger(size_t num_nodes, double load_per_byte_per_s)
 void ServiceLedger::ApplyServiceLoadDelta(NodeId host,
                                           double input_bytes_per_s,
                                           double sign) {
+  touched_hosts_.push_back(host);
   service_load_[host] =
       std::max(0.0, service_load_[host] +
                         sign * input_bytes_per_s * load_per_byte_per_s_);
@@ -26,6 +27,7 @@ double ServiceLedger::TotalServiceLoad() const {
 
 StatusOr<CircuitId> ServiceLedger::InstallCircuit(
     Circuit circuit, const std::vector<bool>& alive) {
+  touched_hosts_.clear();
   if (!circuit.FullyPlaced()) {
     return Status::FailedPrecondition("cannot install unplaced circuit");
   }
@@ -46,10 +48,10 @@ StatusOr<CircuitId> ServiceLedger::InstallCircuit(
   // deltas, because (x + d) - d is not exact in floating point and the
   // ledger must be left bit-identical to its pre-call state.
   const ServiceInstanceId first_new_service = next_service_id_;
-  std::vector<std::pair<NodeId, double>> prior_loads;
+  prior_loads_.clear();
   auto fail = [&](Status st) -> StatusOr<CircuitId> {
     DetachCircuitFromServices(id);
-    for (auto it = prior_loads.rbegin(); it != prior_loads.rend(); ++it) {
+    for (auto it = prior_loads_.rbegin(); it != prior_loads_.rend(); ++it) {
       service_load_[it->first] = it->second;
     }
     next_service_id_ = first_new_service;
@@ -81,7 +83,7 @@ StatusOr<CircuitId> ServiceLedger::InstallCircuit(
     inst.input_bytes_per_s = circuit.PhysicalInputRate(i);
     inst.output_bytes_per_s = circuit.plan().op(i).out_bytes_per_s;
     v.service = inst.id;
-    prior_loads.emplace_back(v.host, service_load_[v.host]);
+    prior_loads_.emplace_back(v.host, service_load_[v.host]);
     ApplyServiceLoadDelta(v.host, inst.input_bytes_per_s, +1.0);
     ServiceInstance& placed =
         services_.emplace(inst.id, std::move(inst)).first->second;
@@ -177,6 +179,7 @@ void ServiceLedger::DetachCircuitFromServices(CircuitId circuit_id) {
 }
 
 Status ServiceLedger::RemoveCircuit(CircuitId id) {
+  touched_hosts_.clear();
   auto it = circuits_.find(id);
   if (it == circuits_.end()) return Status::NotFound("no such circuit");
   // Detach this circuit from every instance referencing it (vertex bindings
@@ -205,6 +208,7 @@ std::span<const ServiceInstance* const> ServiceLedger::ServicesWithSignature(
 
 Status ServiceLedger::MigrateService(ServiceInstanceId id, NodeId new_host,
                                      const std::vector<bool>& alive) {
+  touched_hosts_.clear();
   auto it = services_.find(id);
   if (it == services_.end()) return Status::NotFound("no such service");
   if (new_host >= service_load_.size()) {
@@ -230,6 +234,7 @@ Status ServiceLedger::MigrateService(ServiceInstanceId id, NodeId new_host,
 }
 
 FailureReport ServiceLedger::EvictHost(NodeId n) {
+  touched_hosts_.clear();
   FailureReport report;
   std::set<CircuitId> orphans;
   // Evict every instance the dead node hosted, reversing the load delta it
@@ -249,6 +254,7 @@ FailureReport ServiceLedger::EvictHost(NodeId n) {
   // A node with no services left carries no service load; zeroing (instead
   // of trusting delta reversal) keeps the books exact for the rejoin.
   service_load_[n] = 0.0;
+  touched_hosts_.push_back(n);
   // Circuits whose pinned endpoints (producer/consumer) sat on the dead
   // node are orphaned too, even though nothing was deployed there.
   for (const auto& [cid, circuit] : circuits_) {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -31,8 +32,8 @@ struct FailureReport {
 /// One of the three substrates `overlay::Sbon` composes (alongside
 /// net::NetworkFabric and coords::CoordinateManager). The ledger is pure
 /// bookkeeping: it knows nothing of latencies, coordinates, or the index —
-/// the composition root re-derives cost-space scalar metrics after every
-/// mutating call.
+/// after every mutating call the composition root re-derives the cost-space
+/// scalar metrics of the hosts that call touched (`touched_hosts()`).
 ///
 /// Load-book invariant (what the unit tests pin): the book equals the sum
 /// of each hosted instance's input rate times the load factor, at
@@ -105,6 +106,11 @@ class ServiceLedger {
   const std::vector<double>& service_loads() const { return service_load_; }
   /// Sum of the whole load book (the tests' sum-to-zero audit hook).
   double TotalServiceLoad() const;
+  /// Every host whose load-book entry the last InstallCircuit (including a
+  /// rolled-back one), RemoveCircuit, MigrateService or EvictHost call
+  /// wrote, in write order and possibly repeated: the only nodes whose
+  /// total load that call can have changed. Valid until the next of them.
+  std::span<const NodeId> touched_hosts() const { return touched_hosts_; }
 
  private:
   Status AttachDependencyChain(CircuitId circuit_id, ServiceInstanceId root);
@@ -121,6 +127,8 @@ class ServiceLedger {
   /// eviction.
   std::map<ServiceInstanceId, ServiceInstance>::iterator EraseService(
       std::map<ServiceInstanceId, ServiceInstance>::iterator it);
+  /// Adds (sign +1) or reverses (-1) an instance's load on `host` and
+  /// records the host in `touched_hosts_`.
   void ApplyServiceLoadDelta(NodeId host, double input_bytes_per_s,
                              double sign);
 
@@ -133,6 +141,11 @@ class ServiceLedger {
       services_by_signature_;
   // Circuit index; lists ascending, empty lists erased.
   std::map<CircuitId, std::vector<ServiceInstanceId>> services_by_circuit_;
+  // Hosts the mutating call in flight wrote (see touched_hosts()).
+  std::vector<NodeId> touched_hosts_;
+  // InstallCircuit's rollback snapshots: (host, load before its delta).
+  // Kept across calls so an install reuses its capacity.
+  std::vector<std::pair<NodeId, double>> prior_loads_;
   CircuitId next_circuit_id_ = 1;
   ServiceInstanceId next_service_id_ = 1;
 };

@@ -581,6 +581,54 @@ TEST_P(ChordPropertyTest, LookupMatchesMaterializedFingerTable) {
   }
 }
 
+// Lookup(key) keeps its hop counts in a memo that every membership change
+// clears. Random Join / Leave / Rejoin batches interleave with lookups that
+// warm the memo; after every mutation each first-member lookup — random
+// keys and every member key, so every target index — must take the route
+// the reference takes from the first member's key.
+TEST(ChordTest, FirstMemberLookupFollowsMembershipChanges) {
+  for (const size_t n : {5u, 64u, 300u}) {
+    for (const unsigned bits : {128u, 40u, 6u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " bits=" << bits);
+      const U128 mask =
+          bits == 128 ? U128::Max() : PowerOfTwo(bits) - U128::FromU64(1);
+      Rng rng(n * 131 + bits);
+      const auto random_key = [&] { return HashU64(rng.Next()) & mask; };
+      const auto random_node = [&] {
+        return static_cast<NodeId>(rng.UniformInt(n + n / 2));
+      };
+      ChordRing ring;
+      for (size_t i = 0; i < n; ++i) {
+        ring.Join(random_key(), static_cast<NodeId>(i));
+      }
+      for (int step = 0; step < 30; ++step) {
+        const uint64_t kind = rng.UniformInt(3);
+        if (kind == 0 || ring.NumMembers() == 1) {
+          ring.Join(random_key(), random_node());
+        } else if (kind == 1) {
+          ring.Leave(ring.members()[rng.UniformInt(ring.NumMembers())].node);
+        } else {
+          std::vector<ChordRing::Member> moves(1 + rng.UniformInt(8));
+          for (ChordRing::Member& m : moves) m = {random_key(), random_node()};
+          ring.Rejoin(moves);
+        }
+        const MaterializedFingerChord ref(ring.members());
+        const U128 origin = ring.members()[0].key;
+        const auto check = [&](const U128& key) {
+          auto got = ring.Lookup(key);
+          ASSERT_TRUE(got.ok());
+          const ChordRing::LookupResult want = ref.Lookup(key, origin);
+          ASSERT_EQ(got->hops, want.hops) << "step " << step;
+          ASSERT_EQ(got->node, want.node) << "step " << step;
+          ASSERT_EQ(got->member_index, want.member_index) << "step " << step;
+        };
+        for (int q = 0; q < 50; ++q) check(random_key());
+        for (const ChordRing::Member& m : ring.members()) check(m.key);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RingSizes, ChordPropertyTest,
                          ::testing::Values(2, 5, 16, 64, 200, 500));
 

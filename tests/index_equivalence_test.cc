@@ -1,5 +1,5 @@
-// Selection pins of the coordinate index. KNearestNodesInto picks its top
-// k by partial_sort over (distance, node) pairs and steps its ring walk
+// Selection pins of the coordinate index. KNearestNodesInto keeps its top
+// k by bounded insertion of (distance, node) pairs and steps its ring walk
 // without a modulo; WithinRadiusInto steps both arcs the same way and stops
 // once it has considered every member. Published coordinates here sit on a
 // coarse grid, so many nodes share a coordinate and distance ties are the
@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -191,6 +192,37 @@ TEST(IndexEquivalenceTest, KNearestWithTiesEqualsTruncatedFullSort) {
     }
   }
   EXPECT_GT(tied_cutoffs, 400u);
+}
+
+// The bounded top-k buffer at its edges: k = 0 answers nothing, k = 1 only
+// the nearest, and a k above the walked member count every walked member —
+// each equal to the truncated full sort, billed the same as any other k.
+TEST(IndexEquivalenceTest, KNearestEdgeKsEqualTruncatedFullSort) {
+  constexpr size_t kHuge = std::numeric_limits<size_t>::max();
+  for (uint64_t seed : {21u, 22u}) {
+    for (size_t nodes : {size_t{1}, size_t{6}, kNodes}) {
+      TiedIndex fx(seed * 10 + nodes, nodes);
+      Rng rng(seed * 5 + nodes);
+      std::vector<NodeId> got{7, 7, 7};  // stale content must be cleared
+      for (int q = 0; q < 60; ++q) {
+        const Vec target = GridPoint(&rng);
+        const size_t width = rng.UniformInt(12);
+        const size_t walked = std::min(2 * std::min(width, nodes) + 1, nodes);
+        for (const size_t k :
+             {size_t{0}, size_t{1}, walked + 1 + rng.UniformInt(8), kHuge}) {
+          IndexQueryCost got_cost, want_cost;
+          ASSERT_TRUE(
+              fx.index.KNearestNodesInto(target, k, width, &got_cost, &got)
+                  .ok());
+          const std::vector<Ranked> full =
+              fx.ref().Probed(target, width, &want_cost);
+          ASSERT_EQ(full.size(), walked);
+          ASSERT_EQ(got, FirstNodes(full, k)) << "k=" << k;
+          ExpectSameCost(got_cost, want_cost);
+        }
+      }
+    }
+  }
 }
 
 // The order and cost the coordinate-copying KNearestInto answered: the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.h"
@@ -495,6 +496,93 @@ TEST(SbonTest, MdsCoordModeWorks) {
   // MDS on a line should embed near-perfectly: check end-to-end distance.
   const double d = (*s)->cost_space().VectorDistance(0, 5);
   EXPECT_NEAR(d, 50.0, 5.0);
+}
+
+// Every node's cost-space scalars must be the weighting of its total load,
+// bitwise: install, remove and migrate refresh only the hosts the ledger
+// touched, so a host they miss keeps a stale scalar.
+void ExpectScalarsFollowTotalLoad(const Sbon& s, int step) {
+  const coords::CostSpace& space = s.cost_space();
+  for (NodeId n = 0; n < s.topology().NumNodes(); ++n) {
+    const double load = s.TotalLoad(n);
+    for (size_t i = 0; i < space.spec().num_scalar_dims(); ++i) {
+      ASSERT_EQ(space.RawScalar(n, i), load) << "step " << step << " node "
+                                             << n;
+      ASSERT_EQ(space.WeightedScalar(n, i),
+                space.spec().scalar_dim(i).weighting->Apply(load))
+          << "step " << step << " node " << n;
+    }
+  }
+}
+
+TEST(SbonTest, ScalarsFollowLoadThroughInstallRemoveMigrate) {
+  auto s = MakeSbon(/*seed=*/4, /*line=*/8);
+  query::Catalog c = TwoStreamCatalog();
+  // Node 7 is down: installs placing a service there are refused.
+  ASSERT_TRUE(s->FailNode(7).ok());
+  Rng rng(11);
+  const auto alive_host = [&] { return static_cast<NodeId>(rng.UniformInt(7)); };
+  // (select a JOIN select b) -> consumer; vertices 2, 3 and 4 are services.
+  const auto make_circuit = [&] {
+    query::LogicalPlan p;
+    const int a = p.AddSelect(p.AddProducer(0), rng.Uniform(0.1, 1.0));
+    const int b = p.AddSelect(p.AddProducer(1), rng.Uniform(0.1, 1.0));
+    const int j = p.AddJoin(a, b, 0.01);
+    p.SetConsumer(j, static_cast<NodeId>(2 + rng.UniformInt(5)));
+    EXPECT_TRUE(p.AnnotateRates(c).ok());
+    auto circuit = Circuit::FromPlan(p, c);
+    EXPECT_TRUE(circuit.ok());
+    for (int v : {a, b, j}) circuit->mutable_vertex(v).host = alive_host();
+    return std::move(circuit.value());
+  };
+  size_t installed = 0, removed = 0, migrated = 0, rolled_back = 0,
+         refused = 0;
+  std::vector<CircuitId> live;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t kind = rng.UniformInt(6);
+    const auto& services = s->ledger().services();
+    if (kind <= 1 || live.empty()) {
+      Circuit circuit = make_circuit();
+      // Now and then the b-side select reuses a deployed instance.
+      if (!services.empty() && rng.UniformInt(3) == 0) {
+        auto it = services.begin();
+        std::advance(it, rng.UniformInt(services.size()));
+        circuit.BindReusedSubtree(3, it->first, it->second.host, 10.0);
+      }
+      auto id = s->InstallCircuit(std::move(circuit));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      live.push_back(*id);
+      ++installed;
+    } else if (kind == 2) {
+      const size_t pick = rng.UniformInt(live.size());
+      ASSERT_TRUE(s->RemoveCircuit(live[pick]).ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      ++removed;
+    } else if (kind == 3 && !services.empty()) {
+      auto it = services.begin();
+      std::advance(it, rng.UniformInt(services.size()));
+      ASSERT_TRUE(s->MigrateService(it->first, alive_host()).ok());
+      ++migrated;
+    } else if (kind == 4) {
+      // The a-side select deploys before the b-side binding fails, so the
+      // rollback restores a host it touched.
+      Circuit circuit = make_circuit();
+      circuit.BindReusedSubtree(3, /*instance=*/999999, 0, 10.0);
+      ASSERT_FALSE(s->InstallCircuit(std::move(circuit)).ok());
+      ++rolled_back;
+    } else {
+      Circuit circuit = make_circuit();
+      circuit.mutable_vertex(4).host = 7;
+      ASSERT_FALSE(s->InstallCircuit(std::move(circuit)).ok());
+      ++refused;
+    }
+    ExpectScalarsFollowTotalLoad(*s, step);
+  }
+  EXPECT_GT(installed, 50u);
+  EXPECT_GT(removed, 30u);
+  EXPECT_GT(migrated, 30u);
+  EXPECT_GT(rolled_back, 30u);
+  EXPECT_GT(refused, 30u);
 }
 
 TEST(SbonTest, CircuitCostOfMatchesDirectComputation) {
