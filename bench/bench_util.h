@@ -53,19 +53,11 @@ inline std::string& JsonFlag() {
   return path;
 }
 
-/// Latency-substrate backend override (`--fabric=auto|dense|sparse`).
-/// "auto" keeps Sbon::Options defaults: dense up to the sparse auto
-/// threshold, the generative sparse backend above it.
-inline std::string& FabricFlag() {
-  static std::string name = "auto";
-  return name;
-}
-
-/// The Sbon fabric mode the --fabric= flag selects.
-inline overlay::Sbon::FabricMode FabricMode() {
-  if (FabricFlag() == "dense") return overlay::Sbon::FabricMode::kDense;
-  if (FabricFlag() == "sparse") return overlay::Sbon::FabricMode::kSparse;
-  return overlay::Sbon::FabricMode::kAuto;
+/// Latency-substrate provider override (`--fabric=auto|dense|sparse`).
+/// kAuto keeps the caller's (or Sbon::Options') fabric mode.
+inline net::NetworkFabric::BaseMode& FabricFlag() {
+  static auto mode = net::NetworkFabric::BaseMode::kAuto;
+  return mode;
 }
 
 /// Coordinate/ring maintenance execution (`--exec=oracle|message`):
@@ -114,12 +106,18 @@ inline void ParseBenchArgs(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       JsonFlag() = std::string(arg.substr(std::strlen("--json=")));
     } else if (arg.rfind("--fabric=", 0) == 0) {
-      FabricFlag() = std::string(arg.substr(std::strlen("--fabric=")));
-      if (FabricFlag() != "auto" && FabricFlag() != "dense" &&
-          FabricFlag() != "sparse") {
+      const std::string_view name = arg.substr(std::strlen("--fabric="));
+      using BaseMode = net::NetworkFabric::BaseMode;
+      if (name == "auto") {
+        FabricFlag() = BaseMode::kAuto;
+      } else if (name == "dense") {
+        FabricFlag() = BaseMode::kDense;
+      } else if (name == "sparse") {
+        FabricFlag() = BaseMode::kSparse;
+      } else {
         std::fprintf(stderr,
                      "unknown fabric '%s'; expected auto, dense or sparse\n",
-                     FabricFlag().c_str());
+                     std::string(name).c_str());
         std::exit(2);
       }
     } else if (arg.rfind("--exec=", 0) == 0) {
@@ -269,9 +267,11 @@ inline std::unique_ptr<overlay::Sbon> MakeTransitStubSbon(
     size_t target_nodes, uint64_t seed,
     overlay::Sbon::Options opts = overlay::Sbon::Options()) {
   opts.seed = seed;
-  // "auto" defers to the caller's (or Sbon's) default so harnesses that pin
+  // kAuto defers to the caller's (or Sbon's) default so harnesses that pin
   // a mode programmatically are not clobbered by the flag's default value.
-  if (FabricFlag() != "auto") opts.fabric_mode = FabricMode();
+  if (FabricFlag() != net::NetworkFabric::BaseMode::kAuto) {
+    opts.fabric_mode = FabricFlag();
+  }
   auto s = overlay::Sbon::Create(MakeTransitStubTopology(target_nodes, seed),
                                  opts);
   if (!s.ok()) {
@@ -291,7 +291,9 @@ inline std::unique_ptr<engine::StreamEngine> MakeTransitStubEngine(
     engine::EngineOptions opts = engine::EngineOptions()) {
   opts.topology = MakeTransitStubTopology(target_nodes, seed);
   opts.sbon.seed = seed;
-  if (FabricFlag() != "auto") opts.sbon.fabric_mode = FabricMode();
+  if (FabricFlag() != net::NetworkFabric::BaseMode::kAuto) {
+    opts.sbon.fabric_mode = FabricFlag();
+  }
   opts.optimizer = OptimizerFlag();
   opts.placer = PlacerFlag();
   auto e = engine::StreamEngine::Create(std::move(opts));
@@ -371,8 +373,9 @@ inline bool WriteJson(const JsonWriter& doc) {
   return true;
 }
 
-/// A bare message bus over a dense transit-stub fabric (reads are one
-/// matrix load, so the bus itself is what gets measured) under a fixed
+/// A bare message bus over a transit-stub fabric (the default provider,
+/// dense at the rigs' sizes: reads are one matrix load, so the bus itself
+/// is what gets measured) under a fixed
 /// fault plan: 5% loss, 5% duplication and 5 ms mean extra delay on every
 /// protocol. The Vivaldi handler answers each ping whose send sequence is
 /// even with a pong (about half of them: duplicates and replies shift the
@@ -383,7 +386,7 @@ class BusDrainRig {
   BusDrainRig(size_t target_nodes, uint64_t seed)
       : topo_(MakeTransitStubTopology(target_nodes, seed)),
         rng_(seed),
-        fabric_(topo_, /*jitter_sigma=*/0.0, &rng_, DenseFabric()),
+        fabric_(topo_, /*jitter_sigma=*/0.0, &rng_, {}),
         bus_(&fabric_, BusOptions()) {
     bus_.SetHandler(msg::Protocol::kVivaldi, [this](const msg::Envelope& e) {
       if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
@@ -433,11 +436,6 @@ class BusDrainRig {
   const msg::MessageBus& bus() const { return bus_; }
 
  private:
-  static net::NetworkFabric::Options DenseFabric() {
-    net::NetworkFabric::Options o;
-    o.base_mode = net::NetworkFabric::BaseMode::kDense;
-    return o;
-  }
   static msg::MessageBus::Options BusOptions() {
     msg::MessageBus::Options o;
     o.epoch_ms = 1000.0;

@@ -33,10 +33,8 @@ engine::StrategySpec MultiQueryStrategy(double radius) {
   s.optimizer = "multi-query";
   core::OptimizerConfig cfg;
   cfg.enumeration.top_k = 4;
+  cfg.reuse_radius = radius;
   s.config = cfg;
-  core::MultiQueryOptimizer::Params params;
-  params.reuse_radius = radius;
-  s.multi_query = params;
   return s;
 }
 

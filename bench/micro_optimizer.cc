@@ -149,14 +149,16 @@ void RunOptimizerBench(benchmark::State& state, int which) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, sbon->overlay_nodes(), &sbon->rng())
           .value();
-  engine::OptimizerSpec spec;
-  spec.config.enumeration.top_k = 8;
-  spec.multi_query.reuse_radius = 60.0;
-  spec.placer = std::make_shared<placement::RelaxationPlacer>();
+  core::OptimizerConfig config;
+  config.enumeration.top_k = 8;
+  config.reuse_radius = 60.0;
+  const auto placer = std::make_shared<placement::RelaxationPlacer>();
   auto& registry = engine::OptimizerRegistry::Global();
-  auto two = std::move(registry.Create("two-step", spec).value());
-  auto integrated = std::move(registry.Create("integrated", spec).value());
-  auto multi = std::move(registry.Create("multi-query", spec).value());
+  auto two = std::move(registry.Create("two-step", config, placer).value());
+  auto integrated =
+      std::move(registry.Create("integrated", config, placer).value());
+  auto multi =
+      std::move(registry.Create("multi-query", config, placer).value());
   // Base circuits so multi-query has something to reuse.
   for (int i = 0; i < 10; ++i) {
     query::QuerySpec q =

@@ -11,7 +11,9 @@
 // The run exits non-zero when a gate fails:
 //  - a call in the hot-call allocation audit (AuditHotCalls) allocates in
 //    steady state, counted by this file's global operator new;
-//  - the --baseline=PATH file comes from a run of another shape,
+//  - the --baseline=PATH file comes from a run of another shape, a
+//    deterministic work counter (kGatedSections: index refresh, churn
+//    repair and message-mode traffic) differs from its figure at all,
 //    churn-free ns_per_epoch exceeds its figure by more than
 //    --baseline-tolerance (default 0.5), or allocs_per_submit or
 //    allocs_per_epoch is above its figure (deterministic counts, so a
@@ -27,8 +29,10 @@
 // `decentralized` and `chaos`, a message-mode workload at a pinned size
 // (RunMessageSection) run twice each for the replay gate; and `sparse`, the
 // generative sparse backend at N/5 and N (RunSparsePoint), whose largest
-// single allocation must stay far below an N x N matrix. Above 4096 nodes the engine loop is skipped, which
-// lets `--fabric=sparse --nodes=100000 --smoke` finish in minutes.
+// single allocation must stay far below an N x N matrix. At sizes where the
+// auto fabric would not be dense (net::NetworkFabric::Resolve) the engine
+// loop is skipped, which lets `--fabric=sparse --nodes=100000 --smoke`
+// finish in minutes.
 
 #include <algorithm>
 #include <chrono>
@@ -38,6 +42,7 @@
 #include <fstream>
 #include <iterator>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,7 +50,7 @@
 #include "common/rng.h"
 #include "common/summary.h"
 #include "coords/vivaldi.h"
-#include "core/multi_query.h"
+#include "core/optimizer.h"
 #include "engine/stream_engine.h"
 #include "msg/agents.h"
 #include "msg/message.h"
@@ -403,7 +408,7 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   opts.latency_jitter_sigma = 0.1;
   // Forced sparse regardless of --fabric: this section measures the sparse
   // backend by definition (the flag selects the engine sections' substrate).
-  opts.fabric_mode = overlay::Sbon::FabricMode::kSparse;
+  opts.fabric_mode = net::NetworkFabric::BaseMode::kSparse;
   SparseScalePoint out;
   out.nodes = topo.NumNodes();
 
@@ -534,7 +539,7 @@ bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
   // At the multi-query optimizer's default reuse radius. The warm-up visits
   // every target once, so the buffer holds the largest sphere before the
   // counted rounds.
-  const double radius = core::MultiQueryOptimizer::Params{}.reuse_radius;
+  const double radius = core::OptimizerConfig{}.reuse_radius;
   audit("allocs_per_within_radius", "CoordinateIndex::WithinRadiusInto",
         AllocsPerCall(overlay.size(), 2000, [&](size_t i) {
           const Vec target = space.FullCoord(overlay[i % overlay.size()]);
@@ -594,12 +599,59 @@ double JsonNumber(std::string_view json, std::string_view key) {
   return std::strtod(std::string(JsonValueText(json, key)).c_str(), nullptr);
 }
 
+// The object under `"name": {` in a perf_epoch JSON document, from its
+// opening brace to the matching closing one, or empty.
+std::string_view JsonSection(std::string_view json, std::string_view name) {
+  std::string pattern(1, '"');
+  pattern.append(name).append("\": {");
+  const size_t at = json.find(pattern);
+  if (at == std::string_view::npos) return {};
+  const size_t open = at + pattern.size() - 1;
+  size_t depth = 0;
+  for (size_t i = open; i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}' && --depth == 0) return json.substr(open, i + 1 - open);
+  }
+  return {};
+}
+
+// The deterministic work counters the baseline gate compares exactly, by
+// section ("" = the top level, whose keys precede every nested section).
+// A fixed seed does the same work on every run, so a counter that moved
+// means the program does different work, not the same work at another
+// speed.
+constexpr const char* kEngineCounters[] = {
+    "live_reads_per_epoch", "republished", "republish_skipped",
+    "quiet_refreshes", "refreshes"};
+constexpr const char* kChurnCounters[] = {
+    "crashes", "rejoins", "services_evicted", "circuits_orphaned",
+    "queries_repaired", "queries_dropped"};
+constexpr const char* kMessageCounters[] = {
+    "msgs_sent", "msgs_delivered", "msgs_dropped_dead",
+    "msgs_dropped_partition", "msgs_dropped_fault", "msgs_duplicated",
+    "vivaldi_msgs", "vivaldi_bytes", "ring_msgs", "ring_bytes",
+    "placement_msgs", "placement_bytes", "retries", "retry_bytes", "acks",
+    "dup_suppressed", "retry_exhausted", "retransmit_overflow",
+    "retry_pending", "suspicions", "false_suspicions", "suspicions_refuted",
+    "confirmations_vetoed", "crash_confirmations"};
+
+struct GatedSection {
+  const char* name;
+  std::span<const char* const> keys;
+};
+constexpr GatedSection kGatedSections[] = {
+    {"", kEngineCounters},
+    {"churn", kChurnCounters},
+    {"decentralized", kMessageCounters},
+    {"chaos", kMessageCounters},
+};
+
 // The baseline regression gate. The baseline must come from a run of the
 // same shape as `run` (so a sparse-scaling or smoke file cannot stand in
-// for the full standard run), `ns_per_epoch` may exceed its churn-free
-// figure by at most `tolerance`, and the allocation counts may not exceed
-// theirs. Prints a FAIL: line per failed check and returns false if any
-// failed.
+// for the full standard run), every work counter in kGatedSections must
+// equal its figure, `ns_per_epoch` may exceed its churn-free figure by at
+// most `tolerance`, and the allocation counts may not exceed theirs.
+// Prints a FAIL: line per failed check and returns false if any failed.
 bool BaselineGate(const std::string& path, double tolerance,
                   const JsonWriter& run, double ns_per_epoch) {
   std::ifstream in(path);
@@ -608,7 +660,8 @@ bool BaselineGate(const std::string& path, double tolerance,
     std::fprintf(stderr, "FAIL: cannot read baseline %s\n", path.c_str());
     return false;
   }
-  for (const char* key : {"mode", "smoke", "nodes", "queries", "epochs"}) {
+  for (const char* key :
+       {"mode", "smoke", "exec", "nodes", "queries", "epochs"}) {
     const std::string_view want = JsonValueText(run.str(), key);
     const std::string_view got = JsonValueText(baseline, key);
     if (got != want) {
@@ -620,6 +673,30 @@ bool BaselineGate(const std::string& path, double tolerance,
       return false;
     }
   }
+  bool ok = true;
+  size_t compared = 0;
+  for (const GatedSection& section : kGatedSections) {
+    const bool top = *section.name == '\0';
+    const std::string_view here =
+        top ? run.str() : JsonSection(run.str(), section.name);
+    const std::string_view there =
+        top ? std::string_view(baseline) : JsonSection(baseline, section.name);
+    for (const char* key : section.keys) {
+      const std::string_view want = JsonValueText(there, key);
+      const std::string_view got = JsonValueText(here, key);
+      ++compared;
+      if (!want.empty() && got == want) continue;
+      std::fprintf(stderr,
+                   "FAIL: work counter %s%s%s is %.*s here, %.*s in "
+                   "baseline %s\n",
+                   section.name, top ? "" : ".", key,
+                   static_cast<int>(got.size()), got.data(),
+                   static_cast<int>(want.size()), want.data(), path.c_str());
+      ok = false;
+    }
+  }
+  std::printf("work counters: %zu compared exactly: %s\n", compared,
+              ok ? "ok" : "CHANGED");
   const double base_ns = JsonNumber(baseline, "ns_per_epoch");
   if (base_ns <= 0.0) {
     std::fprintf(stderr, "FAIL: cannot read ns_per_epoch from baseline %s\n",
@@ -631,8 +708,8 @@ bool BaselineGate(const std::string& path, double tolerance,
               "(limit %.0f at %.0f%% tolerance): %s\n",
               ns_per_epoch, base_ns, limit, 100.0 * tolerance,
               ns_per_epoch <= limit ? "ok" : "REGRESSED");
-  bool ok = ns_per_epoch <= limit;
-  if (!ok) {
+  if (ns_per_epoch > limit) {
+    ok = false;
     std::fprintf(stderr,
                  "FAIL: ns_per_epoch regressed past the tolerance gate "
                  "(%.0f > %.0f)\n",
@@ -676,7 +753,9 @@ int main(int argc, char** argv) {
   const double churn_rate =
       sbon::bench::DoubleFlagOr(argc, argv, "churn-rate", 0.5);
 
-  const bool dense_requested = sbon::bench::FabricFlag() == "dense";
+  using BaseMode = sbon::net::NetworkFabric::BaseMode;
+  const BaseMode fabric = sbon::bench::FabricFlag();
+  const bool dense_requested = fabric == BaseMode::kDense;
   if (dense_requested && nodes > 20000) {
     std::fprintf(stderr,
                  "--fabric=dense above 20000 nodes would materialize an "
@@ -684,10 +763,13 @@ int main(int argc, char** argv) {
                  nodes * nodes * sizeof(double) >> 30);
     return 2;
   }
-  // The engine-loop sections track the dense-scale baseline; above the
-  // sparse auto threshold they would spend minutes measuring a regime the
-  // dense backend cannot reach anyway, so the binary skips them.
-  const bool scaling_only = nodes > 4096 && !dense_requested;
+  // The engine-loop sections track the dense-scale baseline; where the auto
+  // fabric leaves the dense matrix they would spend minutes measuring a
+  // regime the dense backend cannot reach anyway, so the binary skips them.
+  const bool scaling_only =
+      sbon::net::NetworkFabric::Resolve(BaseMode::kAuto, nodes) !=
+          BaseMode::kDense &&
+      !dense_requested;
   const sbon::engine::ExecMode exec = sbon::bench::ExecMode();
 
 #if defined(SBON_SIMD_ENABLED)
@@ -703,7 +785,9 @@ int main(int argc, char** argv) {
   doc.Key("bench").String("perf_epoch");
   doc.Key("smoke").Bool(smoke);
   doc.Key("mode").String(scaling_only ? "sparse-scaling" : "standard");
-  doc.Key("fabric").String(sbon::bench::FabricFlag());
+  doc.Key("fabric").String(fabric == BaseMode::kDense    ? "dense"
+                           : fabric == BaseMode::kSparse ? "sparse"
+                                                         : "auto");
   doc.Key("exec").String(sbon::bench::ExecFlag());
   doc.Key("simd").String(simd_mode);
   doc.Key("nodes").Int(nodes);
@@ -711,6 +795,7 @@ int main(int argc, char** argv) {
   doc.Key("epochs").Int(epochs);
   sbon::bench::PrintSection(doc, &printed);
 
+  double ns_per_epoch = 0.0;  // the churn-free median, in standard mode
   if (!scaling_only) {
     // One 32-epoch pass is too short to read against run-to-run noise, so
     // churn-free and churn passes alternate, every pass on the same seed.
@@ -742,7 +827,7 @@ int main(int argc, char** argv) {
       overhead.Add(churned.ns_per_epoch / churn_free.ns_per_epoch);
       repair = churned.repair;
     }
-    const double ns_per_epoch = churn_free_ns.Median();
+    ns_per_epoch = churn_free_ns.Median();
 
     sbon::bench::Section(
         "Epoch+Submit throughput (dirty refresh; _eps0 republishes every "
@@ -784,17 +869,6 @@ int main(int argc, char** argv) {
     doc.Key("queries_dropped").Int(repair.queries_dropped);
     doc.EndObject();
     sbon::bench::PrintSection(doc, &printed);
-
-    const std::string baseline_path =
-        sbon::bench::StringFlagOr(argc, argv, "baseline");
-    if (!baseline_path.empty()) {
-      sbon::bench::Section("Baseline regression gate");
-      const double tolerance = sbon::bench::DoubleFlagOr(
-          argc, argv, "baseline-tolerance", 0.5);
-      if (!sbon::BaselineGate(baseline_path, tolerance, doc, ns_per_epoch)) {
-        return 1;
-      }
-    }
   }
 
   // Runs a message-mode workload twice at the same configuration: the
@@ -850,6 +924,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // After the message sections, whose counters the gate compares too.
+  const std::string baseline_path =
+      sbon::bench::StringFlagOr(argc, argv, "baseline");
+  if (!scaling_only && !baseline_path.empty()) {
+    sbon::bench::Section("Baseline regression gate");
+    const double tolerance =
+        sbon::bench::DoubleFlagOr(argc, argv, "baseline-tolerance", 0.5);
+    if (!sbon::BaselineGate(baseline_path, tolerance, doc, ns_per_epoch)) {
+      return 1;
+    }
+  }
+
   sbon::bench::Section("Sparse fabric scaling (generative substrate)");
   const size_t sparse_epochs = smoke ? 4 : 8;
   const size_t small_target = std::max<size_t>(100, nodes / 5);
@@ -878,8 +964,8 @@ int main(int argc, char** argv) {
       .String(maint_exponent_valid
                   ? "fit across the sketch-mode sparse sweep"
                   : "null: only meaningful across a large-N sketch-mode "
-                    "sparse sweep (--fabric=sparse --nodes>4096); small-N "
-                    "points run the exact-mode base");
+                    "sparse sweep (--fabric=sparse above the exact-row "
+                    "size); small-N points run the exact-mode base");
   // The flat-memory acceptance gate: no single allocation anywhere near an
   // N x N double matrix (or an N(N+1)/2 triangle) may happen while
   // the sparse backend runs. Only meaningful once quadratic buffers dwarf

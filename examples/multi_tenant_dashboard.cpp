@@ -41,7 +41,7 @@ DeployStats DeployAll(double radius, uint64_t seed) {
   options.sbon.seed = seed;
   options.optimizer = "multi-query";
   options.config.enumeration.top_k = 4;
-  options.multi_query.reuse_radius = radius;
+  options.config.reuse_radius = radius;
   options.refresh_index_on_install = true;
   auto created = sbon::engine::StreamEngine::Create(std::move(options));
   if (!created.ok()) {

@@ -30,9 +30,8 @@ double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
 
 MultiQueryOptimizer::MultiQueryOptimizer(
     OptimizerConfig config,
-    std::shared_ptr<const placement::VirtualPlacer> placer, Params params)
-    : config_(std::move(config)), placer_(std::move(placer)),
-      params_(params) {}
+    std::shared_ptr<const placement::VirtualPlacer> placer)
+    : config_(std::move(config)), placer_(std::move(placer)) {}
 
 StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
     const query::QuerySpec& spec, const query::Catalog& catalog,
@@ -68,7 +67,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
 
     // Greedy reuse passes.
     for (size_t pass = 0;
-         pass < kMaxReuseBindings && params_.reuse_radius != 0.0;
+         pass < kMaxReuseBindings && config_.reuse_radius != 0.0;
          ++pass) {
       // Consider larger subtrees first (bigger savings when reused).
       order_.clear();
@@ -92,7 +91,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
         // Cost-space pruning: keep instances whose hosts fall inside the
         // radius-r hyper-sphere around the service's virtual coordinate.
         cands_.clear();
-        if (params_.reuse_radius < 0.0) {
+        if (config_.reuse_radius < 0.0) {
           inst_scratch_.assign(instances.begin(), instances.end());
         } else {
           // Hyper-sphere search via the Hilbert/Chord index, charged as
@@ -101,7 +100,7 @@ StatusOr<OptimizeResult> MultiQueryOptimizer::Optimize(
           sphere_nodes_.reserve(sbon->index().NumPublished());
           Status sst = sbon->index().WithinRadiusInto(
               sbon->cost_space().IdealTarget(current.vertex(v).virtual_coord),
-              params_.reuse_radius, &report.dht_cost, &sphere_nodes_);
+              config_.reuse_radius, &report.dht_cost, &sphere_nodes_);
           if (!sst.ok()) return sst;
           if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
             std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);

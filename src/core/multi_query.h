@@ -13,11 +13,11 @@ namespace sbon::core {
 ///
 /// When a new circuit is optimized, existing service instances can be
 /// reused — but only instances whose hosts fall within a hyper-sphere of
-/// radius `reuse_radius` around the new service's virtual coordinate are
-/// considered ("query plans that involve operators hosted on physical nodes
-/// that are far away in the cost space are less likely to be useful and
-/// thus can be ignored"). The sphere search runs over the Hilbert/Chord
-/// coordinate index, so pruning also bounds DHT traffic.
+/// radius `OptimizerConfig::reuse_radius` around the new service's virtual
+/// coordinate are considered ("query plans that involve operators hosted
+/// on physical nodes that are far away in the cost space are less likely
+/// to be useful and thus can be ignored"). The sphere search runs over the
+/// Hilbert/Chord coordinate index, so pruning also bounds DHT traffic.
 ///
 /// radius = 0 disables reuse (degenerates to the integrated optimizer);
 /// radius < 0 means unbounded (every compatible instance is considered —
@@ -25,15 +25,8 @@ namespace sbon::core {
 /// unnecessary).
 class MultiQueryOptimizer : public Optimizer {
  public:
-  struct Params {
-    double reuse_radius = 50.0;
-
-    bool operator==(const Params&) const = default;
-  };
-
   MultiQueryOptimizer(OptimizerConfig config,
-                      std::shared_ptr<const placement::VirtualPlacer> placer,
-                      Params params);
+                      std::shared_ptr<const placement::VirtualPlacer> placer);
 
   StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
                                     const query::Catalog& catalog,
@@ -49,7 +42,6 @@ class MultiQueryOptimizer : public Optimizer {
 
   OptimizerConfig config_;
   std::shared_ptr<const placement::VirtualPlacer> placer_;
-  Params params_;
   // In-sphere marks, addressed by node id: `sphere_stamp_[n] ==
   // sphere_epoch_` marks a node the current sphere search returned;
   // bumping the epoch clears every mark without touching memory.

@@ -21,6 +21,11 @@ struct OptimizerConfig {
   /// candidate circuits. Must be >= 0: the optimizers reject anything else
   /// with InvalidArgument.
   double lambda = 1.0;
+  /// Multi-query reuse radius (paper Sec. 3.4): only instances hosted
+  /// within this cost-space distance of a new service's virtual coordinate
+  /// are considered for reuse. 0 disables reuse (the integrated optimizer);
+  /// below 0 means unbounded. Only the multi-query optimizer reads it.
+  double reuse_radius = 50.0;
   /// Plan enumeration (the integrated optimizer virtually places every one
   /// of the top-K candidates; the two-step baseline is K=1).
   query::EnumerationOptions enumeration;

@@ -1,6 +1,7 @@
 #include "engine/registry.h"
 
 #include <memory>
+#include <utility>
 
 #include "core/integrated.h"
 #include "core/multi_query.h"
@@ -9,52 +10,49 @@
 namespace sbon::engine {
 namespace {
 
+using PlacerPtr = std::shared_ptr<const placement::VirtualPlacer>;
+
 struct OptimizerEntry {
   const char* name;
-  std::unique_ptr<core::Optimizer> (*create)(const OptimizerSpec&);
+  std::unique_ptr<core::Optimizer> (*create)(const core::OptimizerConfig&,
+                                             PlacerPtr);
 };
 
 struct PlacerEntry {
   const char* name;
-  std::shared_ptr<const placement::VirtualPlacer> (*create)();
+  PlacerPtr (*create)();
 };
+
+template <typename T>
+std::unique_ptr<core::Optimizer> Make(const core::OptimizerConfig& config,
+                                      PlacerPtr placer) {
+  return std::make_unique<T>(config, std::move(placer));
+}
 
 // The built-in strategies, each table sorted by name.
 constexpr OptimizerEntry kOptimizers[] = {
-    {"integrated",
-     [](const OptimizerSpec& spec) -> std::unique_ptr<core::Optimizer> {
-       return std::make_unique<core::IntegratedOptimizer>(spec.config,
-                                                          spec.placer);
-     }},
-    {"multi-query",
-     [](const OptimizerSpec& spec) -> std::unique_ptr<core::Optimizer> {
-       return std::make_unique<core::MultiQueryOptimizer>(
-           spec.config, spec.placer, spec.multi_query);
-     }},
+    {"integrated", Make<core::IntegratedOptimizer>},
+    {"multi-query", Make<core::MultiQueryOptimizer>},
     // Network-blind plan generation, then placement of that one plan: the
     // integrated optimizer over the single minimum-data-volume plan.
     {"two-step",
-     [](const OptimizerSpec& spec) -> std::unique_ptr<core::Optimizer> {
-       core::OptimizerConfig config = spec.config;
-       config.enumeration.top_k = 1;
-       return std::make_unique<core::IntegratedOptimizer>(config,
-                                                          spec.placer);
+     [](const core::OptimizerConfig& config,
+        PlacerPtr placer) -> std::unique_ptr<core::Optimizer> {
+       core::OptimizerConfig one_plan = config;
+       one_plan.enumeration.top_k = 1;
+       return Make<core::IntegratedOptimizer>(one_plan, std::move(placer));
      }},
 };
 
+template <typename T>
+PlacerPtr MakePlacer() {
+  return std::make_shared<const T>();
+}
+
 constexpr PlacerEntry kPlacers[] = {
-    {"centroid",
-     []() -> std::shared_ptr<const placement::VirtualPlacer> {
-       return std::make_shared<const placement::CentroidPlacer>();
-     }},
-    {"gradient",
-     []() -> std::shared_ptr<const placement::VirtualPlacer> {
-       return std::make_shared<const placement::GradientPlacer>();
-     }},
-    {"relaxation",
-     []() -> std::shared_ptr<const placement::VirtualPlacer> {
-       return std::make_shared<const placement::RelaxationPlacer>();
-     }},
+    {"centroid", MakePlacer<placement::CentroidPlacer>},
+    {"gradient", MakePlacer<placement::GradientPlacer>},
+    {"relaxation", MakePlacer<placement::RelaxationPlacer>},
 };
 
 template <typename Entry, size_t N>
@@ -93,15 +91,16 @@ const OptimizerRegistry& OptimizerRegistry::Global() {
 }
 
 StatusOr<std::unique_ptr<core::Optimizer>> OptimizerRegistry::Create(
-    const std::string& name, const OptimizerSpec& spec) const {
+    const std::string& name, const core::OptimizerConfig& config,
+    PlacerPtr placer) const {
   const OptimizerEntry* entry = Find(kOptimizers, name);
   if (entry == nullptr) {
     return Status::NotFound(UnknownNameMessage("optimizer", name, Names()));
   }
-  if (spec.placer == nullptr) {
-    return Status::InvalidArgument("optimizer spec has no placer");
+  if (placer == nullptr) {
+    return Status::InvalidArgument("optimizer has no placer");
   }
-  return entry->create(spec);
+  return entry->create(config, std::move(placer));
 }
 
 bool OptimizerRegistry::Has(const std::string& name) const {
@@ -117,8 +116,7 @@ const PlacerRegistry& PlacerRegistry::Global() {
   return registry;
 }
 
-StatusOr<std::shared_ptr<const placement::VirtualPlacer>>
-PlacerRegistry::Create(const std::string& name) const {
+StatusOr<PlacerPtr> PlacerRegistry::Create(const std::string& name) const {
   const PlacerEntry* entry = Find(kPlacers, name);
   if (entry == nullptr) {
     return Status::NotFound(UnknownNameMessage("placer", name, Names()));

@@ -6,20 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/multi_query.h"
 #include "core/optimizer.h"
 #include "placement/virtual_placement.h"
 
 namespace sbon::engine {
-
-/// Everything an optimizer factory may consume. Strategies ignore the
-/// fields they have no use for (e.g. only "multi-query" reads
-/// `multi_query`), so one spec type serves every built-in optimizer.
-struct OptimizerSpec {
-  core::OptimizerConfig config;
-  core::MultiQueryOptimizer::Params multi_query;
-  std::shared_ptr<const placement::VirtualPlacer> placer;
-};
 
 /// Read-only view of the built-in query-optimizer strategies, selected by
 /// name so benches, examples and config files need no concrete headers.
@@ -30,8 +20,10 @@ class OptimizerRegistry {
  public:
   static const OptimizerRegistry& Global();
 
+  /// A new optimizer `name` over `config` and `placer` (non-null).
   StatusOr<std::unique_ptr<core::Optimizer>> Create(
-      const std::string& name, const OptimizerSpec& spec) const;
+      const std::string& name, const core::OptimizerConfig& config,
+      std::shared_ptr<const placement::VirtualPlacer> placer) const;
 
   bool Has(const std::string& name) const;
   /// Built-in names, sorted — for --help output and error messages.

@@ -1,6 +1,7 @@
 #include "engine/stream_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -13,23 +14,13 @@ StrategySpec Resolve(StrategySpec strategy, const StrategySpec& base) {
   if (strategy.optimizer.empty()) strategy.optimizer = base.optimizer;
   if (strategy.placer.empty()) strategy.placer = base.placer;
   if (!strategy.config) strategy.config = base.config;
-  if (!strategy.multi_query) strategy.multi_query = base.multi_query;
-  return strategy;
-}
-
-// A resolved `strategy` with its optimizer replaced by `optimizer`, unless
-// that is empty.
-StrategySpec WithOptimizer(StrategySpec strategy,
-                           const std::string& optimizer) {
-  if (!optimizer.empty()) strategy.optimizer = optimizer;
   return strategy;
 }
 
 }  // namespace
 
 StreamEngine::StreamEngine(EngineOptions options)
-    : defaults_{options.optimizer, options.placer, options.config,
-                options.multi_query},
+    : defaults_{options.optimizer, options.placer, options.config},
       refresh_index_on_install_(options.refresh_index_on_install) {}
 
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
@@ -50,7 +41,7 @@ StatusOr<StreamEngine::BuiltOptimizer*> StreamEngine::OptimizerFor(
   // Entries are found by value, and a NaN equals nothing: a strategy with
   // one would add an entry per call.
   if (std::isnan(strategy.config->lambda) ||
-      std::isnan(strategy.multi_query->reuse_radius)) {
+      std::isnan(strategy.config->reuse_radius)) {
     return Status::InvalidArgument("strategy parameters must not be NaN");
   }
   for (BuiltOptimizer& built : optimizers_) {
@@ -58,11 +49,11 @@ StatusOr<StreamEngine::BuiltOptimizer*> StreamEngine::OptimizerFor(
   }
   auto placer = PlacerRegistry::Global().Create(strategy.placer);
   if (!placer.ok()) return placer.status();
-  const OptimizerSpec spec{*strategy.config, *strategy.multi_query, *placer};
-  auto optimizer = OptimizerRegistry::Global().Create(strategy.optimizer, spec);
+  auto optimizer = OptimizerRegistry::Global().Create(
+      strategy.optimizer, *strategy.config, *placer);
   if (!optimizer.ok()) return optimizer.status();
   optimizers_.push_back(
-      BuiltOptimizer{strategy, spec.placer, std::move(optimizer.value())});
+      BuiltOptimizer{strategy, *placer, std::move(optimizer.value())});
   return &optimizers_.back();
 }
 
@@ -157,20 +148,6 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
 
   ReoptOutcome outcome;
   outcome.mode = policy.mode;
-  if (policy.trigger == ReoptPolicy::Trigger::kHostDied) {
-    // Nothing valid is running: the thresholds (and kLocal migration, which
-    // needs an intact circuit) do not apply. The remnant is torn down and
-    // the query redeployed under the same handle unconditionally.
-    Status st = DetachForRepair(handle);
-    if (st.ok()) st = ReplanQuery(handle, policy.optimizer);
-    if (!st.ok()) return st;
-    outcome.mode = ReoptPolicy::Mode::kFull;
-    outcome.full.redeployed = true;
-    outcome.full.new_circuit = record.circuit;
-    outcome.full.estimated_cost_candidate = record.result.estimated_cost;
-    outcome.full.candidate = record.result;
-    return outcome;
-  }
   if (policy.mode == ReoptPolicy::Mode::kLocal) {
     auto built = OptimizerFor(record.strategy);
     if (!built.ok()) return built.status();
@@ -190,7 +167,8 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     return outcome;
   }
 
-  StrategySpec strategy = WithOptimizer(record.strategy, policy.optimizer);
+  StrategySpec strategy = record.strategy;
+  if (!policy.optimizer.empty()) strategy.optimizer = policy.optimizer;
   auto built = OptimizerFor(strategy);
   if (!built.ok()) return built.status();
   auto report = core::FullReoptimize(sbon_.get(), record.circuit, record.spec,
@@ -246,13 +224,11 @@ Status StreamEngine::DetachForRepair(QueryHandle handle) {
   return Status::OK();
 }
 
-Status StreamEngine::ReplanQuery(QueryHandle handle,
-                                 const std::string& optimizer) {
+Status StreamEngine::ReplanQuery(QueryHandle handle) {
   auto it = queries_.find(handle);
   if (it == queries_.end()) return Status::NotFound("no such query");
   QueryRecord& record = it->second;
-  const Status st =
-      OptimizeAndInstall(WithOptimizer(record.strategy, optimizer), &record);
+  const Status st = OptimizeAndInstall(record.strategy, &record);
   if (!st.ok()) return st;
   by_circuit_.emplace(record.circuit, handle);
   MaybeRefreshIndex();
@@ -300,7 +276,7 @@ bool StreamEngine::FailAndRepair(NodeId n, bool notify_msg_runtime) {
   }
   // Phase 2: re-plan the survivors in orphan (circuit-id) order.
   for (QueryHandle handle : replan) {
-    if (ReplanQuery(handle, /*optimizer=*/{}).ok()) {
+    if (ReplanQuery(handle).ok()) {
       ++repair_stats_.queries_repaired;
     } else {
       (void)Remove(handle);
@@ -374,7 +350,6 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
     return Status::InvalidArgument("the epoch pipeline is serial: threads " +
                                    std::to_string(epoch.threads) + " > 1");
   }
-  EpochPipeline pipeline;
 
   const bool message = epoch.exec_mode == ExecMode::kMessage;
   if (message && msg_runtime_ == nullptr) {
@@ -386,22 +361,40 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
     msg_runtime_ = std::make_unique<msg::Runtime>(sbon_.get(), epoch.msg);
   }
 
+  // Runs `fn()` as the next stage when `enabled` and records its trace
+  // entry either way (a disabled stage records ran=false with zero time).
+  // The trace is rewritten in place, keeping its capacity across epochs.
+  last_epoch_trace_.clear();
+  const auto stage = [this](const char* name, bool enabled, auto&& fn) {
+    EpochStageTrace entry;
+    entry.name = name;
+    if (enabled) {
+      const auto start = std::chrono::steady_clock::now();
+      fn();
+      entry.ran = true;
+      entry.ns = std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    }
+    last_epoch_trace_.push_back(entry);
+  };
+
   // Stage order is the epoch's semantics: each stage sees exactly what the
   // previous stages produced.
-  pipeline.Run("jitter", epoch.tick_network, [&] { sbon_->TickNetwork(); });
-  pipeline.Run("load", epoch.dt > 0.0, [&] { sbon_->Tick(epoch.dt); });
+  stage("jitter", epoch.tick_network, [&] { sbon_->TickNetwork(); });
+  stage("load", epoch.dt > 0.0, [&] { sbon_->Tick(epoch.dt); });
   if (message) {
     // Message-mode coordinate maintenance: advance the bus clock and fan
     // out this epoch's pings. Pongs (and their spring updates) land in the
     // msg-refresh stage's drain.
-    pipeline.Run("msg-coords", /*enabled=*/true, [&] {
+    stage("msg-coords", /*enabled=*/true, [&] {
       msg_runtime_->BeginEpoch();
       if (epoch.vivaldi_samples > 0) {
         msg_runtime_->StepVivaldi(epoch.vivaldi_samples);
       }
     });
   } else {
-    pipeline.Run("coords", epoch.vivaldi_samples > 0, [&] {
+    stage("coords", epoch.vivaldi_samples > 0, [&] {
       sbon_->UpdateCoordinatesOnline(epoch.vivaldi_samples);
     });
   }
@@ -410,17 +403,17 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
   // publishes post-repair load for every surviving node). Repairs stay
   // ordered: each re-plan may legitimately reuse instances the previous
   // repair just deployed.
-  pipeline.Run("churn+repair", epoch.churn != nullptr,
+  stage("churn+repair", epoch.churn != nullptr,
                [&] { ApplyChurn(epoch.churn->Step()); });
   if (message) {
     // Message-mode refresh: displacement publishes + ring heartbeats, the
     // epoch drain (delivering pongs and publishes in latency order), the
     // drain's publishes as one ring batch and the coordinate sync.
-    pipeline.Run("msg-refresh", /*enabled=*/true, [&] {
+    stage("msg-refresh", /*enabled=*/true, [&] {
       msg_runtime_->FinishEpoch(epoch.refresh_index, epoch.refresh_epsilon);
     });
   } else {
-    pipeline.Run("refresh", epoch.refresh_index,
+    stage("refresh", epoch.refresh_index,
                  [&] { sbon_->RefreshIndex(epoch.refresh_epsilon); });
   }
   if (message && msg_runtime_->detector_enabled()) {
@@ -428,7 +421,7 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
     // membership transitions oracle mode applied instantly at the crash:
     // FailNode + the two-phase repair plan, with detection latency now a
     // measured quantity instead of zero by construction.
-    pipeline.Run("detect+repair", /*enabled=*/true, [&] {
+    stage("detect+repair", /*enabled=*/true, [&] {
       const size_t completed = msg_runtime_->bus_epoch() - 1;
       for (NodeId n : msg_runtime_->TakeConfirmedCrashes()) {
         auto pc = pending_crashes_.find(n);
@@ -448,7 +441,6 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
       }
     });
   }
-  last_epoch_trace_ = pipeline.trace();
   return Status::OK();
 }
 

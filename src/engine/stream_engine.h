@@ -10,10 +10,8 @@
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "core/multi_query.h"
 #include "core/optimizer.h"
 #include "core/reopt.h"
-#include "engine/epoch_pipeline.h"
 #include "engine/registry.h"
 #include "msg/agents.h"
 #include "net/churn.h"
@@ -46,7 +44,6 @@ struct StrategySpec {
   std::string optimizer;  ///< registry name; empty = engine default
   std::string placer;     ///< registry name; empty = engine default
   std::optional<core::OptimizerConfig> config;
-  std::optional<core::MultiQueryOptimizer::Params> multi_query;
 
   bool operator==(const StrategySpec&) const = default;
 };
@@ -60,12 +57,18 @@ struct EngineOptions {
   std::string optimizer = "integrated";
   std::string placer = "relaxation";
   core::OptimizerConfig config;
-  core::MultiQueryOptimizer::Params multi_query;
   /// Republish every node's coordinate (with fresh load scalars) into the
   /// index after each successful Submit/Remove. Costs one index refresh per
   /// deployment; without it, mapping queries see load as of the last
   /// AdvanceEpoch.
   bool refresh_index_on_install = false;
+};
+
+/// One stage of an AdvanceEpoch run, as executed.
+struct EpochStageTrace {
+  const char* name = "";  ///< stage name (stable across epochs)
+  bool ran = false;       ///< stage was enabled this epoch
+  double ns = 0.0;        ///< wall time spent in the stage
 };
 
 /// How AdvanceEpoch executes the coordinate/ring maintenance stages.
@@ -127,16 +130,7 @@ struct ReoptPolicy {
     kLocal,  ///< migrate services of the existing circuit (cheap)
     kFull,   ///< re-run the optimizer; redeploy if the gain clears the bar
   };
-  /// Why re-optimization is running — decides whether the improvement bars
-  /// apply at all.
-  enum class Trigger {
-    kDrift,     ///< periodic / cost-drift pass: hysteresis thresholds apply
-    kHostDied,  ///< the circuit lost a host to churn: nothing valid is
-                ///< running, so a full re-plan deploys unconditionally
-                ///< (Mode is ignored; the handle stays valid)
-  };
   Mode mode = Mode::kLocal;
-  Trigger trigger = Trigger::kDrift;
   /// The improvement bars. Lambda and the mapping options are the query's
   /// own: the `core::OptimizerConfig` it was submitted with.
   core::ReoptConfig config;
@@ -266,23 +260,24 @@ class StreamEngine {
   /// that no other circuit uses.
   Status Remove(QueryHandle handle);
   /// Local (service-migration) or full (re-plan + parallel redeploy)
-  /// re-optimization. The handle remains valid either way.
-  /// Trigger::kHostDied repairs: it tears down the remnant (DetachForRepair)
-  /// and re-plans the spec with no improvement bar (ReplanQuery); on
-  /// failure the record survives for a retry or Remove. Repair several
-  /// queries orphaned by one failure through AdvanceEpoch instead, which
-  /// tears every remnant down before re-planning any of them.
+  /// re-optimization of an intact circuit, gated by the policy's
+  /// improvement bars. The handle remains valid either way. Circuits that
+  /// lost a host are repaired by AdvanceEpoch's churn stage, which tears
+  /// every orphaned remnant down before re-planning any of them.
   StatusOr<ReoptOutcome> Reoptimize(QueryHandle handle,
                                     const ReoptPolicy& policy);
-  /// Advances simulated time one epoch through the explicit staged
-  /// pipeline: jitter -> load -> coords -> churn+repair -> refresh (see
-  /// EpochPipeline; message mode appends a detect+repair stage that
-  /// consumes failure-detector verdicts). Returns InvalidArgument (without
-  /// running any stage) when `threads` exceeds 1 or the first kMessage
-  /// epoch carries out-of-range msg::RuntimeParams.
+  /// Advances simulated time one epoch through a fixed sequence of named
+  /// stages: jitter -> load -> coords -> churn+repair -> refresh (message
+  /// mode runs msg-coords and msg-refresh in place of coords and refresh,
+  /// and appends a detect+repair stage that consumes failure-detector
+  /// verdicts). Stage order is the determinism backbone: each stage sees
+  /// exactly the state the previous stages produced. Returns
+  /// InvalidArgument (without running any stage or touching the trace)
+  /// when `threads` exceeds 1 or the first kMessage epoch carries
+  /// out-of-range msg::RuntimeParams.
   Status AdvanceEpoch(const EpochOptions& epoch = EpochOptions());
   /// Per-stage trace of the most recent AdvanceEpoch (empty before the
-  /// first call): which stages ran and their wall time.
+  /// first call): one entry per stage, in order, disabled ones included.
   const std::vector<EpochStageTrace>& last_epoch_trace() const {
     return last_epoch_trace_;
   }
@@ -383,8 +378,9 @@ class StreamEngine {
   /// endpoint) and tears down its circuit remnant, leaving the record with
   /// kInvalidCircuit. Fails without side effects on a dead endpoint.
   Status DetachForRepair(QueryHandle handle);
-  /// Repair phase 2: re-optimizes and redeploys under the same handle.
-  Status ReplanQuery(QueryHandle handle, const std::string& optimizer);
+  /// Repair phase 2: re-optimizes and redeploys under the same handle with
+  /// the query's recorded strategy, with no improvement bar.
+  Status ReplanQuery(QueryHandle handle);
 
   /// The install-time refresh gate shared by every deployment mutation:
   /// refreshes immediately when the engine was built with

@@ -42,8 +42,7 @@ Status MessageBus::Send(Envelope e) {
     ++c.dropped_dead;
     return Status::OK();
   }
-  if (options_.drop_across_partition &&
-      fabric_->CrossesPartition(e.from, e.to)) {
+  if (fabric_->CrossesPartition(e.from, e.to)) {
     ++c.dropped_partition;
     return Status::OK();
   }

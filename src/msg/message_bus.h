@@ -28,8 +28,7 @@ namespace sbon::msg {
 /// Drop semantics (counted per protocol, never delivered):
 ///  - either endpoint is down (`NetworkFabric::EndpointDown`), or the live
 ///    latency reads +inf (the fabric's dead-endpoint sentinel);
-///  - the pair crosses an active partition cut and the bus was built with
-///    `drop_across_partition` (the default): a soft partition inflates
+///  - the pair crosses an active partition cut: a soft partition inflates
 ///    latency for the oracle, but control-plane datagrams across the cut
 ///    are treated as lost, which is what makes staleness measurable.
 ///
@@ -53,7 +52,6 @@ class MessageBus {
     /// whose one-way latency exceeds the remaining epoch budget deliver in
     /// a later epoch.
     double epoch_ms = 100.0;
-    bool drop_across_partition = true;
     /// Chaos plan for the fault injector. The default (all-zero rates, no
     /// bursts) is provably inert: no fault Rng draw ever happens and the
     /// bus is bit-identical to one without an injector.

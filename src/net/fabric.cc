@@ -6,25 +6,28 @@ namespace sbon::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Largest n the exact on-demand mode auto-selects at.
-constexpr size_t kExactThreshold = 2048;
-
-NetworkFabric::BaseMode ResolveBaseMode(const NetworkFabric::Options& options,
-                                        size_t n) {
-  if (options.base_mode != NetworkFabric::BaseMode::kAuto) {
-    return options.base_mode;
-  }
-  return n <= kExactThreshold ? NetworkFabric::BaseMode::kExact
-                                      : NetworkFabric::BaseMode::kSketch;
-}
+// Largest n kAuto keeps the dense matrix at: above it an n x n double
+// matrix starts crowding out everything else.
+constexpr size_t kDenseAutoMaxNodes = 4096;
+// Largest n kSparse resolves to exact rows at; the landmark sketch above.
+constexpr size_t kExactMaxNodes = 2048;
 }  // namespace
+
+NetworkFabric::BaseMode NetworkFabric::Resolve(BaseMode mode, size_t n) {
+  if (mode == BaseMode::kAuto) {
+    if (n <= kDenseAutoMaxNodes) return BaseMode::kDense;
+    mode = BaseMode::kSparse;
+  }
+  if (mode != BaseMode::kSparse) return mode;
+  return n <= kExactMaxNodes ? BaseMode::kExact : BaseMode::kSketch;
+}
 
 NetworkFabric::NetworkFabric(const Topology& topo, double jitter_sigma,
                              Rng* rng, Options options)
     : n_(topo.NumNodes()),
       sigma_(jitter_sigma),
       options_(options),
-      mode_(ResolveBaseMode(options, n_)),
+      mode_(Resolve(options.base_mode, n_)),
       live_view_(this, /*live=*/true),
       base_view_(this, /*live=*/false) {
   down_.assign(n_, 0);

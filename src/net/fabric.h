@@ -34,7 +34,8 @@ namespace sbon::net {
 ///
 /// `TickNetwork` is therefore an O(1) seed swap and SetEndpointDown /
 /// BeginPartition / EndPartition are flag flips. The only thing that varies
-/// is how *base* latency is resolved (Options::BaseMode):
+/// is how *base* latency is resolved (`BaseMode`, turned into a provider by
+/// `Resolve`):
 ///
 ///  - dense: a materialized n x n matrix (all-pairs Dijkstra at
 ///    construction). One load per read, O(n^2) memory — the right choice up
@@ -68,13 +69,21 @@ namespace sbon::net {
 /// taken.
 class NetworkFabric {
  public:
+  /// The base-latency provider to use. kAuto and kSparse pick one by node
+  /// count (see Resolve); the other three name it.
+  enum class BaseMode {
+    kAuto,    ///< dense while the n x n matrix is small, else as kSparse
+    kDense,   ///< materialized n x n base matrix
+    kSparse,  ///< on-demand: exact rows while small, else the sketch
+    kExact,   ///< force on-demand Dijkstra rows (tests, equivalence pins)
+    kSketch,  ///< force the landmark sketch (tests at small n)
+  };
+
+  /// The provider `mode` selects for an `n`-node topology: kDense, kExact
+  /// or kSketch. The one place the size bounds of kAuto and kSparse live.
+  static BaseMode Resolve(BaseMode mode, size_t n);
+
   struct Options {
-    enum class BaseMode {
-      kAuto,    ///< exact at n <= 2048, sketch above
-      kDense,   ///< materialized n x n base matrix
-      kExact,   ///< force on-demand Dijkstra rows (tests, equivalence pins)
-      kSketch,  ///< force the landmark sketch (tests at small n)
-    };
     BaseMode base_mode = BaseMode::kAuto;
     /// Landmarks of the sketch mode (each costs one n-vector of doubles).
     size_t num_landmarks = 32;
@@ -83,7 +92,6 @@ class NetworkFabric {
     /// Exact-mode LRU capacity in whole Dijkstra rows (min 1).
     size_t row_cache_rows = 32;
   };
-  using BaseMode = Options::BaseMode;
 
   /// Cumulative read counters (bench + test observability). Exact, not
   /// sampled: CI pins how many live latencies an epoch reads.
@@ -121,7 +129,7 @@ class NetworkFabric {
   /// Backend name for logs/bench JSON: "dense" for the materialized base
   /// matrix, "sparse" for the on-demand modes.
   const char* name() const { return matrix_ != nullptr ? "dense" : "sparse"; }
-  /// The resolved base mode (never kAuto).
+  /// The resolved base mode: kDense, kExact or kSketch.
   BaseMode base_mode() const { return mode_; }
   /// Landmarks actually placed (0 outside sketch mode).
   size_t num_landmarks() const { return landmarks_.size(); }

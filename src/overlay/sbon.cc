@@ -5,22 +5,6 @@
 
 namespace sbon::overlay {
 
-namespace {
-// Shared by Create (validation) and Initialize (construction) so the two
-// can never disagree on which base mode an Options/topology pair resolves to.
-// The sparse modes run the fabric's default tuning.
-net::NetworkFabric::Options FabricOptionsFor(const Sbon::Options& options,
-                                             size_t num_nodes) {
-  net::NetworkFabric::Options fo;
-  if (options.fabric_mode == Sbon::FabricMode::kDense ||
-      (options.fabric_mode == Sbon::FabricMode::kAuto &&
-       num_nodes <= options.sparse_auto_threshold)) {
-    fo.base_mode = net::NetworkFabric::BaseMode::kDense;
-  }
-  return fo;
-}
-}  // namespace
-
 Sbon::Sbon(net::Topology topo, Options options)
     : topo_(std::move(topo)), options_(std::move(options)),
       rng_(options_.seed) {}
@@ -44,7 +28,7 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
     return Status::InvalidArgument(
         "space_spec.total_dims() * hilbert_bits must be <= 128");
   }
-  if (FabricOptionsFor(options, topo.NumNodes()).base_mode !=
+  if (net::NetworkFabric::Resolve(options.fabric_mode, topo.NumNodes()) !=
           net::NetworkFabric::BaseMode::kDense &&
       options.coord_mode != coords::CoordMode::kVivaldi) {
     // MDS / true coordinates are centralized O(n^2) ablation solves; running
@@ -72,8 +56,10 @@ Status Sbon::Initialize() {
   // seed, Vivaldi gossip, ambient load), so fixed-seed overlays are
   // bit-identical across the decomposition — and across fabric base
   // modes, which share the same one-draw-iff-jitter contract.
+  net::NetworkFabric::Options fabric_options;
+  fabric_options.base_mode = options_.fabric_mode;
   fabric_ = std::make_unique<net::NetworkFabric>(
-      topo_, options_.latency_jitter_sigma, &rng_, FabricOptionsFor(options_, n));
+      topo_, options_.latency_jitter_sigma, &rng_, fabric_options);
 
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;

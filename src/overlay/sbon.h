@@ -27,8 +27,7 @@ namespace sbon::overlay {
 ///
 ///  - a net::NetworkFabric — pristine + live latency views, per-epoch
 ///    congestion jitter, soft-partition overlay (the TickNetwork path).
-///    A dense base matrix by default; on-demand base resolution takes over
-///    above Options::sparse_auto_threshold nodes;
+///    Options::fabric_mode picks its base-latency provider;
 ///  - coords::CoordinateManager — Vivaldi/MDS embedding, cost space,
 ///    coordinate index, dirty-coordinate tracking, epsilon-gated refresh;
 ///  - overlay::ServiceLedger — circuits, service instances, reuse catalog,
@@ -40,14 +39,6 @@ namespace sbon::overlay {
 /// every load-changing operation.
 class Sbon {
  public:
-  /// How the fabric resolves base latency.
-  enum class FabricMode {
-    kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
-    kDense,   ///< force the materialized O(n^2) base matrix
-    kSparse,  ///< force on-demand O(n) resolution (exact rows up to 2048
-              ///< nodes, the landmark sketch above)
-  };
-
   struct Options {
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
     coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
@@ -61,15 +52,14 @@ class Sbon {
     /// `TickNetwork` epoch (0 = static latencies). Must be >= 0 (validated
     /// at Create).
     double latency_jitter_sigma = 0.0;
-    /// How the fabric resolves base latency. kAuto keeps the dense base
-    /// matrix (O(1) reads) up to `sparse_auto_threshold` nodes and switches
-    /// to the on-demand sparse modes above it — the size where an N x N
-    /// double matrix starts crowding out everything else. The sparse modes
-    /// require Vivaldi coordinates (validated at Create): the MDS /
-    /// true-coordinate ablations are centralized O(n^2) solves that need a
-    /// dense matrix anyway.
-    FabricMode fabric_mode = FabricMode::kAuto;
-    size_t sparse_auto_threshold = 4096;
+    /// The fabric's base-latency provider (net::NetworkFabric::Resolve).
+    /// kAuto keeps the dense matrix (O(1) reads) while it is small and
+    /// switches to the on-demand sparse providers above. The sparse
+    /// providers require Vivaldi coordinates (validated at Create): the
+    /// MDS / true-coordinate ablations are centralized O(n^2) solves that
+    /// need a dense matrix anyway.
+    net::NetworkFabric::BaseMode fabric_mode =
+        net::NetworkFabric::BaseMode::kAuto;
     uint64_t seed = 1;
   };
 

@@ -180,10 +180,9 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
 
 // --------------------------- MultiQuery ---------------------------
 
-MultiQueryOptimizer::Params RadiusParams(double r) {
-  MultiQueryOptimizer::Params p;
-  p.reuse_radius = r;
-  return p;
+OptimizerConfig WithRadius(OptimizerConfig cfg, double r) {
+  cfg.reuse_radius = r;
+  return cfg;
 }
 
 TEST(MultiQueryTest, RadiusZeroMatchesIntegrated) {
@@ -193,7 +192,7 @@ TEST(MultiQueryTest, RadiusZeroMatchesIntegrated) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   IntegratedOptimizer integrated(cfg, Relaxation());
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(0.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, 0.0), Relaxation());
   // Pre-install some circuits so reuse would be possible.
   for (int i = 0; i < 3; ++i) {
     query::QuerySpec q =
@@ -217,7 +216,7 @@ TEST(MultiQueryTest, IdenticalQueryReusesWholeSubtree) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
       {0, 1, 2}, s->overlay_nodes()[5], 0.001);
   auto first = mq.Optimize(q, cat, s.get());
@@ -244,8 +243,8 @@ TEST(MultiQueryTest, UnboundedRadiusNeverWorseThanNoReuse) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer none(cfg, Relaxation(), RadiusParams(0.0));
-  MultiQueryOptimizer all(cfg, Relaxation(), RadiusParams(-1.0));
+  MultiQueryOptimizer none(WithRadius(cfg, 0.0), Relaxation());
+  MultiQueryOptimizer all(WithRadius(cfg, -1.0), Relaxation());
   // Install a base of circuits.
   for (int i = 0; i < 5; ++i) {
     query::QuerySpec q =
@@ -272,7 +271,7 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
   for (int i = 0; i < 8; ++i) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
@@ -287,9 +286,8 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   for (int rep = 0; rep < 4; ++rep) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-    MultiQueryOptimizer small(cfg, Relaxation(), RadiusParams(1.0));
-    MultiQueryOptimizer large(cfg, Relaxation(),
-                              RadiusParams(diameter));
+    MultiQueryOptimizer small(WithRadius(cfg, 1.0), Relaxation());
+    MultiQueryOptimizer large(WithRadius(cfg, diameter), Relaxation());
     auto rs = small.Optimize(q, cat, s.get());
     auto rl = large.Optimize(q, cat, s.get());
     ASSERT_TRUE(rs.ok() && rl.ok());
@@ -309,7 +307,7 @@ TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
   auto first = mq.Optimize(
       query::QuerySpec::SimpleJoin({0, 1, 2}, s->overlay_nodes()[5], 0.001),
       cat, s.get());
@@ -346,16 +344,16 @@ TEST(MultiQueryTest, LongLivedInstanceMatchesFreshOnes) {
   const OptimizerConfig cfg;
   // A sphere search that leaves some instances out, so a stale mark would
   // change an answer, yet still reaches reusable ones on this overlay.
-  const MultiQueryOptimizer::Params params =
-      RadiusParams(0.2 * s->latency().MaxLatency());
-  MultiQueryOptimizer kept(cfg, Relaxation(), params);
+  const OptimizerConfig radius_cfg =
+      WithRadius(cfg, 0.2 * s->latency().MaxLatency());
+  MultiQueryOptimizer kept(radius_cfg, Relaxation());
   size_t reused = 0;
   int i = 0;
   for (const query::QuerySpec& q : test::MakeShareableJoins(*s, 6, 20, 3)) {
     SCOPED_TRACE(i++);
     auto got = kept.Optimize(q, cat, s.get());
     auto want =
-        MultiQueryOptimizer(cfg, Relaxation(), params).Optimize(q, cat, s.get());
+        MultiQueryOptimizer(radius_cfg, Relaxation()).Optimize(q, cat, s.get());
     ASSERT_TRUE(got.ok() && want.ok());
     ASSERT_EQ(got->circuit.NumVertices(), want->circuit.NumVertices());
     for (int v = 0; v < static_cast<int>(got->circuit.NumVertices()); ++v) {
@@ -409,7 +407,7 @@ TEST(OptimizerTest, NegativeLambdaRejectedBeforeAnyWork) {
   std::unique_ptr<Optimizer> optimizers[] = {
       std::make_unique<IntegratedOptimizer>(TwoStep(cfg, placer)),
       std::make_unique<IntegratedOptimizer>(cfg, placer),
-      std::make_unique<MultiQueryOptimizer>(cfg, placer, RadiusParams(-1.0)),
+      std::make_unique<MultiQueryOptimizer>(WithRadius(cfg, -1.0), placer),
   };
   for (size_t i = 0; i < std::size(optimizers); ++i) {
     auto r = optimizers[i]->Optimize(q, cat, s.get());
@@ -466,7 +464,7 @@ TEST(ReoptTest, LocalReoptLeavesSharedInstancesInPlace) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(-1.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
       {0, 1, 2}, s->overlay_nodes()[5], 0.001);
   auto first = mq.Optimize(q, cat, s.get());
@@ -620,7 +618,7 @@ TEST(EndToEndTest, ManyQueriesLifecycle) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(cfg, Relaxation(), RadiusParams(80.0));
+  MultiQueryOptimizer mq(WithRadius(cfg, 80.0), Relaxation());
   std::vector<CircuitId> ids;
   for (int i = 0; i < 12; ++i) {
     query::QuerySpec q =

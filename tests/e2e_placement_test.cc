@@ -64,7 +64,7 @@ TEST(E2ETwoStepVsIntegrated, BothInstallWithValidTrueCost) {
 
 TEST(E2EMultiQuery, ReusePrunedByRadiusStillInstallable) {
   ScenarioOptions opts = SmallScenario(103);
-  opts.multi_query.reuse_radius = -1.0;  // unbounded reuse
+  opts.config.reuse_radius = -1.0;  // unbounded reuse
   ScenarioRunner run(opts);
   run.UseCatalog(TwoStreamCatalog(run.sbon()));
 
@@ -98,7 +98,7 @@ TEST(E2EMultiQuery, SequentialWorkloadReuseReducesServices) {
   size_t reused_bindings = 0;
   for (double radius : {0.0, -1.0}) {
     ScenarioOptions opts = SmallScenario(104);
-    opts.multi_query.reuse_radius = radius;
+    opts.config.reuse_radius = radius;
     ScenarioRunner run(opts);
     run.UseRandomCatalog(TestWorkloadParams(6), 21);
     const auto& nodes = run.sbon().overlay_nodes();

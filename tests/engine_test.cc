@@ -61,9 +61,8 @@ TEST(Registry, NamesListTheBuiltinTable) {
 }
 
 TEST(Registry, UnknownNamesAreNotFound) {
-  engine::OptimizerSpec spec;
-  spec.placer = DefaultPlacer();
-  auto opt = engine::OptimizerRegistry::Global().Create("nope", spec);
+  auto opt = engine::OptimizerRegistry::Global().Create(
+      "nope", core::OptimizerConfig(), DefaultPlacer());
   EXPECT_FALSE(opt.ok());
   EXPECT_EQ(opt.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(engine::OptimizerRegistry::Global().Has("nope"));
@@ -88,13 +87,14 @@ TEST(Registry, TwoStepIsIntegratedOverOnePlan) {
   const query::Catalog catalog = MakeCatalog(*sbon, TestWorkloadParams(), 7);
   const auto queries =
       MakeQueries(*sbon, catalog, TestWorkloadParams(), 1, 9);
-  engine::OptimizerSpec spec;
-  spec.config = TestOptimizerConfig(/*top_k=*/8);
-  spec.placer = DefaultPlacer();
-  auto two_step = engine::OptimizerRegistry::Global().Create("two-step", spec);
+  core::OptimizerConfig config = TestOptimizerConfig(/*top_k=*/8);
+  const auto placer = DefaultPlacer();
+  auto two_step =
+      engine::OptimizerRegistry::Global().Create("two-step", config, placer);
   ASSERT_TRUE(two_step.ok()) << two_step.status().ToString();
-  spec.config.enumeration.top_k = 1;
-  auto one = engine::OptimizerRegistry::Global().Create("integrated", spec);
+  config.enumeration.top_k = 1;
+  auto one =
+      engine::OptimizerRegistry::Global().Create("integrated", config, placer);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
 
   auto got = (*two_step)->Optimize(queries[0], catalog, sbon.get());
@@ -113,7 +113,52 @@ TEST(Registry, EngineCreationRejectsUnknownStrategies) {
   EXPECT_EQ(created.status().code(), StatusCode::kNotFound);
 }
 
+// A NaN equals nothing, so a strategy carrying one would miss the engine's
+// by-value optimizer cache on every call: a NaN lambda or reuse_radius is
+// refused with InvalidArgument, here through EngineOptions at Create.
+TEST(Registry, EngineCreationRejectsNaNStrategyParameters) {
+  for (const bool radius : {false, true}) {
+    SCOPED_TRACE(radius ? "reuse_radius" : "lambda");
+    engine::EngineOptions eo = SmallEngineOptions(11);
+    (radius ? eo.config.reuse_radius : eo.config.lambda) = std::nan("");
+    auto created = engine::StreamEngine::Create(std::move(eo));
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // --------------------------- query lifecycle ---------------------------
+
+// The same refusal through a per-call StrategySpec at Submit, which leaves
+// the overlay exactly as it was.
+TEST(StreamEngine, SubmitRejectsNaNStrategyParameters) {
+  auto engine = MakeEngine(SmallEngineOptions(21));
+  engine->SetCatalog(TwoStreamCatalog(engine->sbon()));
+  const auto& nodes = engine->sbon().overlay_nodes();
+  ASSERT_TRUE(
+      engine->Submit(query::QuerySpec::SimpleJoin({0, 1}, nodes[4], 0.01))
+          .ok());
+  const overlay::ServiceLedger& ledger = engine->sbon().ledger();
+  const std::vector<double> loads = ServiceLoads(engine->sbon());
+  const size_t services = ledger.NumServices();
+  const size_t circuits = ledger.circuits().size();
+
+  for (const bool radius : {false, true}) {
+    SCOPED_TRACE(radius ? "reuse_radius" : "lambda");
+    engine::StrategySpec strategy;
+    strategy.optimizer = "multi-query";
+    strategy.config = TestOptimizerConfig();
+    (radius ? strategy.config->reuse_radius : strategy.config->lambda) =
+        std::nan("");
+    auto handle = engine->Submit(
+        query::QuerySpec::SimpleJoin({0, 1}, nodes[9], 0.01), strategy);
+    EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine->NumQueries(), 1u);
+    EXPECT_EQ(ledger.NumServices(), services);
+    EXPECT_EQ(ledger.circuits().size(), circuits);
+    EXPECT_EQ(ServiceLoads(engine->sbon()), loads);
+  }
+}
+
 
 TEST(StreamEngine, SubmitDeploysAndRemoveReleasesEverything) {
   auto engine = MakeEngine(SmallEngineOptions(21));
@@ -154,7 +199,7 @@ TEST(StreamEngine, SharedInstanceSurvivesPartialRemoval) {
   // release the instance and every load delta.
   engine::EngineOptions eo = SmallEngineOptions(23);
   eo.optimizer = "multi-query";
-  eo.multi_query.reuse_radius = -1.0;  // unbounded reuse
+  eo.config.reuse_radius = -1.0;  // unbounded reuse
   auto engine = MakeEngine(std::move(eo));
   engine->SetCatalog(TwoStreamCatalog(engine->sbon()));
   const auto& nodes = engine->sbon().overlay_nodes();

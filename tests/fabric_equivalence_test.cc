@@ -65,7 +65,7 @@ struct BackendRun {
 };
 
 BackendRun BuildRun(size_t target, uint64_t seed,
-                    overlay::Sbon::FabricMode mode) {
+                    net::NetworkFabric::BaseMode mode) {
   engine::EngineOptions eo;
   eo.topology = TopoOfSize(target, seed);
   eo.sbon.seed = seed;
@@ -151,10 +151,10 @@ TEST(FabricEquivalenceTest, BitIdenticalAcrossBackendsSeedsAndSizes) {
       // buffer.
       g_max_alloc_size = 0;
       BackendRun sparse =
-          BuildRun(target, seed, overlay::Sbon::FabricMode::kSparse);
+          BuildRun(target, seed, net::NetworkFabric::BaseMode::kSparse);
       const size_t sparse_build_max = g_max_alloc_size;
       BackendRun dense =
-          BuildRun(target, seed, overlay::Sbon::FabricMode::kDense);
+          BuildRun(target, seed, net::NetworkFabric::BaseMode::kDense);
       const overlay::Sbon& ds = dense.eng->sbon();
       const overlay::Sbon& ss = sparse.eng->sbon();
       ASSERT_STREQ(ds.fabric().name(), "dense");
@@ -201,8 +201,8 @@ TEST(FabricEquivalenceTest, BitIdenticalAcrossBackendsSeedsAndSizes) {
 // sentinel survives jitter ticks and partitions, and a revived node's row
 // is bit-identical to never having crashed.
 TEST(FabricEquivalenceTest, DeadEndpointLatencyIsInfiniteAcrossBackends) {
-  for (const auto mode : {overlay::Sbon::FabricMode::kDense,
-                          overlay::Sbon::FabricMode::kSparse}) {
+  for (const auto mode : {net::NetworkFabric::BaseMode::kDense,
+                          net::NetworkFabric::BaseMode::kSparse}) {
     overlay::Sbon::Options opts;
     opts.fabric_mode = mode;
     opts.latency_jitter_sigma = 0.1;
@@ -258,21 +258,16 @@ TEST(FabricEquivalenceTest, DeadEndpointLatencyIsInfiniteAcrossBackends) {
   }
 }
 
-// The auto threshold picks the base mode by size, and the sparse modes
-// refuse the centralized MDS ablation (it would rebuild the dense matrix
-// read by read).
+// A small overlay keeps the dense matrix under the auto mode, and the
+// sparse modes refuse the centralized MDS ablation (it would rebuild the
+// dense matrix read by read). The size bounds themselves are pinned by
+// SparseFabricTest.ResolveAppliesSizeBounds.
 TEST(FabricEquivalenceTest, AutoSelectionAndModeGuards) {
-  overlay::Sbon::Options opts;
-  opts.sparse_auto_threshold = 40;  // below kTiny's ~50 nodes
-  auto sparse_auto = MakeTransitStubSbon(TopologySize::kTiny, 3, opts);
-  EXPECT_STREQ(sparse_auto->fabric().name(), "sparse");
-
-  opts.sparse_auto_threshold = 4096;
-  auto dense_auto = MakeTransitStubSbon(TopologySize::kTiny, 3, opts);
+  auto dense_auto = MakeTransitStubSbon(TopologySize::kTiny, 3);
   EXPECT_STREQ(dense_auto->fabric().name(), "dense");
 
   overlay::Sbon::Options bad;
-  bad.fabric_mode = overlay::Sbon::FabricMode::kSparse;
+  bad.fabric_mode = net::NetworkFabric::BaseMode::kSparse;
   bad.coord_mode = coords::CoordMode::kMds;
   auto status = overlay::Sbon::Create(
       MakeTransitStubTopology(TopologySize::kTiny, 3), bad);

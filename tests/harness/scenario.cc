@@ -15,7 +15,6 @@ engine::EngineOptions EngineOptionsFor(const ScenarioOptions& options) {
   eo.sbon = options.sbon;
   eo.sbon.seed = options.seed;
   eo.config = options.config;
-  eo.multi_query = options.multi_query;
   return eo;
 }
 

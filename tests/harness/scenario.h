@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/multi_query.h"
 #include "core/reopt.h"
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
@@ -21,7 +20,6 @@ struct ScenarioOptions {
   /// Overlay options (`sbon.seed` is overwritten with `seed`).
   overlay::Sbon::Options sbon;
   core::OptimizerConfig config = TestOptimizerConfig();
-  core::MultiQueryOptimizer::Params multi_query;
 };
 
 /// What one placement step produced, with both the optimizer's cost-space

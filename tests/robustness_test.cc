@@ -55,11 +55,10 @@ TEST(ReuseChainTest, DiamondDependencySurvivesAnyRemovalOrder) {
   for (int order = 0; order < 3; ++order) {
     auto s = SmallSbon(10 + order);
     query::Catalog cat = ThreeStreams(*s);
-    core::MultiQueryOptimizer::Params mp;
-    mp.reuse_radius = -1.0;
+    core::OptimizerConfig unbounded;
+    unbounded.reuse_radius = -1.0;
     core::MultiQueryOptimizer opt(
-        core::OptimizerConfig{},
-        std::make_shared<placement::RelaxationPlacer>(), mp);
+        unbounded, std::make_shared<placement::RelaxationPlacer>());
     std::vector<CircuitId> ids;
     for (NodeId consumer : {s->overlay_nodes()[1], s->overlay_nodes()[15],
                             s->overlay_nodes()[25]}) {
@@ -88,11 +87,10 @@ TEST(ReuseChainTest, DiamondDependencySurvivesAnyRemovalOrder) {
 TEST(ReuseChainTest, MigratingSharedInstanceUpdatesAllCircuits) {
   auto s = SmallSbon(20);
   query::Catalog cat = ThreeStreams(*s);
-  core::MultiQueryOptimizer::Params mp;
-  mp.reuse_radius = -1.0;
+  core::OptimizerConfig unbounded;
+  unbounded.reuse_radius = -1.0;
   core::MultiQueryOptimizer opt(
-      core::OptimizerConfig{},
-      std::make_shared<placement::RelaxationPlacer>(), mp);
+      unbounded, std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q1 =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[2], 0.001);
   auto r1 = opt.Optimize(q1, cat, s.get());
@@ -134,11 +132,10 @@ TEST(ReuseChainTest, SecondLevelReuseChainsAttach) {
   // signature registry must still find the live instance via C2.
   auto s = SmallSbon(30);
   query::Catalog cat = ThreeStreams(*s);
-  core::MultiQueryOptimizer::Params mp;
-  mp.reuse_radius = -1.0;
+  core::OptimizerConfig unbounded;
+  unbounded.reuse_radius = -1.0;
   core::MultiQueryOptimizer opt(
-      core::OptimizerConfig{},
-      std::make_shared<placement::RelaxationPlacer>(), mp);
+      unbounded, std::make_shared<placement::RelaxationPlacer>());
   auto deploy = [&](NodeId consumer) {
     query::QuerySpec q =
         query::QuerySpec::SimpleJoin({0, 1}, consumer, 0.001);

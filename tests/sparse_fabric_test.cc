@@ -196,6 +196,31 @@ struct Trio {
   net::NetworkFabric exact;
 };
 
+// The one resolver of base modes, on both sides of each size bound: auto
+// keeps the dense matrix up to 4096 nodes and runs the sparse rule above;
+// sparse reads exact rows up to 2048 nodes and the sketch above. Modes that
+// name a provider resolve to themselves at every size.
+TEST(SparseFabricTest, ResolveAppliesSizeBounds) {
+  using net::NetworkFabric;
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kAuto, 2048), BaseMode::kDense);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kAuto, 2049), BaseMode::kDense);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kAuto, 4096), BaseMode::kDense);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kAuto, 4097), BaseMode::kSketch);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kSparse, 2048), BaseMode::kExact);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kSparse, 2049),
+            BaseMode::kSketch);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kSparse, 4096),
+            BaseMode::kSketch);
+  EXPECT_EQ(NetworkFabric::Resolve(BaseMode::kSparse, 4097),
+            BaseMode::kSketch);
+  for (const BaseMode mode :
+       {BaseMode::kDense, BaseMode::kExact, BaseMode::kSketch}) {
+    for (const size_t n : {size_t{1}, size_t{2049}, size_t{4097}}) {
+      EXPECT_EQ(NetworkFabric::Resolve(mode, n), mode) << n;
+    }
+  }
+}
+
 TEST(SparseFabricTest, PristineViewsMatchDenseBitwise) {
   Trio t(TinyTopo(3), 0.0, 11);
   EXPECT_STREQ(t.dense.name(), "dense");
