@@ -8,6 +8,8 @@
 // completes and --json=PATH writes the whole document. The README
 // "Performance" section documents the flags and the schema; BENCH_epoch.json
 // at the repo root is the recorded baseline from a full run at N=512 / Q=64.
+// It exits 2 before any section runs when --baseline is passed to a
+// sparse-scaling run, which has no engine-loop sections to gate.
 // The run exits non-zero when a gate fails:
 //  - a call in the hot-call allocation audit (AuditHotCalls) allocates in
 //    steady state, counted by this file's global operator new;
@@ -770,6 +772,18 @@ int main(int argc, char** argv) {
       sbon::net::NetworkFabric::Resolve(BaseMode::kAuto, nodes) !=
           BaseMode::kDense &&
       !dense_requested;
+  // The gate compares the engine-loop sections, so a baseline passed to a
+  // run without them is a mistake, not a pass.
+  const std::string baseline_path =
+      sbon::bench::StringFlagOr(argc, argv, "baseline");
+  if (scaling_only && !baseline_path.empty()) {
+    std::fprintf(stderr,
+                 "--baseline needs the engine-loop sections, which a "
+                 "sparse-scaling run (%zu nodes, auto fabric not dense) "
+                 "skips; drop --baseline or pass --fabric=dense\n",
+                 nodes);
+    return 2;
+  }
   const sbon::engine::ExecMode exec = sbon::bench::ExecMode();
 
 #if defined(SBON_SIMD_ENABLED)
@@ -925,9 +939,7 @@ int main(int argc, char** argv) {
   }
 
   // After the message sections, whose counters the gate compares too.
-  const std::string baseline_path =
-      sbon::bench::StringFlagOr(argc, argv, "baseline");
-  if (!scaling_only && !baseline_path.empty()) {
+  if (!baseline_path.empty()) {
     sbon::bench::Section("Baseline regression gate");
     const double tolerance =
         sbon::bench::DoubleFlagOr(argc, argv, "baseline-tolerance", 0.5);

@@ -90,6 +90,24 @@ double Rng::Exponential(double lambda) {
   return -std::log(u) / lambda;
 }
 
+size_t Rng::Poisson(double mean) {
+  if (mean <= 0.0) return 0;
+  // Poisson(a + b) = Poisson(a) + Poisson(b).
+  size_t n = 0;
+  while (mean > 500.0) {
+    n += Poisson(500.0);
+    mean -= 500.0;
+  }
+  const double floor = std::exp(-mean);
+  double product = 1.0;
+  size_t k = 0;
+  do {
+    ++k;
+    product *= NextDouble();
+  } while (product > floor);
+  return n + (k - 1);
+}
+
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

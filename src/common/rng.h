@@ -41,6 +41,12 @@ class Rng {
   /// Exponential variate with the given rate lambda (> 0).
   double Exponential(double lambda);
 
+  /// Poisson variate with the given mean by Knuth's product method; 0,
+  /// without a draw, when mean <= 0. Means above 500 are drawn as a sum of
+  /// Poisson(500) parts and the remainder, so the exp(-mean) floor never
+  /// underflows to 0.
+  size_t Poisson(double mean);
+
   /// True with probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
 

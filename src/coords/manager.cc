@@ -92,35 +92,22 @@ void CoordinateManager::UpdateCoordinatesOnline(
     return;
   }
 
-  // Phase 1 — serial sample pre-draw, in exactly the order the legacy
-  // in-place sweep consumed the shared Rng (crashed nodes neither measure
-  // nor answer probes), so the overlay-wide RNG stream never shifts.
-  samples_.clear();
-  sample_end_.assign(n, 0);
+  // One serial sweep in node index order, drawing from the shared Rng in
+  // the legacy order (crashed nodes neither measure nor answer probes): a
+  // sample against a lower peer sees that peer's fully-updated epoch state
+  // and a sample against a higher peer sees its epoch-start state.
   for (NodeId self = 0; self < n; ++self) {
-    if (alive[self]) {
-      for (size_t s = 0; s < samples_per_node; ++s) {
-        NodeId peer;
-        do {
-          peer = static_cast<NodeId>(rng->UniformInt(n));
-        } while (peer == self || !alive[peer]);
-        double rtt = live.Latency(self, peer);
-        if (kVivaldiRun.rtt_noise_sigma > 0.0) {
-          rtt *= std::exp(rng->Normal(0.0, kVivaldiRun.rtt_noise_sigma));
-        }
-        samples_.push_back(Sample{peer, rtt});
+    if (!alive[self]) continue;
+    for (size_t s = 0; s < samples_per_node; ++s) {
+      NodeId peer;
+      do {
+        peer = static_cast<NodeId>(rng->UniformInt(n));
+      } while (peer == self || !alive[peer]);
+      double rtt = live.Latency(self, peer);
+      if (kVivaldiRun.rtt_noise_sigma > 0.0) {
+        rtt *= std::exp(rng->Normal(0.0, kVivaldiRun.rtt_noise_sigma));
       }
-    }
-    sample_end_[self] = samples_.size();
-  }
-
-  // Phase 2 — spring updates in index order: a sample against a lower peer
-  // sees that peer's fully-updated epoch state and a sample against a higher
-  // peer sees its epoch-start state.
-  for (NodeId self = 0; self < n; ++self) {
-    const size_t begin = self == 0 ? 0 : sample_end_[self - 1];
-    for (size_t k = begin; k < sample_end_[self]; ++k) {
-      vivaldi_->Update(self, samples_[k].peer, samples_[k].rtt);
+      vivaldi_->Update(self, peer, rtt);
     }
   }
 

@@ -78,10 +78,10 @@ class CoordinateManager {
   /// `samples_per_node` RTT measurements against `live` latencies (with the
   /// bring-up run's multiplicative noise) and runs Vivaldi updates, then
   /// the cost space's vector part is refreshed.
-  /// Sample draws come from `rng` in the legacy serial order; the updates
-  /// run in node index order, so a sample against a lower peer sees that
-  /// peer's updated state and one against a higher peer its epoch-start
-  /// state. No-op without Vivaldi.
+  /// Sample draws come from `rng` in the legacy serial order, and each
+  /// node's updates run as its samples are drawn, in node index order, so a
+  /// sample against a lower peer sees that peer's updated state and one
+  /// against a higher peer its epoch-start state. No-op without Vivaldi.
   void UpdateCoordinatesOnline(const net::LatencyView& live,
                                size_t samples_per_node,
                                const std::vector<bool>& alive, Rng* rng);
@@ -128,22 +128,13 @@ class CoordinateManager {
  private:
   CoordinateManager() = default;
 
-  /// One pre-drawn RTT measurement of the node it is bucketed under.
-  struct Sample {
-    NodeId peer;
-    double rtt;
-  };
-
   Params params_;
   std::unique_ptr<VivaldiSystem> vivaldi_;  // null for MDS/true modes
   std::unique_ptr<CostSpace> space_;
   std::unique_ptr<dht::CoordinateIndex> index_;
   IndexRefreshStats refresh_stats_;
 
-  // Reused scratch for the online-update and refresh stages (allocation-free
-  // in steady state).
-  std::vector<Sample> samples_;
-  std::vector<size_t> sample_end_;   ///< per node: end offset into samples_
+  // Reused scratch for the refresh stage (allocation-free in steady state).
   CoordBlock full_block_;            ///< recomputed full coords (refresh),
                                      ///< positional (slot k = overlay_nodes[k])
   std::vector<double> disp_scratch_; ///< squared displacement per slot

@@ -17,8 +17,7 @@ constexpr size_t kFixedNeighbors = 8;
 VivaldiSystem::VivaldiSystem(size_t num_nodes, const Params& params, Rng* rng)
     : params_(params),
       coords_(params.dims, num_nodes),
-      error_(num_nodes, kInitialError),
-      rng_(rng) {
+      error_(num_nodes, kInitialError) {
   // Start at tiny random offsets so initial forces have direction. Draws
   // are node-major (all dims of node 0, then node 1, ...), the order the
   // per-node Vec layout always consumed the stream in.

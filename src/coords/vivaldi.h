@@ -38,6 +38,7 @@ class VivaldiSystem {
   /// RTT samples below this are clamped to it.
   static constexpr double kMinRttMs = 0.01;
 
+  /// Starts every node at a tiny offset drawn from `rng` (not kept).
   VivaldiSystem(size_t num_nodes, const Params& params, Rng* rng);
 
   size_t NumNodes() const { return coords_.nodes(); }
@@ -72,7 +73,6 @@ class VivaldiSystem {
   Params params_;
   CoordBlock coords_;
   std::vector<double> error_;
-  Rng* rng_;  // not owned; used for tiebreak directions
 };
 
 /// Options for driving Vivaldi to convergence against a latency oracle.

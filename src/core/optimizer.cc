@@ -1,9 +1,18 @@
 #include "core/optimizer.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "overlay/metrics.h"
 
 namespace sbon::core {
 namespace {
+
+// Greedy reuse passes per candidate circuit (each pass may bind one more
+// existing instance).
+constexpr size_t kMaxReuseBindings = 4;
+// Cap on instances evaluated per service (closest first).
+constexpr size_t kMaxCandidatesPerService = 8;
 
 // EstimateCost's expression, with the bounds EstimateCostLowerBound
 // documents for terms that need an unmapped host. Leaving a network-usage
@@ -23,7 +32,247 @@ double CostExpression(const overlay::Circuit& circuit,
          lambda * overlay::LoadPenalty(circuit, space, penalty_floor);
 }
 
+double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
+                         const overlay::Sbon& sbon) {
+  for (CircuitId cid : inst.circuits) {
+    const overlay::Circuit* src = sbon.ledger().FindCircuit(cid);
+    if (src == nullptr) continue;
+    auto lat = overlay::UpstreamLatencyToService(*src, inst.id,
+                                                 sbon.latency());
+    if (lat.ok()) return *lat;
+  }
+  return 0.0;
+}
+
 }  // namespace
+
+Optimizer::Optimizer(OptimizerConfig config,
+                     std::shared_ptr<const placement::VirtualPlacer> placer)
+    : config_(std::move(config)), placer_(std::move(placer)) {}
+
+StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
+                                             const query::Catalog& catalog,
+                                             overlay::Sbon* sbon) {
+  if (!(config_.lambda >= 0.0)) {
+    return Status::InvalidArgument("optimizer lambda must be >= 0");
+  }
+  auto plans = enumerator_.Enumerate(spec, catalog, config_.enumeration);
+  if (!plans.ok()) return plans.status();
+
+  // One virtually placed candidate circuit per plan. Placement reads only
+  // the cost space, and mapping writes only the mapped circuit and its
+  // report, so placing every plan before mapping any of them answers as
+  // placing each one right before its mapping would.
+  candidates_.clear();
+  candidates_.reserve(plans->size());
+  const coords::CostSpace& space = sbon->cost_space();
+  for (size_t index = 0; index < plans->size(); ++index) {
+    auto circuit =
+        overlay::Circuit::FromPlan(std::move((*plans)[index]), catalog);
+    if (!circuit.ok()) return circuit.status();
+    Status st = placer_->Place(&circuit.value(), space);
+    if (!st.ok()) return st;
+    candidates_.push_back(Candidate{0.0, index, std::move(circuit.value())});
+  }
+  auto result = config_.reuse_radius == 0.0 ? MapBestFirst(*sbon)
+                                            : MapWithReuse(sbon);
+  if (result.ok()) result->plans_considered = candidates_.size();
+  return result;
+}
+
+StatusOr<OptimizeResult> Optimizer::MapBestFirst(const overlay::Sbon& sbon) {
+  for (Candidate& candidate : candidates_) {
+    candidate.virtual_usage =
+        placement::VirtualLinearCost(candidate.circuit, sbon.cost_space());
+  }
+  std::sort(candidates_.begin(), candidates_.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.virtual_usage != b.virtual_usage) {
+                return a.virtual_usage < b.virtual_usage;
+              }
+              return a.index < b.index;
+            });
+
+  const double penalty_floor = sbon.cost_space().PenaltyFloor();
+  OptimizeResult result;
+  Candidate* best = nullptr;
+  double best_cost = 0.0;
+  // True if (cost, index) would replace the best so far: the least
+  // (estimated cost, enumeration index) wins, as in a loop that maps every
+  // candidate in enumeration order and keeps the first strictly cheaper.
+  auto beats_best = [&](double cost, size_t index) {
+    return best == nullptr || cost < best_cost ||
+           (cost == best_cost && index < best->index);
+  };
+  for (Candidate& candidate : candidates_) {
+    overlay::Circuit& circuit = candidate.circuit;
+    bool pruned = false;
+    for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
+      if (!circuit.Placeable(v)) continue;
+      if (best != nullptr &&
+          !beats_best(EstimateCostLowerBound(circuit, sbon, config_.lambda,
+                                             penalty_floor),
+                      candidate.index)) {
+        pruned = true;
+        break;
+      }
+      Status st = placement::MapVertex(&circuit, v, sbon, config_.mapping,
+                                       &result.mapping, &mapping_candidates_);
+      if (!st.ok()) return st;
+    }
+    if (pruned) continue;
+    ++result.placements_evaluated;
+    auto cost = EstimateCost(circuit, sbon, config_.lambda);
+    if (!cost.ok()) return cost.status();
+    if (beats_best(*cost, candidate.index)) {
+      best = &candidate;
+      best_cost = *cost;
+    }
+  }
+  if (best == nullptr) {
+    return Status::Internal("no candidate circuit produced");
+  }
+  result.circuit = std::move(best->circuit);
+  result.estimated_cost = best_cost;
+  return result;
+}
+
+StatusOr<OptimizeResult> Optimizer::MapWithReuse(overlay::Sbon* sbon) {
+  OptimizeResult best;
+  bool have_best = false;
+  if (sphere_stamp_.size() < sbon->cost_space().NumNodes()) {
+    sphere_stamp_.resize(sbon->cost_space().NumNodes(), 0);
+  }
+
+  for (Candidate& candidate : candidates_) {
+    placement::MappingReport report;
+    Status st = placement::MapCircuit(&candidate.circuit, *sbon,
+                                      config_.mapping, &report,
+                                      &mapping_candidates_);
+    if (!st.ok()) return st;
+    best.placements_evaluated += 1;
+
+    auto base_cost = EstimateCost(candidate.circuit, *sbon, config_.lambda);
+    if (!base_cost.ok()) return base_cost.status();
+    overlay::Circuit current = std::move(candidate.circuit);
+    // Variants copy `current`, plan included, so this reference keeps its
+    // content when a pass's best variant is moved into `current`.
+    const query::LogicalPlan& plan = current.plan();
+    double current_cost = *base_cost;
+    size_t current_reused = 0;
+
+    // Greedy reuse passes.
+    for (size_t pass = 0; pass < kMaxReuseBindings; ++pass) {
+      // Consider larger subtrees first (bigger savings when reused).
+      order_.clear();
+      for (int v = 0; v < static_cast<int>(current.NumVertices()); ++v) {
+        if (current.Placeable(v)) order_.push_back(v);
+      }
+      std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+        return plan.StreamSet(a).size() > plan.StreamSet(b).size();
+      });
+
+      bool improved = false;
+      overlay::Circuit pass_best;
+      double pass_best_cost = current_cost;
+      size_t pass_best_extra_reused = 0;
+
+      for (int v : order_) {
+        st = FindReuseCandidates(current, v, *sbon, &report.dht_cost);
+        if (!st.ok()) return st;
+        best.reuse_candidates_considered += cands_.size();
+
+        for (const ReuseCandidate& rc : cands_) {
+          overlay::Circuit variant = current;  // deep copy
+          variant.BindReusedSubtree(
+              rc.vertex, rc.instance->id, rc.instance->host,
+              UpstreamLatencyOf(*rc.instance, *sbon));
+          st = PlaceAndMap(&variant, sbon, *placer_, config_.mapping, &report,
+                           &mapping_candidates_);
+          if (!st.ok()) return st;
+          best.placements_evaluated += 1;
+          auto vcost = EstimateCost(variant, *sbon, config_.lambda);
+          if (!vcost.ok()) return vcost.status();
+          if (*vcost < pass_best_cost) {
+            pass_best = std::move(variant);
+            pass_best_cost = *vcost;
+            pass_best_extra_reused = 1;
+            improved = true;
+          }
+        }
+      }
+      if (!improved) break;
+      current = std::move(pass_best);
+      current_cost = pass_best_cost;
+      current_reused += pass_best_extra_reused;
+    }
+
+    if (!have_best || current_cost < best.estimated_cost) {
+      best.circuit = std::move(current);
+      best.estimated_cost = current_cost;
+      best.services_reused = current_reused;
+      have_best = true;
+    }
+    best.mapping += report;
+  }
+  if (!have_best) return Status::Internal("no candidate circuit produced");
+  return best;
+}
+
+Status Optimizer::FindReuseCandidates(const overlay::Circuit& current, int v,
+                                      const overlay::Sbon& sbon,
+                                      dht::IndexQueryCost* dht) {
+  cands_.clear();
+  const auto instances =
+      sbon.ledger().ServicesWithSignature(current.plan().OpSignature(v));
+  if (instances.empty()) return Status::OK();
+
+  // Cost-space pruning: keep instances whose hosts fall inside the radius-r
+  // hyper-sphere around the service's virtual coordinate.
+  if (config_.reuse_radius < 0.0) {
+    inst_scratch_.assign(instances.begin(), instances.end());
+  } else {
+    // Hyper-sphere search via the Hilbert/Chord index, charged as DHT
+    // traffic; only nodes the sphere search returns are eligible. Room for
+    // every published node: the buffer grows at most once.
+    sphere_nodes_.reserve(sbon.index().NumPublished());
+    Status st = sbon.index().WithinRadiusInto(
+        sbon.cost_space().IdealTarget(current.vertex(v).virtual_coord),
+        config_.reuse_radius, dht, &sphere_nodes_);
+    if (!st.ok()) return st;
+    if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
+      std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);
+      sphere_epoch_ = 1;
+    }
+    for (NodeId n : sphere_nodes_) sphere_stamp_[n] = sphere_epoch_;
+    inst_scratch_.clear();
+    for (const overlay::ServiceInstance* inst : instances) {
+      if (sphere_stamp_[inst->host] == sphere_epoch_) {
+        inst_scratch_.push_back(inst);
+      }
+    }
+  }
+  // One batched distance sweep over the surviving instances' hosts.
+  host_scratch_.clear();
+  for (const overlay::ServiceInstance* inst : inst_scratch_) {
+    host_scratch_.push_back(inst->host);
+  }
+  dist_scratch_.resize(host_scratch_.size());
+  sbon.cost_space().VectorDistancesToMany(
+      current.vertex(v).virtual_coord, host_scratch_.data(),
+      host_scratch_.size(), dist_scratch_.data());
+  for (size_t i = 0; i < inst_scratch_.size(); ++i) {
+    cands_.push_back(ReuseCandidate{v, inst_scratch_[i], dist_scratch_[i]});
+  }
+  std::sort(cands_.begin(), cands_.end(),
+            [](const ReuseCandidate& a, const ReuseCandidate& b) {
+              return a.distance < b.distance;
+            });
+  if (cands_.size() > kMaxCandidatesPerService) {
+    cands_.resize(kMaxCandidatesPerService);
+  }
+  return Status::OK();
+}
 
 StatusOr<double> EstimateCost(const overlay::Circuit& circuit,
                               const overlay::Sbon& sbon, double lambda) {
@@ -47,11 +296,6 @@ Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
   Status st = placer.Place(circuit, sbon->cost_space());
   if (!st.ok()) return st;
   return placement::MapCircuit(circuit, *sbon, mapping, report, candidates);
-}
-
-Status ValidateLambda(double lambda) {
-  if (lambda >= 0.0) return Status::OK();
-  return Status::InvalidArgument("optimizer lambda must be >= 0");
 }
 
 }  // namespace sbon::core

@@ -1,6 +1,7 @@
 #ifndef SBON_CORE_OPTIMIZER_H_
 #define SBON_CORE_OPTIMIZER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,19 +16,21 @@
 
 namespace sbon::core {
 
-/// Shared optimizer configuration.
+/// Optimizer configuration.
 struct OptimizerConfig {
   /// Weight of the node-load penalty relative to network usage when ranking
-  /// candidate circuits. Must be >= 0: the optimizers reject anything else
-  /// with InvalidArgument.
+  /// candidate circuits. Must be >= 0: `Optimize` rejects anything else with
+  /// InvalidArgument (a negative weight would reward load, and the
+  /// best-first cost bound rests on it).
   double lambda = 1.0;
   /// Multi-query reuse radius (paper Sec. 3.4): only instances hosted
   /// within this cost-space distance of a new service's virtual coordinate
-  /// are considered for reuse. 0 disables reuse (the integrated optimizer);
-  /// below 0 means unbounded. Only the multi-query optimizer reads it.
+  /// are considered for reuse. 0 disables reuse, and `Optimizer` is then
+  /// exactly the integrated optimizer (Sec. 3.3); below 0 means unbounded.
+  /// The registry's "integrated" and "two-step" presets pin it to 0.
   double reuse_radius = 50.0;
-  /// Plan enumeration (the integrated optimizer virtually places every one
-  /// of the top-K candidates; the two-step baseline is K=1).
+  /// Plan enumeration (the optimizer virtually places every one of the
+  /// top-K candidates; the two-step baseline is K=1).
   query::EnumerationOptions enumeration;
   /// Physical mapping behaviour.
   placement::MappingOptions mapping;
@@ -43,24 +46,111 @@ struct OptimizeResult {
   /// optimizer cannot see true latencies; benches measure those separately).
   double estimated_cost = 0.0;
   size_t plans_considered = 0;
-  /// Candidate circuits placed and fully mapped. The integrated optimizer
-  /// stops mapping a candidate once its cost bound cannot win, so this can
-  /// be below `plans_considered`.
+  /// Candidate circuits placed and fully mapped, reuse variants included.
+  /// Best-first mapping (radius 0) stops mapping a candidate once its cost
+  /// bound cannot win, so this can be below `plans_considered`.
   size_t placements_evaluated = 0;
   size_t reuse_candidates_considered = 0;
   size_t services_reused = 0;
   placement::MappingReport mapping;
 };
 
-/// Interface of a query optimizer operating against a live SBON.
+/// The paper's cost-space query optimizer, operating against a live SBON.
+///
+/// Integrated optimization (Sec. 3.3): enumerate a set of candidate plans,
+/// virtually place each one in the cost space — "this yields exactly one
+/// candidate circuit per plan, with the cost of the circuit representing
+/// the current node and network state" — and select the cheapest candidate
+/// circuit. Virtual placement is computationally inexpensive (no services
+/// are instantiated), which is what makes considering placement for every
+/// candidate plan tractable at overlay scale. With `enumeration.top_k = 1`
+/// this is the classical two-step baseline (Sec. 2.3): network-blind dynamic
+/// programming picks the one plan of least intermediate data volume, and
+/// only that plan is placed.
+///
+/// Physical mapping is not cheap: it costs one DHT lookup per service.
+/// With `reuse_radius == 0` the candidates are mapped best first, in
+/// ascending virtual network usage, vertex by vertex, and a candidate stops
+/// mapping as soon as `EstimateCostLowerBound` shows it cannot win — a
+/// cost-limit branch and bound (Graefe & McKenna, "The Volcano Optimizer
+/// Generator", ICDE'93). The bound is valid, so the pruning is exact: the
+/// winner is the least (estimated cost, enumeration index) over all
+/// candidates, the circuit that mapping every one of them in full would
+/// pick, bit for bit.
+///
+/// Multi-query optimization (Sec. 3.4), when `reuse_radius != 0`: each
+/// candidate is mapped in full, in enumeration order, and then greedy reuse
+/// passes try to bind existing service instances into it. Only instances
+/// whose hosts fall within a hyper-sphere of radius `reuse_radius` around
+/// the new service's virtual coordinate are considered ("query plans that
+/// involve operators hosted on physical nodes that are far away in the cost
+/// space are less likely to be useful and thus can be ignored"). The sphere
+/// search runs over the Hilbert/Chord coordinate index, so pruning also
+/// bounds DHT traffic. Below 0 the radius is unbounded: every compatible
+/// instance is considered — the "no pruning" upper baseline whose optimizer
+/// work Figure 4 argues is unnecessary. The first strictly cheaper result,
+/// in enumeration order, wins.
+///
+/// An instance keeps its scratch across Optimize calls, so calls on one
+/// instance must not overlap.
 class Optimizer {
  public:
-  virtual ~Optimizer() = default;
+  Optimizer(OptimizerConfig config,
+            std::shared_ptr<const placement::VirtualPlacer> placer);
 
   /// Produces a placed (not installed) circuit answering `spec`.
-  virtual StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
-                                            const query::Catalog& catalog,
-                                            overlay::Sbon* sbon) = 0;
+  StatusOr<OptimizeResult> Optimize(const query::QuerySpec& spec,
+                                    const query::Catalog& catalog,
+                                    overlay::Sbon* sbon);
+
+  const OptimizerConfig& config() const { return config_; }
+  const placement::VirtualPlacer& placer() const { return *placer_; }
+
+ private:
+  // A virtually placed candidate plan. Best-first mapping fills in
+  // `virtual_usage` and visits candidates in ascending (virtual_usage,
+  // index); virtual network usage orders the mapping and bounds nothing.
+  struct Candidate {
+    double virtual_usage = 0.0;
+    size_t index = 0;  // enumeration index, the tie-break between equal costs
+    overlay::Circuit circuit;
+  };
+  // A compatible, in-radius instance for one placeable vertex.
+  struct ReuseCandidate {
+    int vertex = -1;
+    const overlay::ServiceInstance* instance = nullptr;
+    double distance = 0.0;
+  };
+
+  // The two mapping strategies over the placed `candidates_`.
+  StatusOr<OptimizeResult> MapBestFirst(const overlay::Sbon& sbon);
+  StatusOr<OptimizeResult> MapWithReuse(overlay::Sbon* sbon);
+  // Fills `cands_` with the reuse candidates for vertex `v` of `current`,
+  // closest first, at most a fixed number; bills sphere searches to `dht`.
+  Status FindReuseCandidates(const overlay::Circuit& current, int v,
+                             const overlay::Sbon& sbon,
+                             dht::IndexQueryCost* dht);
+
+  OptimizerConfig config_;
+  std::shared_ptr<const placement::VirtualPlacer> placer_;
+  // Scratch kept across Optimize calls: a warm Optimize allocates only the
+  // candidate plans and circuits (and reuse variants).
+  query::PlanEnumerator enumerator_;
+  std::vector<Candidate> candidates_;
+  std::vector<NodeId> mapping_candidates_;
+  // In-sphere marks, addressed by node id: `sphere_stamp_[n] ==
+  // sphere_epoch_` marks a node the current sphere search returned;
+  // bumping the epoch clears every mark without touching memory.
+  std::vector<uint32_t> sphere_stamp_;
+  uint32_t sphere_epoch_ = 0;
+  // Surviving instances' hosts feed one batched pruning-distance kernel
+  // call per service.
+  std::vector<NodeId> sphere_nodes_;
+  std::vector<const overlay::ServiceInstance*> inst_scratch_;
+  std::vector<NodeId> host_scratch_;
+  std::vector<double> dist_scratch_;
+  std::vector<int> order_;
+  std::vector<ReuseCandidate> cands_;
 };
 
 /// Places and maps an unplaced circuit in one go (virtual placement with
@@ -71,7 +161,7 @@ Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
                    placement::MappingReport* report,
                    std::vector<NodeId>* candidates);
 
-/// Ranking metric shared by all optimizers: cost-space estimate of network
+/// The optimizer's ranking metric: cost-space estimate of network
 /// usage (rate x host vector distance over physical edges, in edge order)
 /// plus lambda times `overlay::LoadPenalty`. Fails unless the circuit is
 /// fully placed.
@@ -90,11 +180,6 @@ StatusOr<double> EstimateCost(const overlay::Circuit& circuit,
 double EstimateCostLowerBound(const overlay::Circuit& circuit,
                               const overlay::Sbon& sbon, double lambda,
                               double penalty_floor);
-
-/// The optimizers' shared precondition: InvalidArgument unless
-/// `lambda >= 0`. A negative weight would reward load, and the integrated
-/// optimizer's cost bound rests on it.
-Status ValidateLambda(double lambda);
 
 }  // namespace sbon::core
 

@@ -75,12 +75,12 @@ StatusOr<LocalReoptReport> LocalReoptimize(
 StatusOr<FullReoptReport> FullReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
     const query::Catalog& catalog, Optimizer* optimizer,
-    const OptimizerConfig& query_config, const ReoptConfig& config) {
+    const ReoptConfig& config) {
   const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
   if (live == nullptr) return Status::NotFound("no such circuit");
 
   FullReoptReport report;
-  auto before = EstimateCost(*live, *sbon, query_config.lambda);
+  auto before = EstimateCost(*live, *sbon, optimizer->config().lambda);
   if (!before.ok()) return before.status();
   report.estimated_cost_before = *before;
 

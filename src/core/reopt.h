@@ -59,13 +59,13 @@ struct FullReoptReport {
 /// Runs `optimizer` afresh for the circuit's original spec; if the candidate
 /// circuit is cheaper than the running one by more than `replan_threshold`,
 /// deploys it in parallel and cancels the original (the paper's stronger
-/// re-optimization). The running circuit is priced at
-/// `query_config.lambda`, the weight `optimizer` ranks its candidates by.
-/// Returns the report either way.
+/// re-optimization). The running circuit is priced at the optimizer's
+/// lambda, the weight it ranks its candidates by. Returns the report either
+/// way.
 StatusOr<FullReoptReport> FullReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
     const query::Catalog& catalog, Optimizer* optimizer,
-    const OptimizerConfig& query_config, const ReoptConfig& config);
+    const ReoptConfig& config);
 
 }  // namespace sbon::core
 

@@ -3,8 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/integrated.h"
-#include "core/multi_query.h"
 #include "placement/relaxation.h"
 
 namespace sbon::engine {
@@ -12,10 +10,11 @@ namespace {
 
 using PlacerPtr = std::shared_ptr<const placement::VirtualPlacer>;
 
+// A built-in strategy: a preset over the caller's configuration.
 struct OptimizerEntry {
   const char* name;
-  std::unique_ptr<core::Optimizer> (*create)(const core::OptimizerConfig&,
-                                             PlacerPtr);
+  bool reuse;     // keeps the configured reuse_radius; else pins it to 0
+  bool one_plan;  // pins enumeration.top_k to 1
 };
 
 struct PlacerEntry {
@@ -23,25 +22,14 @@ struct PlacerEntry {
   PlacerPtr (*create)();
 };
 
-template <typename T>
-std::unique_ptr<core::Optimizer> Make(const core::OptimizerConfig& config,
-                                      PlacerPtr placer) {
-  return std::make_unique<T>(config, std::move(placer));
-}
-
-// The built-in strategies, each table sorted by name.
+// The built-in strategies, each table sorted by name: integrated plan and
+// placement (paper Sec. 3.3), multi-query reuse (Sec. 3.4), and two-step
+// (Sec. 2.3), network-blind plan generation and then placement of that one
+// minimum-data-volume plan.
 constexpr OptimizerEntry kOptimizers[] = {
-    {"integrated", Make<core::IntegratedOptimizer>},
-    {"multi-query", Make<core::MultiQueryOptimizer>},
-    // Network-blind plan generation, then placement of that one plan: the
-    // integrated optimizer over the single minimum-data-volume plan.
-    {"two-step",
-     [](const core::OptimizerConfig& config,
-        PlacerPtr placer) -> std::unique_ptr<core::Optimizer> {
-       core::OptimizerConfig one_plan = config;
-       one_plan.enumeration.top_k = 1;
-       return Make<core::IntegratedOptimizer>(one_plan, std::move(placer));
-     }},
+    {"integrated", /*reuse=*/false, /*one_plan=*/false},
+    {"multi-query", /*reuse=*/true, /*one_plan=*/false},
+    {"two-step", /*reuse=*/false, /*one_plan=*/true},
 };
 
 template <typename T>
@@ -100,7 +88,11 @@ StatusOr<std::unique_ptr<core::Optimizer>> OptimizerRegistry::Create(
   if (placer == nullptr) {
     return Status::InvalidArgument("optimizer has no placer");
   }
-  return entry->create(config, std::move(placer));
+  core::OptimizerConfig preset = config;
+  if (!entry->reuse) preset.reuse_radius = 0.0;
+  if (entry->one_plan) preset.enumeration.top_k = 1;
+  return std::make_unique<core::Optimizer>(std::move(preset),
+                                           std::move(placer));
 }
 
 bool OptimizerRegistry::Has(const std::string& name) const {

@@ -12,15 +12,17 @@
 namespace sbon::engine {
 
 /// Read-only view of the built-in query-optimizer strategies, selected by
-/// name so benches, examples and config files need no concrete headers.
-/// The table is fixed (see registry.cc): "integrated" (paper Sec. 3.3),
-/// "multi-query" (Sec. 3.4), and "two-step" (Sec. 2.3), which is the
-/// integrated optimizer with one candidate plan (`enumeration.top_k = 1`).
+/// name from benches, examples and config files. Each name is a preset
+/// over the one `core::Optimizer`, and the table is fixed (see
+/// registry.cc): "integrated" (paper Sec. 3.3) pins `reuse_radius` to 0;
+/// "two-step" (Sec. 2.3) also pins `enumeration.top_k` to 1; "multi-query"
+/// (Sec. 3.4) uses the config as given.
 class OptimizerRegistry {
  public:
   static const OptimizerRegistry& Global();
 
-  /// A new optimizer `name` over `config` and `placer` (non-null).
+  /// A new optimizer `name` over `config`, with the name's preset applied,
+  /// and `placer` (non-null).
   StatusOr<std::unique_ptr<core::Optimizer>> Create(
       const std::string& name, const core::OptimizerConfig& config,
       std::shared_ptr<const placement::VirtualPlacer> placer) const;

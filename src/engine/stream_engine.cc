@@ -52,8 +52,7 @@ StatusOr<StreamEngine::BuiltOptimizer*> StreamEngine::OptimizerFor(
   auto optimizer = OptimizerRegistry::Global().Create(
       strategy.optimizer, *strategy.config, *placer);
   if (!optimizer.ok()) return optimizer.status();
-  optimizers_.push_back(
-      BuiltOptimizer{strategy, *placer, std::move(optimizer.value())});
+  optimizers_.push_back(BuiltOptimizer{strategy, std::move(*optimizer)});
   return &optimizers_.back();
 }
 
@@ -146,14 +145,14 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
   if (it == queries_.end()) return Status::NotFound("no such query");
   QueryRecord& record = it->second;
 
+  auto built = OptimizerFor(record.strategy);
+  if (!built.ok()) return built.status();
   ReoptOutcome outcome;
   outcome.mode = policy.mode;
   if (policy.mode == ReoptPolicy::Mode::kLocal) {
-    auto built = OptimizerFor(record.strategy);
-    if (!built.ok()) return built.status();
-    auto report =
-        core::LocalReoptimize(sbon_.get(), record.circuit, *(*built)->placer,
-                              *record.strategy.config, policy.config);
+    auto report = core::LocalReoptimize(
+        sbon_.get(), record.circuit, (*built)->optimizer->placer(),
+        *record.strategy.config, policy.config);
     if (!report.ok()) return report.status();
     if (msg_runtime_ != nullptr) {
       // The re-mapping's index traffic is paid whether or not anything
@@ -167,13 +166,9 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     return outcome;
   }
 
-  StrategySpec strategy = record.strategy;
-  if (!policy.optimizer.empty()) strategy.optimizer = policy.optimizer;
-  auto built = OptimizerFor(strategy);
-  if (!built.ok()) return built.status();
   auto report = core::FullReoptimize(sbon_.get(), record.circuit, record.spec,
                                      catalog_, (*built)->optimizer.get(),
-                                     *strategy.config, policy.config);
+                                     policy.config);
   if (!report.ok()) return report.status();
   outcome.full = *report;
   if (msg_runtime_ != nullptr) {
@@ -191,7 +186,6 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
     by_circuit_.erase(record.circuit);
     record.circuit = report->new_circuit;
     by_circuit_.emplace(record.circuit, handle);
-    record.strategy = std::move(strategy);
     record.result = report->candidate;
     MaybeRefreshIndex();
   }

@@ -131,12 +131,9 @@ struct ReoptPolicy {
     kFull,   ///< re-run the optimizer; redeploy if the gain clears the bar
   };
   Mode mode = Mode::kLocal;
-  /// The improvement bars. Lambda and the mapping options are the query's
-  /// own: the `core::OptimizerConfig` it was submitted with.
+  /// The improvement bars. The optimizer, lambda and the mapping options
+  /// are the query's own: the strategy it was submitted with.
   core::ReoptConfig config;
-  /// Full-reopt optimizer override (registry name). Empty = the optimizer
-  /// the query was submitted with.
-  std::string optimizer;
 };
 
 /// What one Reoptimize call did. `local` is meaningful in kLocal mode,
@@ -330,10 +327,9 @@ class StreamEngine {
     core::OptimizeResult result;  ///< accounting of the winning run
   };
 
-  /// An optimizer built for one resolved strategy, with its placer.
+  /// An optimizer built for one resolved strategy.
   struct BuiltOptimizer {
     StrategySpec strategy;
-    std::shared_ptr<const placement::VirtualPlacer> placer;
     std::unique_ptr<core::Optimizer> optimizer;
   };
 

@@ -28,19 +28,6 @@ size_t ChurnModel::MaxDown() const {
   return std::min(cap, eligible_.size() - 1);
 }
 
-size_t ChurnModel::SamplePoisson(double mean) {
-  if (mean <= 0.0) return 0;
-  // Knuth's product method; fine for the per-epoch rates churn uses.
-  const double limit = std::exp(-mean);
-  size_t k = 0;
-  double p = 1.0;
-  do {
-    ++k;
-    p *= rng_.NextDouble();
-  } while (p > limit);
-  return k - 1;
-}
-
 size_t ChurnModel::SampleDowntime() {
   const double mean = std::max(1.0, params_.mean_downtime_epochs);
   // 1 + floor(Exponential(mean - 1)) keeps whole-epoch downtimes >= 1 with
@@ -123,7 +110,7 @@ std::vector<ChurnEvent> ChurnModel::Step() {
   }
 
   // 3) Poisson crash arrivals.
-  const size_t arrivals = SamplePoisson(params_.crash_rate);
+  const size_t arrivals = rng_.Poisson(params_.crash_rate);
   for (size_t a = 0; a < arrivals && down_count_ < MaxDown(); ++a) {
     // Rejection-sample an up node; terminates because down_count_ < MaxDown
     // guarantees at least one up node, and stays deterministic per seed.

@@ -93,8 +93,6 @@ class ChurnModel {
  private:
   /// Max nodes that may be down at once (>= 0, <= eligible-1).
   size_t MaxDown() const;
-  /// Poisson sample via Knuth's product method (no draws when mean <= 0).
-  size_t SamplePoisson(double mean);
   /// Whole-epoch downtime >= 1 with approximately the configured mean.
   size_t SampleDowntime();
   /// Index into eligible_ of `node`, or eligible_.size() if not eligible.

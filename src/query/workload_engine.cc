@@ -125,26 +125,6 @@ bool WorkloadEngine::InFlashCrowd(size_t epoch) const {
   return false;
 }
 
-size_t WorkloadEngine::SamplePoisson(double mean) {
-  if (mean <= 0.0) return 0;
-  size_t n = 0;
-  // Poisson(a + b) = Poisson(a) + Poisson(b): split big means so the
-  // exp(-mean) comparison floor below never underflows to 0 (which would
-  // spin the product loop forever around mean ~708).
-  while (mean > 500.0) {
-    n += SamplePoisson(500.0);
-    mean -= 500.0;
-  }
-  const double floor = std::exp(-mean);
-  double product = 1.0;
-  size_t k = 0;
-  do {
-    ++k;
-    product *= rng_.NextDouble();
-  } while (product > floor);
-  return n + (k - 1);
-}
-
 void WorkloadEngine::Bill(
     const std::function<void(WorkloadPhaseStats&)>& fn) {
   fn(current_phase());
@@ -201,7 +181,7 @@ Status WorkloadEngine::Step() {
   // Stage 3: open-loop arrivals. The offered count never depends on system
   // state (that is what makes overload reachable); what gets *admitted*
   // does, via the load-book watermark and the running-query cap.
-  const size_t offered = SamplePoisson(ArrivalRateAt(t));
+  const size_t offered = rng_.Poisson(ArrivalRateAt(t));
   Bill([&](WorkloadPhaseStats& s) {
     ++s.epochs;
     s.arrivals += offered;

@@ -181,9 +181,6 @@ class WorkloadEngine {
   /// Retires every departure due at `epoch_index_` under one DeferRefresh
   /// scope (a burst of removals republishes the index once).
   void ProcessDepartures();
-  /// Poisson(mean) via Knuth's product method, split so the exp(-mean)
-  /// floor never underflows at flash-crowd rates.
-  size_t SamplePoisson(double mean);
   /// Both accounting rows a Step updates (current phase + totals).
   void Bill(const std::function<void(WorkloadPhaseStats&)>& fn);
   WorkloadPhaseStats& current_phase() { return phases_.back(); }

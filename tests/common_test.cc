@@ -150,6 +150,39 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
+// Means above ~708 underflow exp(-mean) to 0; the split keeps the count
+// following the mean there.
+TEST(RngTest, PoissonLargeMean) {
+  Rng rng(23);
+  constexpr int kDraws = 1000;
+  constexpr double kMean = 2000.0;
+  double sum = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    sum += static_cast<double>(rng.Poisson(kMean));
+  }
+  // The sample mean's standard deviation is sqrt(mean / draws).
+  EXPECT_NEAR(sum / kDraws, kMean, 5.0 * std::sqrt(kMean / kDraws));
+}
+
+// Below the split a draw is Knuth's plain product loop, draw for draw; a
+// non-positive mean is 0 and draws nothing.
+TEST(RngTest, PoissonSmallMeanIsThePlainProductLoop) {
+  Rng rng(29), ref(29);
+  EXPECT_EQ(rng.Poisson(0.0), 0u);
+  EXPECT_EQ(rng.Poisson(-1.0), 0u);
+  const double floor = std::exp(-3.0);
+  for (int i = 0; i < 1000; ++i) {
+    double product = 1.0;
+    size_t k = 0;
+    do {
+      ++k;
+      product *= ref.NextDouble();
+    } while (product > floor);
+    ASSERT_EQ(rng.Poisson(3.0), k - 1) << "draw " << i;
+  }
+  EXPECT_EQ(rng.Next(), ref.Next());
+}
+
 TEST(RngTest, BernoulliEdges) {
   Rng rng(23);
   for (int i = 0; i < 100; ++i) {

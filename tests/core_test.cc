@@ -6,9 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/integrated.h"
-#include "core/multi_query.h"
+#include "core/optimizer.h"
 #include "core/reopt.h"
+#include "engine/registry.h"
 #include "harness/fixtures.h"
 #include "harness/reference_optimizer.h"
 #include "net/generators.h"
@@ -35,11 +35,10 @@ std::shared_ptr<const placement::VirtualPlacer> Relaxation() {
 
 // The two-step baseline (paper Sec. 2.3): the integrated optimizer over the
 // single minimum-data-volume plan.
-IntegratedOptimizer TwoStep(
-    OptimizerConfig cfg,
-    std::shared_ptr<const placement::VirtualPlacer> placer) {
+Optimizer TwoStep(OptimizerConfig cfg,
+                  std::shared_ptr<const placement::VirtualPlacer> placer) {
   cfg.enumeration.top_k = 1;
-  return IntegratedOptimizer(cfg, std::move(placer));
+  return Optimizer(test::IntegratedConfig(cfg), std::move(placer));
 }
 
 query::WorkloadParams TestWorkload() {
@@ -59,7 +58,7 @@ TEST(TwoStepTest, ProducesInstallableCircuit) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  IntegratedOptimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
+  Optimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->circuit.FullyPlaced());
@@ -78,7 +77,7 @@ TEST(TwoStepTest, ChoosesMinDataVolumePlan) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  IntegratedOptimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
+  Optimizer opt = TwoStep(OptimizerConfig{}, Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   auto all = test::EnumerateAllPlansExhaustive(q, cat);
@@ -99,7 +98,7 @@ TEST(IntegratedTest, ConsidersMultiplePlans) {
       {0, 1, 2, 3}, s->overlay_nodes()[0], 0.001);
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 8;
-  IntegratedOptimizer opt(cfg, Relaxation());
+  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->plans_considered, 1u);
@@ -127,8 +126,8 @@ TEST_P(IntegratedDominanceTest, IntegratedLeqTwoStepOnEstimate) {
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
   cfg.enumeration.top_k = 8;
-  IntegratedOptimizer two = TwoStep(cfg, Relaxation());
-  IntegratedOptimizer integrated(cfg, Relaxation());
+  Optimizer two = TwoStep(cfg, Relaxation());
+  Optimizer integrated(test::IntegratedConfig(cfg), Relaxation());
   for (int rep = 0; rep < 5; ++rep) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
@@ -168,7 +167,8 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
   auto two_cost = EstimateCost(*two, *s, cfg.lambda);
   ASSERT_TRUE(two_cost.ok());
 
-  auto one = IntegratedOptimizer(cfg, Relaxation()).Optimize(q, cat, s.get());
+  auto one = Optimizer(test::IntegratedConfig(cfg), Relaxation())
+                 .Optimize(q, cat, s.get());
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(test::CircuitDiff(one->circuit, *two), "");
   EXPECT_EQ(one->estimated_cost, *two_cost);
@@ -185,29 +185,46 @@ OptimizerConfig WithRadius(OptimizerConfig cfg, double r) {
   return cfg;
 }
 
+// The registry's "multi-query" at radius 0 is the "integrated" preset: the
+// same circuit from the same best-first work, field for field.
 TEST(MultiQueryTest, RadiusZeroMatchesIntegrated) {
   auto s = MakeSbon(5);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  IntegratedOptimizer integrated(cfg, Relaxation());
-  MultiQueryOptimizer mq(WithRadius(cfg, 0.0), Relaxation());
+  const engine::OptimizerRegistry& registry =
+      engine::OptimizerRegistry::Global();
+  auto integrated = registry.Create("integrated", cfg, Relaxation());
+  auto mq = registry.Create("multi-query", WithRadius(cfg, 0.0), Relaxation());
+  ASSERT_TRUE(integrated.ok() && mq.ok());
   // Pre-install some circuits so reuse would be possible.
   for (int i = 0; i < 3; ++i) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-    auto r = integrated.Optimize(q, cat, s.get());
+    auto r = (*integrated)->Optimize(q, cat, s.get());
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(s->InstallCircuit(std::move(r->circuit)).ok());
   }
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  auto ri = integrated.Optimize(q, cat, s.get());
-  auto rm = mq.Optimize(q, cat, s.get());
+  auto ri = (*integrated)->Optimize(q, cat, s.get());
+  auto rm = (*mq)->Optimize(q, cat, s.get());
   ASSERT_TRUE(ri.ok() && rm.ok());
-  EXPECT_DOUBLE_EQ(rm->estimated_cost, ri->estimated_cost);
+  EXPECT_EQ(test::CircuitDiff(rm->circuit, ri->circuit), "");
+  EXPECT_EQ(rm->estimated_cost, ri->estimated_cost);  // bit for bit
+  EXPECT_EQ(rm->plans_considered, ri->plans_considered);
+  EXPECT_EQ(rm->placements_evaluated, ri->placements_evaluated);
+  EXPECT_EQ(rm->reuse_candidates_considered, 0u);
   EXPECT_EQ(rm->services_reused, 0u);
+  const placement::MappingReport& mm = rm->mapping;
+  const placement::MappingReport& im = ri->mapping;
+  EXPECT_EQ(mm.dht_cost.lookups, im.dht_cost.lookups);
+  EXPECT_EQ(mm.dht_cost.routing_hops, im.dht_cost.routing_hops);
+  EXPECT_EQ(mm.dht_cost.ring_probes, im.dht_cost.ring_probes);
+  EXPECT_EQ(mm.services_mapped, im.services_mapped);
+  EXPECT_EQ(mm.total_mapping_error, im.total_mapping_error);
+  EXPECT_EQ(mm.load_overrides, im.load_overrides);
 }
 
 TEST(MultiQueryTest, IdenticalQueryReusesWholeSubtree) {
@@ -216,7 +233,7 @@ TEST(MultiQueryTest, IdenticalQueryReusesWholeSubtree) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
+  Optimizer mq(WithRadius(cfg, -1.0), Relaxation());
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
       {0, 1, 2}, s->overlay_nodes()[5], 0.001);
   auto first = mq.Optimize(q, cat, s.get());
@@ -243,8 +260,8 @@ TEST(MultiQueryTest, UnboundedRadiusNeverWorseThanNoReuse) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer none(WithRadius(cfg, 0.0), Relaxation());
-  MultiQueryOptimizer all(WithRadius(cfg, -1.0), Relaxation());
+  Optimizer none(WithRadius(cfg, 0.0), Relaxation());
+  Optimizer all(WithRadius(cfg, -1.0), Relaxation());
   // Install a base of circuits.
   for (int i = 0; i < 5; ++i) {
     query::QuerySpec q =
@@ -271,7 +288,7 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
+  Optimizer mq(WithRadius(cfg, -1.0), Relaxation());
   for (int i = 0; i < 8; ++i) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
@@ -286,8 +303,8 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
   for (int rep = 0; rep < 4; ++rep) {
     query::QuerySpec q =
         query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-    MultiQueryOptimizer small(WithRadius(cfg, 1.0), Relaxation());
-    MultiQueryOptimizer large(WithRadius(cfg, diameter), Relaxation());
+    Optimizer small(WithRadius(cfg, 1.0), Relaxation());
+    Optimizer large(WithRadius(cfg, diameter), Relaxation());
     auto rs = small.Optimize(q, cat, s.get());
     auto rl = large.Optimize(q, cat, s.get());
     ASSERT_TRUE(rs.ok() && rl.ok());
@@ -307,7 +324,7 @@ TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
+  Optimizer mq(WithRadius(cfg, -1.0), Relaxation());
   auto first = mq.Optimize(
       query::QuerySpec::SimpleJoin({0, 1, 2}, s->overlay_nodes()[5], 0.001),
       cat, s.get());
@@ -346,14 +363,14 @@ TEST(MultiQueryTest, LongLivedInstanceMatchesFreshOnes) {
   // change an answer, yet still reaches reusable ones on this overlay.
   const OptimizerConfig radius_cfg =
       WithRadius(cfg, 0.2 * s->latency().MaxLatency());
-  MultiQueryOptimizer kept(radius_cfg, Relaxation());
+  Optimizer kept(radius_cfg, Relaxation());
   size_t reused = 0;
   int i = 0;
   for (const query::QuerySpec& q : test::MakeShareableJoins(*s, 6, 20, 3)) {
     SCOPED_TRACE(i++);
     auto got = kept.Optimize(q, cat, s.get());
     auto want =
-        MultiQueryOptimizer(radius_cfg, Relaxation()).Optimize(q, cat, s.get());
+        Optimizer(radius_cfg, Relaxation()).Optimize(q, cat, s.get());
     ASSERT_TRUE(got.ok() && want.ok());
     ASSERT_EQ(got->circuit.NumVertices(), want->circuit.NumVertices());
     for (int v = 0; v < static_cast<int>(got->circuit.NumVertices()); ++v) {
@@ -404,13 +421,13 @@ TEST(OptimizerTest, NegativeLambdaRejectedBeforeAnyWork) {
   auto placer = std::make_shared<const CountingPlacer>();
   OptimizerConfig cfg;
   cfg.lambda = -0.5;
-  std::unique_ptr<Optimizer> optimizers[] = {
-      std::make_unique<IntegratedOptimizer>(TwoStep(cfg, placer)),
-      std::make_unique<IntegratedOptimizer>(cfg, placer),
-      std::make_unique<MultiQueryOptimizer>(WithRadius(cfg, -1.0), placer),
+  Optimizer optimizers[] = {
+      TwoStep(cfg, placer),
+      Optimizer(test::IntegratedConfig(cfg), placer),
+      Optimizer(WithRadius(cfg, -1.0), placer),
   };
   for (size_t i = 0; i < std::size(optimizers); ++i) {
-    auto r = optimizers[i]->Optimize(q, cat, s.get());
+    auto r = optimizers[i].Optimize(q, cat, s.get());
     ASSERT_FALSE(r.ok()) << "optimizer " << i;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
         << "optimizer " << i;
@@ -418,7 +435,9 @@ TEST(OptimizerTest, NegativeLambdaRejectedBeforeAnyWork) {
   EXPECT_EQ(placer->calls, 0u);
   // lambda = 0 is valid.
   cfg.lambda = 0.0;
-  EXPECT_TRUE(IntegratedOptimizer(cfg, placer).Optimize(q, cat, s.get()).ok());
+  EXPECT_TRUE(Optimizer(test::IntegratedConfig(cfg), placer)
+                  .Optimize(q, cat, s.get())
+                  .ok());
   EXPECT_GT(placer->calls, 0u);
 }
 
@@ -430,7 +449,7 @@ TEST(ReoptTest, LocalReoptMigratesAwayFromLoadedHost) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  IntegratedOptimizer opt(cfg, Relaxation());
+  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
@@ -464,7 +483,7 @@ TEST(ReoptTest, LocalReoptLeavesSharedInstancesInPlace) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(WithRadius(cfg, -1.0), Relaxation());
+  Optimizer mq(WithRadius(cfg, -1.0), Relaxation());
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
       {0, 1, 2}, s->overlay_nodes()[5], 0.001);
   auto first = mq.Optimize(q, cat, s.get());
@@ -531,7 +550,7 @@ TEST(ReoptTest, LocalReoptNoOpWhenAlreadyGood) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  IntegratedOptimizer opt(cfg, Relaxation());
+  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
@@ -551,7 +570,7 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  IntegratedOptimizer opt(cfg, Relaxation());
+  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
@@ -569,7 +588,7 @@ TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
 
   ReoptConfig rc;
   rc.replan_threshold = 0.05;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, cfg, rc);
+  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   if (report->redeployed) {
     EXPECT_EQ(s->ledger().FindCircuit(*id), nullptr);
@@ -587,7 +606,7 @@ TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  IntegratedOptimizer opt(cfg, Relaxation());
+  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
   auto r = opt.Optimize(q, cat, s.get());
@@ -596,7 +615,7 @@ TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
   ASSERT_TRUE(id.ok());
   ReoptConfig rc;
   rc.replan_threshold = 0.15;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, cfg, rc);
+  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->redeployed);
   EXPECT_NE(s->ledger().FindCircuit(*id), nullptr);
@@ -618,7 +637,7 @@ TEST(EndToEndTest, ManyQueriesLifecycle) {
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
-  MultiQueryOptimizer mq(WithRadius(cfg, 80.0), Relaxation());
+  Optimizer mq(WithRadius(cfg, 80.0), Relaxation());
   std::vector<CircuitId> ids;
   for (int i = 0; i < 12; ++i) {
     query::QuerySpec q =

@@ -6,8 +6,9 @@
 #include <memory>
 
 #include "coords/mds.h"
-#include "core/integrated.h"
+#include "core/optimizer.h"
 #include "core/reopt.h"
+#include "harness/fixtures.h"
 #include "net/generators.h"
 #include "overlay/sbon.h"
 #include "query/workload.h"
@@ -162,8 +163,8 @@ TEST(DynamicsTest, CircuitCostTracksLatencyEpoch) {
   wp.num_streams = 8;
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
@@ -188,8 +189,8 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
   wp.num_streams = 8;
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q =
       query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
@@ -206,8 +207,7 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
     s->TickNetwork();
     for (int i = 0; i < 5; ++i) s->UpdateCoordinatesOnline(4);
     s->RefreshIndex();
-    auto rep = core::FullReoptimize(s.get(), current, q, cat, &opt,
-                                    core::OptimizerConfig{}, rc);
+    auto rep = core::FullReoptimize(s.get(), current, q, cat, &opt, rc);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
     if (rep->redeployed) {
       ++redeploys;
@@ -225,8 +225,8 @@ TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {
   wp.num_streams = 8;
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   std::vector<CircuitId> ids;
   for (int i = 0; i < 4; ++i) {

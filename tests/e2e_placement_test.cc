@@ -174,7 +174,7 @@ TEST(E2EChurnReopt, FullReoptRedeploysConsistently) {
   CircuitId live = rec.circuit_id;
   for (int epoch = 0; epoch < 5 && !redeployed; ++epoch) {
     run.Churn(/*dt=*/2.0, /*vivaldi_samples=*/4);
-    auto report = run.FullReopt(live, "integrated", cfg);
+    auto report = run.FullReopt(live, cfg);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     if (report->redeployed) {
       redeployed = true;

@@ -146,6 +146,11 @@ core::OptimizerConfig TestOptimizerConfig(size_t top_k) {
   return cfg;
 }
 
+core::OptimizerConfig IntegratedConfig(core::OptimizerConfig config) {
+  config.reuse_radius = 0.0;
+  return config;
+}
+
 std::shared_ptr<const placement::VirtualPlacer> DefaultPlacer() {
   return std::make_shared<placement::RelaxationPlacer>();
 }

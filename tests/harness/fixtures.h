@@ -82,6 +82,10 @@ query::Catalog TwoStreamCatalog(const overlay::Sbon& sbon);
 /// lambda = 1.
 core::OptimizerConfig TestOptimizerConfig(size_t top_k = 8);
 
+/// `config` with reuse off (`reuse_radius` 0): the integrated optimizer
+/// (paper Sec. 3.3), as the registry's "integrated" preset configures it.
+core::OptimizerConfig IntegratedConfig(core::OptimizerConfig config = {});
+
 /// The default placer used across the regression suites.
 std::shared_ptr<const placement::VirtualPlacer> DefaultPlacer();
 

@@ -193,12 +193,10 @@ StatusOr<core::LocalReoptReport> ScenarioRunner::LocalReopt(
 }
 
 StatusOr<core::FullReoptReport> ScenarioRunner::FullReopt(
-    CircuitId id, const std::string& optimizer,
-    const core::ReoptConfig& config) {
+    CircuitId id, const core::ReoptConfig& config) {
   engine::ReoptPolicy policy;
   policy.mode = engine::ReoptPolicy::Mode::kFull;
   policy.config = config;
-  policy.optimizer = optimizer;
   auto outcome = engine_->Reoptimize(engine_->HandleOf(id), policy);
   if (!outcome.ok()) return outcome.status();
   return outcome->full;

@@ -84,9 +84,9 @@ class ScenarioRunner {
   /// circuit.
   StatusOr<core::LocalReoptReport> LocalReopt(CircuitId id,
                                               const core::ReoptConfig& config);
-  /// Full re-optimization (parallel circuit deployment) using `optimizer`.
+  /// Full re-optimization (parallel circuit deployment) with the optimizer
+  /// the circuit's query was submitted with.
   StatusOr<core::FullReoptReport> FullReopt(CircuitId id,
-                                            const std::string& optimizer,
                                             const core::ReoptConfig& config);
 
   /// Re-verifies cost invariants over every installed circuit (e.g. after

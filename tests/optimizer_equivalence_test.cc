@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "coords/weighting.h"
-#include "core/integrated.h"
+#include "core/optimizer.h"
 #include "harness/fixtures.h"
 #include "harness/reference_optimizer.h"
 #include "placement/relaxation.h"
@@ -55,7 +55,7 @@ std::vector<PlacerPtr> Placers() {
 // Runs `optimizer` and the exhaustive reference on one spec and compares
 // them: plan ops, hosts and the estimate bit for bit; mapping work never
 // above the reference's.
-void ExpectMatchesExhaustive(IntegratedOptimizer* optimizer,
+void ExpectMatchesExhaustive(Optimizer* optimizer,
                              const query::QuerySpec& spec,
                              const query::Catalog& catalog,
                              overlay::Sbon* sbon, const std::string& what) {
@@ -96,15 +96,14 @@ TEST_P(OptimizerEquivalenceTest, BestFirstEqualsExhaustive) {
   const std::vector<query::QuerySpec> specs =
       test::MakeQueries(*sbon, catalog, wp, 30, seed + 200);
 
-  std::vector<std::unique_ptr<IntegratedOptimizer>> optimizers;
+  std::vector<std::unique_ptr<Optimizer>> optimizers;
   for (size_t top_k : {1, 2, 5, 8}) {
     for (double lambda : {0.0, 0.5, 1.0, 5.0}) {
       for (const PlacerPtr& placer : Placers()) {
-        OptimizerConfig cfg;
+        OptimizerConfig cfg = test::IntegratedConfig();
         cfg.enumeration.top_k = top_k;
         cfg.lambda = lambda;
-        optimizers.push_back(
-            std::make_unique<IntegratedOptimizer>(cfg, placer));
+        optimizers.push_back(std::make_unique<Optimizer>(cfg, placer));
       }
     }
   }
@@ -174,7 +173,7 @@ TEST(OptimizerTieBreakTest, AllFreeCandidatesPickFirstEnumerated) {
     }
     const query::QuerySpec spec =
         query::QuerySpec::SimpleJoin({0, 1, 2, 3, 4}, site, 1e-4);
-    OptimizerConfig cfg;
+    OptimizerConfig cfg = test::IntegratedConfig();
     cfg.enumeration.top_k = 8;
     cfg.lambda = 0.0;
     auto plans = query::EnumeratePlans(spec, catalog, cfg.enumeration);
@@ -190,7 +189,7 @@ TEST(OptimizerTieBreakTest, AllFreeCandidatesPickFirstEnumerated) {
           if (!shifted) return inner;
           return std::make_shared<const ShiftingPlacer>(inner);
         };
-        IntegratedOptimizer optimizer(cfg, make_placer());
+        Optimizer optimizer(cfg, make_placer());
         auto got = optimizer.Optimize(spec, catalog, sbon.get());
         auto want = test::ExhaustiveIntegratedOptimize(
             cfg, *make_placer(), spec, catalog, sbon.get());

@@ -6,9 +6,9 @@
 
 #include <memory>
 
-#include "core/integrated.h"
-#include "core/multi_query.h"
+#include "core/optimizer.h"
 #include "dht/coord_index.h"
+#include "harness/fixtures.h"
 #include "net/generators.h"
 #include "overlay/metrics.h"
 #include "overlay/sbon.h"
@@ -57,7 +57,7 @@ TEST(ReuseChainTest, DiamondDependencySurvivesAnyRemovalOrder) {
     query::Catalog cat = ThreeStreams(*s);
     core::OptimizerConfig unbounded;
     unbounded.reuse_radius = -1.0;
-    core::MultiQueryOptimizer opt(
+    core::Optimizer opt(
         unbounded, std::make_shared<placement::RelaxationPlacer>());
     std::vector<CircuitId> ids;
     for (NodeId consumer : {s->overlay_nodes()[1], s->overlay_nodes()[15],
@@ -89,7 +89,7 @@ TEST(ReuseChainTest, MigratingSharedInstanceUpdatesAllCircuits) {
   query::Catalog cat = ThreeStreams(*s);
   core::OptimizerConfig unbounded;
   unbounded.reuse_radius = -1.0;
-  core::MultiQueryOptimizer opt(
+  core::Optimizer opt(
       unbounded, std::make_shared<placement::RelaxationPlacer>());
   query::QuerySpec q1 =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[2], 0.001);
@@ -134,7 +134,7 @@ TEST(ReuseChainTest, SecondLevelReuseChainsAttach) {
   query::Catalog cat = ThreeStreams(*s);
   core::OptimizerConfig unbounded;
   unbounded.reuse_radius = -1.0;
-  core::MultiQueryOptimizer opt(
+  core::Optimizer opt(
       unbounded, std::make_shared<placement::RelaxationPlacer>());
   auto deploy = [&](NodeId consumer) {
     query::QuerySpec q =
@@ -166,8 +166,8 @@ TEST(DegenerateQueryTest, SingleStreamNoInteriorServices) {
       query::QuerySpec::SimpleJoin({2}, s->overlay_nodes()[3], 0.5);
   core::OptimizerConfig two_step;  // one candidate plan: the two-step baseline
   two_step.enumeration.top_k = 1;
-  core::IntegratedOptimizer opt(two_step,
-                                std::make_shared<placement::RelaxationPlacer>());
+  core::Optimizer opt(test::IntegratedConfig(two_step),
+                      std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->circuit.PlaceableVertices().empty());
@@ -184,8 +184,8 @@ TEST(DegenerateQueryTest, ZeroSelectivityJoinStillPlaces) {
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[3], 0.0);
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
@@ -205,8 +205,8 @@ TEST(DegenerateQueryTest, SelectivityOneCartesianExplodes) {
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[3], 1.0);
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
@@ -225,8 +225,8 @@ TEST(DegenerateQueryTest, AllProducersColocated) {
   cat.AddStream("a", 100, 64, site);
   cat.AddStream("b", 50, 64, site);
   query::QuerySpec q = query::QuerySpec::SimpleJoin({0, 1}, site, 0.01);
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
@@ -244,8 +244,8 @@ TEST(DegenerateQueryTest, FilterAndAggregateOnlyQuery) {
       query::QuerySpec::SimpleJoin({0}, s->overlay_nodes()[12], 1.0);
   q.filter_sel = {0.1};
   q.aggregate_factor = 0.05;
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
@@ -339,8 +339,8 @@ TEST(HardeningTest, OptimizeInvalidSpecFails) {
   auto s = SmallSbon(70);
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec bad;  // no streams, no consumer
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   EXPECT_FALSE(opt.Optimize(bad, cat, s.get()).ok());
 }
@@ -350,8 +350,8 @@ TEST(HardeningTest, InstallSameCircuitTwiceCreatesTwoDeployments) {
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[3], 0.001);
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r1 = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r1.ok());
@@ -370,8 +370,8 @@ TEST(HardeningTest, MigrateToSameHostIsNoOp) {
   query::Catalog cat = ThreeStreams(*s);
   query::QuerySpec q =
       query::QuerySpec::SimpleJoin({0, 1}, s->overlay_nodes()[3], 0.001);
-  core::IntegratedOptimizer opt(
-      core::OptimizerConfig{},
+  core::Optimizer opt(
+      test::IntegratedConfig(),
       std::make_shared<placement::RelaxationPlacer>());
   auto r = opt.Optimize(q, cat, s.get());
   ASSERT_TRUE(r.ok());
