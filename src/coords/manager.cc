@@ -76,7 +76,7 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
     box_points.push_back(worst);
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
-      dht::HilbertQuantizer::FitTo(box_points, params_.hilbert_bits));
+      dht::HilbertQuantizer::FitTo(box_points, kHilbertBits));
   index_->PublishAll(publish_nodes_, publish_coords_);
 }
 

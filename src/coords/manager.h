@@ -43,10 +43,14 @@ struct IndexRefreshStats {
 /// net::NetworkFabric and overlay::ServiceLedger).
 class CoordinateManager {
  public:
+  /// Hilbert-curve resolution of the coordinate index, in bits per cost
+  /// dimension. A key is a U128, so a spec's total_dims() * kHilbertBits
+  /// must be at most 128 (Sbon::Create checks it).
+  static constexpr unsigned kHilbertBits = 10;
+
   struct Params {
     CostSpaceSpec spec = CostSpaceSpec::LatencyAndLoad();
     CoordMode mode = CoordMode::kVivaldi;
-    unsigned hilbert_bits = 10;
   };
 
   /// Embeds coordinates against `lat` — a full Vivaldi gossip run (default

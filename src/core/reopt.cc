@@ -72,36 +72,4 @@ StatusOr<LocalReoptReport> LocalReoptimize(
   return report;
 }
 
-StatusOr<FullReoptReport> FullReoptimize(
-    overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
-    const query::Catalog& catalog, Optimizer* optimizer,
-    const ReoptConfig& config) {
-  const overlay::Circuit* live = sbon->ledger().FindCircuit(circuit_id);
-  if (live == nullptr) return Status::NotFound("no such circuit");
-
-  FullReoptReport report;
-  auto before = EstimateCost(*live, *sbon, optimizer->config().lambda);
-  if (!before.ok()) return before.status();
-  report.estimated_cost_before = *before;
-
-  auto candidate = optimizer->Optimize(spec, catalog, sbon);
-  if (!candidate.ok()) return candidate.status();
-  report.estimated_cost_candidate = candidate->estimated_cost;
-  overlay::Circuit circuit = std::move(candidate->circuit);
-  report.candidate = std::move(*candidate);
-  report.candidate.circuit = overlay::Circuit();
-
-  if (report.estimated_cost_candidate <
-      *before * (1.0 - config.replan_threshold)) {
-    // Deploy the parallel circuit first, then cancel the original.
-    auto new_id = sbon->InstallCircuit(std::move(circuit));
-    if (!new_id.ok()) return new_id.status();
-    Status rm = sbon->RemoveCircuit(circuit_id);
-    if (!rm.ok()) return rm;
-    report.redeployed = true;
-    report.new_circuit = *new_id;
-  }
-  return report;
-}
-
 }  // namespace sbon::core

@@ -11,7 +11,9 @@ namespace sbon::core {
 /// deploys a parallel circuit and cancels the original. The improvement
 /// bars live here; lambda and the mapping options are the query's own
 /// (the `OptimizerConfig` it was optimized with), so a re-optimization
-/// prices the running circuit exactly as the optimizer priced it.
+/// prices the running circuit exactly as the optimizer priced it. The full
+/// re-plan is the engine's deploy step (engine::StreamEngine::Reoptimize);
+/// only the local pass lives here.
 struct ReoptConfig {
   /// Minimum fractional estimated-cost improvement before any migration is
   /// performed (hysteresis against oscillation).
@@ -42,30 +44,6 @@ StatusOr<LocalReoptReport> LocalReoptimize(
     overlay::Sbon* sbon, CircuitId circuit_id,
     const placement::VirtualPlacer& placer,
     const OptimizerConfig& query_config, const ReoptConfig& config);
-
-/// Outcome of a full re-optimization attempt.
-struct FullReoptReport {
-  bool redeployed = false;
-  CircuitId new_circuit = kInvalidCircuit;
-  double estimated_cost_before = 0.0;
-  double estimated_cost_candidate = 0.0;
-  /// Accounting of the candidate optimization run (plans/placements/reuse/
-  /// mapping work). Its `circuit` member is left empty: on redeploy the
-  /// installed circuit is the authoritative copy, otherwise the candidate
-  /// was discarded.
-  OptimizeResult candidate;
-};
-
-/// Runs `optimizer` afresh for the circuit's original spec; if the candidate
-/// circuit is cheaper than the running one by more than `replan_threshold`,
-/// deploys it in parallel and cancels the original (the paper's stronger
-/// re-optimization). The running circuit is priced at the optimizer's
-/// lambda, the weight it ranks its candidates by. Returns the report either
-/// way.
-StatusOr<FullReoptReport> FullReoptimize(
-    overlay::Sbon* sbon, CircuitId circuit_id, const query::QuerySpec& spec,
-    const query::Catalog& catalog, Optimizer* optimizer,
-    const ReoptConfig& config);
 
 }  // namespace sbon::core
 

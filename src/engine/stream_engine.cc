@@ -69,45 +69,87 @@ StatusOr<core::OptimizeResult> StreamEngine::Optimize(
   return (*built)->optimizer->Optimize(spec, catalog_, sbon_.get());
 }
 
-Status StreamEngine::OptimizeAndInstall(StrategySpec strategy,
-                                        QueryRecord* record) {
-  auto built = OptimizerFor(strategy);
+StatusOr<FullReoptReport> StreamEngine::Deploy(QueryHandle handle,
+                                               QueryRecord* record,
+                                               double replan_threshold) {
+  auto built = OptimizerFor(record->strategy);
   if (!built.ok()) return built.status();
+  FullReoptReport report;
+  const CircuitId running = record->circuit;
+  if (running != kInvalidCircuit) {
+    const overlay::Circuit* live = sbon_->ledger().FindCircuit(running);
+    if (live == nullptr) return Status::NotFound("no such circuit");
+    auto before =
+        core::EstimateCost(*live, *sbon_, record->strategy.config->lambda);
+    if (!before.ok()) return before.status();
+    report.estimated_cost_before = *before;
+  }
   auto result =
       (*built)->optimizer->Optimize(record->spec, catalog_, sbon_.get());
   if (!result.ok()) return result.status();
+  report.estimated_cost_candidate = result->estimated_cost;
   overlay::Circuit circuit = std::move(result->circuit);
-  // InstallCircuit is failure-atomic, so a failure here leaves the overlay
-  // exactly as it was before the call.
-  auto circuit_id = sbon_->InstallCircuit(std::move(circuit));
-  if (!circuit_id.ok()) return circuit_id.status();
+  report.candidate = std::move(*result);
+  report.candidate.circuit = overlay::Circuit();
+  // The paper's stronger re-optimization: deploy a parallel circuit and
+  // cancel the original, but only for a gain that clears the bar.
+  report.redeployed =
+      running == kInvalidCircuit ||
+      report.estimated_cost_candidate <
+          report.estimated_cost_before * (1.0 - replan_threshold);
+
+  const overlay::Circuit* installed = nullptr;
+  if (report.redeployed) {
+    // InstallCircuit is failure-atomic, so a failure here leaves the
+    // overlay exactly as it was before the call.
+    auto new_id = sbon_->InstallCircuit(std::move(circuit));
+    if (!new_id.ok()) return new_id.status();
+    report.new_circuit = *new_id;
+    installed = sbon_->ledger().FindCircuit(*new_id);
+  }
   if (msg_runtime_ != nullptr) {
     // Message mode bills the run's DHT traffic (the mapping stage's index
-    // lookups/hops/probes) as kPlacement messages and stamps each placed
-    // vertex with its host's coordinate staleness.
-    msg_runtime_->BillPlacement(result->mapping.dht_cost,
-                                sbon_->ledger().FindCircuit(*circuit_id));
+    // lookups/hops/probes) as kPlacement messages whether or not the
+    // candidate was deployed, and stamps each placed vertex of a deployed
+    // one with its host's coordinate staleness.
+    msg_runtime_->BillPlacement(report.candidate.mapping.dht_cost, installed);
   }
-  record->strategy = std::move(strategy);
-  record->result = std::move(*result);
+  if (!report.redeployed) return report;
+  if (running != kInvalidCircuit) {
+    Status rm = sbon_->RemoveCircuit(running);
+    if (!rm.ok()) return rm;
+    by_circuit_.erase(running);
+  }
+  by_circuit_.emplace(report.new_circuit, handle);
+  record->circuit = report.new_circuit;
   // The record keeps only the run's accounting; the installed circuit is
-  // the authoritative copy (the one here would go stale on reopt anyway).
-  record->result.circuit = overlay::Circuit();
-  record->circuit = *circuit_id;
+  // the authoritative copy.
+  record->result = report.candidate;
+  // A new query's record joins queries_; a stored one is already there
+  // (try_emplace then leaves it untouched).
+  queries_.try_emplace(handle, std::move(*record));
+  MaybeRefreshIndex();
+  return report;
+}
+
+Status StreamEngine::Teardown(QueryRecord* record) {
+  Status st = sbon_->RemoveCircuit(record->circuit);
+  // A circuit torn down out-of-band (directly on the Sbon) counts as
+  // already removed.
+  if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
+  by_circuit_.erase(record->circuit);
+  record->circuit = kInvalidCircuit;
   return Status::OK();
 }
 
 StatusOr<QueryHandle> StreamEngine::Submit(const query::QuerySpec& spec,
                                            const StrategySpec& strategy) {
-  QueryRecord record;
-  record.spec = spec;
-  Status st = OptimizeAndInstall(Resolve(strategy, defaults_), &record);
-  if (!st.ok()) return st;
-
-  const QueryHandle handle{next_handle_++};
-  by_circuit_.emplace(record.circuit, handle);
-  queries_.emplace(handle, std::move(record));
-  MaybeRefreshIndex();
+  QueryRecord record{spec, kInvalidCircuit, Resolve(strategy, defaults_), {}};
+  const QueryHandle handle{next_handle_};
+  // No running circuit, so no bar: the candidate is always deployed.
+  auto deployed = Deploy(handle, &record, /*replan_threshold=*/0.0);
+  if (!deployed.ok()) return deployed.status();
+  ++next_handle_;
   return handle;
 }
 
@@ -129,11 +171,10 @@ std::vector<StatusOr<QueryHandle>> StreamEngine::SubmitAll(
 Status StreamEngine::Remove(QueryHandle handle) {
   auto it = queries_.find(handle);
   if (it == queries_.end()) return Status::NotFound("no such query");
-  Status st = sbon_->RemoveCircuit(it->second.circuit);
-  // A circuit torn down out-of-band (directly on the Sbon) counts as
-  // already removed; the query record must still be releasable.
-  if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
-  by_circuit_.erase(it->second.circuit);
+  // The query record is releasable even when its circuit was torn down
+  // out-of-band.
+  Status st = Teardown(&it->second);
+  if (!st.ok()) return st;
   queries_.erase(it);
   MaybeRefreshIndex();
   return Status::OK();
@@ -145,103 +186,54 @@ StatusOr<ReoptOutcome> StreamEngine::Reoptimize(QueryHandle handle,
   if (it == queries_.end()) return Status::NotFound("no such query");
   QueryRecord& record = it->second;
 
-  auto built = OptimizerFor(record.strategy);
-  if (!built.ok()) return built.status();
   ReoptOutcome outcome;
   outcome.mode = policy.mode;
-  if (policy.mode == ReoptPolicy::Mode::kLocal) {
-    auto report = core::LocalReoptimize(
-        sbon_.get(), record.circuit, (*built)->optimizer->placer(),
-        *record.strategy.config, policy.config);
+  if (policy.mode == ReoptPolicy::Mode::kFull) {
+    auto report = Deploy(handle, &record, policy.config.replan_threshold);
     if (!report.ok()) return report.status();
-    if (msg_runtime_ != nullptr) {
-      // The re-mapping's index traffic is paid whether or not anything
-      // moved; staleness is stamped only on a placement that was adopted.
-      msg_runtime_->BillPlacement(
-          report->mapping.dht_cost,
-          report->migrations > 0 ? sbon_->ledger().FindCircuit(record.circuit)
-                                 : nullptr);
-    }
-    outcome.local = *report;
+    outcome.full = std::move(*report);
     return outcome;
   }
 
-  auto report = core::FullReoptimize(sbon_.get(), record.circuit, record.spec,
-                                     catalog_, (*built)->optimizer.get(),
-                                     policy.config);
+  auto built = OptimizerFor(record.strategy);
+  if (!built.ok()) return built.status();
+  auto report = core::LocalReoptimize(
+      sbon_.get(), record.circuit, (*built)->optimizer->placer(),
+      *record.strategy.config, policy.config);
   if (!report.ok()) return report.status();
-  outcome.full = *report;
   if (msg_runtime_ != nullptr) {
-    // The candidate's lookups were paid whether or not it was deployed; a
-    // kept running circuit gets no staleness stamps.
+    // The re-mapping's index traffic is paid whether or not anything
+    // moved; staleness is stamped only on a placement that was adopted.
     msg_runtime_->BillPlacement(
-        report->candidate.mapping.dht_cost,
-        report->redeployed ? sbon_->ledger().FindCircuit(report->new_circuit)
-                           : nullptr);
+        report->mapping.dht_cost,
+        report->migrations > 0 ? sbon_->ledger().FindCircuit(record.circuit)
+                               : nullptr);
   }
-  if (report->redeployed) {
-    // The handle now refers to the replacement circuit; the record's
-    // accounting must describe the run that produced it, not the cancelled
-    // original's.
-    by_circuit_.erase(record.circuit);
-    record.circuit = report->new_circuit;
-    by_circuit_.emplace(record.circuit, handle);
-    record.result = report->candidate;
-    MaybeRefreshIndex();
-  }
+  outcome.local = *report;
   return outcome;
 }
 
-Status StreamEngine::DetachForRepair(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) return Status::NotFound("no such query");
-  QueryRecord& record = it->second;
-
-  // A dead pinned endpoint (producer or consumer) is unrepairable by
-  // re-placement: the spec demands that exact node.
-  const overlay::Circuit* old_circuit =
-      sbon_->ledger().FindCircuit(record.circuit);
-  if (old_circuit != nullptr) {
-    for (const overlay::CircuitVertex& v : old_circuit->vertices()) {
-      if (v.pinned && !sbon_->IsAlive(v.host)) {
-        return Status::FailedPrecondition("pinned endpoint is down");
-      }
-    }
-    // Tear down the remnant: its surviving instances (and any shared ones)
-    // are released via the usual detach bookkeeping, and the re-plan gets
-    // a clean view of load and reuse candidates.
-    Status st = sbon_->RemoveCircuit(record.circuit);
-    if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
-  }
-  by_circuit_.erase(record.circuit);
-  record.circuit = kInvalidCircuit;
-  return Status::OK();
-}
-
-Status StreamEngine::ReplanQuery(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) return Status::NotFound("no such query");
-  QueryRecord& record = it->second;
-  const Status st = OptimizeAndInstall(record.strategy, &record);
-  if (!st.ok()) return st;
-  by_circuit_.emplace(record.circuit, handle);
-  MaybeRefreshIndex();
-  return Status::OK();
-}
-
-bool StreamEngine::FailAndRepair(NodeId n, bool notify_msg_runtime) {
+void StreamEngine::FailAndRepair(NodeId n) {
   auto report = sbon_->FailNode(n);
   // The overlay may refuse (e.g. last alive node): no repair needed.
-  if (!report.ok()) return false;
+  if (!report.ok()) return;
   ++repair_stats_.crashes;
-  // In message mode the crash produces detector traffic (leaf-set kLeave
-  // fan-out) and restarts the convergence clock. Notify before the repairs
-  // so their placement probes land after the churn stamp.
-  if (notify_msg_runtime && msg_runtime_ != nullptr) {
+  if (msg_runtime_ != nullptr) {
+    // Message mode: the crash produces leaf-set kLeave fan-out and
+    // restarts the convergence clock. A crash the detector confirmed also
+    // records how many epochs detection took. Repairs send no bus message,
+    // so reporting before them changes no delivery.
+    std::optional<size_t> detection_latency;
+    auto pc = pending_crashes_.find(n);
+    if (pc != pending_crashes_.end()) {
+      const size_t completed = msg_runtime_->bus_epoch() - 1;
+      detection_latency = completed - pc->second;
+      pending_crashes_.erase(pc);
+    }
     net::ChurnEvent ev;
     ev.type = net::ChurnEventType::kCrash;
     ev.node = n;
-    msg_runtime_->NotifyChurn(ev);
+    msg_runtime_->NotifyChurn(ev, detection_latency);
   }
   repair_stats_.services_evicted += report->services_evicted;
   repair_stats_.circuits_orphaned += report->orphaned.size();
@@ -259,25 +251,38 @@ bool StreamEngine::FailAndRepair(NodeId n, bool notify_msg_runtime) {
       (void)sbon_->RemoveCircuit(cid);
       continue;
     }
-    if (DetachForRepair(handle).ok()) {
+    // A dead pinned endpoint (producer or consumer) is unrepairable by
+    // re-placement: the spec demands that exact node.
+    const overlay::Circuit* remnant = sbon_->ledger().FindCircuit(cid);
+    const bool pinned_down =
+        remnant != nullptr &&
+        std::any_of(remnant->vertices().begin(), remnant->vertices().end(),
+                    [&](const overlay::CircuitVertex& v) {
+                      return v.pinned && !sbon_->IsAlive(v.host);
+                    });
+    // Tearing the remnant down releases its surviving instances (and any
+    // shared ones), so the re-plan gets a clean view of load and reuse
+    // candidates.
+    if (!pinned_down && Teardown(&queries_.find(handle)->second).ok()) {
       replan.push_back(handle);
     } else {
-      // Unrepairable (a pinned endpoint died with the node): drop the
-      // query; its handle is released.
+      // Drop the query; its handle is released.
       (void)Remove(handle);
       ++repair_stats_.queries_dropped;
     }
   }
-  // Phase 2: re-plan the survivors in orphan (circuit-id) order.
+  // Phase 2: re-plan the survivors in orphan (circuit-id) order, under
+  // their handles and with no improvement bar (nothing is running).
   for (QueryHandle handle : replan) {
-    if (ReplanQuery(handle).ok()) {
+    if (Deploy(handle, &queries_.find(handle)->second,
+               /*replan_threshold=*/0.0)
+            .ok()) {
       ++repair_stats_.queries_repaired;
     } else {
       (void)Remove(handle);
       ++repair_stats_.queries_dropped;
     }
   }
-  return true;
 }
 
 void StreamEngine::ApplyChurn(const std::vector<net::ChurnEvent>& events) {
@@ -297,7 +302,7 @@ void StreamEngine::ApplyChurn(const std::vector<net::ChurnEvent>& events) {
           }
           break;
         }
-        FailAndRepair(ev.node, /*notify_msg_runtime=*/true);
+        FailAndRepair(ev.node);
         break;
       }
       case net::ChurnEventType::kRejoin: {
@@ -416,22 +421,17 @@ Status StreamEngine::AdvanceEpoch(const EpochOptions& epoch) {
     // FailNode + the two-phase repair plan, with detection latency now a
     // measured quantity instead of zero by construction.
     stage("detect+repair", /*enabled=*/true, [&] {
-      const size_t completed = msg_runtime_->bus_epoch() - 1;
       for (NodeId n : msg_runtime_->TakeConfirmedCrashes()) {
-        auto pc = pending_crashes_.find(n);
-        if (pc == pending_crashes_.end()) {
+        if (!pending_crashes_.contains(n)) {
           // The node never physically crashed — the detector was
           // starved of its heartbeats (e.g. by a partition cut).
           msg_runtime_->NoteSpuriousConfirm(n);
           continue;
         }
-        const size_t crash_epoch = pc->second;
-        if (FailAndRepair(n, /*notify_msg_runtime=*/false)) {
-          pending_crashes_.erase(pc);
-          msg_runtime_->NotifyCrashConfirmed(n, completed - crash_epoch);
-        }
-        // FailNode refused (e.g. last alive node): keep the pending
-        // record; suspicion rebuilds from silence and re-confirms.
+        // Clears the pending record. If FailNode refuses (e.g. last alive
+        // node) the record stays; suspicion rebuilds from silence and
+        // re-confirms.
+        FailAndRepair(n);
       }
     });
   }

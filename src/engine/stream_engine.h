@@ -136,12 +136,27 @@ struct ReoptPolicy {
   core::ReoptConfig config;
 };
 
+/// Outcome of a full re-optimization attempt.
+struct FullReoptReport {
+  bool redeployed = false;
+  CircuitId new_circuit = kInvalidCircuit;
+  /// The running circuit priced at the query's lambda, the weight its
+  /// optimizer ranks candidates by.
+  double estimated_cost_before = 0.0;
+  double estimated_cost_candidate = 0.0;
+  /// Accounting of the candidate optimization run (plans/placements/reuse/
+  /// mapping work). Its `circuit` member is left empty: on redeploy the
+  /// installed circuit is the authoritative copy, otherwise the candidate
+  /// was discarded.
+  core::OptimizeResult candidate;
+};
+
 /// What one Reoptimize call did. `local` is meaningful in kLocal mode,
 /// `full` in kFull mode.
 struct ReoptOutcome {
   ReoptPolicy::Mode mode = ReoptPolicy::Mode::kLocal;
   core::LocalReoptReport local;
-  core::FullReoptReport full;
+  FullReoptReport full;
 };
 
 /// Per-query statistics, combining submit-time optimizer accounting with
@@ -339,13 +354,21 @@ class StreamEngine {
   /// equal strategy before, else a new one, kept unless building fails.
   StatusOr<BuiltOptimizer*> OptimizerFor(const StrategySpec& strategy);
 
-  /// The deploy protocol shared by Submit and repair: optimizes
-  /// `record->spec` with the resolved `strategy`, installs the winning
-  /// circuit, and rewrites the record's strategy, accounting (the result
-  /// with its circuit cleared — the installed copy is authoritative) and
-  /// circuit id. On failure the overlay is untouched and the record keeps
-  /// whatever it held before.
-  Status OptimizeAndInstall(StrategySpec strategy, QueryRecord* record);
+  /// The one step that gives a query a circuit; Submit, the repair
+  /// re-plan and a full re-optimization all run it. Optimizes
+  /// `record->spec` with the recorded strategy. When the record holds a
+  /// running circuit, prices it and keeps it unless the candidate is
+  /// cheaper by more than `replan_threshold` (NotFound when the circuit was
+  /// torn down out-of-band). Otherwise installs the candidate, bills it to
+  /// message mode, removes the running circuit, points `handle` at the new
+  /// circuit (a record not yet in queries_ is moved there) with the
+  /// candidate's accounting, and refreshes the index. A failure before the
+  /// install leaves the overlay and the record as they were.
+  StatusOr<FullReoptReport> Deploy(QueryHandle handle, QueryRecord* record,
+                                   double replan_threshold);
+  /// Removes the record's circuit from the overlay (one already gone counts
+  /// as removed) and clears it from the record and by_circuit_.
+  Status Teardown(QueryRecord* record);
 
   void FillCurrentCost(QueryStats* stats) const;
 
@@ -359,25 +382,16 @@ class StreamEngine {
   /// of a broken reuse chain are fully released — never left in the
   /// signature index for a re-plan to reuse without their feeders.
   void ApplyChurn(const std::vector<net::ChurnEvent>& events);
-  /// The oracle crash path: FailNode + the two-phase repair plan over the
-  /// orphaned circuits. `notify_msg_runtime` reports the crash to message
-  /// mode's convergence clock / leaf-set fanout (false on the detector
-  /// path, which does its own post-confirmation notification). Returns
-  /// false when the overlay refused the failure (e.g. last alive node).
-  bool FailAndRepair(NodeId n, bool notify_msg_runtime);
+  /// FailNode + the two-phase repair plan over the orphaned circuits, with
+  /// the crash reported to message mode first (carrying its detection
+  /// latency when the detector confirmed it). Does nothing when the overlay
+  /// refuses the failure (e.g. last alive node).
+  void FailAndRepair(NodeId n);
   /// True when message mode runs with the decentralized failure detector:
   /// crashes defer membership transitions until the detector confirms.
   bool DetectorMode() const {
     return msg_runtime_ != nullptr && msg_runtime_->detector_enabled();
   }
-  /// Repair phase 1: validates the query is repairable (no dead pinned
-  /// endpoint) and tears down its circuit remnant, leaving the record with
-  /// kInvalidCircuit. Fails without side effects on a dead endpoint.
-  Status DetachForRepair(QueryHandle handle);
-  /// Repair phase 2: re-optimizes and redeploys under the same handle with
-  /// the query's recorded strategy, with no improvement bar.
-  Status ReplanQuery(QueryHandle handle);
-
   /// The install-time refresh gate shared by every deployment mutation:
   /// refreshes immediately when the engine was built with
   /// refresh_index_on_install and no DeferRefresh scope is open, otherwise
@@ -397,8 +411,8 @@ class StreamEngine {
   std::unique_ptr<overlay::Sbon> sbon_;
   query::Catalog catalog_;
   std::map<QueryHandle, QueryRecord> queries_;
-  /// Inverse of QueryRecord::circuit, kept in sync by Submit / Remove /
-  /// Reoptimize so HandleOf stays cheap at many-query scale.
+  /// Inverse of QueryRecord::circuit, kept in sync by Deploy and Teardown
+  /// so HandleOf stays cheap at many-query scale.
   std::map<CircuitId, QueryHandle> by_circuit_;
   uint64_t next_handle_ = 1;
   RepairStats repair_stats_;

@@ -497,15 +497,19 @@ Runtime::Runtime(overlay::Sbon* sbon, const RuntimeParams& params)
   if (detector_enabled_) ring_.set_detector(&detector_);
 }
 
-void Runtime::NotifyChurn(const net::ChurnEvent& ev) {
+void Runtime::NotifyChurn(const net::ChurnEvent& ev,
+                          std::optional<size_t> detection_latency_epochs) {
   TrafficStats& stats = bus_.stats();
   stats.last_churn_epoch = bus_.epoch();
   stats.churn_pending = true;
   switch (ev.type) {
     case net::ChurnEventType::kCrash:
-      // Detector mode: a crash is silent — nobody is told. The leaf-set
-      // fanout waits for the detector's confirmation.
-      if (!detector_enabled_) ring_.OnCrash(ev.node);
+      if (detection_latency_epochs) {
+        ++stats.detector.crash_confirmations;
+        stats.detector.detection_latency_samples.push_back(
+            static_cast<uint32_t>(*detection_latency_epochs));
+      }
+      ring_.OnCrash(ev.node);
       break;
     case net::ChurnEventType::kRejoin:
       ring_.OnRejoin(ev.node);
@@ -546,18 +550,6 @@ void Runtime::FinishEpoch(bool refresh, double epsilon) {
     }
     detector_.Step(members_scratch_, &stats.detector, &confirmed_crashes_);
   }
-}
-
-void Runtime::NotifyCrashConfirmed(NodeId n, size_t latency_epochs) {
-  TrafficStats& stats = bus_.stats();
-  ++stats.detector.crash_confirmations;
-  stats.detector.detection_latency_samples.push_back(
-      static_cast<uint32_t>(latency_epochs));
-  // The membership transition happens now, not at the physical crash: the
-  // convergence clock restarts from the confirmation.
-  stats.last_churn_epoch = bus_.epoch();
-  stats.churn_pending = true;
-  ring_.OnCrash(n);
 }
 
 void Runtime::NoteSpuriousConfirm(NodeId n) {

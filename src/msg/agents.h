@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -257,11 +258,14 @@ class Runtime {
   void StepVivaldi(size_t samples_per_node) {
     vivaldi_.StepEpoch(samples_per_node);
   }
-  /// Records a churn event the engine just applied (convergence clock +
-  /// ring join/leave traffic). With the detector enabled, a kCrash event
-  /// produces no oracle notification — the leaf-set fanout waits for the
-  /// detector's confirmation (NotifyCrashConfirmed).
-  void NotifyChurn(const net::ChurnEvent& ev);
+  /// Records a churn event the engine just applied: restarts the
+  /// convergence clock and sends the ring's join/leave traffic. A crash
+  /// arrives when the overlay's membership transition runs: at once
+  /// without the detector, at the detector's confirmation with it, and
+  /// then `detection_latency_epochs` records the confirmation and how long
+  /// detection took.
+  void NotifyChurn(const net::ChurnEvent& ev,
+                   std::optional<size_t> detection_latency_epochs = {});
   /// The msg-refresh stage: displacement publishes + heartbeats, the epoch
   /// drain, the drain's delivered publishes as one ring batch, the
   /// Vivaldi -> cost-space sync, and the convergence bookkeeping.
@@ -285,10 +289,6 @@ class Runtime {
     out.swap(confirmed_crashes_);
     return out;
   }
-  /// The engine acted on a confirmed crash: records the confirmation and
-  /// its detection latency, restarts the convergence clock, and fans out
-  /// the leaf-set kLeave notifications that oracle mode sends at the crash.
-  void NotifyCrashConfirmed(NodeId n, size_t latency_epochs);
   /// The engine rejected a confirmation (the node is actually alive — e.g.
   /// heartbeat-starved by a partition): counted as a vetoed confirmation, and
   /// the detector's state about the node is wiped so suspicion must

@@ -20,13 +20,12 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
   if (options.latency_jitter_sigma < 0.0) {
     return Status::InvalidArgument("latency_jitter_sigma must be >= 0");
   }
-  if (options.hilbert_bits < 1 || options.hilbert_bits > 16) {
-    return Status::InvalidArgument("hilbert_bits must be in [1, 16]");
-  }
-  if (options.space_spec.total_dims() > 128 / options.hilbert_bits) {
-    // A coordinate's Hilbert key is a U128: total_dims * hilbert_bits bits.
+  if (options.space_spec.total_dims() *
+          coords::CoordinateManager::kHilbertBits >
+      128) {
+    // A coordinate's Hilbert key is a U128: total_dims * kHilbertBits bits.
     return Status::InvalidArgument(
-        "space_spec.total_dims() * hilbert_bits must be <= 128");
+        "space_spec.total_dims() * kHilbertBits must be <= 128");
   }
   if (net::NetworkFabric::Resolve(options.fabric_mode, topo.NumNodes()) !=
           net::NetworkFabric::BaseMode::kDense &&
@@ -64,7 +63,6 @@ Status Sbon::Initialize() {
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;
   cp.mode = options_.coord_mode;
-  cp.hilbert_bits = options_.hilbert_bits;
   auto coords = coords::CoordinateManager::Build(cp, fabric_->live(), &rng_);
   if (!coords.ok()) return coords.status();
   coords_ = std::move(coords.value());
@@ -126,13 +124,19 @@ Status Sbon::MigrateService(ServiceInstanceId id, NodeId new_host) {
   return Status::OK();
 }
 
-StatusOr<FailureReport> Sbon::FailNode(NodeId n) {
+Status Sbon::CheckChurnTarget(NodeId n) const {
   if (n >= topo_.NumNodes()) {
-    return Status::OutOfRange("failed node out of range");
+    return Status::OutOfRange("churn target out of range");
   }
   if (!topo_.overlay_eligible(n)) {
     return Status::InvalidArgument("only overlay nodes participate in churn");
   }
+  return Status::OK();
+}
+
+StatusOr<FailureReport> Sbon::FailNode(NodeId n) {
+  Status st = CheckChurnTarget(n);
+  if (!st.ok()) return st;
   if (!alive_[n]) return Status::FailedPrecondition("node already down");
   if (overlay_nodes_.size() <= 1) {
     return Status::FailedPrecondition("cannot fail the last alive node");
@@ -154,12 +158,8 @@ StatusOr<FailureReport> Sbon::FailNode(NodeId n) {
 }
 
 Status Sbon::RejoinNode(NodeId n) {
-  if (n >= topo_.NumNodes()) {
-    return Status::OutOfRange("rejoining node out of range");
-  }
-  if (!topo_.overlay_eligible(n)) {
-    return Status::InvalidArgument("only overlay nodes participate in churn");
-  }
+  Status st = CheckChurnTarget(n);
+  if (!st.ok()) return st;
   if (alive_[n]) return Status::FailedPrecondition("node already alive");
   alive_[n] = true;
   overlay_nodes_.insert(
@@ -173,12 +173,8 @@ Status Sbon::RejoinNode(NodeId n) {
 }
 
 Status Sbon::CrashEndpoint(NodeId n) {
-  if (n >= topo_.NumNodes()) {
-    return Status::OutOfRange("crashed endpoint out of range");
-  }
-  if (!topo_.overlay_eligible(n)) {
-    return Status::InvalidArgument("only overlay nodes participate in churn");
-  }
+  Status st = CheckChurnTarget(n);
+  if (!st.ok()) return st;
   if (!alive_[n]) return Status::FailedPrecondition("node already down");
   if (fabric_->EndpointDown(n)) {
     return Status::FailedPrecondition("endpoint already dark");
@@ -190,12 +186,8 @@ Status Sbon::CrashEndpoint(NodeId n) {
 }
 
 Status Sbon::RestoreEndpoint(NodeId n) {
-  if (n >= topo_.NumNodes()) {
-    return Status::OutOfRange("restored endpoint out of range");
-  }
-  if (!topo_.overlay_eligible(n)) {
-    return Status::InvalidArgument("only overlay nodes participate in churn");
-  }
+  Status st = CheckChurnTarget(n);
+  if (!st.ok()) return st;
   if (!alive_[n]) {
     return Status::FailedPrecondition(
         "node fully failed; use RejoinNode instead");

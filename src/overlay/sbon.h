@@ -40,12 +40,11 @@ namespace sbon::overlay {
 class Sbon {
  public:
   struct Options {
+    /// At most 12 total dimensions: each takes
+    /// CoordinateManager::kHilbertBits of a U128 index key (validated at
+    /// Create).
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
     coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
-    /// Hilbert-curve resolution of the coordinate index, in [1, 16] bits
-    /// per dimension, with space_spec.total_dims() * hilbert_bits <= 128
-    /// so a key fits a U128 (both validated at Create).
-    unsigned hilbert_bits = 10;
     net::LoadModel::Params load_params;
     /// Sigma of the multiplicative (approximately LogNormal; see
     /// net::JitterFactorAt) latency jitter applied per pair on every
@@ -197,6 +196,9 @@ class Sbon {
   Sbon(net::Topology topo, Options options);
 
   Status Initialize();
+  /// The checks every churn call makes first: OutOfRange for a node past
+  /// the topology, InvalidArgument for one that is not overlay-eligible.
+  Status CheckChurnTarget(NodeId n) const;
   /// Re-derives every node's cost-space scalar metrics from total (ambient
   /// + service) load. Runs after anything that can change the ambient part
   /// (Tick, SetBaseLoad), liveness (FailNode, RejoinNode) and at bring-up.

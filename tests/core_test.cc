@@ -9,6 +9,7 @@
 #include "core/optimizer.h"
 #include "core/reopt.h"
 #include "engine/registry.h"
+#include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "harness/reference_optimizer.h"
 #include "net/generators.h"
@@ -564,61 +565,77 @@ TEST(ReoptTest, LocalReoptNoOpWhenAlreadyGood) {
   EXPECT_EQ(report->migrations, 0u);
 }
 
-TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
-  auto s = MakeSbon(11);
+// An engine over the overlay MakeSbon(seed) builds, with a random catalog
+// and one query drawn from the overlay's Rng, the query submitted with the
+// engine's default (integrated) strategy.
+struct SubmittedQuery {
+  std::unique_ptr<engine::StreamEngine> engine;
+  engine::QueryHandle handle;
+};
+
+SubmittedQuery SubmitOneQuery(uint64_t seed) {
+  engine::EngineOptions eo;
+  eo.topology = test::MakeTransitStubTopology(test::TopologySize::kTiny, seed);
+  eo.sbon.seed = seed;
+  eo.sbon.load_params.sigma = 0.0;
+  eo.sbon.load_params.mean = 0.2;
+  auto engine = engine::StreamEngine::Create(std::move(eo));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  SubmittedQuery out{std::move(engine.value()), {}};
+  Sbon& s = out.engine->sbon();
   query::WorkloadParams wp = TestWorkload();
-  query::Catalog cat =
-      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  OptimizerConfig cfg;
-  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
-  query::QuerySpec q =
-      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  auto r = opt.Optimize(q, cat, s.get());
-  ASSERT_TRUE(r.ok());
-  auto id = s->InstallCircuit(std::move(r->circuit));
-  ASSERT_TRUE(id.ok());
+  out.engine->SetCatalog(
+      query::MakeRandomCatalog(wp, s.overlay_nodes(), &s.rng()).value());
+  query::QuerySpec q = query::MakeRandomQuery(wp, out.engine->catalog(),
+                                              s.overlay_nodes(), &s.rng())
+                           .value();
+  auto handle = out.engine->Submit(q);
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  out.handle = handle.value();
+  return out;
+}
+
+engine::ReoptPolicy FullReopt(double replan_threshold) {
+  engine::ReoptPolicy policy;
+  policy.mode = engine::ReoptPolicy::Mode::kFull;
+  policy.config.replan_threshold = replan_threshold;
+  return policy;
+}
+
+TEST(ReoptTest, FullReoptRedeploysUnderDrift) {
+  auto [engine, handle] = SubmitOneQuery(11);
+  Sbon& s = engine->sbon();
+  const CircuitId id = engine->CircuitOf(handle);
 
   // Overload all current hosts so a fresh optimization finds a much better
   // circuit elsewhere.
-  const overlay::Circuit* live = s->ledger().FindCircuit(*id);
+  const overlay::Circuit* live = s.ledger().FindCircuit(id);
   for (int v : live->PlaceableVertices()) {
-    s->SetBaseLoad(live->vertex(v).host, 1.0);
+    s.SetBaseLoad(live->vertex(v).host, 1.0);
   }
-  s->RefreshIndex();
+  s.RefreshIndex();
 
-  ReoptConfig rc;
-  rc.replan_threshold = 0.05;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  if (report->redeployed) {
-    EXPECT_EQ(s->ledger().FindCircuit(*id), nullptr);
-    ASSERT_NE(s->ledger().FindCircuit(report->new_circuit), nullptr);
-    EXPECT_LT(report->estimated_cost_candidate,
-              report->estimated_cost_before);
-  }
-  // Either way the SBON stays consistent: exactly one circuit.
-  EXPECT_EQ(s->ledger().circuits().size(), 1u);
+  auto outcome = engine->Reoptimize(handle, FullReopt(0.05));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const engine::FullReoptReport& report = outcome->full;
+  EXPECT_TRUE(report.redeployed);
+  EXPECT_EQ(s.ledger().FindCircuit(id), nullptr);
+  ASSERT_NE(s.ledger().FindCircuit(report.new_circuit), nullptr);
+  EXPECT_EQ(engine->CircuitOf(handle), report.new_circuit);
+  EXPECT_LT(report.estimated_cost_candidate, report.estimated_cost_before);
+  // The SBON stays consistent: exactly one circuit.
+  EXPECT_EQ(s.ledger().circuits().size(), 1u);
 }
 
 TEST(ReoptTest, FullReoptKeepsCircuitWhenNoGain) {
-  auto s = MakeSbon(12);
-  query::WorkloadParams wp = TestWorkload();
-  query::Catalog cat =
-      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  OptimizerConfig cfg;
-  Optimizer opt(test::IntegratedConfig(cfg), Relaxation());
-  query::QuerySpec q =
-      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  auto r = opt.Optimize(q, cat, s.get());
-  ASSERT_TRUE(r.ok());
-  auto id = s->InstallCircuit(std::move(r->circuit));
-  ASSERT_TRUE(id.ok());
-  ReoptConfig rc;
-  rc.replan_threshold = 0.15;
-  auto report = FullReoptimize(s.get(), *id, q, cat, &opt, rc);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->redeployed);
-  EXPECT_NE(s->ledger().FindCircuit(*id), nullptr);
+  auto [engine, handle] = SubmitOneQuery(12);
+  const CircuitId id = engine->CircuitOf(handle);
+  auto outcome = engine->Reoptimize(handle, FullReopt(0.15));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(outcome->full.redeployed);
+  EXPECT_NE(engine->sbon().ledger().FindCircuit(id), nullptr);
+  EXPECT_EQ(engine->CircuitOf(handle), id);
+  EXPECT_EQ(engine->sbon().ledger().circuits().size(), 1u);
 }
 
 TEST(ReoptTest, MissingCircuitRejected) {

@@ -8,6 +8,7 @@
 #include "coords/mds.h"
 #include "core/optimizer.h"
 #include "core/reopt.h"
+#include "engine/stream_engine.h"
 #include "harness/fixtures.h"
 #include "net/generators.h"
 #include "overlay/sbon.h"
@@ -16,7 +17,8 @@
 namespace sbon::overlay {
 namespace {
 
-std::unique_ptr<Sbon> JitterySbon(uint64_t seed, double sigma) {
+// A jittery transit-stub overlay's topology and options.
+engine::EngineOptions JitteryOptions(uint64_t seed, double sigma) {
   Rng rng(seed);
   net::TransitStubParams p;
   p.transit_domains = 2;
@@ -25,11 +27,17 @@ std::unique_ptr<Sbon> JitterySbon(uint64_t seed, double sigma) {
   p.nodes_per_stub_domain = 6;
   auto topo = net::GenerateTransitStub(p, &rng);
   EXPECT_TRUE(topo.ok());
-  Sbon::Options opts;
-  opts.seed = seed;
-  opts.latency_jitter_sigma = sigma;
-  opts.load_params.sigma = 0.0;
-  auto s = Sbon::Create(std::move(topo.value()), opts);
+  engine::EngineOptions eo;
+  eo.topology = std::move(topo.value());
+  eo.sbon.seed = seed;
+  eo.sbon.latency_jitter_sigma = sigma;
+  eo.sbon.load_params.sigma = 0.0;
+  return eo;
+}
+
+std::unique_ptr<Sbon> JitterySbon(uint64_t seed, double sigma) {
+  engine::EngineOptions eo = JitteryOptions(seed, sigma);
+  auto s = Sbon::Create(std::move(eo.topology), eo.sbon);
   EXPECT_TRUE(s.ok());
   return std::move(s.value());
 }
@@ -184,39 +192,37 @@ TEST(DynamicsTest, FullReoptRespondsToLatencyDrift) {
   // Under repeated adverse epochs, a full re-optimization should (at least
   // sometimes) find and deploy a cheaper parallel circuit. We assert the
   // mechanics stay consistent and that redeployment is possible.
-  auto s = JitterySbon(8, 0.6);
+  engine::EngineOptions eo = JitteryOptions(8, 0.6);
+  eo.config = test::IntegratedConfig();
+  auto created = engine::StreamEngine::Create(std::move(eo));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  engine::StreamEngine& engine = **created;
+  Sbon& s = engine.sbon();
   query::WorkloadParams wp;
   wp.num_streams = 8;
-  query::Catalog cat =
-      query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
-  core::Optimizer opt(
-      test::IntegratedConfig(),
-      std::make_shared<placement::RelaxationPlacer>());
+  engine.SetCatalog(
+      query::MakeRandomCatalog(wp, s.overlay_nodes(), &s.rng()).value());
   query::QuerySpec q =
-      query::MakeRandomQuery(wp, cat, s->overlay_nodes(), &s->rng()).value();
-  auto r = opt.Optimize(q, cat, s.get());
-  ASSERT_TRUE(r.ok());
-  auto id = s->InstallCircuit(std::move(r->circuit));
-  ASSERT_TRUE(id.ok());
+      query::MakeRandomQuery(wp, engine.catalog(), s.overlay_nodes(), &s.rng())
+          .value();
+  auto handle = engine.Submit(q);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-  core::ReoptConfig rc;
-  rc.replan_threshold = 0.10;
-  CircuitId current = *id;
+  engine::ReoptPolicy full;
+  full.mode = engine::ReoptPolicy::Mode::kFull;
+  full.config.replan_threshold = 0.10;
   size_t redeploys = 0;
   for (int epoch = 0; epoch < 10; ++epoch) {
-    s->TickNetwork();
-    for (int i = 0; i < 5; ++i) s->UpdateCoordinatesOnline(4);
-    s->RefreshIndex();
-    auto rep = core::FullReoptimize(s.get(), current, q, cat, &opt, rc);
+    s.TickNetwork();
+    for (int i = 0; i < 5; ++i) s.UpdateCoordinatesOnline(4);
+    s.RefreshIndex();
+    auto rep = engine.Reoptimize(*handle, full);
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    if (rep->redeployed) {
-      ++redeploys;
-      current = rep->new_circuit;
-    }
-    EXPECT_EQ(s->ledger().circuits().size(), 1u);
+    if (rep->full.redeployed) ++redeploys;
+    EXPECT_EQ(s.ledger().circuits().size(), 1u);
   }
   EXPECT_GT(redeploys, 0u);
-  EXPECT_NE(s->ledger().FindCircuit(current), nullptr);
+  EXPECT_NE(s.ledger().FindCircuit(engine.CircuitOf(*handle)), nullptr);
 }
 
 TEST(DynamicsTest, LocalReoptUnderCombinedDynamics) {

@@ -505,6 +505,47 @@ TEST(StreamEngine, AdvanceEpochAndReoptimizeKeepHandlesValid) {
   EXPECT_EQ(engine->sbon().ledger().NumServices(), 0u);
 }
 
+// A redeploying full re-optimization moves the handle, both directions of
+// the handle <-> circuit map and the recorded accounting to the candidate.
+TEST(StreamEngine, FullReoptRedeployRepointsHandle) {
+  auto engine = MakeEngine(SmallEngineOptions(47));
+  engine->SetCatalog(MakeCatalog(engine->sbon(), TestWorkloadParams(), 19));
+  const auto queries = MakeQueries(engine->sbon(), engine->catalog(),
+                                   TestWorkloadParams(), 1, 23);
+  auto handle = engine->Submit(queries[0]);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const CircuitId old_circuit = engine->CircuitOf(*handle);
+  const double submit_estimate = engine->ResultOf(*handle)->estimated_cost;
+
+  // Overload every host of the running circuit so a re-plan moves away.
+  const overlay::Circuit* live =
+      engine->sbon().ledger().FindCircuit(old_circuit);
+  ASSERT_NE(live, nullptr);
+  for (int v : live->PlaceableVertices()) {
+    engine->sbon().SetBaseLoad(live->vertex(v).host, 1.0);
+  }
+  engine->sbon().RefreshIndex();
+
+  engine::ReoptPolicy full;
+  full.mode = engine::ReoptPolicy::Mode::kFull;
+  full.config.replan_threshold = 0.05;
+  auto outcome = engine->Reoptimize(*handle, full);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const engine::FullReoptReport& report = outcome->full;
+  ASSERT_TRUE(report.redeployed);
+  ASSERT_NE(report.new_circuit, old_circuit);
+
+  EXPECT_EQ(engine->HandleOf(report.new_circuit), *handle);
+  EXPECT_FALSE(engine->HandleOf(old_circuit));
+  EXPECT_EQ(engine->CircuitOf(*handle), report.new_circuit);
+  const core::OptimizeResult* result = engine->ResultOf(*handle);
+  ASSERT_NE(result, nullptr);
+  EXPECT_NE(result->estimated_cost, submit_estimate);
+  EXPECT_EQ(result->estimated_cost, report.candidate.estimated_cost);
+  EXPECT_EQ(result->plans_considered, report.candidate.plans_considered);
+  EXPECT_TRUE(result->circuit.vertices().empty());
+}
+
 // Engines share no optimizer scratch: an engine's deployment is its solo
 // run's, also when its Submits interleave with another engine's on one
 // thread, and also under the multi-query optimizer, whose sphere marks

@@ -192,7 +192,7 @@ StatusOr<core::LocalReoptReport> ScenarioRunner::LocalReopt(
   return outcome->local;
 }
 
-StatusOr<core::FullReoptReport> ScenarioRunner::FullReopt(
+StatusOr<engine::FullReoptReport> ScenarioRunner::FullReopt(
     CircuitId id, const core::ReoptConfig& config) {
   engine::ReoptPolicy policy;
   policy.mode = engine::ReoptPolicy::Mode::kFull;

@@ -86,8 +86,8 @@ class ScenarioRunner {
                                               const core::ReoptConfig& config);
   /// Full re-optimization (parallel circuit deployment) with the optimizer
   /// the circuit's query was submitted with.
-  StatusOr<core::FullReoptReport> FullReopt(CircuitId id,
-                                            const core::ReoptConfig& config);
+  StatusOr<engine::FullReoptReport> FullReopt(
+      CircuitId id, const core::ReoptConfig& config);
 
   /// Re-verifies cost invariants over every installed circuit (e.g. after
   /// churn or migration).

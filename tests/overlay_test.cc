@@ -238,23 +238,15 @@ TEST(SbonTest, CreateValidatesOptions) {
   EXPECT_EQ(create([](Sbon::Options* o) { o->latency_jitter_sigma = -0.1; })
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(create([](Sbon::Options* o) { o->hilbert_bits = 0; }).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(create([](Sbon::Options* o) { o->hilbert_bits = 17; }).code(),
-            StatusCode::kInvalidArgument);
-  // 9 dims x 16 bits needs a 144-bit key.
+  // 13 dims x 10 bits needs a 130-bit key.
   EXPECT_EQ(create([](Sbon::Options* o) {
-              o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(8);
-              o->hilbert_bits = 16;
+              o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(12);
             }).code(),
             StatusCode::kInvalidArgument);
 
-  // Boundary values are legal.
-  EXPECT_TRUE(create([](Sbon::Options* o) { o->hilbert_bits = 1; }).ok());
-  EXPECT_TRUE(create([](Sbon::Options* o) { o->hilbert_bits = 16; }).ok());
+  // Boundary values are legal: 12 dims x 10 bits fit a U128.
   EXPECT_TRUE(create([](Sbon::Options* o) {
-                o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(7);
-                o->hilbert_bits = 16;
+                o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(11);
               }).ok());
   EXPECT_TRUE(
       create([](Sbon::Options* o) { o->latency_jitter_sigma = 0.0; }).ok());
