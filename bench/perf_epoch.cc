@@ -262,10 +262,11 @@ void WriteTraffic(JsonWriter& w, const msg::TrafficSummary& t) {
 
 // The decentralized-execution workload: pinned size (this section tracks
 // per-protocol traffic constants and convergence behavior, not scale), a
-// scripted crash burst at epoch 2 and a partition window through the
-// middle of the run, steady-state query replacement so placements keep
-// sampling publish staleness — including under the partition — and a
-// sampling-free drain at the end. The drain is what makes convergence
+// scripted crash burst at epoch 2 and a 5-epoch partition window through
+// the middle of the run (healed inside the active window at either size),
+// steady-state query replacement so placements keep sampling publish
+// staleness — including under the partition — and a sampling-free drain
+// at the end. The drain is what makes convergence
 // observable: ring publishes are displacement-gated, so they never go
 // quiet while Vivaldi keeps sampling; once sampling stops, the epochs
 // until the publish stream dries up after the last churn event are the
@@ -335,7 +336,10 @@ uint64_t RunMessageSection(uint64_t seed, const msg::RuntimeParams& mp,
   cut.type = net::ChurnEventType::kPartitionStart;
   cut.group.assign(eligible.begin(), eligible.begin() + eligible.size() / 4);
   cut.severity = 8.0;
-  churn.ScheduleAt(active_epochs / 2, cut);
+  // Five epochs outlast the detector's 2 silent epochs to suspect plus 2
+  // more to confirm, so a heartbeat-starved live node reaches the engine's
+  // confirmation veto.
+  churn.ScheduleAt(active_epochs / 2 - 2, cut);
   net::ChurnEvent heal;
   heal.type = net::ChurnEventType::kPartitionHeal;
   churn.ScheduleAt(active_epochs / 2 + 3, heal);

@@ -1,6 +1,6 @@
 // perf_workload: the open-loop workload soak (README "Workload engine").
 //
-// Drives query::WorkloadEngine over a transit-stub StreamEngine through a
+// Drives engine::WorkloadEngine over a transit-stub StreamEngine through a
 // multi-thousand-epoch soak — a Poisson arrival process with diurnal
 // modulation and a scripted flash-crowd overload window, exponential query
 // lifetimes, light membership churn — and reports SLO percentiles (exact
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "engine/workload_engine.h"
 #include "net/churn.h"
-#include "query/workload_engine.h"
 
 namespace {
 
@@ -50,8 +50,8 @@ struct SoakConfig {
 };
 
 struct SoakResult {
-  sbon::query::WorkloadPhaseStats totals;
-  std::vector<sbon::query::WorkloadPhaseStats> phases;
+  sbon::engine::WorkloadPhaseStats totals;
+  std::vector<sbon::engine::WorkloadPhaseStats> phases;
   sbon::JsonWriter timeline;  // cumulative rates, sampled 16 times
   uint64_t fingerprint = 0;
   double wall_ns = 0.0;
@@ -74,7 +74,7 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   churn_params.seed = cfg.seed * 1000003 + 17;
   sbon::net::ChurnModel churn(engine->sbon().overlay_nodes(), churn_params);
 
-  sbon::query::WorkloadEngineOptions wl_opts;
+  sbon::engine::WorkloadEngineOptions wl_opts;
   wl_opts.seed = cfg.seed * 131 + 7;
   // A shareable mix (popular streams, coarse selectivity grid, no
   // per-query filter noise — fig4's "heavy stream sharing" shape) so the
@@ -91,7 +91,7 @@ SoakResult RunSoak(const SoakConfig& cfg) {
   wl_opts.arrivals.mean_lifetime_epochs = cfg.mean_lifetime;
   wl_opts.arrivals.diurnal_amplitude = cfg.diurnal_amplitude;
   wl_opts.arrivals.diurnal_period_epochs = cfg.diurnal_period;
-  sbon::query::FlashCrowd flash;
+  sbon::engine::FlashCrowd flash;
   flash.start_epoch = cfg.flash_start;
   flash.duration_epochs = cfg.flash_duration;
   flash.rate_multiplier = cfg.flash_multiplier;
@@ -109,13 +109,13 @@ SoakResult RunSoak(const SoakConfig& cfg) {
                                    ? "multi-query"
                                    : sbon::bench::OptimizerFlag();
 
-  auto wl = sbon::query::WorkloadEngine::Create(engine.get(), wl_opts);
+  auto wl = sbon::engine::WorkloadEngine::Create(engine.get(), wl_opts);
   if (!wl.ok()) {
     std::fprintf(stderr, "WorkloadEngine creation failed: %s\n",
                  wl.status().ToString().c_str());
     std::exit(1);
   }
-  sbon::query::WorkloadEngine& w = **wl;
+  sbon::engine::WorkloadEngine& w = **wl;
 
   SoakResult out;
   const size_t flash_end = cfg.flash_start + cfg.flash_duration;
@@ -155,7 +155,7 @@ SoakResult RunSoak(const SoakConfig& cfg) {
 
 // The admission counters the totals and every phase report.
 void WriteCounts(sbon::JsonWriter& w,
-                 const sbon::query::WorkloadPhaseStats& p) {
+                 const sbon::engine::WorkloadPhaseStats& p) {
   w.Key("arrivals").Int(p.arrivals);
   w.Key("shed").Int(p.shed);
   w.Key("shed_rate").Double(p.shed_rate(), 6);
@@ -167,7 +167,8 @@ void WriteCounts(sbon::JsonWriter& w,
 }
 
 // One phase's row of the "phases" array.
-void WritePhase(sbon::JsonWriter& w, const sbon::query::WorkloadPhaseStats& p) {
+void WritePhase(sbon::JsonWriter& w,
+                const sbon::engine::WorkloadPhaseStats& p) {
   w.BeginObject();
   w.Key("name").String(p.name);
   w.Key("epochs").Int(p.epochs);
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
   sbon::bench::PrintSection(doc, &printed);
 
   // Gates.
-  const sbon::query::WorkloadPhaseStats* flash_phase = nullptr;
+  const sbon::engine::WorkloadPhaseStats* flash_phase = nullptr;
   for (const auto& p : run.phases) {
     if (p.name == "flash-crowd") flash_phase = &p;
   }

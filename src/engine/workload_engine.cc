@@ -1,4 +1,4 @@
-#include "query/workload_engine.h"
+#include "engine/workload_engine.h"
 
 #include <algorithm>
 #include <chrono>
@@ -6,11 +6,24 @@
 #include <string_view>
 #include <utility>
 
-namespace sbon::query {
+namespace sbon::engine {
 
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+/// Fraction of alive overlay nodes whose total load is at or above
+/// `load_threshold`: one O(alive) sweep over cached load scalars, cheap
+/// enough for admission control to evaluate every epoch.
+double SaturatedFraction(const overlay::Sbon& sbon, double load_threshold) {
+  const std::vector<NodeId>& nodes = sbon.overlay_nodes();
+  if (nodes.empty()) return 0.0;
+  size_t saturated = 0;
+  for (NodeId n : nodes) {
+    if (sbon.TotalLoad(n) >= load_threshold) ++saturated;
+  }
+  return static_cast<double>(saturated) / static_cast<double>(nodes.size());
+}
 
 double NsSince(std::chrono::steady_clock::time_point start) {
   return static_cast<double>(
@@ -20,7 +33,7 @@ double NsSince(std::chrono::steady_clock::time_point start) {
 }
 
 Status ValidateOptions(const WorkloadEngineOptions& o) {
-  Status st = ValidateWorkloadParams(o.workload);
+  Status st = query::ValidateWorkloadParams(o.workload);
   if (!st.ok()) return st;
   const ArrivalProcess& a = o.arrivals;
   if (!(a.base_rate_per_epoch >= 0.0)) {
@@ -57,7 +70,7 @@ Status ValidateOptions(const WorkloadEngineOptions& o) {
 
 }  // namespace
 
-WorkloadEngine::WorkloadEngine(engine::StreamEngine* engine,
+WorkloadEngine::WorkloadEngine(StreamEngine* engine,
                                WorkloadEngineOptions options)
     : engine_(engine), options_(std::move(options)), rng_(options_.seed) {
   totals_.name = "total";
@@ -66,7 +79,7 @@ WorkloadEngine::WorkloadEngine(engine::StreamEngine* engine,
 }
 
 StatusOr<std::unique_ptr<WorkloadEngine>> WorkloadEngine::Create(
-    engine::StreamEngine* engine, WorkloadEngineOptions options) {
+    StreamEngine* engine, WorkloadEngineOptions options) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
@@ -80,8 +93,8 @@ StatusOr<std::unique_ptr<WorkloadEngine>> WorkloadEngine::Create(
   wl->consumer_sites_ = engine->sbon().overlay_nodes();
   // Catalog and hotspot ordering come from the same private Rng that later
   // drives arrivals — draw order is part of the replay contract.
-  auto catalog = MakeRandomCatalog(wl->options_.workload, wl->consumer_sites_,
-                                   &wl->rng_);
+  auto catalog = query::MakeRandomCatalog(wl->options_.workload,
+                                          wl->consumer_sites_, &wl->rng_);
   if (!catalog.ok()) return catalog.status();
   engine->SetCatalog(std::move(catalog.value()));
   wl->shuffled_sites_ = wl->consumer_sites_;
@@ -136,7 +149,7 @@ void WorkloadEngine::ProcessDepartures() {
   // One deferred refresh for the whole burst: a departure wave on a
   // refresh_index_on_install engine republishes the index once, not once
   // per removed query.
-  engine::StreamEngine::DeferRefresh defer(engine_);
+  StreamEngine::DeferRefresh defer(engine_);
   size_t removed = 0;
   while (!departures_.empty() && departures_.top().epoch <= epoch_index_) {
     const Departure due = departures_.top();
@@ -155,14 +168,14 @@ Status WorkloadEngine::Step() {
   // latency is billed per repaired query from the pipeline's own stage
   // clocks: oracle mode repairs in churn+repair, detector mode defers the
   // repairs to detect+repair, so both stages are billed.
-  const engine::RepairStats repairs_before = engine_->repair_stats();
+  const RepairStats repairs_before = engine_->repair_stats();
   Status st = engine_->AdvanceEpoch(options_.epoch);
   if (!st.ok()) return st;
   const size_t repaired =
       engine_->repair_stats().queries_repaired - repairs_before.queries_repaired;
   if (repaired > 0) {
     double repair_stage_ns = 0.0;
-    for (const engine::EpochStageTrace& stage : engine_->last_epoch_trace()) {
+    for (const EpochStageTrace& stage : engine_->last_epoch_trace()) {
       const std::string_view name(stage.name);
       if (name == "churn+repair" || name == "detect+repair") {
         repair_stage_ns += stage.ns;
@@ -189,7 +202,7 @@ Status WorkloadEngine::Step() {
   if (offered > 0) {
     const AdmissionControl& adm = options_.admission;
     const bool saturated =
-        engine_->sbon().SaturatedFraction(adm.node_saturation_load) >=
+        SaturatedFraction(engine_->sbon(), adm.node_saturation_load) >=
         adm.saturated_node_watermark;
     size_t capacity = offered;
     if (saturated) {
@@ -223,14 +236,14 @@ Status WorkloadEngine::Step() {
     // Generate the admitted batch; each spec's lifetime is drawn right
     // after the spec itself, keeping the Rng stream a pure function of the
     // admitted count.
-    std::vector<QuerySpec> batch;
+    std::vector<query::QuerySpec> batch;
     std::vector<size_t> depart_epochs;
     batch.reserve(capacity);
     depart_epochs.reserve(capacity);
     size_t generation_failures = 0;
     for (size_t i = 0; i < capacity; ++i) {
-      auto spec =
-          MakeRandomQuery(options_.workload, engine_->catalog(), *sites, &rng_);
+      auto spec = query::MakeRandomQuery(options_.workload,
+                                         engine_->catalog(), *sites, &rng_);
       const double lifetime =
           rng_.Exponential(1.0 / options_.arrivals.mean_lifetime_epochs);
       if (!spec.ok()) {
@@ -247,10 +260,10 @@ Status WorkloadEngine::Step() {
     if (!batch.empty()) {
       // One deferred refresh for the batch, as SubmitAll would open, with
       // each Submit timed on its own.
-      engine::StreamEngine::DeferRefresh defer(engine_);
+      StreamEngine::DeferRefresh defer(engine_);
       for (size_t i = 0; i < batch.size(); ++i) {
         const auto start = std::chrono::steady_clock::now();
-        const StatusOr<engine::QueryHandle> handle =
+        const StatusOr<QueryHandle> handle =
             engine_->Submit(batch[i], options_.strategy);
         submit_ns_.push_back(NsSince(start));
         if (!handle.ok()) continue;
@@ -289,4 +302,4 @@ Status WorkloadEngine::Run(size_t n) {
   return Status::OK();
 }
 
-}  // namespace sbon::query
+}  // namespace sbon::engine

@@ -1,5 +1,5 @@
-#ifndef SBON_QUERY_WORKLOAD_ENGINE_H_
-#define SBON_QUERY_WORKLOAD_ENGINE_H_
+#ifndef SBON_ENGINE_WORKLOAD_ENGINE_H_
+#define SBON_ENGINE_WORKLOAD_ENGINE_H_
 
 #include <functional>
 #include <memory>
@@ -13,7 +13,7 @@
 #include "engine/stream_engine.h"
 #include "query/workload.h"
 
-namespace sbon::query {
+namespace sbon::engine {
 
 /// One scripted overload window: while active, the arrival rate is
 /// multiplied and new arrivals are delivered to a small "hotspot" subset of
@@ -62,14 +62,14 @@ struct AdmissionControl {
 
 struct WorkloadEngineOptions {
   /// Generator shape for the catalog built at Create and every arrival.
-  WorkloadParams workload;
+  query::WorkloadParams workload;
   ArrivalProcess arrivals;
   AdmissionControl admission;
   /// Template for the AdvanceEpoch each Step runs first. `epoch.churn` may
   /// point at a ChurnModel to compose failures with the arrival process.
-  engine::EpochOptions epoch;
+  EpochOptions epoch;
   /// Strategy forwarded to every Submit (empty = engine defaults).
-  engine::StrategySpec strategy;
+  StrategySpec strategy;
   /// Seeds the engine-independent private Rng: all arrival-count, spec,
   /// and lifetime draws come from it in a fixed order, so a fixed seed
   /// replays bit-identically.
@@ -132,7 +132,7 @@ class WorkloadEngine {
   /// the currently alive overlay nodes, and installs it on `engine` (which
   /// must outlive the WorkloadEngine and have no prior catalog dependents).
   static StatusOr<std::unique_ptr<WorkloadEngine>> Create(
-      engine::StreamEngine* engine, WorkloadEngineOptions options);
+      StreamEngine* engine, WorkloadEngineOptions options);
 
   WorkloadEngine(const WorkloadEngine&) = delete;
   WorkloadEngine& operator=(const WorkloadEngine&) = delete;
@@ -162,17 +162,17 @@ class WorkloadEngine {
   /// when BeginPhase was never called).
   const std::vector<WorkloadPhaseStats>& phases() const { return phases_; }
 
-  const engine::StreamEngine& engine() const { return *engine_; }
+  const StreamEngine& engine() const { return *engine_; }
 
  private:
-  WorkloadEngine(engine::StreamEngine* engine, WorkloadEngineOptions options);
+  WorkloadEngine(StreamEngine* engine, WorkloadEngineOptions options);
 
   /// A query's scheduled exit: min-heap keyed on (epoch, submission seq) so
   /// departure order is deterministic and FIFO within an epoch.
   struct Departure {
     size_t epoch = 0;
     uint64_t seq = 0;
-    engine::QueryHandle handle;
+    QueryHandle handle;
     bool operator>(const Departure& o) const {
       return epoch != o.epoch ? epoch > o.epoch : seq > o.seq;
     }
@@ -185,7 +185,7 @@ class WorkloadEngine {
   void Bill(const std::function<void(WorkloadPhaseStats&)>& fn);
   WorkloadPhaseStats& current_phase() { return phases_.back(); }
 
-  engine::StreamEngine* engine_;
+  StreamEngine* engine_;
   WorkloadEngineOptions options_;
   Rng rng_;
   size_t epoch_index_ = 0;
@@ -202,6 +202,6 @@ class WorkloadEngine {
   std::vector<double> submit_ns_;  ///< Step scratch: this epoch's latencies
 };
 
-}  // namespace sbon::query
+}  // namespace sbon::engine
 
-#endif  // SBON_QUERY_WORKLOAD_ENGINE_H_
+#endif  // SBON_ENGINE_WORKLOAD_ENGINE_H_

@@ -469,12 +469,6 @@ Status ValidateRuntimeParams(const RuntimeParams& p) {
           "delay jitter must be >= 0");
     }
   }
-  for (const LossBurst& b : p.bus.faults.bursts) {
-    if (b.loss < 0.0 || b.loss > 1.0) {
-      return Status::InvalidArgument(
-          "RuntimeParams: burst loss must be a probability in [0, 1]");
-    }
-  }
   if (p.reliability.enabled) {
     if (p.reliability.retry_after_epochs == 0 ||
         p.reliability.max_backoff_epochs == 0 ||

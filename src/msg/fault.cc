@@ -1,42 +1,17 @@
 #include "msg/fault.h"
 
-#include <algorithm>
-
 namespace sbon::msg {
 
 FaultInjector::FaultInjector(const FaultPlan& plan)
     : plan_(plan), rng_(plan.seed) {}
 
-void FaultInjector::ScheduleLossBurstAt(size_t epoch, size_t duration_epochs,
-                                        double loss) {
-  LossBurst burst;
-  burst.start_epoch = epoch;
-  burst.duration_epochs = duration_epochs;
-  burst.loss = loss;
-  plan_.bursts.push_back(burst);
-}
-
-double FaultInjector::BurstLoss(size_t epoch) const {
-  double loss = 0.0;
-  for (const LossBurst& b : plan_.bursts) {
-    if (epoch >= b.start_epoch && epoch < b.start_epoch + b.duration_epochs) {
-      loss = std::max(loss, b.loss);
-    }
-  }
-  return loss;
-}
-
-FaultInjector::Decision FaultInjector::Decide(Protocol proto, size_t epoch) {
+FaultInjector::Decision FaultInjector::Decide(Protocol proto) {
   Decision d;
   const FaultRates& r = plan_.protocol[static_cast<size_t>(proto)];
-  // Burst windows combine with the base rate by max (a 100% burst over a
-  // 10% baseline loses everything; a 5% burst over 10% changes nothing).
-  const double loss =
-      plan_.bursts.empty() ? r.loss : std::max(r.loss, BurstLoss(epoch));
   // Fixed draw order, each gated on its own rate: a zero-rate knob never
   // advances the Rng, so turning one fault on cannot perturb another's
   // stream and the all-zero plan is provably inert.
-  if (loss > 0.0 && rng_.Bernoulli(loss)) {
+  if (r.loss > 0.0 && rng_.Bernoulli(r.loss)) {
     d.drop = true;
     return d;  // a lost message has no duplicate and no delay to draw
   }

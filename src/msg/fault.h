@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "msg/message.h"
@@ -25,32 +24,13 @@ struct FaultRates {
   double delay_jitter_ms = 0.0;
 };
 
-/// A scripted loss window: every message sent while the bus epoch is in
-/// [start_epoch, start_epoch + duration_epochs) is lost with probability
-/// `loss` (combined with the per-protocol base rate by max, not sum).
-struct LossBurst {
-  size_t start_epoch = 0;
-  size_t duration_epochs = 0;
-  double loss = 1.0;
-};
-
 /// Everything the injector needs, pinned at bus construction. The fault Rng
 /// is dedicated (seeded from `seed`), so enabling faults never perturbs the
 /// bus's peer-sampling stream and a faulty run replays bit-identically from
 /// its plan.
 struct FaultPlan {
   FaultRates protocol[kNumProtocols];
-  std::vector<LossBurst> bursts;
   uint64_t seed = 0xfa017;
-
-  bool any_rate() const {
-    for (const FaultRates& r : protocol) {
-      if (r.loss > 0.0 || r.duplicate > 0.0 || r.delay_jitter_ms > 0.0) {
-        return true;
-      }
-    }
-    return !bursts.empty();
-  }
 };
 
 /// Seeded chaos layer inside MessageBus::Send: decides, per otherwise-
@@ -65,26 +45,16 @@ class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan);
 
-  /// Adds a scripted loss window starting at bus epoch `epoch` (epochs are
-  /// the bus's drained-epoch counter, i.e. the engine epoch index).
-  void ScheduleLossBurstAt(size_t epoch, size_t duration_epochs,
-                           double loss = 1.0);
-
-  /// What the network does to one message sent at bus epoch `epoch`.
+  /// What the network does to one message.
   struct Decision {
     bool drop = false;
     bool duplicate = false;
     double extra_delay_ms = 0.0;      ///< added to the original's latency
     double dup_extra_delay_ms = 0.0;  ///< added to the duplicate's latency
   };
-  Decision Decide(Protocol proto, size_t epoch);
-
-  const FaultPlan& plan() const { return plan_; }
+  Decision Decide(Protocol proto);
 
  private:
-  /// Strongest scripted loss probability whose window covers `epoch`.
-  double BurstLoss(size_t epoch) const;
-
   FaultPlan plan_;
   Rng rng_;
 };

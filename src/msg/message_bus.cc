@@ -57,7 +57,7 @@ Status MessageBus::Send(Envelope e) {
   // Chaos layer: only messages the polite network would have delivered are
   // eligible for injected loss / duplication / delay (drops above already
   // have their own counters; double-counting would break conservation).
-  const FaultInjector::Decision fault = faults_.Decide(e.proto, stats_.epochs);
+  const FaultInjector::Decision fault = faults_.Decide(e.proto);
   if (fault.drop) {
     ++c.dropped_fault;
     return Status::OK();

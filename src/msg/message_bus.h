@@ -52,9 +52,9 @@ class MessageBus {
     /// whose one-way latency exceeds the remaining epoch budget deliver in
     /// a later epoch.
     double epoch_ms = 100.0;
-    /// Chaos plan for the fault injector. The default (all-zero rates, no
-    /// bursts) is provably inert: no fault Rng draw ever happens and the
-    /// bus is bit-identical to one without an injector.
+    /// Chaos plan for the fault injector. The default (all-zero rates) is
+    /// provably inert: no fault Rng draw ever happens and the bus is
+    /// bit-identical to one without an injector.
     FaultPlan faults;
   };
 
@@ -82,10 +82,6 @@ class MessageBus {
   /// acks can be matched to pending transfers; the bus stamps unset (0)
   /// tids itself at Send from the same counter.
   uint64_t IssueTid() { return next_tid_++; }
-
-  /// The chaos layer (exposed so tests and the bench can script loss
-  /// bursts after construction).
-  FaultInjector& fault_injector() { return faults_; }
 
   /// Advances the clock to the start of the next engine epoch.
   void BeginEpoch();

@@ -242,14 +242,4 @@ double Sbon::MaxLoad() const {
   return mx;
 }
 
-double Sbon::SaturatedFraction(double load_threshold) const {
-  if (overlay_nodes_.empty()) return 0.0;
-  size_t saturated = 0;
-  for (NodeId n : overlay_nodes_) {
-    if (TotalLoad(n) >= load_threshold) ++saturated;
-  }
-  return static_cast<double>(saturated) /
-         static_cast<double>(overlay_nodes_.size());
-}
-
 }  // namespace sbon::overlay

@@ -186,11 +186,6 @@ class Sbon {
   double TotalNetworkUsage() const;
   /// Maximum total load over overlay nodes.
   double MaxLoad() const;
-  /// Fraction of alive overlay nodes whose total load is at or above
-  /// `load_threshold` (in [0, 1]). One O(alive) sweep over cached load
-  /// scalars — cheap enough to evaluate every epoch, which is exactly what
-  /// admission control (engine::WorkloadEngine load shedding) does with it.
-  double SaturatedFraction(double load_threshold) const;
 
  private:
   Sbon(net::Topology topo, Options options);

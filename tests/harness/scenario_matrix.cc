@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -50,7 +51,7 @@ std::string TrafficFingerprint(const msg::TrafficSummary& t) {
 
 /// Rendered workload counters for open-loop cells: replay must reproduce
 /// the entire arrival/admission/departure history, not just the survivors.
-std::string WorkloadFingerprint(const query::WorkloadPhaseStats& t) {
+std::string WorkloadFingerprint(const engine::WorkloadPhaseStats& t) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "workload epochs=%zu arrivals=%zu shed=%zu admitted=%zu "
@@ -173,7 +174,6 @@ void ScenarioMatrix::CheckLiveInvariants(const engine::StreamEngine& engine) {
 }
 
 CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
-  if (options_.workload.enabled) return RunWorkloadCellOnce(cell);
   CellOutcome outcome;
   outcome.cell = cell;
 
@@ -192,24 +192,6 @@ CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
   }
   engine::StreamEngine& eng = **created;
 
-  const query::WorkloadParams wp = TestWorkloadParams();
-  eng.SetCatalog(MakeCatalog(eng.sbon(), wp, cell.seed * 31 + 7));
-  const auto specs = MakeQueries(eng.sbon(), eng.catalog(), wp,
-                                 options_.queries, cell.seed * 131 + 13);
-
-  std::vector<engine::QueryHandle> handles;
-  std::set<engine::QueryHandle> submitted;
-  for (const query::QuerySpec& spec : specs) {
-    auto handle = eng.Submit(spec);
-    EXPECT_TRUE(handle.ok()) << "pre-churn submit failed: "
-                             << handle.status().ToString();
-    if (!handle.ok()) continue;
-    handles.push_back(*handle);
-    submitted.insert(*handle);
-  }
-  outcome.queries_submitted = handles.size();
-  EXPECT_FALSE(handles.empty());
-
   net::ChurnModel::Params cp = options_.churn;
   cp.crash_rate = cell.churn_rate;
   cp.seed = cell.seed * 1000003 + 17;
@@ -225,9 +207,46 @@ CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
   epoch.exec_mode = options_.exec_mode;
   epoch.msg = options_.msg;
 
+  // The population: a WorkloadEngine soak when the open-loop cell is on,
+  // else a fixed batch submitted before the first churn epoch.
+  std::unique_ptr<engine::WorkloadEngine> workload;
+  std::set<engine::QueryHandle> submitted;
+  if (options_.workload.enabled) {
+    engine::WorkloadEngineOptions wo;
+    wo.workload = TestWorkloadParams();
+    wo.arrivals = options_.workload.arrivals;
+    wo.admission = options_.workload.admission;
+    wo.seed = cell.seed * 131 + 13;
+    wo.epoch = epoch;
+    auto wl = engine::WorkloadEngine::Create(&eng, wo);
+    if (!wl.ok()) {
+      ADD_FAILURE() << "workload creation failed: " << wl.status().ToString();
+      return outcome;
+    }
+    workload = std::move(wl.value());
+  } else {
+    const query::WorkloadParams wp = TestWorkloadParams();
+    eng.SetCatalog(MakeCatalog(eng.sbon(), wp, cell.seed * 31 + 7));
+    const auto specs = MakeQueries(eng.sbon(), eng.catalog(), wp,
+                                   options_.queries, cell.seed * 131 + 13);
+    for (const query::QuerySpec& spec : specs) {
+      auto handle = eng.Submit(spec);
+      EXPECT_TRUE(handle.ok()) << "pre-churn submit failed: "
+                               << handle.status().ToString();
+      if (handle.ok()) submitted.insert(*handle);
+    }
+    outcome.queries_submitted = submitted.size();
+    EXPECT_FALSE(submitted.empty());
+  }
+
   for (size_t e = 0; e < options_.epochs; ++e) {
-    const Status st = eng.AdvanceEpoch(epoch);
-    EXPECT_TRUE(st.ok()) << "AdvanceEpoch failed: " << st.ToString();
+    if (workload != nullptr) {
+      const Status st = workload->Step();
+      EXPECT_TRUE(st.ok()) << "workload Step failed: " << st.ToString();
+    } else {
+      const Status st = eng.AdvanceEpoch(epoch);
+      EXPECT_TRUE(st.ok()) << "AdvanceEpoch failed: " << st.ToString();
+    }
     if (options_.check_every_epoch) {
       SCOPED_TRACE("epoch " + std::to_string(e));
       CheckLiveInvariants(eng);
@@ -235,26 +254,41 @@ CellOutcome ScenarioMatrix::RunCellOnce(const MatrixCell& cell) {
   }
   if (!options_.check_every_epoch) CheckLiveInvariants(eng);
 
-  // Handle stability: every surviving query still answers to a handle from
-  // the original submission — repairs swap circuits, never handles — and
-  // the submitted population is fully accounted for as alive + dropped.
   const engine::EngineSnapshot snapshot = eng.Snapshot();
   outcome.repair = snapshot.repair;
   outcome.queries_alive = snapshot.num_queries;
-  for (const engine::QueryStats& qs : snapshot.queries) {
-    EXPECT_TRUE(submitted.count(qs.handle) == 1)
-        << "unknown handle " << qs.handle.id << " appeared";
-  }
-  EXPECT_EQ(handles.size(),
-            outcome.queries_alive + snapshot.repair.queries_dropped);
   outcome.fingerprint =
       OverlayFingerprint(eng.sbon()) + RepairFingerprint(snapshot.repair);
+  if (workload != nullptr) {
+    // Population conservation: every successfully submitted query is
+    // either still running, departed through its lifetime, or dropped by
+    // churn — the open-loop analogue of the fixed population's handle
+    // accounting.
+    const engine::WorkloadPhaseStats& t = workload->totals();
+    outcome.queries_submitted = t.submitted;
+    EXPECT_EQ(t.arrivals, t.shed + t.admitted);
+    EXPECT_EQ(t.admitted, t.submitted + t.submit_failures);
+    EXPECT_EQ(t.submitted, outcome.queries_alive + t.departures +
+                               snapshot.repair.queries_dropped);
+    outcome.fingerprint += WorkloadFingerprint(t);
+  } else {
+    // Handle stability: every surviving query still answers to a handle
+    // from the original submission — repairs swap circuits, never handles
+    // — and the submitted population is fully accounted for as alive +
+    // dropped.
+    for (const engine::QueryStats& qs : snapshot.queries) {
+      EXPECT_TRUE(submitted.count(qs.handle) == 1)
+          << "unknown handle " << qs.handle.id << " appeared";
+    }
+    EXPECT_EQ(submitted.size(),
+              outcome.queries_alive + snapshot.repair.queries_dropped);
+  }
   CheckTraffic(snapshot, &outcome);
 
   // Full teardown: removing every surviving query must leave zero service
   // instances, zero circuits, and every node's load book at its base value.
-  for (engine::QueryHandle h : handles) {
-    (void)eng.Remove(h);  // dropped handles return NotFound; that's fine
+  for (const engine::QueryStats& qs : snapshot.queries) {
+    (void)eng.Remove(qs.handle);
   }
   EXPECT_EQ(eng.NumQueries(), 0u);
   EXPECT_EQ(eng.sbon().ledger().NumServices(), 0u);
@@ -307,92 +341,6 @@ void ScenarioMatrix::CheckTraffic(const engine::EngineSnapshot& snapshot,
     EXPECT_EQ(t.crash_confirmations, 0u);
   }
   outcome->fingerprint += TrafficFingerprint(t);
-}
-
-CellOutcome ScenarioMatrix::RunWorkloadCellOnce(const MatrixCell& cell) {
-  CellOutcome outcome;
-  outcome.cell = cell;
-
-  engine::EngineOptions eo;
-  eo.topology = MakeTransitStubTopology(options_.size, cell.seed);
-  eo.sbon.seed = cell.seed;
-  eo.sbon.latency_jitter_sigma = cell.jitter_sigma;
-  eo.sbon.load_params.hotspot_frac = cell.hotspot_frac;
-  eo.optimizer = cell.optimizer;
-  eo.config = TestOptimizerConfig();
-  auto created = engine::StreamEngine::Create(std::move(eo));
-  if (!created.ok()) {
-    ADD_FAILURE() << "engine creation failed: "
-                  << created.status().ToString();
-    return outcome;
-  }
-  engine::StreamEngine& eng = **created;
-
-  net::ChurnModel::Params cp = options_.churn;
-  cp.crash_rate = cell.churn_rate;
-  cp.seed = cell.seed * 1000003 + 17;
-  net::ChurnModel churn(eng.sbon().overlay_nodes(), cp);
-
-  query::WorkloadEngineOptions wo;
-  wo.workload = TestWorkloadParams();
-  wo.arrivals = options_.workload.arrivals;
-  wo.admission = options_.workload.admission;
-  wo.seed = cell.seed * 131 + 13;
-  wo.epoch.dt = options_.dt;
-  wo.epoch.tick_network = true;
-  wo.epoch.vivaldi_samples = options_.vivaldi_samples;
-  wo.epoch.refresh_index = true;
-  wo.epoch.refresh_epsilon = options_.refresh_epsilon;
-  wo.epoch.churn = &churn;
-  wo.epoch.exec_mode = options_.exec_mode;
-  wo.epoch.msg = options_.msg;
-  auto wl = query::WorkloadEngine::Create(&eng, wo);
-  if (!wl.ok()) {
-    ADD_FAILURE() << "workload creation failed: " << wl.status().ToString();
-    return outcome;
-  }
-
-  for (size_t e = 0; e < options_.epochs; ++e) {
-    const Status st = (*wl)->Step();
-    EXPECT_TRUE(st.ok()) << "workload Step failed: " << st.ToString();
-    if (options_.check_every_epoch) {
-      SCOPED_TRACE("epoch " + std::to_string(e));
-      CheckLiveInvariants(eng);
-    }
-  }
-  if (!options_.check_every_epoch) CheckLiveInvariants(eng);
-
-  // Population conservation: every successfully submitted query is either
-  // still running, departed through its lifetime, or dropped by churn —
-  // the open-loop analogue of the fixed population's handle accounting.
-  const engine::EngineSnapshot snapshot = eng.Snapshot();
-  const query::WorkloadPhaseStats& t = (*wl)->totals();
-  outcome.repair = snapshot.repair;
-  outcome.queries_submitted = t.submitted;
-  outcome.queries_alive = snapshot.num_queries;
-  EXPECT_EQ(t.arrivals, t.shed + t.admitted);
-  EXPECT_EQ(t.admitted, t.submitted + t.submit_failures);
-  EXPECT_EQ(t.submitted, outcome.queries_alive + t.departures +
-                             snapshot.repair.queries_dropped);
-
-  outcome.fingerprint = OverlayFingerprint(eng.sbon()) +
-                        RepairFingerprint(snapshot.repair) +
-                        WorkloadFingerprint(t);
-  CheckTraffic(snapshot, &outcome);
-
-  // Full teardown of whatever is still running: the load books and the
-  // ledger must return to base exactly as in the fixed-population path.
-  for (const engine::QueryStats& qs : snapshot.queries) {
-    (void)eng.Remove(qs.handle);
-  }
-  EXPECT_EQ(eng.NumQueries(), 0u);
-  EXPECT_EQ(eng.sbon().ledger().NumServices(), 0u);
-  EXPECT_TRUE(eng.sbon().ledger().circuits().empty());
-  for (NodeId n = 0; n < eng.sbon().topology().NumNodes(); ++n) {
-    EXPECT_NEAR(eng.sbon().ledger().service_load(n), 0.0, 1e-9)
-        << "node " << n << " retains service load after full removal";
-  }
-  return outcome;
 }
 
 CellOutcome ScenarioMatrix::RunCell(const MatrixCell& cell) {

@@ -5,10 +5,10 @@
 #include <vector>
 
 #include "engine/stream_engine.h"
+#include "engine/workload_engine.h"
 #include "harness/fixtures.h"
 #include "harness/scenario.h"
 #include "net/churn.h"
-#include "query/workload_engine.h"
 
 namespace sbon::test {
 
@@ -55,8 +55,8 @@ struct MatrixOptions {
   /// fingerprint alongside the overlay and repair state.
   struct Workload {
     bool enabled = false;
-    query::ArrivalProcess arrivals;
-    query::AdmissionControl admission;
+    engine::ArrivalProcess arrivals;
+    engine::AdmissionControl admission;
   };
   Workload workload;
   /// Run every cell twice and require bit-identical overlay fingerprints
@@ -129,9 +129,9 @@ class ScenarioMatrix {
   const MatrixOptions& options() const { return options_; }
 
  private:
+  /// One lifecycle of `cell`: the population is a fixed Submit batch, or
+  /// a WorkloadEngine soak when `MatrixOptions::workload.enabled`.
   CellOutcome RunCellOnce(const MatrixCell& cell);
-  /// The open-loop variant behind `MatrixOptions::workload.enabled`.
-  CellOutcome RunWorkloadCellOnce(const MatrixCell& cell);
   /// Message-mode traffic invariants + fingerprint fold (no-op assertion
   /// that no summary leaked in oracle mode).
   void CheckTraffic(const engine::EngineSnapshot& snapshot,

@@ -92,7 +92,7 @@ TEST(StressMatrixTest, WorkloadFlashCrowdUnderChurnHoldsInvariants) {
   options.workload.enabled = true;
   options.workload.arrivals.base_rate_per_epoch = 2.0;
   options.workload.arrivals.mean_lifetime_epochs = 5.0;
-  query::FlashCrowd crowd;
+  engine::FlashCrowd crowd;
   crowd.start_epoch = 6;
   crowd.duration_epochs = 5;
   crowd.rate_multiplier = 8.0;

@@ -1,6 +1,6 @@
 // Tests of the open-loop workload layer (ctest label `workload`): the
-// per-query latency samples in query::WorkloadEngine, admission-control shedding,
-// deterministic bit-identical replay, the validated workload
+// per-query latency samples in engine::WorkloadEngine, admission-control
+// shedding, deterministic bit-identical replay, the validated workload
 // generator factories, and the batched-refresh semantics of
 // StreamEngine::SubmitAll / DeferRefresh.
 #include <gtest/gtest.h>
@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "engine/stream_engine.h"
+#include "engine/workload_engine.h"
 #include "harness/fixtures.h"
 #include "harness/golden.h"
 #include "net/churn.h"
 #include "query/workload.h"
-#include "query/workload_engine.h"
 
 namespace sbon::test {
 namespace {
@@ -38,8 +38,8 @@ std::unique_ptr<engine::StreamEngine> MakeEngine(engine::EngineOptions eo) {
   return std::move(created.value());
 }
 
-query::WorkloadEngineOptions SmallWorkload(uint64_t seed) {
-  query::WorkloadEngineOptions o;
+engine::WorkloadEngineOptions SmallWorkload(uint64_t seed) {
+  engine::WorkloadEngineOptions o;
   o.seed = seed;
   o.workload = TestWorkloadParams();
   o.arrivals.base_rate_per_epoch = 3.0;
@@ -258,45 +258,45 @@ TEST(WorkloadValidation, FactoriesRejectBadSitesAndCatalogs) {
 TEST(WorkloadEngine, CreateValidatesOptions) {
   auto engine = MakeEngine(WorkloadEngineOptionsBase(17));
 
-  auto null_engine = query::WorkloadEngine::Create(nullptr, SmallWorkload(1));
+  auto null_engine = engine::WorkloadEngine::Create(nullptr, SmallWorkload(1));
   EXPECT_FALSE(null_engine.ok());
 
-  query::WorkloadEngineOptions bad = SmallWorkload(1);
+  engine::WorkloadEngineOptions bad = SmallWorkload(1);
   bad.arrivals.diurnal_amplitude = 1.0;
-  EXPECT_FALSE(query::WorkloadEngine::Create(engine.get(), bad).ok());
+  EXPECT_FALSE(engine::WorkloadEngine::Create(engine.get(), bad).ok());
 
   bad = SmallWorkload(1);
   bad.arrivals.mean_lifetime_epochs = 0.0;
-  EXPECT_FALSE(query::WorkloadEngine::Create(engine.get(), bad).ok());
+  EXPECT_FALSE(engine::WorkloadEngine::Create(engine.get(), bad).ok());
 
   bad = SmallWorkload(1);
   bad.admission.saturated_node_watermark = 1.5;
-  EXPECT_FALSE(query::WorkloadEngine::Create(engine.get(), bad).ok());
+  EXPECT_FALSE(engine::WorkloadEngine::Create(engine.get(), bad).ok());
 
   bad = SmallWorkload(1);
   bad.workload.chain_prob = -1.0;
-  EXPECT_FALSE(query::WorkloadEngine::Create(engine.get(), bad).ok());
+  EXPECT_FALSE(engine::WorkloadEngine::Create(engine.get(), bad).ok());
 
   bad = SmallWorkload(1);
-  query::FlashCrowd w;
+  engine::FlashCrowd w;
   w.hotspot_site_frac = 0.0;
   bad.arrivals.flash_crowds.push_back(w);
-  EXPECT_FALSE(query::WorkloadEngine::Create(engine.get(), bad).ok());
+  EXPECT_FALSE(engine::WorkloadEngine::Create(engine.get(), bad).ok());
 }
 
 TEST(WorkloadEngine, AccountingIdentitiesHoldOverASoak) {
   auto engine = MakeEngine(WorkloadEngineOptionsBase(19));
-  query::WorkloadEngineOptions o = SmallWorkload(19);
-  query::FlashCrowd w;
+  engine::WorkloadEngineOptions o = SmallWorkload(19);
+  engine::FlashCrowd w;
   w.start_epoch = 10;
   w.duration_epochs = 5;
   w.rate_multiplier = 8.0;
   w.hotspot_site_frac = 0.1;
   o.arrivals.flash_crowds.push_back(w);
   o.admission.max_running_queries = 10;
-  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  auto wl = engine::WorkloadEngine::Create(engine.get(), o);
   ASSERT_TRUE(wl.ok()) << wl.status().ToString();
-  query::WorkloadEngine& w_eng = **wl;
+  engine::WorkloadEngine& w_eng = **wl;
 
   w_eng.BeginPhase("steady");
   ASSERT_TRUE(w_eng.Run(10).ok());
@@ -305,7 +305,7 @@ TEST(WorkloadEngine, AccountingIdentitiesHoldOverASoak) {
   w_eng.BeginPhase("recovery");
   ASSERT_TRUE(w_eng.Run(10).ok());
 
-  const query::WorkloadPhaseStats& t = w_eng.totals();
+  const engine::WorkloadPhaseStats& t = w_eng.totals();
   EXPECT_EQ(t.epochs, 25u);
   EXPECT_EQ(w_eng.epoch(), 25u);
   EXPECT_EQ(t.arrivals, t.shed + t.admitted);
@@ -342,11 +342,11 @@ TEST(WorkloadEngine, AccountingIdentitiesHoldOverASoak) {
 
 TEST(WorkloadEngine, WatermarkShedsEverythingUnderSaturation) {
   auto engine = MakeEngine(WorkloadEngineOptionsBase(23));
-  query::WorkloadEngineOptions o = SmallWorkload(23);
+  engine::WorkloadEngineOptions o = SmallWorkload(23);
   o.arrivals.base_rate_per_epoch = 5.0;
   o.admission.node_saturation_load = 0.9;
   o.admission.saturated_node_watermark = 0.5;
-  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  auto wl = engine::WorkloadEngine::Create(engine.get(), o);
   ASSERT_TRUE(wl.ok()) << wl.status().ToString();
 
   // Saturate every node's ambient load past the threshold: the load book
@@ -354,9 +354,11 @@ TEST(WorkloadEngine, WatermarkShedsEverythingUnderSaturation) {
   for (NodeId n : engine->sbon().overlay_nodes()) {
     engine->sbon().SetBaseLoad(n, 0.95);
   }
-  EXPECT_DOUBLE_EQ(engine->sbon().SaturatedFraction(0.9), 1.0);
+  for (NodeId n : engine->sbon().overlay_nodes()) {
+    EXPECT_GE(engine->sbon().TotalLoad(n), 0.9);
+  }
   ASSERT_TRUE((*wl)->Run(8).ok());
-  const query::WorkloadPhaseStats& t = (*wl)->totals();
+  const engine::WorkloadPhaseStats& t = (*wl)->totals();
   EXPECT_GT(t.arrivals, 0u);
   EXPECT_EQ(t.shed, t.arrivals) << "every arrival shed while saturated";
   EXPECT_EQ(t.submitted, 0u);
@@ -367,11 +369,11 @@ TEST(WorkloadEngine, DeparturesDrainUnderOneDeferredRefresh) {
   engine::EngineOptions eo = WorkloadEngineOptionsBase(27);
   eo.refresh_index_on_install = true;
   auto engine = MakeEngine(std::move(eo));
-  query::WorkloadEngineOptions o = SmallWorkload(27);
+  engine::WorkloadEngineOptions o = SmallWorkload(27);
   o.arrivals.base_rate_per_epoch = 6.0;
   o.arrivals.mean_lifetime_epochs = 2.0;
   o.epoch.refresh_index = false;  // isolate install/remove refreshes
-  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  auto wl = engine::WorkloadEngine::Create(engine.get(), o);
   ASSERT_TRUE(wl.ok()) << wl.status().ToString();
 
   size_t last_refreshes = engine->sbon().coords().refresh_stats().refreshes;
@@ -402,11 +404,11 @@ TEST(WorkloadEngine, RepairLatencyBillsTheStageThatRepaired) {
   cp.crash_rate = 0.5;
   cp.seed = 77;
   net::ChurnModel churn(engine->sbon().overlay_nodes(), cp);
-  query::WorkloadEngineOptions o = SmallWorkload(31);
+  engine::WorkloadEngineOptions o = SmallWorkload(31);
   o.epoch.exec_mode = engine::ExecMode::kMessage;
   o.epoch.msg.detector.enabled = true;
   o.epoch.churn = &churn;
-  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  auto wl = engine::WorkloadEngine::Create(engine.get(), o);
   ASSERT_TRUE(wl.ok()) << wl.status().ToString();
 
   size_t repairing_steps = 0;
@@ -449,11 +451,11 @@ ReplayRecord RunReplay(uint64_t seed) {
   cp.seed = seed * 1000003 + 17;
   net::ChurnModel churn(engine->sbon().overlay_nodes(), cp);
 
-  query::WorkloadEngineOptions o = SmallWorkload(seed);
+  engine::WorkloadEngineOptions o = SmallWorkload(seed);
   o.arrivals.base_rate_per_epoch = 4.0;
   o.arrivals.diurnal_amplitude = 0.4;
   o.arrivals.diurnal_period_epochs = 10;
-  query::FlashCrowd w;
+  engine::FlashCrowd w;
   w.start_epoch = 8;
   w.duration_epochs = 6;
   w.rate_multiplier = 6.0;
@@ -464,7 +466,7 @@ ReplayRecord RunReplay(uint64_t seed) {
   o.epoch.vivaldi_samples = 2;
   o.epoch.refresh_epsilon = 0.05;
   o.epoch.churn = &churn;
-  auto wl = query::WorkloadEngine::Create(engine.get(), o);
+  auto wl = engine::WorkloadEngine::Create(engine.get(), o);
   EXPECT_TRUE(wl.ok()) << wl.status().ToString();
   EXPECT_TRUE((*wl)->Run(20).ok());
 
