@@ -97,27 +97,55 @@ dht::ChordRing MakeRing(Rng* rng) {
   return ring;
 }
 
-// Every member moves in one batch, in random order: a refresh at ε=1.
+// `moved` of the ring's members move in one batch, in random order — all
+// of them is a refresh at ε=1, 465 of them `maintain`'s typical epoch. The
+// last member moves only in the full-ring batch; with `clash` set, one move
+// of each batch asks for its key, so the batch resolves its keys move by
+// move. `resolved` is the share of batches that did.
 void BM_RejoinFullRing(benchmark::State& state) {
+  const size_t moved = static_cast<size_t>(state.range(0));
+  const bool clash = state.range(1) != 0;
   Rng rng(8);
   dht::ChordRing ring = MakeRing(&rng);
-  std::vector<std::vector<dht::ChordRing::Member>> batches(64);
-  for (auto& batch : batches) {
-    for (size_t i = 0; i < kRingMembers; ++i) {
-      batch.push_back({RandomRingKey(&rng), static_cast<NodeId>(i)});
-    }
-    for (size_t i = batch.size(); i-- > 1;) {
-      std::swap(batch[i], batch[rng.UniformInt(i + 1)]);
+  const dht::U128 still_key = ring.members().back().key;
+  const NodeId still = ring.members().back().node;
+  std::vector<NodeId> nodes;
+  for (size_t i = 0; i < kRingMembers; ++i) {
+    if (moved == kRingMembers || i != still) {
+      nodes.push_back(static_cast<NodeId>(i));
     }
   }
+  std::vector<std::vector<dht::ChordRing::Member>> batches(64);
+  for (auto& batch : batches) {
+    // A random `moved`-subset of the movable nodes, in random order.
+    for (size_t i = 0; i < moved; ++i) {
+      std::swap(nodes[i], nodes[i + rng.UniformInt(nodes.size() - i)]);
+      batch.push_back({RandomRingKey(&rng), nodes[i]});
+    }
+    if (clash) batch[rng.UniformInt(moved)].key = still_key;
+  }
+  const size_t resolved_before = ring.resolved_batches();
   size_t i = 0;
   for (auto _ : state) {
     ring.Rejoin(batches[i++ & 63]);
     benchmark::DoNotOptimize(ring.members().data());
     benchmark::ClobberMemory();
   }
+  state.counters["resolved"] = benchmark::Counter(
+      static_cast<double>(ring.resolved_batches() - resolved_before) /
+      static_cast<double>(i));
 }
-BENCHMARK(BM_RejoinFullRing);
+BENCHMARK(BM_RejoinFullRing)
+    ->ArgNames({"moved", "clash"})
+    ->Args({1, 0})
+    ->Args({16, 0})
+    ->Args({124, 0})
+    ->Args({465, 0})
+    ->Args({496, 0})
+    ->Args({1, 1})
+    ->Args({16, 1})
+    ->Args({124, 1})
+    ->Args({465, 1});
 
 // A first-member Lookup(key) on a ring no membership change touches: the
 // index query's lookup while one ring state serves many Submits. After the

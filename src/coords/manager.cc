@@ -77,7 +77,14 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
       dht::HilbertQuantizer::FitTo(box_points, kHilbertBits));
+  PublishBatch();
+}
+
+void CoordinateManager::PublishBatch() {
   index_->PublishAll(publish_nodes_, publish_coords_);
+  const dht::ChordRing& ring = index_->ring();
+  refresh_stats_.ring_batches = ring.rejoin_batches();
+  refresh_stats_.ring_resolved_batches = ring.resolved_batches();
 }
 
 void CoordinateManager::UpdateCoordinatesOnline(
@@ -149,7 +156,7 @@ void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
       publish_coords_.push_back(full_block_.NodeVec(k));
     }
   }
-  index_->PublishAll(publish_nodes_, publish_coords_);
+  PublishBatch();
   const size_t republished = publish_nodes_.size();
   refresh_stats_.skipped += overlay_nodes.size() - republished;
   refresh_stats_.republished += republished;
@@ -187,7 +194,7 @@ void CoordinateManager::Publish(std::span<const NodeId> nodes) {
   publish_nodes_.assign(nodes.begin(), nodes.end());
   publish_coords_.clear();
   for (NodeId n : nodes) publish_coords_.push_back(space_->FullCoord(n));
-  index_->PublishAll(publish_nodes_, publish_coords_);
+  PublishBatch();
 }
 
 }  // namespace sbon::coords

@@ -32,6 +32,11 @@ struct IndexRefreshStats {
   size_t skipped = 0;          ///< node refreshes elided (moved <= epsilon)
   size_t quiet_refreshes = 0;  ///< refreshes with zero re-publishes (no
                                ///< ring Leave/Join)
+  size_t ring_batches = 0;     ///< ring Rejoin batches of every publish
+                               ///< (bring-up, refresh, rejoin, message mode)
+  size_t ring_resolved_batches = 0;  ///< of those, batches whose moves
+                                     ///< clashed, so the ring resolved their
+                                     ///< keys move by move
 };
 
 /// The coordinate substrate of the overlay: the Vivaldi (or MDS) embedding,
@@ -147,6 +152,9 @@ class CoordinateManager {
                                        ///< refresh, Publish): nodes ...
   std::vector<Vec> publish_coords_;    ///< ... and their full coordinates
 
+  /// Publishes the publish_nodes_ / publish_coords_ batch into the index
+  /// and copies the ring's batch counters into refresh_stats_.
+  void PublishBatch();
   /// The displacement scan RefreshIndex and CollectDisplaced share: fills
   /// full_block_ (slot k = overlay_nodes[k]) and flags in dirty_ every slot
   /// displaced more than `epsilon` from the index's published coordinate.

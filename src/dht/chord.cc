@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace sbon::dht {
 namespace {
@@ -16,6 +17,22 @@ unsigned TopBit(const U128& x) {
 constexpr auto KeyLess = [](const ChordRing::Member& m, const U128& k) {
   return m.key < k;
 };
+
+// The first entry in [first, last) whose key is not below `key`, searched
+// forward from `first` in doubling strides starting at `stride`: over keys
+// spread like the ring's, a stride of members / moves finds most bounds of
+// a sorted batch in one or two probes.
+using MemberIt = std::vector<ChordRing::Member>::const_iterator;
+MemberIt ForwardLowerBound(MemberIt first, MemberIt last, const U128& key,
+                           size_t stride) {
+  while (static_cast<size_t>(last - first) > stride &&
+         first[stride - 1].key < key) {
+    first += stride;
+    stride *= 2;
+  }
+  const size_t span = std::min(stride, static_cast<size_t>(last - first));
+  return std::lower_bound(first, first + span, key, KeyLess);
+}
 
 // Mixes both halves of a ring key for Rejoin's batch key table.
 uint64_t KeyHash(const U128& k) {
@@ -68,6 +85,7 @@ bool ChordRing::KeyTaken(const U128& key, size_t i) const {
 
 void ChordRing::Rejoin(const Member* moves, size_t d) {
   if (d == 0) return;
+  ++rejoin_batches_;
   first_hops_.clear();
   NodeId max_node = 0;
   for (size_t i = 0; i < d; ++i) max_node = std::max(max_node, moves[i].node);
@@ -78,25 +96,20 @@ void ChordRing::Rejoin(const Member* moves, size_t d) {
   // Batch positions, walked backwards: first_move_ ends at each node's
   // first move, next_move_[i] at the same node's following move.
   next_move_.resize(d);
+  // The clash table grows with the batch even when nothing clashes, so the
+  // first clash after bring-up does not allocate.
+  taken_.reserve(std::bit_ceil(2 * d));
   for (size_t i = d; i-- > 0;) {
     size_t& first = first_move_[moves[i].node];
     next_move_[i] = first;
     first = i;
   }
-  taken_.assign(std::bit_ceil(2 * d), TakenSlot{U128(), kNoMove});
 
-  // 1. Final keys in batch order, perturbing exact duplicates by the node
-  //    id exactly as a sequential Leave + Join would.
-  placed_.clear();
-  for (size_t i = 0; i < d; ++i) {
-    const Member& move = moves[i];
-    const U128 step =
-        U128::FromU64((static_cast<uint64_t>(move.node) << 1) | 1);
-    U128 k = move.key;
-    while (KeyTaken(k, i)) k = k + step;
-    // A slot already holding k belongs to a move whose entry is gone.
-    taken_[TakenSlotOf(k)] = TakenSlot{k, i};
-    if (next_move_[i] == kNoMove) placed_.push_back(Member{k, move.node});
+  // 1. Final keys, in key order.
+  SortMoves(moves, d);
+  if (!PlaceClashFree()) {
+    ++resolved_batches_;
+    ResolveKeys(moves, d);
   }
 
   // 2. Drop every moving node's old entry in one pass over the ring,
@@ -117,8 +130,6 @@ void ChordRing::Rejoin(const Member* moves, size_t d) {
 
   // 3. Merge the new entries in from the back, in key order: each one
   //    shifts the kept members above its lower bound up as one block.
-  std::sort(placed_.begin(), placed_.end(),
-            [](const Member& a, const Member& b) { return a.key < b.key; });
   size_t old_end = members_.size();
   members_.resize(old_end + placed_.size());
   size_t w = members_.size();
@@ -133,6 +144,94 @@ void ChordRing::Rejoin(const Member* moves, size_t d) {
     members_[--w] = member;
     key_of_[member.node] = member.key;
   }
+}
+
+void ChordRing::SortMoves(const Member* moves, size_t d) {
+  sorted_.resize(d);
+  U128 varying;
+  for (size_t i = 0; i < d; ++i) {
+    sorted_[i] = SortedMove{moves[i].key, moves[i].node,
+                            next_move_[i] == kNoMove};
+    varying = varying | (moves[i].key ^ moves[0].key);
+  }
+  if (d < kRadixMinMoves) {
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const SortedMove& a, const SortedMove& b) {
+                return a.key < b.key;
+              });
+    return;
+  }
+  // LSD radix sort over the key bytes that vary in the batch (four for the
+  // 30-bit keys of a 3-dim Hilbert index): one pass counts every such
+  // byte, then one stable scatter per byte, least significant first.
+  constexpr unsigned kDigitBits = 8;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  const auto digit = [](const U128& key, unsigned shift) {
+    const uint64_t word = shift < 64 ? key.lo >> shift : key.hi >> (shift - 64);
+    return static_cast<size_t>(word & (kBuckets - 1));
+  };
+  unsigned shifts[128 / kDigitBits] = {};
+  size_t passes = 0;
+  for (unsigned shift = 0; shift < 128; shift += kDigitBits) {
+    if (digit(varying, shift) != 0) shifts[passes++] = shift;
+  }
+  radix_offsets_.assign(passes * kBuckets, 0);
+  for (const SortedMove& m : sorted_) {
+    for (size_t p = 0; p < passes; ++p) {
+      ++radix_offsets_[p * kBuckets + digit(m.key, shifts[p])];
+    }
+  }
+  sort_buf_.resize(d);
+  for (size_t p = 0; p < passes; ++p) {
+    size_t* offset = radix_offsets_.data() + p * kBuckets;
+    size_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
+    for (const SortedMove& m : sorted_) {
+      sort_buf_[offset[digit(m.key, shifts[p])]++] = m;
+    }
+    sorted_.swap(sort_buf_);
+  }
+}
+
+bool ChordRing::PlaceClashFree() {
+  placed_.clear();
+  // The moved keys' lower bounds in the ring, each searched from where the
+  // last one ended, striding ahead by the mean gap between moved keys.
+  const size_t stride = std::max<size_t>(1, members_.size() / sorted_.size());
+  auto old = members_.cbegin();
+  for (size_t s = 0; s < sorted_.size(); ++s) {
+    const SortedMove& m = sorted_[s];
+    // Two nodes asking for one key: whichever asks second is perturbed.
+    if (s > 0 && sorted_[s - 1].key == m.key && sorted_[s - 1].node != m.node) {
+      return false;
+    }
+    // A key another node holds: perturbed unless that node moved first.
+    old = ForwardLowerBound(old, members_.cend(), m.key, stride);
+    if (old != members_.cend() && old->key == m.key && old->node != m.node) {
+      return false;
+    }
+    if (m.last) placed_.push_back(Member{m.key, m.node});
+  }
+  return true;
+}
+
+void ChordRing::ResolveKeys(const Member* moves, size_t d) {
+  taken_.assign(std::bit_ceil(2 * d), TakenSlot{U128(), kNoMove});
+  // Final keys in batch order, perturbing exact duplicates by the node id
+  // exactly as a sequential Leave + Join would.
+  placed_.clear();
+  for (size_t i = 0; i < d; ++i) {
+    const Member& move = moves[i];
+    const U128 step =
+        U128::FromU64((static_cast<uint64_t>(move.node) << 1) | 1);
+    U128 k = move.key;
+    while (KeyTaken(k, i)) k = k + step;
+    // A slot already holding k belongs to a move whose entry is gone.
+    taken_[TakenSlotOf(k)] = TakenSlot{k, i};
+    if (next_move_[i] == kNoMove) placed_.push_back(Member{k, move.node});
+  }
+  std::sort(placed_.begin(), placed_.end(),
+            [](const Member& a, const Member& b) { return a.key < b.key; });
 }
 
 size_t ChordRing::SuccessorIndex(U128 key) const {

@@ -48,15 +48,29 @@ class ChordRing {
   /// Applies a batch of moves in one sorted rewrite. The final membership
   /// is bitwise what `Leave(m.node); Join(m.key, m.node)` produces run for
   /// each move in order — including the duplicate-key perturbation chains,
-  /// and nodes that move more than once. A batch of d moves costs one
-  /// linear pass that drops the movers' old entries, a sort of the d new
-  /// entries, a binary search per key a move tries and one per new entry
-  /// to find its slot, where one block move places it:
-  /// O(members + d log members), with no per-move search for a node's old
-  /// entry.
+  /// and nodes that move more than once.
+  ///
+  /// The d moves are sorted by key with an LSD radix sort over the key bits
+  /// that vary in the batch (std::sort below kRadixMinMoves moves), then
+  /// checked for a clash: two nodes asking for one key, or a move asking
+  /// for a key another node holds in the ring (found by lower bounds that
+  /// move forward through the ring). Without a clash no sequential Join
+  /// perturbs a key, so every moving node lands at its last move's key and
+  /// the sorted moves are the new entries. Only a clashing batch resolves
+  /// its keys move by move in batch order (a binary search and a probe of
+  /// a batch key table per key a move tries), then sorts the new entries.
+  /// Either way one linear pass drops the movers' old entries and the new
+  /// entries are merged in from the back with one binary search and one
+  /// block move each: O(members + d log members), with no per-move search
+  /// for a node's old entry.
   void Rejoin(const std::vector<Member>& moves) {
     Rejoin(moves.data(), moves.size());
   }
+
+  /// Rejoin batches applied (a Join is a batch of one) and, of those, the
+  /// batches that clashed and so resolved their keys move by move.
+  size_t rejoin_batches() const { return rejoin_batches_; }
+  size_t resolved_batches() const { return resolved_batches_; }
 
   size_t NumMembers() const { return members_.size(); }
   const std::vector<Member>& members() const { return members_; }
@@ -84,23 +98,47 @@ class ChordRing {
   // Rejoin scratch, reused across batches (allocation-free in steady
   // state). `first_move_[node]` is the node's first position in the current
   // batch (kNoMove outside a batch); `next_move_[i]` is the position of
-  // move i's node's next move; `taken_` maps the keys earlier moves of the
-  // batch received to their move (open addressing); `placed_` holds the
-  // final entry of every moving node.
+  // move i's node's next move; `sorted_` holds the batch's moves in key
+  // order (`sort_buf_` is the radix sort's other buffer); `taken_` maps the
+  // keys earlier moves of a clashing batch received to their move (open
+  // addressing); `placed_` holds the final entry of every moving node.
   static constexpr size_t kNoMove = static_cast<size_t>(-1);
+  // Below this many moves std::sort beats the radix sort's fixed cost of
+  // clearing and summing its digit counts: on a 496-member ring
+  // (BM_RejoinFullRing) std::sort is faster at 16 moves, the radix sort
+  // from 32 up.
+  static constexpr size_t kRadixMinMoves = 32;
+  struct SortedMove {
+    U128 key;
+    NodeId node;
+    bool last;  ///< the node's last move in the batch
+  };
   struct TakenSlot {
     U128 key;
     size_t move;
   };
   std::vector<size_t> first_move_;
   std::vector<size_t> next_move_;
+  std::vector<SortedMove> sorted_;
+  std::vector<SortedMove> sort_buf_;
+  std::vector<size_t> radix_offsets_;
   std::vector<TakenSlot> taken_;
   std::vector<Member> placed_;
+  size_t rejoin_batches_ = 0;
+  size_t resolved_batches_ = 0;
 
   /// Index of the node's entry in `members_`, or kNoMove.
   size_t EntryOf(NodeId node) const;
   /// Rejoin over `d` contiguous moves (Join passes a batch of one).
   void Rejoin(const Member* moves, size_t d);
+  /// Fills `sorted_` with the batch's moves in key order.
+  void SortMoves(const Member* moves, size_t d);
+  /// Checks the sorted batch for a clash; without one, fills `placed_`
+  /// with each moving node's last move, in key order, and returns true.
+  bool PlaceClashFree();
+  /// Resolves the final keys of a clashing batch move by move, exactly as
+  /// sequential Joins perturb them, into `placed_` in key order.
+  void ResolveKeys(const Member* moves, size_t d);
   /// The `taken_` slot holding `key`, or the empty slot it would go to.
   size_t TakenSlotOf(const U128& key) const;
   /// True when `key` is held at move `i` of the batch in flight.

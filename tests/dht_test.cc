@@ -424,6 +424,189 @@ TEST(ChordTest, FullRingAndSingleMoveRejoinMatchSequential) {
   }
 }
 
+// Applies `moves` as ExpectRejoinMatchesReference does and checks that the
+// batch counted once, and whether it clashed and so resolved its keys move
+// by move.
+void ExpectRejoinPath(const std::vector<ChordRing::Member>& moves,
+                      bool resolved, ChordRing* ring, ReferenceRing* ref) {
+  const size_t batches = ring->rejoin_batches();
+  const size_t resolved_before = ring->resolved_batches();
+  ExpectRejoinMatchesReference(moves, ring, ref);
+  EXPECT_EQ(ring->rejoin_batches(), batches + 1);
+  EXPECT_EQ(ring->resolved_batches() - resolved_before, resolved ? 1u : 0u);
+}
+
+// Draws ring keys no member holds and no earlier draw of the same batch
+// returned: the batches of the tests below clash only where they say so.
+class FreshKeys {
+ public:
+  FreshKeys(const ChordRing& ring, uint64_t seed, uint64_t hi_values = 1)
+      : rng_(seed), hi_values_(hi_values) {
+    for (const ChordRing::Member& m : ring.members()) used_.insert(m.key);
+  }
+  U128 Next() {
+    U128 key;
+    do {
+      key = U128(rng_.UniformInt(hi_values_),
+                 rng_.Next() & ((uint64_t{1} << 30) - 1));
+    } while (!Claim(key));
+    return key;
+  }
+  /// Takes `key` out of later draws; false if a draw or member had it.
+  bool Claim(const U128& key) { return used_.insert(key).second; }
+  Rng& rng() { return rng_; }
+
+ private:
+  Rng rng_;
+  uint64_t hi_values_;
+  std::set<U128> used_;
+};
+
+// `count` distinct nodes of [0, nodes) moving to fresh keys, in random
+// order.
+std::vector<ChordRing::Member> FreshBatch(size_t nodes, size_t count,
+                                          FreshKeys* keys) {
+  std::vector<NodeId> order(nodes);
+  for (size_t i = 0; i < nodes; ++i) order[i] = static_cast<NodeId>(i);
+  std::vector<ChordRing::Member> moves;
+  for (size_t i = 0; i < count; ++i) {
+    std::swap(order[i], order[i + keys->rng().UniformInt(nodes - i)]);
+    moves.push_back({keys->Next(), order[i]});
+  }
+  return moves;
+}
+
+// Batches in which no node asks for a key another node holds or asks for —
+// the refresh at ε=1 with 30-bit Hilbert keys — skip key resolution: every
+// node lands at its last move's key. Sizes cover both sorts (std::sort
+// below 32 moves, the radix sort above) and held-key lower bounds that
+// stride one member and hundreds. Some nodes move twice to one key, some
+// to two different keys.
+TEST(ChordTest, CollisionFreeBatchesSkipKeyResolution) {
+  constexpr size_t kNodes = 496;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    ChordRing ring;
+    ReferenceRing ref;
+    {
+      FreshKeys keys(ring, seed);
+      ExpectRejoinPath(FreshBatch(kNodes, kNodes, &keys), false, &ring, &ref);
+    }
+    for (size_t count : {1, 2, 16, 31, 32, 124, 300, 465, 496}) {
+      SCOPED_TRACE(count);
+      FreshKeys keys(ring, seed * 1000 + count);
+      std::vector<ChordRing::Member> moves = FreshBatch(kNodes, count, &keys);
+      const size_t twice = std::min<size_t>(count, 12);
+      for (size_t i = 0; i < twice; ++i) {
+        // Even: the node asks for its first key again; odd: a new key.
+        const ChordRing::Member& first = moves[i];
+        moves.push_back({i % 2 == 0 ? first.key : keys.Next(), first.node});
+      }
+      for (size_t i = moves.size(); i-- > 1;) {
+        std::swap(moves[i], moves[keys.rng().UniformInt(i + 1)]);
+      }
+      ExpectRejoinPath(moves, false, &ring, &ref);
+    }
+  }
+}
+
+// A node asking for its own key is no clash: its old entry leaves first.
+TEST(ChordTest, RejoinAtOwnKeySkipsKeyResolution) {
+  ChordRing ring;
+  ReferenceRing ref;
+  FreshKeys keys(ring, 7);
+  ExpectRejoinPath(FreshBatch(64, 64, &keys), false, &ring, &ref);
+  const std::vector<ChordRing::Member> before = ring.members();
+  ExpectRejoinPath({before[10]}, false, &ring, &ref);
+  ExpectRejoinPath({before[3], before[40], before[3]}, false, &ring, &ref);
+  ExpectRejoinPath(before, false, &ring, &ref);
+  EXPECT_EQ(ring.members().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(ring.members()[i].key, before[i].key);
+    EXPECT_EQ(ring.members()[i].node, before[i].node);
+  }
+}
+
+// Every kind of clash sends the batch through key resolution and still
+// gives the sequential ring: a move asking for the key of a node that moves
+// later in the batch (perturbed), or of one that moved earlier (not
+// perturbed, but the check does not look at batch order), two nodes asking
+// for one key, and a move asking for a non-moving member's key. Each is
+// placed in a small batch and in a full-ring one.
+TEST(ChordTest, ClashingBatchesResolveKeys) {
+  constexpr size_t kNodes = 496;
+  enum Clash { kLaterMover, kEarlierMover, kSameKey, kStillMember };
+  for (size_t count : {8, 465}) {
+    for (Clash clash : {kLaterMover, kEarlierMover, kSameKey, kStillMember}) {
+      SCOPED_TRACE(testing::Message() << count << " moves, clash " << clash);
+      ChordRing ring;
+      ReferenceRing ref;
+      FreshKeys keys(ring, count + clash);
+      ExpectRejoinPath(FreshBatch(kNodes, kNodes, &keys), false, &ring, &ref);
+      // Node 0 stays put in this batch: it is the still member.
+      std::vector<ChordRing::Member> moves = FreshBatch(kNodes, count + 1,
+                                                        &keys);
+      std::erase_if(moves,
+                    [](const ChordRing::Member& m) { return m.node == 0; });
+      moves.resize(count);
+      const auto key_of = [&](NodeId node) {
+        return std::find_if(ref.members.begin(), ref.members.end(),
+                            [&](const ChordRing::Member& m) {
+                              return m.node == node;
+                            })->key;
+      };
+      const size_t a = 1, b = count - 2;
+      switch (clash) {
+        case kLaterMover:
+          moves[a].key = key_of(moves[b].node);
+          break;
+        case kEarlierMover:
+          moves[b].key = key_of(moves[a].node);
+          break;
+        case kSameKey:
+          moves[b].key = moves[a].key;
+          break;
+        case kStillMember:
+          moves[a].key = key_of(0);
+          break;
+      }
+      // The move that asks for a key someone held first.
+      const ChordRing::Member asker =
+          clash == kEarlierMover || clash == kSameKey ? moves[b] : moves[a];
+      ExpectRejoinPath(moves, true, &ring, &ref);
+      // Only a key still held when asked for is moved on.
+      EXPECT_EQ(key_of(asker.node) != asker.key, clash != kEarlierMover);
+    }
+  }
+}
+
+// Keys beyond 64 bits sort on both words: nodes whose keys differ only in
+// `hi` and nodes with `hi != 0` land where the sequential Joins put them,
+// without key resolution, through both sorts.
+TEST(ChordTest, WideKeysSkipKeyResolution) {
+  constexpr size_t kNodes = 200;
+  ChordRing ring;
+  ReferenceRing ref;
+  FreshKeys keys(ring, 11, /*hi_values=*/4);
+  ExpectRejoinPath(FreshBatch(kNodes, kNodes, &keys), false, &ring, &ref);
+  for (size_t count : {8, 150}) {
+    std::vector<ChordRing::Member> moves = FreshBatch(kNodes, count, &keys);
+    // Pairs of moves whose keys differ only in hi (fresh on both words).
+    for (size_t i = 0; i + 1 < count; i += 4) {
+      U128 lo_twin;
+      do {
+        lo_twin = U128(moves[i].key.hi + 1 + keys.rng().UniformInt(1000),
+                       moves[i].key.lo);
+      } while (!keys.Claim(lo_twin));
+      moves[i + 1].key = lo_twin;
+    }
+    size_t wide = 0;
+    for (const ChordRing::Member& m : moves) wide += m.key.hi != 0;
+    EXPECT_GT(wide, 0u);
+    ExpectRejoinPath(moves, false, &ring, &ref);
+  }
+}
+
 class ChordPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ChordPropertyTest, LookupMatchesSortedMapOracle) {
