@@ -373,13 +373,14 @@ inline bool WriteJson(const JsonWriter& doc) {
   return true;
 }
 
-/// A bare message bus over a transit-stub fabric (the default provider,
-/// dense at the rigs' sizes: reads are one matrix load, so the bus itself
-/// is what gets measured) under a fixed
-/// fault plan: 5% loss, 5% duplication and 5 ms mean extra delay on every
-/// protocol. The Vivaldi handler answers each ping whose send sequence is
-/// even with a pong (about half of them: duplicates and replies shift the
-/// parity), so the queue grows mid-drain; ring deliveries are consumed. The drain
+/// One `chaos`-shaped message-mode epoch on a bare bus, over a transit-stub
+/// fabric (the default provider, dense at the rigs' sizes: reads are one
+/// matrix load, so the bus itself is what gets measured) under the `chaos`
+/// workload's fault plan: 10% loss and 5% duplication on every protocol,
+/// 100 ms epochs. Each round every node Sends one Vivaldi ping to a peer
+/// and one ring heartbeat to its successor; the Vivaldi handler answers
+/// every ping with a pong mid-drain, and heartbeats are consumed. Messages
+/// slower than an epoch carry over, as they do in `chaos`. The round
 /// `micro_substrates` times and `perf_epoch`'s allocation audit checks.
 class BusDrainRig {
  public:
@@ -389,12 +390,13 @@ class BusDrainRig {
         fabric_(topo_, /*jitter_sigma=*/0.0, &rng_, {}),
         bus_(&fabric_, BusOptions()) {
     bus_.SetHandler(msg::Protocol::kVivaldi, [this](const msg::Envelope& e) {
-      if (e.kind != msg::MsgKind::kPing || (e.seq & 1) != 0) return;
+      if (e.kind != msg::MsgKind::kPing) return;
       msg::Envelope pong;
       pong.proto = msg::Protocol::kVivaldi;
       pong.kind = msg::MsgKind::kPong;
       pong.from = e.to;
       pong.to = e.from;
+      pong.subject = e.to;
       pong.coord = Vec{1.0, 2.0, 3.0};
       pong.bytes = 56;
       bus_.Send(std::move(pong));
@@ -405,30 +407,29 @@ class BusDrainRig {
   BusDrainRig(const BusDrainRig&) = delete;
   BusDrainRig& operator=(const BusDrainRig&) = delete;
 
-  /// One epoch: Sends `messages` envelopes, alternating pings and
-  /// coordinate-carrying publishes, then EndEpoch. Envelope i always links
-  /// the same endpoint pair, so latency reads stay cache-warm across
-  /// rounds and the bus dominates. The epoch is long enough that every
-  /// reply lands in the same drain.
-  void Round(size_t messages) {
+  /// One epoch: a ping and a heartbeat per node, then EndEpoch. Ping peers
+  /// rotate from round to round, as the agents' random peer samples do.
+  void Round() {
     const size_t nodes = topo_.NumNodes();
+    const size_t shift = 1 + (round_++ * 37) % (nodes - 1);
     bus_.BeginEpoch();
-    for (size_t i = 0; i < messages; ++i) {
-      msg::Envelope e;
-      e.from = static_cast<NodeId>(i * 7 % nodes);
-      e.to = static_cast<NodeId>((e.from + 1 + i % (nodes - 1)) % nodes);
-      if (i % 2 == 0) {
-        e.proto = msg::Protocol::kVivaldi;
-        e.kind = msg::MsgKind::kPing;
-        e.bytes = 24;
-      } else {
-        e.proto = msg::Protocol::kRing;
-        e.kind = msg::MsgKind::kPublish;
-        e.subject = e.from;
-        e.coord = Vec{4.0, 5.0, 6.0};
-        e.bytes = 64;
-      }
-      bus_.Send(std::move(e));
+    for (size_t i = 0; i < nodes; ++i) {
+      msg::Envelope ping;
+      ping.proto = msg::Protocol::kVivaldi;
+      ping.kind = msg::MsgKind::kPing;
+      ping.from = static_cast<NodeId>(i);
+      ping.to = static_cast<NodeId>((i + shift) % nodes);
+      ping.subject = ping.from;
+      ping.bytes = 24;
+      bus_.Send(std::move(ping));
+      msg::Envelope beat;
+      beat.proto = msg::Protocol::kRing;
+      beat.kind = msg::MsgKind::kStabilize;
+      beat.from = static_cast<NodeId>(i);
+      beat.to = static_cast<NodeId>((i + 1) % nodes);
+      beat.subject = beat.from;
+      beat.bytes = 16;
+      bus_.Send(std::move(beat));
     }
     bus_.EndEpoch();
   }
@@ -438,11 +439,9 @@ class BusDrainRig {
  private:
   static msg::MessageBus::Options BusOptions() {
     msg::MessageBus::Options o;
-    o.epoch_ms = 1000.0;
     for (msg::FaultRates& r : o.faults.protocol) {
-      r.loss = 0.05;
+      r.loss = 0.10;
       r.duplicate = 0.05;
-      r.delay_jitter_ms = 5.0;
     }
     return o;
   }
@@ -451,6 +450,7 @@ class BusDrainRig {
   Rng rng_;
   net::NetworkFabric fabric_;
   msg::MessageBus bus_;
+  size_t round_ = 0;
 };
 
 }  // namespace sbon::bench

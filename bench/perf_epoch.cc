@@ -575,15 +575,17 @@ bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
                                      sbon, options, &report, &candidates);
         }));
 
-  // Per message sent (replies and network duplicates included) over
-  // steady-state bench::BusDrainRig rounds of 256 envelopes; the warm-up
-  // rounds grow the bus queue to its high-water mark.
+  // Per steady-state bench::BusDrainRig round (a `chaos`-shaped epoch at
+  // 100 nodes) and per message sent in it (replies and network duplicates
+  // included); the warm-up rounds grow the bus queue to its high-water mark.
   bench::BusDrainRig rig(/*target_nodes=*/100, /*seed=*/13);
   constexpr size_t kRounds = 200;
-  const auto round = [&](size_t) { rig.Round(256); };
+  const auto round = [&](size_t) { rig.Round(); };
   for (size_t i = 0; i < 16; ++i) round(i);
   const size_t sent_before = rig.bus().stats().TotalSent();
   const double per_round = AllocsPerCall(0, kRounds, round);
+  audit("allocs_per_bus_round", "MessageBus::Send+EndEpoch per round",
+        per_round);
   audit("allocs_per_bus_message", "MessageBus::Send+EndEpoch per msg",
         per_round * static_cast<double>(kRounds) /
             static_cast<double>(rig.bus().stats().TotalSent() - sent_before));

@@ -254,10 +254,12 @@ size_t ChordRing::RouteHops(size_t cur, size_t target_idx) const {
   // of cur is successor(cur + 2^i), which lies strictly between cur and key
   // iff some member sits in [cur + 2^i, key), i.e. iff 2^i <= pred - cur.
   // The closest preceding finger is therefore finger j for the top set bit
-  // j of pred - cur. Each hop lands strictly closer to key, so the walk
-  // ends within n hops.
+  // j of pred - cur. Each hop lands strictly closer to key, so on a ring
+  // whose keys are unique the walk ends within n hops. Where two members
+  // share a key it need not end, so past n hops it gives up.
   size_t hops = 0;
   while (cur != target_idx) {
+    if (hops == n) return kNoRoute;
     if (cur == pred_idx) {
       cur = target_idx;  // key lies in (cur, successor]
     } else {
@@ -267,6 +269,12 @@ size_t ChordRing::RouteHops(size_t cur, size_t target_idx) const {
     ++hops;
   }
   return hops;
+}
+
+Status ChordRing::NoRouteError() {
+  return Status::Internal(
+      "Chord route did not end within one hop per member: ring keys are not "
+      "unique");
 }
 
 ChordRing::LookupResult ChordRing::ResultAt(size_t member_index,
@@ -284,8 +292,9 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
   if (members_.empty()) return Status::FailedPrecondition("empty ring");
   // Start at the member owning origin_key (its successor).
   const size_t target_idx = SuccessorIndex(key);
-  return ResultAt(target_idx,
-                  RouteHops(SuccessorIndex(origin_key), target_idx));
+  const size_t hops = RouteHops(SuccessorIndex(origin_key), target_idx);
+  if (hops == kNoRoute) return NoRouteError();
+  return ResultAt(target_idx, hops);
 }
 
 StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key) const {
@@ -295,7 +304,11 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key) const {
   const size_t target_idx = SuccessorIndex(key);
   if (first_hops_.empty()) first_hops_.assign(members_.size(), kUnrouted);
   uint32_t& hops = first_hops_[target_idx];
-  if (hops == kUnrouted) hops = static_cast<uint32_t>(RouteHops(0, target_idx));
+  if (hops == kUnrouted) {
+    const size_t routed = RouteHops(0, target_idx);
+    if (routed == kNoRoute) return NoRouteError();
+    hops = static_cast<uint32_t>(routed);
+  }
   return ResultAt(target_idx, hops);
 }
 

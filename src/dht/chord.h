@@ -76,7 +76,9 @@ class ChordRing {
   const std::vector<Member>& members() const { return members_; }
 
   /// Chord-routes from the member owning `origin_key` toward `key`;
-  /// returns successor(key). Requires a non-empty ring.
+  /// returns successor(key). FailedPrecondition on an empty ring; Internal
+  /// when the route does not end within one hop per member, which happens
+  /// only when two members share a key (a broken ring).
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
 
   /// Lookup starting from the first member (deterministic origin). The
@@ -145,8 +147,12 @@ class ChordRing {
   bool KeyTaken(const U128& key, size_t i) const;
   size_t SuccessorIndex(U128 key) const;
   /// Hops of the greedy Chord route from member `cur` to member
-  /// `target_idx`.
+  /// `target_idx`; kNoRoute when the route has not ended after one hop per
+  /// member, which only a ring with a repeated key can cause.
+  static constexpr size_t kNoRoute = static_cast<size_t>(-1);
   size_t RouteHops(size_t cur, size_t target_idx) const;
+  /// The Internal error a Lookup returns for kNoRoute.
+  static Status NoRouteError();
   LookupResult ResultAt(size_t member_index, size_t hops) const;
 
   // Lookup(key)'s hop count per target member index, kUnrouted until that

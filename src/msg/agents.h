@@ -57,9 +57,9 @@ Status ValidateRuntimeParams(const RuntimeParams& params);
 
 /// Per-node bounded ring buffer of recently seen transfer ids: the dedup
 /// window that makes delivery handlers idempotent under duplication.
-/// Lookup is a linear scan of one node's window (windows are tens of
-/// entries); insertion overwrites the oldest slot, so memory is fixed at
-/// num_nodes * window ids.
+/// Lookup is a branch-free scan of one node's whole window (windows are
+/// tens of entries); insertion overwrites the oldest slot, so memory is
+/// fixed at num_nodes * window ids.
 class DedupWindow {
  public:
   DedupWindow(size_t num_nodes, size_t window)
@@ -71,9 +71,16 @@ class DedupWindow {
   /// a repeat still inside the window — the caller suppresses the delivery.
   bool FirstSighting(NodeId node, uint64_t tid) {
     uint64_t* base = &slots_[static_cast<size_t>(node) * window_];
+    // An OR over the whole window instead of an early exit, so the compiler
+    // can vectorize the scan. x | -x has its top bit set for every nonzero
+    // x, so ~(x | -x) has it set only where a slot holds `tid`: baseline
+    // x86-64 (SSE2) has no 64-bit vector compare, but it has this.
+    uint64_t hit = 0;
     for (size_t i = 0; i < window_; ++i) {
-      if (base[i] == tid) return false;
+      const uint64_t x = base[i] ^ tid;
+      hit |= ~(x | (0 - x));
     }
+    if ((hit >> 63) != 0) return false;
     base[cursor_[node]] = tid;
     cursor_[node] = (cursor_[node] + 1) % window_;
     return true;

@@ -1,6 +1,7 @@
 #include "msg/message_bus.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -90,8 +91,66 @@ void MessageBus::Enqueue(Envelope&& e) {
     free_.pop_back();
     slab_[slot] = std::move(e);
   }
-  heap_.push_back(Key{slab_[slot].deliver_ms, slab_[slot].seq, slot});
+  const Key key{slab_[slot].deliver_ms, slab_[slot].seq, slot};
+  if (!draining_) {
+    batch_.push_back(key);
+    return;
+  }
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later());
+}
+
+void MessageBus::SortBatch() {
+  const size_t n = batch_.size();
+  if (n < 2) return;
+  // LSD radix sort over the bytes that vary in the batch, seq's first, then
+  // deliver_ms's: a delivery time is never negative, so its bit pattern
+  // orders as the value does. One pass counts every such byte, then one
+  // stable scatter per byte, least significant first. On `chaos` it beats
+  // std::sort (~600 keys a round, about ten varying bytes); below ~100
+  // keys std::sort would be faster, but such a sort costs a few µs.
+  constexpr size_t kBuckets = 256;
+  constexpr size_t kMaxPasses = 16;  // 16 bytes of (deliver_ms, seq)
+  const auto word = [](const Key& k, unsigned shift) {
+    return shift < 64 ? k.seq >> shift
+                      : std::bit_cast<uint64_t>(k.deliver_ms) >> (shift - 64);
+  };
+  uint64_t seq_varying = 0;
+  uint64_t time_varying = 0;
+  const uint64_t seq0 = batch_[0].seq;
+  const uint64_t time0 = std::bit_cast<uint64_t>(batch_[0].deliver_ms);
+  for (const Key& k : batch_) {
+    seq_varying |= k.seq ^ seq0;
+    time_varying |= std::bit_cast<uint64_t>(k.deliver_ms) ^ time0;
+  }
+  unsigned shifts[kMaxPasses];
+  size_t passes = 0;
+  for (unsigned shift = 0; shift < 128; shift += 8) {
+    const uint64_t varying = shift < 64 ? seq_varying >> shift
+                                        : time_varying >> (shift - 64);
+    if ((varying & (kBuckets - 1)) != 0) shifts[passes++] = shift;
+  }
+  size_t offsets[kMaxPasses][kBuckets];
+  for (size_t p = 0; p < passes; ++p) std::fill_n(offsets[p], kBuckets, 0);
+  for (const Key& k : batch_) {
+    for (size_t p = 0; p < passes; ++p) {
+      ++offsets[p][word(k, shifts[p]) & (kBuckets - 1)];
+    }
+  }
+  // The heap is empty outside a drain, so its buffer is the scatter target.
+  // It grows with the batch's capacity (geometrically), not to each new n.
+  heap_.reserve(batch_.capacity());
+  heap_.resize(n);
+  for (size_t p = 0; p < passes; ++p) {
+    size_t* offset = offsets[p];
+    size_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
+    for (const Key& k : batch_) {
+      heap_[offset[word(k, shifts[p]) & (kBuckets - 1)]++] = k;
+    }
+    batch_.swap(heap_);
+  }
+  heap_.clear();
 }
 
 void MessageBus::BeginEpoch() {
@@ -101,10 +160,26 @@ void MessageBus::BeginEpoch() {
 void MessageBus::EndEpoch() {
   const double horizon =
       static_cast<double>(stats_.epochs + 1) * options_.epoch_ms;
-  while (!heap_.empty() && heap_.front().deliver_ms <= horizon) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later());
-    const size_t slot = heap_.back().slot;
-    heap_.pop_back();
+  // Every key queued so far is in the batch; sorted once, it merges with
+  // the heap of keys the handlers queue below. Handlers never append to
+  // the batch, so `batch_` stays put while the loop reads it.
+  SortBatch();
+  draining_ = true;
+  size_t next = 0;  // the batch's first undelivered key
+  for (;;) {
+    const bool from_batch =
+        next < batch_.size() &&
+        (heap_.empty() || Later()(heap_.front(), batch_[next]));
+    if (!from_batch && heap_.empty()) break;
+    const Key& key = from_batch ? batch_[next] : heap_.front();
+    if (key.deliver_ms > horizon) break;
+    const size_t slot = key.slot;
+    if (from_batch) {
+      ++next;
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), Later());
+      heap_.pop_back();
+    }
     // Out of the slab before the handler: its Sends may grow the slab (and
     // reuse this slot first).
     const Envelope e = std::move(slab_[slot]);
@@ -121,6 +196,11 @@ void MessageBus::EndEpoch() {
     const Handler& h = handlers_[static_cast<size_t>(e.proto)];
     if (h) h(e);
   }
+  draining_ = false;
+  // Keys past the horizon, from either place, carry over in the batch.
+  batch_.erase(batch_.begin(), batch_.begin() + static_cast<ptrdiff_t>(next));
+  batch_.insert(batch_.end(), heap_.begin(), heap_.end());
+  heap_.clear();
   now_ms_ = horizon;
   ++stats_.epochs;
 }

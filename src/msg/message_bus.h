@@ -33,17 +33,23 @@ namespace sbon::msg {
 ///    are treated as lost, which is what makes staleness measurable.
 ///
 /// Queue layout: envelopes sit still in a slab (a freed slot is reused LIFO)
-/// while a binary min-heap of 24-byte `{deliver_ms, seq, slot}` keys orders
-/// them, so sifting never moves an envelope. A delivery moves its envelope
-/// out of the slab before the handler runs (handlers Send, which may grow
-/// the slab). Slab, heap and free list keep their high-water capacity: a
-/// steady-state Send + EndEpoch round is heap-free.
+/// and are ordered by 24-byte `{deliver_ms, seq, slot}` keys, so ordering
+/// never moves an envelope. Keys live in two places. A Send outside a drain
+/// (pings, heartbeats, publishes, joins, leaves, retries) appends its key
+/// to a plain batch; EndEpoch sorts the batch once (an LSD radix sort over
+/// the key bytes that vary), then drains by merging that sorted run with a
+/// binary min-heap, which holds only the keys that handlers Send during the
+/// drain (pongs, acks). Keys past the horizon, from either place, go back
+/// into the batch for the next epoch. A delivery moves its envelope out of
+/// the slab before the handler runs (handlers Send, which may grow the
+/// slab). Batch, heap, slab and free list keep their high-water capacity:
+/// a steady-state Send + EndEpoch round is heap-free.
 ///
 /// Determinism: single-threaded by contract (like every substrate here);
 /// delivery order is a total order (deliver_ms, then send seq — unique, so
-/// the heap's layout never decides a tie); the bus owns a private seeded
-/// Rng that agents draw peer samples from, so message-mode never perturbs
-/// the overlay's oracle RNG stream.
+/// neither the sort nor the heap's layout decides a tie); the bus owns a
+/// private seeded Rng that agents draw peer samples from, so message-mode
+/// never perturbs the overlay's oracle RNG stream.
 class MessageBus {
  public:
   struct Options {
@@ -92,7 +98,7 @@ class MessageBus {
   double now_ms() const { return now_ms_; }
   /// Engine epochs fully drained so far.
   size_t epoch() const { return stats_.epochs; }
-  size_t pending() const { return heap_.size(); }
+  size_t pending() const { return batch_.size() + heap_.size(); }
   Rng& rng() { return rng_; }
   const net::NetworkFabric& fabric() const { return *fabric_; }
   size_t NumNodes() const { return fabric_->NumNodes(); }
@@ -101,7 +107,7 @@ class MessageBus {
   const TrafficStats& stats() const { return stats_; }
 
  private:
-  /// Heap entry of one queued envelope: its delivery order and its slot.
+  /// Queue entry of one envelope: its delivery order and its slot.
   struct Key {
     double deliver_ms;
     uint64_t seq;
@@ -115,8 +121,11 @@ class MessageBus {
     }
   };
 
-  /// Parks `e` (fully stamped) in a slab slot and pushes its key.
+  /// Parks `e` (fully stamped) in a slab slot and queues its key: on the
+  /// heap during a drain, in the batch otherwise.
   void Enqueue(Envelope&& e);
+  /// Sorts `batch_` by (deliver_ms, seq).
+  void SortBatch();
 
   const net::NetworkFabric* fabric_;
   Options options_;
@@ -125,7 +134,10 @@ class MessageBus {
   double now_ms_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t next_tid_ = 1;  ///< 0 means "unset" on an Envelope
-  std::vector<Key> heap_;        ///< min-heap under Later
+  bool draining_ = false;        ///< inside EndEpoch's delivery loop
+  std::vector<Key> batch_;       ///< keys queued outside a drain
+  std::vector<Key> heap_;        ///< keys queued by handlers, min-heap
+                                 ///< under Later; empty outside a drain
   std::vector<Envelope> slab_;   ///< queued envelopes, addressed by slot
   std::vector<size_t> free_;     ///< free slab slots, reused LIFO
   Handler handlers_[kNumProtocols];
