@@ -1,13 +1,15 @@
 // Kernel throughput of the substrate pieces: Hilbert curve, Chord routing,
-// coordinate-index queries (probed, exact and radius, each into a reused
-// node-id buffer), Vivaldi updates, shortest paths, and the message-mode bus
-// drain.
+// a refresh-sized index republish, coordinate-index queries (probed, exact
+// and radius, each into a reused node-id buffer), Vivaldi updates, shortest
+// paths, and the message-mode bus drain.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/coord_block.h"
 #include "common/rng.h"
 #include "coords/vivaldi.h"
 #include "dht/chord.h"
@@ -199,6 +201,45 @@ dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
   }
   return idx;
 }
+
+// A `maintain`-shaped refresh batch: 465 of an index's 496 nodes
+// republish, in node order, from a CoordBlock whose slot j belongs to the
+// batch's j-th node — what CoordinateManager::RefreshIndex hands over.
+// Batches rotate so that keys move. `per_publish` is the time per
+// republished node (seconds, printed with an SI prefix).
+void BM_IndexPublishAll(benchmark::State& state) {
+  constexpr size_t kMoved = 465;
+  constexpr size_t kBatches = 16;
+  Rng rng(14);
+  dht::CoordinateIndex idx = MakeIndex(kRingMembers, &rng);
+  std::vector<std::vector<NodeId>> nodes(kBatches);
+  std::vector<CoordBlock> blocks(kBatches);
+  std::vector<NodeId> all(kRingMembers);
+  for (size_t i = 0; i < kRingMembers; ++i) all[i] = static_cast<NodeId>(i);
+  for (size_t b = 0; b < kBatches; ++b) {
+    for (size_t i = 0; i < kMoved; ++i) {
+      std::swap(all[i], all[i + rng.UniformInt(kRingMembers - i)]);
+    }
+    nodes[b].assign(all.begin(), all.begin() + kMoved);
+    std::sort(nodes[b].begin(), nodes[b].end());
+    blocks[b].Reset(3, kMoved);
+    for (size_t j = 0; j < kMoved; ++j) {
+      blocks[b].SetNode(j, Vec{rng.Uniform(0, 200), rng.Uniform(0, 200),
+                               rng.Uniform(0, 100)});
+    }
+  }
+  idx.Reserve(kMoved);
+  size_t i = 0;
+  for (auto _ : state) {
+    idx.PublishAll(nodes[i % kBatches], blocks[i % kBatches]);
+    ++i;
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_publish"] = benchmark::Counter(
+      static_cast<double>(i * kMoved),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IndexPublishAll);
 
 void BM_IndexKNearest(benchmark::State& state) {
   Rng rng(5);

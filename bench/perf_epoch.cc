@@ -505,7 +505,7 @@ overlay::Circuit FiveStreamCircuit(const overlay::Sbon& sbon) {
 // Writes the heap allocations per call of each audited hot call under its
 // key, and a FAIL: line for each one that allocates in steady state; false
 // if any does. `sbon` is a small dedicated overlay.
-bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
+bool AuditHotCalls(JsonWriter& w, overlay::Sbon& sbon) {
   bool ok = true;
   const auto audit = [&](const char* key, const char* call, double allocs) {
     w.Key(key).Double(allocs);
@@ -589,6 +589,24 @@ bool AuditHotCalls(JsonWriter& w, const overlay::Sbon& sbon) {
   audit("allocs_per_bus_message", "MessageBus::Send+EndEpoch per msg",
         per_round * static_cast<double>(kRounds) /
             static_cast<double>(rig.bus().stats().TotalSent() - sent_before));
+
+  // A full-batch refresh: every overlay node's load flips between two
+  // values, so every node republishes. Runs last, as it moves the overlay.
+  coords::CoordinateManager& coords = sbon.mutable_coords();
+  const size_t republished_before = coords.refresh_stats().republished;
+  constexpr size_t kRefreshes = 50;
+  audit("allocs_per_refresh", "CoordinateManager::RefreshIndex",
+        AllocsPerCall(2, kRefreshes, [&](size_t i) {
+          for (NodeId n : overlay) {
+            coords.SetScalarMetric(n, (i & 1) != 0 ? 0.2 : 0.6);
+          }
+          coords.RefreshIndex(overlay, 0.0);
+        }));
+  if (coords.refresh_stats().republished - republished_before !=
+      (kRefreshes + 2) * overlay.size()) {
+    std::fprintf(stderr, "FAIL: the refresh audit's batches were not full\n");
+    ok = false;
+  }
   return ok;
 }
 

@@ -54,21 +54,24 @@ void CoordinateManager::SetScalarMetric(NodeId n, double raw) {
 }
 
 void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
-  // Bring-up publishes through the refresh batch scratch, sizing it for
-  // every later refresh (the overlay never outgrows its initial nodes).
+  // Bring-up publishes every overlay node through the refresh scratch and
+  // sizes all of it, index scratch included, for every later refresh (the
+  // overlay never outgrows its initial nodes).
+  const size_t m = overlay_nodes.size();
   publish_nodes_ = overlay_nodes;
-  publish_coords_.clear();
-  publish_coords_.reserve(overlay_nodes.size());
-  for (NodeId i : overlay_nodes) {
-    publish_coords_.push_back(space_->FullCoord(i));
-  }
+  dirty_.reserve(m);
+  disp_scratch_.reserve(m);
+  full_block_.Reset(params_.spec.total_dims(), m);
+  space_->FullCoordsInto(overlay_nodes.data(), m, &full_block_);
   // The quantizer box spans the vector part of all nodes plus the maximum
   // scalar penalty range observed at full load, so republished coordinates
   // under any load stay inside the box.
-  std::vector<Vec> box_points = publish_coords_;
+  std::vector<Vec> box_points;
+  box_points.reserve(m + 1);
+  for (size_t k = 0; k < m; ++k) box_points.push_back(full_block_.NodeVec(k));
   {
     // Add synthetic corner points with worst-case scalar penalty.
-    Vec worst = publish_coords_[0];
+    Vec worst = box_points[0];
     for (size_t d = params_.spec.vector_dims(); d < worst.dims(); ++d) {
       const size_t scalar_i = d - params_.spec.vector_dims();
       worst[d] = params_.spec.scalar_dim(scalar_i).weighting->Apply(1.0);
@@ -77,11 +80,12 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
       dht::HilbertQuantizer::FitTo(box_points, kHilbertBits));
+  index_->Reserve(m);
   PublishBatch();
 }
 
 void CoordinateManager::PublishBatch() {
-  index_->PublishAll(publish_nodes_, publish_coords_);
+  index_->PublishAll(publish_nodes_, full_block_);
   const dht::ChordRing& ring = index_->ring();
   refresh_stats_.ring_batches = ring.rejoin_batches();
   refresh_stats_.ring_resolved_batches = ring.resolved_batches();
@@ -147,18 +151,27 @@ void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
                                      double epsilon) {
   refresh_stats_.refreshes += 1;
   ScanDisplaced(overlay_nodes, epsilon);
-  // Republish the displaced nodes in node order as one ring batch.
-  publish_nodes_.clear();
-  publish_coords_.clear();
-  for (size_t k = 0; k < overlay_nodes.size(); ++k) {
-    if (dirty_[k]) {
-      publish_nodes_.push_back(overlay_nodes[k]);
-      publish_coords_.push_back(full_block_.NodeVec(k));
+  // Compact the displaced slots to the front of full_block_, lane by lane,
+  // keeping node order, and republish them as one ring batch. Slot k moves
+  // to slot w <= k, so the compaction runs in place without branches.
+  const size_t m = overlay_nodes.size();
+  publish_nodes_.resize(m);
+  size_t republished = 0;
+  for (size_t k = 0; k < m; ++k) {
+    publish_nodes_[republished] = overlay_nodes[k];
+    republished += dirty_[k];
+  }
+  publish_nodes_.resize(republished);
+  for (size_t d = 0; d < full_block_.dims(); ++d) {
+    double* lane = full_block_.lane(d);
+    size_t w = 0;
+    for (size_t k = 0; k < m; ++k) {
+      lane[w] = lane[k];
+      w += dirty_[k];
     }
   }
   PublishBatch();
-  const size_t republished = publish_nodes_.size();
-  refresh_stats_.skipped += overlay_nodes.size() - republished;
+  refresh_stats_.skipped += m - republished;
   refresh_stats_.republished += republished;
   if (republished == 0) refresh_stats_.quiet_refreshes += 1;
 }
@@ -191,9 +204,19 @@ void CoordinateManager::Withdraw(NodeId n) {
 }
 
 void CoordinateManager::Publish(std::span<const NodeId> nodes) {
+  const size_t count = nodes.size();
+  const size_t dims = params_.spec.total_dims();
+  if (count > publish_nodes_.capacity()) {
+    // A message-mode batch can outgrow the overlay (a node published more
+    // than once): all the publish scratch grows at once, geometrically.
+    const size_t batch = std::max(count, 2 * publish_nodes_.capacity());
+    publish_nodes_.reserve(batch);
+    full_block_.Reset(dims, batch);
+    index_->Reserve(batch);
+  }
   publish_nodes_.assign(nodes.begin(), nodes.end());
-  publish_coords_.clear();
-  for (NodeId n : nodes) publish_coords_.push_back(space_->FullCoord(n));
+  full_block_.Reset(dims, count);
+  space_->FullCoordsInto(nodes.data(), count, &full_block_);
   PublishBatch();
 }
 

@@ -98,7 +98,9 @@ class CoordinateManager {
   /// Dirty-driven index refresh: republishes the full coordinate of every
   /// overlay node displaced more than `epsilon` (cost-space units) from its
   /// published coordinate, as one ring batch in node order; when nothing
-  /// moved the ring is left entirely untouched.
+  /// moved the ring is left entirely untouched. The batch never leaves the
+  /// lanes: the displacement scan's block is compacted to its displaced
+  /// slots and published as is. Heap-free after BuildIndex.
   void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon);
 
   /// Ring Leave on a crash: the index stops returning the node immediately.
@@ -107,7 +109,9 @@ class CoordinateManager {
   /// ring batch: bitwise the ring and catalog that publishing the nodes one
   /// at a time builds, including a node listed twice. Sbon::RejoinNode
   /// passes one node (stale vector part + fresh scalars); message mode
-  /// passes the publishes one epoch's drain delivered.
+  /// passes the publishes one epoch's drain delivered. The coordinates are
+  /// gathered into the refresh block (CostSpace::FullCoordsInto) and
+  /// published lane-wise, as RefreshIndex does.
   void Publish(std::span<const NodeId> nodes);
 
   // --- message-mode hooks (msg::Runtime) -----------------------------------
@@ -143,17 +147,19 @@ class CoordinateManager {
   std::unique_ptr<dht::CoordinateIndex> index_;
   IndexRefreshStats refresh_stats_;
 
-  // Reused scratch for the refresh stage (allocation-free in steady state).
-  CoordBlock full_block_;            ///< recomputed full coords (refresh),
-                                     ///< positional (slot k = overlay_nodes[k])
+  // Reused scratch for the refresh stage, sized by BuildIndex (so no later
+  // refresh allocates).
+  CoordBlock full_block_;            ///< full coords, positional: the
+                                     ///< displacement scan's (slot k =
+                                     ///< overlay_nodes[k]), then the publish
+                                     ///< batch's (slot j = publish_nodes_[j])
   std::vector<double> disp_scratch_; ///< squared displacement per slot
   std::vector<uint8_t> dirty_;       ///< per overlay node: moved > epsilon
-  std::vector<NodeId> publish_nodes_;  ///< PublishAll batch (bring-up,
-                                       ///< refresh, Publish): nodes ...
-  std::vector<Vec> publish_coords_;    ///< ... and their full coordinates
+  std::vector<NodeId> publish_nodes_;  ///< the publish batch's nodes
+                                       ///< (bring-up, refresh, Publish)
 
-  /// Publishes the publish_nodes_ / publish_coords_ batch into the index
-  /// and copies the ring's batch counters into refresh_stats_.
+  /// Publishes slot j of full_block_ for publish_nodes_[j] into the index
+  /// as one batch and copies the ring's batch counters into refresh_stats_.
   void PublishBatch();
   /// The displacement scan RefreshIndex and CollectDisplaced share: fills
   /// full_block_ (slot k = overlay_nodes[k]) and flags in dirty_ every slot

@@ -10,23 +10,49 @@ CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
     : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
 
 void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
-  PublishAll(&node, &coord, 1);
+  PublishAll(std::vector<NodeId>{node}, std::vector<Vec>{coord});
 }
 
-void CoordinateIndex::PublishAll(const NodeId* nodes, const Vec* coords,
-                                 size_t count) {
-  moves_.clear();
-  for (size_t i = 0; i < count; ++i) {
-    const NodeId node = nodes[i];
-    assert(coords[i].dims() == quantizer_.dims());
+void CoordinateIndex::PublishAll(const std::vector<NodeId>& nodes,
+                                 const std::vector<Vec>& coords) {
+  assert(nodes.size() == coords.size());
+  CoordBlock block(quantizer_.dims(), coords.size());
+  for (size_t j = 0; j < coords.size(); ++j) block.SetNode(j, coords[j]);
+  PublishAll(std::span<const NodeId>(nodes), block);
+}
+
+void CoordinateIndex::Reserve(size_t batch) {
+  cells_.reserve(quantizer_.dims() * batch);
+  keys_.reserve(batch);
+  moves_.reserve(batch);
+}
+
+void CoordinateIndex::PublishAll(std::span<const NodeId> nodes,
+                                 const CoordBlock& coords) {
+  const size_t count = nodes.size();
+  const size_t dims = quantizer_.dims();
+  assert(coords.dims() == dims && coords.nodes() >= count);
+  for (NodeId node : nodes) {
     if (coords_.nodes() <= node) {
       coords_.EnsureNodes(node + 1);
       published_.resize(node + 1, false);
     }
-    coords_.SetNode(node, coords[i]);
     published_[node] = true;
-    moves_.push_back(ChordRing::Member{quantizer_.Key(coords[i]), node});
   }
+  // Slot by slot within each lane, so a node listed twice keeps its last
+  // coordinate.
+  for (size_t d = 0; d < dims; ++d) {
+    const double* src = coords.lane(d);
+    double* dst = coords_.lane(d);
+    for (size_t j = 0; j < count; ++j) dst[nodes[j]] = src[j];
+  }
+  cells_.resize(dims * count);
+  keys_.resize(count);
+  quantizer_.QuantizeLanes(coords, count, cells_.data());
+  HilbertEncodeLanes(cells_.data(), count, static_cast<unsigned>(dims),
+                     quantizer_.bits(), keys_.data());
+  moves_.resize(count);
+  for (size_t j = 0; j < count; ++j) moves_[j] = {keys_[j], nodes[j]};
   ring_.Rejoin(moves_);
 }
 

@@ -2,6 +2,7 @@
 #define SBON_DHT_COORD_INDEX_H_
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "common/coord_block.h"
@@ -61,17 +62,24 @@ class CoordinateIndex {
 
   const HilbertQuantizer& quantizer() const { return quantizer_; }
 
-  /// Publishes (or republishes) a node's coordinate: PublishAll of one.
-  void Publish(NodeId node, const Vec& coord);
-  /// Publishes (or republishes) coords[i] for nodes[i], in order, as one
-  /// ring Rejoin batch: a mass republish (bring-up, index refresh) costs
-  /// one ring rewrite instead of an O(published) splice per node, and
-  /// builds the ring a node-by-node Publish would have built.
+  /// Publishes (or republishes) slot j of `coords` for nodes[j], in order,
+  /// as one ring Rejoin batch: a mass republish (bring-up, index refresh)
+  /// costs one ring rewrite instead of an O(published) splice per node, and
+  /// builds the ring a node-by-node Publish would have built. The batch
+  /// runs lane-wise: the slots' lanes scatter into the catalog, quantize
+  /// into cell lanes (HilbertQuantizer::QuantizeLanes) and encode
+  /// (HilbertEncodeLanes) into the ring moves. `coords` has the index's
+  /// dims and at least nodes.size() slots. Heap-free once Reserve (or an
+  /// earlier batch) covered the batch size and a batch published the
+  /// largest node id.
+  void PublishAll(std::span<const NodeId> nodes, const CoordBlock& coords);
+  /// Vec adapters over the block path: PublishAll of coords[i] for
+  /// nodes[i], and of one node.
   void PublishAll(const std::vector<NodeId>& nodes,
-                  const std::vector<Vec>& coords) {
-    assert(nodes.size() == coords.size());
-    PublishAll(nodes.data(), coords.data(), nodes.size());
-  }
+                  const std::vector<Vec>& coords);
+  void Publish(NodeId node, const Vec& coord);
+  /// Sizes the publish scratch for batches of up to `batch` slots.
+  void Reserve(size_t batch);
   /// Removes a node from the index.
   void Withdraw(NodeId node);
 
@@ -137,7 +145,10 @@ class CoordinateIndex {
   // Published coordinates as per-dimension lanes, addressed by node id.
   CoordBlock coords_;
   std::vector<bool> published_;
-  // PublishAll scratch: the ring moves of the batch in flight.
+  // PublishAll scratch of the batch in flight: its cell lanes (axis d of
+  // slot j at [d * batch + j]), its keys and its ring moves.
+  std::vector<uint32_t> cells_;
+  std::vector<U128> keys_;
   std::vector<ChordRing::Member> moves_;
 
   // Reusable query scratch (see class comment): distances, (distance, node)
@@ -156,8 +167,6 @@ class CoordinateIndex {
   /// min(k, members walked).
   StatusOr<size_t> RankNearest(const Vec& target, size_t k,
                                size_t probe_width, IndexQueryCost* cost) const;
-  /// PublishAll over `count` contiguous (node, coordinate) pairs.
-  void PublishAll(const NodeId* nodes, const Vec* coords, size_t count);
   double DistanceTo(NodeId n, const Vec& target) const;
 };
 

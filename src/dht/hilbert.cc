@@ -5,6 +5,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/simd.h"
+
 namespace sbon::dht {
 namespace {
 
@@ -72,28 +74,154 @@ std::vector<uint16_t> BuildLevelTable(unsigned n) {
   return table;
 }
 
-const std::vector<uint16_t>& LevelTable(unsigned n) {
-  static const std::vector<uint16_t> tables[kMaxTableDims] = {
-      BuildLevelTable(1), BuildLevelTable(2), BuildLevelTable(3),
-      BuildLevelTable(4)};
-  return tables[n - 1];
+// A table that encodes `levels` levels per lookup, composed from the
+// one-level table: entry[state << w | raw] = next_state << w | digits, with
+// w = n * levels, `raw` holding the levels' raw bits top level first (each
+// level's n bits in the one-level order) and the digits in the same layout.
+// State ids are the one-level table's, so a walk can switch tables between
+// lookups.
+std::vector<uint16_t> ComposeLevels(const std::vector<uint16_t>& one,
+                                    unsigned n, unsigned levels) {
+  const uint32_t states = static_cast<uint32_t>(one.size() >> n);
+  const unsigned w = n * levels;
+  const uint32_t level_mask = (1u << n) - 1;
+  std::vector<uint16_t> table(size_t{states} << w);
+  for (uint32_t s = 0; s < states; ++s) {
+    for (uint32_t raw = 0; raw < (1u << w); ++raw) {
+      uint32_t state = s, digits = 0;
+      for (unsigned l = levels; l-- > 0;) {
+        const uint32_t entry = one[state << n | ((raw >> (l * n)) & level_mask)];
+        digits = digits << n | (entry & level_mask);
+        state = entry >> n;
+      }
+      table[s << w | raw] = static_cast<uint16_t>(state << w | digits);
+    }
+  }
+  return table;
 }
 
-// One table lookup per level; the digits shift into two words MSB-first.
-U128 EncodeByTable(const uint32_t* x, unsigned n, unsigned bits) {
-  const uint16_t* table = LevelTable(n).data();
-  const uint32_t digit_mask = (1u << n) - 1;
-  uint64_t hi = 0, lo = 0;
-  uint32_t state = 0;  // the identity state, shifted by n
-  for (unsigned b = bits; b-- > 0;) {
-    uint32_t raw = 0;
-    for (unsigned i = 0; i < n; ++i) raw = raw << 1 | ((x[i] >> b) & 1u);
-    const uint32_t entry = table[state | raw];
-    hi = hi << n | lo >> (64 - n);
-    lo = lo << n | (entry & digit_mask);
-    state = entry & ~digit_mask;
+// Bits a multi-level lookup reads: floor(6 / n) levels of n bits each, so
+// its table has at most 64 entries per state.
+constexpr unsigned kLookupBits = 6;
+
+struct LevelTables {
+  std::vector<uint16_t> one;    // one level per lookup
+  std::vector<uint16_t> multi;  // kLookupBits / n levels per lookup
+};
+
+template <unsigned N>
+const LevelTables& TablesFor() {
+  static const LevelTables tables = [] {
+    LevelTables t;
+    t.one = BuildLevelTable(N);
+    t.multi = ComposeLevels(t.one, N, kLookupBits / N);
+    return t;
+  }();
+  return tables;
+}
+
+// Spreads the low bits of `v` so that bit b lands at bit b * N (a Morton
+// spread by magic-number masks). Holds for v < 2^(64 / N), N = 1..4.
+template <unsigned N>
+uint64_t Spread(uint64_t v) {
+  if constexpr (N == 2) {
+    v = (v | v << 16) & 0x0000ffff0000ffffull;
+    v = (v | v << 8) & 0x00ff00ff00ff00ffull;
+    v = (v | v << 4) & 0x0f0f0f0f0f0f0f0full;
+    v = (v | v << 2) & 0x3333333333333333ull;
+    v = (v | v << 1) & 0x5555555555555555ull;
+  } else if constexpr (N == 3) {
+    v = (v | v << 32) & 0x001f00000000ffffull;
+    v = (v | v << 16) & 0x001f0000ff0000ffull;
+    v = (v | v << 8) & 0x100f00f00f00f00full;
+    v = (v | v << 4) & 0x10c30c30c30c30c3ull;
+    v = (v | v << 2) & 0x1249249249249249ull;
+  } else if constexpr (N == 4) {
+    v = (v | v << 24) & 0x000000ff000000ffull;
+    v = (v | v << 12) & 0x000f000f000f000full;
+    v = (v | v << 6) & 0x0303030303030303ull;
+    v = (v | v << 3) & 0x1111111111111111ull;
   }
-  return U128(hi, lo);
+  return v;
+}
+
+// The raw bits of levels [from, from + levels) of the N axes, interleaved
+// as the key orders them: level l's bit of axis i at bit
+// (l - from) * N + N - 1 - i.
+template <unsigned N>
+uint64_t Interleave(const uint32_t* x, unsigned from, unsigned levels) {
+  const uint64_t mask = (uint64_t{1} << levels) - 1;
+  uint64_t raw = 0;
+  for (unsigned i = 0; i < N; ++i) {
+    raw |= Spread<N>((x[i] >> from) & mask) << (N - 1 - i);
+  }
+  return raw;
+}
+
+// Walks `levels` levels of interleaved raw bits (top level first) from
+// `*state`, returning their digits in the same layout: the
+// levels % kLevels top levels through the one-level table, then kLevels
+// levels per multi-level lookup. `*state` is a state id on entry and on
+// exit.
+template <unsigned N>
+uint64_t Walk(const LevelTables& t, uint64_t raw, unsigned levels,
+              uint32_t* state) {
+  constexpr unsigned kLevels = kLookupBits / N;
+  constexpr unsigned kWidth = N * kLevels;
+  constexpr uint32_t kLevelMask = (1u << N) - 1;
+  constexpr uint32_t kMask = (1u << kWidth) - 1;
+  unsigned pos = N * levels;
+  uint64_t digits = 0;
+  uint32_t s = *state;
+  for (unsigned l = levels % kLevels; l > 0; --l) {
+    pos -= N;
+    const uint32_t entry = t.one[s << N | ((raw >> pos) & kLevelMask)];
+    digits = digits << N | (entry & kLevelMask);
+    s = entry >> N;
+  }
+  const uint16_t* multi = t.multi.data();
+  s <<= kWidth;
+  while (pos > 0) {
+    pos -= kWidth;
+    const uint32_t entry = multi[s | ((raw >> pos) & kMask)];
+    digits = digits << kWidth | (entry & kMask);
+    s = entry & ~kMask;
+  }
+  *state = s >> kWidth;
+  return digits;
+}
+
+// The table encoder. A key wider than one word splits its levels at
+// kLowLevels, a multiple of the lookup's level count whose interleave fits
+// one word: the levels above it are walked first (leftover levels
+// included), then the low ones, whose digits fill the key's low
+// N * kLowLevels bits.
+template <unsigned N>
+U128 EncodeByTable(const uint32_t* x, unsigned bits) {
+  constexpr unsigned kLevels = kLookupBits / N;
+  constexpr unsigned kLowLevels = kLevels * (64 / (N * kLevels));
+  const LevelTables& t = TablesFor<N>();
+  uint32_t state = 0;  // the identity state
+  if (bits <= kLowLevels) {
+    return U128::FromU64(Walk<N>(t, Interleave<N>(x, 0, bits), bits, &state));
+  }
+  const unsigned high = bits - kLowLevels;
+  const uint64_t top =
+      Walk<N>(t, Interleave<N>(x, kLowLevels, high), high, &state);
+  const uint64_t low =
+      Walk<N>(t, Interleave<N>(x, 0, kLowLevels), kLowLevels, &state);
+  return (U128::FromU64(top) << (N * kLowLevels)) | U128::FromU64(low);
+}
+
+// keys[j] = the key of cell j, its axes gathered out of the lanes.
+template <unsigned N>
+void EncodeLanesByTable(const uint32_t* cells, size_t count, unsigned bits,
+                        U128* keys) {
+  uint32_t x[N];
+  for (size_t j = 0; j < count; ++j) {
+    for (unsigned i = 0; i < N; ++i) x[i] = cells[i * count + j];
+    keys[j] = EncodeByTable<N>(x, bits);
+  }
 }
 
 // Skilling's AxesToTranspose with masks in place of its data-dependent
@@ -152,12 +280,44 @@ void TransposeToAxes(std::vector<uint32_t>* x_ptr, unsigned bits) {
   }
 }
 
+// One axis of QuantizeTo and QuantizeLanes: the value's offset into the
+// box as a fraction of the span, scaled to the cell count, floored and
+// clamped. A division, not a multiply by a reciprocal: the two round
+// differently, and the ring keys are defined by this one.
+inline uint32_t CellOf(double x, double lo, double span, double cells) {
+  const double cell = std::floor((x - lo) / span * cells);
+  return static_cast<uint32_t>(std::clamp(cell, 0.0, cells - 1.0));
+}
+
 }  // namespace
 
 U128 HilbertEncodeInPlace(uint32_t* x, unsigned n, unsigned bits) {
   assert(n >= 1 && bits >= 1 && bits <= 32 && n * bits <= 128);
-  if (n <= kMaxTableDims) return EncodeByTable(x, n, bits);
-  return EncodeBySkilling(x, n, bits);
+  switch (n) {
+    case 1: return EncodeByTable<1>(x, bits);
+    case 2: return EncodeByTable<2>(x, bits);
+    case 3: return EncodeByTable<3>(x, bits);
+    case 4: return EncodeByTable<4>(x, bits);
+    default: return EncodeBySkilling(x, n, bits);
+  }
+}
+
+void HilbertEncodeLanes(const uint32_t* cells, size_t count, unsigned n,
+                        unsigned bits, U128* keys) {
+  assert(n >= 1 && bits >= 1 && bits <= 32 && n * bits <= 128);
+  switch (n) {
+    case 1: return EncodeLanesByTable<1>(cells, count, bits, keys);
+    case 2: return EncodeLanesByTable<2>(cells, count, bits, keys);
+    case 3: return EncodeLanesByTable<3>(cells, count, bits, keys);
+    case 4: return EncodeLanesByTable<4>(cells, count, bits, keys);
+    default: break;
+  }
+  // n * bits <= 128 bounds n at 128.
+  uint32_t x[128];
+  for (size_t j = 0; j < count; ++j) {
+    for (unsigned i = 0; i < n; ++i) x[i] = cells[i * count + j];
+    keys[j] = EncodeBySkilling(x, n, bits);
+  }
 }
 
 U128 HilbertEncode(const std::vector<uint32_t>& axes, unsigned bits) {
@@ -224,10 +384,21 @@ void HilbertQuantizer::QuantizeTo(const Vec& p, uint32_t* out) const {
   assert(p.dims() == lo_.size());
   const double cells = static_cast<double>(1u << bits_);
   for (size_t d = 0; d < lo_.size(); ++d) {
-    const double t = (p[d] - lo_[d]) / (hi_[d] - lo_[d]);
-    const double cell = std::floor(t * cells);
-    out[d] = static_cast<uint32_t>(
-        std::clamp(cell, 0.0, cells - 1.0));
+    out[d] = CellOf(p[d], lo_[d], hi_[d] - lo_[d], cells);
+  }
+}
+
+void HilbertQuantizer::QuantizeLanes(const CoordBlock& block, size_t count,
+                                     uint32_t* cells) const {
+  assert(block.dims() == lo_.size() && block.nodes() >= count);
+  const double n_cells = static_cast<double>(1u << bits_);
+  for (size_t d = 0; d < lo_.size(); ++d) {
+    const double* x = block.lane(d);
+    uint32_t* out = cells + d * count;
+    const double lo = lo_[d];
+    const double span = hi_[d] - lo_[d];
+    SBON_SIMD_LOOP
+    for (size_t j = 0; j < count; ++j) out[j] = CellOf(x[j], lo, span, n_cells);
   }
 }
 

@@ -1,9 +1,11 @@
 #ifndef SBON_DHT_HILBERT_H_
 #define SBON_DHT_HILBERT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/coord_block.h"
 #include "common/status.h"
 #include "common/vec.h"
 #include "dht/u128.h"
@@ -22,10 +24,15 @@ namespace sbon::dht {
 ///    transducer over the levels, top bit first. Its state is the signed
 ///    permutation of the axes that the higher levels' moves applied to the
 ///    lower bits, plus the Gray-code parity of the higher levels (2, 8, 48
-///    and 384 reachable states for dims 1..4). A table of
-///    (state, the level's dims bits) -> (next state, dims-bit digit), built
-///    once per dims by BFS on first use, encodes one level per lookup
-///    (cf. Hamilton & Rau-Chaplin's compact Hilbert indices, 2008).
+///    and 384 reachable states for dims 1..4). A one-level table of
+///    (state, the level's dims bits) -> (next state, dims-bit digit) is
+///    built once per dims by BFS on first use; composing it floor(6 / dims)
+///    times gives a multi-level table (48 states x 64 entries at dims 3)
+///    that encodes that many levels per lookup (cf. Lawder, 2000; Hamilton
+///    & Rau-Chaplin's compact Hilbert indices, 2008). Each lookup reads its
+///    raw bits with one shift from a bit interleave of the axes (a Morton
+///    code, built by magic-number spreads); the bits % floor(6 / dims) top
+///    levels left over go through the one-level table first.
 ///  - dims > 4: Skilling's pass with masks in place of its data-dependent
 ///    branches, interleaving the transpose straight into the key's words.
 /// Decoding runs Skilling's inverse pass.
@@ -40,6 +47,12 @@ U128 HilbertEncode(const std::vector<uint32_t>& axes, unsigned bits);
 /// and may clobber them as working storage (key derivation sits on the
 /// per-query hot path, where a heap round-trip per key would dominate).
 U128 HilbertEncodeInPlace(uint32_t* axes, unsigned n, unsigned bits);
+
+/// Batch form over cell lanes: keys[j] is the key of the cell whose axis d
+/// is cells[d * count + j], for j in [0, count) — the lane layout
+/// HilbertQuantizer::QuantizeLanes writes. Heap-free; leaves `cells` as is.
+void HilbertEncodeLanes(const uint32_t* cells, size_t count, unsigned n,
+                        unsigned bits, U128* keys);
 
 /// Maps a Hilbert index back to grid coordinates.
 std::vector<uint32_t> HilbertDecode(U128 index, unsigned dims, unsigned bits);
@@ -68,6 +81,13 @@ class HilbertQuantizer {
   std::vector<uint32_t> Quantize(const Vec& p) const;
   /// Quantize into caller storage of at least dims() entries (heap-free).
   void QuantizeTo(const Vec& p, uint32_t* out) const;
+  /// Lane-wise Quantize of slots [0, count) of `block` (dims() lanes):
+  /// cells[d * count + j] is slot j's cell on axis d. Per value the same
+  /// IEEE operations in the same order as QuantizeTo — subtract lo, divide
+  /// by hi - lo, multiply by the cell count, floor, clamp — so every cell is
+  /// bit-identical to the one-point form.
+  void QuantizeLanes(const CoordBlock& block, size_t count,
+                     uint32_t* cells) const;
   /// Grid cell -> cell-center continuous point.
   Vec Dequantize(const std::vector<uint32_t>& cell) const;
 

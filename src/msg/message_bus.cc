@@ -93,15 +93,21 @@ void MessageBus::Enqueue(Envelope&& e) {
   }
   const Key key{slab_[slot].deliver_ms, slab_[slot].seq, slot};
   if (!draining_) {
-    batch_.push_back(key);
+    KeepSortRoom(keys_.size() + 1);
+    keys_.push_back(key);
     return;
   }
-  heap_.push_back(key);
-  std::push_heap(heap_.begin(), heap_.end(), Later());
+  keys_.push_back(key);
+  std::push_heap(keys_.begin() + static_cast<ptrdiff_t>(heap_begin_),
+                 keys_.end(), Later());
+}
+
+void MessageBus::KeepSortRoom(size_t n) {
+  if (2 * n > keys_.capacity()) keys_.reserve(4 * n);
 }
 
 void MessageBus::SortBatch() {
-  const size_t n = batch_.size();
+  const size_t n = keys_.size();
   if (n < 2) return;
   // LSD radix sort over the bytes that vary in the batch, seq's first, then
   // deliver_ms's: a delivery time is never negative, so its bit pattern
@@ -117,9 +123,9 @@ void MessageBus::SortBatch() {
   };
   uint64_t seq_varying = 0;
   uint64_t time_varying = 0;
-  const uint64_t seq0 = batch_[0].seq;
-  const uint64_t time0 = std::bit_cast<uint64_t>(batch_[0].deliver_ms);
-  for (const Key& k : batch_) {
+  const uint64_t seq0 = keys_[0].seq;
+  const uint64_t time0 = std::bit_cast<uint64_t>(keys_[0].deliver_ms);
+  for (const Key& k : keys_) {
     seq_varying |= k.seq ^ seq0;
     time_varying |= std::bit_cast<uint64_t>(k.deliver_ms) ^ time0;
   }
@@ -132,25 +138,29 @@ void MessageBus::SortBatch() {
   }
   size_t offsets[kMaxPasses][kBuckets];
   for (size_t p = 0; p < passes; ++p) std::fill_n(offsets[p], kBuckets, 0);
-  for (const Key& k : batch_) {
+  for (const Key& k : keys_) {
     for (size_t p = 0; p < passes; ++p) {
       ++offsets[p][word(k, shifts[p]) & (kBuckets - 1)];
     }
   }
-  // The heap is empty outside a drain, so its buffer is the scatter target.
-  // It grows with the batch's capacity (geometrically), not to each new n.
-  heap_.reserve(batch_.capacity());
-  heap_.resize(n);
+  // The passes scatter back and forth between the batch and the n slots
+  // behind it, which Enqueue has kept within the buffer's capacity (only a
+  // carried-over batch no Send followed may still need them).
+  KeepSortRoom(n);
+  keys_.resize(2 * n);
+  Key* from = keys_.data();
+  Key* to = from + n;
   for (size_t p = 0; p < passes; ++p) {
     size_t* offset = offsets[p];
     size_t sum = 0;
     for (size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
-    for (const Key& k : batch_) {
-      heap_[offset[word(k, shifts[p]) & (kBuckets - 1)]++] = k;
+    for (const Key* k = from; k != from + n; ++k) {
+      to[offset[word(*k, shifts[p]) & (kBuckets - 1)]++] = *k;
     }
-    batch_.swap(heap_);
+    std::swap(from, to);
   }
-  heap_.clear();
+  if (from != keys_.data()) std::copy(from, from + n, keys_.data());
+  keys_.resize(n);
 }
 
 void MessageBus::BeginEpoch() {
@@ -161,24 +171,28 @@ void MessageBus::EndEpoch() {
   const double horizon =
       static_cast<double>(stats_.epochs + 1) * options_.epoch_ms;
   // Every key queued so far is in the batch; sorted once, it merges with
-  // the heap of keys the handlers queue below. Handlers never append to
-  // the batch, so `batch_` stays put while the loop reads it.
+  // the heap of keys the handlers queue behind it below. Handlers never
+  // append to the batch, so it stays put while the loop reads it (by
+  // index: a handler's Send may move the buffer).
   SortBatch();
+  heap_begin_ = keys_.size();
   draining_ = true;
   size_t next = 0;  // the batch's first undelivered key
   for (;;) {
+    const bool heap_empty = keys_.size() == heap_begin_;
     const bool from_batch =
-        next < batch_.size() &&
-        (heap_.empty() || Later()(heap_.front(), batch_[next]));
-    if (!from_batch && heap_.empty()) break;
-    const Key& key = from_batch ? batch_[next] : heap_.front();
+        next < heap_begin_ &&
+        (heap_empty || Later()(keys_[heap_begin_], keys_[next]));
+    if (!from_batch && heap_empty) break;
+    const Key key = keys_[from_batch ? next : heap_begin_];
     if (key.deliver_ms > horizon) break;
     const size_t slot = key.slot;
     if (from_batch) {
       ++next;
     } else {
-      std::pop_heap(heap_.begin(), heap_.end(), Later());
-      heap_.pop_back();
+      std::pop_heap(keys_.begin() + static_cast<ptrdiff_t>(heap_begin_),
+                    keys_.end(), Later());
+      keys_.pop_back();
     }
     // Out of the slab before the handler: its Sends may grow the slab (and
     // reuse this slot first).
@@ -197,10 +211,8 @@ void MessageBus::EndEpoch() {
     if (h) h(e);
   }
   draining_ = false;
-  // Keys past the horizon, from either place, carry over in the batch.
-  batch_.erase(batch_.begin(), batch_.begin() + static_cast<ptrdiff_t>(next));
-  batch_.insert(batch_.end(), heap_.begin(), heap_.end());
-  heap_.clear();
+  // Keys past the horizon, from either place, carry over as the batch.
+  keys_.erase(keys_.begin(), keys_.begin() + static_cast<ptrdiff_t>(next));
   now_ms_ = horizon;
   ++stats_.epochs;
 }

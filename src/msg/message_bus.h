@@ -34,15 +34,18 @@ namespace sbon::msg {
 ///
 /// Queue layout: envelopes sit still in a slab (a freed slot is reused LIFO)
 /// and are ordered by 24-byte `{deliver_ms, seq, slot}` keys, so ordering
-/// never moves an envelope. Keys live in two places. A Send outside a drain
-/// (pings, heartbeats, publishes, joins, leaves, retries) appends its key
-/// to a plain batch; EndEpoch sorts the batch once (an LSD radix sort over
-/// the key bytes that vary), then drains by merging that sorted run with a
-/// binary min-heap, which holds only the keys that handlers Send during the
-/// drain (pongs, acks). Keys past the horizon, from either place, go back
-/// into the batch for the next epoch. A delivery moves its envelope out of
-/// the slab before the handler runs (handlers Send, which may grow the
-/// slab). Batch, heap, slab and free list keep their high-water capacity:
+/// never moves an envelope. Keys live in one buffer, in two places. A Send
+/// outside a drain (pings, heartbeats, publishes, joins, leaves, retries)
+/// appends its key to a plain batch; EndEpoch sorts the batch once (an LSD
+/// radix sort over the key bytes that vary, scattering into the buffer
+/// past the batch), then drains by merging that sorted run with a binary
+/// min-heap behind it, which holds only the keys that handlers Send during
+/// the drain (pongs, acks). Keys past the horizon, from either place, move
+/// to the front as the batch for the next epoch. A delivery moves its
+/// envelope out of the slab before the handler runs (handlers Send, which
+/// may grow the slab). The buffer grows before a batch fills half of it,
+/// so the sort always has room and a new high-water mark costs one
+/// allocation. Buffer, slab and free list keep their high-water capacity:
 /// a steady-state Send + EndEpoch round is heap-free.
 ///
 /// Determinism: single-threaded by contract (like every substrate here);
@@ -98,7 +101,7 @@ class MessageBus {
   double now_ms() const { return now_ms_; }
   /// Engine epochs fully drained so far.
   size_t epoch() const { return stats_.epochs; }
-  size_t pending() const { return batch_.size() + heap_.size(); }
+  size_t pending() const { return keys_.size(); }
   Rng& rng() { return rng_; }
   const net::NetworkFabric& fabric() const { return *fabric_; }
   size_t NumNodes() const { return fabric_->NumNodes(); }
@@ -124,7 +127,10 @@ class MessageBus {
   /// Parks `e` (fully stamped) in a slab slot and queues its key: on the
   /// heap during a drain, in the batch otherwise.
   void Enqueue(Envelope&& e);
-  /// Sorts `batch_` by (deliver_ms, seq).
+  /// Grows `keys_` (geometrically) until a batch of `n` keys leaves room
+  /// for SortBatch's scatter behind it.
+  void KeepSortRoom(size_t n);
+  /// Sorts the batch (all of `keys_`, outside a drain) by (deliver_ms, seq).
   void SortBatch();
 
   const net::NetworkFabric* fabric_;
@@ -135,9 +141,12 @@ class MessageBus {
   uint64_t next_seq_ = 0;
   uint64_t next_tid_ = 1;  ///< 0 means "unset" on an Envelope
   bool draining_ = false;        ///< inside EndEpoch's delivery loop
-  std::vector<Key> batch_;       ///< keys queued outside a drain
-  std::vector<Key> heap_;        ///< keys queued by handlers, min-heap
-                                 ///< under Later; empty outside a drain
+  std::vector<Key> keys_;        ///< the batch (keys queued outside a
+                                 ///< drain); during a drain, the sorted
+                                 ///< batch, then from `heap_begin_` the
+                                 ///< keys handlers queued, a min-heap
+                                 ///< under Later
+  size_t heap_begin_ = 0;        ///< batch size while draining
   std::vector<Envelope> slab_;   ///< queued envelopes, addressed by slot
   std::vector<size_t> free_;     ///< free slab slots, reused LIFO
   Handler handlers_[kNumProtocols];
