@@ -63,17 +63,22 @@ void BM_HilbertDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertDecode)->Arg(2)->Arg(3)->Arg(4)->Arg(6);
 
+// A uniform 96-bit ring point: the widest a ring key leaves above the node
+// id.
+dht::U128 RandomPoint(Rng* rng) {
+  return dht::HashU64(rng->Next()) >> dht::ChordRing::kNodeBits;
+}
+
 void BM_ChordLookup(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(3);
   dht::ChordRing ring;
   for (size_t i = 0; i < n; ++i) {
-    ring.Join(dht::HashU64(rng.Next()), static_cast<NodeId>(i));
+    ring.Join(RandomPoint(&rng), static_cast<NodeId>(i));
   }
   size_t hops = 0, lookups = 0;
   for (auto _ : state) {
-    auto r = ring.Lookup(dht::HashU64(rng.Next()),
-                         dht::HashU64(rng.Next()));
+    auto r = ring.Lookup(RandomPoint(&rng), RandomPoint(&rng));
     benchmark::DoNotOptimize(r);
     hops += r.ok() ? r->hops : 0;
     ++lookups;
@@ -84,72 +89,55 @@ void BM_ChordLookup(benchmark::State& state) {
 BENCHMARK(BM_ChordLookup)->Arg(64)->Arg(256)->Arg(1024);
 
 // Ring updates at the size of the suite's overlay (496 members) with
-// 30-bit keys, the key width of a 3-dim, 10-bit Hilbert index.
+// 30-bit points, the width of a 3-dim, 10-bit Hilbert index.
 constexpr size_t kRingMembers = 496;
 
-dht::U128 RandomRingKey(Rng* rng) {
+dht::U128 RandomHilbertPoint(Rng* rng) {
   return dht::U128::FromU64(rng->Next() & ((uint64_t{1} << 30) - 1));
 }
 
 dht::ChordRing MakeRing(Rng* rng) {
   dht::ChordRing ring;
   for (size_t i = 0; i < kRingMembers; ++i) {
-    ring.Join(RandomRingKey(rng), static_cast<NodeId>(i));
+    ring.Join(RandomHilbertPoint(rng), static_cast<NodeId>(i));
   }
   return ring;
 }
 
 // `moved` of the ring's members move in one batch, in random order — all
-// of them is a refresh at ε=1, 465 of them `maintain`'s typical epoch. The
-// last member moves only in the full-ring batch; with `clash` set, one move
-// of each batch asks for its key, so the batch resolves its keys move by
-// move. `resolved` is the share of batches that did.
+// of them is a refresh at ε=1, 465 of them `maintain`'s typical epoch.
 void BM_RejoinFullRing(benchmark::State& state) {
   const size_t moved = static_cast<size_t>(state.range(0));
-  const bool clash = state.range(1) != 0;
   Rng rng(8);
   dht::ChordRing ring = MakeRing(&rng);
-  const dht::U128 still_key = ring.members().back().key;
-  const NodeId still = ring.members().back().node;
   std::vector<NodeId> nodes;
   for (size_t i = 0; i < kRingMembers; ++i) {
-    if (moved == kRingMembers || i != still) {
-      nodes.push_back(static_cast<NodeId>(i));
-    }
+    nodes.push_back(static_cast<NodeId>(i));
   }
-  std::vector<std::vector<dht::ChordRing::Member>> batches(64);
+  std::vector<std::vector<dht::ChordRing::Move>> batches(64);
   for (auto& batch : batches) {
-    // A random `moved`-subset of the movable nodes, in random order.
+    // A random `moved`-subset of the nodes, in random order.
     for (size_t i = 0; i < moved; ++i) {
       std::swap(nodes[i], nodes[i + rng.UniformInt(nodes.size() - i)]);
-      batch.push_back({RandomRingKey(&rng), nodes[i]});
+      batch.push_back({RandomHilbertPoint(&rng), nodes[i]});
     }
-    if (clash) batch[rng.UniformInt(moved)].key = still_key;
   }
-  const size_t resolved_before = ring.resolved_batches();
   size_t i = 0;
   for (auto _ : state) {
     ring.Rejoin(batches[i++ & 63]);
     benchmark::DoNotOptimize(ring.members().data());
     benchmark::ClobberMemory();
   }
-  state.counters["resolved"] = benchmark::Counter(
-      static_cast<double>(ring.resolved_batches() - resolved_before) /
-      static_cast<double>(i));
 }
 BENCHMARK(BM_RejoinFullRing)
-    ->ArgNames({"moved", "clash"})
-    ->Args({1, 0})
-    ->Args({16, 0})
-    ->Args({124, 0})
-    ->Args({465, 0})
-    ->Args({496, 0})
-    ->Args({1, 1})
-    ->Args({16, 1})
-    ->Args({124, 1})
-    ->Args({465, 1});
+    ->ArgName("moved")
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(124)
+    ->Arg(465)
+    ->Arg(496);
 
-// A first-member Lookup(key) on a ring no membership change touches: the
+// A first-member Lookup(point) on a ring no membership change touches: the
 // index query's lookup while one ring state serves many Submits. After the
 // first pass over the keys every target's hop count is memoized.
 void BM_ChordLookupFirstMember(benchmark::State& state) {
@@ -157,7 +145,7 @@ void BM_ChordLookupFirstMember(benchmark::State& state) {
   const dht::ChordRing ring = MakeRing(&rng);
   constexpr size_t kKeys = 4096;
   std::vector<dht::U128> keys;
-  for (size_t i = 0; i < kKeys; ++i) keys.push_back(RandomRingKey(&rng));
+  for (size_t i = 0; i < kKeys; ++i) keys.push_back(RandomHilbertPoint(&rng));
   size_t i = 0, hops = 0;
   for (auto _ : state) {
     auto r = ring.Lookup(keys[i++ & (kKeys - 1)]);
@@ -174,15 +162,15 @@ void BM_RejoinOne(benchmark::State& state) {
   Rng rng(9);
   dht::ChordRing ring = MakeRing(&rng);
   constexpr size_t kMoves = size_t{1} << 16;
-  std::vector<dht::ChordRing::Member> moves;
+  std::vector<dht::ChordRing::Move> moves;
   for (size_t i = 0; i < kMoves; ++i) {
-    moves.push_back({RandomRingKey(&rng),
+    moves.push_back({RandomHilbertPoint(&rng),
                      static_cast<NodeId>(rng.UniformInt(kRingMembers))});
   }
   size_t i = 0;
   for (auto _ : state) {
-    const dht::ChordRing::Member& m = moves[i++ & (kMoves - 1)];
-    ring.Join(m.key, m.node);
+    const dht::ChordRing::Move& m = moves[i++ & (kMoves - 1)];
+    ring.Join(m.point, m.node);
     benchmark::DoNotOptimize(ring.members().data());
     benchmark::ClobberMemory();
   }

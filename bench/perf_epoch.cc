@@ -208,8 +208,6 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   out.refresh.quiet_refreshes =
       after.quiet_refreshes - before.quiet_refreshes;
   out.refresh.ring_batches = after.ring_batches - before.ring_batches;
-  out.refresh.ring_resolved_batches =
-      after.ring_resolved_batches - before.ring_resolved_batches;
   out.repair = eng->repair_stats();
   return out;
 }
@@ -651,7 +649,7 @@ std::string_view JsonSection(std::string_view json, std::string_view name) {
 // speed.
 constexpr const char* kEngineCounters[] = {
     "live_reads_per_epoch", "republished", "republish_skipped",
-    "quiet_refreshes", "refreshes", "ring_batches", "ring_resolved_batches"};
+    "quiet_refreshes", "refreshes", "ring_batches"};
 constexpr const char* kChurnCounters[] = {
     "crashes", "rejoins", "services_evicted", "circuits_orphaned",
     "queries_repaired", "queries_dropped"};
@@ -887,8 +885,6 @@ int main(int argc, char** argv) {
     doc.Key("quiet_refreshes").Int(primary.refresh.quiet_refreshes);
     doc.Key("refreshes").Int(primary.refresh.refreshes);
     doc.Key("ring_batches").Int(primary.refresh.ring_batches);
-    doc.Key("ring_resolved_batches")
-        .Int(primary.refresh.ring_resolved_batches);
     sbon::bench::PrintSection(doc, &printed);
 
     sbon::bench::Section("Hot-call allocation audit (each must be 0)");

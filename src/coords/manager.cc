@@ -86,9 +86,7 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
 
 void CoordinateManager::PublishBatch() {
   index_->PublishAll(publish_nodes_, full_block_);
-  const dht::ChordRing& ring = index_->ring();
-  refresh_stats_.ring_batches = ring.rejoin_batches();
-  refresh_stats_.ring_resolved_batches = ring.resolved_batches();
+  refresh_stats_.ring_batches = index_->ring().rejoin_batches();
 }
 
 void CoordinateManager::UpdateCoordinatesOnline(

@@ -34,9 +34,6 @@ struct IndexRefreshStats {
                                ///< ring Leave/Join)
   size_t ring_batches = 0;     ///< ring Rejoin batches of every publish
                                ///< (bring-up, refresh, rejoin, message mode)
-  size_t ring_resolved_batches = 0;  ///< of those, batches whose moves
-                                     ///< clashed, so the ring resolved their
-                                     ///< keys move by move
 };
 
 /// The coordinate substrate of the overlay: the Vivaldi (or MDS) embedding,
@@ -49,8 +46,9 @@ struct IndexRefreshStats {
 class CoordinateManager {
  public:
   /// Hilbert-curve resolution of the coordinate index, in bits per cost
-  /// dimension. A key is a U128, so a spec's total_dims() * kHilbertBits
-  /// must be at most 128 (Sbon::Create checks it).
+  /// dimension. A ring key is a U128 holding the Hilbert point above a
+  /// 32-bit node id, so a spec's total_dims() * kHilbertBits must be at
+  /// most 96 (Sbon::Create checks it).
   static constexpr unsigned kHilbertBits = 10;
 
   struct Params {

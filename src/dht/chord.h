@@ -22,10 +22,21 @@ namespace sbon::dht {
 /// Fingers are always exact: finger i of a member is successor(key + 2^i)
 /// over the current sorted membership, derived during the lookup rather
 /// than stored, so a Join or Leave routes correctly with no rebuild step.
+///
+/// Callers place nodes at *points* (a coordinate's Hilbert index, below
+/// 2^96); the ring keys them by `KeyOf(point, node)`, the point above the
+/// node id. No two nodes share a key, so nodes in one Hilbert cell sit side
+/// by side in node-id order and no caller checks for a clash.
 class ChordRing {
  public:
   struct Member {
     U128 key;
+    NodeId node = kInvalidNode;
+  };
+
+  /// A node moving to a point.
+  struct Move {
+    U128 point;
     NodeId node = kInvalidNode;
   };
 
@@ -36,50 +47,49 @@ class ChordRing {
     size_t member_index = 0;     ///< index into sorted membership
   };
 
-  /// Moves a node to the given ring key: a Rejoin of one. A node holds at
-  /// most one entry, so joining an existing member replaces its entry.
-  /// Duplicate exact keys are perturbed by the node id (low bits) to keep
-  /// keys unique.
-  void Join(U128 key, NodeId node);
+  /// Bits of a ring key below the point: the width of NodeId.
+  static constexpr unsigned kNodeBits = 32;
+
+  /// The ring key of `node` at `point`: `(point << kNodeBits) | node`.
+  /// `point` must be below 2^(128 - kNodeBits). Public for tests.
+  static U128 KeyOf(const U128& point, NodeId node);
+
+  /// Moves a node to `point`: a Rejoin of one. A node holds at most one
+  /// entry, so joining an existing member replaces its entry.
+  void Join(U128 point, NodeId node);
   /// Removes the node's entry, found by one binary search on its key; a
   /// no-op for a non-member.
   void Leave(NodeId node);
 
   /// Applies a batch of moves in one sorted rewrite. The final membership
-  /// is bitwise what `Leave(m.node); Join(m.key, m.node)` produces run for
-  /// each move in order — including the duplicate-key perturbation chains,
-  /// and nodes that move more than once.
+  /// is bitwise what `Leave(m.node); Join(m.point, m.node)` produces run
+  /// for each move in order: every moving node at its last move's key.
   ///
-  /// The d moves are sorted by key with an LSD radix sort over the key bits
-  /// that vary in the batch (std::sort below kRadixMinMoves moves), then
-  /// checked for a clash: two nodes asking for one key, or a move asking
-  /// for a key another node holds in the ring (found by lower bounds that
-  /// move forward through the ring). Without a clash no sequential Join
-  /// perturbs a key, so every moving node lands at its last move's key and
-  /// the sorted moves are the new entries. Only a clashing batch resolves
-  /// its keys move by move in batch order (a binary search and a probe of
-  /// a batch key table per key a move tries), then sorts the new entries.
-  /// Either way one linear pass drops the movers' old entries and the new
-  /// entries are merged in from the back with one binary search and one
-  /// block move each: O(members + d log members), with no per-move search
-  /// for a node's old entry.
-  void Rejoin(const std::vector<Member>& moves) {
+  /// Four steps. Walk the batch backwards, keeping each node's last move
+  /// and marking the node as moving. Sort the kept keys with an LSD radix
+  /// sort over the key bytes that vary among them (std::sort below
+  /// kRadixMinMoves moves). Drop the movers' old entries in one linear
+  /// pass. Merge the kept moves in from the back with one binary search
+  /// and one block move each. For d moves of which d' nodes are distinct:
+  /// O(d + members + d' log members), with no per-move search for a
+  /// node's old entry.
+  void Rejoin(const std::vector<Move>& moves) {
     Rejoin(moves.data(), moves.size());
   }
 
-  /// Rejoin batches applied (a Join is a batch of one) and, of those, the
-  /// batches that clashed and so resolved their keys move by move.
+  /// Rejoin batches applied (a Join is a batch of one).
   size_t rejoin_batches() const { return rejoin_batches_; }
-  size_t resolved_batches() const { return resolved_batches_; }
 
   size_t NumMembers() const { return members_.size(); }
   const std::vector<Member>& members() const { return members_; }
 
-  /// Chord-routes from the member owning `origin_key` toward `key`;
-  /// returns successor(key). FailedPrecondition on an empty ring; Internal
-  /// when the route does not end within one hop per member, which happens
-  /// only when two members share a key (a broken ring).
-  StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
+  /// Chord-routes from the member owning `origin_point`'s lowest key toward
+  /// `point`'s lowest key, `KeyOf(point, 0)`; returns its successor: the
+  /// lowest node at `point`, or the next member along the ring.
+  /// FailedPrecondition on an empty ring; Internal when the route does not
+  /// end within one hop per member, which only a ring whose keys are not
+  /// unique could cause.
+  StatusOr<LookupResult> Lookup(U128 point, U128 origin_point) const;
 
   /// Lookup starting from the first member (deterministic origin). The
   /// route from members()[0] depends only on the target's member index, so
@@ -87,7 +97,7 @@ class ChordRing {
   /// membership next changes (Join, Rejoin and a member's Leave clear it); a
   /// warm lookup costs one binary search. The memo makes this overload
   /// unsafe to call concurrently on one ring, like the rest of the library.
-  StatusOr<LookupResult> Lookup(U128 key) const;
+  StatusOr<LookupResult> Lookup(U128 point) const;
 
  private:
   // Sorted by key; at most one entry per node.
@@ -98,53 +108,27 @@ class ChordRing {
   std::vector<U128> key_of_;
 
   // Rejoin scratch, reused across batches (allocation-free in steady
-  // state). `first_move_[node]` is the node's first position in the current
-  // batch (kNoMove outside a batch); `next_move_[i]` is the position of
-  // move i's node's next move; `sorted_` holds the batch's moves in key
-  // order (`sort_buf_` is the radix sort's other buffer); `taken_` maps the
-  // keys earlier moves of a clashing batch received to their move (open
-  // addressing); `placed_` holds the final entry of every moving node.
-  static constexpr size_t kNoMove = static_cast<size_t>(-1);
+  // state). `moving_[node]` is set while the node moves in the current
+  // batch; `sorted_` holds the kept moves' entries in key order
+  // (`sort_buf_` is the radix sort's other buffer).
   // Below this many moves std::sort beats the radix sort's fixed cost of
   // clearing and summing its digit counts: on a 496-member ring
   // (BM_RejoinFullRing) std::sort is faster at 16 moves, the radix sort
   // from 32 up.
   static constexpr size_t kRadixMinMoves = 32;
-  struct SortedMove {
-    U128 key;
-    NodeId node;
-    bool last;  ///< the node's last move in the batch
-  };
-  struct TakenSlot {
-    U128 key;
-    size_t move;
-  };
-  std::vector<size_t> first_move_;
-  std::vector<size_t> next_move_;
-  std::vector<SortedMove> sorted_;
-  std::vector<SortedMove> sort_buf_;
+  std::vector<uint8_t> moving_;
+  std::vector<Member> sorted_;
+  std::vector<Member> sort_buf_;
   std::vector<size_t> radix_offsets_;
-  std::vector<TakenSlot> taken_;
-  std::vector<Member> placed_;
   size_t rejoin_batches_ = 0;
-  size_t resolved_batches_ = 0;
 
-  /// Index of the node's entry in `members_`, or kNoMove.
+  /// Index of the node's entry in `members_`, or kNoEntry.
+  static constexpr size_t kNoEntry = static_cast<size_t>(-1);
   size_t EntryOf(NodeId node) const;
   /// Rejoin over `d` contiguous moves (Join passes a batch of one).
-  void Rejoin(const Member* moves, size_t d);
-  /// Fills `sorted_` with the batch's moves in key order.
-  void SortMoves(const Member* moves, size_t d);
-  /// Checks the sorted batch for a clash; without one, fills `placed_`
-  /// with each moving node's last move, in key order, and returns true.
-  bool PlaceClashFree();
-  /// Resolves the final keys of a clashing batch move by move, exactly as
-  /// sequential Joins perturb them, into `placed_` in key order.
-  void ResolveKeys(const Member* moves, size_t d);
-  /// The `taken_` slot holding `key`, or the empty slot it would go to.
-  size_t TakenSlotOf(const U128& key) const;
-  /// True when `key` is held at move `i` of the batch in flight.
-  bool KeyTaken(const U128& key, size_t i) const;
+  void Rejoin(const Move* moves, size_t d);
+  /// Sorts `sorted_` by key.
+  void SortMoves();
   size_t SuccessorIndex(U128 key) const;
   /// Hops of the greedy Chord route from member `cur` to member
   /// `target_idx`; kNoRoute when the route has not ended after one hop per
@@ -155,7 +139,7 @@ class ChordRing {
   static Status NoRouteError();
   LookupResult ResultAt(size_t member_index, size_t hops) const;
 
-  // Lookup(key)'s hop count per target member index, kUnrouted until that
+  // Lookup(point)'s hop count per target member index, kUnrouted until that
   // target is first routed; empty after a membership change, sized on the
   // next first-member lookup (its capacity is kept).
   static constexpr uint32_t kUnrouted = static_cast<uint32_t>(-1);

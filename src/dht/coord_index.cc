@@ -7,7 +7,11 @@
 namespace sbon::dht {
 
 CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
-    : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
+    : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {
+  // A ring key holds the Hilbert point above the node id.
+  assert(quantizer_.dims() * quantizer_.bits() + ChordRing::kNodeBits <=
+         128);
+}
 
 void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
   PublishAll(std::vector<NodeId>{node}, std::vector<Vec>{coord});
@@ -23,7 +27,7 @@ void CoordinateIndex::PublishAll(const std::vector<NodeId>& nodes,
 
 void CoordinateIndex::Reserve(size_t batch) {
   cells_.reserve(quantizer_.dims() * batch);
-  keys_.reserve(batch);
+  points_.reserve(batch);
   moves_.reserve(batch);
 }
 
@@ -47,12 +51,12 @@ void CoordinateIndex::PublishAll(std::span<const NodeId> nodes,
     for (size_t j = 0; j < count; ++j) dst[nodes[j]] = src[j];
   }
   cells_.resize(dims * count);
-  keys_.resize(count);
+  points_.resize(count);
   quantizer_.QuantizeLanes(coords, count, cells_.data());
   HilbertEncodeLanes(cells_.data(), count, static_cast<unsigned>(dims),
-                     quantizer_.bits(), keys_.data());
+                     quantizer_.bits(), points_.data());
   moves_.resize(count);
-  for (size_t j = 0; j < count; ++j) moves_[j] = {keys_[j], nodes[j]};
+  for (size_t j = 0; j < count; ++j) moves_[j] = {points_[j], nodes[j]};
   ring_.Rejoin(moves_);
 }
 

@@ -32,9 +32,12 @@ struct IndexQueryCost {
 };
 
 /// Decentralized coordinate catalog (paper Sec. 3.2): every node publishes
-/// its cost-space coordinate under a Hilbert-curve key into a Chord ring;
+/// its cost-space coordinate at its Hilbert-curve point into a Chord ring;
 /// queries find nodes close to a target coordinate by looking up the
-/// target's key and walking the curve neighborhood in both ring directions.
+/// target's point and walking the curve neighborhood in both ring
+/// directions. The ring keys each node by its point above its node id
+/// (ChordRing::KeyOf), so nodes sharing a Hilbert cell are adjacent on the
+/// ring in node-id order and a lookup of that cell starts at the lowest.
 ///
 /// Because the Hilbert curve preserves locality only approximately, the
 /// walk examines `probe_width` members on each side and re-ranks them by
@@ -57,7 +60,8 @@ struct IndexQueryCost {
 /// same index are not safe; the library is single-threaded throughout.
 class CoordinateIndex {
  public:
-  /// `quantizer` fixes the indexed box/dimensionality.
+  /// `quantizer` fixes the indexed box/dimensionality. Its points must
+  /// leave a ring key room for the node id: dims * bits <= 96.
   explicit CoordinateIndex(HilbertQuantizer quantizer);
 
   const HilbertQuantizer& quantizer() const { return quantizer_; }
@@ -97,7 +101,7 @@ class CoordinateIndex {
 
   /// The up to `k` published nodes closest to `target` (by true distance in
   /// the indexed space), nearest first, examining `probe_width` ring
-  /// members on each side of the target key — the query physical mapping
+  /// members on each side of the target point — the query physical mapping
   /// issues per service. `cost` (optional) accumulates DHT traffic. The
   /// walk steps ring indices (no modulo per member), and the top k of the
   /// walked members are kept by bounded insertion into a sorted k-slot
@@ -146,10 +150,10 @@ class CoordinateIndex {
   CoordBlock coords_;
   std::vector<bool> published_;
   // PublishAll scratch of the batch in flight: its cell lanes (axis d of
-  // slot j at [d * batch + j]), its keys and its ring moves.
+  // slot j at [d * batch + j]), its Hilbert points and its ring moves.
   std::vector<uint32_t> cells_;
-  std::vector<U128> keys_;
-  std::vector<ChordRing::Member> moves_;
+  std::vector<U128> points_;
+  std::vector<ChordRing::Move> moves_;
 
   // Reusable query scratch (see class comment): distances, (distance, node)
   // pairs and the walked members.
@@ -157,12 +161,12 @@ class CoordinateIndex {
   mutable std::vector<DistNode> pair_scratch_;
   mutable std::vector<NodeId> walk_scratch_;
 
-  /// Looks up `target`'s key, bills the lookup to `cost`, and returns the
-  /// ring index of the key's successor — where both walks start. Fails if
+  /// Looks up `target`'s point, bills the lookup to `cost`, and returns the
+  /// ring index of the point's successor — where both walks start. Fails if
   /// the index is empty.
   StatusOr<size_t> StartWalk(const Vec& target, IndexQueryCost* cost) const;
   /// The probed walk of KNearestNodesInto: walks the ring around `target`'s
-  /// key, bills `cost`, and ranks the walked members, leaving the top k as
+  /// point, bills `cost`, and ranks the walked members, leaving the top k as
   /// the first pairs of `pair_scratch_`. Returns how many it kept:
   /// min(k, members walked).
   StatusOr<size_t> RankNearest(const Vec& target, size_t k,

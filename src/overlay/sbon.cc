@@ -21,11 +21,13 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
     return Status::InvalidArgument("latency_jitter_sigma must be >= 0");
   }
   if (options.space_spec.total_dims() *
-          coords::CoordinateManager::kHilbertBits >
+              coords::CoordinateManager::kHilbertBits +
+          dht::ChordRing::kNodeBits >
       128) {
-    // A coordinate's Hilbert key is a U128: total_dims * kHilbertBits bits.
+    // A ring key is a U128: the total_dims * kHilbertBits bits of the
+    // coordinate's Hilbert point above the node id.
     return Status::InvalidArgument(
-        "space_spec.total_dims() * kHilbertBits must be <= 128");
+        "space_spec.total_dims() * kHilbertBits + 32 must be <= 128");
   }
   if (net::NetworkFabric::Resolve(options.fabric_mode, topo.NumNodes()) !=
           net::NetworkFabric::BaseMode::kDense &&

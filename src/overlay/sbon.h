@@ -40,9 +40,9 @@ namespace sbon::overlay {
 class Sbon {
  public:
   struct Options {
-    /// At most 12 total dimensions: each takes
-    /// CoordinateManager::kHilbertBits of a U128 index key (validated at
-    /// Create).
+    /// At most 9 total dimensions: each takes
+    /// CoordinateManager::kHilbertBits of a U128 ring key, above a 32-bit
+    /// node id (validated at Create).
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
     coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
     net::LoadModel::Params load_params;

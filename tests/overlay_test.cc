@@ -238,15 +238,15 @@ TEST(SbonTest, CreateValidatesOptions) {
   EXPECT_EQ(create([](Sbon::Options* o) { o->latency_jitter_sigma = -0.1; })
                 .code(),
             StatusCode::kInvalidArgument);
-  // 13 dims x 10 bits needs a 130-bit key.
+  // 10 dims x 10 bits above a 32-bit node id needs a 132-bit ring key.
   EXPECT_EQ(create([](Sbon::Options* o) {
-              o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(12);
+              o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(9);
             }).code(),
             StatusCode::kInvalidArgument);
 
-  // Boundary values are legal: 12 dims x 10 bits fit a U128.
+  // Boundary values are legal: 9 dims x 10 bits and a node id fit a U128.
   EXPECT_TRUE(create([](Sbon::Options* o) {
-                o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(11);
+                o->space_spec = coords::CostSpaceSpec::LatencyAndLoad(8);
               }).ok());
   EXPECT_TRUE(
       create([](Sbon::Options* o) { o->latency_jitter_sigma = 0.0; }).ok());
