@@ -6,10 +6,13 @@
 // S3) still get merged, reducing the marginal cost of the new circuit.
 //
 // Sweep: radius r from 0 (no reuse / pure integrated) to unbounded (no
-// pruning). Expected shape: optimizer work (reuse candidates examined, DHT
-// probes) grows with r; marginal circuit cost drops steeply at small r and
-// then flattens — most of the benefit of unbounded search at a fraction of
-// its cost, which is the pruning argument of Sec. 3.4.
+// pruning). Expected shape: over the finite radii, optimizer work (reuse
+// candidates examined, DHT probes) grows with r; marginal circuit cost
+// drops steeply at small r and then flattens — most of the benefit of
+// unbounded search at a fraction of its cost, which is the pruning argument
+// of Sec. 3.4. The unbounded row, labelled "oracle", takes every compatible
+// instance from the ledger's global signature catalog and runs no sphere
+// search, so its ring probes are not a point on the work curve.
 
 #include <cstdio>
 #include <limits>
@@ -100,7 +103,7 @@ void Run() {
     }
     if (no_reuse_usage < 0.0) no_reuse_usage = usage.Mean();
     const std::string rlabel =
-        radius < 0.0 ? "unbounded" : TableWriter::Fixed(radius, 0);
+        radius < 0.0 ? "oracle" : TableWriter::Fixed(radius, 0);
     t.AddRow({rlabel, TableWriter::Fixed(cands.Mean(), 1),
               TableWriter::Fixed(probes_s.Mean(), 1),
               TableWriter::Fixed(reused.Mean(), 2),
@@ -114,10 +117,13 @@ void Run() {
   }
   std::printf("%s", t.Render().c_str());
   std::printf(
-      "\nShape check (paper claim): work (candidates, probes) grows with "
-      "r; marginal cost\nfalls quickly then flattens — a small radius "
-      "captures most of unbounded reuse's benefit\nwhile ignoring faraway "
-      "circuits like C1/C2 in the figure.\n");
+      "\nShape check (paper claim): over the finite radii, work "
+      "(candidates, probes) grows with r;\nmarginal cost falls quickly "
+      "then flattens — a small radius captures most of unbounded\nreuse's "
+      "benefit while ignoring faraway circuits like C1/C2 in the figure. "
+      "The oracle\nrow is unbounded r served from the ledger's global "
+      "signature catalog with no sphere\nsearch, so its probes are not "
+      "comparable with the finite radii's.\n");
 }
 
 }  // namespace

@@ -44,6 +44,20 @@ double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
   return 0.0;
 }
 
+// True if some placeable vertex of `circuit` has a deployed instance of its
+// reuse signature.
+bool HasReusableVertex(const overlay::Circuit& circuit,
+                       const overlay::ServiceLedger& ledger) {
+  for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
+    if (circuit.Placeable(v) &&
+        !ledger.ServicesWithSignature(circuit.plan().OpSignature(v))
+             .empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Optimizer::Optimizer(OptimizerConfig config,
@@ -72,18 +86,8 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
     if (!circuit.ok()) return circuit.status();
     Status st = placer_->Place(&circuit.value(), space);
     if (!st.ok()) return st;
-    candidates_.push_back(Candidate{0.0, index, std::move(circuit.value())});
-  }
-  auto result = config_.reuse_radius == 0.0 ? MapBestFirst(*sbon)
-                                            : MapWithReuse(sbon);
-  if (result.ok()) result->plans_considered = candidates_.size();
-  return result;
-}
-
-StatusOr<OptimizeResult> Optimizer::MapBestFirst(const overlay::Sbon& sbon) {
-  for (Candidate& candidate : candidates_) {
-    candidate.virtual_usage =
-        placement::VirtualLinearCost(candidate.circuit, sbon.cost_space());
+    const double usage = placement::VirtualLinearCost(*circuit, space);
+    candidates_.push_back(Candidate{usage, index, std::move(circuit.value())});
   }
   std::sort(candidates_.begin(), candidates_.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -93,10 +97,12 @@ StatusOr<OptimizeResult> Optimizer::MapBestFirst(const overlay::Sbon& sbon) {
               return a.index < b.index;
             });
 
-  const double penalty_floor = sbon.cost_space().PenaltyFloor();
+  const double penalty_floor = space.PenaltyFloor();
   OptimizeResult result;
+  result.plans_considered = candidates_.size();
   Candidate* best = nullptr;
   double best_cost = 0.0;
+  size_t best_reused = 0;
   // True if (cost, index) would replace the best so far: the least
   // (estimated cost, enumeration index) wins, as in a loop that maps every
   // candidate in enumeration order and keeps the first strictly cheaper.
@@ -106,27 +112,40 @@ StatusOr<OptimizeResult> Optimizer::MapBestFirst(const overlay::Sbon& sbon) {
   };
   for (Candidate& candidate : candidates_) {
     overlay::Circuit& circuit = candidate.circuit;
+    // Only a candidate that can reuse skips the pruning. A reuse pass binds
+    // only instances of a vertex's own signature, and binding only shrinks
+    // the placeable set, so a candidate with no signature hit ends at its
+    // mapped cost, which EstimateCostLowerBound bounds.
+    const bool can_reuse = config_.reuse_radius != 0.0 &&
+                           HasReusableVertex(circuit, sbon->ledger());
     bool pruned = false;
     for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
       if (!circuit.Placeable(v)) continue;
-      if (best != nullptr &&
-          !beats_best(EstimateCostLowerBound(circuit, sbon, config_.lambda,
+      if (!can_reuse && best != nullptr &&
+          !beats_best(EstimateCostLowerBound(circuit, *sbon, config_.lambda,
                                              penalty_floor),
                       candidate.index)) {
         pruned = true;
         break;
       }
-      Status st = placement::MapVertex(&circuit, v, sbon, config_.mapping,
+      Status st = placement::MapVertex(&circuit, v, *sbon, config_.mapping,
                                        &result.mapping, &mapping_candidates_);
       if (!st.ok()) return st;
     }
     if (pruned) continue;
     ++result.placements_evaluated;
-    auto cost = EstimateCost(circuit, sbon, config_.lambda);
-    if (!cost.ok()) return cost.status();
-    if (beats_best(*cost, candidate.index)) {
+    auto mapped_cost = EstimateCost(circuit, *sbon, config_.lambda);
+    if (!mapped_cost.ok()) return mapped_cost.status();
+    double cost = *mapped_cost;
+    size_t reused = 0;
+    if (can_reuse) {
+      Status st = ReusePasses(*sbon, &circuit, &cost, &reused, &result);
+      if (!st.ok()) return st;
+    }
+    if (beats_best(cost, candidate.index)) {
       best = &candidate;
-      best_cost = *cost;
+      best_cost = cost;
+      best_reused = reused;
     }
   }
   if (best == nullptr) {
@@ -134,89 +153,60 @@ StatusOr<OptimizeResult> Optimizer::MapBestFirst(const overlay::Sbon& sbon) {
   }
   result.circuit = std::move(best->circuit);
   result.estimated_cost = best_cost;
+  result.services_reused = best_reused;
   return result;
 }
 
-StatusOr<OptimizeResult> Optimizer::MapWithReuse(overlay::Sbon* sbon) {
-  OptimizeResult best;
-  bool have_best = false;
-  if (sphere_stamp_.size() < sbon->cost_space().NumNodes()) {
-    sphere_stamp_.resize(sbon->cost_space().NumNodes(), 0);
-  }
+Status Optimizer::ReusePasses(const overlay::Sbon& sbon,
+                              overlay::Circuit* circuit, double* cost,
+                              size_t* reused, OptimizeResult* result) {
+  // Variants copy `*circuit`, plan included, so this reference keeps its
+  // content when a pass's best variant is moved into `*circuit`.
+  const query::LogicalPlan& plan = circuit->plan();
+  for (size_t pass = 0; pass < kMaxReuseBindings; ++pass) {
+    // Consider larger subtrees first (bigger savings when reused).
+    order_.clear();
+    for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+      if (circuit->Placeable(v)) order_.push_back(v);
+    }
+    std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+      return plan.StreamSet(a).size() > plan.StreamSet(b).size();
+    });
 
-  for (Candidate& candidate : candidates_) {
-    placement::MappingReport report;
-    Status st = placement::MapCircuit(&candidate.circuit, *sbon,
-                                      config_.mapping, &report,
-                                      &mapping_candidates_);
-    if (!st.ok()) return st;
-    best.placements_evaluated += 1;
+    bool improved = false;
+    overlay::Circuit pass_best;
+    double pass_best_cost = *cost;
 
-    auto base_cost = EstimateCost(candidate.circuit, *sbon, config_.lambda);
-    if (!base_cost.ok()) return base_cost.status();
-    overlay::Circuit current = std::move(candidate.circuit);
-    // Variants copy `current`, plan included, so this reference keeps its
-    // content when a pass's best variant is moved into `current`.
-    const query::LogicalPlan& plan = current.plan();
-    double current_cost = *base_cost;
-    size_t current_reused = 0;
+    for (int v : order_) {
+      Status st =
+          FindReuseCandidates(*circuit, v, sbon, &result->mapping.dht_cost);
+      if (!st.ok()) return st;
+      result->reuse_candidates_considered += cands_.size();
 
-    // Greedy reuse passes.
-    for (size_t pass = 0; pass < kMaxReuseBindings; ++pass) {
-      // Consider larger subtrees first (bigger savings when reused).
-      order_.clear();
-      for (int v = 0; v < static_cast<int>(current.NumVertices()); ++v) {
-        if (current.Placeable(v)) order_.push_back(v);
-      }
-      std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-        return plan.StreamSet(a).size() > plan.StreamSet(b).size();
-      });
-
-      bool improved = false;
-      overlay::Circuit pass_best;
-      double pass_best_cost = current_cost;
-      size_t pass_best_extra_reused = 0;
-
-      for (int v : order_) {
-        st = FindReuseCandidates(current, v, *sbon, &report.dht_cost);
+      for (const ReuseCandidate& rc : cands_) {
+        overlay::Circuit variant = *circuit;  // deep copy
+        variant.BindReusedSubtree(rc.vertex, rc.instance->id,
+                                  rc.instance->host,
+                                  UpstreamLatencyOf(*rc.instance, sbon));
+        st = PlaceAndMap(&variant, sbon, *placer_, config_.mapping,
+                         &result->mapping, &mapping_candidates_);
         if (!st.ok()) return st;
-        best.reuse_candidates_considered += cands_.size();
-
-        for (const ReuseCandidate& rc : cands_) {
-          overlay::Circuit variant = current;  // deep copy
-          variant.BindReusedSubtree(
-              rc.vertex, rc.instance->id, rc.instance->host,
-              UpstreamLatencyOf(*rc.instance, *sbon));
-          st = PlaceAndMap(&variant, sbon, *placer_, config_.mapping, &report,
-                           &mapping_candidates_);
-          if (!st.ok()) return st;
-          best.placements_evaluated += 1;
-          auto vcost = EstimateCost(variant, *sbon, config_.lambda);
-          if (!vcost.ok()) return vcost.status();
-          if (*vcost < pass_best_cost) {
-            pass_best = std::move(variant);
-            pass_best_cost = *vcost;
-            pass_best_extra_reused = 1;
-            improved = true;
-          }
+        result->placements_evaluated += 1;
+        auto vcost = EstimateCost(variant, sbon, config_.lambda);
+        if (!vcost.ok()) return vcost.status();
+        if (*vcost < pass_best_cost) {
+          pass_best = std::move(variant);
+          pass_best_cost = *vcost;
+          improved = true;
         }
       }
-      if (!improved) break;
-      current = std::move(pass_best);
-      current_cost = pass_best_cost;
-      current_reused += pass_best_extra_reused;
     }
-
-    if (!have_best || current_cost < best.estimated_cost) {
-      best.circuit = std::move(current);
-      best.estimated_cost = current_cost;
-      best.services_reused = current_reused;
-      have_best = true;
-    }
-    best.mapping += report;
+    if (!improved) break;
+    *circuit = std::move(pass_best);
+    *cost = pass_best_cost;
+    ++*reused;
   }
-  if (!have_best) return Status::Internal("no candidate circuit produced");
-  return best;
+  return Status::OK();
 }
 
 Status Optimizer::FindReuseCandidates(const overlay::Circuit& current, int v,
@@ -240,6 +230,9 @@ Status Optimizer::FindReuseCandidates(const overlay::Circuit& current, int v,
         sbon.cost_space().IdealTarget(current.vertex(v).virtual_coord),
         config_.reuse_radius, dht, &sphere_nodes_);
     if (!st.ok()) return st;
+    if (sphere_stamp_.size() < sbon.cost_space().NumNodes()) {
+      sphere_stamp_.resize(sbon.cost_space().NumNodes(), 0);
+    }
     if (++sphere_epoch_ == 0) {  // wrap-around: invalidate all marks
       std::fill(sphere_stamp_.begin(), sphere_stamp_.end(), 0);
       sphere_epoch_ = 1;
@@ -288,14 +281,14 @@ double EstimateCostLowerBound(const overlay::Circuit& circuit,
   return CostExpression(circuit, sbon.cost_space(), lambda, penalty_floor);
 }
 
-Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
+Status PlaceAndMap(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                    const placement::VirtualPlacer& placer,
                    const placement::MappingOptions& mapping,
                    placement::MappingReport* report,
                    std::vector<NodeId>* candidates) {
-  Status st = placer.Place(circuit, sbon->cost_space());
+  Status st = placer.Place(circuit, sbon.cost_space());
   if (!st.ok()) return st;
-  return placement::MapCircuit(circuit, *sbon, mapping, report, candidates);
+  return placement::MapCircuit(circuit, sbon, mapping, report, candidates);
 }
 
 }  // namespace sbon::core

@@ -47,8 +47,8 @@ struct OptimizeResult {
   double estimated_cost = 0.0;
   size_t plans_considered = 0;
   /// Candidate circuits placed and fully mapped, reuse variants included.
-  /// Best-first mapping (radius 0) stops mapping a candidate once its cost
-  /// bound cannot win, so this can be below `plans_considered`.
+  /// A candidate that cannot reuse stops mapping once its cost bound cannot
+  /// win and is not counted, so this can be below `plans_considered`.
   size_t placements_evaluated = 0;
   size_t reuse_candidates_considered = 0;
   size_t services_reused = 0;
@@ -68,28 +68,26 @@ struct OptimizeResult {
 /// programming picks the one plan of least intermediate data volume, and
 /// only that plan is placed.
 ///
-/// Physical mapping is not cheap: it costs one DHT lookup per service.
-/// With `reuse_radius == 0` the candidates are mapped best first, in
-/// ascending virtual network usage, vertex by vertex, and a candidate stops
-/// mapping as soon as `EstimateCostLowerBound` shows it cannot win — a
-/// cost-limit branch and bound (Graefe & McKenna, "The Volcano Optimizer
-/// Generator", ICDE'93). The bound is valid, so the pruning is exact: the
-/// winner is the least (estimated cost, enumeration index) over all
-/// candidates, the circuit that mapping every one of them in full would
-/// pick, bit for bit.
-///
-/// Multi-query optimization (Sec. 3.4), when `reuse_radius != 0`: each
-/// candidate is mapped in full, in enumeration order, and then greedy reuse
-/// passes try to bind existing service instances into it. Only instances
-/// whose hosts fall within a hyper-sphere of radius `reuse_radius` around
-/// the new service's virtual coordinate are considered ("query plans that
-/// involve operators hosted on physical nodes that are far away in the cost
-/// space are less likely to be useful and thus can be ignored"). The sphere
-/// search runs over the Hilbert/Chord coordinate index, so pruning also
-/// bounds DHT traffic. Below 0 the radius is unbounded: every compatible
-/// instance is considered — the "no pruning" upper baseline whose optimizer
-/// work Figure 4 argues is unnecessary. The first strictly cheaper result,
-/// in enumeration order, wins.
+/// Physical mapping is not cheap: it costs one DHT lookup per service, so
+/// the candidates are mapped best first, in ascending virtual network
+/// usage, vertex by vertex. With `reuse_radius != 0` (multi-query
+/// optimization, Sec. 3.4), a candidate with a placeable vertex whose reuse
+/// signature a deployed instance carries is mapped in full, and greedy
+/// reuse passes then bind existing instances into it. Only instances hosted
+/// within a hyper-sphere of radius `reuse_radius` around the new service's
+/// virtual coordinate are considered ("query plans that involve operators
+/// hosted on physical nodes that are far away in the cost space are less
+/// likely to be useful and thus can be ignored"); the sphere search runs
+/// over the Hilbert/Chord index, so pruning also bounds DHT traffic. Below
+/// 0 the radius is unbounded, and the ledger's signature catalog answers
+/// with no sphere search: the "no pruning" baseline of Figure 4. Every
+/// other candidate stops mapping as soon as `EstimateCostLowerBound` shows
+/// it cannot win — a cost-limit branch and bound (Graefe & McKenna, "The
+/// Volcano Optimizer Generator", ICDE'93). The bound is valid, so the
+/// pruning is exact: the winner is the least (estimated cost, enumeration
+/// index), the circuit that mapping (and reusing into) every candidate in
+/// enumeration order and keeping the first strictly cheaper picks, bit for
+/// bit.
 ///
 /// An instance keeps its scratch across Optimize calls, so calls on one
 /// instance must not overlap.
@@ -107,9 +105,9 @@ class Optimizer {
   const placement::VirtualPlacer& placer() const { return *placer_; }
 
  private:
-  // A virtually placed candidate plan. Best-first mapping fills in
-  // `virtual_usage` and visits candidates in ascending (virtual_usage,
-  // index); virtual network usage orders the mapping and bounds nothing.
+  // A virtually placed candidate plan. Candidates are mapped in ascending
+  // (virtual_usage, index); virtual network usage orders the mapping and
+  // bounds nothing.
   struct Candidate {
     double virtual_usage = 0.0;
     size_t index = 0;  // enumeration index, the tie-break between equal costs
@@ -122,9 +120,11 @@ class Optimizer {
     double distance = 0.0;
   };
 
-  // The two mapping strategies over the placed `candidates_`.
-  StatusOr<OptimizeResult> MapBestFirst(const overlay::Sbon& sbon);
-  StatusOr<OptimizeResult> MapWithReuse(overlay::Sbon* sbon);
+  // Greedy reuse passes over a mapped candidate: each binds the reuse
+  // candidate whose variant is strictly cheapest, if any, updating
+  // `circuit`, its `cost` and the binding count `reused`; bills `result`.
+  Status ReusePasses(const overlay::Sbon& sbon, overlay::Circuit* circuit,
+                     double* cost, size_t* reused, OptimizeResult* result);
   // Fills `cands_` with the reuse candidates for vertex `v` of `current`,
   // closest first, at most a fixed number; bills sphere searches to `dht`.
   Status FindReuseCandidates(const overlay::Circuit& current, int v,
@@ -155,7 +155,7 @@ class Optimizer {
 
 /// Places and maps an unplaced circuit in one go (virtual placement with
 /// `placer`, then DHT mapping over the caller's `candidates` buffer).
-Status PlaceAndMap(overlay::Circuit* circuit, overlay::Sbon* sbon,
+Status PlaceAndMap(overlay::Circuit* circuit, const overlay::Sbon& sbon,
                    const placement::VirtualPlacer& placer,
                    const placement::MappingOptions& mapping,
                    placement::MappingReport* report,

@@ -23,7 +23,7 @@ StatusOr<LocalReoptReport> LocalReoptimize(
   // Re-place a scratch copy against the current cost space.
   overlay::Circuit scratch = *live;
   std::vector<NodeId> candidates;
-  Status st = PlaceAndMap(&scratch, sbon, placer, query_config.mapping,
+  Status st = PlaceAndMap(&scratch, *sbon, placer, query_config.mapping,
                           &report.mapping, &candidates);
   if (!st.ok()) return st;
   auto after = EstimateCost(scratch, *sbon, query_config.lambda);

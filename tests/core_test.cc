@@ -109,8 +109,8 @@ TEST(IntegratedTest, ConsidersMultiplePlans) {
   EXPECT_LE(r->placements_evaluated, r->plans_considered);
   EXPECT_TRUE(r->circuit.FullyPlaced());
   // The pruned search picks the circuit mapping every plan would.
-  auto ref = test::ExhaustiveIntegratedOptimize(cfg, *Relaxation(), q, cat,
-                                                s.get());
+  auto ref = test::ExhaustiveOptimize(test::IntegratedConfig(cfg),
+                                      *Relaxation(), q, cat, *s);
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(test::CircuitDiff(r->circuit, ref->circuit), "");
   EXPECT_EQ(r->estimated_cost, ref->estimated_cost);
@@ -162,7 +162,7 @@ TEST(IntegratedTest, SingleCandidateEqualsTwoStep) {
   ASSERT_TRUE(two.ok());
   placement::MappingReport two_report;
   std::vector<NodeId> candidates;
-  ASSERT_TRUE(PlaceAndMap(&two.value(), s.get(), *Relaxation(), cfg.mapping,
+  ASSERT_TRUE(PlaceAndMap(&two.value(), *s, *Relaxation(), cfg.mapping,
                           &two_report, &candidates)
                   .ok());
   auto two_cost = EstimateCost(*two, *s, cfg.lambda);
@@ -318,13 +318,15 @@ TEST(MultiQueryTest, RadiusMonotoneInOptimizerWork) {
 // Every placement the optimizer maps is billed to OptimizeResult::mapping,
 // the reuse variants' included. With an unbounded radius there is no sphere
 // search, so each mapped service is one index lookup, and the variants'
-// services come on top of the enumerated plans'.
+// services come on top of the enumerated plans'. One candidate plan, so no
+// lower bound prunes any of them.
 TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
   auto s = MakeSbon(6);
   query::WorkloadParams wp = TestWorkload();
   query::Catalog cat =
       query::MakeRandomCatalog(wp, s->overlay_nodes(), &s->rng()).value();
   OptimizerConfig cfg;
+  cfg.enumeration.top_k = 1;
   Optimizer mq(WithRadius(cfg, -1.0), Relaxation());
   auto first = mq.Optimize(
       query::QuerySpec::SimpleJoin({0, 1, 2}, s->overlay_nodes()[5], 0.001),
@@ -332,8 +334,9 @@ TEST(MultiQueryTest, ReuseVariantsMappingIsBilled) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(s->InstallCircuit(std::move(first->circuit)).ok());
 
+  // The same joins for another consumer: every join can reuse.
   const query::QuerySpec q = query::QuerySpec::SimpleJoin(
-      {0, 1, 2, 3}, s->overlay_nodes()[40], 0.001);
+      {0, 1, 2}, s->overlay_nodes()[40], 0.001);
   auto plans = query::EnumeratePlans(q, cat, cfg.enumeration);
   ASSERT_TRUE(plans.ok());
   size_t plan_services = 0;
@@ -517,7 +520,7 @@ TEST(ReoptTest, LocalReoptLeavesSharedInstancesInPlace) {
   placement::RelaxationPlacer placer;
   overlay::Circuit scratch = *live;
   std::vector<NodeId> candidates;
-  ASSERT_TRUE(PlaceAndMap(&scratch, s.get(), placer, cfg.mapping, nullptr,
+  ASSERT_TRUE(PlaceAndMap(&scratch, *s, placer, cfg.mapping, nullptr,
                           &candidates)
                   .ok());
   const auto before = EstimateCost(*live, *s, cfg.lambda);

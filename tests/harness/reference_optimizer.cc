@@ -26,6 +26,121 @@ double ReferenceEstimate(const overlay::Circuit& circuit,
   return network_usage + lambda * overlay::LoadPenalty(circuit, space);
 }
 
+// Greedy reuse passes per candidate circuit and instances evaluated per
+// service, closest first: the optimizer's limits.
+constexpr size_t kReferenceReuseBindings = 4;
+constexpr size_t kReferenceCandidatesPerService = 8;
+
+double ReferenceUpstreamLatency(const overlay::ServiceInstance& inst,
+                                const overlay::Sbon& sbon) {
+  for (CircuitId cid : inst.circuits) {
+    const overlay::Circuit* src = sbon.ledger().FindCircuit(cid);
+    if (src == nullptr) continue;
+    auto lat = overlay::UpstreamLatencyToService(*src, inst.id,
+                                                 sbon.latency());
+    if (lat.ok()) return *lat;
+  }
+  return 0.0;
+}
+
+// A compatible instance for one vertex and its host's vector distance from
+// the vertex's virtual coordinate.
+struct ReferenceReuseCandidate {
+  const overlay::ServiceInstance* instance = nullptr;
+  double distance = 0.0;
+};
+
+// The instances of vertex `v`'s signature whose hosts the sphere search
+// around its virtual coordinate returns (every one when the radius is
+// below 0), closest first, at most kReferenceCandidatesPerService.
+StatusOr<std::vector<ReferenceReuseCandidate>> ReferenceReuseCandidates(
+    const overlay::Circuit& circuit, int v, double radius,
+    const overlay::Sbon& sbon, dht::IndexQueryCost* dht) {
+  std::vector<ReferenceReuseCandidate> out;
+  const auto instances =
+      sbon.ledger().ServicesWithSignature(circuit.plan().OpSignature(v));
+  if (instances.empty()) return out;
+  std::vector<NodeId> sphere;
+  if (radius >= 0.0) {
+    Status st = sbon.index().WithinRadiusInto(
+        sbon.cost_space().IdealTarget(circuit.vertex(v).virtual_coord),
+        radius, dht, &sphere);
+    if (!st.ok()) return st;
+  }
+  for (const overlay::ServiceInstance* inst : instances) {
+    if (radius >= 0.0 &&
+        std::find(sphere.begin(), sphere.end(), inst->host) == sphere.end()) {
+      continue;
+    }
+    double distance = 0.0;
+    sbon.cost_space().VectorDistancesToMany(circuit.vertex(v).virtual_coord,
+                                            &inst->host, 1, &distance);
+    out.push_back(ReferenceReuseCandidate{inst, distance});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ReferenceReuseCandidate& a,
+               const ReferenceReuseCandidate& b) {
+              return a.distance < b.distance;
+            });
+  if (out.size() > kReferenceCandidatesPerService) {
+    out.resize(kReferenceCandidatesPerService);
+  }
+  return out;
+}
+
+// Greedy reuse over a mapped circuit of cost `*cost`: each pass tries every
+// reuse candidate of every placeable vertex, larger subtrees first, and
+// binds the one whose re-placed and re-mapped variant is strictly
+// cheapest. Bills `result` as the optimizer does.
+Status ReferenceReusePasses(const core::OptimizerConfig& config,
+                            const placement::VirtualPlacer& placer,
+                            const overlay::Sbon& sbon,
+                            overlay::Circuit* circuit, double* cost,
+                            size_t* reused, core::OptimizeResult* result) {
+  for (size_t pass = 0; pass < kReferenceReuseBindings; ++pass) {
+    const query::LogicalPlan plan = circuit->plan();
+    std::vector<int> order;
+    for (int v = 0; v < static_cast<int>(circuit->NumVertices()); ++v) {
+      if (circuit->Placeable(v)) order.push_back(v);
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return plan.StreamSet(a).size() > plan.StreamSet(b).size();
+    });
+    bool improved = false;
+    overlay::Circuit pass_best;
+    double pass_best_cost = *cost;
+    for (int v : order) {
+      auto cands = ReferenceReuseCandidates(*circuit, v, config.reuse_radius,
+                                            sbon, &result->mapping.dht_cost);
+      if (!cands.ok()) return cands.status();
+      result->reuse_candidates_considered += cands->size();
+      for (const ReferenceReuseCandidate& rc : *cands) {
+        overlay::Circuit variant = *circuit;
+        variant.BindReusedSubtree(v, rc.instance->id, rc.instance->host,
+                                  ReferenceUpstreamLatency(*rc.instance, sbon));
+        Status st = placer.Place(&variant, sbon.cost_space());
+        if (!st.ok()) return st;
+        st = placement::MapCircuit(&variant, sbon, config.mapping,
+                                   &result->mapping);
+        if (!st.ok()) return st;
+        ++result->placements_evaluated;
+        const double vcost =
+            ReferenceEstimate(variant, sbon.cost_space(), config.lambda);
+        if (vcost < pass_best_cost) {
+          pass_best = std::move(variant);
+          pass_best_cost = vcost;
+          improved = true;
+        }
+      }
+    }
+    if (!improved) break;
+    *circuit = std::move(pass_best);
+    *cost = pass_best_cost;
+    ++*reused;
+  }
+  return Status::OK();
+}
+
 // A join tree over stream positions of the spec: a leaf when left < 0.
 struct TreeNode {
   int left = -1;
@@ -235,10 +350,10 @@ StatusOr<std::vector<query::LogicalPlan>> ReferenceEnumeratePlans(
   return plans;
 }
 
-StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
+StatusOr<core::OptimizeResult> ExhaustiveOptimize(
     const core::OptimizerConfig& config,
     const placement::VirtualPlacer& placer, const query::QuerySpec& spec,
-    const query::Catalog& catalog, overlay::Sbon* sbon) {
+    const query::Catalog& catalog, const overlay::Sbon& sbon) {
   auto plans = query::EnumeratePlans(spec, catalog, config.enumeration);
   if (!plans.ok()) return plans.status();
   core::OptimizeResult best;
@@ -246,17 +361,24 @@ StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
   for (query::LogicalPlan& plan : *plans) {
     auto circuit = overlay::Circuit::FromPlan(std::move(plan), catalog);
     if (!circuit.ok()) return circuit.status();
-    Status st = placer.Place(&circuit.value(), sbon->cost_space());
+    Status st = placer.Place(&circuit.value(), sbon.cost_space());
     if (!st.ok()) return st;
-    st = placement::MapCircuit(&circuit.value(), *sbon, config.mapping,
+    st = placement::MapCircuit(&circuit.value(), sbon, config.mapping,
                                &best.mapping);
     if (!st.ok()) return st;
     ++best.placements_evaluated;
-    const double cost =
-        ReferenceEstimate(*circuit, sbon->cost_space(), config.lambda);
+    double cost =
+        ReferenceEstimate(*circuit, sbon.cost_space(), config.lambda);
+    size_t reused = 0;
+    if (config.reuse_radius != 0.0) {
+      st = ReferenceReusePasses(config, placer, sbon, &circuit.value(),
+                                &cost, &reused, &best);
+      if (!st.ok()) return st;
+    }
     if (!have_best || cost < best.estimated_cost) {
       best.circuit = std::move(circuit.value());
       best.estimated_cost = cost;
+      best.services_reused = reused;
       have_best = true;
     }
   }
@@ -279,10 +401,15 @@ std::string CircuitDiff(const overlay::Circuit& a, const overlay::Circuit& b) {
       return "op " + std::to_string(i) + " differs: " + pa.Canonical() +
              " vs " + pb.Canonical();
     }
-    if (a.vertex(i).host != b.vertex(i).host) {
-      return "vertex " + std::to_string(i) + " host " +
-             std::to_string(a.vertex(i).host) + " vs " +
-             std::to_string(b.vertex(i).host);
+    const overlay::CircuitVertex& va = a.vertex(i);
+    const overlay::CircuitVertex& vb = b.vertex(i);
+    if (va.host != vb.host || va.reused != vb.reused ||
+        va.service != vb.service) {
+      return "vertex " + std::to_string(i) + " (host, reused, service) (" +
+             std::to_string(va.host) + ", " + std::to_string(va.reused) +
+             ", " + std::to_string(va.service) + ") vs (" +
+             std::to_string(vb.host) + ", " + std::to_string(vb.reused) +
+             ", " + std::to_string(vb.service) + ")";
     }
   }
   return "";

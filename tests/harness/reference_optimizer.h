@@ -14,15 +14,17 @@
 
 namespace sbon::test {
 
-/// The exhaustive integrated optimizer the best-first one must match: place
-/// and map every candidate plan in full, in enumeration order, and keep the
-/// first strictly cheaper circuit by a local copy of the estimate (network
-/// usage over physical edges in edge order, plus lambda times
-/// `overlay::LoadPenalty`). Its `mapping` report bills every candidate.
-StatusOr<core::OptimizeResult> ExhaustiveIntegratedOptimize(
+/// The exhaustive optimizer the best-first one must match: place and map
+/// every candidate plan in full, in enumeration order; at a reuse radius
+/// other than 0 run the optimizer's greedy reuse passes over each; and keep
+/// the first strictly cheaper circuit by a local copy of the estimate
+/// (network usage over physical edges in edge order, plus lambda times
+/// `overlay::LoadPenalty`). Its `mapping` report bills every candidate and
+/// every reuse variant.
+StatusOr<core::OptimizeResult> ExhaustiveOptimize(
     const core::OptimizerConfig& config,
     const placement::VirtualPlacer& placer, const query::QuerySpec& spec,
-    const query::Catalog& catalog, overlay::Sbon* sbon);
+    const query::Catalog& catalog, const overlay::Sbon& sbon);
 
 /// Exhaustively enumerates *every* distinct join tree (bushy, all leaf
 /// partitions), by ascending intermediate data rate — the oracle the
@@ -41,7 +43,8 @@ StatusOr<std::vector<query::LogicalPlan>> ReferenceEnumeratePlans(
     size_t top_k);
 
 /// The first difference between two circuits' plan ops (kind, stream,
-/// children, output rate) or vertex hosts, as text; "" when they agree.
+/// children, output rate) or vertices (host, `reused` flag, service id), as
+/// text; "" when they agree.
 std::string CircuitDiff(const overlay::Circuit& a, const overlay::Circuit& b);
 
 }  // namespace sbon::test
