@@ -96,9 +96,9 @@ dht::U128 RandomHilbertPoint(Rng* rng) {
   return dht::U128::FromU64(rng->Next() & ((uint64_t{1} << 30) - 1));
 }
 
-dht::ChordRing MakeRing(Rng* rng) {
+dht::ChordRing MakeRing(Rng* rng, size_t members = kRingMembers) {
   dht::ChordRing ring;
-  for (size_t i = 0; i < kRingMembers; ++i) {
+  for (size_t i = 0; i < members; ++i) {
     ring.Join(RandomHilbertPoint(rng), static_cast<NodeId>(i));
   }
   return ring;
@@ -156,6 +156,31 @@ void BM_ChordLookupFirstMember(benchmark::State& state) {
       static_cast<double>(hops) / static_cast<double>(i));
 }
 BENCHMARK(BM_ChordLookupFirstMember);
+
+// Warm lookups on a ring of `members` with 30-bit points: Lookup(point)
+// from the first member (its hop memo filled by a pass over the keys
+// before timing), and the self-route Lookup(point, point), which is one
+// successor search and 0 hops — every message-mode displacement publish
+// and retry.
+void BM_RingLookup(benchmark::State& state) {
+  const size_t members = static_cast<size_t>(state.range(0));
+  const bool self_route = state.range(1) != 0;
+  Rng rng(12);
+  const dht::ChordRing ring = MakeRing(&rng, members);
+  constexpr size_t kKeys = 4096;
+  std::vector<dht::U128> keys;
+  for (size_t i = 0; i < kKeys; ++i) keys.push_back(RandomHilbertPoint(&rng));
+  for (const dht::U128& key : keys) benchmark::DoNotOptimize(ring.Lookup(key));
+  size_t i = 0;
+  for (auto _ : state) {
+    const dht::U128& key = keys[i++ & (kKeys - 1)];
+    auto r = self_route ? ring.Lookup(key, key) : ring.Lookup(key);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_RingLookup)
+    ->ArgNames({"members", "self_route"})
+    ->ArgsProduct({{240, 496, 2000}, {0, 1}});
 
 // One member moves: a churn rejoin (Sbon::RejoinNode).
 void BM_RejoinOne(benchmark::State& state) {

@@ -44,20 +44,6 @@ double UpstreamLatencyOf(const overlay::ServiceInstance& inst,
   return 0.0;
 }
 
-// True if some placeable vertex of `circuit` has a deployed instance of its
-// reuse signature.
-bool HasReusableVertex(const overlay::Circuit& circuit,
-                       const overlay::ServiceLedger& ledger) {
-  for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
-    if (circuit.Placeable(v) &&
-        !ledger.ServicesWithSignature(circuit.plan().OpSignature(v))
-             .empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 Optimizer::Optimizer(OptimizerConfig config,
@@ -77,8 +63,13 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
   // the cost space, and mapping writes only the mapped circuit and its
   // report, so placing every plan before mapping any of them answers as
   // placing each one right before its mapping would.
+  // With reuse on, each candidate's placeable vertices look up their
+  // signature's deployed instances here, once: Optimize changes no ledger,
+  // so the views hold for every reuse pass.
   candidates_.clear();
   candidates_.reserve(plans->size());
+  signature_hits_.clear();
+  const bool reuse = config_.reuse_radius != 0.0;
   const coords::CostSpace& space = sbon->cost_space();
   for (size_t index = 0; index < plans->size(); ++index) {
     auto circuit =
@@ -87,7 +78,17 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
     Status st = placer_->Place(&circuit.value(), space);
     if (!st.ok()) return st;
     const double usage = placement::VirtualLinearCost(*circuit, space);
-    candidates_.push_back(Candidate{usage, index, std::move(circuit.value())});
+    Candidate& candidate = candidates_.emplace_back(
+        Candidate{usage, index, signature_hits_.size(),
+                  std::move(circuit.value())});
+    if (!reuse) continue;
+    const overlay::Circuit& placed = candidate.circuit;
+    for (int v = 0; v < static_cast<int>(placed.NumVertices()); ++v) {
+      signature_hits_.push_back(
+          placed.Placeable(v) ? sbon->ledger().ServicesWithSignature(
+                                    placed.plan().OpSignature(v))
+                              : SignatureHits());
+    }
   }
   std::sort(candidates_.begin(), candidates_.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -116,8 +117,11 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
     // only instances of a vertex's own signature, and binding only shrinks
     // the placeable set, so a candidate with no signature hit ends at its
     // mapped cost, which EstimateCostLowerBound bounds.
-    const bool can_reuse = config_.reuse_radius != 0.0 &&
-                           HasReusableVertex(circuit, sbon->ledger());
+    const SignatureHits* hits =
+        reuse ? signature_hits_.data() + candidate.hits_begin : nullptr;
+    const bool can_reuse =
+        reuse && std::any_of(hits, hits + circuit.NumVertices(),
+                             [](SignatureHits h) { return !h.empty(); });
     bool pruned = false;
     for (int v = 0; v < static_cast<int>(circuit.NumVertices()); ++v) {
       if (!circuit.Placeable(v)) continue;
@@ -139,7 +143,8 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
     double cost = *mapped_cost;
     size_t reused = 0;
     if (can_reuse) {
-      Status st = ReusePasses(*sbon, &circuit, &cost, &reused, &result);
+      Status st =
+          ReusePasses(*sbon, hits, &circuit, &cost, &reused, &result);
       if (!st.ok()) return st;
     }
     if (beats_best(cost, candidate.index)) {
@@ -158,6 +163,7 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const query::QuerySpec& spec,
 }
 
 Status Optimizer::ReusePasses(const overlay::Sbon& sbon,
+                              const SignatureHits* hits,
                               overlay::Circuit* circuit, double* cost,
                               size_t* reused, OptimizeResult* result) {
   // Variants copy `*circuit`, plan included, so this reference keeps its
@@ -178,8 +184,10 @@ Status Optimizer::ReusePasses(const overlay::Sbon& sbon,
     double pass_best_cost = *cost;
 
     for (int v : order_) {
-      Status st =
-          FindReuseCandidates(*circuit, v, sbon, &result->mapping.dht_cost);
+      // A vertex with no deployed instance has no reuse candidate.
+      if (hits[v].empty()) continue;
+      Status st = FindReuseCandidates(*circuit, v, hits[v], sbon,
+                                      &result->mapping.dht_cost);
       if (!st.ok()) return st;
       result->reuse_candidates_considered += cands_.size();
 
@@ -210,12 +218,10 @@ Status Optimizer::ReusePasses(const overlay::Sbon& sbon,
 }
 
 Status Optimizer::FindReuseCandidates(const overlay::Circuit& current, int v,
+                                      SignatureHits instances,
                                       const overlay::Sbon& sbon,
                                       dht::IndexQueryCost* dht) {
   cands_.clear();
-  const auto instances =
-      sbon.ledger().ServicesWithSignature(current.plan().OpSignature(v));
-  if (instances.empty()) return Status::OK();
 
   // Cost-space pruning: keep instances whose hosts fall inside the radius-r
   // hyper-sphere around the service's virtual coordinate.

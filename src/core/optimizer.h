@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -105,12 +106,17 @@ class Optimizer {
   const placement::VirtualPlacer& placer() const { return *placer_; }
 
  private:
+  // The deployed instances of one vertex's reuse signature.
+  using SignatureHits = std::span<const overlay::ServiceInstance* const>;
   // A virtually placed candidate plan. Candidates are mapped in ascending
   // (virtual_usage, index); virtual network usage orders the mapping and
   // bounds nothing.
   struct Candidate {
     double virtual_usage = 0.0;
     size_t index = 0;  // enumeration index, the tie-break between equal costs
+    // With reuse on, signature_hits_[hits_begin + v] holds vertex v's
+    // deployed instances (empty for a vertex that is not placeable).
+    size_t hits_begin = 0;
     overlay::Circuit circuit;
   };
   // A compatible, in-radius instance for one placeable vertex.
@@ -120,14 +126,18 @@ class Optimizer {
     double distance = 0.0;
   };
 
-  // Greedy reuse passes over a mapped candidate: each binds the reuse
-  // candidate whose variant is strictly cheapest, if any, updating
-  // `circuit`, its `cost` and the binding count `reused`; bills `result`.
-  Status ReusePasses(const overlay::Sbon& sbon, overlay::Circuit* circuit,
-                     double* cost, size_t* reused, OptimizeResult* result);
-  // Fills `cands_` with the reuse candidates for vertex `v` of `current`,
-  // closest first, at most a fixed number; bills sphere searches to `dht`.
+  // Greedy reuse passes over a mapped candidate whose vertex v has the
+  // deployed instances `hits[v]`: each binds the reuse candidate whose
+  // variant is strictly cheapest, if any, updating `circuit`, its `cost`
+  // and the binding count `reused`; bills `result`.
+  Status ReusePasses(const overlay::Sbon& sbon, const SignatureHits* hits,
+                     overlay::Circuit* circuit, double* cost, size_t* reused,
+                     OptimizeResult* result);
+  // Fills `cands_` with the reuse candidates among `instances` for vertex
+  // `v` of `current`, closest first, at most a fixed number; bills sphere
+  // searches to `dht`.
   Status FindReuseCandidates(const overlay::Circuit& current, int v,
+                             SignatureHits instances,
                              const overlay::Sbon& sbon,
                              dht::IndexQueryCost* dht);
 
@@ -137,6 +147,7 @@ class Optimizer {
   // candidate plans and circuits (and reuse variants).
   query::PlanEnumerator enumerator_;
   std::vector<Candidate> candidates_;
+  std::vector<SignatureHits> signature_hits_;
   std::vector<NodeId> mapping_candidates_;
   // In-sphere marks, addressed by node id: `sphere_stamp_[n] ==
   // sphere_epoch_` marks a node the current sphere search returned;

@@ -14,9 +14,10 @@ unsigned TopBit(const U128& x) {
                    : 63 - static_cast<unsigned>(std::countl_zero(x.lo));
 }
 
-constexpr auto KeyLess = [](const ChordRing::Member& m, const U128& k) {
-  return m.key < k;
-};
+// `a < b` as one flag, with no branch on which word decides.
+inline bool KeyBelow(const U128& a, const U128& b) {
+  return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
+}
 
 }  // namespace
 
@@ -40,10 +41,9 @@ void ChordRing::Leave(NodeId node) {
 size_t ChordRing::EntryOf(NodeId node) const {
   if (node >= key_of_.size()) return kNoEntry;
   // A non-member's stale key finds another node's entry or none.
-  const auto pos = std::lower_bound(members_.begin(), members_.end(),
-                                    key_of_[node], KeyLess);
-  if (pos == members_.end() || pos->node != node) return kNoEntry;
-  return static_cast<size_t>(pos - members_.begin());
+  const size_t pos = LowerBound(key_of_[node], 0, members_.size());
+  if (pos == members_.size() || members_[pos].node != node) return kNoEntry;
+  return pos;
 }
 
 void ChordRing::Rejoin(const Move* moves, size_t d) {
@@ -86,18 +86,27 @@ void ChordRing::Rejoin(const Move* moves, size_t d) {
   for (const Member& m : sorted_) moving_[m.node] = 0;
 
   // 4. Merge the kept moves in from the back, in key order: each one
-  //    shifts the kept members above its lower bound up as one block.
+  //    shifts the kept members above its lower bound up as one block. The
+  //    bound lies below the previous move's, usually close by, so doubling
+  //    steps down from there bracket it and the search runs inside the
+  //    bracket: O(log gap) compares a move, not O(log n).
   size_t old_end = members_.size();
   members_.resize(old_end + sorted_.size());
   size_t w = members_.size();
   for (size_t p = sorted_.size(); p-- > 0;) {
     const Member& member = sorted_[p];
     const auto first = members_.begin();
-    const auto lo = std::lower_bound(first, first + old_end, member.key,
-                                     KeyLess);
-    std::move_backward(lo, first + old_end, first + w);
-    w -= static_cast<size_t>(first + old_end - lo);
-    old_end = static_cast<size_t>(lo - first);
+    size_t hi = old_end;
+    size_t step = 1;
+    while (step <= hi && !KeyBelow(members_[hi - step].key, member.key)) {
+      hi -= step;
+      step *= 2;
+    }
+    const size_t lo =
+        LowerBound(member.key, step <= hi ? hi - step + 1 : 0, hi);
+    std::move_backward(first + lo, first + old_end, first + w);
+    w -= old_end - lo;
+    old_end = lo;
     members_[--w] = member;
     key_of_[member.node] = member.key;
   }
@@ -145,13 +154,30 @@ void ChordRing::SortMoves() {
   }
 }
 
+size_t ChordRing::LowerBound(const U128& key, size_t begin,
+                             size_t end) const {
+  if (begin == end) return end;
+  // Branch-free binary search (Khuong & Morin, "Array Layouts for
+  // Comparison-Based Searching", JEA 2017): the answer stays in
+  // [base, base + len], and each step halves len with one select on a
+  // two-word compare, so the loop runs ceil(log2(end - begin)) times
+  // whatever the key and mispredicts nothing but its exit.
+  const Member* base = members_.data() + begin;
+  size_t len = end - begin;
+  while (len > 1) {
+    const size_t half = len / 2;
+    base += static_cast<size_t>(KeyBelow(base[half].key, key)) * half;
+    len -= half;
+  }
+  return static_cast<size_t>(base - members_.data()) +
+         static_cast<size_t>(KeyBelow(base->key, key));
+}
+
 size_t ChordRing::SuccessorIndex(U128 key) const {
   assert(!members_.empty());
   // First member with key >= `key`, wrapping to 0.
-  const auto it =
-      std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
-  if (it == members_.end()) return 0;
-  return static_cast<size_t>(it - members_.begin());
+  const size_t i = LowerBound(key, 0, members_.size());
+  return i == members_.size() ? 0 : i;
 }
 
 size_t ChordRing::RouteHops(size_t cur, size_t target_idx) const {
@@ -204,6 +230,8 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 point,
   if (members_.empty()) return Status::FailedPrecondition("empty ring");
   // Start at the member owning origin_point's lowest key (its successor).
   const size_t target_idx = SuccessorIndex(KeyOf(point, 0));
+  // A route from the target's own owner is 0 hops: no second search.
+  if (origin_point == point) return ResultAt(target_idx, 0);
   const size_t hops =
       RouteHops(SuccessorIndex(KeyOf(origin_point, 0)), target_idx);
   if (hops == kNoRoute) return NoRouteError();

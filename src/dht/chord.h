@@ -57,7 +57,7 @@ class ChordRing {
   /// Moves a node to `point`: a Rejoin of one. A node holds at most one
   /// entry, so joining an existing member replaces its entry.
   void Join(U128 point, NodeId node);
-  /// Removes the node's entry, found by one binary search on its key; a
+  /// Removes the node's entry, found by one search on its key; a
   /// no-op for a non-member.
   void Leave(NodeId node);
 
@@ -69,10 +69,11 @@ class ChordRing {
   /// and marking the node as moving. Sort the kept keys with an LSD radix
   /// sort over the key bytes that vary among them (std::sort below
   /// kRadixMinMoves moves). Drop the movers' old entries in one linear
-  /// pass. Merge the kept moves in from the back with one binary search
-  /// and one block move each. For d moves of which d' nodes are distinct:
-  /// O(d + members + d' log members), with no per-move search for a
-  /// node's old entry.
+  /// pass. Merge the kept moves in from the back with one galloping
+  /// search (doubling steps down from the previous move's bound, then the
+  /// ring's search inside the bracket) and one block move each. For d
+  /// moves of which d' nodes are distinct: O(d + members + d' log
+  /// members), with no per-move search for a node's old entry.
   void Rejoin(const std::vector<Move>& moves) {
     Rejoin(moves.data(), moves.size());
   }
@@ -86,16 +87,17 @@ class ChordRing {
   /// Chord-routes from the member owning `origin_point`'s lowest key toward
   /// `point`'s lowest key, `KeyOf(point, 0)`; returns its successor: the
   /// lowest node at `point`, or the next member along the ring.
-  /// FailedPrecondition on an empty ring; Internal when the route does not
-  /// end within one hop per member, which only a ring whose keys are not
-  /// unique could cause.
+  /// `Lookup(p, p)` starts at the target's own owner, so it is 0 hops and
+  /// costs one search. FailedPrecondition on an empty ring; Internal when
+  /// the route does not end within one hop per member, which only a ring
+  /// whose keys are not unique could cause.
   StatusOr<LookupResult> Lookup(U128 point, U128 origin_point) const;
 
   /// Lookup starting from the first member (deterministic origin). The
   /// route from members()[0] depends only on the target's member index, so
   /// its hop count is computed once per target and kept in a memo until the
   /// membership next changes (Join, Rejoin and a member's Leave clear it); a
-  /// warm lookup costs one binary search. The memo makes this overload
+  /// warm lookup costs one successor search. The memo makes this overload
   /// unsafe to call concurrently on one ring, like the rest of the library.
   StatusOr<LookupResult> Lookup(U128 point) const;
 
@@ -104,7 +106,7 @@ class ChordRing {
   std::vector<Member> members_;
 
   // Each member node's ring key, addressed by node id: finds a node's entry
-  // with one binary search. Stale for non-members.
+  // with one search. Stale for non-members.
   std::vector<U128> key_of_;
 
   // Rejoin scratch, reused across batches (allocation-free in steady
@@ -122,6 +124,11 @@ class ChordRing {
   std::vector<size_t> radix_offsets_;
   size_t rejoin_batches_ = 0;
 
+  /// Index of the first of members_[begin, end) whose key is not below
+  /// `key`, or `end` when none is: the ring's one successor search (Lookup,
+  /// the route's fingers, EntryOf and Rejoin's merge all use it).
+  /// Branch-free.
+  size_t LowerBound(const U128& key, size_t begin, size_t end) const;
   /// Index of the node's entry in `members_`, or kNoEntry.
   static constexpr size_t kNoEntry = static_cast<size_t>(-1);
   size_t EntryOf(NodeId node) const;
@@ -129,6 +136,7 @@ class ChordRing {
   void Rejoin(const Move* moves, size_t d);
   /// Sorts `sorted_` by key.
   void SortMoves();
+  /// LowerBound over the whole ring, wrapping to 0: successor(key).
   size_t SuccessorIndex(U128 key) const;
   /// Hops of the greedy Chord route from member `cur` to member
   /// `target_idx`; kNoRoute when the route has not ended after one hop per

@@ -52,9 +52,7 @@ void CoordinateIndex::PublishAll(std::span<const NodeId> nodes,
   }
   cells_.resize(dims * count);
   points_.resize(count);
-  quantizer_.QuantizeLanes(coords, count, cells_.data());
-  HilbertEncodeLanes(cells_.data(), count, static_cast<unsigned>(dims),
-                     quantizer_.bits(), points_.data());
+  quantizer_.KeyLanes(coords, count, cells_.data(), points_.data());
   moves_.resize(count);
   for (size_t j = 0; j < count; ++j) moves_[j] = {points_[j], nodes[j]};
   ring_.Rejoin(moves_);

@@ -70,9 +70,8 @@ class CoordinateIndex {
   /// as one ring Rejoin batch: a mass republish (bring-up, index refresh)
   /// costs one ring rewrite instead of an O(published) splice per node, and
   /// builds the ring a node-by-node Publish would have built. The batch
-  /// runs lane-wise: the slots' lanes scatter into the catalog, quantize
-  /// into cell lanes (HilbertQuantizer::QuantizeLanes) and encode
-  /// (HilbertEncodeLanes) into the ring moves. `coords` has the index's
+  /// runs lane-wise: the slots' lanes scatter into the catalog and turn
+  /// into ring points (HilbertQuantizer::KeyLanes). `coords` has the index's
   /// dims and at least nodes.size() slots. Heap-free once Reserve (or an
   /// earlier batch) covered the batch size and a batch published the
   /// largest node id.

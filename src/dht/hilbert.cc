@@ -429,4 +429,10 @@ U128 HilbertQuantizer::Key(const Vec& p) const {
   return HilbertEncodeInPlace(cell, dims(), bits_);
 }
 
+void HilbertQuantizer::KeyLanes(const CoordBlock& block, size_t count,
+                                uint32_t* cells, U128* keys) const {
+  QuantizeLanes(block, count, cells);
+  HilbertEncodeLanes(cells, count, dims(), bits_, keys);
+}
+
 }  // namespace sbon::dht

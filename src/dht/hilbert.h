@@ -93,6 +93,11 @@ class HilbertQuantizer {
 
   /// Continuous point -> Hilbert key. Heap-free.
   U128 Key(const Vec& p) const;
+  /// Lane-wise Key of slots [0, count) of `block`: QuantizeLanes into
+  /// `cells` (dims() * count working slots), then HilbertEncodeLanes into
+  /// keys[0, count). keys[j] is bitwise Key of slot j. Heap-free.
+  void KeyLanes(const CoordBlock& block, size_t count, uint32_t* cells,
+                U128* keys) const;
 
  private:
   std::vector<double> lo_;

@@ -174,6 +174,16 @@ NodeId RingAgent::NextAliveAfter(NodeId n) const {
   return it == alive.end() ? alive.front() : *it;
 }
 
+void RingAgent::RingPointsOf(const std::vector<NodeId>& nodes) {
+  const size_t count = nodes.size();
+  const dht::HilbertQuantizer& quantizer = sbon_->index().quantizer();
+  full_.Reset(quantizer.dims(), count);
+  sbon_->cost_space().FullCoordsInto(nodes.data(), count, &full_);
+  cells_.resize(quantizer.dims() * count);
+  points_.resize(count);
+  quantizer.KeyLanes(full_, count, cells_.data(), points_.data());
+}
+
 void RingAgent::StepEpoch(double epsilon) {
   publishes_sent_epoch_ = 0;
   // Retries first, outside the epsilon guard: pending transfers keep
@@ -184,14 +194,14 @@ void RingAgent::StepEpoch(double epsilon) {
     displaced_.clear();
     sbon_->mutable_coords().CollectDisplaced(sbon_->overlay_nodes(), epsilon,
                                              &displaced_);
-    for (NodeId n : displaced_) {
-      const Vec full = sbon_->cost_space().FullCoord(n);
-      const dht::U128 key = index.quantizer().Key(full);
-      // Route from the node's own key region toward the new key: a
-      // displacement republish travels from where the node sits to where
-      // it belongs, which is short for small drifts and longer the further
-      // the coordinate moved.
-      const dht::ChordRing::LookupResult route = Route(key, key, n);
+    RingPointsOf(displaced_);
+    for (size_t j = 0; j < displaced_.size(); ++j) {
+      const NodeId n = displaced_[j];
+      // Routed from the new point's own owner, so 0 hops: the publish is
+      // billed no forwarding (ROADMAP: "Displacement publishes route 0
+      // hops").
+      const dht::ChordRing::LookupResult route =
+          Route(points_[j], points_[j], n);
       BillHops(n, route.hops);
       Envelope publish;
       publish.proto = Protocol::kRing;
@@ -199,8 +209,8 @@ void RingAgent::StepEpoch(double epsilon) {
       publish.from = n;
       publish.to = route.node;
       publish.subject = n;
-      publish.coord = full;
-      publish.bytes = kPublishBaseBytes + 8 * full.dims();
+      publish.coord = full_.NodeVec(j);
+      publish.bytes = kPublishBaseBytes + 8 * full_.dims();
       if (reliability_.enabled) {
         publish.tid = bus_->IssueTid();
         TrackReliable(publish);
@@ -288,15 +298,18 @@ void RingAgent::TrackReliable(const Envelope& e) {
   p.env = e;
   p.backoff_epochs = reliability_.retry_after_epochs;
   p.retry_epoch = bus_->epoch() + p.backoff_epochs;
+  pending_tids_.push_back(e.tid);
   ++pending_live_;
 }
 
 void RingAgent::Acknowledge(uint64_t tid) {
-  const auto it = std::lower_bound(
-      pending_.begin(), pending_.end(), tid,
-      [](const PendingTransfer& p, uint64_t t) { return p.env.tid < t; });
-  if (it == pending_.end() || it->env.tid != tid || it->acked) return;
-  it->acked = true;
+  const auto it =
+      std::lower_bound(pending_tids_.begin(), pending_tids_.end(), tid);
+  if (it == pending_tids_.end() || *it != tid) return;
+  PendingTransfer& p =
+      pending_[static_cast<size_t>(it - pending_tids_.begin())];
+  if (p.acked) return;
+  p.acked = true;
   --pending_live_;
 }
 
@@ -304,35 +317,50 @@ void RingAgent::RetryPending() {
   if (!reliability_.enabled || pending_.empty()) return;
   const size_t epoch = bus_->epoch();
   ReliabilityCounters& r = bus_->stats().reliability;
-  // One pass in tid order: retransmit what is due, and compact out acked
-  // and abandoned transfers behind the kept ones.
-  auto kept = pending_.begin();
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    PendingTransfer& p = *it;
+  // One pass in tid order compacts out acked and abandoned transfers and
+  // lists the due ones; their ring points are then derived lane-wise, and
+  // a second pass retransmits them, still in tid order. Nothing between
+  // the passes moves the ring or a coordinate, so this sends what
+  // retransmitting inside the first pass would.
+  retry_slots_.clear();
+  retry_nodes_.clear();
+  size_t kept = 0;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    PendingTransfer& p = pending_[i];
     if (p.acked) continue;
-    if (p.retry_epoch > epoch) {
-      if (kept != it) *kept = std::move(p);
-      ++kept;
-      continue;
+    if (p.retry_epoch <= epoch) {
+      if (p.attempts >= reliability_.max_retries ||
+          !sbon_->IsAlive(p.env.subject)) {
+        // Give up: retries are spent, or the subject left the overlay (its
+        // publish/join could no longer be applied anyway).
+        ++r.retry_exhausted;
+        --pending_live_;
+        continue;
+      }
+      retry_slots_.push_back(kept);
+      retry_nodes_.push_back(p.env.subject);
     }
-    if (p.attempts >= reliability_.max_retries ||
-        !sbon_->IsAlive(p.env.subject)) {
-      // Give up: retries are spent, or the subject left the overlay (its
-      // publish/join could no longer be applied anyway).
-      ++r.retry_exhausted;
-      --pending_live_;
-      continue;
+    if (kept != i) {
+      pending_[kept] = std::move(p);
+      pending_tids_[kept] = pending_tids_[i];
     }
+    ++kept;
+  }
+  pending_.resize(kept);
+  pending_tids_.resize(kept);
+
+  RingPointsOf(retry_nodes_);
+  for (size_t j = 0; j < retry_slots_.size(); ++j) {
+    PendingTransfer& p = pending_[retry_slots_[j]];
     // Retransmit with a fresh route and the subject's *current* full
     // coordinate — the same re-serialization semantics a real datagram
     // retry has (the ring may have repaired and the node drifted since).
     Envelope again = p.env;
-    const Vec full = sbon_->cost_space().FullCoord(again.subject);
-    const dht::U128 key = sbon_->index().quantizer().Key(full);
-    const dht::ChordRing::LookupResult route = Route(key, key, again.subject);
+    const dht::ChordRing::LookupResult route =
+        Route(points_[j], points_[j], again.subject);
     BillHops(again.subject, route.hops);
     again.to = route.node;
-    again.coord = full;
+    again.coord = full_.NodeVec(j);
     p.env.to = route.node;  // remember the refreshed destination
     ++p.attempts;
     p.backoff_epochs = std::min(p.backoff_epochs * kBackoffFactor,
@@ -342,10 +370,7 @@ void RingAgent::RetryPending() {
     r.retry_bytes += again.bytes;
     if (again.kind == MsgKind::kPublish) ++publishes_sent_epoch_;
     bus_->Send(std::move(again));
-    if (kept != it) *kept = std::move(p);
-    ++kept;
   }
-  pending_.erase(kept, pending_.end());
 }
 
 void RingAgent::SendAck(const Envelope& e) {

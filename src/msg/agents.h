@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/coord_block.h"
 #include "common/ids.h"
 #include "common/status.h"
 #include "dht/coord_index.h"
@@ -171,9 +172,13 @@ class RingAgent {
             const ReliabilityParams& reliability);
 
   /// The message-mode refresh: collects nodes displaced beyond `epsilon`
-  /// and sends each a routed kPublish (`epsilon < 0` skips the scan —
-  /// refresh disabled this epoch), then one kStabilize heartbeat from every
-  /// ring member to its successor.
+  /// and sends each a kPublish to the owner of its new ring point
+  /// (`epsilon < 0` skips the scan — refresh disabled this epoch), then one
+  /// kStabilize heartbeat from every ring member to its successor. The
+  /// batch's full coordinates and ring points are derived lane-wise. A
+  /// publish is routed from that owner itself, so it travels 0 hops and
+  /// bills no forwarding; routing it from where the node sits is the
+  /// ROADMAP item "Displacement publishes route 0 hops".
   void StepEpoch(double epsilon);
   void HandleMessage(const Envelope& e);
   /// Republishes, as one ring batch, the alive subjects of the kPublish
@@ -218,6 +223,11 @@ class RingAgent {
   /// transfers are dropped and counted, and acked ones compacted out in the
   /// same pass. Runs even when refresh is disabled so retries always drain.
   void RetryPending();
+  /// Fills `full_` (slot j = nodes[j]) with the nodes' current full
+  /// coordinates and `points_` with their ring points, lane-wise
+  /// (CostSpace::FullCoordsInto, HilbertQuantizer::KeyLanes): bitwise
+  /// FullCoord and quantizer().Key of each node.
+  void RingPointsOf(const std::vector<NodeId>& nodes);
   /// Acks a delivered reliable envelope back to its sender.
   void SendAck(const Envelope& e);
   /// Routes toward `key` on the current ring; falls back to (self, 0
@@ -239,10 +249,20 @@ class RingAgent {
   /// Tracked reliable transfers in ascending tid order (tids are issued
   /// increasing), acked ones included until the next RetryPending.
   std::vector<PendingTransfer> pending_;
+  /// pending_[i].env.tid at i: the ascending array Acknowledge searches.
+  std::vector<uint64_t> pending_tids_;
   size_t pending_live_ = 0;  ///< entries of pending_ not yet acked
   std::vector<uint32_t> publish_epoch_;  ///< by node id
   size_t publishes_sent_epoch_ = 0;
   std::vector<NodeId> displaced_;  ///< scratch for the displacement scan
+  /// RetryPending's reused buffers: the due transfers' pending_ slots and
+  /// subjects.
+  std::vector<size_t> retry_slots_;
+  std::vector<NodeId> retry_nodes_;
+  /// RingPointsOf output: full coordinates, cell lanes and ring points.
+  CoordBlock full_;
+  std::vector<uint32_t> cells_;
+  std::vector<dht::U128> points_;
   /// Alive subjects of the kPublish deliveries since the last
   /// ApplyDeliveredPublishes, in delivery order.
   std::vector<NodeId> delivered_publishes_;

@@ -109,38 +109,30 @@ void MessageBus::KeepSortRoom(size_t n) {
 void MessageBus::SortBatch() {
   const size_t n = keys_.size();
   if (n < 2) return;
-  // LSD radix sort over the bytes that vary in the batch, seq's first, then
-  // deliver_ms's: a delivery time is never negative, so its bit pattern
-  // orders as the value does. One pass counts every such byte, then one
-  // stable scatter per byte, least significant first. On `chaos` it beats
-  // std::sort (~600 keys a round, about ten varying bytes); below ~100
-  // keys std::sort would be faster, but such a sort costs a few µs.
+  // LSD radix sort over the deliver_ms bytes that vary in the batch: a
+  // delivery time is never negative, so its bit pattern orders as the
+  // value does. One pass counts every such byte, then one stable scatter
+  // per byte, least significant first. On `chaos` it beats std::sort (~600
+  // keys a round); below ~100 keys std::sort would be faster, but such a
+  // sort costs a few µs.
   constexpr size_t kBuckets = 256;
-  constexpr size_t kMaxPasses = 16;  // 16 bytes of (deliver_ms, seq)
-  const auto word = [](const Key& k, unsigned shift) {
-    return shift < 64 ? k.seq >> shift
-                      : std::bit_cast<uint64_t>(k.deliver_ms) >> (shift - 64);
+  constexpr size_t kMaxPasses = 8;  // the 8 bytes of deliver_ms
+  const auto bits = [](const Key& k) {
+    return std::bit_cast<uint64_t>(k.deliver_ms);
   };
-  uint64_t seq_varying = 0;
-  uint64_t time_varying = 0;
-  const uint64_t seq0 = keys_[0].seq;
-  const uint64_t time0 = std::bit_cast<uint64_t>(keys_[0].deliver_ms);
-  for (const Key& k : keys_) {
-    seq_varying |= k.seq ^ seq0;
-    time_varying |= std::bit_cast<uint64_t>(k.deliver_ms) ^ time0;
-  }
+  uint64_t varying = 0;
+  const uint64_t time0 = bits(keys_[0]);
+  for (const Key& k : keys_) varying |= bits(k) ^ time0;
   unsigned shifts[kMaxPasses];
   size_t passes = 0;
-  for (unsigned shift = 0; shift < 128; shift += 8) {
-    const uint64_t varying = shift < 64 ? seq_varying >> shift
-                                        : time_varying >> (shift - 64);
-    if ((varying & (kBuckets - 1)) != 0) shifts[passes++] = shift;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & (kBuckets - 1)) != 0) shifts[passes++] = shift;
   }
   size_t offsets[kMaxPasses][kBuckets];
   for (size_t p = 0; p < passes; ++p) std::fill_n(offsets[p], kBuckets, 0);
   for (const Key& k : keys_) {
     for (size_t p = 0; p < passes; ++p) {
-      ++offsets[p][word(k, shifts[p]) & (kBuckets - 1)];
+      ++offsets[p][(bits(k) >> shifts[p]) & (kBuckets - 1)];
     }
   }
   // The passes scatter back and forth between the batch and the n slots
@@ -155,12 +147,24 @@ void MessageBus::SortBatch() {
     size_t sum = 0;
     for (size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
     for (const Key* k = from; k != from + n; ++k) {
-      to[offset[word(*k, shifts[p]) & (kBuckets - 1)]++] = *k;
+      to[offset[(bits(*k) >> shifts[p]) & (kBuckets - 1)]++] = *k;
     }
     std::swap(from, to);
   }
   if (from != keys_.data()) std::copy(from, from + n, keys_.data());
   keys_.resize(n);
+  // The sort is stable, so each run of equal delivery times is in batch
+  // position order, which is not always seq order: a network duplicate is
+  // queued before its original but takes the later seq, and the keys a
+  // drain carried over from its heap keep the heap's layout. An insertion
+  // pass under (deliver_ms, seq) moves keys only within their runs, which
+  // are short.
+  for (size_t i = 1; i < n; ++i) {
+    const Key key = keys_[i];
+    size_t j = i;
+    for (; j > 0 && Later()(keys_[j - 1], key); --j) keys_[j] = keys_[j - 1];
+    keys_[j] = key;
+  }
 }
 
 void MessageBus::BeginEpoch() {

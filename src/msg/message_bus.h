@@ -37,15 +37,16 @@ namespace sbon::msg {
 /// never moves an envelope. Keys live in one buffer, in two places. A Send
 /// outside a drain (pings, heartbeats, publishes, joins, leaves, retries)
 /// appends its key to a plain batch; EndEpoch sorts the batch once (an LSD
-/// radix sort over the key bytes that vary, scattering into the buffer
-/// past the batch), then drains by merging that sorted run with a binary
-/// min-heap behind it, which holds only the keys that handlers Send during
-/// the drain (pongs, acks). Keys past the horizon, from either place, move
-/// to the front as the batch for the next epoch. A delivery moves its
-/// envelope out of the slab before the handler runs (handlers Send, which
-/// may grow the slab). The buffer grows before a batch fills half of it,
-/// so the sort always has room and a new high-water mark costs one
-/// allocation. Buffer, slab and free list keep their high-water capacity:
+/// radix sort over the deliver_ms bytes that vary, scattering into the
+/// buffer past the batch, then an insertion pass that puts each run of
+/// equal delivery times in seq order), then drains by merging that sorted
+/// run with a binary min-heap behind it, which holds only the keys that
+/// handlers Send during the drain (pongs, acks). Keys past the horizon,
+/// from either place, move to the front as the batch for the next epoch.
+/// A delivery moves its envelope out of the slab before the handler runs
+/// (handlers Send, which may grow the slab). The buffer grows before a
+/// batch fills half of it, so the sort always has room and a new
+/// high-water mark costs one allocation. Buffer, slab and free list keep their high-water capacity:
 /// a steady-state Send + EndEpoch round is heap-free.
 ///
 /// Determinism: single-threaded by contract (like every substrate here);

@@ -10,9 +10,12 @@
 // handlers, loss / duplication / extra-delay fault plans, endpoints that
 // die between send and delivery, partitions, epochs short enough that keys
 // carry over across several of them, and batches of a few keys and of a
-// few hundred. After every epoch each delivered
-// (seq, tid, deliver_ms, from, to, kind), the queue size and the traffic
-// counters must match exactly.
+// few hundred. One plan runs on a full mesh of equal links, an even
+// multiple of the epoch long, so a reply carried past the horizon falls
+// due with the sends of a later epoch: ties between carried keys and fresh
+// ones, which the run counts. After every epoch each delivered
+// (seq, tid, send_ms, deliver_ms, from, to, kind), the queue size and the
+// traffic counters must match exactly.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -35,6 +38,7 @@ namespace {
 struct Delivery {
   uint64_t seq;
   uint64_t tid;
+  double send_ms;
   double deliver_ms;
   NodeId from;
   NodeId to;
@@ -45,6 +49,7 @@ struct Delivery {
 
 std::string Describe(const Delivery& d) {
   return "seq=" + std::to_string(d.seq) + " tid=" + std::to_string(d.tid) +
+         " sent=" + std::to_string(d.send_ms) +
          " at=" + std::to_string(d.deliver_ms) + " " + std::to_string(d.from) +
          "->" + std::to_string(d.to) +
          " kind=" + std::to_string(static_cast<int>(d.kind));
@@ -71,7 +76,8 @@ msg::Envelope Make(msg::Protocol proto, msg::MsgKind kind, NodeId from,
 template <typename Bus>
 void WireHandlers(Bus* bus, size_t num_nodes, std::vector<Delivery>* log) {
   const auto record = [log](const msg::Envelope& e) {
-    log->push_back(Delivery{e.seq, e.tid, e.deliver_ms, e.from, e.to, e.kind});
+    log->push_back(
+        Delivery{e.seq, e.tid, e.send_ms, e.deliver_ms, e.from, e.to, e.kind});
   };
   bus->SetHandler(msg::Protocol::kVivaldi, [=](const msg::Envelope& e) {
     record(e);
@@ -118,17 +124,57 @@ struct Config {
   double loss;
   double duplicate;
   double delay_jitter_ms;
+  /// Latency of every link of a full mesh; 0 runs on a transit-stub
+  /// topology instead.
+  double uniform_latency_ms = 0.0;
 };
 
 void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
 class BusEquivalenceTest : public testing::TestWithParam<Config> {};
 
+// `n` nodes, each pair joined by one link of `latency_ms`: every message
+// between two nodes takes exactly that long.
+net::Topology MakeFullMesh(size_t n, double latency_ms) {
+  net::Topology topo;
+  for (size_t i = 0; i < n; ++i) topo.AddNode(net::NodeKind::kHost);
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      EXPECT_TRUE(topo.AddLink(a, b, latency_ms).ok());
+    }
+  }
+  return topo;
+}
+
+// Counts the runs of equal delivery times in one epoch's `log` that hold
+// both a key carried in from an earlier epoch (sent before `epoch_start`)
+// and one sent in this epoch.
+size_t CountCarriedTies(const std::vector<Delivery>& log,
+                        double epoch_start) {
+  size_t ties = 0;
+  for (size_t i = 0; i < log.size();) {
+    size_t end = i;
+    bool carried = false;
+    bool fresh = false;
+    for (; end < log.size() && log[end].deliver_ms == log[i].deliver_ms;
+         ++end) {
+      (log[end].send_ms < epoch_start ? carried : fresh) = true;
+    }
+    if (carried && fresh) ++ties;
+    i = end;
+  }
+  return ties;
+}
+
 // One seeded program: per epoch, partition and endpoint churn, a batch of
 // sends (a few or a few hundred, some between epochs), deaths between send
-// and delivery, then EndEpoch on both buses and a full comparison.
-void RunProgram(const Config& config, uint64_t seed) {
-  net::Topology topo = MakeTransitStubTopology(TopologySize::kTiny, seed);
+// and delivery, then EndEpoch on both buses and a full comparison. Adds
+// each epoch's CountCarriedTies to `*carried_ties`.
+void RunProgram(const Config& config, uint64_t seed, size_t* carried_ties) {
+  net::Topology topo =
+      config.uniform_latency_ms > 0.0
+          ? MakeFullMesh(24, config.uniform_latency_ms)
+          : MakeTransitStubTopology(TopologySize::kTiny, seed);
   Rng fabric_rng(seed);
   net::NetworkFabric::Options fabric_options;
   fabric_options.base_mode = net::NetworkFabric::BaseMode::kDense;
@@ -200,6 +246,7 @@ void RunProgram(const Config& config, uint64_t seed) {
     bus.BeginEpoch();
     ref.BeginEpoch();
     ASSERT_EQ(bus.now_ms(), ref.now_ms());
+    const double epoch_start = bus.now_ms();
     // Batches of a few keys and of a few hundred.
     send_batch(rng.UniformInt(2) == 0 ? rng.UniformInt(40)
                                       : 150 + rng.UniformInt(250));
@@ -223,18 +270,26 @@ void RunProgram(const Config& config, uint64_t seed) {
     ASSERT_EQ(bus.now_ms(), ref.now_ms());
     ExpectSameTraffic(bus.stats(), ref.stats());
     if (testing::Test::HasFailure()) return;
+    *carried_ties += CountCarriedTies(got, epoch_start);
   }
 }
 
 TEST_P(BusEquivalenceTest, DeliversLikeTheHeapOnlyBus) {
+  size_t carried_ties = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    RunProgram(GetParam(), seed);
+    RunProgram(GetParam(), seed, &carried_ties);
     if (HasFatalFailure() || HasFailure()) return;
+  }
+  // The mesh plan exists for these ties: it must really produce them.
+  if (GetParam().uniform_latency_ms > 0.0) {
+    EXPECT_GT(carried_ties, 0u);
   }
 }
 
 // Epochs of 2 ms are shorter than most links, so keys carry over across
-// several epochs; 100 ms is the engine's default.
+// several epochs; 100 ms is the engine's default. On the 4 ms mesh a
+// drain's reply to a delivery at t falls due at t + 4 ms, with the fresh
+// sends of the epoch that starts at t.
 INSTANTIATE_TEST_SUITE_P(
     Plans, BusEquivalenceTest,
     testing::Values(Config{"polite", 100.0, 0.0, 0.0, 0.0},
@@ -243,7 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
                     Config{"duplication", 2.0, 0.0, 0.3, 0.0},
                     Config{"delay", 2.0, 0.0, 0.0, 5.0},
                     Config{"chaos", 2.0, 0.1, 0.05, 0.0},
-                    Config{"all", 2.0, 0.1, 0.2, 3.0}),
+                    Config{"all", 2.0, 0.1, 0.2, 3.0},
+                    Config{"mesh_ties", 2.0, 0.0, 0.3, 0.0, 4.0}),
     [](const testing::TestParamInfo<Config>& info) {
       return std::string(info.param.name);
     });
